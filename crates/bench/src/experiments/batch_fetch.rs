@@ -1,4 +1,4 @@
-//! batch_fetch: batched GetMany throughput vs the single-GET baseline.
+//! batch_fetch: batched GetMany throughput vs the one-file-per-rpc baseline.
 //!
 //! The paper's training I/O is dominated by many small-file GETs, each
 //! paying one fabric round trip (§IV-B). The batched read path coalesces
@@ -23,7 +23,7 @@ use crate::report::{fmt_f, md_table};
 const NODES: usize = 4;
 /// Modelled one-way fabric latency, charged to every message.
 const LINK_DELAY: Duration = Duration::from_micros(500);
-/// Coalescing widths under test (1 = the single-GET baseline).
+/// Coalescing widths under test (1 = one file per rpc, the baseline).
 pub const BATCH_SIZES: [usize; 4] = [1, 8, 32, 128];
 
 fn dataset(n: usize) -> Vec<(String, Vec<u8>)> {
@@ -87,7 +87,7 @@ pub fn run(n: usize, epochs: usize) -> String {
         .map(|&(b, rate)| vec![b.to_string(), fmt_f(rate), format!("{:.1}x", rate / base)])
         .collect();
     format!(
-        "## batch_fetch — GetMany coalescing vs single-GET reads (measured)\n\n\
+        "## batch_fetch — GetMany coalescing vs one file per rpc (measured)\n\n\
          Mean files/s per rank: {n} files x {epochs} epochs on a {NODES}-rank cluster,\n\
          eager cache release (every epoch refetches over the fabric) and a modelled\n\
          {}us delay charged to every fabric message. rpc_batch=1 issues one GET per\n\
@@ -105,7 +105,7 @@ mod tests {
     fn batch32_at_least_2x_over_single_get() {
         // The acceptance gate for the batched read path: on the 4-rank
         // sim config with per-message latency, batch=32 must at least
-        // double the single-GET baseline.
+        // double the one-file-per-rpc baseline.
         let measured = super::measure_all(32, 2);
         let base = measured[0].1;
         let batch32 = measured.iter().find(|(b, _)| *b == 32).unwrap().1;

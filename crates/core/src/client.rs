@@ -20,12 +20,11 @@ use parking_lot::Mutex;
 
 use crate::backend::Backend;
 use crate::daemon::{
-    decode_get_many_reply, decode_get_many_reply_v2, decode_get_reply, encode_get_many_request,
-    encode_get_many_request_v2, tags, GetManyItem, GetManySpec, MAX_BATCH,
+    decode_get_many_reply, encode_get_many_request, tags, GetManyItem, GetManySpec, MAX_BATCH,
 };
 use crate::meta::encode_single;
 use crate::metrics::{now_us, Counter, Gauge, Histogram};
-use crate::node::NodeState;
+use crate::node::{NodeState, RangeChunk, RangePieces};
 use crate::placement::replicas_of;
 use crate::qos::{QosPolicy, SloTracker, TenantId, TokenBucket};
 use crate::stat::FileStat;
@@ -542,16 +541,21 @@ impl FsClient {
         Ok(fd)
     }
 
-    /// Fetch decompressed contents, populating the cache (shared by
-    /// `open` and `read_whole`). When timing is on, the whole operation
-    /// is one request: it gets a fresh [`NodeState::next_request_id`],
-    /// its latency lands in `client.get.latency_us`, and a `client.get`
-    /// span (plus per-stage children) is recorded.
-    fn fetch(&self, path: &str) -> Result<Arc<Vec<u8>>, FsError> {
+    /// Run one read operation as one request: token-bucket admission (one
+    /// token per public call), the op deadline, and — when timing is on — a
+    /// fresh [`NodeState::next_request_id`], the tenant latency/SLO
+    /// observation, an optional latency histogram and a `root` span (plus
+    /// whatever child spans `body` records under the id it is handed).
+    fn read_op<T>(
+        &self,
+        path: &str,
+        root: &str,
+        latency: Option<&Histogram>,
+        body: impl FnOnce(u64, u64) -> Result<T, FsError>,
+    ) -> Result<T, FsError> {
         if !self.timed {
             self.admit(path)?;
-            let deadline = self.op_deadline_us();
-            return self.fetch_inner(path, 0, deadline);
+            return body(0, self.op_deadline_us());
         }
         // The request id is minted before admission so backoff waits are
         // attributable: with QoS attached the admit leg becomes a
@@ -562,17 +566,36 @@ impl FsClient {
         if self.qos.is_some() {
             self.span(request, "client.admit", start);
         }
-        // A throttled op never ran: no get latency, no root span.
+        // A throttled op never ran: no latency, no root span.
         admitted?;
-        let deadline = self.op_deadline_us();
-        let out = self.fetch_inner(path, request, deadline);
+        let out = body(request, self.op_deadline_us());
         let elapsed = now_us().saturating_sub(start);
-        self.metrics.get_latency.record_with_exemplar(elapsed, request);
+        if let Some(h) = latency {
+            h.record_with_exemplar(elapsed, request);
+        }
         if let Some(q) = &self.qos {
             q.observe_latency(elapsed, request);
         }
-        self.span(request, "client.get", start);
+        self.span(request, root, start);
         out
+    }
+
+    /// Fetch decompressed contents, populating the cache (shared by
+    /// `open` and `read_whole`): one `client.get` request whose latency
+    /// lands in `client.get.latency_us`.
+    fn fetch(&self, path: &str) -> Result<Arc<Vec<u8>>, FsError> {
+        self.read_op(path, "client.get", Some(&self.metrics.get_latency), |request, deadline| {
+            self.fetch_inner(path, request, deadline)
+        })
+    }
+
+    /// The rank to ask for `path`'s bytes when they are not on this node,
+    /// from the replicated metadata. No metadata entry means the path
+    /// genuinely does not exist; `None` means metadata says the bytes
+    /// should be here (or nowhere valid).
+    fn remote_owner(&self, path: &str) -> Result<Option<usize>, FsError> {
+        let owner = self.state.owner_of(path).ok_or_else(|| FsError::NotFound(path.to_string()))?;
+        Ok((owner != self.state.rank && owner < self.state.size).then_some(owner))
     }
 
     fn fetch_inner(
@@ -584,22 +607,23 @@ impl FsClient {
         if let Some(local) = self.state.open_local(path)? {
             return Ok(local);
         }
-        // Remote: find the owner from the replicated metadata. No
-        // metadata entry means the path genuinely does not exist.
-        let owner = self.state.owner_of(path).ok_or_else(|| FsError::NotFound(path.to_string()))?;
-        let remote_err = if owner == self.state.rank || owner >= self.state.size {
-            // Metadata says the bytes should be here (or nowhere valid)
-            // but the local backend came up empty.
-            FsError::NotFound(path.to_string())
-        } else {
-            match self.fetch_remote(path, owner, request, deadline_us) {
-                Ok(plain) => {
-                    self.sync_fabric_gauges();
-                    return Ok(self.state.cache.insert(path, Arc::new(plain)));
-                }
-                Err(e) => {
-                    self.sync_fabric_gauges();
-                    e
+        let remote_err = match self.remote_owner(path)? {
+            // The local backend came up empty.
+            None => FsError::NotFound(path.to_string()),
+            Some(owner) => {
+                let spec = GetManySpec::whole(path);
+                let plain =
+                    self.remote_read(&spec, owner, request, deadline_us, |item| match item {
+                        GetManyItem::Whole(codec, stat, data) => {
+                            self.decompress_span(path, codec, &data, stat.size as usize, request)
+                        }
+                        GetManyItem::Partial(_) => Err(FsError::Comm(format!(
+                            "{path}: PARTIAL reply to a whole-file read"
+                        ))),
+                    });
+                match plain {
+                    Ok(plain) => return Ok(self.state.cache.insert(path, Arc::new(plain))),
+                    Err(e) => e,
                 }
             }
         };
@@ -622,87 +646,122 @@ impl FsClient {
         Err(remote_err)
     }
 
-    /// One GET attempt against `replica`: rpc (optionally under the
-    /// failover deadline), CRC-verified decode, decompress. The rpc leg
-    /// lands in `fabric.rpc.latency_us` / a `fabric.rpc` span; the
-    /// decompress leg in the codec histograms / a `client.decompress`
-    /// span.
-    fn try_get(
+    /// Decompress a fetched payload; when the request is timed the leg
+    /// becomes a `client.decompress` span (and the codec histograms see
+    /// it either way).
+    fn decompress_span(
         &self,
         path: &str,
-        replica: usize,
+        codec: CodecId,
+        data: &[u8],
+        size: usize,
+        request: u64,
+    ) -> Result<Vec<u8>, FsError> {
+        let dec_start = if self.timed { now_us() } else { 0 };
+        let plain = self.state.decompress_timed(codec, data, size, path)?;
+        if self.timed && request != 0 {
+            self.span(request, "client.decompress", dec_start);
+        }
+        Ok(plain)
+    }
+
+    /// One GET_MANY round trip to `rank` (optionally under the failover
+    /// deadline): the only place a read request is encoded and its reply
+    /// decoded. The leg lands in `fabric.rpc.latency_us` / a `fabric.rpc`
+    /// span; a SHED reply is counted here, once, for every caller.
+    fn get_many_rpc(
+        &self,
+        specs: &[GetManySpec],
+        rank: usize,
         timeout: Option<Duration>,
         request: u64,
         deadline_us: u64,
-    ) -> Result<Vec<u8>, FsError> {
-        let payload = path.as_bytes().to_vec();
+    ) -> Result<Vec<Result<GetManyItem, FsError>>, FsError> {
+        let payload = encode_get_many_request(specs);
         let rpc_start = if self.timed { now_us() } else { 0 };
         let meta = self.rpc_meta(request, deadline_us);
-        let reply =
-            self.service.rpc_with_meta(replica, tags::GET, payload, timeout, meta).map_err(|e| {
-                match e {
-                    // A dead peer surfaces as a dropped conduit (blackholed
-                    // request) or an elapsed deadline; both mean "unreachable".
-                    CommError::Timeout | CommError::Disconnected => {
-                        FsError::Timeout(format!("GET {path} from rank {replica}"))
-                    }
-                    other => FsError::Comm(other.to_string()),
-                }
-            });
+        let reply = self.service.rpc_with_meta(rank, tags::GET_MANY, payload, timeout, meta);
         if self.timed {
             self.metrics
                 .rpc_latency
                 .record_with_exemplar(now_us().saturating_sub(rpc_start), request);
             self.span(request, "fabric.rpc", rpc_start);
         }
-        let reply = reply?;
-        let decoded = decode_get_reply(&reply);
+        self.sync_fabric_gauges();
+        let reply = reply.map_err(|e| match e {
+            // A dead peer surfaces as a dropped conduit (blackholed
+            // request) or an elapsed deadline; both mean "unreachable".
+            CommError::Timeout | CommError::Disconnected => {
+                FsError::Timeout(format!("GET_MANY {} from rank {rank}", specs[0].path))
+            }
+            other => FsError::Comm(other.to_string()),
+        })?;
+        let decoded = decode_get_many_reply(&reply, specs.len());
         if let Err(FsError::Shed(_)) = &decoded {
             // The daemon answered SHED: deadline unmeetable or queue
             // full. Retryable — the caller walks replicas / read-through.
             self.state.stats.shed_replies.inc();
         }
-        let (codec, stat, compressed) = decoded?;
-        self.state.stats.remote_opens.inc();
-        self.state.stats.remote_bytes.add(compressed.len() as u64);
-        let dec_start = if self.timed { now_us() } else { 0 };
-        let plain = self.state.decompress_timed(codec, &compressed, stat.size as usize, path)?;
-        if self.timed {
-            self.span(request, "client.decompress", dec_start);
-        }
-        Ok(plain)
+        decoded
     }
 
-    /// Remote fetch with replica failover. Without a [`FailoverConfig`]
-    /// this is a single rpc to the owner (the pre-recovery behaviour);
-    /// with one, failed attempts walk the owner's ring replicas under
-    /// backoff, counting every recovery action in the node stats. Two
-    /// budgets bound the walk: `cfg.retry_budget` caps total retries per
-    /// op, and `deadline_us` (when nonzero) stops the walk — and clamps
-    /// each attempt's timeout — once the operation's deadline passes, so
-    /// a degraded batch cannot spend a fresh full timeout per entry.
-    fn fetch_remote(
+    /// One read attempt against `replica`: a batch of one.
+    fn try_spec(
         &self,
-        path: &str,
+        spec: &GetManySpec,
+        replica: usize,
+        timeout: Option<Duration>,
+        request: u64,
+        deadline_us: u64,
+    ) -> Result<GetManyItem, FsError> {
+        let specs = std::slice::from_ref(spec);
+        let item = self
+            .get_many_rpc(specs, replica, timeout, request, deadline_us)?
+            .pop()
+            .expect("decoder checked the entry count")?;
+        let stored: usize = match &item {
+            GetManyItem::Whole(_, _, data) => data.len(),
+            GetManyItem::Partial(p) => p.chunks.iter().map(|c| c.stored.len()).sum(),
+        };
+        self.state.stats.remote_opens.inc();
+        self.state.stats.remote_bytes.add(stored as u64);
+        Ok(item)
+    }
+
+    /// The one way a read reaches a remote replica. Without a
+    /// [`FailoverConfig`] this is a single rpc to the owner; with one,
+    /// failed attempts walk the owner's ring replicas under backoff,
+    /// counting every recovery action in the node stats. Two budgets
+    /// bound the walk: `cfg.retry_budget` caps total retries per op, and
+    /// `deadline_us` (when nonzero) stops the walk — and clamps each
+    /// attempt's timeout — once the operation's deadline passes, so a
+    /// degraded batch cannot spend a fresh full timeout per entry.
+    ///
+    /// `finish` turns the fetched entry into the caller's result *inside*
+    /// the attempt: a payload that fails its at-rest chunk CRC or its
+    /// decompression poisons only that attempt, and the walk moves on to
+    /// the next replica, where an undamaged copy may survive.
+    fn remote_read<T>(
+        &self,
+        spec: &GetManySpec,
         owner: usize,
         request: u64,
         deadline_us: u64,
-    ) -> Result<Vec<u8>, FsError> {
+        mut finish: impl FnMut(GetManyItem) -> Result<T, FsError>,
+    ) -> Result<T, FsError> {
+        let path = spec.path;
         if deadline_us != 0 && now_us() >= deadline_us {
             // Expired before the first send: the daemon would shed it
             // anyway; skip the round trip (read-through still applies).
             return Err(FsError::Shed(format!("{path}: deadline exhausted before send")));
         }
         let Some(cfg) = &self.failover else {
-            return self.try_get(path, owner, None, request, deadline_us);
+            return self.try_spec(spec, owner, None, request, deadline_us).and_then(finish);
         };
-        let replicas: Vec<usize> = replicas_of(owner, self.state.size, cfg.replica_rounds)
-            .into_iter()
-            .filter(|&r| r != self.state.rank)
-            .collect();
+        let replicas = replicas_of(owner, self.state.size, cfg.replica_rounds);
         let mut attempt = 0u32;
         let mut last = FsError::Degraded(format!("{path}: no reachable replica"));
-        for &replica in &replicas {
+        for replica in replicas.into_iter().filter(|&r| r != self.state.rank) {
             for _ in 0..cfg.attempts_per_replica.max(1) {
                 if attempt > 0 {
                     if cfg.retry_budget > 0 && attempt > cfg.retry_budget {
@@ -723,16 +782,22 @@ impl FsClient {
                     }
                     timeout = timeout.min(Duration::from_micros(rem));
                 }
-                match self.try_get(path, replica, Some(timeout), request, deadline_us) {
-                    Ok(plain) => {
+                match self
+                    .try_spec(spec, replica, Some(timeout), request, deadline_us)
+                    .and_then(&mut finish)
+                {
+                    Ok(out) => {
                         if attempt > 1 {
                             // The read needed recovery: a retry or a
                             // replica other than the primary served it.
                             self.state.stats.degraded_reads.inc();
                             self.record(Op::Degraded, path, 0);
                         }
-                        return Ok(plain);
+                        return Ok(out);
                     }
+                    // The daemon judged the range invalid — replicas would
+                    // say the same.
+                    Err(e @ FsError::BadRange(_)) => return Err(e),
                     Err(e) => {
                         match &e {
                             FsError::Timeout(_) => {
@@ -767,31 +832,39 @@ impl FsClient {
     ///
     /// Per-entry failure isolation: a missing, corrupted or unreachable
     /// entry does not fail the batch. Each unresolved entry falls back to
-    /// the single-GET path — replica failover, backoff and read-through
+    /// a batch of one — replica failover, backoff and read-through
     /// included — exactly as [`FsClient::read_whole`] would.
     pub fn fetch_many_raw(&self, paths: &[String]) -> Vec<Result<RawEntry, FsError>> {
+        let Some(first) = paths.first() else { return Vec::new() };
+        // Admission: one token per batch. One deadline covers the whole
+        // batch too: the GET_MANY rpcs and every per-entry fallback fetch
+        // are charged against it, so a degraded batch is bounded by one
+        // budget instead of one per entry.
+        let latency = Some(&*self.metrics.get_many_latency);
+        let out = self.read_op(first, "client.get_many", latency, |request, deadline| {
+            Ok(self.fetch_many_inner(paths, request, deadline))
+        });
+        match out {
+            Ok(out) => {
+                self.metrics.get_many_batches.inc();
+                self.metrics.get_many_entries.add(paths.len() as u64);
+                // Also for an all-local batch: writes move the fabric too.
+                self.sync_fabric_gauges();
+                self.sync_cache_gauges();
+                out
+            }
+            // A refused batch fails whole: each entry carries Throttled.
+            Err(e) => paths.iter().map(|_| Err(e.clone())).collect(),
+        }
+    }
+
+    fn fetch_many_inner(
+        &self,
+        paths: &[String],
+        request: u64,
+        deadline_us: u64,
+    ) -> Vec<Result<RawEntry, FsError>> {
         let n = paths.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let timed = self.timed;
-        let request = if timed { self.state.next_request_id() } else { 0 };
-        let start = if timed { now_us() } else { 0 };
-        // Admission: one token per batch, timed under the batch request
-        // id (a `client.admit` child span when QoS is attached). A
-        // refused batch fails whole — every entry carries the Throttled
-        // error, and no get_many latency or root span is recorded.
-        let admitted = self.admit(&paths[0]);
-        if timed && self.qos.is_some() {
-            self.span(request, "client.admit", start);
-        }
-        if let Err(e) = admitted {
-            return paths.iter().map(|_| Err(e.clone())).collect();
-        }
-        // One deadline covers the whole batch: the GET_MANY rpcs and every
-        // per-entry fallback fetch are charged against it, so a degraded
-        // batch is bounded by one budget instead of one per entry.
-        let deadline_us = self.op_deadline_us();
         let mut out: Vec<Option<Result<RawEntry, FsError>>> = Vec::with_capacity(n);
         out.resize_with(n, || None);
         // Local pass: cache / write-store hits resolve immediately; local
@@ -821,13 +894,10 @@ impl FsClient {
                 }));
                 continue;
             }
-            match self.state.owner_of(path) {
-                Some(owner) if owner != self.state.rank && owner < self.state.size => {
-                    by_rank.entry(owner).or_default().push(i);
-                }
-                // Missing metadata or a local owner with no local bytes:
-                // the fallback pass reports NotFound / tries read-through.
-                _ => {}
+            // Missing metadata or a local owner with no local bytes: the
+            // fallback pass reports NotFound / tries read-through.
+            if let Ok(Some(owner)) = self.remote_owner(path) {
+                by_rank.entry(owner).or_default().push(i);
             }
         }
         // Remote pass: one GET_MANY per destination rank. Entry errors
@@ -837,58 +907,41 @@ impl FsClient {
         let timeout = self.failover.as_ref().map(|c| c.rpc_timeout);
         for (&rank, idxs) in &by_rank {
             for chunk in idxs.chunks(MAX_BATCH) {
-                let chunk_paths: Vec<&str> = chunk.iter().map(|&i| paths[i].as_str()).collect();
-                let payload = encode_get_many_request(&chunk_paths);
-                let rpc_start = if timed { now_us() } else { 0 };
-                let meta = self.rpc_meta(request, deadline_us);
-                let reply =
-                    self.service.rpc_with_meta(rank, tags::GET_MANY, payload, timeout, meta);
-                if timed {
-                    self.metrics
-                        .rpc_latency
-                        .record_with_exemplar(now_us().saturating_sub(rpc_start), request);
-                    self.span(request, "fabric.rpc", rpc_start);
-                }
-                match reply {
-                    Ok(reply) => {
-                        match decode_get_many_reply(&reply, chunk.len()) {
-                            Ok(entries) => {
-                                for (&slot, entry) in chunk.iter().zip(entries) {
-                                    match entry {
-                                        Ok((codec, stat, bytes)) => {
-                                            self.state.stats.remote_opens.inc();
-                                            self.state.stats.remote_bytes.add(bytes.len() as u64);
-                                            out[slot] = Some(Ok(RawEntry::Packed {
-                                                codec,
-                                                size: stat.size as usize,
-                                                bytes: Arc::new(bytes),
-                                                request,
-                                            }));
-                                        }
-                                        Err(FsError::Corrupt(_)) => {
-                                            self.state.stats.crc_failures.inc();
-                                        }
-                                        Err(_) => {}
-                                    }
+                let specs: Vec<GetManySpec> =
+                    chunk.iter().map(|&i| GetManySpec::whole(&paths[i])).collect();
+                match self.get_many_rpc(&specs, rank, timeout, request, deadline_us) {
+                    Ok(items) => {
+                        for (&slot, item) in chunk.iter().zip(items) {
+                            match item {
+                                Ok(GetManyItem::Whole(codec, stat, bytes)) => {
+                                    self.state.stats.remote_opens.inc();
+                                    self.state.stats.remote_bytes.add(bytes.len() as u64);
+                                    out[slot] = Some(Ok(RawEntry::Packed {
+                                        codec,
+                                        size: stat.size as usize,
+                                        bytes: Arc::new(bytes),
+                                        request,
+                                    }));
                                 }
+                                Err(FsError::Corrupt(_)) => {
+                                    self.state.stats.crc_failures.inc();
+                                }
+                                _ => {}
                             }
-                            Err(FsError::Shed(_)) => {
-                                // The daemon shed the whole batch rpc; all
-                                // its slots go to the fallback pass.
-                                self.state.stats.shed_replies.inc();
-                            }
-                            Err(_) => {}
                         }
                     }
-                    Err(CommError::Timeout | CommError::Disconnected) => {
+                    Err(FsError::Timeout(_)) => {
                         self.state.stats.rpc_timeouts.inc();
                     }
+                    // A shed batch rpc (counted by `get_many_rpc`) or a
+                    // damaged outer frame: all its slots go to the
+                    // fallback pass.
                     Err(_) => {}
                 }
             }
         }
-        // Fallback pass: per-entry replica failover through the
-        // single-GET machinery, under the same batch request id and —
+        // Fallback pass: per-entry replica failover, one batch of one per
+        // unresolved entry, under the same batch request id and —
         // crucially — the same batch deadline (a fresh full timeout per
         // degraded entry would let a MAX_BATCH batch take 128× budget).
         for (i, slot) in out.iter_mut().enumerate() {
@@ -898,18 +951,6 @@ impl FsClient {
                     Some(self.fetch_inner(&paths[i], request, deadline_us).map(RawEntry::Ready));
             }
         }
-        if timed {
-            let elapsed = now_us().saturating_sub(start);
-            self.metrics.get_many_latency.record_with_exemplar(elapsed, request);
-            if let Some(q) = &self.qos {
-                q.observe_latency(elapsed, request);
-            }
-            self.span(request, "client.get_many", start);
-        }
-        self.metrics.get_many_batches.inc();
-        self.metrics.get_many_entries.add(n as u64);
-        self.sync_fabric_gauges();
-        self.sync_cache_gauges();
         out.into_iter().map(|r| r.expect("every entry resolved")).collect()
     }
 
@@ -921,11 +962,7 @@ impl FsClient {
         match entry {
             RawEntry::Ready(data) => Ok(data),
             RawEntry::Packed { codec, size, bytes, request } => {
-                let dec_start = if self.timed { now_us() } else { 0 };
-                let plain = self.state.decompress_timed(codec, &bytes, size, path)?;
-                if self.timed && request != 0 {
-                    self.span(request, "client.decompress", dec_start);
-                }
+                let plain = self.decompress_span(path, codec, &bytes, size, request)?;
                 Ok(self.state.cache.insert(path, Arc::new(plain)))
             }
         }
@@ -936,6 +973,13 @@ impl FsClient {
     /// read-to-end + close).
     pub fn finish_read(&self, path: &str, entry: RawEntry) -> Result<Vec<u8>, FsError> {
         let data = self.finish_entry(path, entry)?;
+        Ok(self.read_to_end_and_close(path, data))
+    }
+
+    /// Read-to-end + close on an open cache reference, into owned bytes
+    /// (the shared tail of [`FsClient::read_whole`] and
+    /// [`FsClient::finish_read`]).
+    fn read_to_end_and_close(&self, path: &str, data: Arc<Vec<u8>>) -> Vec<u8> {
         self.record(Op::Read, path, data.len() as u64);
         self.state.cache.close(path);
         self.record(Op::Close, path, 0);
@@ -945,14 +989,11 @@ impl FsClient {
         // holds it) the copy is unavoidable — but it is sourced from the
         // scratch pool, so a steady-state loop that recycles its outputs
         // still performs no allocation.
-        match Arc::try_unwrap(data) {
-            Ok(out) => Ok(out),
-            Err(shared) => {
-                let mut out = self.state.pool.take(shared.len());
-                out.extend_from_slice(&shared);
-                Ok(out)
-            }
-        }
+        Arc::try_unwrap(data).unwrap_or_else(|shared| {
+            let mut out = self.state.pool.take(shared.len());
+            out.extend_from_slice(&shared);
+            out
+        })
     }
 
     /// Hand a buffer obtained from [`FsClient::finish_read`] /
@@ -1202,19 +1243,7 @@ impl FsClient {
     pub fn read_whole(&self, path: &str) -> Result<Vec<u8>, FsError> {
         self.record(Op::Open, path, 0);
         let data = self.fetch(path)?;
-        self.record(Op::Read, path, data.len() as u64);
-        self.state.cache.close(path);
-        self.record(Op::Close, path, 0);
-        // Same move-or-pooled-copy dance as `finish_read`: eager-release
-        // caches hand the buffer over with no copy at all.
-        match Arc::try_unwrap(data) {
-            Ok(out) => Ok(out),
-            Err(shared) => {
-                let mut out = self.state.pool.take(shared.len());
-                out.extend_from_slice(&shared);
-                Ok(out)
-            }
-        }
+        Ok(self.read_to_end_and_close(path, data))
     }
 
     /// Convenience: write an entire output file (create + write + close).
@@ -1228,7 +1257,7 @@ impl FsClient {
     /// whole file. For range-chunked objects only the covering chunks
     /// move: cache-resident chunks are served in place, locally-owned
     /// chunks decode from the partition, and remote chunks travel in one
-    /// v2 GET_MANY entry (replica failover and read-through included).
+    /// GET_MANY range entry (replica failover and read-through included).
     /// Fetched chunks land in the cache as partial residency, so
     /// overlapping ranges hit without refetching. Objects packed whole
     /// fall back to a full fetch plus slice — correct, just not cheaper.
@@ -1236,14 +1265,9 @@ impl FsClient {
     /// `[start, end)` must be non-empty and lie inside the file;
     /// anything else is [`FsError::BadRange`] (EINVAL), never a panic.
     pub fn read_range(&self, path: &str, start: u64, end: u64) -> Result<Vec<u8>, FsError> {
-        if !self.timed {
-            return self.read_range_inner(path, start, end, 0);
-        }
-        let request = self.state.next_request_id();
-        let t0 = now_us();
-        let out = self.read_range_inner(path, start, end, request);
-        self.span(request, "client.range", t0);
-        out
+        self.read_op(path, "client.range", None, |request, deadline| {
+            self.read_range_inner(path, start, end, request, deadline)
+        })
     }
 
     fn read_range_inner(
@@ -1252,6 +1276,7 @@ impl FsClient {
         start: u64,
         end: u64,
         request: u64,
+        deadline_us: u64,
     ) -> Result<Vec<u8>, FsError> {
         let stat = self.stat(path)?;
         if start >= end || end > stat.size {
@@ -1266,54 +1291,70 @@ impl FsClient {
         // 2. Locally-owned chunked object: decode only the covering
         // chunks from the partition.
         if let Some(pieces) = self.state.read_local_chunks(path, start, end)? {
-            for c in &pieces.chunks {
-                self.state.cache.insert_chunk(
-                    path,
-                    pieces.chunk_size,
-                    pieces.total_len,
-                    c.index,
-                    c.data.clone(),
-                );
-            }
-            return self.assemble_span(&pieces, start, end, request);
+            return self.cache_and_assemble(path, &pieces, start, end, request);
         }
         // 3. Remote owner. Non-chunked objects (local or remote) fall
         // through to a whole-file fetch and slice below.
-        let owner = self.state.owner_of(path).ok_or_else(|| FsError::NotFound(path.to_string()))?;
-        if owner != self.state.rank
-            && owner < self.state.size
-            && self.state.local_packed(path).is_none()
-        {
-            let deadline = self.op_deadline_us();
-            match self.range_remote(path, start, end, owner, request, deadline) {
-                Ok(bytes) => {
-                    self.sync_fabric_gauges();
-                    return Ok(bytes);
+        let remote = self.remote_owner(path)?.filter(|_| self.state.local_packed(path).is_none());
+        if let Some(owner) = remote {
+            let spec = GetManySpec::range(path, start, end);
+            let got = self.remote_read(&spec, owner, request, deadline_us, |item| match item {
+                GetManyItem::Partial(p) => {
+                    let mut chunks = Vec::with_capacity(p.chunks.len());
+                    for c in &p.chunks {
+                        let data = Arc::new(c.decode(p.inner_codec)?);
+                        chunks.push(RangeChunk { index: c.index, offset: c.offset, data });
+                    }
+                    let pieces =
+                        RangePieces { chunk_size: p.chunk_size, total_len: p.raw_len, chunks };
+                    self.cache_and_assemble(path, &pieces, start, end, request)
                 }
-                // The daemon judged the range invalid — replicas would
-                // say the same, and read-through can't fix EINVAL.
-                Err(e @ FsError::BadRange(_)) => return Err(e),
-                Err(_) => self.sync_fabric_gauges(),
+                GetManyItem::Whole(codec, stat, data) => {
+                    // The serving node holds a whole-object copy: decode it
+                    // all, cache it all, slice the window.
+                    let plain =
+                        self.decompress_span(path, codec, &data, stat.size as usize, request)?;
+                    let shared = self.state.cache.insert(path, Arc::new(plain));
+                    let out = slice_range(&shared, start, end, path);
+                    self.state.cache.close(path);
+                    out
+                }
+            });
+            match got {
+                // A rejected range is final: read-through can't fix EINVAL.
+                Ok(_) | Err(FsError::BadRange(_)) => return got,
+                // Every replica failed: degrade to the whole-file path, which
+                // carries its own read-through fallback.
+                Err(_) => {}
             }
-            // Every replica failed: degrade to the whole-file path, which
-            // carries its own read-through fallback.
         }
-        // 4. Whole-file fallback: fetch (cache-populating), slice.
-        let data = self.fetch(path)?;
+        // 4. Whole-file fallback: fetch (cache-populating), slice. Still
+        // the same request — no second admission token.
+        let data = self.fetch_inner(path, request, deadline_us)?;
         let out = slice_range(&data, start, end, path)?;
         self.state.cache.close(path);
         Ok(out)
     }
 
-    /// Assemble `[start, end)` from decoded range pieces under a
-    /// `client.assemble` span.
-    fn assemble_span(
+    /// Install decoded range chunks as partial cache residency, then
+    /// assemble `[start, end)` from them under a `client.assemble` span.
+    fn cache_and_assemble(
         &self,
-        pieces: &crate::node::RangePieces,
+        path: &str,
+        pieces: &RangePieces,
         start: u64,
         end: u64,
         request: u64,
     ) -> Result<Vec<u8>, FsError> {
+        for c in &pieces.chunks {
+            self.state.cache.insert_chunk(
+                path,
+                pieces.chunk_size,
+                pieces.total_len,
+                c.index,
+                c.data.clone(),
+            );
+        }
         let t = if self.timed { now_us() } else { 0 };
         let out = pieces.assemble(start, end);
         if self.timed {
@@ -1322,202 +1363,39 @@ impl FsClient {
         out
     }
 
-    /// One ranged GET_MANY attempt against `replica`: rpc, outer-CRC
-    /// decode, per-chunk at-rest CRC + decompress. A chunk whose at-rest
-    /// CRC fails poisons only this attempt — the caller walks the replica
-    /// ring, where an undamaged copy may survive.
-    #[allow(clippy::too_many_arguments)]
-    fn try_range(
-        &self,
-        path: &str,
-        start: u64,
-        end: u64,
-        replica: usize,
-        timeout: Option<Duration>,
-        request: u64,
-        deadline_us: u64,
-    ) -> Result<Vec<u8>, FsError> {
-        let specs = [GetManySpec::range(path, start, end)];
-        let payload = encode_get_many_request_v2(&specs);
-        let rpc_start = if self.timed { now_us() } else { 0 };
-        let meta = self.rpc_meta(request, deadline_us);
-        let reply = self
-            .service
-            .rpc_with_meta(replica, tags::GET_MANY, payload, timeout, meta)
-            .map_err(|e| match e {
-                CommError::Timeout | CommError::Disconnected => {
-                    FsError::Timeout(format!("GET_MANY(range) {path} from rank {replica}"))
-                }
-                other => FsError::Comm(other.to_string()),
-            });
-        if self.timed {
-            self.metrics
-                .rpc_latency
-                .record_with_exemplar(now_us().saturating_sub(rpc_start), request);
-            self.span(request, "fabric.rpc", rpc_start);
-        }
-        let reply = reply?;
-        let decoded = decode_get_many_reply_v2(&reply, 1);
-        if let Err(FsError::Shed(_)) = &decoded {
-            self.state.stats.shed_replies.inc();
-        }
-        let item = decoded?.into_iter().next().expect("one entry")?;
-        self.state.stats.remote_opens.inc();
-        match item {
-            GetManyItem::Partial(p) => {
-                let mut chunks = Vec::with_capacity(p.chunks.len());
-                for c in &p.chunks {
-                    self.state.stats.remote_bytes.add(c.stored.len() as u64);
-                    let raw = Arc::new(c.decode(p.inner_codec)?);
-                    self.state.cache.insert_chunk(
-                        path,
-                        p.chunk_size,
-                        p.raw_len,
-                        c.index,
-                        raw.clone(),
-                    );
-                    chunks.push(crate::node::RangeChunk {
-                        index: c.index,
-                        offset: c.offset,
-                        data: raw,
-                    });
-                }
-                let pieces = crate::node::RangePieces {
-                    chunk_size: p.chunk_size,
-                    total_len: p.raw_len,
-                    chunks,
-                };
-                self.assemble_span(&pieces, start, end, request)
-            }
-            GetManyItem::Whole(codec, stat, data) => {
-                // The serving node holds a whole-object copy: decode it
-                // all, cache it all, slice the window.
-                self.state.stats.remote_bytes.add(data.len() as u64);
-                let plain = self.state.decompress_timed(codec, &data, stat.size as usize, path)?;
-                let shared = self.state.cache.insert(path, Arc::new(plain));
-                let out = slice_range(&shared, start, end, path);
-                self.state.cache.close(path);
-                out
-            }
-        }
-    }
-
-    /// Remote ranged fetch with the same replica-failover shape as
-    /// [`FsClient::fetch_remote`]: walk the owner's ring replicas under
-    /// backoff, bounded by the retry budget and the op deadline.
-    fn range_remote(
-        &self,
-        path: &str,
-        start: u64,
-        end: u64,
-        owner: usize,
-        request: u64,
-        deadline_us: u64,
-    ) -> Result<Vec<u8>, FsError> {
-        if deadline_us != 0 && now_us() >= deadline_us {
-            return Err(FsError::Shed(format!("{path}: deadline exhausted before send")));
-        }
-        let Some(cfg) = &self.failover else {
-            return self.try_range(path, start, end, owner, None, request, deadline_us);
-        };
-        let replicas: Vec<usize> = replicas_of(owner, self.state.size, cfg.replica_rounds)
-            .into_iter()
-            .filter(|&r| r != self.state.rank)
-            .collect();
-        let mut attempt = 0u32;
-        let mut last = FsError::Degraded(format!("{path}: no reachable replica"));
-        for &replica in &replicas {
-            for _ in 0..cfg.attempts_per_replica.max(1) {
-                if attempt > 0 {
-                    if cfg.retry_budget > 0 && attempt > cfg.retry_budget {
-                        self.state.stats.retry_exhausted.inc();
-                        return Err(last);
-                    }
-                    std::thread::sleep(backoff_delay(cfg, path, attempt));
-                    self.metrics.rpc_retries.inc();
-                }
-                attempt += 1;
-                let mut timeout = cfg.rpc_timeout;
-                if deadline_us != 0 {
-                    let rem = deadline_us.saturating_sub(now_us());
-                    if rem == 0 {
-                        return Err(FsError::Shed(format!("{path}: deadline exhausted")));
-                    }
-                    timeout = timeout.min(Duration::from_micros(rem));
-                }
-                match self.try_range(path, start, end, replica, Some(timeout), request, deadline_us)
-                {
-                    Ok(bytes) => {
-                        if attempt > 1 {
-                            self.state.stats.degraded_reads.inc();
-                            self.record(Op::Degraded, path, 0);
-                        }
-                        return Ok(bytes);
-                    }
-                    Err(e @ FsError::BadRange(_)) => return Err(e),
-                    Err(e) => {
-                        match &e {
-                            FsError::Timeout(_) => {
-                                self.state.stats.rpc_timeouts.inc();
-                            }
-                            FsError::Corrupt(_) => {
-                                self.state.stats.crc_failures.inc();
-                            }
-                            _ => {}
-                        }
-                        last = e;
-                    }
-                }
-            }
-        }
-        Err(last)
-    }
-
     /// Read a *fidelity-bounded* approximation of `path`: for progressive
     /// objects, only tiers `0..=min_tier` are decoded (locally or fetched
-    /// remotely), trading accuracy for bytes moved. Objects not packed
-    /// progressively come back at full fidelity. The result is NEVER
-    /// cached — the cache holds exact bytes only, so a later full-fidelity
-    /// read of the same path cannot observe the approximation.
+    /// remotely, replica failover included), trading accuracy for bytes
+    /// moved. Objects not packed progressively come back at full
+    /// fidelity. The result is NEVER cached — the cache holds exact bytes
+    /// only, so a later full-fidelity read of the same path cannot
+    /// observe the approximation.
     pub fn read_whole_tier(&self, path: &str, min_tier: u8) -> Result<Vec<u8>, FsError> {
         self.record(Op::Read, path, 0);
-        // Local progressive object: decode the tier prefix in place.
-        if let Some(approx) = self.state.read_local_tiered(path, min_tier)? {
-            return Ok(approx);
-        }
-        if self.state.local_packed(path).is_some() {
-            // Local but not progressive: full fidelity is the only tier.
-            return self.read_whole(path);
-        }
-        let owner = self.state.owner_of(path).ok_or_else(|| FsError::NotFound(path.to_string()))?;
-        if owner == self.state.rank || owner >= self.state.size {
-            return Err(FsError::NotFound(path.to_string()));
-        }
-        let specs = [GetManySpec::tiered(path, min_tier)];
-        let payload = encode_get_many_request_v2(&specs);
-        let timeout = self.failover.as_ref().map(|cfg| cfg.rpc_timeout);
-        let reply = self
-            .service
-            .rpc_with_meta(owner, tags::GET_MANY, payload, timeout, RpcMeta::default())
-            .map_err(|e| self.rpc_error(&format!("GET_MANY(tier) {path}"), e))?;
-        let item = decode_get_many_reply_v2(&reply, 1)?.into_iter().next().expect("one entry")?;
-        self.state.stats.remote_opens.inc();
-        match item {
-            GetManyItem::Partial(p) => {
-                let mut tiers = Vec::with_capacity(p.chunks.len());
-                for c in &p.chunks {
-                    self.state.stats.remote_bytes.add(c.stored.len() as u64);
-                    tiers.push(c.decode(p.inner_codec)?);
+        self.read_op(path, "client.get", None, |request, deadline| {
+            // Local object: decode the tier prefix in place.
+            if let Some(approx) = self.state.read_local_tiered(path, min_tier)? {
+                return Ok(approx);
+            }
+            let owner =
+                self.remote_owner(path)?.ok_or_else(|| FsError::NotFound(path.to_string()))?;
+            let spec = GetManySpec::tiered(path, min_tier);
+            self.remote_read(&spec, owner, request, deadline, |item| match item {
+                GetManyItem::Partial(p) => {
+                    let tiers: Vec<Vec<u8>> = p
+                        .chunks
+                        .iter()
+                        .map(|c| c.decode(p.inner_codec))
+                        .collect::<Result<_, _>>()?;
+                    let refs: Vec<&[u8]> = tiers.iter().map(Vec::as_slice).collect();
+                    fanstore_compress::progressive::decode_prefix(&refs, p.raw_len as usize)
+                        .map_err(|e| FsError::Corrupt(format!("{path}: tier decode: {e}")))
                 }
-                let refs: Vec<&[u8]> = tiers.iter().map(Vec::as_slice).collect();
-                fanstore_compress::progressive::decode_prefix(&refs, p.raw_len as usize)
-                    .map_err(|e| FsError::Corrupt(format!("{path}: tier decode: {e}")))
-            }
-            GetManyItem::Whole(codec, stat, data) => {
-                self.state.stats.remote_bytes.add(data.len() as u64);
-                self.state.decompress_timed(codec, &data, stat.size as usize, path)
-            }
-        }
+                GetManyItem::Whole(codec, stat, data) => {
+                    self.decompress_span(path, codec, &data, stat.size as usize, request)
+                }
+            })
+        })
     }
 
     /// Translate an rpc error for `what` into the matching [`FsError`]:

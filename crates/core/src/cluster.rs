@@ -14,7 +14,7 @@ use mpi_sim::{launch, launch_with_faults, FaultPlan, NodeCtx, Tag};
 use crate::backend::{Backend, BackendKind, RamBackend};
 use crate::cache::CacheConfig;
 use crate::client::{FailoverConfig, FsClient};
-use crate::daemon::{serve_qos, tags};
+use crate::daemon::{serve, tags};
 use crate::metrics::MetricsRegistry;
 use crate::node::{LocalObject, NodeState};
 use crate::qos::QosPolicy;
@@ -272,7 +272,7 @@ impl FanStore {
             let daemon_qos = qos.clone();
             let result = std::thread::scope(|scope| {
                 let daemon =
-                    scope.spawn(move || serve_qos(daemon_state, service, daemon_trace, daemon_qos));
+                    scope.spawn(move || serve(daemon_state, service, daemon_trace, daemon_qos));
                 let mut client = FsClient::new(Arc::clone(&state), service_remote.clone());
                 if let Some(t) = &trace {
                     client = client.with_trace(Arc::clone(t));

@@ -1,17 +1,22 @@
 //! The FanStore daemon: one service loop per node (paper §V-A, §V-D).
 //!
 //! The daemon owns the node's receiving endpoint on the service channel
-//! and answers three request kinds:
+//! and answers seven request kinds ([`tags`]):
 //!
-//! * **GET** — remote file retrieval: returns the *compressed* bytes plus
-//!   codec and stat; decompression happens on the requesting node (so the
-//!   interconnect carries compressed data, §IV-C2).
-//! * **GET_MANY** — batched retrieval: up to [`MAX_BATCH`] paths answered
-//!   in one reply, each entry framed with its own status byte and CRC32
-//!   so a missing or corrupted entry fails alone (see DESIGN.md, "Batched
-//!   read protocol").
+//! * **GET_MANY** — the one read operation: up to [`MAX_BATCH`] entries of
+//!   `{path, range, min_tier}` answered in one reply with the
+//!   *compressed* bytes plus codec and stat; decompression happens on the
+//!   requesting node (so the interconnect carries compressed data,
+//!   §IV-C2). Each entry is framed with its own status byte and CRC32 so
+//!   a missing or corrupted entry fails alone; a whole-file read is a
+//!   batch of one whose entry sets neither range nor tier (see
+//!   DESIGN.md, "Read protocol").
+//! * **GET_META** — metadata lookup: the stat fallback for paths not yet
+//!   in the requester's local view.
 //! * **PUT_META** — write-metadata insertion: a peer closed an output file
 //!   and forwards its metadata to this rank (§V-D).
+//! * **PUT** / **UNLINK** — push a whole object onto this node's write
+//!   store, or remove one (checkpoint replication and GC).
 //! * **SHUTDOWN** — terminate the loop.
 
 use std::collections::{BTreeMap, VecDeque};
@@ -32,8 +37,6 @@ use crate::FsError;
 pub mod tags {
     /// Terminate the daemon loop.
     pub const SHUTDOWN: u64 = 0;
-    /// Fetch a file's compressed bytes.
-    pub const GET: u64 = 1;
     /// Insert forwarded write metadata.
     pub const PUT_META: u64 = 2;
     /// Fetch a file's metadata (stat fallback for paths not yet in the
@@ -44,13 +47,13 @@ pub mod tags {
     pub const PUT: u64 = 4;
     /// Remove an output file from this node (checkpoint GC).
     pub const UNLINK: u64 = 5;
-    /// Fetch several files' compressed bytes in one round trip (the
-    /// batched read path): per-entry status and CRC, so one bad entry
-    /// fails alone.
+    /// Fetch files' compressed bytes (whole, a byte range, or a fidelity
+    /// prefix) in one round trip: per-entry status and CRC, so one bad
+    /// entry fails alone.
     pub const GET_MANY: u64 = 6;
 }
 
-/// Most paths a single GET_MANY request may carry; the client chunks
+/// Most entries a single GET_MANY request may carry; the client chunks
 /// larger per-rank groups into several RPCs under the same batch request
 /// id.
 pub const MAX_BATCH: usize = 128;
@@ -80,8 +83,8 @@ pub mod status {
     pub const ERROR: u8 = 5;
 }
 
-/// Byte offset of the body (codec + stat + compressed) in a GET reply:
-/// after the status byte and the CRC32 field.
+/// Byte offset of the body (codec + stat + payload) in a reply entry
+/// frame: after the status byte and the CRC32 field.
 const GET_BODY: usize = 1 + 4;
 
 /// Encode a PUT request: `[u16 path len][path][u32 owner rank][data]`.
@@ -104,20 +107,13 @@ fn decode_put(buf: &[u8]) -> Option<(&str, u32, &[u8])> {
     Some((path, owner, &buf[2 + plen + 4..]))
 }
 
-/// Encode a GET reply: `[status][crc32 u32][codec u16][stat 144B]
-/// [compressed bytes]`. The CRC covers everything after the CRC field, so
-/// a requester can reject in-flight corruption before decompressing.
-fn encode_get_reply(obj: &LocalObject) -> Vec<u8> {
-    let mut out = Vec::with_capacity(GET_BODY + 2 + STAT_SIZE + obj.data.len());
-    encode_get_reply_into(&mut out, obj);
-    out
-}
-
-/// Append a single-GET reply frame to `out` (the GET_MANY fast path:
-/// entries are assembled straight into the outgoing reply buffer instead
-/// of through a per-entry `Vec`). The CRC placeholder is patched once the
+/// Append a whole-file entry frame to `out`: `[OK][crc32 u32][codec u16]
+/// [stat 144B][compressed bytes]`, assembled straight into the outgoing
+/// reply buffer instead of through a per-entry `Vec`. The CRC covers
+/// everything after the CRC field, so a requester can reject in-flight
+/// corruption before decompressing; its placeholder is patched once the
 /// body is in place.
-fn encode_get_reply_into(out: &mut Vec<u8>, obj: &LocalObject) {
+fn encode_whole_entry(out: &mut Vec<u8>, obj: &LocalObject) {
     let frame = out.len();
     out.push(status::OK);
     out.extend_from_slice(&[0u8; 4]); // CRC placeholder
@@ -128,41 +124,44 @@ fn encode_get_reply_into(out: &mut Vec<u8>, obj: &LocalObject) {
     out[frame + 1..frame + GET_BODY].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Decode a GET reply into `(codec, stat, compressed)`, verifying the
-/// CRC32. A mismatch decodes to [`FsError::Corrupt`], which the client's
-/// failover path treats as retryable on the next replica.
-pub fn decode_get_reply(
-    buf: &[u8],
-) -> Result<(fanstore_compress::CodecId, FileStat, Vec<u8>), FsError> {
-    match buf.first() {
-        Some(&s) if s == status::OK => {}
-        Some(&s) if s == status::NOT_FOUND => {
-            return Err(FsError::NotFound("remote: not found".into()))
-        }
-        Some(&s) if s == status::SHED => return Err(FsError::Shed("remote: shed".into())),
-        _ => return Err(FsError::Comm("malformed GET reply".into())),
-    }
-    if buf.len() < GET_BODY + 2 + STAT_SIZE {
-        return Err(FsError::Comm("short GET reply".into()));
+/// The CRC-verified body (everything after the CRC field) of a whole or
+/// PARTIAL entry frame holding at least `min_body` bytes. A mismatch
+/// decodes to [`FsError::Corrupt`], which the client's failover ladder
+/// treats as retryable on the next replica.
+fn entry_body(buf: &[u8], min_body: usize) -> Result<&[u8], FsError> {
+    if buf.len() < GET_BODY + min_body {
+        return Err(FsError::Comm("short GET_MANY entry".into()));
     }
     let expect = u32::from_le_bytes(buf[1..GET_BODY].try_into().expect("4 bytes"));
     let actual = crc32(&buf[GET_BODY..]);
     if expect != actual {
         return Err(FsError::Corrupt(format!(
-            "GET reply CRC mismatch: stored {expect:08x}, computed {actual:08x}"
+            "GET_MANY entry CRC mismatch: stored {expect:08x}, computed {actual:08x}"
         )));
     }
-    let codec = fanstore_compress::CodecId(u16::from_le_bytes(
-        buf[GET_BODY..GET_BODY + 2].try_into().expect("2 bytes"),
-    ));
-    let stat = FileStat::decode(&buf[GET_BODY + 2..GET_BODY + 2 + STAT_SIZE])?;
-    Ok((codec, stat, buf[GET_BODY + 2 + STAT_SIZE..].to_vec()))
+    Ok(&buf[GET_BODY..])
 }
 
-/// Count-field flag marking a version-2 GET_MANY request (per-entry
-/// range and fidelity fields follow each path). v1 decoders reject the
-/// oversized count; v1 requests decode unchanged under v2 daemons.
-const GET_MANY_V2: u32 = 0x8000_0000;
+/// Decode a whole-file entry frame (inverse of [`encode_whole_entry`]).
+fn decode_whole_entry(buf: &[u8]) -> Result<GetManyItem, FsError> {
+    match buf.first() {
+        Some(&s) if s == status::OK => {}
+        Some(&s) if s == status::NOT_FOUND => {
+            return Err(FsError::NotFound("remote: not found".into()))
+        }
+        _ => return Err(FsError::Comm("malformed GET_MANY entry".into())),
+    }
+    let body = entry_body(buf, 2 + STAT_SIZE)?;
+    let codec =
+        fanstore_compress::CodecId(u16::from_le_bytes(body[..2].try_into().expect("2 bytes")));
+    let stat = FileStat::decode(&body[2..2 + STAT_SIZE])?;
+    Ok(GetManyItem::Whole(codec, stat, body[2 + STAT_SIZE..].to_vec()))
+}
+
+/// Count-field flag every GET_MANY request must carry: it marks the
+/// per-entry layout (flags, range and fidelity fields after each path).
+/// A request without it is [`status::BAD_REQUEST`].
+const GET_MANY_VERSION: u32 = 0x8000_0000;
 
 /// One entry of a GET_MANY request: the path, an optional byte range
 /// `[start, end)` and a fidelity bound (`min_tier`;
@@ -178,7 +177,7 @@ pub struct GetManySpec<'a> {
 }
 
 impl<'a> GetManySpec<'a> {
-    /// A whole-file, full-fidelity entry (the v1 semantics).
+    /// A whole-file, full-fidelity entry (the plain GET).
     pub fn whole(path: &'a str) -> Self {
         GetManySpec { path, range: None, min_tier: crate::pack::TIER_FULL }
     }
@@ -194,25 +193,14 @@ impl<'a> GetManySpec<'a> {
     }
 }
 
-/// Encode a GET_MANY request: `[u32 count]` then, per path,
-/// `[u16 len][path bytes]`.
-pub fn encode_get_many_request(paths: &[&str]) -> Vec<u8> {
-    let total: usize = paths.iter().map(|p| 2 + p.len()).sum();
-    let mut out = Vec::with_capacity(4 + total);
-    out.extend_from_slice(&(paths.len() as u32).to_le_bytes());
-    for p in paths {
-        out.extend_from_slice(&(p.len() as u16).to_le_bytes());
-        out.extend_from_slice(p.as_bytes());
-    }
-    out
-}
-
-/// Encode a v2 GET_MANY request: `[u32 count | GET_MANY_V2]` then, per
+/// Encode a GET_MANY request: `[u32 count | GET_MANY_VERSION]` then, per
 /// entry, `[u16 len][path][u8 flags]` followed by `[u64 start][u64 end]`
 /// when flag bit 0 is set and `[u8 min_tier]` when flag bit 1 is set.
-pub fn encode_get_many_request_v2(specs: &[GetManySpec]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + specs.len() * 24);
-    out.extend_from_slice(&((specs.len() as u32) | GET_MANY_V2).to_le_bytes());
+pub fn encode_get_many_request(specs: &[GetManySpec]) -> Vec<u8> {
+    // Sized for every optional field, so no entry ever regrows the buffer.
+    let body: usize = specs.iter().map(|s| 2 + s.path.len() + 1 + 16 + 1).sum();
+    let mut out = Vec::with_capacity(4 + body);
+    out.extend_from_slice(&((specs.len() as u32) | GET_MANY_VERSION).to_le_bytes());
     for s in specs {
         out.extend_from_slice(&(s.path.len() as u16).to_le_bytes());
         out.extend_from_slice(s.path.as_bytes());
@@ -235,13 +223,13 @@ pub fn encode_get_many_request_v2(specs: &[GetManySpec]) -> Vec<u8> {
     out
 }
 
-/// Decode a GET_MANY request (v1 or v2) into its entry list. `None` on
-/// any framing problem (short buffer, non-UTF-8 path, oversized count).
+/// Decode a GET_MANY request into its entry list. `None` on any framing
+/// problem (missing version bit, short buffer, non-UTF-8 path, oversized
+/// count, unknown flag bits, trailing bytes).
 fn decode_get_many_request(buf: &[u8]) -> Option<Vec<GetManySpec<'_>>> {
     let raw = u32::from_le_bytes(buf.get(..4)?.try_into().ok()?);
-    let v2 = raw & GET_MANY_V2 != 0;
-    let count = (raw & !GET_MANY_V2) as usize;
-    if count > MAX_BATCH {
+    let count = (raw & !GET_MANY_VERSION) as usize;
+    if raw & GET_MANY_VERSION == 0 || count > MAX_BATCH {
         return None;
     }
     let mut specs = Vec::with_capacity(count);
@@ -252,22 +240,20 @@ fn decode_get_many_request(buf: &[u8]) -> Option<Vec<GetManySpec<'_>>> {
         let path = std::str::from_utf8(buf.get(off..off + plen)?).ok()?;
         off += plen;
         let mut spec = GetManySpec::whole(path);
-        if v2 {
-            let flags = *buf.get(off)?;
+        let flags = *buf.get(off)?;
+        off += 1;
+        if flags & !3 != 0 {
+            return None;
+        }
+        if flags & 1 != 0 {
+            let start = u64::from_le_bytes(buf.get(off..off + 8)?.try_into().ok()?);
+            let end = u64::from_le_bytes(buf.get(off + 8..off + 16)?.try_into().ok()?);
+            off += 16;
+            spec.range = Some((start, end));
+        }
+        if flags & 2 != 0 {
+            spec.min_tier = *buf.get(off)?;
             off += 1;
-            if flags & !3 != 0 {
-                return None;
-            }
-            if flags & 1 != 0 {
-                let start = u64::from_le_bytes(buf.get(off..off + 8)?.try_into().ok()?);
-                let end = u64::from_le_bytes(buf.get(off + 8..off + 16)?.try_into().ok()?);
-                off += 16;
-                spec.range = Some((start, end));
-            }
-            if flags & 2 != 0 {
-                spec.min_tier = *buf.get(off)?;
-                off += 1;
-            }
         }
         specs.push(spec);
     }
@@ -276,53 +262,6 @@ fn decode_get_many_request(buf: &[u8]) -> Option<Vec<GetManySpec<'_>>> {
     } else {
         None // trailing garbage: reject rather than silently ignore
     }
-}
-
-/// One decoded GET_MANY entry: codec id, stat block and compressed
-/// payload, or that entry's own failure.
-pub type GetManyEntry = Result<(fanstore_compress::CodecId, FileStat, Vec<u8>), FsError>;
-
-/// Decode a GET_MANY reply. The outer frame is
-/// `[status][u32 count]` followed by `count` length-prefixed entries
-/// (`[u32 len][single-GET reply]`), in request order. Entries carry their
-/// *own* status byte and CRC32 — a byte flipped in flight fails only the
-/// entry it landed in, so the caller can fail over per entry instead of
-/// refetching the whole batch. Outer-frame damage (or a count mismatch)
-/// returns an error for the batch as a whole.
-pub fn decode_get_many_reply(buf: &[u8], expected: usize) -> Result<Vec<GetManyEntry>, FsError> {
-    match buf.first() {
-        Some(&s) if s == status::OK => {}
-        Some(&s) if s == status::SHED => return Err(FsError::Shed("remote: batch shed".into())),
-        _ => return Err(FsError::Comm("malformed GET_MANY reply".into())),
-    }
-    let count = u32::from_le_bytes(
-        buf.get(1..5)
-            .ok_or_else(|| FsError::Comm("short GET_MANY reply".into()))?
-            .try_into()
-            .expect("4 bytes"),
-    ) as usize;
-    if count != expected {
-        return Err(FsError::Comm(format!(
-            "GET_MANY entry count mismatch: asked {expected}, got {count}"
-        )));
-    }
-    let mut out = Vec::with_capacity(count);
-    let mut off = 5usize;
-    for _ in 0..count {
-        let len = u32::from_le_bytes(
-            buf.get(off..off + 4)
-                .ok_or_else(|| FsError::Comm("truncated GET_MANY frame".into()))?
-                .try_into()
-                .expect("4 bytes"),
-        ) as usize;
-        off += 4;
-        let entry = buf
-            .get(off..off + len)
-            .ok_or_else(|| FsError::Comm("truncated GET_MANY entry".into()))?;
-        off += len;
-        out.push(decode_get_reply(entry));
-    }
-    Ok(out)
 }
 
 /// One chunk of a PARTIAL entry: its table row plus the stored bytes.
@@ -379,10 +318,10 @@ pub struct PartialReply {
     pub chunks: Vec<PartialChunk>,
 }
 
-/// One decoded v2 GET_MANY entry: a whole-file frame or a partial frame.
+/// One decoded GET_MANY entry: a whole-file frame or a partial frame.
 #[derive(Debug, Clone)]
 pub enum GetManyItem {
-    /// The v1 whole-file entry: codec, stat, compressed payload.
+    /// The whole-file entry: codec, stat, compressed payload.
     Whole(fanstore_compress::CodecId, FileStat, Vec<u8>),
     /// A partial (chunked) entry.
     Partial(PartialReply),
@@ -397,22 +336,28 @@ pub enum GetManyItem {
 /// its at-rest CRC from the chunk table, which the daemon does *not*
 /// verify — a client detecting an at-rest mismatch fails over to a
 /// replica whose copy may be intact.
+///
+/// `Ok(false)` (nothing appended) when the container has no partial form
+/// for this request — a byte range of a progressive container, or a
+/// fidelity bound on a range container: chunks of the other kind would
+/// not answer it, so the caller ships the whole object instead.
 fn encode_partial_entry(
     out: &mut Vec<u8>,
     obj: &LocalObject,
     spec: &GetManySpec<'_>,
     get_bytes: &crate::metrics::Counter,
-) -> Result<(), FsError> {
+) -> Result<bool, FsError> {
+    use crate::pack::ChunkKind;
     let table = crate::pack::parse_chunk_table(&obj.data)?;
-    let idxs = match table.kind {
-        crate::pack::ChunkKind::Progressive => table.tiers_up_to(spec.min_tier),
-        crate::pack::ChunkKind::Range => match spec.range {
-            Some((start, end)) if start < end && end <= table.raw_len => table.covering(start, end),
-            Some((start, end)) => {
-                return Err(FsError::BadRange(format!("[{start}, {end}) of {}", table.raw_len)))
-            }
-            None => (0..table.chunks.len()).collect(),
-        },
+    let idxs = match (table.kind, spec.range) {
+        (ChunkKind::Progressive, None) => table.tiers_up_to(spec.min_tier),
+        (ChunkKind::Range, Some((start, end))) if start < end && end <= table.raw_len => {
+            table.covering(start, end)?
+        }
+        (ChunkKind::Range, Some((start, end))) => {
+            return Err(FsError::BadRange(format!("[{start}, {end}) of {}", table.raw_len)))
+        }
+        _ => return Ok(false),
     };
     let frame = out.len();
     out.push(status::PARTIAL);
@@ -442,22 +387,13 @@ fn encode_partial_entry(
     get_bytes.add(sent);
     let crc = crc32(&out[frame + GET_BODY..]);
     out[frame + 1..frame + GET_BODY].copy_from_slice(&crc.to_le_bytes());
-    Ok(())
+    Ok(true)
 }
 
 /// Decode a PARTIAL entry frame (inverse of [`encode_partial_entry`]).
 fn decode_partial_entry(buf: &[u8]) -> Result<PartialReply, FsError> {
-    if buf.len() < GET_BODY + 2 + STAT_SIZE + 4 + 8 + 4 {
-        return Err(FsError::Comm("short PARTIAL entry".into()));
-    }
-    let expect = u32::from_le_bytes(buf[1..GET_BODY].try_into().expect("4 bytes"));
-    let actual = crc32(&buf[GET_BODY..]);
-    if expect != actual {
-        return Err(FsError::Corrupt(format!(
-            "PARTIAL entry CRC mismatch: stored {expect:08x}, computed {actual:08x}"
-        )));
-    }
-    let mut off = GET_BODY;
+    let buf = entry_body(buf, 2 + STAT_SIZE + 4 + 8 + 4)?;
+    let mut off = 0;
     let inner_codec =
         fanstore_compress::CodecId(u16::from_le_bytes(buf[off..off + 2].try_into().expect("2B")));
     off += 2;
@@ -497,15 +433,21 @@ fn decode_partial_entry(buf: &[u8]) -> Result<PartialReply, FsError> {
     Ok(PartialReply { inner_codec, stat, chunk_size, raw_len, chunks })
 }
 
-/// Decode a v2 GET_MANY reply: same outer framing as
-/// [`decode_get_many_reply`], but each entry may be a whole-file frame
-/// *or* a PARTIAL frame (first byte [`status::PARTIAL`]). A
-/// [`status::BAD_REQUEST`] entry byte maps to [`FsError::BadRange`] — the
+/// Decode a GET_MANY reply. The outer frame is `[status][u32 count]`
+/// followed by `count` length-prefixed entries (`[u32 len][entry frame]`),
+/// in request order; each entry is a whole-file frame or a PARTIAL frame
+/// (first byte [`status::PARTIAL`]). Entries carry their *own* status
+/// byte and CRC32 — a byte flipped in flight fails only the entry it
+/// landed in, so the caller can fail over per entry instead of
+/// refetching the whole batch. Outer-frame damage (or a count mismatch)
+/// returns an error for the batch as a whole.
+///
+/// A [`status::BAD_REQUEST`] entry byte maps to [`FsError::BadRange`] — the
 /// daemon judged the requested range malformed for that file, so
 /// retrying a replica would not help. A [`status::ERROR`] entry byte maps
 /// to [`FsError::Corrupt`]: the serving node's own copy was damaged, so
 /// the client fails over to the next replica.
-pub fn decode_get_many_reply_v2(
+pub fn decode_get_many_reply(
     buf: &[u8],
     expected: usize,
 ) -> Result<Vec<Result<GetManyItem, FsError>>, FsError> {
@@ -549,48 +491,65 @@ pub fn decode_get_many_reply_v2(
             Some(&s) if s == status::ERROR => {
                 Err(FsError::Corrupt("serving daemon's local copy damaged".into()))
             }
-            _ => decode_get_reply(entry).map(|(c, s, d)| GetManyItem::Whole(c, s, d)),
+            _ => decode_whole_entry(entry),
         });
     }
     Ok(out)
 }
 
+/// The only read handler: every entry of the batch is answered in place
+/// in one reply buffer.
 fn handle_get_many(state: &NodeState, msg: &Message, get_bytes: &crate::metrics::Counter) -> bool {
     let reply = match decode_get_many_request(&msg.payload) {
         Some(specs) => {
-            let mut out = vec![status::OK];
+            // Headers, each entry's fixed frame bytes and the first payload
+            // share the initial allocation, so a batch of one (a plain GET)
+            // allocates its reply once; later entries reserve before encoding.
+            let mut objs = specs.iter().map(|s| state.get_compressed(s.path)).peekable();
+            let first = objs.peek().and_then(Option::as_ref).map_or(0, |o| o.data.len());
+            let frames = specs.len() * (4 + GET_BODY + 2 + STAT_SIZE);
+            let mut out = Vec::with_capacity(1 + 4 + frames + first);
+            out.push(status::OK);
             out.extend_from_slice(&(specs.len() as u32).to_le_bytes());
-            for spec in &specs {
+            for (spec, obj) in specs.iter().zip(objs) {
                 // Length placeholder, then the entry assembled in place —
                 // one buffer for the whole batch reply, no per-entry Vec.
                 let len_pos = out.len();
                 out.extend_from_slice(&[0u8; 4]);
-                match state.get_compressed(spec.path) {
+                match obj {
                     Some(mut obj) => {
+                        // Failover provenance: stamp which rank actually
+                        // served the bytes (differs from `owner_rank` on a
+                        // replica).
                         obj.stat.served_by = state.rank as u32;
                         let want_partial =
                             spec.range.is_some() || spec.min_tier != crate::pack::TIER_FULL;
-                        if want_partial && obj.codec == crate::pack::CHUNKED {
-                            let body = out.len();
-                            match encode_partial_entry(&mut out, &obj, spec, get_bytes) {
-                                Ok(()) => {}
-                                // Only a malformed range is the client's
-                                // fault; anything else (corrupt local
-                                // chunk table/payload) must come back
-                                // retryable so the client walks the
-                                // replica ring instead of giving up.
-                                Err(FsError::BadRange(_)) => {
-                                    out.truncate(body);
-                                    out.push(status::BAD_REQUEST);
-                                }
-                                Err(_) => {
-                                    out.truncate(body);
-                                    out.push(status::ERROR);
-                                }
-                            }
+                        let body = out.len();
+                        let partial = if want_partial && obj.codec == crate::pack::CHUNKED {
+                            encode_partial_entry(&mut out, &obj, spec, get_bytes)
                         } else {
-                            get_bytes.add(obj.data.len() as u64);
-                            encode_get_reply_into(&mut out, &obj);
+                            Ok(false)
+                        };
+                        match partial {
+                            Ok(true) => {}
+                            Ok(false) => {
+                                get_bytes.add(obj.data.len() as u64);
+                                out.reserve(GET_BODY + 2 + STAT_SIZE + obj.data.len());
+                                encode_whole_entry(&mut out, &obj);
+                            }
+                            // Only a malformed range is the client's
+                            // fault; anything else (corrupt local chunk
+                            // table/payload) must come back retryable so
+                            // the client walks the replica ring instead
+                            // of giving up.
+                            Err(FsError::BadRange(_)) => {
+                                out.truncate(body);
+                                out.push(status::BAD_REQUEST);
+                            }
+                            Err(_) => {
+                                out.truncate(body);
+                                out.push(status::ERROR);
+                            }
                         }
                     }
                     None => out.push(status::NOT_FOUND),
@@ -603,23 +562,6 @@ fn handle_get_many(state: &NodeState, msg: &Message, get_bytes: &crate::metrics:
         None => vec![status::BAD_REQUEST],
     };
     msg.reply(reply)
-}
-
-/// Run the daemon loop until a SHUTDOWN message arrives or every peer
-/// endpoint is gone. Returns the number of requests served.
-pub fn serve(state: Arc<NodeState>, service: Channel) -> u64 {
-    serve_traced(state, service, None)
-}
-
-/// [`serve`] with an optional trace recorder: undeliverable replies (the
-/// requester gave up — timed out or died) are counted in
-/// `stats.reply_failures` and recorded as [`Op::Degraded`] events.
-pub fn serve_traced(
-    state: Arc<NodeState>,
-    service: Channel,
-    trace: Option<Arc<TraceRecorder>>,
-) -> u64 {
-    serve_qos(state, service, trace, None)
 }
 
 /// One tenant's service lane in the daemon scheduler: its bounded queue,
@@ -745,14 +687,20 @@ impl<'a> Scheduler<'a> {
 /// estimate (the `daemon.serve.latency_us` median).
 const EST_REFRESH: u64 = 64;
 
-/// [`serve_traced`] under an optional [`QosPolicy`]: arriving requests
-/// queue per tenant (bounded; overflow is shed), the queues drain by
-/// deficit round-robin instead of strict FIFO, and any request whose
-/// deadline has expired — or whose remaining budget cannot cover the
-/// estimated service time (the serve-latency median) — is answered with
-/// [`status::SHED`] instead of being served. With `policy` `None` the
-/// behaviour is exactly the historical FIFO loop.
-pub fn serve_qos(
+/// Run the daemon loop until a SHUTDOWN message arrives or every peer
+/// endpoint is gone. Returns the number of requests served.
+///
+/// With a `trace` recorder, served requests record `daemon.queue` /
+/// `daemon.serve` spans and undeliverable replies (the requester gave
+/// up — timed out or died) are recorded as [`Op::Degraded`] events on top
+/// of the `stats.reply_failures` count. Under a [`QosPolicy`], arriving
+/// requests queue per tenant (bounded; overflow is shed), the queues
+/// drain by deficit round-robin instead of strict FIFO, and any request
+/// whose deadline has expired — or whose remaining budget cannot cover
+/// the estimated service time (the serve-latency median) — is answered
+/// with [`status::SHED`] instead of being served. With `policy` `None`
+/// the loop is strict FIFO.
+pub fn serve(
     state: Arc<NodeState>,
     mut service: Channel,
     trace: Option<Arc<TraceRecorder>>,
@@ -817,7 +765,6 @@ pub fn serve_qos(
         let shutdown = msg.tag == tags::SHUTDOWN;
         let delivered = match msg.tag {
             tags::SHUTDOWN => msg.reply(vec![status::OK]),
-            tags::GET => handle_get(&state, &msg, &get_bytes),
             tags::GET_MANY => handle_get_many(&state, &msg, &get_bytes),
             tags::GET_META => handle_get_meta(&state, &msg),
             tags::PUT_META => {
@@ -869,23 +816,6 @@ pub fn serve_qos(
     served
 }
 
-fn handle_get(state: &NodeState, msg: &Message, get_bytes: &crate::metrics::Counter) -> bool {
-    let reply = match std::str::from_utf8(&msg.payload) {
-        Ok(path) => match state.get_compressed(path) {
-            Some(mut obj) => {
-                // Failover provenance: stamp which rank actually served
-                // the bytes (differs from `owner_rank` on a replica).
-                obj.stat.served_by = state.rank as u32;
-                get_bytes.add(obj.data.len() as u64);
-                encode_get_reply(&obj)
-            }
-            None => vec![status::NOT_FOUND],
-        },
-        Err(_) => vec![status::BAD_REQUEST],
-    };
-    msg.reply(reply)
-}
-
 fn handle_put(state: &NodeState, msg: &Message) -> bool {
     let reply = match decode_put(&msg.payload) {
         // OK only once the write is durable: put_replica lands it in
@@ -931,250 +861,211 @@ fn handle_get_meta(state: &NodeState, msg: &Message) -> bool {
 mod tests {
     use super::*;
     use crate::cache::CacheConfig;
-    use crate::node::decompress_object;
+    use crate::node::{decompress_object, RangeChunk, RangePieces};
     use crate::prep::{prepare, PrepConfig};
 
-    #[test]
-    fn get_reply_roundtrip() {
-        let packed = prepare(
-            vec![("f.bin".to_string(), b"hello hello hello hello".repeat(10))],
-            &PrepConfig::default(),
-        );
-        let state = NodeState::new(0, 1, CacheConfig::default());
-        state.load_partition(&packed.partitions[0]).unwrap();
-        let obj = state.get_compressed("f.bin").unwrap();
-        let buf = encode_get_reply(&obj);
-        let (codec, stat, data) = decode_get_reply(&buf).unwrap();
-        assert_eq!(codec, obj.codec);
-        assert_eq!(stat.size, obj.stat.size);
-        let plain = decompress_object(codec, &data, stat.size as usize, "f.bin").unwrap();
-        assert_eq!(plain, b"hello hello hello hello".repeat(10));
+    /// What a row of [`read_protocol_table`] must decode to, whatever
+    /// surrounds it in the batch.
+    enum Want<'a> {
+        /// A whole-file frame decompressing to these bytes.
+        Whole(&'a [u8]),
+        /// A PARTIAL frame carrying exactly chunks of these tiers; a range
+        /// row also names the window of `t/big.bin` they must reproduce.
+        Partial(&'a [u8], Option<(usize, usize)>),
+        NotFound,
+        BadRange,
+        /// The serving node's own copy is damaged: retryable `Corrupt`.
+        Damaged,
+    }
+
+    fn check(item: &Result<GetManyItem, FsError>, want: &Want, big: &[u8]) {
+        match (item, want) {
+            (Ok(GetManyItem::Whole(codec, stat, data)), Want::Whole(expect)) => {
+                assert_eq!(stat.served_by, 0, "daemon stamps the serving rank");
+                let plain = decompress_object(*codec, data, stat.size as usize, "row").unwrap();
+                assert_eq!(&plain, expect);
+            }
+            (Ok(GetManyItem::Partial(p)), Want::Partial(tiers, window)) => {
+                assert_eq!(p.stat.served_by, 0);
+                let got: Vec<u8> = p.chunks.iter().map(|c| c.tier).collect();
+                assert_eq!(got, *tiers, "only the covering chunks / the tier prefix travel");
+                let raw: Vec<Vec<u8>> =
+                    p.chunks.iter().map(|c| c.decode(p.inner_codec).unwrap()).collect();
+                if let Some((a, b)) = *window {
+                    assert_eq!((p.raw_len, p.chunk_size), (big.len() as u64, 4096));
+                    let lo = p.chunks[0].offset as usize;
+                    assert_eq!(raw.concat()[a - lo..b - lo], big[a..b]);
+                } else {
+                    // The served tier prefix decodes to a usable approximation.
+                    let refs: Vec<&[u8]> = raw.iter().map(Vec::as_slice).collect();
+                    let approx =
+                        fanstore_compress::progressive::decode_prefix(&refs, p.raw_len as usize);
+                    assert_eq!(approx.unwrap().len() as u64, p.raw_len);
+                }
+            }
+            (Err(FsError::NotFound(_)), Want::NotFound) => {}
+            (Err(FsError::BadRange(_)), Want::BadRange) => {}
+            (Err(FsError::Corrupt(_)), Want::Damaged) => {}
+            (other, _) => panic!("entry decoded to {other:?}"),
+        }
+    }
+
+    /// `(start, len)` of every entry frame in a GET_MANY reply.
+    fn entry_frames(reply: &[u8]) -> Vec<(usize, usize)> {
+        let count = u32::from_le_bytes(reply[1..5].try_into().unwrap()) as usize;
+        let mut off = 5;
+        (0..count)
+            .map(|_| {
+                let len = u32::from_le_bytes(reply[off..off + 4].try_into().unwrap()) as usize;
+                off += 4 + len;
+                (off - len, len)
+            })
+            .collect()
     }
 
     #[test]
-    fn not_found_reply_decodes_to_error() {
-        assert!(matches!(decode_get_reply(&[status::NOT_FOUND]), Err(FsError::NotFound(_))));
-        assert!(decode_get_reply(&[]).is_err());
-        assert!(decode_get_reply(&[status::OK, 1]).is_err());
-    }
-
-    #[test]
-    fn get_many_roundtrip_with_per_entry_status() {
-        let packed = prepare(
-            vec![
-                ("g/a.bin".to_string(), b"aaaa".repeat(64)),
-                ("g/b.bin".to_string(), b"bbbb".repeat(64)),
-            ],
-            &PrepConfig::default(),
-        );
-        let parts = packed.partitions;
+    fn read_protocol_table() {
+        // One plain, one range-chunked and one progressive object, each in
+        // its own partition (the pack layout is per-`PrepConfig`).
+        let plain = b"payload payload payload ".repeat(10);
+        let big: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
+        let floats: Vec<u8> = (0..2048).flat_map(|i| ((i as f32) * 0.25).to_le_bytes()).collect();
+        let pack = |path: &str, data: &[u8], cfg: PrepConfig| {
+            prepare(vec![(path.to_string(), data.to_vec())], &cfg).partitions.remove(0)
+        };
+        let chunked = PrepConfig { chunk_size: 4096, ..Default::default() };
+        // A copy whose FCHK chunk table has one flipped byte: the daemon's
+        // own copy is damaged; requests for it are fine.
+        let mut damaged = pack("t/damaged.bin", &big, chunked.clone());
+        let fchk = damaged.windows(4).position(|w| w == b"FCHK").expect("chunked container");
+        damaged[fchk + crate::pack::CHUNK_HEADER] ^= 0xFF;
+        let parts = [
+            pack("t/plain.bin", &plain, PrepConfig::default()),
+            pack("t/big.bin", &big, chunked),
+            pack("t/model.f32", &floats, PrepConfig { progressive_tiers: 4, ..Default::default() }),
+            damaged,
+        ];
+        let rows = [
+            (GetManySpec::whole("t/plain.bin"), Want::Whole(&plain)),
+            // A 1000-byte window crossing a chunk boundary: two chunks.
+            (
+                GetManySpec::range("t/big.bin", 3800, 4800),
+                Want::Partial(&[0, 0], Some((3800, 4800))),
+            ),
+            // Tiers 0..=1 travel, 2..=3 stay home.
+            (GetManySpec::tiered("t/model.f32", 1), Want::Partial(&[0, 1], None)),
+            (GetManySpec::whole("t/missing"), Want::NotFound),
+            (GetManySpec::range("t/big.bin", 100, big.len() as u64 + 1), Want::BadRange),
+            // Regression: a damaged local copy must come back as the
+            // retryable ERROR so the client walks the replica ring — a
+            // BAD_REQUEST would decode to BadRange and abort both the
+            // failover and the whole-file fallback.
+            (GetManySpec::range("t/damaged.bin", 0, 1000), Want::Damaged),
+            // No partial form — neither field set, a fidelity bound on a
+            // range container, a byte range of a progressive one: the
+            // whole frame ships.
+            (GetManySpec::whole("t/big.bin"), Want::Whole(&big)),
+            (GetManySpec::tiered("t/big.bin", 0), Want::Whole(&big)),
+            (GetManySpec::range("t/model.f32", 10, 100), Want::Whole(&floats)),
+        ];
         let results = mpi_sim::launch(2, 1, |mut ctx| {
             let service = ctx.take_channel(0);
             if ctx.rank == 0 {
                 let state = Arc::new(NodeState::new(0, 2, CacheConfig::default()));
-                state.load_partition(&parts[0]).unwrap();
-                serve(state, service)
-            } else {
-                let req = encode_get_many_request(&["g/a.bin", "missing", "g/b.bin"]);
-                let reply = service.rpc(0, tags::GET_MANY, req).unwrap();
-                let entries = decode_get_many_reply(&reply, 3).unwrap();
-                assert_eq!(entries.len(), 3);
-                let (codec, stat, data) = entries[0].as_ref().unwrap().clone();
-                assert_eq!(stat.served_by, 0);
-                let plain = decompress_object(codec, &data, stat.size as usize, "g/a.bin").unwrap();
-                assert_eq!(plain, b"aaaa".repeat(64));
-                assert!(
-                    matches!(entries[1], Err(FsError::NotFound(_))),
-                    "missing entry fails alone"
-                );
-                assert!(entries[2].is_ok(), "entry after the miss still served");
-                // A count mismatch is a batch-level framing error.
-                assert!(decode_get_many_reply(&reply, 2).is_err());
-                // A malformed request gets BAD_REQUEST, not a crash.
-                let r = service.rpc(0, tags::GET_MANY, vec![1, 0, 0]).unwrap();
-                assert_eq!(r, vec![status::BAD_REQUEST]);
-                service.rpc(0, tags::SHUTDOWN, Vec::new()).unwrap();
-                3
-            }
-        });
-        assert_eq!(results[0], 3);
-    }
-
-    #[test]
-    fn get_many_corruption_fails_only_the_hit_entry() {
-        // Build a 3-entry reply by hand, flip one byte inside the middle
-        // entry's payload: decode must keep entries 0 and 2 intact and
-        // report entry 1 as Corrupt — the per-entry-CRC guarantee the
-        // batched failover path relies on.
-        let packed = prepare(
-            vec![
-                ("m/a.bin".to_string(), b"entry-a ".repeat(40)),
-                ("m/b.bin".to_string(), b"entry-b ".repeat(40)),
-                ("m/c.bin".to_string(), b"entry-c ".repeat(40)),
-            ],
-            &PrepConfig::default(),
-        );
-        let state = NodeState::new(0, 1, CacheConfig::default());
-        state.load_partition(&packed.partitions[0]).unwrap();
-        let mut reply = vec![status::OK];
-        reply.extend_from_slice(&3u32.to_le_bytes());
-        let mut entry_starts = Vec::new();
-        for p in ["m/a.bin", "m/b.bin", "m/c.bin"] {
-            let entry = encode_get_reply(&state.get_compressed(p).unwrap());
-            reply.extend_from_slice(&(entry.len() as u32).to_le_bytes());
-            entry_starts.push(reply.len());
-            reply.extend_from_slice(&entry);
-        }
-        let mid = entry_starts[1] + GET_BODY + 20; // inside entry 1's body
-        reply[mid] ^= 0x10;
-        let entries = decode_get_many_reply(&reply, 3).unwrap();
-        assert!(entries[0].is_ok(), "entry before the flip survives");
-        assert!(matches!(entries[1], Err(FsError::Corrupt(_))), "hit entry rejected by its CRC");
-        assert!(entries[2].is_ok(), "entry after the flip survives");
-        let (codec, stat, data) = entries[2].as_ref().unwrap().clone();
-        let plain = decompress_object(codec, &data, stat.size as usize, "m/c.bin").unwrap();
-        assert_eq!(plain, b"entry-c ".repeat(40));
-    }
-
-    #[test]
-    fn get_many_request_roundtrip_and_limits() {
-        let paths = vec!["a", "some/deep/path.bin", ""];
-        let buf = encode_get_many_request(&paths);
-        let specs = decode_get_many_request(&buf).unwrap();
-        assert_eq!(specs.iter().map(|s| s.path).collect::<Vec<_>>(), paths);
-        assert!(specs.iter().all(|s| s.range.is_none() && s.min_tier == crate::pack::TIER_FULL));
-        // Trailing garbage rejected.
-        let mut noisy = buf.clone();
-        noisy.push(0);
-        assert!(decode_get_many_request(&noisy).is_none());
-        // Oversized counts rejected before allocation.
-        let mut huge = Vec::new();
-        huge.extend_from_slice(&(MAX_BATCH as u32 + 1).to_le_bytes());
-        assert!(decode_get_many_request(&huge).is_none());
-    }
-
-    #[test]
-    fn get_many_v2_request_roundtrip() {
-        let specs = vec![
-            GetManySpec::whole("plain.bin"),
-            GetManySpec::range("big.bin", 4096, 8192),
-            GetManySpec::tiered("model.f32", 2),
-        ];
-        let buf = encode_get_many_request_v2(&specs);
-        let got = decode_get_many_request(&buf).unwrap();
-        assert_eq!(got, specs);
-        // Unknown flag bits are rejected, not silently skipped: find the
-        // flags byte of the first entry and set a reserved bit.
-        let mut bad = buf.clone();
-        let flags_at = 4 + 2 + "plain.bin".len();
-        bad[flags_at] |= 0x80;
-        assert!(decode_get_many_request(&bad).is_none());
-        // Truncated range payload rejected.
-        let short = buf[..buf.len() - 1].to_vec();
-        assert!(decode_get_many_request(&short).is_none());
-    }
-
-    #[test]
-    fn get_many_v2_serves_range_chunks() {
-        let body: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
-        let packed = prepare(
-            vec![("r/big.bin".to_string(), body.clone())],
-            &PrepConfig { chunk_size: 4096, ..PrepConfig::default() },
-        );
-        let parts = packed.partitions;
-        let results = mpi_sim::launch(2, 1, move |mut ctx| {
-            let service = ctx.take_channel(0);
-            if ctx.rank == 0 {
-                let state = Arc::new(NodeState::new(0, 2, CacheConfig::default()));
-                state.load_partition(&parts[0]).unwrap();
-                serve(state, service)
-            } else {
-                // A 1000-byte window crossing a chunk boundary: only the
-                // two covering chunks come back, not the whole file.
-                let specs = vec![GetManySpec::range("r/big.bin", 3800, 4800)];
-                let req = encode_get_many_request_v2(&specs);
-                let reply = service.rpc(0, tags::GET_MANY, req).unwrap();
-                let items = decode_get_many_reply_v2(&reply, 1).unwrap();
-                let p = match items[0].as_ref().unwrap() {
-                    GetManyItem::Partial(p) => p.clone(),
-                    other => panic!("expected partial entry, got {other:?}"),
-                };
-                assert_eq!(p.stat.served_by, 0);
-                assert_eq!(p.raw_len, body.len() as u64);
-                assert_eq!(p.chunk_size, 4096);
-                assert_eq!(p.chunks.len(), 2, "only the covering chunks travel");
-                let mut window = Vec::new();
-                for c in &p.chunks {
-                    window.extend_from_slice(&c.decode(p.inner_codec).unwrap());
+                for p in &parts {
+                    state.load_partition(p).unwrap();
                 }
-                let lo = p.chunks[0].offset as usize;
-                assert_eq!(&window[3800 - lo..4800 - lo], &body[3800..4800]);
-
-                // An out-of-bounds range is BAD_REQUEST for that entry.
-                let bad = vec![GetManySpec::range("r/big.bin", 100, body.len() as u64 + 1)];
-                let reply =
-                    service.rpc(0, tags::GET_MANY, encode_get_many_request_v2(&bad)).unwrap();
-                let items = decode_get_many_reply_v2(&reply, 1).unwrap();
-                assert!(matches!(items[0], Err(FsError::BadRange(_))));
-
-                // A v1 whole-file request on the same chunked object still
-                // round-trips (backward compatibility).
-                let req = encode_get_many_request(&["r/big.bin"]);
-                let reply = service.rpc(0, tags::GET_MANY, req).unwrap();
-                let entries = decode_get_many_reply(&reply, 1).unwrap();
-                let (codec, stat, data) = entries[0].as_ref().unwrap().clone();
-                let plain =
-                    decompress_object(codec, &data, stat.size as usize, "r/big.bin").unwrap();
-                assert_eq!(plain, body);
-                service.rpc(0, tags::SHUTDOWN, Vec::new()).unwrap();
-                4
+                return serve(state, service, None, None);
             }
+            let mut served = 0u64;
+            let mut get_many = |req: Vec<u8>| {
+                served += 1;
+                service.rpc(0, tags::GET_MANY, req).unwrap()
+            };
+            // Entry kind x batch size: every rotation of the rows puts each
+            // kind alone (a GET is a batch of one; NOT_FOUND alone in a
+            // batch), amid two others, and in a full batch.
+            for n in [1, 3, MAX_BATCH] {
+                for rot in 0..rows.len() {
+                    let batch: Vec<_> = (0..n).map(|i| &rows[(i + rot) % rows.len()]).collect();
+                    let specs: Vec<GetManySpec> = batch.iter().map(|r| r.0).collect();
+                    let req = encode_get_many_request(&specs);
+                    assert_eq!(decode_get_many_request(&req).unwrap(), specs, "request roundtrip");
+                    let reply = get_many(req);
+                    let items = decode_get_many_reply(&reply, n).unwrap();
+                    batch.iter().zip(&items).for_each(|(row, item)| check(item, &row.1, &big));
+                    // Header/body count mismatch is a batch-level framing
+                    // error, not an entry error.
+                    assert!(matches!(decode_get_many_reply(&reply, n + 1), Err(FsError::Comm(_))));
+                    // One flipped byte — in the stat block or the last
+                    // payload byte — fails only the entry it lands in.
+                    let frames = entry_frames(&reply);
+                    for j in [0, n / 2, n - 1] {
+                        let (start, len) = frames[j];
+                        if len <= GET_BODY {
+                            continue; // status-only entry: nothing under a CRC
+                        }
+                        for at in [start + GET_BODY + 10, start + len - 1] {
+                            let mut bad = reply.clone();
+                            bad[at] ^= 0x40;
+                            let got = decode_get_many_reply(&bad, n).unwrap();
+                            assert!(matches!(got[j], Err(FsError::Corrupt(_))), "{:?}", got[j]);
+                            for (i, (row, item)) in batch.iter().zip(&got).enumerate() {
+                                if i != j {
+                                    check(item, &row.1, &big);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            // Malformed requests are BAD_REQUEST for the whole batch, never
+            // a crash and never a partial answer.
+            let specs: Vec<GetManySpec> = rows[..3].iter().map(|r| r.0).collect();
+            let good = encode_get_many_request(&specs);
+            let mut trailing = good.clone();
+            trailing.push(0);
+            let mut no_version = good.clone();
+            no_version[3] &= 0x7F;
+            let mut unknown_flag = good.clone();
+            unknown_flag[4 + 2 + "t/plain.bin".len()] |= 0x80;
+            let mut non_utf8 = encode_get_many_request(&[GetManySpec::whole("ab")]);
+            non_utf8[4 + 2] = 0xFF;
+            let oversized = ((MAX_BATCH as u32 + 1) | GET_MANY_VERSION).to_le_bytes().to_vec();
+            for (what, req) in [
+                ("trailing garbage", trailing),
+                ("missing version bit", no_version),
+                ("unknown flag bits", unknown_flag),
+                ("truncated tier field", good[..good.len() - 1].to_vec()),
+                ("short count field", vec![1, 0, 0]),
+                ("count > MAX_BATCH", oversized),
+                ("non-UTF-8 path", non_utf8),
+            ] {
+                assert!(decode_get_many_request(&req).is_none(), "{what}");
+                assert_eq!(get_many(req), vec![status::BAD_REQUEST], "{what}");
+            }
+            // An empty or truncated entry frame is an error, never a panic.
+            assert!(
+                decode_whole_entry(&[]).is_err() && decode_whole_entry(&[status::OK, 1]).is_err()
+            );
+            // The empty path is a legal (if unknown) path, not a framing error.
+            let empty = encode_get_many_request(&[GetManySpec::whole("")]);
+            let items = decode_get_many_reply(&get_many(empty), 1).unwrap();
+            assert!(matches!(items[0], Err(FsError::NotFound(_))));
+            // SHED: a request whose deadline already passed is answered with
+            // the bare status byte, which decodes to a batch-level Shed.
+            let expired = mpi_sim::RpcMeta { deadline_us: 1, ..Default::default() };
+            let reply = service.rpc_with_meta(0, tags::GET_MANY, good, None, expired).unwrap();
+            assert_eq!(reply, vec![status::SHED]);
+            assert!(matches!(decode_get_many_reply(&reply, 3), Err(FsError::Shed(_))));
+            assert_eq!(service.rpc(0, tags::SHUTDOWN, Vec::new()).unwrap()[0], status::OK);
+            served + 1
         });
-        assert_eq!(results[0], 4);
+        assert_eq!(results[0], results[1], "daemon served every request but the shed one");
     }
 
     #[test]
-    fn get_many_v2_serves_progressive_tiers() {
-        let floats: Vec<u8> = (0..2048).flat_map(|i| ((i as f32) * 0.25).to_le_bytes()).collect();
-        let packed = prepare(
-            vec![("p/model.f32".to_string(), floats.clone())],
-            &PrepConfig { progressive_tiers: 4, ..PrepConfig::default() },
-        );
-        let parts = packed.partitions;
-        let results = mpi_sim::launch(2, 1, move |mut ctx| {
-            let service = ctx.take_channel(0);
-            if ctx.rank == 0 {
-                let state = Arc::new(NodeState::new(0, 2, CacheConfig::default()));
-                state.load_partition(&parts[0]).unwrap();
-                serve(state, service)
-            } else {
-                let specs = vec![GetManySpec::tiered("p/model.f32", 1)];
-                let req = encode_get_many_request_v2(&specs);
-                let reply = service.rpc(0, tags::GET_MANY, req).unwrap();
-                let items = decode_get_many_reply_v2(&reply, 1).unwrap();
-                let p = match items[0].as_ref().unwrap() {
-                    GetManyItem::Partial(p) => p.clone(),
-                    other => panic!("expected partial entry, got {other:?}"),
-                };
-                assert_eq!(p.chunks.len(), 2, "tiers 0..=1 travel, 2..=3 stay home");
-                assert_eq!(p.chunks.iter().map(|c| c.tier).collect::<Vec<_>>(), vec![0, 1]);
-                // The served tier prefix decodes to a usable approximation.
-                let tiers: Vec<Vec<u8>> =
-                    p.chunks.iter().map(|c| c.decode(p.inner_codec).unwrap()).collect();
-                let refs: Vec<&[u8]> = tiers.iter().map(Vec::as_slice).collect();
-                let approx =
-                    fanstore_compress::progressive::decode_prefix(&refs, p.raw_len as usize)
-                        .unwrap();
-                assert_eq!(approx.len(), floats.len());
-                service.rpc(0, tags::SHUTDOWN, Vec::new()).unwrap();
-                2
-            }
-        });
-        assert_eq!(results[0], 2);
-    }
-
-    #[test]
-    fn partial_entry_rejects_trailing_bytes_and_corrupt_table() {
+    fn partial_entry_rejects_trailing_bytes_and_corrupt_geometry() {
         let body: Vec<u8> = (0..10_000u32).map(|i| (i % 239) as u8).collect();
         let packed = prepare(
             vec![("t/file.bin".to_string(), body)],
@@ -1188,117 +1079,56 @@ mod tests {
         let mut entry = Vec::new();
         encode_partial_entry(&mut entry, &obj, &spec, &counter).unwrap();
         assert!(decode_partial_entry(&entry).is_ok());
+        let fix_crc = |frame: &mut Vec<u8>| {
+            let crc = crc32(&frame[GET_BODY..]);
+            frame[1..GET_BODY].copy_from_slice(&crc.to_le_bytes());
+        };
         // Trailing bytes with a fixed-up outer CRC are rejected by the
         // consumed-length check, never silently ignored.
         let mut padded = entry.clone();
         padded.push(0xAA);
-        let crc = crc32(&padded[GET_BODY..]);
-        padded[1..GET_BODY].copy_from_slice(&crc.to_le_bytes());
+        fix_crc(&mut padded);
         assert!(matches!(decode_partial_entry(&padded), Err(FsError::Comm(_))));
+        // A peer's frame is untrusted: a first chunk claiming offset
+        // u64::MAX - 1 under a *correct* outer CRC decodes, and must then
+        // fail assembly as Corrupt (retryable on the next replica)
+        // instead of overflowing `offset + len`.
+        let mut crafted = entry.clone();
+        let at = GET_BODY + 2 + STAT_SIZE + 4 + 8 + 4 + 4 + 1; // [idx u32][tier u8][offset u64]
+        crafted[at..at + 8].copy_from_slice(&(u64::MAX - 1).to_le_bytes());
+        fix_crc(&mut crafted);
+        let p = decode_partial_entry(&crafted).expect("outer CRC is correct");
+        let chunks = p.chunks.iter().map(|c| {
+            let data = Arc::new(c.decode(p.inner_codec).unwrap());
+            RangeChunk { index: c.index, offset: c.offset, data }
+        });
+        let pieces = RangePieces {
+            chunk_size: p.chunk_size,
+            total_len: p.raw_len,
+            chunks: chunks.collect(),
+        };
+        assert!(matches!(pieces.assemble(0, 100), Err(FsError::Corrupt(_))));
         // A damaged chunk table fails encode as Corrupt — the daemon's
         // copy is bad, not the request — so handle_get_many can answer
-        // the retryable status::ERROR instead of BAD_REQUEST.
-        let mut raw = (*obj.data).clone();
-        raw[crate::pack::CHUNK_HEADER] ^= 0xFF;
-        let bad = LocalObject { codec: obj.codec, stat: obj.stat, data: Arc::new(raw) };
-        let mut out = Vec::new();
-        assert!(matches!(
-            encode_partial_entry(&mut out, &bad, &spec, &counter),
-            Err(FsError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn corrupt_local_chunk_table_replies_retryable_error_not_bad_request() {
-        // Regression: one node's damaged copy must come back as a
-        // retryable error so the client walks the replica ring — a
-        // BAD_REQUEST reply would decode to BadRange and abort both the
-        // failover and the whole-file fallback.
-        let body: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
-        let packed = prepare(
-            vec![("c/big.bin".to_string(), body)],
-            &PrepConfig { chunk_size: 4096, ..PrepConfig::default() },
-        );
-        let mut part = packed.partitions[0].clone();
-        // Flip a byte inside the FCHK chunk table: the daemon's own copy
-        // is damaged; the request itself is fine.
-        let at = part.windows(4).position(|w| w == b"FCHK").expect("chunked container")
-            + crate::pack::CHUNK_HEADER;
-        part[at] ^= 0xFF;
-        let results = mpi_sim::launch(2, 1, move |mut ctx| {
-            let service = ctx.take_channel(0);
-            if ctx.rank == 0 {
-                let state = Arc::new(NodeState::new(0, 2, CacheConfig::default()));
-                state.load_partition(&part).unwrap();
-                serve(state, service)
-            } else {
-                let specs = vec![GetManySpec::range("c/big.bin", 0, 1000)];
-                let reply =
-                    service.rpc(0, tags::GET_MANY, encode_get_many_request_v2(&specs)).unwrap();
-                let items = decode_get_many_reply_v2(&reply, 1).unwrap();
-                assert!(
-                    matches!(items[0], Err(FsError::Corrupt(_))),
-                    "expected retryable Corrupt, got {:?}",
-                    items[0]
-                );
-                service.rpc(0, tags::SHUTDOWN, Vec::new()).unwrap();
-                2
-            }
-        });
-        assert_eq!(results[0], 2);
-    }
-
-    #[test]
-    fn daemon_serves_get_and_shutdown_over_channels() {
-        let packed = prepare(
-            vec![("d/file.bin".to_string(), b"payload payload payload".repeat(8))],
-            &PrepConfig::default(),
-        );
-        let parts = packed.partitions;
-        let results = mpi_sim::launch(2, 1, |mut ctx| {
-            let service = ctx.take_channel(0);
-            if ctx.rank == 0 {
-                let state = Arc::new(NodeState::new(0, 2, CacheConfig::default()));
-                state.load_partition(&parts[0]).unwrap();
-                serve(state, service)
-            } else {
-                let reply = service.rpc(0, tags::GET, b"d/file.bin".to_vec()).unwrap();
-                let (codec, stat, data) = decode_get_reply(&reply).unwrap();
-                assert_eq!(stat.served_by, 0, "daemon stamps the serving rank");
-                let plain =
-                    decompress_object(codec, &data, stat.size as usize, "d/file.bin").unwrap();
-                assert_eq!(plain, b"payload payload payload".repeat(8));
-                // Unknown path.
-                let nf = service.rpc(0, tags::GET, b"missing".to_vec()).unwrap();
-                assert_eq!(nf[0], status::NOT_FOUND);
-                // Shut the daemon down.
-                let ok = service.rpc(0, tags::SHUTDOWN, Vec::new()).unwrap();
-                assert_eq!(ok[0], status::OK);
-                3
-            }
-        });
-        assert_eq!(results[0], 3, "daemon served 3 requests");
-    }
-
-    #[test]
-    fn corrupted_reply_rejected_by_crc() {
-        let packed =
-            prepare(vec![("f.bin".to_string(), b"abcdefgh".repeat(64))], &PrepConfig::default());
-        let state = NodeState::new(0, 1, CacheConfig::default());
-        state.load_partition(&packed.partitions[0]).unwrap();
-        let obj = state.get_compressed("f.bin").unwrap();
-        let good = encode_get_reply(&obj);
-        // Flip one payload byte: decode must reject via CRC, not panic or
-        // hand back corrupt bytes.
-        let mut bad = good.clone();
-        let last = bad.len() - 1;
-        bad[last] ^= 0x40;
-        assert!(matches!(decode_get_reply(&bad), Err(FsError::Corrupt(_))));
-        // Flip a stat byte too — also covered by the CRC.
-        let mut bad_stat = good.clone();
-        bad_stat[GET_BODY + 10] ^= 0x01;
-        assert!(matches!(decode_get_reply(&bad_stat), Err(FsError::Corrupt(_))));
-        assert!(decode_get_reply(&good).is_ok());
+        // the retryable status::ERROR instead of BAD_REQUEST. Same for a
+        // table that passes its CRC but whose geometry overflows: raw_len
+        // u64::MAX keeps the huge range in bounds, chunk 1 sits at offset
+        // u64::MAX - 1.
+        let mut flipped = (*obj.data).clone();
+        flipped[crate::pack::CHUNK_HEADER] ^= 0xFF;
+        let mut overflow = (*obj.data).clone();
+        overflow[12..20].copy_from_slice(&u64::MAX.to_le_bytes());
+        let row1 = crate::pack::CHUNK_HEADER + crate::pack::CHUNK_ROW;
+        overflow[row1..row1 + 8].copy_from_slice(&(u64::MAX - 1).to_le_bytes());
+        let table_end = crate::pack::CHUNK_HEADER + 5 * crate::pack::CHUNK_ROW;
+        let crc = crc32(&overflow[..table_end]);
+        overflow[table_end..table_end + 4].copy_from_slice(&crc.to_le_bytes());
+        for (raw, end) in [(flipped, 5000), (overflow, u64::MAX)] {
+            let bad = LocalObject { codec: obj.codec, stat: obj.stat, data: Arc::new(raw) };
+            let spec = GetManySpec::range("t/file.bin", 0, end);
+            let got = encode_partial_entry(&mut Vec::new(), &bad, &spec, &counter);
+            assert!(matches!(got, Err(FsError::Corrupt(_))), "{got:?}");
+        }
     }
 
     #[test]
@@ -1307,10 +1137,10 @@ mod tests {
             let service = ctx.take_channel(0);
             if ctx.rank == 0 {
                 let state = Arc::new(NodeState::new(0, 2, CacheConfig::default()));
-                serve(state, service)
+                serve(state, service, None, None)
             } else {
-                // GET with a non-UTF-8 path.
-                let r = service.rpc(0, tags::GET, vec![0xFF, 0xFE, 0x00]).unwrap();
+                // Tag 1 is unassigned (every read is a GET_MANY, tag 6).
+                let r = service.rpc(0, 1, b"d/file.bin".to_vec()).unwrap();
                 assert_eq!(r, vec![status::BAD_REQUEST]);
                 // GET_META with a non-UTF-8 path.
                 let r = service.rpc(0, tags::GET_META, vec![0x80]).unwrap();
@@ -1339,13 +1169,14 @@ mod tests {
                 let state = Arc::new(NodeState::new(0, 2, CacheConfig::default()));
                 let trace = Arc::new(crate::trace::TraceRecorder::new(8));
                 let st = Arc::clone(&state);
-                let served = serve_traced(st, service, Some(Arc::clone(&trace)));
+                let served = serve(st, service, Some(Arc::clone(&trace)), None);
                 (served, state.stats.reply_failures.get(), trace.count(Op::Degraded))
             } else {
                 // A bare send carries no reply conduit: the daemon's
                 // answer is undeliverable and must be counted, not lost
                 // silently.
-                service.send(0, tags::GET, b"whatever".to_vec()).unwrap();
+                let req = encode_get_many_request(&[GetManySpec::whole("whatever")]);
+                service.send(0, tags::GET_MANY, req).unwrap();
                 service.rpc(0, tags::SHUTDOWN, Vec::new()).unwrap();
                 (0, 0, 0)
             }
@@ -1360,7 +1191,7 @@ mod tests {
             if ctx.rank == 0 {
                 let state = Arc::new(NodeState::new(0, 2, CacheConfig::default()));
                 let st = Arc::clone(&state);
-                let served = serve(st, service);
+                let served = serve(st, service, None, None);
                 let still_there = state.writes.read().contains_key("ckpt/seg0");
                 (served, still_there)
             } else {
@@ -1368,8 +1199,13 @@ mod tests {
                 let ok = service.rpc(0, tags::PUT, buf).unwrap();
                 assert_eq!(ok[0], status::OK);
                 // The replica now serves GETs for the pushed object.
-                let reply = service.rpc(0, tags::GET, b"ckpt/seg0".to_vec()).unwrap();
-                let (codec, stat, data) = decode_get_reply(&reply).unwrap();
+                let req = encode_get_many_request(&[GetManySpec::whole("ckpt/seg0")]);
+                let reply = service.rpc(0, tags::GET_MANY, req).unwrap();
+                let (codec, stat, data) = match decode_get_many_reply(&reply, 1).unwrap().remove(0)
+                {
+                    Ok(GetManyItem::Whole(codec, stat, data)) => (codec, stat, data),
+                    other => panic!("expected a whole entry, got {other:?}"),
+                };
                 assert_eq!(stat.owner_rank, 1, "owner stays the pusher");
                 let plain =
                     decompress_object(codec, &data, stat.size as usize, "ckpt/seg0").unwrap();
@@ -1396,7 +1232,7 @@ mod tests {
             if ctx.rank == 0 {
                 let state = Arc::new(NodeState::new(0, 2, CacheConfig::default()));
                 let st = Arc::clone(&state);
-                let served = serve(st, service);
+                let served = serve(st, service, None, None);
                 let size = state.meta.read().stat("out/model_epoch3.h5").map(|s| s.size);
                 (served, size)
             } else {

@@ -369,7 +369,9 @@ impl NodeState {
             return Ok(None);
         }
         let mut chunks = Vec::new();
-        for idx in table.covering(start, end) {
+        let covering =
+            table.covering(start, end).map_err(|e| FsError::Corrupt(format!("{path}: {e}")))?;
+        for idx in covering {
             let payload = crate::pack::chunk_payload(&obj.data, &table, idx)
                 .map_err(|e| FsError::Corrupt(format!("{path}: {e}")))?;
             let raw = crate::pack::decode_chunk(&table, idx, payload)
@@ -552,12 +554,17 @@ pub struct RangePieces {
 
 impl RangePieces {
     /// Assemble the bytes of `[start, end)` from the covering chunks.
-    /// Errors if the chunks do not cover the range contiguously.
+    /// Errors if the chunks do not cover the range contiguously, or if a
+    /// chunk's extent overflows `u64` (offsets may come from a peer's
+    /// PARTIAL frame).
     pub fn assemble(&self, start: u64, end: u64) -> Result<Vec<u8>, FsError> {
         let mut out = Vec::with_capacity((end - start) as usize);
         let mut at = start;
         for c in &self.chunks {
-            let c_end = c.offset + c.data.len() as u64;
+            let c_end = c
+                .offset
+                .checked_add(c.data.len() as u64)
+                .ok_or_else(|| FsError::Corrupt(format!("chunk {} extent overflows", c.index)))?;
             if at < c.offset || at >= c_end {
                 continue;
             }

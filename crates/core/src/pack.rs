@@ -228,14 +228,21 @@ impl ChunkTable {
 
     /// Indices of the range chunks covering raw bytes `[start, end)`.
     /// Meaningful for [`ChunkKind::Range`] containers; chunks are stored
-    /// in offset order so the result is a contiguous run.
-    pub fn covering(&self, start: u64, end: u64) -> Vec<usize> {
-        self.chunks
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.offset < end && c.offset + u64::from(c.raw_len) > start)
-            .map(|(i, _)| i)
-            .collect()
+    /// in offset order so the result is a contiguous run. The rows come
+    /// from a stored partition: one whose extent overflows `u64` is
+    /// [`FsError::Corrupt`], never a panic or a wrapped comparison.
+    pub fn covering(&self, start: u64, end: u64) -> Result<Vec<usize>, FsError> {
+        let mut idxs = Vec::new();
+        for (i, c) in self.chunks.iter().enumerate() {
+            let c_end = c
+                .offset
+                .checked_add(u64::from(c.raw_len))
+                .ok_or_else(|| FsError::Corrupt(format!("chunk {i} extent overflows")))?;
+            if c.offset < end && c_end > start {
+                idxs.push(i);
+            }
+        }
+        Ok(idxs)
     }
 
     /// Indices of the progressive tiers with `tier <= min_tier`, i.e. the
@@ -561,11 +568,26 @@ mod tests {
         let packed = build_chunked(&data, 100, codec());
         let table = parse_chunk_table(&packed).unwrap();
         assert_eq!(table.chunks.len(), 10);
-        assert_eq!(table.covering(0, 1), vec![0]);
-        assert_eq!(table.covering(250, 251), vec![2]);
-        assert_eq!(table.covering(250, 450), vec![2, 3, 4]);
-        assert_eq!(table.covering(999, 1000), vec![9]);
-        assert!(table.covering(1000, 1001).is_empty());
+        assert_eq!(table.covering(0, 1).unwrap(), vec![0]);
+        assert_eq!(table.covering(250, 251).unwrap(), vec![2]);
+        assert_eq!(table.covering(250, 450).unwrap(), vec![2, 3, 4]);
+        assert_eq!(table.covering(999, 1000).unwrap(), vec![9]);
+        assert!(table.covering(1000, 1001).unwrap().is_empty());
+    }
+
+    #[test]
+    fn crafted_chunk_offset_is_corrupt_not_overflow() {
+        // A row that passes the table CRC but claims offset u64::MAX - 1:
+        // its extent overflows u64. covering() must say Corrupt, not
+        // panic (debug) or wrap into a bogus match (release).
+        let mut packed = build_chunked(&sample(1000), 100, codec());
+        let row1 = CHUNK_HEADER + CHUNK_ROW; // the offset field leads the row
+        packed[row1..row1 + 8].copy_from_slice(&(u64::MAX - 1).to_le_bytes());
+        let table_end = CHUNK_HEADER + 10 * CHUNK_ROW;
+        let crc = crc32(&packed[..table_end]);
+        packed[table_end..table_end + 4].copy_from_slice(&crc.to_le_bytes());
+        let table = parse_chunk_table(&packed).expect("table CRC is correct");
+        assert!(matches!(table.covering(0, u64::MAX), Err(FsError::Corrupt(_))));
     }
 
     #[test]

@@ -27,9 +27,9 @@ pub struct PrefetchConfig {
     /// Files per batch.
     pub batch_size: usize,
     /// Files coalesced per fetch round (one `GetMany` RPC per owner rank
-    /// per round). 0 means "use `batch_size`". 1 degenerates to the
-    /// single-GET path — the baseline the `batch_fetch` experiment
-    /// measures against.
+    /// per round). 0 means "use `batch_size`". 1 degenerates to one
+    /// file per rpc — the baseline the `batch_fetch` experiment measures
+    /// against.
     pub rpc_batch: usize,
     /// QoS tenant this pipeline's reads are accounted to. When it differs
     /// from the client's own tenant, the epoch runs on a forked sibling

@@ -202,8 +202,8 @@ fn get_many_corruption_fails_only_the_hit_entries() {
     // flight and rejected by the per-entry CRC...
     let crc_total: u64 = outcomes.iter().map(|o| o.crc_failures).sum();
     assert!(crc_total > 0, "corruption plan must bite: {outcomes:?}");
-    // ...and only the hit entries fell back to the single-GET
-    // failover path — the rest of each batch rode through untouched.
+    // ...and only the hit entries fell back to a batch of one on the
+    // failover ladder — the rest of each batch rode through untouched.
     let fallbacks: u64 = outcomes.iter().map(|o| o.fallbacks).sum();
     let entries: u64 = outcomes.iter().map(|o| o.entries_ok as u64).sum();
     assert!(fallbacks > 0, "corrupted entries must take the per-entry fallback: {outcomes:?}");
@@ -215,7 +215,7 @@ fn get_many_corruption_fails_only_the_hit_entries() {
 
 #[test]
 fn batched_chaos_same_seed_same_recoveries() {
-    // GetMany keeps the determinism contract of the single-GET path: the
+    // A batch keeps the determinism contract of a batch of one: the
     // fault schedule is a pure function of (seed, link, sequence) and each
     // rank's batch order is fixed, so recovery counters replay exactly.
     let a = batched_chaotic_run(21);

@@ -162,7 +162,7 @@ fn chaos_run(seed: u64) -> Outcome {
         }
         let daemon_state = Arc::clone(&state);
         std::thread::scope(|scope| {
-            let daemon = scope.spawn(move || serve(daemon_state, service));
+            let daemon = scope.spawn(move || serve(daemon_state, service, None, None));
             let client = FsClient::new(Arc::clone(&state), service_remote.clone()).with_failover(
                 FailoverConfig {
                     rpc_timeout: Duration::from_millis(500),

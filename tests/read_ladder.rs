@@ -1,0 +1,254 @@
+//! One remote-read path (DESIGN.md §5 "Read protocol"), pinned from the
+//! outside: the same traffic for `read_whole` and a one-entry `read_many`
+//! (a GET is a GET_MANY batch of one), the same recovery counters for
+//! whole, range and tier reads under the same faults (one ladder), and QoS
+//! admission plus tenant stamping on range and tier reads.
+
+use std::sync::Barrier;
+use std::time::Duration;
+
+use fanstore_repro::mpi::FaultPlan;
+use fanstore_repro::store::client::{FailoverConfig, FsClient};
+use fanstore_repro::store::cluster::{ClusterConfig, FanStore};
+use fanstore_repro::store::pack::{
+    decode_progressive_prefix, parse_chunk_table, parse_partition, PartitionBuilder,
+};
+use fanstore_repro::store::prep::{prepare, PrepConfig};
+use fanstore_repro::store::qos::{QosPolicy, TenantQuota};
+use fanstore_repro::store::FsError;
+
+const CHUNK: usize = 4096;
+
+fn ranged_body() -> Vec<u8> {
+    (0..CHUNK * 4).map(|j| ((j / 7) as u8).wrapping_mul(29).wrapping_add(j as u8 & 3)).collect()
+}
+
+fn tiered_body() -> Vec<u8> {
+    (0..2048).flat_map(|i| ((i as f32) * 0.37).sin().to_le_bytes()).collect()
+}
+
+#[test]
+fn a_get_is_a_batch_of_one() {
+    // Two cold files on rank 1 with equal path lengths and identical
+    // contents. Rank 0 reads one through `read_whole` and the other
+    // through a one-entry `read_many`: same wire format, so the same
+    // messages, the same bytes each way and the same bytes served.
+    let body = b"one wire codec ".repeat(200);
+    let files = ["g/p0.bin", "g/p1.bin", "g/q0.bin", "g/q1.bin"].map(|p| (p.into(), body.clone()));
+    let packed = prepare(files.into(), &PrepConfig { partitions: 2, ..Default::default() });
+    let fabric = |fs: &FsClient| {
+        let m = &fs.state().metrics;
+        ["fabric.msgs_sent", "fabric.bytes_sent", "fabric.bytes_received"].map(|g| m.gauge(g).get())
+    };
+    // Rank 1 only serves; the barrier lets it sample its daemon's counter
+    // between rank 0's two reads. Nothing between two waits can panic, so
+    // a failure surfaces in the asserts below, not as a hang.
+    let phase = Barrier::new(2);
+    let cluster = ClusterConfig { nodes: 2, ..Default::default() };
+    let results = FanStore::run(cluster, packed.partitions, |fs| {
+        let served = || fs.state().metrics.counter("daemon.get.bytes").get();
+        if fs.rank() == 1 {
+            phase.wait();
+            let after_whole = served();
+            phase.wait();
+            phase.wait();
+            return (None, [[after_whole, served(), 0]; 3]);
+        }
+        let f0 = fabric(fs);
+        let whole = fs.read_whole("g/p1.bin");
+        let f1 = fabric(fs);
+        phase.wait();
+        phase.wait();
+        let many = fs.read_many(&["g/q1.bin".to_string()]).remove(0);
+        let f2 = fabric(fs);
+        phase.wait();
+        (Some((whole, many)), [f0, f1, f2])
+    });
+    let (reads, f) = &results[0];
+    let (whole, many) = reads.as_ref().expect("rank 0 read");
+    assert_eq!(whole.as_ref().unwrap(), &body);
+    assert_eq!(many.as_ref().unwrap(), &body);
+    let delta = |a: [u64; 3], b: [u64; 3]| [b[0] - a[0], b[1] - a[1], b[2] - a[2]];
+    assert_eq!(delta(f[0], f[1]), delta(f[1], f[2]), "msgs_sent, bytes_sent, bytes_received");
+    assert_eq!(delta(f[0], f[1])[0], 1, "one request message per read");
+    let [after_whole, after_many, _] = results[1].1[0];
+    assert!(after_whole > 0, "rank 1's daemon served the whole read");
+    assert_eq!(after_whole, after_many - after_whole, "daemon.get.bytes");
+}
+
+/// The read under test. Whole and range reads target a range-chunked
+/// object, the tier read a progressive one — both carry per-chunk
+/// at-rest CRCs, so one flipped stored byte is detectable by all three.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Read {
+    Whole,
+    Range,
+    Tier,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Scenario {
+    /// The owner's links are dead from the first message.
+    KillOwner,
+    /// The owner's stored copy has one flipped byte in the chunk every
+    /// read covers; the ring replica's copy is clean.
+    CorruptOwner,
+    /// The tenant's op deadline has passed before the first send.
+    ExpiredDeadline,
+    /// Owner and replica are both dead and the retry budget is 1.
+    ExhaustedBudget,
+}
+
+/// What the reading rank saw: how the read ended (`Ok` = exact bytes)
+/// and `[rpc_timeouts, crc_failures, degraded_reads, retry_exhausted,
+/// remote_opens, fabric.msgs_sent]`.
+type Outcome = (Result<(), &'static str>, [u64; 6]);
+
+/// One 3-rank run: rank 0 owns both objects, rank 1 is its ring replica,
+/// rank 2 reads.
+fn ladder_run(read: Read, scenario: Scenario) -> Outcome {
+    // The clean partition, and a copy whose first stored chunk of each
+    // object has one flipped byte.
+    let (mut clean, mut damaged) = (PartitionBuilder::new(), PartitionBuilder::new());
+    let mut tier0 = Vec::new();
+    for (path, data, cfg) in [
+        ("ld/ranged.bin", ranged_body(), PrepConfig { chunk_size: CHUNK, ..Default::default() }),
+        ("ld/model.f32", tiered_body(), PrepConfig { progressive_tiers: 4, ..Default::default() }),
+    ] {
+        let part = prepare(vec![(path.to_string(), data)], &cfg).partitions.remove(0);
+        let entry = parse_partition(&part).expect("partition parses").remove(0);
+        clean.push(&entry.path, entry.codec, &entry.stat, &entry.data);
+        tier0 = decode_progressive_prefix(&entry.data, 0).expect("tier 0 decodes");
+        let mut bad = entry.data.clone();
+        let first = parse_chunk_table(&bad).expect("chunked entry").payload_offset(0);
+        bad[first + 5] ^= 0x21;
+        damaged.push(&entry.path, entry.codec, &entry.stat, &bad);
+    }
+    let damaged = damaged.finish();
+    let exhausted = scenario == Scenario::ExhaustedBudget;
+    let expired =
+        TenantQuota { rate_per_s: 0.0, burst: 0, weight: 1, op_deadline: Some(Duration::ZERO) };
+    let cluster = ClusterConfig {
+        nodes: 3,
+        replication: 2,
+        fault_plan: match scenario {
+            Scenario::KillOwner => Some(FaultPlan::new(7).kill(0, 0)),
+            Scenario::ExhaustedBudget => Some(FaultPlan::new(7).kill(0, 0).kill(1, 0)),
+            _ => None,
+        },
+        failover: Some(FailoverConfig {
+            rpc_timeout: Duration::from_millis(200),
+            attempts_per_replica: if exhausted { 2 } else { 1 },
+            retry_budget: if exhausted { 1 } else { 8 },
+            backoff_base: Duration::from_micros(100),
+            backoff_max: Duration::from_millis(1),
+            ..Default::default()
+        }),
+        qos: (scenario == Scenario::ExpiredDeadline)
+            .then(|| QosPolicy::new().with_quota(0, expired)),
+        ..Default::default()
+    };
+    let loaded = Barrier::new(3);
+    let outcomes = FanStore::run(cluster, vec![clean.finish()], |fs| {
+        if fs.rank() == 0 && scenario == Scenario::CorruptOwner {
+            // Overlay the owner's copy; the replica keeps the clean one
+            // it received over the ring at startup.
+            fs.state().load_partition(&damaged).expect("damaged partition parses");
+        }
+        loaded.wait();
+        if fs.rank() != 2 {
+            return None;
+        }
+        let (got, expect) = match read {
+            Read::Whole => (fs.read_whole("ld/ranged.bin"), ranged_body()),
+            Read::Range => (
+                fs.read_range("ld/ranged.bin", 100, (CHUNK + 100) as u64),
+                ranged_body()[100..CHUNK + 100].to_vec(),
+            ),
+            Read::Tier => (fs.read_whole_tier("ld/model.f32", 0), tier0.clone()),
+        };
+        let result = match got {
+            Ok(bytes) if bytes == expect => Ok(()),
+            Ok(_) => Err("wrong bytes"),
+            Err(FsError::Timeout(_)) => Err("Timeout"),
+            Err(FsError::Shed(_)) => Err("Shed"),
+            Err(_) => Err("other"),
+        };
+        let s = &fs.state().stats;
+        let sent = fs.state().metrics.gauge("fabric.msgs_sent");
+        let c = [&s.rpc_timeouts, &s.crc_failures, &s.degraded_reads, &s.retry_exhausted];
+        Some((
+            result,
+            [c[0].get(), c[1].get(), c[2].get(), c[3].get(), s.remote_opens.get(), sent.get()],
+        ))
+    });
+    outcomes.into_iter().nth(2).flatten().expect("rank 2 outcome")
+}
+
+#[test]
+fn whole_range_and_tier_reads_share_one_ladder() {
+    for read in [Read::Whole, Read::Range, Read::Tier] {
+        // One hop to the ring replica, exact bytes, one degraded read —
+        // whether the owner never answered or answered with a payload
+        // that failed its at-rest CRC inside the attempt.
+        let got = ladder_run(read, Scenario::KillOwner);
+        assert_eq!(got, (Ok(()), [1, 0, 1, 0, 1, 2]), "{read:?}: kill owner");
+        let got = ladder_run(read, Scenario::CorruptOwner);
+        assert_eq!(got, (Ok(()), [0, 1, 1, 0, 2, 2]), "{read:?}: corrupt owner copy");
+        // Expired before the first send: no message leaves the node.
+        let got = ladder_run(read, Scenario::ExpiredDeadline);
+        assert_eq!(got, (Err("Shed"), [0; 6]), "{read:?}: expired deadline");
+        // Budget 1 = one retry: two attempts at the dead owner, then the
+        // walk stops before ever reaching the (also dead) replica. A
+        // range read walks the ladder twice — ranged, then its whole-file
+        // fallback (the step that reaches read-through when one is
+        // attached) — so it spends exactly two such walks.
+        let w = if read == Read::Range { 2 } else { 1 };
+        let got = ladder_run(read, Scenario::ExhaustedBudget);
+        assert_eq!(got, (Err("Timeout"), [2 * w, 0, 0, w, 0, 2 * w]), "{read:?}: exhausted budget");
+    }
+}
+
+#[test]
+fn range_and_tier_reads_pass_admission_under_the_callers_tenant() {
+    // Tenant 7 may run exactly one read: rate 0, burst 1, no retries.
+    let quota = TenantQuota { rate_per_s: 0.0, burst: 1, weight: 1, op_deadline: None };
+    let mut policy = QosPolicy::new().with_quota(7, quota);
+    policy.throttle_retries = 0;
+    policy.deadline_from_timeout = false;
+    let files = ["qt/m0.f32", "qt/m1.f32"].map(|p| (p.to_string(), tiered_body()));
+    let prep = PrepConfig { partitions: 2, progressive_tiers: 4, ..Default::default() };
+    // Rank 0 reads rank 1's object; the barrier lets rank 1 sample its
+    // daemon's per-tenant counters once tenant 7's reads are over.
+    let done = Barrier::new(2);
+    let cluster = ClusterConfig { nodes: 2, qos: Some(policy), ..Default::default() };
+    let results = FanStore::run(cluster, prepare(files.into(), &prep).partitions, |fs| {
+        if fs.rank() == 1 {
+            done.wait();
+            let m = &fs.state().metrics;
+            let served = [7, 0].map(|t| m.counter(&format!("qos.tenant.{t}.served")).get());
+            done.wait();
+            return (Vec::new(), served);
+        }
+        let tenant = fs.fork_tenant(7);
+        let mut reads = vec![
+            tenant.read_whole_tier("qt/m1.f32", 0).map(|b| b.len()),
+            tenant.read_whole_tier("qt/m1.f32", 0).map(|b| b.len()),
+            tenant.read_range("qt/m1.f32", 10, 100).map(|b| b.len()),
+        ];
+        done.wait();
+        done.wait();
+        // A byte range of a progressive object has no partial form: the
+        // whole frame ships and the client slices it (tier chunks were
+        // once assembled as if they were range chunks).
+        let exact = |b: Vec<u8>| usize::from(b == tiered_body()[10..100]);
+        reads.push(fs.read_range("qt/m1.f32", 10, 100).map(exact));
+        (reads, [0, 0])
+    });
+    let reads = &results[0].0;
+    assert_eq!(reads[0].as_ref().ok(), Some(&(2048 * 4)), "the one token buys the tier read");
+    assert!(matches!(reads[1], Err(FsError::Throttled(_))), "tier read on an empty bucket");
+    assert!(matches!(reads[2], Err(FsError::Throttled(_))), "range read on an empty bucket");
+    assert_eq!(reads[3].as_ref().ok(), Some(&1), "range of a progressive object is exact");
+    assert_eq!(results[1].1, [1, 0], "the tier read is served under tenant 7, not tenant 0");
+}
