@@ -1,5 +1,8 @@
-//! CRC-32 (IEEE 802.3 polynomial), used by the `xz` container to validate
-//! decompressed payloads.
+//! CRC-32 (IEEE 802.3 polynomial): the checksum behind every integrity
+//! field in the store — GET_MANY entry frames, FCHK tables and chunks,
+//! checkpoint/WAL record frames, both publish manifests — and the `xz`
+//! container's payload check. `fanstore::framing` decides where a CRC
+//! field sits; this module only computes it.
 
 /// Byte-at-a-time lookup table for the reflected polynomial 0xEDB88320.
 const fn build_table() -> [u32; 256] {

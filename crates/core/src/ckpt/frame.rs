@@ -1,16 +1,12 @@
-//! Per-chunk frame format for checkpoint segments.
+//! The record frame: checkpoint segments and the WAL log are both
+//! byte-concatenations of it (layout: DESIGN.md §13 "Byte layouts",
+//! row 11).
 //!
-//! A segment is a byte-concatenation of frames, one frame per chunk:
-//!
-//! ```text
-//! [flags u8][codec u16][raw_len u32][stored_len u32][crc32 u32][payload …]
-//! ```
-//!
-//! (all integers little-endian). `crc32` covers the stored payload, so
-//! every chunk verifies independently; `raw_len` is the chunk's length
-//! after decompression (and delta reversal — a delta buffer is exactly as
-//! long as the chunk it encodes). Flag bit 0 marks the payload as a
-//! byte-delta against the base generation's chunk at the same index.
+//! The frame's CRC covers the stored payload, so every chunk verifies
+//! independently; `raw_len` is the chunk's length after decompression
+//! (and delta reversal — a delta buffer is exactly as long as the chunk
+//! it encodes). Flag bit 0 marks the payload as a byte-delta against the
+//! base generation's chunk at the same index.
 //!
 //! [`scan_segment`] is the *tolerant* reader used by recovery: it parses
 //! frames until the first truncated or CRC-failing one and reports the
@@ -21,10 +17,8 @@
 use fanstore_compress::crc32::crc32;
 use fanstore_compress::CodecId;
 
+use crate::framing::{Malformed, Reader};
 use crate::FsError;
-
-/// Frame header length in bytes.
-pub const HEADER: usize = 1 + 2 + 4 + 4 + 4;
 
 /// Flag bit 0: the payload decompresses to a byte-delta against the base
 /// generation's chunk at the same index.
@@ -60,31 +54,29 @@ pub fn encode_frame(out: &mut Vec<u8>, flags: u8, codec: CodecId, raw_len: u32, 
     out.extend_from_slice(payload);
 }
 
+/// Read one frame at the cursor; a short header, a short payload and a
+/// CRC mismatch are all the same torn tail to the callers.
+fn read_frame(r: &mut Reader<'_>) -> Result<Frame, Malformed> {
+    let (flags, codec, raw_len) = (r.u8()?, CodecId(r.u16()?), r.u32()?);
+    let (stored_len, crc) = (r.u32()?, r.u32()?);
+    let payload = r.bytes(stored_len as usize)?;
+    if crc32(payload) != crc {
+        return Err(r.fail("frame checksum mismatch"));
+    }
+    Ok(Frame { flags, codec, raw_len, payload: payload.to_vec() })
+}
+
 /// Tolerant scan: parse frames front-to-back, stopping at the first
 /// truncated header, truncated payload, or CRC mismatch. Returns the
 /// frames that verified plus whether a torn tail was found.
 pub fn scan_segment(buf: &[u8]) -> (Vec<Frame>, bool) {
     let mut frames = Vec::new();
-    let mut pos = 0usize;
-    while pos < buf.len() {
-        if pos + HEADER > buf.len() {
-            return (frames, true);
+    let mut r = Reader::new(buf);
+    while !r.is_empty() {
+        match read_frame(&mut r) {
+            Ok(frame) => frames.push(frame),
+            Err(_) => return (frames, true),
         }
-        let flags = buf[pos];
-        let codec = CodecId(u16::from_le_bytes(buf[pos + 1..pos + 3].try_into().expect("2 bytes")));
-        let raw_len = u32::from_le_bytes(buf[pos + 3..pos + 7].try_into().expect("4 bytes"));
-        let stored_len =
-            u32::from_le_bytes(buf[pos + 7..pos + 11].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(buf[pos + 11..pos + 15].try_into().expect("4 bytes"));
-        let start = pos + HEADER;
-        let Some(payload) = buf.get(start..start.saturating_add(stored_len)) else {
-            return (frames, true);
-        };
-        if crc32(payload) != crc {
-            return (frames, true);
-        }
-        frames.push(Frame { flags, codec, raw_len, payload: payload.to_vec() });
-        pos = start + stored_len;
     }
     (frames, false)
 }
@@ -103,6 +95,9 @@ pub fn decode_segment(buf: &[u8]) -> Result<Vec<Frame>, FsError> {
 mod tests {
     use super::*;
     use fanstore_compress::CodecFamily;
+
+    /// Frame header length in bytes.
+    const HEADER: usize = 1 + 2 + 4 + 4 + 4;
 
     fn codec() -> CodecId {
         CodecId::new(CodecFamily::Store, 0)

@@ -7,17 +7,11 @@
 //! it is finalised, so the manifest's appearance is the commit: a crash
 //! anywhere before it leaves the generation invisible, never torn.
 //!
-//! Layout (little-endian):
-//!
-//! ```text
-//! "FSCK" | version u16 | generation u64 | base u64 (u64::MAX = full)
-//! | chunk_size u32 | raw_bytes u64 | stored_bytes u64 | seg_count u32
-//! | seg_count × ([u16 name_len][name][u32 chunks][u64 bytes][u32 crc])
-//! | crc32 u32 over everything above
-//! ```
+//! On the wire it is a `framing` publish record — magic, version and the
+//! trailing CRC are that module's; this one is the struct and its field
+//! list (DESIGN.md §13 "Byte layouts", row 15).
 
-use fanstore_compress::crc32::crc32;
-
+use crate::framing::{begin_record, open_record, put_str16, seal_trailing, Malformed};
 use crate::FsError;
 
 /// Manifest magic bytes.
@@ -62,9 +56,7 @@ pub struct Manifest {
 impl Manifest {
     /// Serialise, appending the trailing CRC32.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.segments.len() * 32);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
+        let mut out = begin_record(MAGIC, VERSION, 64 + self.segments.len() * 32);
         out.extend_from_slice(&self.generation.to_le_bytes());
         out.extend_from_slice(&self.base.unwrap_or(FULL).to_le_bytes());
         out.extend_from_slice(&self.chunk_size.to_le_bytes());
@@ -72,78 +64,36 @@ impl Manifest {
         out.extend_from_slice(&self.stored_bytes.to_le_bytes());
         out.extend_from_slice(&(self.segments.len() as u32).to_le_bytes());
         for s in &self.segments {
-            out.extend_from_slice(&(s.name.len() as u16).to_le_bytes());
-            out.extend_from_slice(s.name.as_bytes());
+            put_str16(&mut out, &s.name);
             out.extend_from_slice(&s.chunks.to_le_bytes());
             out.extend_from_slice(&s.bytes.to_le_bytes());
             out.extend_from_slice(&s.crc.to_le_bytes());
         }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
+        seal_trailing(&mut out);
         out
     }
 
     /// Decode and CRC-verify a manifest.
     pub fn decode(buf: &[u8]) -> Result<Manifest, FsError> {
-        let corrupt = |m: &str| FsError::Corrupt(format!("manifest: {m}"));
-        if buf.len() < 4 + 2 + 8 + 8 + 4 + 8 + 8 + 4 + 4 {
-            return Err(corrupt("truncated"));
-        }
-        let (body, tail) = buf.split_at(buf.len() - 4);
-        let expect = u32::from_le_bytes(tail.try_into().expect("4 bytes"));
-        let actual = crc32(body);
-        if expect != actual {
-            return Err(corrupt(&format!(
-                "CRC mismatch: stored {expect:08x}, computed {actual:08x}"
-            )));
-        }
-        if body[..4] != MAGIC {
-            return Err(corrupt("bad magic"));
-        }
-        let version = u16::from_le_bytes(body[4..6].try_into().expect("2 bytes"));
-        if version != VERSION {
-            return Err(corrupt(&format!("unsupported version {version}")));
-        }
-        let generation = u64::from_le_bytes(body[6..14].try_into().expect("8 bytes"));
-        let base_raw = u64::from_le_bytes(body[14..22].try_into().expect("8 bytes"));
-        let chunk_size = u32::from_le_bytes(body[22..26].try_into().expect("4 bytes"));
-        let raw_bytes = u64::from_le_bytes(body[26..34].try_into().expect("8 bytes"));
-        let stored_bytes = u64::from_le_bytes(body[34..42].try_into().expect("8 bytes"));
-        let count = u32::from_le_bytes(body[42..46].try_into().expect("4 bytes")) as usize;
-        let mut pos = 46usize;
-        let mut segments = Vec::with_capacity(count.min(4096));
-        for i in 0..count {
-            let nlen = u16::from_le_bytes(
-                body.get(pos..pos + 2)
-                    .ok_or_else(|| corrupt("segment truncated"))?
-                    .try_into()
-                    .expect("2 bytes"),
-            ) as usize;
-            pos += 2;
-            let name = std::str::from_utf8(
-                body.get(pos..pos + nlen).ok_or_else(|| corrupt("segment truncated"))?,
-            )
-            .map_err(|_| corrupt(&format!("segment {i} name not utf-8")))?
-            .to_string();
-            pos += nlen;
-            let rest = body.get(pos..pos + 16).ok_or_else(|| corrupt("segment truncated"))?;
-            let chunks = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes"));
-            let bytes = u64::from_le_bytes(rest[4..12].try_into().expect("8 bytes"));
-            let crc = u32::from_le_bytes(rest[12..16].try_into().expect("4 bytes"));
-            pos += 16;
-            segments.push(SegmentMeta { name, chunks, bytes, crc });
-        }
-        if pos != body.len() {
-            return Err(corrupt("trailing bytes"));
-        }
-        Ok(Manifest {
-            generation,
-            base: (base_raw != FULL).then_some(base_raw),
-            chunk_size,
-            raw_bytes,
-            stored_bytes,
-            segments,
-        })
+        let parse = || -> Result<Manifest, Malformed> {
+            let mut r = open_record(buf, MAGIC, VERSION)?;
+            let generation = r.u64()?;
+            let base = Some(r.u64()?).filter(|&b| b != FULL);
+            let (chunk_size, raw_bytes, stored_bytes) = (r.u32()?, r.u64()?, r.u64()?);
+            let count = r.count(2 + 4 + 8 + 4)?;
+            let mut segments = Vec::with_capacity(count);
+            for _ in 0..count {
+                segments.push(SegmentMeta {
+                    name: r.str16()?.to_string(),
+                    chunks: r.u32()?,
+                    bytes: r.u64()?,
+                    crc: r.u32()?,
+                });
+            }
+            r.finish()?;
+            Ok(Manifest { generation, base, chunk_size, raw_bytes, stored_bytes, segments })
+        };
+        parse().map_err(|e| e.corrupt("manifest"))
     }
 }
 
@@ -171,23 +121,5 @@ mod tests {
         assert_eq!(Manifest::decode(&m.encode()).unwrap(), m);
         let full = Manifest { base: None, segments: Vec::new(), ..sample() };
         assert_eq!(Manifest::decode(&full.encode()).unwrap(), full);
-    }
-
-    #[test]
-    fn every_flipped_bit_is_detected() {
-        let buf = sample().encode();
-        for i in (0..buf.len()).step_by(7) {
-            let mut bad = buf.clone();
-            bad[i] ^= 0x01;
-            assert!(Manifest::decode(&bad).is_err(), "flip at byte {i} must be caught");
-        }
-    }
-
-    #[test]
-    fn truncation_is_detected() {
-        let buf = sample().encode();
-        for cut in 1..buf.len() {
-            assert!(Manifest::decode(&buf[..cut]).is_err(), "cut at {cut}");
-        }
     }
 }

@@ -15,10 +15,12 @@ use crate::backend::{Backend, BackendKind, RamBackend};
 use crate::cache::CacheConfig;
 use crate::client::{FailoverConfig, FsClient};
 use crate::daemon::{serve, tags};
+use crate::framing::{put_bytes64, Malformed, Reader};
 use crate::metrics::MetricsRegistry;
 use crate::node::{LocalObject, NodeState};
 use crate::qos::QosPolicy;
 use crate::trace::TraceRecorder;
+use crate::FsError;
 
 /// Ring-transfer tag namespace on the control channel.
 const RING_TAG_BASE: Tag = 1000;
@@ -111,29 +113,29 @@ impl Default for ClusterConfig {
 /// Entry point for running FanStore clusters.
 pub struct FanStore;
 
-/// Encode a list of partitions into one ring-transfer message.
+/// Encode a list of partitions into one ring-transfer message:
+/// `[u32 count]` then `[u64 len][partition]` each.
 fn encode_partition_set(parts: &[Vec<u8>]) -> Vec<u8> {
     let mut out = Vec::with_capacity(parts.iter().map(|p| p.len() + 8).sum::<usize>() + 4);
     out.extend_from_slice(&(parts.len() as u32).to_le_bytes());
     for p in parts {
-        out.extend_from_slice(&(p.len() as u64).to_le_bytes());
-        out.extend_from_slice(p);
+        put_bytes64(&mut out, p);
     }
     out
 }
 
-/// Decode a ring-transfer message back into partitions.
-fn decode_partition_set(buf: &[u8]) -> Vec<Vec<u8>> {
-    let count = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes")) as usize;
-    let mut parts = Vec::with_capacity(count);
-    let mut pos = 4usize;
-    for _ in 0..count {
-        let len = u64::from_le_bytes(buf[pos..pos + 8].try_into().expect("8 bytes")) as usize;
-        pos += 8;
-        parts.push(buf[pos..pos + len].to_vec());
-        pos += len;
-    }
-    parts
+/// Decode a ring-transfer message back into partitions. The bytes come
+/// from a peer: a count or length the message cannot hold is
+/// [`FsError::Corrupt`].
+fn decode_partition_set(buf: &[u8]) -> Result<Vec<Vec<u8>>, FsError> {
+    let parse = || -> Result<Vec<Vec<u8>>, Malformed> {
+        let mut r = Reader::new(buf);
+        let parts =
+            (0..r.count(8)?).map(|_| Ok(r.bytes64()?.to_vec())).collect::<Result<_, _>>()?;
+        r.finish()?;
+        Ok(parts)
+    };
+    parse().map_err(|e| e.corrupt("partition set"))
 }
 
 impl FanStore {
@@ -245,7 +247,8 @@ impl FanStore {
                     .expect("ring send");
                 let msg =
                     control.recv_match(Some(control.ring_left()), Some(tag)).expect("ring recv");
-                let received = decode_partition_set(&msg.payload);
+                let received =
+                    decode_partition_set(&msg.payload).expect("replica partition set parses");
                 for p in &received {
                     state.load_partition(p).expect("replica partition parses");
                 }
@@ -327,6 +330,45 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    /// The partition-set row of `tests/hostile_bytes.rs`: the codec is
+    /// private and no public entry feeds it chosen bytes, so the golden pin
+    /// and the three mutations live beside it.
+    #[test]
+    fn partition_set_survives_hostile_bytes() {
+        let parts = vec![b"abc".to_vec(), Vec::new(), vec![7u8; 9]];
+        let good = encode_partition_set(&parts);
+        // Captured at commit 1554774: [u32 count] then [u64 len][bytes] each.
+        let mut golden = vec![3, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, b'a', b'b', b'c'];
+        golden.extend_from_slice(&[0; 8]);
+        golden.extend_from_slice(&[9, 0, 0, 0, 0, 0, 0, 0, 7, 7, 7, 7, 7, 7, 7, 7, 7]);
+        assert_eq!(good, golden, "encoded bytes changed");
+        assert_eq!(decode_partition_set(&good).unwrap(), parts);
+        let corrupt = |buf: &[u8], what: &str| {
+            let got = decode_partition_set(buf);
+            assert!(matches!(got, Err(FsError::Corrupt(_))), "{what}: {got:?}");
+        };
+        for cut in 0..good.len() {
+            corrupt(&good[..cut], &format!("cut to {cut}"));
+        }
+        // A flipped byte spells an error or other partitions, never a
+        // panic; a count or length at its type's maximum cannot fit.
+        for at in 0..good.len() {
+            for mask in [0x01, 0x80] {
+                let mut bad = good.clone();
+                bad[at] ^= mask;
+                let _ = decode_partition_set(&bad);
+            }
+        }
+        for (at, width) in [(0, 4), (4, 8), (15, 8)] {
+            let mut bad = good.clone();
+            bad[at..at + width].fill(0xFF);
+            corrupt(&bad, &format!("{width}-byte field at {at} set to max"));
+        }
+        let mut trailing = good;
+        trailing.push(0);
+        corrupt(&trailing, "trailing byte");
     }
 
     #[test]

@@ -23,8 +23,10 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use fanstore_compress::crc32::crc32;
+use fanstore_compress::CodecId;
 use mpi_sim::{Channel, Message};
 
+use crate::framing::{put_str16, reserve_crc, seal_leading, Malformed, Reader};
 use crate::meta::encode_single;
 use crate::metrics::now_us;
 use crate::node::{LocalObject, NodeState};
@@ -92,8 +94,7 @@ const GET_BODY: usize = 1 + 4;
 /// objects keep pointing at their primary.
 pub fn encode_put(path: &str, owner: u32, data: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(2 + path.len() + 4 + data.len());
-    out.extend_from_slice(&(path.len() as u16).to_le_bytes());
-    out.extend_from_slice(path.as_bytes());
+    put_str16(&mut out, path);
     out.extend_from_slice(&owner.to_le_bytes());
     out.extend_from_slice(data);
     out
@@ -101,61 +102,48 @@ pub fn encode_put(path: &str, owner: u32, data: &[u8]) -> Vec<u8> {
 
 /// Decode a PUT request into `(path, owner, data)`.
 fn decode_put(buf: &[u8]) -> Option<(&str, u32, &[u8])> {
-    let plen = u16::from_le_bytes(buf.get(..2)?.try_into().ok()?) as usize;
-    let path = std::str::from_utf8(buf.get(2..2 + plen)?).ok()?;
-    let owner = u32::from_le_bytes(buf.get(2 + plen..2 + plen + 4)?.try_into().ok()?);
-    Some((path, owner, &buf[2 + plen + 4..]))
+    let mut r = Reader::new(buf);
+    Some((r.str16().ok()?, r.u32().ok()?, r.rest()))
 }
 
-/// Append a whole-file entry frame to `out`: `[OK][crc32 u32][codec u16]
-/// [stat 144B][compressed bytes]`, assembled straight into the outgoing
-/// reply buffer instead of through a per-entry `Vec`. The CRC covers
-/// everything after the CRC field, so a requester can reject in-flight
-/// corruption before decompressing; its placeholder is patched once the
-/// body is in place.
+/// Append a whole-file entry frame (DESIGN.md §13, row 9), assembled
+/// straight into the outgoing reply buffer instead of through a per-entry
+/// `Vec`. The CRC covers everything after the CRC field, so a requester
+/// can reject in-flight corruption before decompressing.
 fn encode_whole_entry(out: &mut Vec<u8>, obj: &LocalObject) {
-    let frame = out.len();
     out.push(status::OK);
-    out.extend_from_slice(&[0u8; 4]); // CRC placeholder
+    let crc_at = reserve_crc(out);
     out.extend_from_slice(&obj.codec.0.to_le_bytes());
     obj.stat.encode(out);
     out.extend_from_slice(&obj.data);
-    let crc = crc32(&out[frame + GET_BODY..]);
-    out[frame + 1..frame + GET_BODY].copy_from_slice(&crc.to_le_bytes());
+    seal_leading(out, crc_at);
 }
 
-/// The CRC-verified body (everything after the CRC field) of a whole or
-/// PARTIAL entry frame holding at least `min_body` bytes. A mismatch
-/// decodes to [`FsError::Corrupt`], which the client's failover ladder
+/// A cursor over the CRC-verified body (everything after the CRC field)
+/// of a whole or PARTIAL entry frame. [`Malformed::reply`] turns a
+/// mismatch into [`FsError::Corrupt`], which the client's failover ladder
 /// treats as retryable on the next replica.
-fn entry_body(buf: &[u8], min_body: usize) -> Result<&[u8], FsError> {
-    if buf.len() < GET_BODY + min_body {
-        return Err(FsError::Comm("short GET_MANY entry".into()));
-    }
-    let expect = u32::from_le_bytes(buf[1..GET_BODY].try_into().expect("4 bytes"));
-    let actual = crc32(&buf[GET_BODY..]);
-    if expect != actual {
-        return Err(FsError::Corrupt(format!(
-            "GET_MANY entry CRC mismatch: stored {expect:08x}, computed {actual:08x}"
-        )));
-    }
-    Ok(&buf[GET_BODY..])
+fn entry_body(buf: &[u8]) -> Result<Reader<'_>, Malformed> {
+    let mut r = Reader::new(buf);
+    r.u8()?; // status: the caller dispatched on it
+    r.leading_crc()?;
+    Ok(r)
 }
 
 /// Decode a whole-file entry frame (inverse of [`encode_whole_entry`]).
 fn decode_whole_entry(buf: &[u8]) -> Result<GetManyItem, FsError> {
     match buf.first() {
-        Some(&s) if s == status::OK => {}
-        Some(&s) if s == status::NOT_FOUND => {
-            return Err(FsError::NotFound("remote: not found".into()))
-        }
+        Some(&status::OK) => {}
+        Some(&status::NOT_FOUND) => return Err(FsError::NotFound("remote: not found".into())),
         _ => return Err(FsError::Comm("malformed GET_MANY entry".into())),
     }
-    let body = entry_body(buf, 2 + STAT_SIZE)?;
-    let codec =
-        fanstore_compress::CodecId(u16::from_le_bytes(body[..2].try_into().expect("2 bytes")));
-    let stat = FileStat::decode(&body[2..2 + STAT_SIZE])?;
-    Ok(GetManyItem::Whole(codec, stat, body[2 + STAT_SIZE..].to_vec()))
+    let parse = || -> Result<GetManyItem, Malformed> {
+        let mut r = entry_body(buf)?;
+        let codec = CodecId(r.u16()?);
+        let stat = FileStat::read(&mut r)?;
+        Ok(GetManyItem::Whole(codec, stat, r.rest().to_vec()))
+    };
+    parse().map_err(|e| e.reply("GET_MANY entry"))
 }
 
 /// Count-field flag every GET_MANY request must carry: it marks the
@@ -193,30 +181,22 @@ impl<'a> GetManySpec<'a> {
     }
 }
 
-/// Encode a GET_MANY request: `[u32 count | GET_MANY_VERSION]` then, per
-/// entry, `[u16 len][path][u8 flags]` followed by `[u64 start][u64 end]`
-/// when flag bit 0 is set and `[u8 min_tier]` when flag bit 1 is set.
+/// Encode a GET_MANY request (DESIGN.md §13, row 7); flag bit 0 marks an
+/// entry with a byte range, bit 1 one with a fidelity bound.
 pub fn encode_get_many_request(specs: &[GetManySpec]) -> Vec<u8> {
     // Sized for every optional field, so no entry ever regrows the buffer.
     let body: usize = specs.iter().map(|s| 2 + s.path.len() + 1 + 16 + 1).sum();
     let mut out = Vec::with_capacity(4 + body);
     out.extend_from_slice(&((specs.len() as u32) | GET_MANY_VERSION).to_le_bytes());
     for s in specs {
-        out.extend_from_slice(&(s.path.len() as u16).to_le_bytes());
-        out.extend_from_slice(s.path.as_bytes());
-        let mut flags = 0u8;
-        if s.range.is_some() {
-            flags |= 1;
-        }
-        if s.min_tier != crate::pack::TIER_FULL {
-            flags |= 2;
-        }
-        out.push(flags);
+        put_str16(&mut out, s.path);
+        let tiered = s.min_tier != crate::pack::TIER_FULL;
+        out.push(u8::from(s.range.is_some()) | u8::from(tiered) << 1);
         if let Some((start, end)) = s.range {
             out.extend_from_slice(&start.to_le_bytes());
             out.extend_from_slice(&end.to_le_bytes());
         }
-        if s.min_tier != crate::pack::TIER_FULL {
+        if tiered {
             out.push(s.min_tier);
         }
     }
@@ -227,41 +207,32 @@ pub fn encode_get_many_request(specs: &[GetManySpec]) -> Vec<u8> {
 /// problem (missing version bit, short buffer, non-UTF-8 path, oversized
 /// count, unknown flag bits, trailing bytes).
 fn decode_get_many_request(buf: &[u8]) -> Option<Vec<GetManySpec<'_>>> {
-    let raw = u32::from_le_bytes(buf.get(..4)?.try_into().ok()?);
-    let count = (raw & !GET_MANY_VERSION) as usize;
-    if raw & GET_MANY_VERSION == 0 || count > MAX_BATCH {
-        return None;
-    }
-    let mut specs = Vec::with_capacity(count);
-    let mut off = 4usize;
-    for _ in 0..count {
-        let plen = u16::from_le_bytes(buf.get(off..off + 2)?.try_into().ok()?) as usize;
-        off += 2;
-        let path = std::str::from_utf8(buf.get(off..off + plen)?).ok()?;
-        off += plen;
-        let mut spec = GetManySpec::whole(path);
-        let flags = *buf.get(off)?;
-        off += 1;
-        if flags & !3 != 0 {
-            return None;
+    let parse = || -> Result<Vec<GetManySpec<'_>>, Malformed> {
+        let mut r = Reader::new(buf);
+        let raw = r.u32()?;
+        let count = (raw & !GET_MANY_VERSION) as usize;
+        if raw & GET_MANY_VERSION == 0 || count > MAX_BATCH {
+            return Err(r.fail("missing version bit or oversized batch"));
         }
-        if flags & 1 != 0 {
-            let start = u64::from_le_bytes(buf.get(off..off + 8)?.try_into().ok()?);
-            let end = u64::from_le_bytes(buf.get(off + 8..off + 16)?.try_into().ok()?);
-            off += 16;
-            spec.range = Some((start, end));
+        let mut specs = Vec::with_capacity(r.fits(count, 2 + 1)?);
+        for _ in 0..count {
+            let mut spec = GetManySpec::whole(r.str16()?);
+            let flags = r.u8()?;
+            if flags & !3 != 0 {
+                return Err(r.fail("unknown flag bits"));
+            }
+            if flags & 1 != 0 {
+                spec.range = Some((r.u64()?, r.u64()?));
+            }
+            if flags & 2 != 0 {
+                spec.min_tier = r.u8()?;
+            }
+            specs.push(spec);
         }
-        if flags & 2 != 0 {
-            spec.min_tier = *buf.get(off)?;
-            off += 1;
-        }
-        specs.push(spec);
-    }
-    if off == buf.len() {
-        Some(specs)
-    } else {
-        None // trailing garbage: reject rather than silently ignore
-    }
+        r.finish()?; // trailing garbage: reject rather than silently ignore
+        Ok(specs)
+    };
+    parse().ok()
 }
 
 /// One chunk of a PARTIAL entry: its table row plus the stored bytes.
@@ -288,17 +259,11 @@ impl PartialChunk {
     /// at-rest mismatch means the *serving node's partition copy* is
     /// damaged (the outer entry CRC already ruled out in-flight damage),
     /// so the caller should fail over to a replica.
-    pub fn decode(&self, inner: fanstore_compress::CodecId) -> Result<Vec<u8>, FsError> {
+    pub fn decode(&self, inner: CodecId) -> Result<Vec<u8>, FsError> {
         if crc32(&self.stored) != self.crc32 {
             return Err(FsError::Corrupt(format!("chunk {}: at-rest CRC mismatch", self.index)));
         }
-        if self.stored.len() == self.raw_len as usize {
-            return Ok(self.stored.clone());
-        }
-        let codec = fanstore_compress::registry::create(inner)
-            .map_err(|e| FsError::Corrupt(format!("chunk {}: {e}", self.index)))?;
-        fanstore_compress::decompress_to_vec(codec.as_ref(), &self.stored, self.raw_len as usize)
-            .map_err(|e| FsError::Corrupt(format!("chunk {}: {e}", self.index)))
+        crate::pack::decode_stored(inner, self.index as usize, &self.stored, self.raw_len)
     }
 }
 
@@ -307,7 +272,7 @@ impl PartialChunk {
 #[derive(Debug, Clone)]
 pub struct PartialReply {
     /// Codec the range chunks are compressed with.
-    pub inner_codec: fanstore_compress::CodecId,
+    pub inner_codec: CodecId,
     /// File attributes.
     pub stat: FileStat,
     /// Nominal chunk size (0 for progressive containers).
@@ -322,20 +287,17 @@ pub struct PartialReply {
 #[derive(Debug, Clone)]
 pub enum GetManyItem {
     /// The whole-file entry: codec, stat, compressed payload.
-    Whole(fanstore_compress::CodecId, FileStat, Vec<u8>),
+    Whole(CodecId, FileStat, Vec<u8>),
     /// A partial (chunked) entry.
     Partial(PartialReply),
 }
 
-/// Append a PARTIAL entry frame for a chunked object:
-/// `[PARTIAL][crc32 u32][inner codec u16][stat 144B][chunk_size u32]
-/// [raw_len u64][count u32]` then, per chunk,
-/// `[idx u32][tier u8][offset u64][raw_len u32][stored_len u32][crc32 u32]
-/// [stored bytes]`. The outer CRC covers everything after the CRC field
-/// (in-flight damage fails the entry); each chunk additionally carries
-/// its at-rest CRC from the chunk table, which the daemon does *not*
-/// verify — a client detecting an at-rest mismatch fails over to a
-/// replica whose copy may be intact.
+/// Append a PARTIAL entry frame for a chunked object (DESIGN.md §13, row
+/// 10). The outer CRC covers everything after the CRC field (in-flight
+/// damage fails the entry); each chunk additionally carries its at-rest
+/// CRC from the chunk table, which the daemon does *not* verify — a
+/// client detecting an at-rest mismatch fails over to a replica whose
+/// copy may be intact.
 ///
 /// `Ok(false)` (nothing appended) when the container has no partial form
 /// for this request — a byte range of a progressive container, or a
@@ -359,9 +321,8 @@ fn encode_partial_entry(
         }
         _ => return Ok(false),
     };
-    let frame = out.len();
     out.push(status::PARTIAL);
-    out.extend_from_slice(&[0u8; 4]); // outer CRC placeholder
+    let crc_at = reserve_crc(out);
     out.extend_from_slice(&table.inner_codec.0.to_le_bytes());
     obj.stat.encode(out);
     out.extend_from_slice(&table.chunk_size.to_le_bytes());
@@ -370,77 +331,51 @@ fn encode_partial_entry(
     let mut sent = 0u64;
     for idx in idxs {
         let c = table.chunks[idx];
-        let at = table.payload_offset(idx);
-        let end = at + c.stored_len as usize;
-        if obj.data.len() < end {
-            return Err(FsError::Corrupt(format!("chunk {idx} payload truncated")));
-        }
+        let stored = crate::pack::chunk_stored(&obj.data, &table, idx)?;
         out.extend_from_slice(&(idx as u32).to_le_bytes());
         out.push(c.tier);
         out.extend_from_slice(&c.offset.to_le_bytes());
         out.extend_from_slice(&c.raw_len.to_le_bytes());
         out.extend_from_slice(&c.stored_len.to_le_bytes());
         out.extend_from_slice(&c.crc32.to_le_bytes());
-        out.extend_from_slice(&obj.data[at..end]);
+        out.extend_from_slice(stored);
         sent += u64::from(c.stored_len);
     }
     get_bytes.add(sent);
-    let crc = crc32(&out[frame + GET_BODY..]);
-    out[frame + 1..frame + GET_BODY].copy_from_slice(&crc.to_le_bytes());
+    seal_leading(out, crc_at);
     Ok(true)
 }
 
+/// Fixed bytes of one chunk in a PARTIAL entry, before its stored bytes.
+const PARTIAL_CHUNK_HEADER: usize = 4 + 1 + 8 + 4 + 4 + 4;
+
 /// Decode a PARTIAL entry frame (inverse of [`encode_partial_entry`]).
 fn decode_partial_entry(buf: &[u8]) -> Result<PartialReply, FsError> {
-    let buf = entry_body(buf, 2 + STAT_SIZE + 4 + 8 + 4)?;
-    let mut off = 0;
-    let inner_codec =
-        fanstore_compress::CodecId(u16::from_le_bytes(buf[off..off + 2].try_into().expect("2B")));
-    off += 2;
-    let stat = FileStat::decode(&buf[off..off + STAT_SIZE])?;
-    off += STAT_SIZE;
-    let chunk_size = u32::from_le_bytes(buf[off..off + 4].try_into().expect("4 bytes"));
-    off += 4;
-    let raw_len = u64::from_le_bytes(buf[off..off + 8].try_into().expect("8 bytes"));
-    off += 8;
-    let count = u32::from_le_bytes(buf[off..off + 4].try_into().expect("4 bytes")) as usize;
-    off += 4;
-    let mut chunks = Vec::with_capacity(count);
-    for _ in 0..count {
-        let head = buf
-            .get(off..off + 25)
-            .ok_or_else(|| FsError::Comm("truncated PARTIAL chunk header".into()))?;
-        let index = u32::from_le_bytes(head[..4].try_into().expect("4 bytes"));
-        let tier = head[4];
-        let offset = u64::from_le_bytes(head[5..13].try_into().expect("8 bytes"));
-        let craw = u32::from_le_bytes(head[13..17].try_into().expect("4 bytes"));
-        let stored_len = u32::from_le_bytes(head[17..21].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(head[21..25].try_into().expect("4 bytes"));
-        off += 25;
-        let stored = buf
-            .get(off..off + stored_len)
-            .ok_or_else(|| FsError::Comm("truncated PARTIAL chunk payload".into()))?
-            .to_vec();
-        off += stored_len;
-        chunks.push(PartialChunk { index, tier, offset, raw_len: craw, crc32: crc, stored });
-    }
-    if off != buf.len() {
-        return Err(FsError::Comm(format!(
-            "PARTIAL entry trailing bytes: consumed {off} of {}",
-            buf.len()
-        )));
-    }
-    Ok(PartialReply { inner_codec, stat, chunk_size, raw_len, chunks })
+    let parse = || -> Result<PartialReply, Malformed> {
+        let mut r = entry_body(buf)?;
+        let inner_codec = CodecId(r.u16()?);
+        let stat = FileStat::read(&mut r)?;
+        let (chunk_size, raw_len) = (r.u32()?, r.u64()?);
+        let count = r.count(PARTIAL_CHUNK_HEADER)?;
+        let mut chunks = Vec::with_capacity(count);
+        for _ in 0..count {
+            let (index, tier, offset, raw_len) = (r.u32()?, r.u8()?, r.u64()?, r.u32()?);
+            let (stored_len, crc32) = (r.u32()?, r.u32()?);
+            let stored = r.bytes(stored_len as usize)?.to_vec();
+            chunks.push(PartialChunk { index, tier, offset, raw_len, crc32, stored });
+        }
+        r.finish()?;
+        Ok(PartialReply { inner_codec, stat, chunk_size, raw_len, chunks })
+    };
+    parse().map_err(|e| e.reply("PARTIAL entry"))
 }
 
-/// Decode a GET_MANY reply. The outer frame is `[status][u32 count]`
-/// followed by `count` length-prefixed entries (`[u32 len][entry frame]`),
-/// in request order; each entry is a whole-file frame or a PARTIAL frame
-/// (first byte [`status::PARTIAL`]). Entries carry their *own* status
-/// byte and CRC32 — a byte flipped in flight fails only the entry it
-/// landed in, so the caller can fail over per entry instead of
-/// refetching the whole batch. Outer-frame damage (or a count mismatch)
-/// returns an error for the batch as a whole.
+/// Decode a GET_MANY reply (DESIGN.md §13, rows 8–10): `expected` entries
+/// in request order, each a whole-file frame, a PARTIAL frame or a bare
+/// status byte. Entries carry their *own* status byte and CRC32 — a byte
+/// flipped in flight fails only the entry it landed in, so the caller can
+/// fail over per entry instead of refetching the whole batch. Outer-frame
+/// damage (or a count mismatch) returns an error for the batch as a whole.
 ///
 /// A [`status::BAD_REQUEST`] entry byte maps to [`FsError::BadRange`] — the
 /// daemon judged the requested range malformed for that file, so
@@ -451,49 +386,35 @@ pub fn decode_get_many_reply(
     buf: &[u8],
     expected: usize,
 ) -> Result<Vec<Result<GetManyItem, FsError>>, FsError> {
-    match buf.first() {
-        Some(&s) if s == status::OK => {}
-        Some(&s) if s == status::SHED => return Err(FsError::Shed("remote: batch shed".into())),
+    let mut r = Reader::new(buf);
+    match r.u8() {
+        Ok(status::OK) => {}
+        Ok(status::SHED) => return Err(FsError::Shed("remote: batch shed".into())),
         _ => return Err(FsError::Comm("malformed GET_MANY reply".into())),
     }
-    let count = u32::from_le_bytes(
-        buf.get(1..5)
-            .ok_or_else(|| FsError::Comm("short GET_MANY reply".into()))?
-            .try_into()
-            .expect("4 bytes"),
-    ) as usize;
+    let framing = |e: Malformed| e.reply("GET_MANY reply");
+    // Every entry is at least its `u32` length prefix.
+    let count = r.count(4).map_err(framing)?;
     if count != expected {
         return Err(FsError::Comm(format!(
             "GET_MANY entry count mismatch: asked {expected}, got {count}"
         )));
     }
     let mut out = Vec::with_capacity(count);
-    let mut off = 5usize;
     for _ in 0..count {
-        let len = u32::from_le_bytes(
-            buf.get(off..off + 4)
-                .ok_or_else(|| FsError::Comm("truncated GET_MANY frame".into()))?
-                .try_into()
-                .expect("4 bytes"),
-        ) as usize;
-        off += 4;
-        let entry = buf
-            .get(off..off + len)
-            .ok_or_else(|| FsError::Comm("truncated GET_MANY entry".into()))?;
-        off += len;
+        let entry = r.bytes32().map_err(framing)?;
         out.push(match entry.first() {
-            Some(&s) if s == status::PARTIAL => {
-                decode_partial_entry(entry).map(GetManyItem::Partial)
-            }
-            Some(&s) if s == status::BAD_REQUEST => {
+            Some(&status::PARTIAL) => decode_partial_entry(entry).map(GetManyItem::Partial),
+            Some(&status::BAD_REQUEST) => {
                 Err(FsError::BadRange("rejected by serving daemon".into()))
             }
-            Some(&s) if s == status::ERROR => {
+            Some(&status::ERROR) => {
                 Err(FsError::Corrupt("serving daemon's local copy damaged".into()))
             }
             _ => decode_whole_entry(entry),
         });
     }
+    r.finish().map_err(framing)?;
     Ok(out)
 }
 
@@ -1242,7 +1163,7 @@ mod tests {
                         s.owner_rank = 1;
                         s
                     },
-                    codec: fanstore_compress::CodecId(0),
+                    codec: CodecId(0),
                 };
                 let buf = encode_single("out/model_epoch3.h5", &entry);
                 let ok = service.rpc(0, tags::PUT_META, buf).unwrap();

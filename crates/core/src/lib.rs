@@ -69,6 +69,7 @@ pub mod ckpt;
 pub mod client;
 pub mod cluster;
 pub mod daemon;
+mod framing;
 pub mod meta;
 pub mod metrics;
 pub mod node;

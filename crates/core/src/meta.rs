@@ -9,6 +9,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use fanstore_compress::CodecId;
 
+use crate::framing::{put_str16, Malformed, Reader};
 use crate::stat::{FileStat, STAT_SIZE};
 use crate::FsError;
 
@@ -127,48 +128,38 @@ impl MetaTable {
         self.files.iter()
     }
 
-    /// Serialise the table for the metadata allgather: for each file a
-    /// length-prefixed path, the codec id, and the stat block.
+    /// Serialise the table for the metadata allgather: a `u32` count,
+    /// then per file a length-prefixed path, the codec id and the stat
+    /// block.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.files.len() * (STAT_SIZE + 32));
         out.extend_from_slice(&(self.files.len() as u32).to_le_bytes());
         for (path, e) in &self.files {
-            out.extend_from_slice(&(path.len() as u16).to_le_bytes());
-            out.extend_from_slice(path.as_bytes());
-            out.extend_from_slice(&e.codec.0.to_le_bytes());
-            e.stat.encode(&mut out);
+            put_entry(&mut out, path, e);
         }
         out
     }
 
     /// Merge entries serialised by [`MetaTable::encode`] on another node.
     pub fn merge_encoded(&mut self, buf: &[u8]) -> Result<usize, FsError> {
-        if buf.len() < 4 {
-            return Err(FsError::Corrupt("meta buffer truncated".into()));
-        }
-        let count = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes")) as usize;
-        let mut pos = 4usize;
-        for i in 0..count {
-            if pos + 2 > buf.len() {
-                return Err(FsError::Corrupt(format!("meta entry {i} truncated")));
+        let mut merge = || -> Result<usize, Malformed> {
+            let mut r = Reader::new(buf);
+            let count = r.count(2 + 2 + STAT_SIZE)?;
+            for _ in 0..count {
+                let path = r.str16()?;
+                let codec = CodecId(r.u16()?);
+                self.insert(path, MetaEntry { stat: FileStat::read(&mut r)?, codec });
             }
-            let plen = u16::from_le_bytes(buf[pos..pos + 2].try_into().expect("2 bytes")) as usize;
-            pos += 2;
-            if pos + plen + 2 + STAT_SIZE > buf.len() {
-                return Err(FsError::Corrupt(format!("meta entry {i} truncated")));
-            }
-            let path = std::str::from_utf8(&buf[pos..pos + plen])
-                .map_err(|_| FsError::Corrupt(format!("meta entry {i} path not utf-8")))?
-                .to_string();
-            pos += plen;
-            let codec = CodecId(u16::from_le_bytes(buf[pos..pos + 2].try_into().expect("2 bytes")));
-            pos += 2;
-            let stat = FileStat::decode(&buf[pos..pos + STAT_SIZE])?;
-            pos += STAT_SIZE;
-            self.insert(&path, MetaEntry { stat, codec });
-        }
-        Ok(count)
+            Ok(count)
+        };
+        merge().map_err(|e| e.corrupt("meta table"))
     }
+}
+
+fn put_entry(out: &mut Vec<u8>, path: &str, entry: &MetaEntry) {
+    put_str16(out, path);
+    out.extend_from_slice(&entry.codec.0.to_le_bytes());
+    entry.stat.encode(out);
 }
 
 /// A single serialised metadata entry, as forwarded to the owner rank when
@@ -176,10 +167,7 @@ impl MetaTable {
 pub fn encode_single(path: &str, entry: &MetaEntry) -> Vec<u8> {
     let mut out = Vec::with_capacity(path.len() + STAT_SIZE + 8);
     out.extend_from_slice(&1u32.to_le_bytes());
-    out.extend_from_slice(&(path.len() as u16).to_le_bytes());
-    out.extend_from_slice(path.as_bytes());
-    out.extend_from_slice(&entry.codec.0.to_le_bytes());
-    entry.stat.encode(&mut out);
+    put_entry(&mut out, path, entry);
     out
 }
 

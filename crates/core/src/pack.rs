@@ -14,6 +14,7 @@
 use fanstore_compress::crc32::crc32;
 use fanstore_compress::{progressive, CodecId};
 
+use crate::framing::{put_bytes64, seal_trailing, Malformed, Reader};
 use crate::stat::{FileStat, STAT_SIZE};
 use crate::FsError;
 
@@ -61,8 +62,7 @@ impl PartitionBuilder {
         self.buf.extend_from_slice(&path_field);
         self.buf.extend_from_slice(&codec.0.to_le_bytes());
         stat.encode(&mut self.buf);
-        self.buf.extend_from_slice(&(data.len() as u64).to_le_bytes());
-        self.buf.extend_from_slice(data);
+        put_bytes64(&mut self.buf, data);
         self.count += 1;
     }
 
@@ -95,41 +95,29 @@ impl Default for PartitionBuilder {
 }
 
 /// Parse a partition produced by [`PartitionBuilder`]. The whole stream is
-/// scanned once, as the loading step of §IV-C1 does.
+/// scanned once, as the loading step of §IV-C1 does. The bytes come off a
+/// burst buffer, a peer or a WAL segment: a count or `size` the buffer
+/// cannot hold is [`FsError::Corrupt`], never a panic or a pre-allocation
+/// beyond the input's own scale.
 pub fn parse_partition(buf: &[u8]) -> Result<Vec<PackEntry>, FsError> {
-    if buf.len() < 4 {
-        return Err(FsError::Corrupt("partition header truncated".into()));
-    }
-    let count = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes")) as usize;
-    // The count is untrusted wire data: cap the pre-allocation by what the
-    // buffer could possibly hold (each entry needs ENTRY_OVERHEAD bytes).
-    let max_plausible = buf.len() / ENTRY_OVERHEAD + 1;
-    let mut entries = Vec::with_capacity(count.min(max_plausible));
-    let mut pos = 4usize;
-    for i in 0..count {
-        if pos + ENTRY_OVERHEAD > buf.len() {
-            return Err(FsError::Corrupt(format!("entry {i} header truncated")));
+    let parse = || -> Result<Vec<PackEntry>, Malformed> {
+        let mut r = Reader::new(buf);
+        let count = r.count(ENTRY_OVERHEAD)?;
+        let mut entries = Vec::with_capacity(count);
+        for _ in 0..count {
+            let path_field = r.bytes(PATH_SIZE)?;
+            let path_end = path_field.iter().position(|&b| b == 0).unwrap_or(PATH_SIZE);
+            let path = std::str::from_utf8(&path_field[..path_end])
+                .map_err(|_| r.fail("path is not utf-8"))?
+                .to_string();
+            let codec = CodecId(r.u16()?);
+            let stat = FileStat::read(&mut r)?;
+            let data = r.bytes64()?.to_vec();
+            entries.push(PackEntry { path, codec, stat, data });
         }
-        let path_field = &buf[pos..pos + PATH_SIZE];
-        let path_end = path_field.iter().position(|&b| b == 0).unwrap_or(PATH_SIZE);
-        let path = std::str::from_utf8(&path_field[..path_end])
-            .map_err(|_| FsError::Corrupt(format!("entry {i} path not utf-8")))?
-            .to_string();
-        pos += PATH_SIZE;
-        let codec = CodecId(u16::from_le_bytes(buf[pos..pos + 2].try_into().expect("2 bytes")));
-        pos += 2;
-        let stat = FileStat::decode(&buf[pos..pos + STAT_SIZE])?;
-        pos += STAT_SIZE;
-        let size = u64::from_le_bytes(buf[pos..pos + 8].try_into().expect("8 bytes")) as usize;
-        pos += 8;
-        if pos + size > buf.len() {
-            return Err(FsError::Corrupt(format!("entry {i} data truncated")));
-        }
-        let data = buf[pos..pos + size].to_vec();
-        pos += size;
-        entries.push(PackEntry { path, codec, stat, data });
-    }
-    Ok(entries)
+        Ok(entries)
+    };
+    parse().map_err(|e| e.corrupt("partition"))
 }
 
 // ---------------------------------------------------------------------------
@@ -138,28 +126,12 @@ pub fn parse_partition(buf: &[u8]) -> Result<Vec<PackEntry>, FsError> {
 //
 // A pack entry's payload is normally one opaque compressed blob; range
 // reads then have to fetch and decode the whole file. Entries whose
-// `compressor` field is the [`CHUNKED`] sentinel instead carry this
-// container:
-//
-// ```text
-// | "FCHK" | version u8 | kind u8 | inner_codec u16 | chunk_size u32 |
-// | raw_len u64 | count u32 |
-// | offset u64 | raw_len u32 | stored_len u32 | crc32 u32 | tier u8 |  (x count)
-// | table_crc u32 |
-// | payload 0 | payload 1 | ...
-// ```
-//
-// * `kind` 0 (range): chunk `i` covers raw bytes `[offset, offset+raw_len)`;
-//   `stored_len == raw_len` means the chunk is stored raw, otherwise it is
-//   compressed with `inner_codec`. A reader fetches only the chunks
-//   covering a byte range.
-// * `kind` 1 (progressive): chunk `i` is fidelity tier `i` from
-//   [`fanstore_compress::progressive`]; `tier` is the refinement index and
-//   a prefix of chunks decodes to a coarse approximation of the file.
-//
-// Each chunk's `crc32` covers its *stored* bytes, so a single corrupted
-// chunk is detectable without touching its neighbours; `table_crc` covers
-// everything before it so a damaged table never yields bogus offsets.
+// `compressor` field is the [`CHUNKED`] sentinel instead carry a header, a
+// CRC-tailed chunk table and the chunk payloads (fields: DESIGN.md §13
+// "Byte layouts", row 3; design: §10). `kind` 0 chunks cover disjoint byte
+// ranges; `kind` 1 chunks are fidelity tiers, a prefix of which decodes to
+// an approximation. Each row's `crc32` covers that chunk's *stored* bytes,
+// so one corrupted chunk is detectable without touching its neighbours.
 
 /// Sentinel `compressor` value marking an FCHK container payload. The
 /// family byte (0x10) is outside the codec-family range, so any
@@ -252,11 +224,6 @@ impl ChunkTable {
     }
 }
 
-/// True if `data` looks like an FCHK container (magic check only).
-pub fn is_chunked(data: &[u8]) -> bool {
-    data.len() >= 4 && data[..4] == CHUNK_MAGIC
-}
-
 fn encode_container(table: &ChunkTable, payloads: &[Vec<u8>]) -> Vec<u8> {
     let body: usize = payloads.iter().map(Vec::len).sum();
     let mut out = Vec::with_capacity(CHUNK_HEADER + table.chunks.len() * CHUNK_ROW + 4 + body);
@@ -277,8 +244,7 @@ fn encode_container(table: &ChunkTable, payloads: &[Vec<u8>]) -> Vec<u8> {
         out.extend_from_slice(&c.crc32.to_le_bytes());
         out.push(c.tier);
     }
-    let table_crc = crc32(&out);
-    out.extend_from_slice(&table_crc.to_le_bytes());
+    seal_trailing(&mut out);
     for p in payloads {
         out.extend_from_slice(p);
     }
@@ -342,48 +308,54 @@ pub fn build_progressive(data: &[u8], tiers: u8) -> Vec<u8> {
 }
 
 /// Parse an FCHK container's header and chunk table (payloads stay in
-/// place; use [`ChunkTable::payload_offset`] to slice them).
+/// place; use [`ChunkTable::payload_offset`] to slice them). Nothing is
+/// returned unless the table CRC holds and every payload the rows name
+/// lies inside `data`.
 pub fn parse_chunk_table(data: &[u8]) -> Result<ChunkTable, FsError> {
-    if !is_chunked(data) || data.len() < CHUNK_HEADER + 4 {
-        return Err(FsError::Corrupt("not an FCHK container".into()));
-    }
-    if data[4] != CHUNK_VERSION {
-        return Err(FsError::Corrupt(format!("unknown FCHK version {}", data[4])));
-    }
-    let kind = match data[5] {
-        0 => ChunkKind::Range,
-        1 => ChunkKind::Progressive,
-        k => return Err(FsError::Corrupt(format!("unknown FCHK kind {k}"))),
+    let parse = || -> Result<ChunkTable, Malformed> {
+        let mut r = Reader::new(data);
+        r.tag(&CHUNK_MAGIC, "not an FCHK container")?;
+        r.tag(&[CHUNK_VERSION], "unknown FCHK version")?;
+        let kind = match r.u8()? {
+            0 => ChunkKind::Range,
+            1 => ChunkKind::Progressive,
+            _ => return Err(r.fail("unknown FCHK kind")),
+        };
+        let inner_codec = CodecId(r.u16()?);
+        let chunk_size = r.u32()?;
+        let raw_len = r.u64()?;
+        let count = r.count(CHUNK_ROW)?;
+        let mut chunks = Vec::with_capacity(count);
+        let mut payload_bytes = 0usize;
+        for _ in 0..count {
+            let row = ChunkMeta {
+                offset: r.u64()?,
+                raw_len: r.u32()?,
+                stored_len: r.u32()?,
+                crc32: r.u32()?,
+                tier: r.u8()?,
+            };
+            payload_bytes = payload_bytes.saturating_add(row.stored_len as usize);
+            chunks.push(row);
+        }
+        r.trailing_crc()?;
+        r.bytes(payload_bytes)?;
+        Ok(ChunkTable { kind, inner_codec, chunk_size, raw_len, chunks })
     };
-    let inner_codec = CodecId(u16::from_le_bytes(data[6..8].try_into().expect("2 bytes")));
-    let chunk_size = u32::from_le_bytes(data[8..12].try_into().expect("4 bytes"));
-    let raw_len = u64::from_le_bytes(data[12..20].try_into().expect("8 bytes"));
-    let count = u32::from_le_bytes(data[20..24].try_into().expect("4 bytes")) as usize;
-    let table_end = CHUNK_HEADER + count.saturating_mul(CHUNK_ROW);
-    if data.len() < table_end + 4 {
-        return Err(FsError::Corrupt("FCHK table truncated".into()));
-    }
-    let want = u32::from_le_bytes(data[table_end..table_end + 4].try_into().expect("4 bytes"));
-    if crc32(&data[..table_end]) != want {
-        return Err(FsError::Corrupt("FCHK table checksum mismatch".into()));
-    }
-    let mut chunks = Vec::with_capacity(count);
-    let mut pos = CHUNK_HEADER;
-    let mut payload_bytes = 0usize;
-    for _ in 0..count {
-        let offset = u64::from_le_bytes(data[pos..pos + 8].try_into().expect("8 bytes"));
-        let raw = u32::from_le_bytes(data[pos + 8..pos + 12].try_into().expect("4 bytes"));
-        let stored = u32::from_le_bytes(data[pos + 12..pos + 16].try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(data[pos + 16..pos + 20].try_into().expect("4 bytes"));
-        let tier = data[pos + 20];
-        chunks.push(ChunkMeta { offset, raw_len: raw, stored_len: stored, crc32: crc, tier });
-        payload_bytes += stored as usize;
-        pos += CHUNK_ROW;
-    }
-    if data.len() < table_end + 4 + payload_bytes {
-        return Err(FsError::Corrupt("FCHK payloads truncated".into()));
-    }
-    Ok(ChunkTable { kind, inner_codec, chunk_size, raw_len, chunks })
+    parse().map_err(|e| e.corrupt("FCHK container"))
+}
+
+/// Slice chunk `idx`'s stored payload out of the container, unverified
+/// (the daemon ships it with its at-rest CRC for the requester to check).
+pub(crate) fn chunk_stored<'a>(
+    data: &'a [u8],
+    table: &ChunkTable,
+    idx: usize,
+) -> Result<&'a [u8], FsError> {
+    let mut r = Reader::new(data);
+    r.bytes(table.payload_offset(idx))
+        .and_then(|_| r.bytes(table.chunks[idx].stored_len as usize))
+        .map_err(|e| e.corrupt(&format!("chunk {idx} payload")))
 }
 
 /// Slice chunk `idx`'s stored payload out of the container and verify its
@@ -393,14 +365,8 @@ pub fn chunk_payload<'a>(
     table: &ChunkTable,
     idx: usize,
 ) -> Result<&'a [u8], FsError> {
-    let c = table.chunks[idx];
-    let at = table.payload_offset(idx);
-    let end = at + c.stored_len as usize;
-    if data.len() < end {
-        return Err(FsError::Corrupt(format!("chunk {idx} payload truncated")));
-    }
-    let payload = &data[at..end];
-    if crc32(payload) != c.crc32 {
+    let payload = chunk_stored(data, table, idx)?;
+    if crc32(payload) != table.chunks[idx].crc32 {
         return Err(FsError::Corrupt(format!("chunk {idx} checksum mismatch")));
     }
     Ok(payload)
@@ -408,56 +374,55 @@ pub fn chunk_payload<'a>(
 
 /// Decode one *range* chunk's stored payload to its raw bytes.
 pub fn decode_chunk(table: &ChunkTable, idx: usize, payload: &[u8]) -> Result<Vec<u8>, FsError> {
-    let c = table.chunks[idx];
-    if c.stored_len == c.raw_len {
-        return Ok(payload.to_vec());
+    decode_stored(table.inner_codec, idx, payload, table.chunks[idx].raw_len)
+}
+
+/// Decode range chunk `idx`'s stored bytes: raw when they are already
+/// `raw_len` long (the store-if-bigger fallback), else `inner`-compressed.
+pub(crate) fn decode_stored(
+    inner: CodecId,
+    idx: usize,
+    stored: &[u8],
+    raw_len: u32,
+) -> Result<Vec<u8>, FsError> {
+    if stored.len() == raw_len as usize {
+        return Ok(stored.to_vec());
     }
-    let codec = fanstore_compress::registry::create(table.inner_codec)
-        .map_err(|e| FsError::Corrupt(format!("chunk {idx}: {e}")))?;
-    fanstore_compress::decompress_to_vec(codec.as_ref(), payload, c.raw_len as usize)
-        .map_err(|e| FsError::Corrupt(format!("chunk {idx}: {e}")))
+    let corrupt = |e: fanstore_compress::CodecError| FsError::Corrupt(format!("chunk {idx}: {e}"));
+    let codec = fanstore_compress::registry::create(inner).map_err(corrupt)?;
+    fanstore_compress::decompress_to_vec(codec.as_ref(), stored, raw_len as usize).map_err(corrupt)
 }
 
 /// Decode a whole FCHK container back to the raw file bytes.
 pub fn decode_chunked(data: &[u8]) -> Result<Vec<u8>, FsError> {
-    let table = parse_chunk_table(data)?;
-    match table.kind {
-        ChunkKind::Range => {
-            let mut out = vec![0u8; table.raw_len as usize];
-            for idx in 0..table.chunks.len() {
-                let payload = chunk_payload(data, &table, idx)?;
-                let raw = decode_chunk(&table, idx, payload)?;
-                let c = table.chunks[idx];
-                let at = c.offset as usize;
-                let end = at + c.raw_len as usize;
-                if end > out.len() || raw.len() != c.raw_len as usize {
-                    return Err(FsError::Corrupt(format!("chunk {idx} extent out of range")));
-                }
-                out[at..end].copy_from_slice(&raw);
-            }
-            Ok(out)
-        }
-        ChunkKind::Progressive => {
-            let payloads: Result<Vec<&[u8]>, FsError> =
-                (0..table.chunks.len()).map(|i| chunk_payload(data, &table, i)).collect();
-            progressive::decode_prefix(&payloads?, table.raw_len as usize)
-                .map_err(|e| FsError::Corrupt(format!("progressive decode: {e}")))
-        }
-    }
+    decode_progressive_prefix(data, TIER_FULL)
 }
 
-/// Decode a *prefix* of a progressive container's tiers (those with
-/// `tier <= min_tier`) into an approximation of the file.
+/// Decode an FCHK container: a range container to its raw bytes, a
+/// progressive one to the approximation its tiers up to `min_tier` give
+/// ([`TIER_FULL`]: every tier, bit-exact).
 pub fn decode_progressive_prefix(data: &[u8], min_tier: u8) -> Result<Vec<u8>, FsError> {
     let table = parse_chunk_table(data)?;
-    if table.kind != ChunkKind::Progressive {
-        return decode_chunked(data);
+    if table.kind == ChunkKind::Progressive {
+        let payloads: Result<Vec<&[u8]>, FsError> =
+            table.tiers_up_to(min_tier).iter().map(|&i| chunk_payload(data, &table, i)).collect();
+        return progressive::decode_prefix(&payloads?, table.raw_len as usize)
+            .map_err(|e| FsError::Corrupt(format!("progressive decode: {e}")));
     }
-    let idxs = table.tiers_up_to(min_tier);
-    let payloads: Result<Vec<&[u8]>, FsError> =
-        idxs.iter().map(|&i| chunk_payload(data, &table, i)).collect();
-    progressive::decode_prefix(&payloads?, table.raw_len as usize)
-        .map_err(|e| FsError::Corrupt(format!("progressive decode: {e}")))
+    let mut out = vec![0u8; table.raw_len as usize];
+    for (idx, c) in table.chunks.iter().enumerate() {
+        let raw = decode_chunk(&table, idx, chunk_payload(data, &table, idx)?)?;
+        // The row passed the table CRC but is still untrusted:
+        // `offset + raw_len` is checked, not computed.
+        let dst = usize::try_from(c.offset)
+            .ok()
+            .and_then(|at| out.get_mut(at..at.checked_add(raw.len())?));
+        match dst {
+            Some(dst) if raw.len() == c.raw_len as usize => dst.copy_from_slice(&raw),
+            _ => return Err(FsError::Corrupt(format!("chunk {idx} extent out of range"))),
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -557,7 +522,7 @@ mod tests {
         for (len, chunk) in [(0usize, 64usize), (1, 64), (64, 64), (65, 64), (10_000, 777)] {
             let data = sample(len);
             let packed = build_chunked(&data, chunk, codec());
-            assert!(is_chunked(&packed));
+            assert!(packed.starts_with(&CHUNK_MAGIC));
             assert_eq!(decode_chunked(&packed).unwrap(), data, "len={len} chunk={chunk}");
         }
     }
@@ -588,6 +553,7 @@ mod tests {
         packed[table_end..table_end + 4].copy_from_slice(&crc.to_le_bytes());
         let table = parse_chunk_table(&packed).expect("table CRC is correct");
         assert!(matches!(table.covering(0, u64::MAX), Err(FsError::Corrupt(_))));
+        assert!(matches!(decode_chunked(&packed), Err(FsError::Corrupt(_))));
     }
 
     #[test]

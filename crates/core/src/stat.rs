@@ -7,6 +7,7 @@
 //! We reproduce the field layout of glibc's x86_64 `struct stat` and use
 //! one of its three reserved trailing slots for the owner rank.
 
+use crate::framing::{Malformed, Reader};
 use crate::FsError;
 
 /// Size of the encoded stat block, matching Table I.
@@ -113,29 +114,29 @@ impl FileStat {
         debug_assert_eq!(out.len() - start, STAT_SIZE);
     }
 
-    /// Decode from a 144-byte block.
+    /// Decode from a 144-byte block (bytes past it are ignored).
     pub fn decode(buf: &[u8]) -> Result<Self, FsError> {
-        if buf.len() < STAT_SIZE {
-            return Err(FsError::Corrupt("stat block truncated".into()));
-        }
-        let u64_at = |o: usize| u64::from_le_bytes(buf[o..o + 8].try_into().expect("8 bytes"));
-        let u32_at = |o: usize| u32::from_le_bytes(buf[o..o + 4].try_into().expect("4 bytes"));
+        Self::read(&mut Reader::new(buf)).map_err(|e| e.corrupt("stat block"))
+    }
+
+    /// Read the 144-byte block at the cursor.
+    pub(crate) fn read(r: &mut Reader<'_>) -> Result<Self, Malformed> {
+        let mut r = Reader::new(r.bytes(STAT_SIZE)?);
         Ok(FileStat {
-            dev: u64_at(0),
-            ino: u64_at(8),
-            nlink: u64_at(16),
-            mode: u32_at(24),
-            uid: u32_at(28),
-            gid: u32_at(32),
-            // pad at 36, rdev at 40
-            size: u64_at(48),
-            blksize: u64_at(56),
-            blocks: u64_at(64),
-            atime: u64_at(72),
-            mtime: u64_at(88),
-            ctime: u64_at(104),
-            owner_rank: u64_at(120) as u32,
-            served_by: u64_at(128) as u32,
+            dev: r.u64()?,
+            ino: r.u64()?,
+            nlink: r.u64()?,
+            mode: r.u32()?,
+            uid: r.u32()?,
+            gid: r.u32()?,
+            size: r.skip(4 + 8)?.u64()?, // past __pad0 and st_rdev
+            blksize: r.u64()?,
+            blocks: r.u64()?,
+            atime: r.u64()?,
+            mtime: r.skip(8)?.u64()?, // each tv_sec is followed by an unused tv_nsec
+            ctime: r.skip(8)?.u64()?,
+            owner_rank: r.skip(8)?.u64()? as u32,
+            served_by: r.u64()? as u32,
         })
     }
 }

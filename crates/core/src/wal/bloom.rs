@@ -14,6 +14,8 @@
 //! integrity is the enclosing segment's CRC (recorded in the WAL
 //! manifest), so the filter carries no checksum of its own.
 
+use crate::framing::{Malformed, Reader};
+
 /// A fixed-size bloom filter over string keys.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BloomFilter {
@@ -132,22 +134,21 @@ impl BloomFilter {
 
     /// Decode a filter serialised by [`BloomFilter::encode`].
     pub fn decode(buf: &[u8]) -> Result<Self, crate::FsError> {
-        let corrupt = |m: &str| crate::FsError::Corrupt(format!("bloom: {m}"));
-        if buf.len() < HEADER {
-            return Err(corrupt("truncated header"));
-        }
-        let k = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes"));
-        let nbits = u64::from_le_bytes(buf[4..12].try_into().expect("8 bytes"));
-        let nkeys = u64::from_le_bytes(buf[12..20].try_into().expect("8 bytes"));
-        let nwords = nbits.div_ceil(64) as usize;
-        if k == 0 || nbits == 0 || buf.len() != HEADER + nwords * 8 {
-            return Err(corrupt("inconsistent geometry"));
-        }
-        let words = buf[HEADER..]
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect();
-        Ok(BloomFilter { k, nbits, nkeys, words })
+        let parse = || -> Result<Self, Malformed> {
+            let mut r = Reader::new(buf);
+            let (k, nbits, nkeys) = (r.u32()?, r.u64()?, r.u64()?);
+            let nwords = usize::try_from(nbits.div_ceil(64)).unwrap_or(usize::MAX);
+            if k == 0 || nbits == 0 {
+                return Err(r.fail("inconsistent geometry"));
+            }
+            let mut words = Vec::with_capacity(r.fits(nwords, 8)?);
+            for _ in 0..nwords {
+                words.push(r.u64()?);
+            }
+            r.finish()?;
+            Ok(BloomFilter { k, nbits, nkeys, words })
+        };
+        parse().map_err(|e| e.corrupt("bloom"))
     }
 }
 

@@ -1,14 +1,10 @@
 //! WAL record framing and torn-tail-tolerant replay.
 //!
-//! The log is a byte-concatenation of the checkpoint crate's CRC frames
-//! ([`crate::ckpt::frame`]) — the `[flags|codec|raw_len|stored_len|
-//! crc32]` machinery is reused verbatim rather than duplicated, so a
-//! torn log tail is recognised by exactly the code path the chaos tests
-//! already exercise. Each frame's payload is one [`WalRecord`]:
-//!
-//! ```text
-//! [seq u64][expires_us u64][flags u8][plen u16][path][value …]
-//! ```
+//! The log is a byte-concatenation of the checkpoint store's record
+//! frames ([`crate::ckpt::frame`]) — reused verbatim rather than
+//! duplicated, so a torn log tail is recognised by exactly the code path
+//! the chaos tests already exercise. Each frame's payload is one
+//! [`WalRecord`] (DESIGN.md §13 "Byte layouts", rows 11–12).
 //!
 //! WAL payloads are stored uncompressed (codec = store): the log is
 //! short-lived — flush trims it — and compression belongs to the
@@ -17,7 +13,7 @@
 use fanstore_compress::{CodecFamily, CodecId};
 
 use crate::ckpt::frame::{encode_frame, scan_segment};
-use crate::FsError;
+use crate::framing::{put_str16, Malformed, Reader};
 
 /// Record flag bit: the record is a tombstone (an `unlink`); it carries
 /// no value bytes.
@@ -38,39 +34,27 @@ pub struct WalRecord {
     pub value: Vec<u8>,
 }
 
-/// Codec stamped on WAL frames (uncompressed).
-fn store_codec() -> CodecId {
-    CodecId::new(CodecFamily::Store, 0)
-}
-
 /// Append one record to `out` as a CRC frame.
 pub fn encode_record(out: &mut Vec<u8>, rec: &WalRecord) {
     let mut payload = Vec::with_capacity(8 + 8 + 1 + 2 + rec.path.len() + rec.value.len());
     payload.extend_from_slice(&rec.seq.to_le_bytes());
     payload.extend_from_slice(&rec.expires_us.to_le_bytes());
     payload.push(if rec.tombstone { FLAG_TOMBSTONE } else { 0 });
-    payload.extend_from_slice(&(rec.path.len() as u16).to_le_bytes());
-    payload.extend_from_slice(rec.path.as_bytes());
+    put_str16(&mut payload, &rec.path);
     payload.extend_from_slice(&rec.value);
-    encode_frame(out, 0, store_codec(), payload.len() as u32, &payload);
+    let stored_raw = CodecId::new(CodecFamily::Store, 0);
+    encode_frame(out, 0, stored_raw, payload.len() as u32, &payload);
 }
 
 /// Decode one frame payload back into a record.
-fn decode_payload(buf: &[u8]) -> Result<WalRecord, FsError> {
-    let corrupt = |m: &str| FsError::Corrupt(format!("wal record: {m}"));
-    if buf.len() < 8 + 8 + 1 + 2 {
-        return Err(corrupt("truncated"));
-    }
-    let seq = u64::from_le_bytes(buf[..8].try_into().expect("8 bytes"));
-    let expires_us = u64::from_le_bytes(buf[8..16].try_into().expect("8 bytes"));
-    let flags = buf[16];
-    let plen = u16::from_le_bytes(buf[17..19].try_into().expect("2 bytes")) as usize;
-    let path_bytes = buf.get(19..19 + plen).ok_or_else(|| corrupt("path truncated"))?;
-    let path = std::str::from_utf8(path_bytes).map_err(|_| corrupt("path not utf-8"))?.to_string();
-    let value = buf[19 + plen..].to_vec();
-    let tombstone = flags & FLAG_TOMBSTONE != 0;
+fn decode_payload(buf: &[u8]) -> Result<WalRecord, Malformed> {
+    let mut r = Reader::new(buf);
+    let (seq, expires_us) = (r.u64()?, r.u64()?);
+    let tombstone = r.u8()? & FLAG_TOMBSTONE != 0;
+    let path = r.str16()?.to_string();
+    let value = r.rest().to_vec();
     if tombstone && !value.is_empty() {
-        return Err(corrupt("tombstone with value bytes"));
+        return Err(r.fail("tombstone with value bytes"));
     }
     Ok(WalRecord { seq, expires_us, tombstone, path, value })
 }

@@ -9,17 +9,11 @@
 //! segments cover: replay skips log records at or below it, which is
 //! what makes the post-publish log truncation safe to crash out of.
 //!
-//! Layout (little-endian):
-//!
-//! ```text
-//! "FSWL" | version u16 | publish u64 | trim_seq u64 | seg_count u32
-//! | seg_count × ([u16 name_len][name][u64 bytes][u32 crc]
-//!                [u64 first_seq][u64 last_seq][u32 entries])
-//! | crc32 u32 over everything above
-//! ```
+//! On the wire it is the same `framing` publish record as the checkpoint
+//! manifest with a different magic and field list (DESIGN.md §13 "Byte
+//! layouts", row 16).
 
-use fanstore_compress::crc32::crc32;
-
+use crate::framing::{begin_record, open_record, put_str16, seal_trailing, Malformed};
 use crate::FsError;
 
 /// Manifest magic bytes.
@@ -61,81 +55,43 @@ pub struct WalManifest {
 impl WalManifest {
     /// Serialise, appending the trailing CRC32.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + self.segments.len() * 48);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
+        let mut out = begin_record(MAGIC, VERSION, 32 + self.segments.len() * 48);
         out.extend_from_slice(&self.publish.to_le_bytes());
         out.extend_from_slice(&self.trim_seq.to_le_bytes());
         out.extend_from_slice(&(self.segments.len() as u32).to_le_bytes());
         for s in &self.segments {
-            out.extend_from_slice(&(s.name.len() as u16).to_le_bytes());
-            out.extend_from_slice(s.name.as_bytes());
+            put_str16(&mut out, &s.name);
             out.extend_from_slice(&s.bytes.to_le_bytes());
             out.extend_from_slice(&s.crc.to_le_bytes());
             out.extend_from_slice(&s.first_seq.to_le_bytes());
             out.extend_from_slice(&s.last_seq.to_le_bytes());
             out.extend_from_slice(&s.entries.to_le_bytes());
         }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
+        seal_trailing(&mut out);
         out
     }
 
     /// Decode and CRC-verify a manifest.
     pub fn decode(buf: &[u8]) -> Result<WalManifest, FsError> {
-        let corrupt = |m: &str| FsError::Corrupt(format!("wal manifest: {m}"));
-        if buf.len() < 4 + 2 + 8 + 8 + 4 + 4 {
-            return Err(corrupt("truncated"));
-        }
-        let (body, tail) = buf.split_at(buf.len() - 4);
-        let expect = u32::from_le_bytes(tail.try_into().expect("4 bytes"));
-        let actual = crc32(body);
-        if expect != actual {
-            return Err(corrupt(&format!(
-                "CRC mismatch: stored {expect:08x}, computed {actual:08x}"
-            )));
-        }
-        if body[..4] != MAGIC {
-            return Err(corrupt("bad magic"));
-        }
-        let version = u16::from_le_bytes(body[4..6].try_into().expect("2 bytes"));
-        if version != VERSION {
-            return Err(corrupt(&format!("unsupported version {version}")));
-        }
-        let publish = u64::from_le_bytes(body[6..14].try_into().expect("8 bytes"));
-        let trim_seq = u64::from_le_bytes(body[14..22].try_into().expect("8 bytes"));
-        let count = u32::from_le_bytes(body[22..26].try_into().expect("4 bytes")) as usize;
-        let mut pos = 26usize;
-        let mut segments = Vec::with_capacity(count.min(4096));
-        for i in 0..count {
-            let nlen = u16::from_le_bytes(
-                body.get(pos..pos + 2)
-                    .ok_or_else(|| corrupt("segment truncated"))?
-                    .try_into()
-                    .expect("2 bytes"),
-            ) as usize;
-            pos += 2;
-            let name = std::str::from_utf8(
-                body.get(pos..pos + nlen).ok_or_else(|| corrupt("segment truncated"))?,
-            )
-            .map_err(|_| corrupt(&format!("segment {i} name not utf-8")))?
-            .to_string();
-            pos += nlen;
-            let rest = body.get(pos..pos + 32).ok_or_else(|| corrupt("segment truncated"))?;
-            segments.push(WalSegmentMeta {
-                name,
-                bytes: u64::from_le_bytes(rest[..8].try_into().expect("8 bytes")),
-                crc: u32::from_le_bytes(rest[8..12].try_into().expect("4 bytes")),
-                first_seq: u64::from_le_bytes(rest[12..20].try_into().expect("8 bytes")),
-                last_seq: u64::from_le_bytes(rest[20..28].try_into().expect("8 bytes")),
-                entries: u32::from_le_bytes(rest[28..32].try_into().expect("4 bytes")),
-            });
-            pos += 32;
-        }
-        if pos != body.len() {
-            return Err(corrupt("trailing bytes"));
-        }
-        Ok(WalManifest { publish, trim_seq, segments })
+        let parse = || -> Result<WalManifest, Malformed> {
+            let mut r = open_record(buf, MAGIC, VERSION)?;
+            let (publish, trim_seq) = (r.u64()?, r.u64()?);
+            let count = r.count(2 + 8 + 4 + 8 + 8 + 4)?;
+            let mut segments = Vec::with_capacity(count);
+            for _ in 0..count {
+                segments.push(WalSegmentMeta {
+                    name: r.str16()?.to_string(),
+                    bytes: r.u64()?,
+                    crc: r.u32()?,
+                    first_seq: r.u64()?,
+                    last_seq: r.u64()?,
+                    entries: r.u32()?,
+                });
+            }
+            r.finish()?;
+            Ok(WalManifest { publish, trim_seq, segments })
+        };
+        parse().map_err(|e| e.corrupt("wal manifest"))
     }
 }
 
@@ -174,23 +130,5 @@ mod tests {
         assert_eq!(WalManifest::decode(&m.encode()).unwrap(), m);
         let empty = WalManifest::default();
         assert_eq!(WalManifest::decode(&empty.encode()).unwrap(), empty);
-    }
-
-    #[test]
-    fn every_flipped_bit_is_detected() {
-        let buf = sample().encode();
-        for i in (0..buf.len()).step_by(5) {
-            let mut bad = buf.clone();
-            bad[i] ^= 0x01;
-            assert!(WalManifest::decode(&bad).is_err(), "flip at byte {i} must be caught");
-        }
-    }
-
-    #[test]
-    fn truncation_is_detected() {
-        let buf = sample().encode();
-        for cut in 1..buf.len() {
-            assert!(WalManifest::decode(&buf[..cut]).is_err(), "cut at {cut}");
-        }
     }
 }

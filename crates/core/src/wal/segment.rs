@@ -1,22 +1,16 @@
 //! Immutable flushed segments: pack-format entries behind a bloom
 //! filter.
 //!
-//! A segment is what one memtable flush (or one compaction) produces:
-//!
-//! ```text
-//! "FSWS" | version u16 | first_seq u64 | last_seq u64
-//! | bloom_len u32 | bloom bytes              (header: loaded at open)
-//! | pack partition (pack.rs Table I layout)  (data: read on lookup)
-//! ```
+//! A segment is what one memtable flush (or one compaction) produces: a
+//! header holding the sequence range and the bloom filter (loaded at
+//! open), then a pack partition (read on lookup) — DESIGN.md §13 "Byte
+//! layouts", rows 13, 14 and 1.
 //!
 //! The entry area reuses [`crate::pack::PartitionBuilder`] /
 //! [`crate::pack::parse_partition`] unchanged — path, codec and stat
-//! are the pack fields; the per-version metadata the LSM needs rides a
-//! fixed prefix of each entry's data field:
-//!
-//! ```text
-//! data = [seq u64][expires_us u64][flags u8][compressed value …]
-//! ```
+//! are the pack fields; the per-version metadata the LSM needs (`seq`,
+//! `expires_us`, a tombstone flag) rides a fixed prefix of each entry's
+//! data field.
 //!
 //! Values are compressed with the store's configured codec at flush
 //! (falling back to stored-raw when compression does not pay), so the
@@ -28,6 +22,7 @@
 use fanstore_compress::registry::create;
 use fanstore_compress::{CodecFamily, CodecId};
 
+use crate::framing::{Malformed, Reader};
 use crate::pack::{parse_partition, PartitionBuilder};
 use crate::stat::FileStat;
 use crate::FsError;
@@ -41,9 +36,6 @@ pub const MAGIC: [u8; 4] = *b"FSWS";
 
 /// Current segment format version.
 pub const VERSION: u16 = 1;
-
-/// Fixed header prefix before the bloom filter.
-const FIXED: usize = 4 + 2 + 8 + 8 + 4;
 
 /// Per-entry metadata prefix on the pack data field.
 const META_PREFIX: usize = 8 + 8 + 1;
@@ -129,7 +121,7 @@ pub fn build(
     }
     let bloom_bytes = bloom.encode();
     let partition = part.finish();
-    let mut out = Vec::with_capacity(FIXED + bloom_bytes.len() + partition.len());
+    let mut out = Vec::with_capacity(4 + 2 + 8 + 8 + 4 + bloom_bytes.len() + partition.len());
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&first_seq.to_le_bytes());
@@ -143,47 +135,36 @@ pub fn build(
 /// Parse just the header (magic, seq range, bloom) — the open/replay
 /// path, which must not touch entry data.
 pub fn parse_header(blob: &[u8]) -> Result<SegHeader, FsError> {
-    let corrupt = |m: &str| FsError::Corrupt(format!("wal segment: {m}"));
-    if blob.len() < FIXED {
-        return Err(corrupt("truncated header"));
-    }
-    if blob[..4] != MAGIC {
-        return Err(corrupt("bad magic"));
-    }
-    let version = u16::from_le_bytes(blob[4..6].try_into().expect("2 bytes"));
-    if version != VERSION {
-        return Err(corrupt(&format!("unsupported version {version}")));
-    }
-    let first_seq = u64::from_le_bytes(blob[6..14].try_into().expect("8 bytes"));
-    let last_seq = u64::from_le_bytes(blob[14..22].try_into().expect("8 bytes"));
-    let bloom_len = u32::from_le_bytes(blob[22..26].try_into().expect("4 bytes")) as usize;
-    let bloom_end = FIXED.checked_add(bloom_len).ok_or_else(|| corrupt("bloom length"))?;
-    let bloom =
-        BloomFilter::decode(blob.get(FIXED..bloom_end).ok_or_else(|| corrupt("bloom truncated"))?)?;
-    Ok(SegHeader { first_seq, last_seq, bloom, entries_at: bloom_end })
+    let mut r = Reader::new(blob);
+    let mut fixed = || -> Result<(u64, u64, &[u8]), Malformed> {
+        r.tag(&MAGIC, "bad magic")?;
+        r.tag(&VERSION.to_le_bytes(), "unsupported version")?;
+        Ok((r.u64()?, r.u64()?, r.bytes32()?))
+    };
+    let (first_seq, last_seq, bloom) = fixed().map_err(|e| e.corrupt("wal segment"))?;
+    let bloom = BloomFilter::decode(bloom)?;
+    Ok(SegHeader { first_seq, last_seq, bloom, entries_at: r.consumed() })
 }
 
 /// Parse the full entry list (a positive lookup, verify, or compaction).
 pub fn parse_entries(blob: &[u8]) -> Result<Vec<SegEntry>, FsError> {
     let header = parse_header(blob)?;
-    let corrupt = |m: &str| FsError::Corrupt(format!("wal segment: {m}"));
     let packed = parse_partition(&blob[header.entries_at..])?;
     let mut out = Vec::with_capacity(packed.len());
     for e in packed {
-        if e.data.len() < META_PREFIX {
-            return Err(corrupt(&format!("{}: entry metadata truncated", e.path)));
-        }
-        let seq = u64::from_le_bytes(e.data[..8].try_into().expect("8 bytes"));
-        let expires_us = u64::from_le_bytes(e.data[8..16].try_into().expect("8 bytes"));
-        let tombstone = e.data[16] & FLAG_TOMBSTONE != 0;
+        let mut r = Reader::new(&e.data);
+        let mut prefix = || Ok((r.u64()?, r.u64()?, r.u8()?));
+        let (seq, expires_us, flags) = prefix().map_err(|m: Malformed| {
+            m.corrupt(&format!("wal segment: {}: entry metadata", e.path))
+        })?;
         out.push(SegEntry {
-            path: e.path,
             seq,
             expires_us,
-            tombstone,
+            tombstone: flags & FLAG_TOMBSTONE != 0,
             codec: e.codec,
             raw_len: e.stat.size as usize,
-            payload: e.data[META_PREFIX..].to_vec(),
+            payload: r.rest().to_vec(),
+            path: e.path,
         });
     }
     Ok(out)

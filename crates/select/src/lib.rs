@@ -22,10 +22,8 @@
 //! constraint) and [`Selection::min_cost_with_ratio`] is the §VII-E
 //! variant (cheapest decompression meeting a required capacity ratio).
 
-use serde::{Deserialize, Serialize};
-
 /// I/O scheduling mode of the training framework (paper Figure 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoMode {
     /// I/O and compute serialised each iteration.
     Sync,
@@ -34,7 +32,7 @@ pub enum IoMode {
 }
 
 /// Application-side inputs (paper Table V).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AppProfile {
     /// Application name (for reports).
     pub name: String,
@@ -53,7 +51,7 @@ pub struct AppProfile {
 
 /// Storage-side inputs (paper Table VI): FanStore read performance at the
 /// application's file size.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct IoProfile {
     /// Files per second (`Tpt_read`) at the *compressed* file size.
     pub tpt_read: f64,
@@ -75,7 +73,7 @@ impl IoProfile {
 }
 
 /// One candidate compressor's measured properties on the target dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Candidate {
     /// Display name, e.g. `lzsse8-2`.
     pub name: String,
@@ -92,7 +90,7 @@ pub fn t_read(c_batch: f64, s_batch_mb: f64, tpt_read: f64, bdw_read: f64) -> f6
 }
 
 /// Per-candidate evaluation detail.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Evaluation {
     /// The candidate evaluated.
     pub candidate: Candidate,

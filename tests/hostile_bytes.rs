@@ -1,0 +1,781 @@
+//! Hostile bytes: one table over every decoder of untrusted bytes in
+//! `fanstore` (DESIGN.md, "Byte layouts").
+//!
+//! Each row is a fixed, valid sample of one format plus the decoder that
+//! reads it. Two tests walk the table:
+//!
+//! * `golden_bytes_are_pinned` — the encoder still produces, byte for
+//!   byte, the sample captured when the layouts were frozen, so "no
+//!   format change" is a test and not a promise.
+//! * `every_decoder_survives_hostile_bytes` — the sample is truncated at
+//!   every prefix length, every byte is flipped (as is, and again with
+//!   the format's CRC re-sealed so the parser and not only the checksum
+//!   sees the damage), and every count/length field is set to its type's
+//!   maximum. A decoder must answer with its typed error or a decode;
+//!   never a panic, and never an allocation out of scale with the input
+//!   (a counting allocator watches the largest single request).
+//!
+//! Decoders private to their module are reached through the public entry
+//! that calls them: PUT and GET_MANY requests are sent to a live daemon,
+//! whose reply status is the verdict. `cluster::decode_partition_set`
+//! has no such entry and keeps the same three mutations beside it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
+
+use fanstore_repro::compress::crc32::crc32;
+use fanstore_repro::compress::{compress_to_vec, registry, CodecFamily, CodecId};
+use fanstore_repro::mpi::{launch, Channel};
+use fanstore_repro::store::cache::CacheConfig;
+use fanstore_repro::store::ckpt::frame::{decode_segment, encode_frame, scan_segment, FLAG_DELTA};
+use fanstore_repro::store::ckpt::manifest::{Manifest, SegmentMeta};
+use fanstore_repro::store::daemon::{
+    decode_get_many_reply, encode_get_many_request, encode_put, serve, status, tags, GetManySpec,
+};
+use fanstore_repro::store::meta::{encode_single, MetaEntry, MetaTable};
+use fanstore_repro::store::node::NodeState;
+use fanstore_repro::store::pack::{
+    build_chunked, build_progressive, chunk_payload, parse_chunk_table, parse_partition,
+    PartitionBuilder, CHUNKED, CHUNK_HEADER, CHUNK_ROW, ENTRY_OVERHEAD,
+};
+use fanstore_repro::store::stat::{FileStat, STAT_SIZE};
+use fanstore_repro::store::wal::segment::{build, parse_entries, parse_header};
+use fanstore_repro::store::wal::{
+    encode_record, replay, BloomFilter, MemEntry, WalManifest, WalRecord, WalSegmentMeta,
+};
+use fanstore_repro::store::FsError;
+
+/// Largest single allocation requested since the last reset. The system
+/// allocator does the work; this only watches request sizes.
+struct PeakAlloc;
+
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the only addition is a
+// relaxed atomic store of the requested size, which touches no memory
+// the allocator hands out.
+unsafe impl GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        PEAK.fetch_max(layout.size(), Ordering::Relaxed);
+        // SAFETY: `layout` is the caller's, passed through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was returned by `System.alloc`/`realloc` above with
+        // this `layout`, as the caller guarantees to us.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        PEAK.fetch_max(new_size, Ordering::Relaxed);
+        // SAFETY: same block, layout and size the caller vouches for.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: PeakAlloc = PeakAlloc;
+
+/// The peak is process-wide, so the two tests take turns.
+static TURN: Mutex<()> = Mutex::new(());
+
+/// What a decode produced: one Debug string per decoded item (so a
+/// truncated log can be checked to be a *prefix* of the original), or the
+/// typed error.
+type Decoded = Result<Vec<String>, FsError>;
+
+/// A row's decoder: the outcome plus the peak allocation it caused.
+type Decode<'a> = Box<dyn Fn(&[u8]) -> (Decoded, usize) + 'a>;
+
+struct Row<'a> {
+    name: &'static str,
+    /// A valid encoding, produced by the format's encoder.
+    good: Vec<u8>,
+    /// [`dump`] of `good`, captured at the commit that froze the layouts.
+    golden: &'static str,
+    /// `(offset, width)` of every count and length field in `good`.
+    fields: Vec<(usize, usize)>,
+    /// Bytes under (or part of) a CRC: a flip here must be *detected*.
+    sealed: Range<usize>,
+    /// Whether every proper prefix is an error (false for readers that
+    /// tolerate a torn tail or ignore what follows their header).
+    strict: bool,
+    /// Recompute the format's CRC fields in place, where it has any.
+    reseal: Option<fn(&mut [u8])>,
+    /// The typed errors this decoder may answer with.
+    allowed: fn(&FsError) -> bool,
+    decode: Decode<'a>,
+}
+
+fn at_rest(e: &FsError) -> bool {
+    matches!(e, FsError::Corrupt(_))
+}
+
+/// Build a row's `decode` from the decoder proper and a projection of its
+/// output to Debug strings; only the decoder runs under the allocation
+/// watch.
+fn decoder<'a, T>(
+    decode: impl Fn(&[u8]) -> Result<T, FsError> + 'a,
+    items: impl Fn(T) -> Vec<String> + 'a,
+) -> Decode<'a> {
+    Box::new(move |buf| {
+        PEAK.store(0, Ordering::Relaxed);
+        let got = decode(buf);
+        let peak = PEAK.load(Ordering::Relaxed);
+        (got.map(&items), peak)
+    })
+}
+
+fn debug_each<T: std::fmt::Debug>(v: Vec<T>) -> Vec<String> {
+    v.iter().map(|x| format!("{x:?}")).collect()
+}
+
+/// Hex of `bytes` in space-separated tokens of at most 32 bytes, with
+/// every run of five or more equal bytes written as `hh*n` — partitions
+/// and stat blocks are mostly padding. The mapping is one-to-one, so
+/// string equality pins every byte.
+fn dump(bytes: &[u8]) -> String {
+    let mut tokens: Vec<String> = Vec::new();
+    let mut plain = String::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        let run = bytes[i..].iter().take_while(|&&b| b == bytes[i]).count();
+        if run >= 5 {
+            tokens.extend((!plain.is_empty()).then(|| std::mem::take(&mut plain)));
+            tokens.push(format!("{:02x}*{run}", bytes[i]));
+            i += run;
+        } else {
+            plain.push_str(&format!("{:02x}", bytes[i]));
+            i += 1;
+            if plain.len() == 64 {
+                tokens.push(std::mem::take(&mut plain));
+            }
+        }
+    }
+    tokens.extend((!plain.is_empty()).then_some(plain));
+    tokens.join(" ")
+}
+
+fn le(buf: &[u8], at: usize, width: usize) -> Option<usize> {
+    let mut raw = [0u8; 8];
+    raw[..width].copy_from_slice(buf.get(at..at.checked_add(width)?)?);
+    usize::try_from(u64::from_le_bytes(raw)).ok()
+}
+
+fn patch_crc(buf: &mut [u8], at: usize, covered: Range<usize>) {
+    if at + 4 <= buf.len() && covered.end <= buf.len() && covered.start <= covered.end {
+        let crc = crc32(&buf[covered]);
+        buf[at..at + 4].copy_from_slice(&crc.to_le_bytes());
+    }
+}
+
+/// Trailing placement: the last four bytes check everything before them.
+fn reseal_trailing(buf: &mut [u8]) {
+    if let Some(body) = buf.len().checked_sub(4) {
+        patch_crc(buf, body, 0..body);
+    }
+}
+
+/// FCHK: the CRC sits after `count` table rows and covers header + rows.
+fn reseal_fchk(buf: &mut [u8]) {
+    let table_end =
+        le(buf, 20, 4).and_then(|n| n.checked_mul(CHUNK_ROW)?.checked_add(CHUNK_HEADER));
+    if let Some(end) = table_end {
+        patch_crc(buf, end, 0..end);
+    }
+}
+
+/// `ckpt::frame` segments (and the WAL log, which reuses them): each
+/// frame's CRC field covers its stored payload.
+fn reseal_frames(buf: &mut [u8]) {
+    let mut pos = 0usize;
+    while let Some(stored) = le(buf, pos + 7, 4) {
+        let Some(end) = (pos + 15).checked_add(stored).filter(|&e| e <= buf.len()) else { break };
+        patch_crc(buf, pos + 11, pos + 15..end);
+        pos = end;
+    }
+}
+
+/// `(start, len)` of every entry frame of a GET_MANY reply that lies
+/// wholly inside `buf`.
+fn reply_entries(buf: &[u8]) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    let mut pos = 5usize;
+    while let Some(len) = le(buf, pos, 4) {
+        let Some(end) = (pos + 4).checked_add(len).filter(|&e| e <= buf.len()) else { break };
+        out.push((pos + 4, len));
+        pos = end;
+    }
+    out
+}
+
+/// GET_MANY reply: each whole or PARTIAL entry frame carries a leading
+/// CRC (bytes 1..5) over everything after it.
+fn reseal_reply(buf: &mut [u8]) {
+    for (start, len) in reply_entries(buf) {
+        if len > 5 {
+            patch_crc(buf, start + 1, start + 5..start + len);
+        }
+    }
+}
+
+fn lz() -> CodecId {
+    CodecId::new(CodecFamily::Lz4Hc, 9)
+}
+
+fn sample_stat(ino: u64, size: u64) -> FileStat {
+    let mut s = FileStat::regular(ino, size);
+    s.owner_rank = 2;
+    s.mtime = 1_700_000_000;
+    s
+}
+
+fn ramp(n: usize) -> Vec<u8> {
+    (0..n).map(|i| (i % 7) as u8).collect()
+}
+
+fn floats(n: usize) -> Vec<u8> {
+    (0..n).flat_map(|i| ((i as f32) * 0.25).to_le_bytes()).collect()
+}
+
+/// The partition the daemon serves: one plain, one range-chunked and one
+/// progressive object, built by hand so the sample depends on nothing
+/// but the pack, FCHK and codec layouts.
+fn served_partition() -> Vec<u8> {
+    let plain = b"payload ".repeat(8);
+    let codec = registry::create(lz()).expect("lz4hc is registered");
+    let mut b = PartitionBuilder::new();
+    b.push("t/plain.bin", lz(), &sample_stat(1, 64), &compress_to_vec(codec.as_ref(), &plain));
+    b.push("t/big.bin", CHUNKED, &sample_stat(2, 300), &build_chunked(&ramp(300), 128, lz()));
+    b.push("t/model.f32", CHUNKED, &sample_stat(3, 64), &build_progressive(&floats(16), 2));
+    b.finish()
+}
+
+fn ckpt_manifest() -> Manifest {
+    Manifest {
+        generation: 7,
+        base: Some(4),
+        chunk_size: 65536,
+        raw_bytes: 1_000_000,
+        stored_bytes: 123_456,
+        segments: vec![
+            SegmentMeta { name: "seg0000".into(), chunks: 16, bytes: 60_000, crc: 0xDEAD },
+            SegmentMeta { name: "seg0001".into(), chunks: 3, bytes: 63_456, crc: 0xBEEF },
+        ],
+    }
+}
+
+fn wal_manifest() -> WalManifest {
+    let seg = |name: &str, bytes, crc, first_seq, last_seq, entries| WalSegmentMeta {
+        name: name.into(),
+        bytes,
+        crc,
+        first_seq,
+        last_seq,
+        entries,
+    };
+    WalManifest {
+        publish: 3,
+        trim_seq: 41,
+        segments: vec![
+            seg("wal/seg-00000002", 9000, 0xFACE, 20, 41, 12),
+            seg("wal/seg-00000001", 4096, 0xBEEF, 1, 19, 7),
+        ],
+    }
+}
+
+fn wal_segment() -> Vec<u8> {
+    let entry = |seq, value: Option<&[u8]>| MemEntry {
+        seq,
+        expires_us: 0,
+        value: value.map(|v| Arc::new(v.to_vec())),
+    };
+    let entries = vec![
+        ("a/data".to_string(), entry(3, Some(&b"compress me ".repeat(6)))),
+        ("b/tomb".to_string(), entry(5, None)),
+    ];
+    build(&entries, lz(), 0.01).expect("segment builds").0
+}
+
+fn wal_log() -> Vec<u8> {
+    let mut log = Vec::new();
+    let put = WalRecord {
+        seq: 1,
+        expires_us: 0,
+        tombstone: false,
+        path: "a/b".into(),
+        value: b"hello".to_vec(),
+    };
+    let tomb = WalRecord {
+        seq: 2,
+        expires_us: 99,
+        tombstone: true,
+        path: "a/b".into(),
+        value: Vec::new(),
+    };
+    encode_record(&mut log, &put);
+    encode_record(&mut log, &tomb);
+    log
+}
+
+/// The reply's count, per-entry length prefixes and, inside PARTIAL
+/// entries, the chunk count and each chunk's stored length.
+fn reply_fields(reply: &[u8]) -> Vec<(usize, usize)> {
+    let mut fields = vec![(1, 4)];
+    for (start, len) in reply_entries(reply) {
+        fields.push((start - 4, 4));
+        if reply[start] != status::PARTIAL {
+            continue;
+        }
+        let count_at = start + 5 + 2 + STAT_SIZE + 4 + 8;
+        fields.push((count_at, 4));
+        let mut chunk = count_at + 4;
+        while chunk + 25 <= start + len {
+            fields.push((chunk + 17, 4));
+            chunk += 25 + le(reply, chunk + 17, 4).expect("stored_len in range");
+        }
+    }
+    fields
+}
+
+/// Send `payload` to the daemon on rank 0 and turn its status byte into a
+/// verdict: a served request decodes to nothing, a rejected one to the
+/// error a client would see. A daemon that died answers nothing, which
+/// the timeout turns into a failure instead of a hang.
+fn ask(service: &Channel, tag: u64, payload: &[u8]) -> Result<Vec<String>, FsError> {
+    let reply = service
+        .rpc_timeout(0, tag, payload.to_vec(), Duration::from_secs(10))
+        .expect("the daemon survives the request");
+    match reply.first() {
+        Some(&s) if s == status::OK => Ok(Vec::new()),
+        Some(&s) if s == status::BAD_REQUEST => Err(FsError::BadRange("BAD_REQUEST".into())),
+        other => panic!("unexpected reply status {other:?}"),
+    }
+}
+
+/// Run `f` over the table. Rank 0 is a live daemon; `f` runs on rank 1.
+fn with_rows(f: impl Fn(&[Row<'_>]) + Send + Sync) {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let partition = served_partition();
+    launch(2, 1, |mut ctx| {
+        let service = ctx.take_channel(0);
+        if ctx.rank == 0 {
+            let state = Arc::new(NodeState::new(0, 2, CacheConfig::default()));
+            state.load_partition(&partition).expect("sample partition loads");
+            serve(state, service, None, None);
+            return;
+        }
+        let specs = [
+            GetManySpec::whole("t/plain.bin"),
+            GetManySpec::range("t/big.bin", 100, 200),
+            GetManySpec::tiered("t/model.f32", 0),
+            GetManySpec::whole("t/missing"),
+        ];
+        let request = encode_get_many_request(&specs);
+        let reply = service.rpc(0, tags::GET_MANY, request.clone()).expect("sample reply");
+        // The daemon holds a sender to itself, so it outlives a panic on
+        // this rank unless told to stop: shut it down either way.
+        let verdict =
+            catch_unwind(AssertUnwindSafe(|| f(&rows(&service, &partition, request, reply))));
+        let _ = service.rpc_timeout(0, tags::SHUTDOWN, Vec::new(), Duration::from_secs(10));
+        if let Err(panic) = verdict {
+            resume_unwind(panic);
+        }
+    });
+}
+
+fn rows<'a>(
+    service: &'a Channel,
+    partition: &[u8],
+    request: Vec<u8>,
+    reply: Vec<u8>,
+) -> Vec<Row<'a>> {
+    let fchk = parse_partition(partition).expect("sample parses").remove(1).data;
+    let fchk_len = fchk.len();
+    let mut stat_block = Vec::new();
+    sample_stat(42, 1 << 33).encode(&mut stat_block);
+    let meta_entry = MetaEntry { stat: sample_stat(9, 999), codec: lz() };
+    let mut segment = Vec::new();
+    encode_frame(&mut segment, 0, lz(), 4, b"abcd");
+    encode_frame(&mut segment, FLAG_DELTA, lz(), 9, b"x");
+    let wal_seg = wal_segment();
+    let bloom_len = le(&wal_seg, 22, 4).expect("segment header");
+    let entries_at = 26 + bloom_len;
+    let reply_len = reply.len();
+    let reply_fields = reply_fields(&reply);
+    let expected = 4;
+    vec![
+        Row {
+            name: "pack partition",
+            good: partition.to_vec(),
+            golden: GOLDEN_PARTITION,
+            fields: vec![(0, 4), (4 + ENTRY_OVERHEAD - 8, 8)],
+            sealed: 0..0,
+            strict: true,
+            reseal: None,
+            allowed: at_rest,
+            decode: decoder(parse_partition, debug_each),
+        },
+        Row {
+            name: "FCHK table",
+            good: fchk,
+            golden: GOLDEN_FCHK,
+            // count, then chunk 0's stored_len.
+            fields: vec![(20, 4), (CHUNK_HEADER + 12, 4)],
+            sealed: 0..fchk_len,
+            strict: true,
+            reseal: Some(reseal_fchk),
+            allowed: at_rest,
+            decode: decoder(
+                |buf| {
+                    let table = parse_chunk_table(buf)?;
+                    for idx in 0..table.chunks.len() {
+                        chunk_payload(buf, &table, idx)?;
+                    }
+                    Ok(table)
+                },
+                |t| debug_each(t.chunks),
+            ),
+        },
+        Row {
+            name: "meta table",
+            good: encode_single("out/x.h5", &meta_entry),
+            golden: GOLDEN_META,
+            fields: vec![(0, 4), (4, 2)],
+            sealed: 0..0,
+            strict: true,
+            reseal: None,
+            allowed: at_rest,
+            decode: decoder(
+                |buf| {
+                    let mut table = MetaTable::new();
+                    table.merge_encoded(buf)?;
+                    Ok(table)
+                },
+                |t| {
+                    let mut files: Vec<_> = t.iter().map(|(p, e)| format!("{p} {e:?}")).collect();
+                    files.sort();
+                    files
+                },
+            ),
+        },
+        Row {
+            name: "stat block",
+            good: stat_block,
+            golden: GOLDEN_STAT,
+            fields: Vec::new(),
+            sealed: 0..0,
+            strict: true,
+            reseal: None,
+            allowed: at_rest,
+            decode: decoder(FileStat::decode, |s| vec![format!("{s:?}")]),
+        },
+        Row {
+            name: "PUT request",
+            good: encode_put("ckpt/seg0", 3, b"payload"),
+            golden: GOLDEN_PUT,
+            fields: vec![(0, 2)],
+            sealed: 0..0,
+            // Cutting into the data bytes is a shorter, valid PUT.
+            strict: false,
+            reseal: None,
+            allowed: |e| matches!(e, FsError::BadRange(_)),
+            decode: decoder(|buf| ask(service, tags::PUT, buf), |v| v),
+        },
+        Row {
+            name: "GET_MANY request",
+            good: request,
+            golden: GOLDEN_REQUEST,
+            fields: vec![(0, 4), (4, 2)],
+            sealed: 0..0,
+            strict: true,
+            reseal: None,
+            allowed: |e| matches!(e, FsError::BadRange(_)),
+            decode: decoder(|buf| ask(service, tags::GET_MANY, buf), |v| v),
+        },
+        Row {
+            name: "GET_MANY reply (whole + PARTIAL + NOT_FOUND)",
+            good: reply,
+            golden: GOLDEN_REPLY,
+            fields: reply_fields,
+            sealed: 0..reply_len,
+            strict: true,
+            reseal: Some(reseal_reply),
+            // A flipped status byte may turn an entry into any other kind.
+            allowed: |e| {
+                matches!(
+                    e,
+                    FsError::Comm(_)
+                        | FsError::Corrupt(_)
+                        | FsError::Shed(_)
+                        | FsError::BadRange(_)
+                        | FsError::NotFound(_)
+                )
+            },
+            decode: decoder(
+                move |buf| {
+                    // The sample's last entry is NOT_FOUND; any *other*
+                    // entry failing fails the decode.
+                    let mut items = decode_get_many_reply(buf, expected)?;
+                    match items.pop() {
+                        Some(Err(FsError::NotFound(_))) => {}
+                        Some(Err(e)) => return Err(e),
+                        other => return Err(FsError::Comm(format!("last entry {other:?}"))),
+                    }
+                    items.into_iter().collect::<Result<Vec<_>, _>>()
+                },
+                debug_each,
+            ),
+        },
+        Row {
+            name: "ckpt segment (strict)",
+            good: segment.clone(),
+            golden: GOLDEN_SEGMENT,
+            fields: vec![(7, 4), (15 + 4 + 7, 4)],
+            // Frame 0 from its stored_len field on; flags, codec and
+            // raw_len sit outside the frame CRC.
+            sealed: 7..15 + 4,
+            strict: false, // a cut on the frame boundary is a shorter segment
+            reseal: Some(reseal_frames),
+            allowed: at_rest,
+            decode: decoder(decode_segment, debug_each),
+        },
+        Row {
+            name: "ckpt segment (torn-tail scan)",
+            good: segment,
+            golden: GOLDEN_SEGMENT,
+            fields: vec![(7, 4), (15 + 4 + 7, 4)],
+            sealed: 0..0,
+            strict: false,
+            reseal: Some(reseal_frames),
+            allowed: at_rest,
+            decode: decoder(|buf| Ok(scan_segment(buf).0), debug_each),
+        },
+        Row {
+            name: "WAL log",
+            good: wal_log(),
+            golden: GOLDEN_WAL_LOG,
+            // Frame 0's stored_len, then the record's path length.
+            fields: vec![(7, 4), (15 + 17, 2)],
+            sealed: 0..0,
+            strict: false,
+            reseal: Some(reseal_frames),
+            allowed: at_rest,
+            decode: decoder(|buf| Ok(replay(buf).0), debug_each),
+        },
+        Row {
+            name: "WAL segment header",
+            good: wal_seg.clone(),
+            golden: GOLDEN_WAL_SEGMENT,
+            fields: vec![(22, 4)],
+            sealed: 0..0,
+            strict: false, // the header reader never looks at the entry area
+            reseal: None,
+            allowed: at_rest,
+            decode: decoder(parse_header, |h| {
+                vec![format!("{} {} {:?} {}", h.first_seq, h.last_seq, h.bloom, h.entries_at)]
+            }),
+        },
+        Row {
+            name: "WAL segment entries",
+            good: wal_seg.clone(),
+            golden: GOLDEN_WAL_SEGMENT,
+            // bloom_len, the partition's count, entry 0's size.
+            fields: vec![(22, 4), (entries_at, 4), (entries_at + 4 + ENTRY_OVERHEAD - 8, 8)],
+            sealed: 0..0,
+            strict: true,
+            reseal: None,
+            allowed: at_rest,
+            decode: decoder(parse_entries, debug_each),
+        },
+        Row {
+            name: "bloom filter",
+            good: wal_seg[26..entries_at].to_vec(),
+            golden: GOLDEN_BLOOM,
+            // nbits sizes the bit array.
+            fields: vec![(4, 8)],
+            sealed: 0..0,
+            strict: true,
+            reseal: None,
+            allowed: at_rest,
+            decode: decoder(BloomFilter::decode, |b| vec![format!("{b:?}")]),
+        },
+        Row {
+            name: "ckpt manifest",
+            good: ckpt_manifest().encode(),
+            golden: GOLDEN_CKPT_MANIFEST,
+            fields: vec![(42, 4), (46, 2)],
+            sealed: 0..usize::MAX,
+            strict: true,
+            reseal: Some(reseal_trailing),
+            allowed: at_rest,
+            decode: decoder(Manifest::decode, |m| vec![format!("{m:?}")]),
+        },
+        Row {
+            name: "WAL manifest",
+            good: wal_manifest().encode(),
+            golden: GOLDEN_WAL_MANIFEST,
+            fields: vec![(22, 4), (26, 2)],
+            sealed: 0..usize::MAX,
+            strict: true,
+            reseal: Some(reseal_trailing),
+            allowed: at_rest,
+            decode: decoder(WalManifest::decode, |m| vec![format!("{m:?}")]),
+        },
+    ]
+}
+
+#[test]
+fn golden_bytes_are_pinned() {
+    with_rows(|rows| {
+        for row in rows {
+            assert_eq!(dump(&row.good), row.golden, "{}: encoded bytes changed", row.name);
+        }
+    });
+}
+
+/// How a mutated input may decode.
+#[derive(Clone, Copy, PartialEq)]
+enum Verdict {
+    /// The damage must be detected.
+    MustFail,
+    /// An error, or the leading items of the original decode (a torn tail).
+    ErrorOrPrefix,
+    /// An error or any decode: the mutation may spell a different valid value.
+    ErrorOrAny,
+}
+
+fn judge(row: &Row<'_>, what: &str, input: &[u8], original: &[String], verdict: Verdict) {
+    let run = catch_unwind(AssertUnwindSafe(|| (row.decode)(input)));
+    let Ok((got, peak)) = run else { panic!("{}: {what}: the decoder panicked", row.name) };
+    // No decoder needs a single block beyond a small multiple of its
+    // input (the largest legitimate ratio is a parsed row a few times the
+    // size of its encoding); a count field taken at its word asks for
+    // gigabytes.
+    let bound = 16 * input.len() + (64 << 10);
+    assert!(
+        peak <= bound,
+        "{}: {what}: allocated {peak} bytes for {} input",
+        row.name,
+        input.len()
+    );
+    match got {
+        Err(e) => assert!((row.allowed)(&e), "{}: {what}: untyped error {e:?}", row.name),
+        Ok(items) => {
+            assert!(verdict != Verdict::MustFail, "{}: {what}: decoded to {items:?}", row.name);
+            if verdict == Verdict::ErrorOrPrefix {
+                assert!(
+                    original.starts_with(&items),
+                    "{}: {what}: decoded {items:?}, not a prefix of {original:?}",
+                    row.name
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn every_decoder_survives_hostile_bytes() {
+    with_rows(|rows| {
+        for row in rows {
+            let original = (row.decode)(&row.good).0.expect("the sample decodes");
+            let strict = if row.strict { Verdict::MustFail } else { Verdict::ErrorOrPrefix };
+            for cut in 0..row.good.len() {
+                judge(row, &format!("cut to {cut}"), &row.good[..cut], &original, strict);
+            }
+            for at in 0..row.good.len() {
+                for mask in [0x01u8, 0x80] {
+                    let mut bad = row.good.clone();
+                    bad[at] ^= mask;
+                    let detected = if row.sealed.contains(&at) {
+                        Verdict::MustFail
+                    } else {
+                        Verdict::ErrorOrAny
+                    };
+                    judge(row, &format!("byte {at} ^ {mask:#04x}"), &bad, &original, detected);
+                    if let Some(reseal) = row.reseal {
+                        reseal(&mut bad);
+                        let what = format!("byte {at} ^ {mask:#04x}, resealed");
+                        judge(row, &what, &bad, &original, Verdict::ErrorOrAny);
+                    }
+                }
+            }
+            for &(at, width) in &row.fields {
+                let mut bad = row.good.clone();
+                bad[at..at + width].fill(0xFF);
+                if let Some(reseal) = row.reseal {
+                    reseal(&mut bad);
+                }
+                let what = format!("{width}-byte field at {at} set to max");
+                judge(row, &what, &bad, &original, Verdict::ErrorOrPrefix);
+            }
+        }
+    });
+}
+
+// Captured at commit 1554774 (the parent of the `framing` module).
+const GOLDEN_PARTITION: &str = "\
+    03000000742f706c61696e2e62696e 00*245 090457fa 00*6 01 00*7 01 00*7 a4810000e8030000e803 \
+    00*14 40 00*8 10 00*6 01 00*24 f15365 00*28 02 00*7 ffffffff 00*12 0c 00*7 \
+    8f7061796c6f616420080025742f6269672e62696e 00*248 1057fa 00*6 02 00*7 01 00*7 \
+    a4810000e8030000e803 00*14 2c01 00*7 10 00*6 01 00*24 f15365 00*28 02 00*7 ffffffff \
+    00*12 7c 00*7 4643484b01000904800000002c01 00*6 03 00*11 800000000b000000285e6fb50080 \
+    00*7 800000000b000000ec8c2c22000001 00*6 \
+    2c0000000b0000008db391d600bef649677f000102030405060700667f020304 \
+    050600010700667f04050600010203070012742f6d6f64656c2e663332 00*246 1057fa 00*6 03 00*7 01 \
+    00*7 a4810000e8030000e803 00*14 40 00*8 10 00*6 01 00*24 f15365 00*28 02 00*7 ffffffff \
+    00*12 6c 00*7 4643484b0101 00*6 40 00*7 02 00*11 1c0000001c0000008c711873 00*9 \
+    0a0000000a000000bb3809120120775664010002012064000000fffe000200b3 \
+    fc00f200c8f0a0cc00aa00010001010201201f0001000c";
+const GOLDEN_FCHK: &str = "\
+    4643484b01000904800000002c01 00*6 03 00*11 800000000b000000285e6fb50080 00*7 \
+    800000000b000000ec8c2c22000001 00*6 \
+    2c0000000b0000008db391d600bef649677f000102030405060700667f020304 \
+    050600010700667f04050600010203070012";
+const GOLDEN_META: &str = "\
+    0100000008006f75742f782e6835090457fa 00*6 09 00*7 01 00*7 a4810000e8030000e803 00*14 \
+    e703 00*7 10 00*6 02 00*24 f15365 00*28 02 00*7 ffffffff 00*12";
+const GOLDEN_STAT: &str = "\
+    57fa 00*6 2a 00*7 01 00*7 a4810000e8030000e803 00*18 020000000010 00*9 01 00*21 f15365 \
+    00*28 02 00*7 ffffffff 00*12";
+const GOLDEN_PUT: &str = "0900636b70742f73656730030000007061796c6f6164";
+const GOLDEN_REQUEST: &str = "\
+    040000800b00742f706c61696e2e62696e000900742f6269672e62696e0164 00*7 c8 00*7 \
+    0b00742f6d6f64656c2e66333202000900742f6d697373696e6700";
+const GOLDEN_REPLY: &str = "\
+    0004000000a3000000009bf64e78090457fa 00*6 01 00*7 01 00*7 a4810000e8030000e803 00*14 40 \
+    00*8 10 00*6 01 00*24 f15365 00*28 02 00*23 \
+    8f7061796c6f616420080025ef00000004f43e1f9a090457fa 00*6 02 00*7 01 00*7 \
+    a4810000e8030000e803 00*14 2c01 00*7 10 00*6 01 00*24 f15365 00*28 02 00*23 800000002c01 \
+    00*6 02 00*16 800000000b000000285e6fb57f00010203040506070066010000000080 00*7 \
+    800000000b000000ec8c2c227f02030405060001070066dc000000044f647c67 000057fa 00*6 03 00*7 \
+    01 00*7 a4810000e8030000e803 00*14 40 00*8 10 00*6 01 00*24 f15365 00*28 02 00*27 40 \
+    00*7 01 00*16 1c0000001c0000008c711873010002012064000000fffe000200b3fc00f200c8 \
+    f0a0cc00aa0001000100000001";
+const GOLDEN_SEGMENT: &str = "\
+    000904040000000400000011cd82ed6162636401090409000000010000008316 dc8c78";
+const GOLDEN_WAL_LOG: &str = "\
+    0000001b0000001b0000006be47b0f01 00*16 \
+    0300612f6268656c6c6f0000001600000016000000e9e28c0202 00*7 63 00*7 010300612f62";
+const GOLDEN_WAL_SEGMENT: &str = "\
+    46535753010003 00*7 05 00*7 1c0000001000000040 00*7 02 00*7 \
+    6f01a0191af0093a02000000612f64617461 00*250 090457fa 00*6 03 00*7 01 00*7 \
+    a4810000e8030000e803 00*14 48 00*8 10 00*6 01 00*55 ffffffff00000000ffffffff 00*12 21 \
+    00*7 03 00*16 cf636f6d7072657373206d65200c0029622f746f6d62 00*252 57fa 00*6 05 00*7 01 \
+    00*7 a4810000e8030000e803 00*23 10 00*62 ffffffff00000000ffffffff 00*12 11 00*7 05 00*15 \
+    01";
+const GOLDEN_BLOOM: &str = "1000000040 00*7 02 00*7 6f01a0191af0093a";
+const GOLDEN_CKPT_MANIFEST: &str = "\
+    4653434b010007 00*7 04 00*9 010040420f 00*5 40e201 00*5 \
+    020000000700736567303030301000000060ea 00*6 adde000007007365673030303103000000e0f7 00*6 \
+    efbe0000e5fd27de";
+const GOLDEN_WAL_MANIFEST: &str = "\
+    4653574c010003 00*7 29 00*7 02000000100077616c2f7365672d 30*7 322823 00*6 cefa000014 \
+    00*7 29 00*7 0c000000100077616c2f7365672d 30*7 310010 00*6 efbe000001 00*7 13 00*7 \
+    07000000336d1363";

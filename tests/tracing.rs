@@ -2,6 +2,8 @@
 //! profile of a real training run — metadata-heavy at enumeration,
 //! read-heavy in steady state.
 
+use std::sync::Arc;
+
 use fanstore_repro::store::cluster::{ClusterConfig, FanStore};
 use fanstore_repro::store::prep::{prepare, PrepConfig};
 use fanstore_repro::train::epoch::{run_epochs, EpochConfig};
@@ -90,9 +92,13 @@ fn get_many_mints_one_request_id_and_spans_join_across_ranks() {
             for r in fs.read_many(&paths) {
                 r.expect("batched read");
             }
-            (fs.state().rank, fs.trace().expect("trace ring on").spans())
+            (fs.state().rank, Arc::clone(fs.trace().expect("trace ring on")))
         },
     );
+    // Read the rings only now: `FanStore::run` has joined every daemon, so
+    // the `daemon.serve` span of a rank's last RPC is recorded. Inside the
+    // closure a peer may still be between replying and recording it.
+    let per_rank: Vec<_> = per_rank.into_iter().map(|(rank, t)| (rank, t.spans())).collect();
     let all_spans: Vec<&fanstore_repro::store::trace::SpanEvent> =
         per_rank.iter().flat_map(|(_, s)| s).collect();
     for (rank, spans) in &per_rank {
