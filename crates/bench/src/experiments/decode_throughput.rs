@@ -1,13 +1,16 @@
 //! decode_throughput: word-wide decoders vs the retained byte-wise
-//! reference, MB/s per registry codec.
+//! reference, MB/s per registry codec — and the table-sliced CRC-32 vs
+//! the byte-wise loop, since every remote byte is checksummed before it
+//! is decoded.
 //!
 //! Training I/O pays decompression on every sample read (§IV-C2), so the
 //! decode loop *is* the hot path: a 2x faster decoder halves the CPU the
 //! input pipeline steals from the trainer. This experiment pins that
 //! claim with numbers: for every codec family in the registry it decodes
 //! the same compressed corpus twice — once through the optimized decoders
-//! (8/16-byte wild copies, pattern-doubled overlaps, `fanstore_compress::copy`)
-//! and once through the byte-wise originals kept in
+//! (8/16-byte wild copies, pattern-doubled overlaps and, for LZ4, the
+//! reserve-once cursor with its shortcut sequence path, all in
+//! `fanstore_compress::copy`) and once through the byte-wise originals kept in
 //! `fanstore_compress::reference` — and reports both in MB/s of plain
 //! output, lzbench-style (best of `reps`).
 //!
@@ -114,16 +117,26 @@ pub fn measure(id: CodecId, samples: &[Vec<u8>], reps: u32) -> DecodeRow {
     DecodeRow { id, ratio: input as f64 / output.max(1) as f64, optimized_mb_s, reference_mb_s }
 }
 
-/// Measure every codec under test on a fresh corpus.
-pub fn measure_all(n_per_kind: usize, reps: u32) -> Vec<DecodeRow> {
-    let samples = corpus(n_per_kind);
-    codecs_under_test().into_iter().map(|id| measure(id, &samples, reps)).collect()
+/// Checksum throughput over the corpus: `(sliced, byte-wise)` MB/s.
+pub fn measure_crc(samples: &[Vec<u8>], reps: u32) -> (f64, f64) {
+    let bytes: usize = samples.iter().map(Vec::len).sum();
+    let over = |crc: fn(&[u8]) -> u32| {
+        rate(bytes, reps, || {
+            for s in samples {
+                std::hint::black_box(crc(std::hint::black_box(s)));
+            }
+        })
+    };
+    (over(fanstore_compress::crc32::crc32), over(reference::crc32))
 }
 
 /// Generate the decode_throughput report section.
 pub fn run(n_per_kind: usize, reps: u32) -> String {
-    let rows = measure_all(n_per_kind, reps);
-    let table: Vec<Vec<String>> = rows
+    let samples = corpus(n_per_kind);
+    let rows: Vec<DecodeRow> =
+        codecs_under_test().into_iter().map(|id| measure(id, &samples, reps)).collect();
+    let (crc_sliced, crc_bytewise) = measure_crc(&samples, reps);
+    let mut table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
             vec![
@@ -135,15 +148,25 @@ pub fn run(n_per_kind: usize, reps: u32) -> String {
             ]
         })
         .collect();
+    table.push(vec![
+        "crc32 (not a codec)".to_string(),
+        "-".to_string(),
+        fmt_f(crc_bytewise),
+        fmt_f(crc_sliced),
+        format!("{:.2}x", crc_sliced / crc_bytewise.max(f64::MIN_POSITIVE)),
+    ]);
     format!(
         "## decode_throughput — word-wide decoders vs byte-wise reference (measured)\n\n\
          Decode MB/s of plain output over a mixed datagen corpus ({n_per_kind} files\n\
          from each of the six dataset families, best of {reps} passes). `optimized`\n\
          is the shipping hot path (8/16-byte wild copies + pattern-doubled overlap\n\
-         copies in `fanstore_compress::copy`); `reference` is the retained byte-wise\n\
-         decoder the differential proptests pin it against. Families outside the\n\
-         LZ rewrite dispatch identically on both sides (speedup ~1.0x, the control\n\
-         group).\n\n{}",
+         copies in `fanstore_compress::copy`; the two LZ4 codecs decode through its\n\
+         reserve-once cursor and shortcut sequence path); `reference` is the retained\n\
+         byte-wise decoder the differential proptests pin it against. Families\n\
+         outside the LZ rewrite dispatch identically on both sides (speedup ~1.0x,\n\
+         the control group). The last row is the checksum every remote byte passes\n\
+         before decode: slicing-by-16 `crc32` against the byte-wise\n\
+         `reference::crc32`, MB/s of input over the same corpus.\n\n{}",
         md_table(&["codec", "ratio", "reference MB/s", "optimized MB/s", "speedup"], &table),
     )
 }
@@ -158,6 +181,29 @@ mod tests {
         assert!(r.contains("decode_throughput"));
         assert!(r.contains("lz4fast"));
         assert!(r.contains("speedup"));
+    }
+
+    /// The read path's two per-byte costs, as ratios against the byte-wise
+    /// originals on this machine: the cold read pays one CRC pass and one
+    /// decode, and neither may fall back towards the loops they replaced.
+    #[test]
+    fn lz4hc_at_least_2x_and_crc32_at_least_3x_reference() {
+        if cfg!(debug_assertions) {
+            return; // as below: machine-code quality, release builds only
+        }
+        let samples = corpus(2);
+        let row = measure(CodecId::new(CodecFamily::Lz4Hc, 9), &samples, 3);
+        assert!(
+            row.speedup() >= 2.0,
+            "lz4hc must decode >= 2x reference::lz4_block: {:.0} vs {:.0} MB/s",
+            row.optimized_mb_s,
+            row.reference_mb_s,
+        );
+        let (sliced, bytewise) = measure_crc(&samples, 3);
+        assert!(
+            sliced >= 3.0 * bytewise,
+            "crc32 must run >= 3x reference::crc32: {sliced:.0} vs {bytewise:.0} MB/s"
+        );
     }
 
     #[test]

@@ -3,25 +3,61 @@
 //! checkpoint/WAL record frames, both publish manifests — and the `xz`
 //! container's payload check. `fanstore::framing` decides where a CRC
 //! field sits; this module only computes it.
+//!
+//! Two things keep the checksum below decode in the read path's CPU
+//! budget:
+//!
+//! * **Slicing-by-16.** [`Crc32::update`] folds sixteen input bytes per
+//!   step through sixteen 256-entry tables built at compile time, in safe
+//!   code (`chunks_exact(16)`; a `u8`-indexed `[u32; 256]` needs no bounds
+//!   check). Only the tail shorter than sixteen bytes goes one byte at a
+//!   time. The plain byte-at-a-time loop is [`crate::reference::crc32`],
+//!   which `tests/prop_crc.rs` pins this module against.
+//! * **Hash once.** [`combine`] derives the CRC of a concatenation from
+//!   the CRCs of its parts, so a sender that already knows an immutable
+//!   payload's CRC checksums only the few header bytes it puts in front.
 
-/// Byte-at-a-time lookup table for the reflected polynomial 0xEDB88320.
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const POLY: u32 = 0xEDB8_8320;
+
+/// `TABLES[0]` is the byte-at-a-time table for the reflected polynomial;
+/// `TABLES[k][b]` is the CRC state after byte `b` and `k` zero bytes.
+const fn build_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
         let mut bit = 0;
         while bit < 8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+            crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static TABLE: [u32; 256] = build_table();
+static TABLES: [[u32; 256]; 16] = build_tables();
+
+/// Fold one little-endian word whose first byte is `first` bytes away from
+/// the end of a 16-byte block.
+#[inline(always)]
+fn fold(word: u32, first: usize) -> u32 {
+    TABLES[first][(word & 0xff) as usize]
+        ^ TABLES[first - 1][((word >> 8) & 0xff) as usize]
+        ^ TABLES[first - 2][((word >> 16) & 0xff) as usize]
+        ^ TABLES[first - 3][(word >> 24) as usize]
+}
 
 /// Streaming CRC-32 state.
 #[derive(Debug, Clone, Copy)]
@@ -38,8 +74,16 @@ impl Crc32 {
     /// Fold `data` into the running checksum.
     pub fn update(&mut self, data: &[u8]) {
         let mut crc = self.state;
-        for &b in data {
-            crc = TABLE[((crc ^ u32::from(b)) & 0xff) as usize] ^ (crc >> 8);
+        let mut blocks = data.chunks_exact(16);
+        for block in &mut blocks {
+            let word = |at: usize| {
+                u32::from_le_bytes([block[at], block[at + 1], block[at + 2], block[at + 3]])
+            };
+            crc =
+                fold(word(0) ^ crc, 15) ^ fold(word(4), 11) ^ fold(word(8), 7) ^ fold(word(12), 3);
+        }
+        for &b in blocks.remainder() {
+            crc = TABLES[0][((crc ^ u32::from(b)) & 0xff) as usize] ^ (crc >> 8);
         }
         self.state = crc;
     }
@@ -63,6 +107,59 @@ pub fn crc32(data: &[u8]) -> u32 {
     c.finish()
 }
 
+/// `a · b mod P` over GF(2), in the CRC's reflected bit order (bit 31 is
+/// `x^0`).
+const fn mul_mod_p(a: u32, mut b: u32) -> u32 {
+    let mut product = 0u32;
+    let mut bit = 1u32 << 31;
+    while bit != 0 {
+        if a & bit != 0 {
+            product ^= b;
+        }
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+        bit >>= 1;
+    }
+    product
+}
+
+/// `X2N[k]` is `x^(2^k) mod P`. `P` is primitive, so `x^(2^32) = x` and
+/// the table wraps after 32 entries.
+const fn build_x2n() -> [u32; 32] {
+    let mut table = [0u32; 32];
+    table[0] = 1 << 30; // x^1
+    let mut k = 1;
+    while k < 32 {
+        table[k] = mul_mod_p(table[k - 1], table[k - 1]);
+        k += 1;
+    }
+    table
+}
+
+static X2N: [u32; 32] = build_x2n();
+
+/// CRC-32 of `a ‖ b` from `crc32(a)`, `crc32(b)` and `b.len()`, without
+/// touching either input.
+///
+/// Appending `n` zero bytes to a message is a linear map on the CRC
+/// register over GF(2) — the matrix zlib's original `crc32_combine`
+/// squares its way to. That matrix is multiplication by `x^(8n) mod P`,
+/// so this computes the one polynomial by square-and-multiply instead
+/// (zlib's current form): at most 64 [`mul_mod_p`] calls, independent of
+/// the payload size.
+pub fn combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    let mut shift = 1u32 << 31; // x^0
+    let mut bits = len_b;
+    let mut k = 3; // len_b counts bytes: start at x^(2^3)
+    while bits != 0 {
+        if bits & 1 != 0 {
+            shift = mul_mod_p(X2N[k & 31], shift);
+        }
+        bits >>= 1;
+        k += 1;
+    }
+    mul_mod_p(shift, crc_a) ^ crc_b
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,6 +170,8 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+        // Longer than one 16-byte block (zlib's value).
+        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
     }
 
     #[test]
@@ -91,5 +190,14 @@ mod tests {
         let base = crc32(&data);
         data[64] ^= 0x10;
         assert_ne!(crc32(&data), base);
+    }
+
+    #[test]
+    fn combine_joins_two_checksums() {
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 7 + 3) as u8).collect();
+        for cut in [0, 1, 15, 16, 17, 100, 199, 200] {
+            let (a, b) = data.split_at(cut);
+            assert_eq!(combine(crc32(a), crc32(b), b.len() as u64), crc32(&data), "cut {cut}");
+        }
     }
 }

@@ -137,8 +137,9 @@ pub fn evaluate_config(id: CodecId, samples: &[Vec<u8>], reps: u32) -> EvalRecor
     }
 }
 
-/// Run the full sweep over `samples` in parallel. Returns records in sweep
-/// order.
+/// Run the full sweep over `samples` in parallel — one configuration per
+/// available CPU at a time, so each timing loop has a core to itself.
+/// Returns records in sweep order.
 pub fn sweep(samples: &[Vec<u8>], reps: u32) -> Vec<EvalRecord> {
     full_sweep().into_par_iter().map(|id| evaluate_config(id, samples, reps)).collect()
 }

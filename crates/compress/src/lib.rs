@@ -263,13 +263,15 @@ pub fn compress_to_vec(codec: &dyn Codec, input: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Convenience: decompress into a fresh buffer.
+/// Convenience: decompress into a fresh buffer, allocated once: the
+/// word-wide decoders reserve [`copy::WILD_SLACK`] bytes behind the output,
+/// and a buffer of exactly `expected_len` would be regrown for them.
 pub fn decompress_to_vec(
     codec: &dyn Codec,
     input: &[u8],
     expected_len: usize,
 ) -> Result<Vec<u8>, CodecError> {
-    let mut out = Vec::with_capacity(expected_len);
+    let mut out = Vec::with_capacity(expected_len.saturating_add(copy::WILD_SLACK));
     codec.decompress(input, expected_len, &mut out)?;
     if out.len() != expected_len {
         return Err(CodecError::LengthMismatch { expected: expected_len, actual: out.len() });
@@ -290,7 +292,7 @@ pub fn decompress_into(
     out: &mut Vec<u8>,
 ) -> Result<(), CodecError> {
     out.clear();
-    out.reserve(expected_len);
+    out.reserve(expected_len.saturating_add(copy::WILD_SLACK));
     codec.decompress(input, expected_len, out)?;
     if out.len() != expected_len {
         let actual = out.len();

@@ -51,18 +51,32 @@ fn emit_block(input: &[u8], seqs: &[Seq], out: &mut Vec<u8>) {
     }
 }
 
+/// Output the shortcut needs ahead of it: 16 stored literal bytes plus 18
+/// stored match bytes, so neither store can cross `expected_len`.
+const SHORTCUT_OUTPUT: usize = 16 + 18;
+/// Input the shortcut needs after the token: the 16 literal bytes it
+/// loads, and the offset behind at most 14 real literals.
+const SHORTCUT_INPUT: usize = 16 + 2;
+/// Longest match the token nibble encodes without extension bytes.
+const SHORT_MATCH: usize = 14 + MIN_MATCH;
+
 /// Decode an LZ4 block, appending to `out` until `expected_len` bytes have
 /// been produced.
 ///
-/// Hot loop: literals and matches both go through the word-wide primitives
-/// in [`crate::copy`]. The byte-wise original is retained as
-/// [`crate::reference::lz4_block`] and the differential suite pins the two
-/// byte-for-byte.
+/// Hot loop: the output is a [`copy::Cursor`] over capacity reserved once.
+/// A sequence whose literal length fits the token nibble, with
+/// [`SHORTCUT_OUTPUT`] output and [`SHORTCUT_INPUT`] input bytes still
+/// ahead, copies its literals as one 16-byte store and skips every
+/// per-run check (none can fail: the run is shorter than what remains on
+/// both sides). A match whose length fits the nibble, at distance >= 8, is
+/// three fixed stores. Everything else — long runs, near offsets, the last
+/// few sequences of the block — takes the exactly-bounded path, which
+/// makes the checks of the byte-wise original,
+/// [`crate::reference::lz4_block`], in the same order; the differential
+/// suite pins the two byte-for-byte and error-for-error.
 fn decode_block(input: &[u8], expected_len: usize, out: &mut Vec<u8>) -> Result<(), CodecError> {
-    let base = out.len();
-    let target = base + expected_len;
+    let mut cur = copy::Cursor::new(out, expected_len);
     let mut i = 0usize;
-    out.reserve(expected_len + 8);
 
     let read_len_ext = |input: &[u8], i: &mut usize| -> Result<usize, CodecError> {
         let mut total = 0usize;
@@ -80,44 +94,57 @@ fn decode_block(input: &[u8], expected_len: usize, out: &mut Vec<u8>) -> Result<
         let token = input[i];
         i += 1;
         let mut lit_len = (token >> 4) as usize;
-        if lit_len == 15 {
-            lit_len += read_len_ext(input, &mut i)?;
-        }
-        if i + lit_len > input.len() {
-            return Err(CodecError::Truncated);
-        }
-        copy::append_slice(out, &input[i..i + lit_len]);
-        i += lit_len;
-        if out.len() > target {
-            return Err(CodecError::Corrupt("lz4 literals exceed expected length"));
-        }
-        if out.len() == target && i == input.len() {
-            return Ok(()); // final literals-only sequence
-        }
-        // Match part.
-        if i + 2 > input.len() {
-            return Err(CodecError::Truncated);
-        }
-        let dist = u16::from_le_bytes([input[i], input[i + 1]]) as usize;
-        i += 2;
-        if dist == 0 || dist > out.len() - base {
+        let shortcut = if lit_len < 15 && cur.remaining() >= SHORTCUT_OUTPUT {
+            input[i..].first_chunk::<SHORTCUT_INPUT>()
+        } else {
+            None
+        };
+        let dist = if let Some(window) = shortcut {
+            cur.wild_literals(window.first_chunk().expect("16 of 18 bytes"), lit_len);
+            i += lit_len + 2;
+            u16::from_le_bytes([window[lit_len], window[lit_len + 1]]) as usize
+        } else {
+            if lit_len == 15 {
+                lit_len += read_len_ext(input, &mut i)?;
+            }
+            if i + lit_len > input.len() {
+                return Err(CodecError::Truncated);
+            }
+            if lit_len > cur.remaining() {
+                return Err(CodecError::Corrupt("lz4 literals exceed expected length"));
+            }
+            cur.literals(&input[i..i + lit_len]);
+            i += lit_len;
+            if cur.remaining() == 0 && i == input.len() {
+                return Ok(()); // final literals-only sequence
+            }
+            // Match part.
+            if i + 2 > input.len() {
+                return Err(CodecError::Truncated);
+            }
+            let offset = u16::from_le_bytes([input[i], input[i + 1]]);
+            i += 2;
+            offset as usize
+        };
+        if dist == 0 || dist > cur.produced() {
             return Err(CodecError::Corrupt("lz4 offset out of range"));
         }
         let mut match_len = (token & 0x0f) as usize;
+        if match_len < 15 && dist >= 8 && cur.remaining() >= SHORT_MATCH {
+            cur.wild_match(dist, match_len + MIN_MATCH);
+            continue;
+        }
         if match_len == 15 {
             match_len += read_len_ext(input, &mut i)?;
         }
         match_len += MIN_MATCH;
-        if out.len() + match_len > target {
+        if match_len > cur.remaining() {
             return Err(CodecError::Corrupt("lz4 match exceeds expected length"));
         }
-        copy::overlap_copy(out, dist, match_len);
+        cur.copy_match(dist, match_len);
     }
-    if out.len() != target {
-        return Err(CodecError::LengthMismatch {
-            expected: expected_len,
-            actual: out.len() - base,
-        });
+    if cur.remaining() != 0 {
+        return Err(CodecError::LengthMismatch { expected: expected_len, actual: cur.produced() });
     }
     Ok(())
 }

@@ -1,4 +1,4 @@
-//! Retained byte-wise reference decoders.
+//! Retained byte-wise reference decoders, and the byte-wise CRC-32.
 //!
 //! When the LZ-family decode loops were rewritten around the word-wide
 //! primitives in [`crate::copy`], the decoders here became the semantic
@@ -7,7 +7,9 @@
 //! wild copies, pattern doubling and slice tricks. The differential
 //! proptest suite (`tests/prop_decode.rs`) pins the optimized decoders
 //! against these byte for byte on random and adversarial streams, and the
-//! `decode_throughput` bench reports both sides' MB/s.
+//! `decode_throughput` bench reports both sides' MB/s. [`crc32`] plays
+//! the same part for the table-sliced [`crate::crc32`]
+//! (`tests/prop_crc.rs`).
 //!
 //! Families with no word-wide rewrite of their own (rle, huffman, zling,
 //! brotli, lzma, xz, bzip, store) decode through the registry codec in
@@ -19,6 +21,36 @@ use crate::filters::Filter;
 use crate::varint::read_uvarint;
 use crate::zstd_lite::{read_block, read_field};
 use crate::{bitio::BitReader, CodecError, CodecFamily, CodecId};
+
+/// Byte-at-a-time lookup table for the reflected polynomial 0xEDB88320.
+const fn crc_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+}
+
+static CRC_TABLE: [u32; 256] = crc_table();
+
+/// Byte-wise CRC-32: one table lookup per input byte, the loop
+/// [`crate::crc32`] ran before it was sliced. It keeps its own table, so
+/// the two share nothing but the polynomial.
+pub fn crc32(data: &[u8]) -> u32 {
+    let mut crc = 0xffff_ffffu32;
+    for &b in data {
+        crc = CRC_TABLE[((crc ^ u32::from(b)) & 0xff) as usize] ^ (crc >> 8);
+    }
+    crc ^ 0xffff_ffff
+}
 
 /// Per-byte overlap copy (`out.push` in a loop): the model the optimized
 /// [`crate::copy::overlap_copy`] must reproduce for every `(dist, len)`.

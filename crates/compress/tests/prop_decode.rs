@@ -4,10 +4,20 @@
 //! configuration, on random and adversarial streams — and corrupt streams
 //! (truncated or bit-flipped) must error identically-or-gracefully on
 //! both, never panic or read out of bounds.
+//!
+//! The LZ4 block decoder additionally has a shortcut path that no
+//! compressor output is guaranteed to steer through every edge of, so the
+//! second half of this file builds blocks by hand: every combination of
+//! literal/match nibble, match distance and distance from the end of the
+//! block that decides between the shortcut and the bounded path, plus
+//! every truncation and bit flip of a thinner set of them.
 
+use fanstore_compress::copy::WILD_SLACK;
+use fanstore_compress::lz4::Lz4Fast;
 use fanstore_compress::registry::create;
 use fanstore_compress::{
-    compress_to_vec, decompress_into, decompress_to_vec, reference, CodecFamily, CodecId,
+    compress_to_vec, decompress_into, decompress_to_vec, reference, Codec, CodecError, CodecFamily,
+    CodecId,
 };
 use proptest::prelude::*;
 
@@ -163,6 +173,140 @@ proptest! {
             let codec = create(id).unwrap();
             let _ = decompress_to_vec(codec.as_ref(), &garbage, expected_len);
             let _ = reference::decompress(id, &garbage, expected_len);
+        }
+    }
+}
+
+/// One LZ4 sequence: literals, then `match_len >= 4` bytes from `dist` back.
+struct Seq {
+    lits: usize,
+    dist: usize,
+    match_len: usize,
+}
+
+/// Encode `seqs` and a final literals-only sequence of `final_lits` bytes
+/// as an LZ4 block; returns the block and what it decodes to.
+fn lz4_block(seqs: &[Seq], final_lits: usize) -> (Vec<u8>, Vec<u8>) {
+    fn ext(block: &mut Vec<u8>, mut v: usize) {
+        while v >= 255 {
+            block.push(255);
+            v -= 255;
+        }
+        block.push(v as u8);
+    }
+    let (mut block, mut plain) = (Vec::new(), Vec::<u8>::new());
+    let mut next = 0u8;
+    let tail = Seq { lits: final_lits, dist: 0, match_len: 0 };
+    for (i, seq) in seqs.iter().chain([&tail]).enumerate() {
+        let last = i == seqs.len();
+        let code = if last { 0 } else { seq.match_len - 4 };
+        block.push((seq.lits.min(15) as u8) << 4 | code.min(15) as u8);
+        if seq.lits >= 15 {
+            ext(&mut block, seq.lits - 15);
+        }
+        for _ in 0..seq.lits {
+            next = next.wrapping_mul(73).wrapping_add(41);
+            block.push(next);
+            plain.push(next);
+        }
+        if last {
+            break;
+        }
+        block.extend_from_slice(&(seq.dist as u16).to_le_bytes());
+        if code >= 15 {
+            ext(&mut block, code - 15);
+        }
+        for _ in 0..seq.match_len {
+            plain.push(plain[plain.len() - seq.dist]);
+        }
+    }
+    (block, plain)
+}
+
+type Outcome = Result<Vec<u8>, CodecError>;
+
+/// Decode with the shipping decoder into a buffer of exactly the capacity
+/// it is entitled to, and with the byte-wise reference; both outcomes.
+fn decode_both(block: &[u8], expected_len: usize) -> (Outcome, Outcome) {
+    let mut out = Vec::with_capacity(expected_len + WILD_SLACK);
+    let buffer = out.as_ptr();
+    let fast = Lz4Fast::new(1).decompress(block, expected_len, &mut out);
+    assert_eq!(out.as_ptr(), buffer, "the decoder outgrew expected_len + WILD_SLACK");
+    assert!(out.len() <= expected_len, "the decoder published more than expected_len");
+    let mut model = Vec::new();
+    let slow = reference::lz4_block(block, expected_len, &mut model);
+    (fast.map(|()| out), slow.map(|()| model))
+}
+
+/// A 20-byte literal prelude with a first match (so every distance up to
+/// 17 has history), the sequence under test, and the final literals.
+fn edge_block(lits: usize, dist: usize, match_len: usize, final_lits: usize) -> (Vec<u8>, Vec<u8>) {
+    let prelude = Seq { lits: 20, dist: 3, match_len: 5 };
+    lz4_block(&[prelude, Seq { lits, dist, match_len }], final_lits)
+}
+
+/// Final-literal counts for a sequence producing `seq_out` bytes: 0..=20,
+/// and the counts that leave 33, 34 and 35 bytes of output from the start
+/// of the sequence to the end of the block (the shortcut needs 34).
+fn tails(seq_out: usize) -> impl Iterator<Item = usize> {
+    (0..=20).chain([33usize, 34, 35].into_iter().filter_map(move |r| r.checked_sub(seq_out)))
+}
+
+#[test]
+fn lz4_shortcut_edges_decode_like_the_reference() {
+    // Literal nibble 13/14 (shortcut) and 15 (extended: bounded path);
+    // match nibble 14 (18 bytes, shortcut) and 15 (extended); distances on
+    // both sides of 8 and 16.
+    let mut blocks = 0;
+    for lits in [0usize, 1, 13, 14, 15, 16, 30] {
+        for match_len in [4usize, 17, 18, 19, 20, 40] {
+            for dist in 1..=17usize {
+                for final_lits in tails(lits + match_len) {
+                    let (block, plain) = edge_block(lits, dist, match_len, final_lits);
+                    let (fast, slow) = decode_both(&block, plain.len());
+                    let what = format!("lits {lits} match {match_len} dist {dist} + {final_lits}");
+                    assert_eq!(fast.as_ref(), Ok(&plain), "{what}");
+                    assert_eq!(slow.as_ref(), Ok(&plain), "{what}: reference");
+                    // The right bytes under the wrong length are an error,
+                    // and the same one.
+                    for wrong in [plain.len() - 1, plain.len() + 1] {
+                        let (fast, slow) = decode_both(&block, wrong);
+                        assert!(fast.is_err(), "{what}: expected_len {wrong}");
+                        assert_eq!(fast, slow, "{what}: expected_len {wrong}");
+                    }
+                    blocks += 1;
+                }
+            }
+        }
+    }
+    assert!(blocks > 15_000, "{blocks} blocks");
+}
+
+#[test]
+fn lz4_shortcut_edges_truncated_or_flipped_agree_with_the_reference() {
+    for lits in [0usize, 14, 15] {
+        for match_len in [18usize, 19] {
+            for dist in [1usize, 7, 8, 16, 17] {
+                for final_lits in [0, 20].into_iter().chain(tails(lits + match_len).skip(21)) {
+                    let (block, plain) = edge_block(lits, dist, match_len, final_lits);
+                    for cut in 0..block.len() {
+                        // (Cutting only an empty final sequence's token
+                        // off still decodes, to the same bytes.)
+                        let (fast, slow) = decode_both(&block[..cut], plain.len());
+                        assert!(fast.as_ref().map_or(true, |out| *out == plain), "cut to {cut}");
+                        assert_eq!(fast, slow, "cut to {cut}");
+                    }
+                    for bit in 0..block.len() * 8 {
+                        let mut bad = block.clone();
+                        bad[bit / 8] ^= 1 << (bit % 8);
+                        // Same bytes or the same typed error: a flipped
+                        // literal decodes on both sides, a flipped length
+                        // or offset fails on both, for the same reason.
+                        let (fast, slow) = decode_both(&bad, plain.len());
+                        assert_eq!(fast, slow, "bit {bit} flipped");
+                    }
+                }
+            }
         }
     }
 }

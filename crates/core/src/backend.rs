@@ -86,7 +86,9 @@ impl Backend for RamBackend {
 /// (the burst-buffer SSD); metadata stays in RAM.
 pub struct DiskBackend {
     dir: PathBuf,
-    index: RwLock<HashMap<String, (CodecId, FileStat, u64)>>,
+    /// Per path: codec, stat, object-file id and the payload CRC taken at
+    /// `put`.
+    index: RwLock<HashMap<String, (CodecId, FileStat, u64, u32)>>,
     bytes: AtomicU64,
     seq: AtomicU64,
 }
@@ -130,7 +132,8 @@ impl Backend for DiskBackend {
             .map_err(|e| FsError::Comm(format!("backend write {}: {e}", file.display())))?;
         let size = obj.data.len() as u64;
         let mut index = self.index.write();
-        if let Some((_, _, old_id)) = index.insert(path.to_string(), (obj.codec, obj.stat, id)) {
+        let row = (obj.codec, obj.stat, id, obj.data_crc());
+        if let Some((_, _, old_id, _)) = index.insert(path.to_string(), row) {
             let _ = std::fs::remove_file(self.object_file(old_id));
         }
         drop(index);
@@ -139,9 +142,9 @@ impl Backend for DiskBackend {
     }
 
     fn get(&self, path: &str) -> Option<LocalObject> {
-        let (codec, stat, id) = *self.index.read().get(path)?;
+        let (codec, stat, id, crc) = *self.index.read().get(path)?;
         let data = std::fs::read(self.object_file(id)).ok()?;
-        Some(LocalObject { codec, stat, data: Arc::new(data) })
+        Some(LocalObject::reread(codec, stat, Arc::new(data), crc))
     }
 
     fn contains(&self, path: &str) -> bool {
@@ -193,11 +196,11 @@ mod tests {
     use fanstore_compress::CodecFamily;
 
     fn obj(data: &[u8]) -> LocalObject {
-        LocalObject {
-            codec: CodecId::new(CodecFamily::Store, 0),
-            stat: FileStat::regular(1, data.len() as u64),
-            data: Arc::new(data.to_vec()),
-        }
+        LocalObject::new(
+            CodecId::new(CodecFamily::Store, 0),
+            FileStat::regular(1, data.len() as u64),
+            Arc::new(data.to_vec()),
+        )
     }
 
     fn exercise(backend: &dyn Backend) {

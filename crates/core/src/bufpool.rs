@@ -12,9 +12,9 @@
 //!
 //! * **Size-class shelves.** Buffers are binned by power-of-two capacity
 //!   between [`MIN_CLASS_LOG`] and [`MAX_CLASS_LOG`]. `take(len)` pops from
-//!   the smallest class that fits `len` (plus [`PAD`] slack for the
-//!   word-wide decoders' wild copies, so `reserve(expected_len + 8)` inside
-//!   a decoder never reallocates a pooled buffer).
+//!   the smallest class that fits `len` plus [`WILD_SLACK`], the spare
+//!   capacity the word-wide decoders reserve behind their output for wild
+//!   copies, so decoding never reallocates a pooled buffer.
 //! * **Bounded retention.** Each shelf keeps at most `max_per_class`
 //!   buffers; overflow and out-of-range buffers are dropped (counted as
 //!   `discards`), so the pool cannot hoard unbounded memory after a burst.
@@ -30,16 +30,14 @@ use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use fanstore_compress::copy::WILD_SLACK;
+
 /// Smallest pooled capacity: `2^10` = 1 KiB. Anything smaller is cheaper
 /// to allocate than to shepherd through a shelf.
 pub const MIN_CLASS_LOG: u32 = 10;
 /// Largest pooled capacity: `2^24` = 16 MiB. Larger buffers are returned
 /// to the allocator — they are rare and would pin too much memory idle.
 pub const MAX_CLASS_LOG: u32 = 24;
-/// Slack added on `take` so decoders that `reserve(expected_len + 8)` for
-/// word-wide tail copies never grow a pooled buffer.
-const PAD: usize = 16;
-
 const CLASS_COUNT: usize = (MAX_CLASS_LOG - MIN_CLASS_LOG + 1) as usize;
 
 /// Default retention per size class.
@@ -113,7 +111,7 @@ impl BufPool {
     /// decoder slack). A shelf hit recycles; a miss allocates at the full
     /// class size so the buffer is maximally reusable when it comes back.
     pub fn take(&self, len: usize) -> Vec<u8> {
-        let want = len + PAD;
+        let want = len + WILD_SLACK;
         match class_for(want) {
             Some(idx) => {
                 if let Some(mut buf) = self.shelves[idx].lock().expect("bufpool shelf").pop() {
@@ -249,7 +247,7 @@ mod tests {
     fn take_put_take_recycles() {
         let pool = BufPool::default();
         let buf = pool.take(4000);
-        assert!(buf.capacity() >= 4000 + PAD);
+        assert!(buf.capacity() >= 4000 + WILD_SLACK);
         let ptr = buf.as_ptr();
         pool.put(buf);
         let again = pool.take(4000);

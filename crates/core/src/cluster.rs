@@ -163,11 +163,8 @@ impl FanStore {
             let ram = RamBackend::new();
             for p in partitions.iter().chain(cfg.broadcast.as_ref()) {
                 for e in crate::pack::parse_partition(p).expect("read-through partition parses") {
-                    ram.put(
-                        &e.path,
-                        LocalObject { codec: e.codec, stat: e.stat, data: Arc::new(e.data) },
-                    )
-                    .expect("read-through insert");
+                    ram.put(&e.path, LocalObject::new(e.codec, e.stat, Arc::new(e.data)))
+                        .expect("read-through insert");
                 }
             }
             Some(Arc::new(ram))

@@ -26,7 +26,9 @@ use fanstore_compress::crc32::crc32;
 use fanstore_compress::CodecId;
 use mpi_sim::{Channel, Message};
 
-use crate::framing::{put_str16, reserve_crc, seal_leading, Malformed, Reader};
+use crate::framing::{
+    put_str16, reserve_crc, seal_leading, seal_leading_with_tail, Malformed, Reader,
+};
 use crate::meta::encode_single;
 use crate::metrics::now_us;
 use crate::node::{LocalObject, NodeState};
@@ -106,17 +108,26 @@ fn decode_put(buf: &[u8]) -> Option<(&str, u32, &[u8])> {
     Some((r.str16().ok()?, r.u32().ok()?, r.rest()))
 }
 
+/// Fixed bytes of a whole or PARTIAL entry frame before anything
+/// variable: status, CRC, codec, stat.
+const ENTRY_HEADER: usize = GET_BODY + 2 + STAT_SIZE;
+
 /// Append a whole-file entry frame (DESIGN.md §13, row 9), assembled
 /// straight into the outgoing reply buffer instead of through a per-entry
 /// `Vec`. The CRC covers everything after the CRC field, so a requester
-/// can reject in-flight corruption before decompressing.
+/// can reject in-flight corruption before decompressing — and it is
+/// derived, not recomputed: the header's CRC combined with the payload
+/// CRC the object has carried since it was loaded. The daemon copies the
+/// payload and never walks it; a byte that changed in memory since the
+/// load therefore fails the requester's check instead of being hashed
+/// into a valid frame.
 fn encode_whole_entry(out: &mut Vec<u8>, obj: &LocalObject) {
     out.push(status::OK);
     let crc_at = reserve_crc(out);
     out.extend_from_slice(&obj.codec.0.to_le_bytes());
     obj.stat.encode(out);
+    seal_leading_with_tail(out, crc_at, obj.data_crc(), obj.data.len());
     out.extend_from_slice(&obj.data);
-    seal_leading(out, crc_at);
 }
 
 /// A cursor over the CRC-verified body (everything after the CRC field)
@@ -292,35 +303,53 @@ pub enum GetManyItem {
     Partial(PartialReply),
 }
 
+/// The chunks of a chunked object that answer one request entry.
+struct PartialPlan {
+    table: crate::pack::ChunkTable,
+    idxs: Vec<usize>,
+}
+
+impl PartialPlan {
+    /// `Ok(None)` when the container has no partial form for this request
+    /// — a byte range of a progressive container, or a fidelity bound on
+    /// a range container: chunks of the other kind would not answer it,
+    /// so the caller ships the whole object instead.
+    fn new(obj: &LocalObject, spec: &GetManySpec<'_>) -> Result<Option<Self>, FsError> {
+        use crate::pack::ChunkKind;
+        let table = crate::pack::parse_chunk_table(&obj.data)?;
+        let idxs = match (table.kind, spec.range) {
+            (ChunkKind::Progressive, None) => table.tiers_up_to(spec.min_tier),
+            (ChunkKind::Range, Some((start, end))) if start < end && end <= table.raw_len => {
+                table.covering(start, end)?
+            }
+            (ChunkKind::Range, Some((start, end))) => {
+                return Err(FsError::BadRange(format!("[{start}, {end}) of {}", table.raw_len)))
+            }
+            _ => return Ok(None),
+        };
+        Ok(Some(PartialPlan { table, idxs }))
+    }
+
+    /// Stored bytes of the planned chunks.
+    fn stored_bytes(&self) -> usize {
+        self.idxs.iter().map(|&i| self.table.chunks[i].stored_len as usize).sum()
+    }
+
+    /// Exact length of the frame [`encode_partial_entry`] appends.
+    fn frame_len(&self) -> usize {
+        ENTRY_HEADER + 4 + 8 + 4 + self.idxs.len() * PARTIAL_CHUNK_HEADER + self.stored_bytes()
+    }
+}
+
 /// Append a PARTIAL entry frame for a chunked object (DESIGN.md §13, row
 /// 10). The outer CRC covers everything after the CRC field (in-flight
-/// damage fails the entry); each chunk additionally carries its at-rest
-/// CRC from the chunk table, which the daemon does *not* verify — a
-/// client detecting an at-rest mismatch fails over to a replica whose
-/// copy may be intact.
-///
-/// `Ok(false)` (nothing appended) when the container has no partial form
-/// for this request — a byte range of a progressive container, or a
-/// fidelity bound on a range container: chunks of the other kind would
-/// not answer it, so the caller ships the whole object instead.
-fn encode_partial_entry(
-    out: &mut Vec<u8>,
-    obj: &LocalObject,
-    spec: &GetManySpec<'_>,
-    get_bytes: &crate::metrics::Counter,
-) -> Result<bool, FsError> {
-    use crate::pack::ChunkKind;
-    let table = crate::pack::parse_chunk_table(&obj.data)?;
-    let idxs = match (table.kind, spec.range) {
-        (ChunkKind::Progressive, None) => table.tiers_up_to(spec.min_tier),
-        (ChunkKind::Range, Some((start, end))) if start < end && end <= table.raw_len => {
-            table.covering(start, end)?
-        }
-        (ChunkKind::Range, Some((start, end))) => {
-            return Err(FsError::BadRange(format!("[{start}, {end}) of {}", table.raw_len)))
-        }
-        _ => return Ok(false),
-    };
+/// damage fails the entry) and is computed per request, over the frame as
+/// sent: the chunks differ from request to request. Each chunk
+/// additionally carries its at-rest CRC from the chunk table, which the
+/// daemon does *not* verify — a client detecting an at-rest mismatch
+/// fails over to a replica whose copy may be intact.
+fn encode_partial_entry(out: &mut Vec<u8>, obj: &LocalObject, plan: &PartialPlan) {
+    let PartialPlan { table, idxs } = plan;
     out.push(status::PARTIAL);
     let crc_at = reserve_crc(out);
     out.extend_from_slice(&table.inner_codec.0.to_le_bytes());
@@ -328,10 +357,10 @@ fn encode_partial_entry(
     out.extend_from_slice(&table.chunk_size.to_le_bytes());
     out.extend_from_slice(&table.raw_len.to_le_bytes());
     out.extend_from_slice(&u32::try_from(idxs.len()).expect("chunk count fits u32").to_le_bytes());
-    let mut sent = 0u64;
-    for idx in idxs {
+    for &idx in idxs {
         let c = table.chunks[idx];
-        let stored = crate::pack::chunk_stored(&obj.data, &table, idx)?;
+        let stored = crate::pack::chunk_stored(&obj.data, table, idx)
+            .expect("parse_chunk_table checked every payload extent");
         out.extend_from_slice(&(idx as u32).to_le_bytes());
         out.push(c.tier);
         out.extend_from_slice(&c.offset.to_le_bytes());
@@ -339,11 +368,8 @@ fn encode_partial_entry(
         out.extend_from_slice(&c.stored_len.to_le_bytes());
         out.extend_from_slice(&c.crc32.to_le_bytes());
         out.extend_from_slice(stored);
-        sent += u64::from(c.stored_len);
     }
-    get_bytes.add(sent);
     seal_leading(out, crc_at);
-    Ok(true)
 }
 
 /// Fixed bytes of one chunk in a PARTIAL entry, before its stored bytes.
@@ -418,66 +444,76 @@ pub fn decode_get_many_reply(
     Ok(out)
 }
 
+/// How one entry of a batch will be answered, decided before the reply
+/// buffer exists so that the buffer is allocated once, at its final size.
+enum Planned {
+    Whole(LocalObject),
+    Partial(LocalObject, PartialPlan),
+    /// A bare status byte: not found, a bad range, a damaged local copy.
+    Status(u8),
+}
+
+impl Planned {
+    fn new(state: &NodeState, spec: &GetManySpec<'_>) -> Planned {
+        let Some(mut obj) = state.get_compressed(spec.path) else {
+            return Planned::Status(status::NOT_FOUND);
+        };
+        // Failover provenance: stamp which rank actually served the bytes
+        // (differs from `owner_rank` on a replica).
+        obj.stat.served_by = state.rank as u32;
+        let want_partial = spec.range.is_some() || spec.min_tier != crate::pack::TIER_FULL;
+        if !(want_partial && obj.codec == crate::pack::CHUNKED) {
+            return Planned::Whole(obj);
+        }
+        match PartialPlan::new(&obj, spec) {
+            Ok(Some(plan)) => Planned::Partial(obj, plan),
+            Ok(None) => Planned::Whole(obj),
+            // Only a malformed range is the client's fault; anything else
+            // (corrupt local chunk table/payload) must come back retryable
+            // so the client walks the replica ring instead of giving up.
+            Err(FsError::BadRange(_)) => Planned::Status(status::BAD_REQUEST),
+            Err(_) => Planned::Status(status::ERROR),
+        }
+    }
+
+    /// Exact length of the entry frame, without its `u32` length prefix.
+    fn frame_len(&self) -> usize {
+        match self {
+            Planned::Whole(obj) => ENTRY_HEADER + obj.data.len(),
+            Planned::Partial(_, plan) => plan.frame_len(),
+            Planned::Status(_) => 1,
+        }
+    }
+}
+
 /// The only read handler: every entry of the batch is answered in place
-/// in one reply buffer.
+/// in one reply buffer. The objects are `Arc` clones (at most
+/// [`MAX_BATCH`]), so resolving them all first costs no copy and lets the
+/// reply be allocated exactly: a 16 x 64 KiB batch sized for its first
+/// entry and grown by doubling re-copied about as many bytes as it sent.
 fn handle_get_many(state: &NodeState, msg: &Message, get_bytes: &crate::metrics::Counter) -> bool {
     let reply = match decode_get_many_request(&msg.payload) {
         Some(specs) => {
-            // Headers, each entry's fixed frame bytes and the first payload
-            // share the initial allocation, so a batch of one (a plain GET)
-            // allocates its reply once; later entries reserve before encoding.
-            let mut objs = specs.iter().map(|s| state.get_compressed(s.path)).peekable();
-            let first = objs.peek().and_then(Option::as_ref).map_or(0, |o| o.data.len());
-            let frames = specs.len() * (4 + GET_BODY + 2 + STAT_SIZE);
-            let mut out = Vec::with_capacity(1 + 4 + frames + first);
+            let planned: Vec<Planned> = specs.iter().map(|s| Planned::new(state, s)).collect();
+            let total = 1 + 4 + planned.iter().map(|p| 4 + p.frame_len()).sum::<usize>();
+            let mut out = Vec::with_capacity(total);
             out.push(status::OK);
             out.extend_from_slice(&(specs.len() as u32).to_le_bytes());
-            for (spec, obj) in specs.iter().zip(objs) {
-                // Length placeholder, then the entry assembled in place —
-                // one buffer for the whole batch reply, no per-entry Vec.
-                let len_pos = out.len();
-                out.extend_from_slice(&[0u8; 4]);
-                match obj {
-                    Some(mut obj) => {
-                        // Failover provenance: stamp which rank actually
-                        // served the bytes (differs from `owner_rank` on a
-                        // replica).
-                        obj.stat.served_by = state.rank as u32;
-                        let want_partial =
-                            spec.range.is_some() || spec.min_tier != crate::pack::TIER_FULL;
-                        let body = out.len();
-                        let partial = if want_partial && obj.codec == crate::pack::CHUNKED {
-                            encode_partial_entry(&mut out, &obj, spec, get_bytes)
-                        } else {
-                            Ok(false)
-                        };
-                        match partial {
-                            Ok(true) => {}
-                            Ok(false) => {
-                                get_bytes.add(obj.data.len() as u64);
-                                out.reserve(GET_BODY + 2 + STAT_SIZE + obj.data.len());
-                                encode_whole_entry(&mut out, &obj);
-                            }
-                            // Only a malformed range is the client's
-                            // fault; anything else (corrupt local chunk
-                            // table/payload) must come back retryable so
-                            // the client walks the replica ring instead
-                            // of giving up.
-                            Err(FsError::BadRange(_)) => {
-                                out.truncate(body);
-                                out.push(status::BAD_REQUEST);
-                            }
-                            Err(_) => {
-                                out.truncate(body);
-                                out.push(status::ERROR);
-                            }
-                        }
+            for entry in &planned {
+                out.extend_from_slice(&(entry.frame_len() as u32).to_le_bytes());
+                match entry {
+                    Planned::Whole(obj) => {
+                        get_bytes.add(obj.data.len() as u64);
+                        encode_whole_entry(&mut out, obj);
                     }
-                    None => out.push(status::NOT_FOUND),
+                    Planned::Partial(obj, plan) => {
+                        get_bytes.add(plan.stored_bytes() as u64);
+                        encode_partial_entry(&mut out, obj, plan);
+                    }
+                    Planned::Status(byte) => out.push(*byte),
                 }
-                let n = (out.len() - len_pos - 4) as u32;
-                out[len_pos..len_pos + 4].copy_from_slice(&n.to_le_bytes());
             }
+            debug_assert_eq!(out.len(), total, "reply sized once");
             out
         }
         None => vec![status::BAD_REQUEST],
@@ -986,6 +1022,37 @@ mod tests {
     }
 
     #[test]
+    fn whole_entry_crc_is_combined_from_the_load_time_payload_crc() {
+        for len in [0usize, 1, 1 << 20] {
+            let data: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+            let stat = FileStat::regular(7, len as u64);
+            let obj = LocalObject::new(CodecId(0), stat, Arc::new(data.clone()));
+            let mut frame = Vec::new();
+            encode_whole_entry(&mut frame, &obj);
+            assert_eq!(frame.len(), Planned::Whole(obj.clone()).frame_len(), "{len} B");
+            // The derived CRC is the CRC of the body as sent.
+            assert_eq!(frame[1..GET_BODY], crc32(&frame[GET_BODY..]).to_le_bytes(), "{len} B");
+            match decode_whole_entry(&frame) {
+                Ok(GetManyItem::Whole(_, _, got)) => assert_eq!(got, data, "{len} B"),
+                other => panic!("{len} B: {other:?}"),
+            }
+            // A payload that changed after the object was created is sent
+            // under the CRC of the bytes that were loaded: the requester
+            // rejects it, where a per-request hash would have blessed it.
+            if let Some(last) = data.last() {
+                let mut stale = obj.clone();
+                let mut flipped = data.clone();
+                flipped[len - 1] = last ^ 0x04;
+                stale.data = Arc::new(flipped);
+                let mut frame = Vec::new();
+                encode_whole_entry(&mut frame, &stale);
+                let got = decode_whole_entry(&frame);
+                assert!(matches!(got, Err(FsError::Corrupt(_))), "{len} B: {got:?}");
+            }
+        }
+    }
+
+    #[test]
     fn partial_entry_rejects_trailing_bytes_and_corrupt_geometry() {
         let body: Vec<u8> = (0..10_000u32).map(|i| (i % 239) as u8).collect();
         let packed = prepare(
@@ -996,9 +1063,10 @@ mod tests {
         state.load_partition(&packed.partitions[0]).unwrap();
         let obj = state.get_compressed("t/file.bin").unwrap();
         let spec = GetManySpec::range("t/file.bin", 0, 5000);
-        let counter = crate::metrics::MetricsRegistry::disabled().counter("test.bytes");
+        let plan = PartialPlan::new(&obj, &spec).unwrap().expect("a range of a range container");
         let mut entry = Vec::new();
-        encode_partial_entry(&mut entry, &obj, &spec, &counter).unwrap();
+        encode_partial_entry(&mut entry, &obj, &plan);
+        assert_eq!(entry.len(), plan.frame_len(), "the frame is sized before it is written");
         assert!(decode_partial_entry(&entry).is_ok());
         let fix_crc = |frame: &mut Vec<u8>| {
             let crc = crc32(&frame[GET_BODY..]);
@@ -1029,7 +1097,7 @@ mod tests {
             chunks: chunks.collect(),
         };
         assert!(matches!(pieces.assemble(0, 100), Err(FsError::Corrupt(_))));
-        // A damaged chunk table fails encode as Corrupt — the daemon's
+        // A damaged chunk table fails planning as Corrupt — the daemon's
         // copy is bad, not the request — so handle_get_many can answer
         // the retryable status::ERROR instead of BAD_REQUEST. Same for a
         // table that passes its CRC but whose geometry overflows: raw_len
@@ -1045,9 +1113,9 @@ mod tests {
         let crc = crc32(&overflow[..table_end]);
         overflow[table_end..table_end + 4].copy_from_slice(&crc.to_le_bytes());
         for (raw, end) in [(flipped, 5000), (overflow, u64::MAX)] {
-            let bad = LocalObject { codec: obj.codec, stat: obj.stat, data: Arc::new(raw) };
+            let bad = LocalObject::new(obj.codec, obj.stat, Arc::new(raw));
             let spec = GetManySpec::range("t/file.bin", 0, end);
-            let got = encode_partial_entry(&mut Vec::new(), &bad, &spec, &counter);
+            let got = PartialPlan::new(&bad, &spec).map(|plan| plan.is_some());
             assert!(matches!(got, Err(FsError::Corrupt(_))), "{got:?}");
         }
     }

@@ -10,7 +10,9 @@
 //! * **trailing**, `body | crc32(body)`: [`seal_trailing`] /
 //!   [`Reader::trailing_crc`] (the FCHK table, both manifests);
 //! * **leading**, `crc32(rest) | rest`: [`reserve_crc`] + [`seal_leading`]
-//!   / [`Reader::leading_crc`] (GET_MANY entry frames, assembled in place);
+//!   / [`Reader::leading_crc`] (GET_MANY entry frames, assembled in place;
+//!   [`seal_leading_with_tail`] when `rest` ends in a payload whose CRC
+//!   the sender already holds);
 //! * the written-last **publish record** `magic | version u16 | fields… |
 //!   crc32`: [`begin_record`] … [`seal_trailing`] / [`open_record`].
 //!
@@ -20,7 +22,7 @@
 //! maps to the variant its callers already handle: `Corrupt` at rest,
 //! `Comm` for replies, `BAD_REQUEST` for requests.
 
-use fanstore_compress::crc32::crc32;
+use fanstore_compress::crc32::{combine, crc32};
 
 use crate::FsError;
 
@@ -219,6 +221,17 @@ pub(crate) fn reserve_crc(out: &mut Vec<u8>) -> usize {
 /// CRC-32 of everything appended after it.
 pub(crate) fn seal_leading(out: &mut [u8], at: usize) {
     let crc = crc32(&out[at + 4..]);
+    out[at..at + 4].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Leading placement over a body whose tail is already checksummed: patch
+/// the placeholder at `at` with the CRC-32 of everything appended after it
+/// *followed by* `tail_len` bytes whose CRC-32 is `tail_crc`, which the
+/// caller appends next. Only the bytes already in `out` — a frame's few
+/// header bytes — are walked; the result is the value [`seal_leading`]
+/// would compute over the finished frame.
+pub(crate) fn seal_leading_with_tail(out: &mut [u8], at: usize, tail_crc: u32, tail_len: usize) {
+    let crc = combine(crc32(&out[at + 4..]), tail_crc, tail_len as u64);
     out[at..at + 4].copy_from_slice(&crc.to_le_bytes());
 }
 

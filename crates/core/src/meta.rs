@@ -141,18 +141,26 @@ impl MetaTable {
     }
 
     /// Merge entries serialised by [`MetaTable::encode`] on another node.
+    /// All or nothing: the whole buffer is parsed before the first insert,
+    /// so a rejected merge leaves the table as it was.
     pub fn merge_encoded(&mut self, buf: &[u8]) -> Result<usize, FsError> {
-        let mut merge = || -> Result<usize, Malformed> {
+        let parse = || -> Result<Vec<(&str, MetaEntry)>, Malformed> {
             let mut r = Reader::new(buf);
             let count = r.count(2 + 2 + STAT_SIZE)?;
+            let mut entries = Vec::with_capacity(count);
             for _ in 0..count {
                 let path = r.str16()?;
                 let codec = CodecId(r.u16()?);
-                self.insert(path, MetaEntry { stat: FileStat::read(&mut r)?, codec });
+                entries.push((path, MetaEntry { stat: FileStat::read(&mut r)?, codec }));
             }
-            Ok(count)
+            Ok(entries)
         };
-        merge().map_err(|e| e.corrupt("meta table"))
+        let entries = parse().map_err(|e| e.corrupt("meta table"))?;
+        let count = entries.len();
+        for (path, entry) in entries {
+            self.insert(path, entry);
+        }
+        Ok(count)
     }
 }
 

@@ -8,6 +8,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use fanstore_compress::crc32::crc32;
 use fanstore_compress::registry::create;
 use fanstore_compress::CodecId;
 use parking_lot::RwLock;
@@ -23,14 +24,48 @@ use crate::FsError;
 
 /// One compressed object in the node-local backend (RAM in this
 /// reproduction; the paper also supports local SSD as the backend).
+///
+/// The payload is immutable once stored, so its CRC-32 is computed once,
+/// by [`LocalObject::new`], and the daemon seals every whole-entry reply
+/// from it instead of walking the payload per request
+/// (`framing::seal_leading_with_tail`).
 #[derive(Clone)]
 pub struct LocalObject {
     /// Codec of `data`.
     pub codec: CodecId,
     /// Attributes; `stat.size` is the uncompressed length.
     pub stat: FileStat,
-    /// Compressed payload.
+    /// Compressed payload. Swapping it for other bytes leaves the CRC of
+    /// the bytes that were loaded in place: the object then serves frames
+    /// every requester rejects as corrupt, which is how the read-ladder
+    /// test models a bit flipped in memory after load.
     pub data: Arc<Vec<u8>>,
+    data_crc: u32,
+}
+
+impl LocalObject {
+    /// Wrap a stored payload, checksumming it once.
+    pub fn new(codec: CodecId, stat: FileStat, data: Arc<Vec<u8>>) -> Self {
+        let data_crc = crc32(&data);
+        LocalObject { codec, stat, data, data_crc }
+    }
+
+    /// The object over a payload read back from the medium it was stored
+    /// on, under the CRC taken when it was stored: no second pass over the
+    /// bytes, and damage on the medium is the requester's to detect.
+    pub(crate) fn reread(
+        codec: CodecId,
+        stat: FileStat,
+        data: Arc<Vec<u8>>,
+        data_crc: u32,
+    ) -> Self {
+        LocalObject { codec, stat, data, data_crc }
+    }
+
+    /// CRC-32 of `data` as it was when the object was created.
+    pub fn data_crc(&self) -> u32 {
+        self.data_crc
+    }
 }
 
 /// Counters for the node's I/O activity.
@@ -242,10 +277,7 @@ impl NodeState {
         let mut meta = self.meta.write();
         for e in entries {
             meta.insert(&e.path, MetaEntry { stat: e.stat, codec: e.codec });
-            self.local.put(
-                &e.path,
-                LocalObject { codec: e.codec, stat: e.stat, data: Arc::new(e.data) },
-            )?;
+            self.local.put(&e.path, LocalObject::new(e.codec, e.stat, Arc::new(e.data)))?;
         }
         Ok(count)
     }
@@ -450,7 +482,7 @@ impl NodeState {
             .get(path)
             .map(|e| e.stat)
             .unwrap_or_else(|| FileStat::regular(0, data.len() as u64));
-        LocalObject { codec: CodecId::new(fanstore_compress::CodecFamily::Store, 0), stat, data }
+        LocalObject::new(CodecId::new(fanstore_compress::CodecFamily::Store, 0), stat, data)
     }
 
     /// Finalise an output file on this node (the write-cache dump of

@@ -1,10 +1,13 @@
 //! The data-preparation tool (paper §V-B).
 //!
 //! A standalone, multi-threaded step that runs once per dataset: list the
-//! files, divide the list into chunks, and let worker threads compress and
-//! concatenate each file into partitions using the Table I representation.
-//! Users may also designate a broadcast set (e.g. the validation data)
-//! that every node will load in full.
+//! files, let worker threads compress them (one thread per available CPU,
+//! each pulling the next unclaimed file), and concatenate the results into
+//! partitions using the Table I representation. Results are put back in
+//! file order before they are concatenated, so the partitions are
+//! byte-identical whatever the thread count. Users may also designate a
+//! broadcast set (e.g. the validation data) that every node will load in
+//! full.
 
 use fanstore_compress::registry::create;
 use fanstore_compress::{Codec, CodecFamily, CodecId};
@@ -87,7 +90,8 @@ fn pack_one(codec: &dyn Codec, store_fallback: bool, data: &[u8]) -> (CodecId, V
 
 /// Pack `files` into partitions. Files are assigned to partitions
 /// round-robin (the paper divides the file list into chunks processed
-/// round-robin by worker threads); compression runs data-parallel.
+/// round-robin by worker threads); compression runs data-parallel, on
+/// `std::thread::available_parallelism()` threads.
 pub fn prepare(files: Vec<(String, Vec<u8>)>, cfg: &PrepConfig) -> Packed {
     let nparts = cfg.partitions.max(1);
     let codec = create(cfg.codec).expect("valid codec id");
@@ -213,6 +217,30 @@ mod tests {
     fn broadcast_is_single_partition() {
         let b = prepare_broadcast(sample_files(5), &PrepConfig::default());
         assert_eq!(parse_partition(&b).unwrap().len(), 5);
+    }
+
+    #[test]
+    fn thread_count_does_not_change_a_byte() {
+        let files: Vec<(String, Vec<u8>)> = (0..13)
+            .map(|i| {
+                let floats =
+                    (0..700 + 40 * i).flat_map(|j| ((i * j) as f32 * 0.37).sin().to_le_bytes());
+                (format!("train/f{i:03}.f32"), floats.collect())
+            })
+            .collect();
+        let pool = |n| rayon::ThreadPoolBuilder::new().num_threads(n).build().expect("pool");
+        for cfg in [
+            PrepConfig { partitions: 3, ..Default::default() },
+            PrepConfig { partitions: 2, chunk_size: 1024, ..Default::default() },
+            PrepConfig { partitions: 2, progressive_tiers: 4, ..Default::default() },
+        ] {
+            let one = pool(1).install(|| prepare(files.clone(), &cfg));
+            for threads in [2, 5, 32] {
+                let many = pool(threads).install(|| prepare(files.clone(), &cfg));
+                assert_eq!(many.partitions, one.partitions, "{threads} threads, {cfg:?}");
+                assert_eq!(many.packed_bytes, one.packed_bytes);
+            }
+        }
     }
 
     #[test]

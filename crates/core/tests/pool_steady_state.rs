@@ -138,3 +138,40 @@ fn retained_cache_plus_recycled_copies_stay_allocation_free() {
         assert_eq!(steady.misses, warm.misses, "cache-hit epochs must not allocate copies");
     }
 }
+
+#[test]
+fn decoding_a_file_of_exactly_class_size_never_regrows_the_pooled_buffer() {
+    // The pool pads every request by the decoders' own slack constant, so
+    // a file whose length is exactly a class size gets the next class up
+    // and the decoder's `expected_len + WILD_SLACK` reservation fits it.
+    // A decoder reserving more than the pool pads for would show here as
+    // a buffer that came back with a different capacity.
+    use fanstore::node::NodeState;
+    use fanstore_compress::copy::WILD_SLACK;
+    use fanstore_compress::{compress_to_vec, registry::create, CodecFamily, CodecId};
+
+    let state = NodeState::new(0, 1, CacheConfig::default());
+    for len in [1usize << 10, 1 << 13, 1 << 17] {
+        let data = dataset(1, len).remove(0).1;
+        for (family, level) in [
+            (CodecFamily::Lz4Hc, 9),
+            (CodecFamily::Lz4Fast, 1),
+            (CodecFamily::Lzf, 2),
+            (CodecFamily::Lzsse8, 2),
+            (CodecFamily::ZstdLite, 6),
+            (CodecFamily::Store, 0),
+        ] {
+            let id = CodecId::new(family, level);
+            let stored = compress_to_vec(create(id).unwrap().as_ref(), &data);
+            for pass in ["fresh", "recycled"] {
+                let out = state.decompress_timed(id, &stored, len, "ps/exact.bin").unwrap();
+                assert_eq!(out, data, "{id} {len} B {pass}");
+                let class = (len + WILD_SLACK).next_power_of_two();
+                assert_eq!(out.capacity(), class, "{id} {len} B {pass}: buffer regrown");
+                state.pool.put(out);
+            }
+        }
+    }
+    let stats = state.pool.stats();
+    assert_eq!((stats.hits, stats.misses), (33, 3), "one allocation per size, then recycling");
+}

@@ -30,6 +30,7 @@ pub mod tokamak;
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use rayon::prelude::*;
 
 /// The six dataset families of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -162,9 +163,12 @@ impl DatasetSpec {
         }
     }
 
-    /// Generate the whole dataset as `(path, data)` pairs.
+    /// Generate the whole dataset as `(path, data)` pairs, in index
+    /// order. Files are generated data-parallel: each has its own RNG
+    /// stream ([`Self::rng_for`]), so the result does not depend on the
+    /// thread count.
     pub fn generate_all(&self) -> Vec<(String, Vec<u8>)> {
-        (0..self.num_files).map(|i| (self.path_of(i), self.generate(i))).collect()
+        (0..self.num_files).into_par_iter().map(|i| (self.path_of(i), self.generate(i))).collect()
     }
 
     /// Deterministic per-file RNG.
@@ -241,5 +245,11 @@ mod tests {
         assert_eq!(files.len(), 17);
         let paths: std::collections::HashSet<&String> = files.iter().map(|(p, _)| p).collect();
         assert_eq!(paths.len(), 17, "paths must be unique");
+        // Index order and per-file bytes, whatever the thread count.
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        assert_eq!(pool.install(|| spec.generate_all()), files);
+        for (i, (path, data)) in files.iter().enumerate() {
+            assert_eq!((path, data), (&spec.path_of(i), &spec.generate(i)));
+        }
     }
 }

@@ -225,6 +225,13 @@ fn reseal_reply(buf: &mut [u8]) {
     }
 }
 
+/// A metadata table's files, sorted: what a meta-table row decodes to.
+fn meta_listing(table: MetaTable) -> Vec<String> {
+    let mut files: Vec<_> = table.iter().map(|(p, e)| format!("{p} {e:?}")).collect();
+    files.sort();
+    files
+}
+
 fn lz() -> CodecId {
     CodecId::new(CodecFamily::Lz4Hc, 9)
 }
@@ -458,11 +465,38 @@ fn rows<'a>(
                     table.merge_encoded(buf)?;
                     Ok(table)
                 },
-                |t| {
-                    let mut files: Vec<_> = t.iter().map(|(p, e)| format!("{p} {e:?}")).collect();
-                    files.sort();
-                    files
+                meta_listing,
+            ),
+        },
+        Row {
+            // Two entries merged into a table that already holds one: a
+            // merge rejected at the second entry must not have inserted
+            // the first.
+            name: "meta table (rejected merge inserts nothing)",
+            good: [
+                &2u32.to_le_bytes()[..],
+                &encode_single("out/x.h5", &meta_entry)[4..],
+                &encode_single("out/y.h5", &meta_entry)[4..],
+            ]
+            .concat(),
+            golden: GOLDEN_META_PAIR,
+            fields: vec![(0, 4), (4, 2), (4 + 2 + 8 + 2 + STAT_SIZE, 2)],
+            sealed: 0..0,
+            strict: true,
+            reseal: None,
+            allowed: at_rest,
+            decode: decoder(
+                move |buf| {
+                    let mut table = MetaTable::new();
+                    table.insert("seed", meta_entry);
+                    let merged = table.merge_encoded(buf);
+                    if merged.is_err() {
+                        let left: Vec<_> = table.iter().map(|(p, _)| p.as_str()).collect();
+                        assert_eq!(left, ["seed"], "a rejected merge changed the table");
+                    }
+                    merged.map(|_| table)
                 },
+                meta_listing,
             ),
         },
         Row {
@@ -741,6 +775,12 @@ const GOLDEN_FCHK: &str = "\
 const GOLDEN_META: &str = "\
     0100000008006f75742f782e6835090457fa 00*6 09 00*7 01 00*7 a4810000e8030000e803 00*14 \
     e703 00*7 10 00*6 02 00*24 f15365 00*28 02 00*7 ffffffff 00*12";
+// `GOLDEN_META` with a count of two and its entry repeated as `out/y.h5`.
+const GOLDEN_META_PAIR: &str = "\
+    0200000008006f75742f782e6835090457fa 00*6 09 00*7 01 00*7 a4810000e8030000e803 00*14 \
+    e703 00*7 10 00*6 02 00*24 f15365 00*28 02 00*7 ffffffff 00*12 \
+    08006f75742f792e6835090457fa 00*6 09 00*7 01 00*7 a4810000e8030000e803 00*14 e703 00*7 \
+    10 00*6 02 00*24 f15365 00*28 02 00*7 ffffffff 00*12";
 const GOLDEN_STAT: &str = "\
     57fa 00*6 2a 00*7 01 00*7 a4810000e8030000e803 00*18 020000000010 00*9 01 00*21 f15365 \
     00*28 02 00*7 ffffffff 00*12";

@@ -210,6 +210,63 @@ fn whole_range_and_tier_reads_share_one_ladder() {
 }
 
 #[test]
+fn a_byte_flipped_in_the_owners_memory_after_load_is_caught_by_the_reader() {
+    // The owner seals whole-entry frames with the payload CRC it took at
+    // load; it does not hash the payload again per request. A byte that
+    // changes in its memory afterwards therefore reaches the reader under
+    // a CRC it no longer matches: the reader's own verification rejects
+    // the frame and the ladder moves to the ring replica. (A daemon that
+    // re-hashed per request would have sealed the damaged bytes into a
+    // valid frame, and the reader would have handed out wrong data, or
+    // failed in the decoder with no replica tried.)
+    let body: Vec<u8> = b"resident in the owner's memory ".repeat(300);
+    for batched in [false, true] {
+        let files = vec![("mem/obj.bin".to_string(), body.clone())];
+        let packed = prepare(files, &PrepConfig::default());
+        let cluster = ClusterConfig {
+            nodes: 3,
+            replication: 2,
+            failover: Some(FailoverConfig {
+                rpc_timeout: Duration::from_millis(200),
+                attempts_per_replica: 1,
+                ..Default::default()
+            }),
+            ..Default::default()
+        };
+        let loaded = Barrier::new(3);
+        let outcomes = FanStore::run(cluster, packed.partitions, |fs| {
+            if fs.rank() == 0 {
+                let local = &fs.state().local;
+                let mut obj = local.get("mem/obj.bin").expect("rank 0 owns the object");
+                let mut flipped = (*obj.data).clone();
+                flipped[40] ^= 0x10;
+                obj.data = std::sync::Arc::new(flipped);
+                local.put("mem/obj.bin", obj).expect("overlay");
+            }
+            loaded.wait();
+            if fs.rank() != 2 {
+                return None;
+            }
+            let got = if batched {
+                fs.read_many(&["mem/obj.bin".to_string()]).remove(0)
+            } else {
+                fs.read_whole("mem/obj.bin")
+            };
+            let s = &fs.state().stats;
+            let counters =
+                [&s.rpc_timeouts, &s.crc_failures, &s.degraded_reads, &s.retry_exhausted];
+            Some((got, counters.map(|c| c.get())))
+        });
+        let (got, counters) = outcomes.into_iter().nth(2).flatten().expect("rank 2 outcome");
+        assert_eq!(got.expect("the replica's copy is intact"), body, "batched: {batched}");
+        // A batch entry that fails re-enters the ladder at the owner (the
+        // fallback pass), so the owner's frame is rejected twice there.
+        let rejected = if batched { 2 } else { 1 };
+        assert_eq!(counters, [0, rejected, 1, 0], "batched: {batched}: one degraded read");
+    }
+}
+
+#[test]
 fn range_and_tier_reads_pass_admission_under_the_callers_tenant() {
     // Tenant 7 may run exactly one read: rate 0, burst 1, no retries.
     let quota = TenantQuota { rate_per_s: 0.0, burst: 1, weight: 1, op_deadline: None };
