@@ -46,12 +46,31 @@ impl Frame {
 
 /// Append one frame to `out`.
 pub fn encode_frame(out: &mut Vec<u8>, flags: u8, codec: CodecId, raw_len: u32, payload: &[u8]) {
+    encode_frame_with(out, flags, codec, raw_len, |out| out.extend_from_slice(payload));
+}
+
+/// [`encode_frame`] for a payload the caller has in pieces: `fill`
+/// appends the stored bytes to `out` behind the header, and the length
+/// and CRC fields are patched from what it wrote — the payload is never
+/// joined in a buffer of its own first.
+pub fn encode_frame_with(
+    out: &mut Vec<u8>,
+    flags: u8,
+    codec: CodecId,
+    raw_len: u32,
+    fill: impl FnOnce(&mut Vec<u8>),
+) {
     out.push(flags);
     out.extend_from_slice(&codec.0.to_le_bytes());
     out.extend_from_slice(&raw_len.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    let fields = out.len();
+    out.extend_from_slice(&[0u8; 8]); // stored_len, crc
+    let payload = out.len();
+    fill(out);
+    let stored_len = (out.len() - payload) as u32;
+    let crc = crc32(&out[payload..]);
+    out[fields..fields + 4].copy_from_slice(&stored_len.to_le_bytes());
+    out[fields + 4..payload].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Read one frame at the cursor; a short header, a short payload and a

@@ -1440,12 +1440,25 @@ impl FsClient {
     }
 
     /// `unlink(path)` for output files held on this node (checkpoint GC).
+    /// The removal is forwarded to the rank `close_write` forwarded the
+    /// file's metadata to, so that rank stops answering `stat` for it;
+    /// under a failover configuration an unreachable owner is counted and
+    /// the unlink still succeeds, as a lost metadata forward does.
     pub fn unlink(&self, path: &str) -> Result<(), FsError> {
-        if self.state.remove_write(path)? {
-            Ok(())
-        } else {
-            Err(FsError::NotFound(path.to_string()))
+        if !self.state.remove_write(path)? {
+            return Err(FsError::NotFound(path.to_string()));
         }
+        let owner = meta_owner(path, self.state.size);
+        if owner != self.state.rank {
+            if let Err(e) = self.unlink_remote(owner, path) {
+                if self.failover.is_none() {
+                    return Err(e);
+                }
+                self.state.stats.meta_forward_failures.inc();
+                self.record(Op::Degraded, path, 0);
+            }
+        }
+        Ok(())
     }
 
     /// Ask `rank` to unlink an output file it holds (GC of replicated

@@ -14,7 +14,7 @@
 use fanstore_compress::crc32::crc32;
 use fanstore_compress::{progressive, CodecId};
 
-use crate::framing::{put_bytes64, seal_trailing, Malformed, Reader};
+use crate::framing::{seal_trailing, Malformed, Reader};
 use crate::stat::{FileStat, STAT_SIZE};
 use crate::FsError;
 
@@ -40,15 +40,24 @@ pub struct PackEntry {
 /// Incrementally build a partition in the Table I layout.
 pub struct PartitionBuilder {
     buf: Vec<u8>,
+    /// Where the partition starts in `buf` (the count field).
+    start: usize,
     count: u32,
 }
 
 impl PartitionBuilder {
     /// Start an empty partition.
     pub fn new() -> Self {
-        let mut buf = Vec::new();
+        Self::after(Vec::new())
+    }
+
+    /// Start an empty partition behind what `buf` already holds (a WAL
+    /// segment's header), so the two are laid down in one allocation the
+    /// caller has sized.
+    pub fn after(mut buf: Vec<u8>) -> Self {
+        let start = buf.len();
         buf.extend_from_slice(&0u32.to_le_bytes());
-        PartitionBuilder { buf, count: 0 }
+        PartitionBuilder { buf, start, count: 0 }
     }
 
     /// Append one compressed file.
@@ -56,13 +65,29 @@ impl PartitionBuilder {
     /// # Panics
     /// If `path` exceeds 255 bytes (the fixed field must keep a NUL).
     pub fn push(&mut self, path: &str, codec: CodecId, stat: &FileStat, data: &[u8]) {
+        self.push_split(path, codec, stat, data, &[]);
+    }
+
+    /// [`PartitionBuilder::push`] with the data field given as two pieces
+    /// written back to back (a fixed prefix, then stored bytes borrowed
+    /// from elsewhere), so the caller does not join them first.
+    pub fn push_split(
+        &mut self,
+        path: &str,
+        codec: CodecId,
+        stat: &FileStat,
+        head: &[u8],
+        tail: &[u8],
+    ) {
         assert!(path.len() < PATH_SIZE, "path too long for pack format: {path}");
         let mut path_field = [0u8; PATH_SIZE];
         path_field[..path.len()].copy_from_slice(path.as_bytes());
         self.buf.extend_from_slice(&path_field);
         self.buf.extend_from_slice(&codec.0.to_le_bytes());
         stat.encode(&mut self.buf);
-        put_bytes64(&mut self.buf, data);
+        self.buf.extend_from_slice(&((head.len() + tail.len()) as u64).to_le_bytes());
+        self.buf.extend_from_slice(head);
+        self.buf.extend_from_slice(tail);
         self.count += 1;
     }
 
@@ -78,12 +103,14 @@ impl PartitionBuilder {
 
     /// Current partition size in bytes.
     pub fn byte_len(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.start
     }
 
-    /// Finish: patch the header count and return the partition bytes.
+    /// Finish: patch the header count and return the buffer (the
+    /// partition bytes, behind whatever [`PartitionBuilder::after`] was
+    /// given).
     pub fn finish(mut self) -> Vec<u8> {
-        self.buf[..4].copy_from_slice(&self.count.to_le_bytes());
+        self.buf[self.start..self.start + 4].copy_from_slice(&self.count.to_le_bytes());
         self.buf
     }
 }
@@ -92,6 +119,29 @@ impl Default for PartitionBuilder {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// One entry read in place: the fields of [`PackEntry`], borrowing the
+/// path and data from the partition buffer.
+pub(crate) struct EntryRef<'a> {
+    pub(crate) path: &'a str,
+    pub(crate) codec: CodecId,
+    pub(crate) stat: FileStat,
+    pub(crate) data: &'a [u8],
+}
+
+/// Read the entry at the cursor. The one reader of the Table I entry
+/// layout: [`parse_partition`] copies what it returns, the WAL segment
+/// index records where `data` lies instead.
+pub(crate) fn read_entry<'a>(r: &mut Reader<'a>) -> Result<EntryRef<'a>, Malformed> {
+    let path_field = r.bytes(PATH_SIZE)?;
+    let path_end = path_field.iter().position(|&b| b == 0).unwrap_or(PATH_SIZE);
+    let path =
+        std::str::from_utf8(&path_field[..path_end]).map_err(|_| r.fail("path is not utf-8"))?;
+    let codec = CodecId(r.u16()?);
+    let stat = FileStat::read(r)?;
+    let data = r.bytes64()?;
+    Ok(EntryRef { path, codec, stat, data })
 }
 
 /// Parse a partition produced by [`PartitionBuilder`]. The whole stream is
@@ -105,15 +155,13 @@ pub fn parse_partition(buf: &[u8]) -> Result<Vec<PackEntry>, FsError> {
         let count = r.count(ENTRY_OVERHEAD)?;
         let mut entries = Vec::with_capacity(count);
         for _ in 0..count {
-            let path_field = r.bytes(PATH_SIZE)?;
-            let path_end = path_field.iter().position(|&b| b == 0).unwrap_or(PATH_SIZE);
-            let path = std::str::from_utf8(&path_field[..path_end])
-                .map_err(|_| r.fail("path is not utf-8"))?
-                .to_string();
-            let codec = CodecId(r.u16()?);
-            let stat = FileStat::read(&mut r)?;
-            let data = r.bytes64()?.to_vec();
-            entries.push(PackEntry { path, codec, stat, data });
+            let e = read_entry(&mut r)?;
+            entries.push(PackEntry {
+                path: e.path.to_string(),
+                codec: e.codec,
+                stat: e.stat,
+                data: e.data.to_vec(),
+            });
         }
         Ok(entries)
     };

@@ -12,7 +12,7 @@
 
 use fanstore_compress::{CodecFamily, CodecId};
 
-use crate::ckpt::frame::{encode_frame, scan_segment};
+use crate::ckpt::frame::{encode_frame_with, scan_segment};
 use crate::framing::{put_str16, Malformed, Reader};
 
 /// Record flag bit: the record is a tombstone (an `unlink`); it carries
@@ -36,14 +36,30 @@ pub struct WalRecord {
 
 /// Append one record to `out` as a CRC frame.
 pub fn encode_record(out: &mut Vec<u8>, rec: &WalRecord) {
-    let mut payload = Vec::with_capacity(8 + 8 + 1 + 2 + rec.path.len() + rec.value.len());
-    payload.extend_from_slice(&rec.seq.to_le_bytes());
-    payload.extend_from_slice(&rec.expires_us.to_le_bytes());
-    payload.push(if rec.tombstone { FLAG_TOMBSTONE } else { 0 });
-    put_str16(&mut payload, &rec.path);
-    payload.extend_from_slice(&rec.value);
+    let value = (!rec.tombstone).then_some(rec.value.as_slice());
+    encode_parts(out, rec.seq, rec.expires_us, &rec.path, value);
+}
+
+/// [`encode_record`] from borrowed parts (`value: None` is a tombstone):
+/// the store's append path, which owns no [`WalRecord`] — the value's one
+/// copy is the one into the log batch.
+pub fn encode_parts(
+    out: &mut Vec<u8>,
+    seq: u64,
+    expires_us: u64,
+    path: &str,
+    value: Option<&[u8]>,
+) {
+    let bytes = value.unwrap_or_default();
+    let len = 8 + 8 + 1 + 2 + path.len() + bytes.len();
     let stored_raw = CodecId::new(CodecFamily::Store, 0);
-    encode_frame(out, 0, stored_raw, payload.len() as u32, &payload);
+    encode_frame_with(out, 0, stored_raw, len as u32, |out| {
+        out.extend_from_slice(&seq.to_le_bytes());
+        out.extend_from_slice(&expires_us.to_le_bytes());
+        out.push(if value.is_none() { FLAG_TOMBSTONE } else { 0 });
+        put_str16(out, path);
+        out.extend_from_slice(bytes);
+    });
 }
 
 /// Decode one frame payload back into a record.

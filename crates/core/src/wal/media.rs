@@ -27,9 +27,16 @@ use crate::metrics::now_us;
 use crate::FsError;
 
 /// A named-object durable medium for WAL state (log, segments, manifest).
+///
+/// Ownership: `write` takes the buffer, which *becomes* the stored
+/// object, and `read` hands out a shared reference to it — a segment
+/// crosses this boundary without a copy in either direction, and a
+/// buffer a reader still holds stays valid after the object is replaced
+/// or deleted. Only `append` and `read_range` copy, and only the bytes
+/// they are given or asked for.
 pub trait WalMedia: Send + Sync {
-    /// Atomically replace the whole object `name`.
-    fn write(&self, name: &str, bytes: &[u8]) -> Result<(), FsError>;
+    /// Atomically replace the whole object `name` with `bytes`.
+    fn write(&self, name: &str, bytes: Vec<u8>) -> Result<(), FsError>;
 
     /// Append to object `name` (created when missing).
     fn append(&self, name: &str, bytes: &[u8]) -> Result<(), FsError>;
@@ -39,7 +46,12 @@ pub trait WalMedia: Send + Sync {
     fn sync(&self) -> Result<(), FsError>;
 
     /// Read a whole object.
-    fn read(&self, name: &str) -> Option<Vec<u8>>;
+    fn read(&self, name: &str) -> Option<Arc<Vec<u8>>>;
+
+    /// Read `len` bytes at `offset` of object `name`: one entry's stored
+    /// value out of a segment. `None` when the object is missing or the
+    /// range does not lie inside it.
+    fn read_range(&self, name: &str, offset: usize, len: usize) -> Option<Vec<u8>>;
 
     /// Object names, sorted.
     fn list(&self) -> Vec<String>;
@@ -54,7 +66,7 @@ pub trait WalMedia: Send + Sync {
 /// cost is **modelled**, the batching that amortises it is real. A zero
 /// cost makes `sync` free (unit tests that don't measure anything).
 pub struct RamMedia {
-    objects: Mutex<BTreeMap<String, Vec<u8>>>,
+    objects: Mutex<BTreeMap<String, Arc<Vec<u8>>>>,
     sync_cost: Duration,
     syncs: AtomicU64,
 }
@@ -86,13 +98,15 @@ impl RamMedia {
 }
 
 impl WalMedia for RamMedia {
-    fn write(&self, name: &str, bytes: &[u8]) -> Result<(), FsError> {
-        self.objects.lock().insert(name.to_string(), bytes.to_vec());
+    fn write(&self, name: &str, bytes: Vec<u8>) -> Result<(), FsError> {
+        self.objects.lock().insert(name.to_string(), Arc::new(bytes));
         Ok(())
     }
 
     fn append(&self, name: &str, bytes: &[u8]) -> Result<(), FsError> {
-        self.objects.lock().entry(name.to_string()).or_default().extend_from_slice(bytes);
+        let mut objects = self.objects.lock();
+        // Copy-on-write only while a reader still holds the old buffer.
+        Arc::make_mut(objects.entry(name.to_string()).or_default()).extend_from_slice(bytes);
         Ok(())
     }
 
@@ -107,8 +121,14 @@ impl WalMedia for RamMedia {
         Ok(())
     }
 
-    fn read(&self, name: &str) -> Option<Vec<u8>> {
+    fn read(&self, name: &str) -> Option<Arc<Vec<u8>>> {
         self.objects.lock().get(name).cloned()
+    }
+
+    fn read_range(&self, name: &str, offset: usize, len: usize) -> Option<Vec<u8>> {
+        let objects = self.objects.lock();
+        let end = offset.checked_add(len)?;
+        objects.get(name)?.get(offset..end).map(<[u8]>::to_vec)
     }
 
     fn list(&self) -> Vec<String> {
@@ -163,7 +183,7 @@ impl CrashMedia {
 }
 
 impl WalMedia for CrashMedia {
-    fn write(&self, name: &str, bytes: &[u8]) -> Result<(), FsError> {
+    fn write(&self, name: &str, bytes: Vec<u8>) -> Result<(), FsError> {
         // Whole-object replace is atomic: it lands fully or not at all.
         if self.charge(bytes.len().max(1)) == bytes.len().max(1) {
             self.inner.write(name, bytes)?;
@@ -186,8 +206,12 @@ impl WalMedia for CrashMedia {
         self.inner.sync()
     }
 
-    fn read(&self, name: &str) -> Option<Vec<u8>> {
+    fn read(&self, name: &str) -> Option<Arc<Vec<u8>>> {
         self.inner.read(name)
+    }
+
+    fn read_range(&self, name: &str, offset: usize, len: usize) -> Option<Vec<u8>> {
+        self.inner.read_range(name, offset, len)
     }
 
     fn list(&self) -> Vec<String> {
@@ -209,10 +233,15 @@ mod tests {
     #[test]
     fn ram_media_roundtrip() {
         let m = RamMedia::new(Duration::ZERO);
-        m.write("a", b"one").unwrap();
+        m.write("a", b"one".to_vec()).unwrap();
+        let held = m.read("a").unwrap();
         m.append("a", b"two").unwrap();
         m.append("b", b"x").unwrap();
-        assert_eq!(m.read("a").unwrap(), b"onetwo");
+        assert_eq!(**m.read("a").unwrap(), *b"onetwo");
+        assert_eq!(**held, *b"one", "a buffer a reader holds is never mutated under it");
+        assert_eq!(m.read_range("a", 2, 3).unwrap(), b"etw");
+        assert!(m.read_range("a", 4, 3).is_none() && m.read_range("a", usize::MAX, 2).is_none());
+        assert!(m.read_range("missing", 0, 0).is_none());
         assert_eq!(m.list(), vec!["a".to_string(), "b".to_string()]);
         m.delete("a");
         assert!(m.read("a").is_none());
@@ -229,15 +258,15 @@ mod tests {
         m.append("log", b"defg").unwrap(); // only "de" lands — torn
         assert!(m.sync().is_err(), "post-cut sync must not acknowledge");
         m.append("log", b"never").unwrap(); // black-holed
-        assert_eq!(inner.read("log").unwrap(), b"abcde");
+        assert_eq!(**inner.read("log").unwrap(), *b"abcde");
     }
 
     #[test]
     fn crash_media_keeps_whole_object_writes_atomic() {
         let inner = RamMedia::new(Duration::ZERO);
-        inner.write("m", b"old").unwrap();
+        inner.write("m", b"old".to_vec()).unwrap();
         let m = CrashMedia::new(inner.clone(), 2);
-        m.write("m", b"newer").unwrap(); // crosses the cut: old survives
-        assert_eq!(inner.read("m").unwrap(), b"old");
+        m.write("m", b"newer".to_vec()).unwrap(); // crosses the cut: old survives
+        assert_eq!(**inner.read("m").unwrap(), *b"old");
     }
 }

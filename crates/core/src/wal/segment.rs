@@ -1,29 +1,35 @@
 //! Immutable flushed segments: pack-format entries behind a bloom
-//! filter.
+//! filter, addressed through an in-memory index.
 //!
 //! A segment is what one memtable flush (or one compaction) produces: a
-//! header holding the sequence range and the bloom filter (loaded at
-//! open), then a pack partition (read on lookup) — DESIGN.md §13 "Byte
-//! layouts", rows 13, 14 and 1.
+//! header holding the sequence range and the bloom filter, then a pack
+//! partition — DESIGN.md §13 "Byte layouts", rows 13, 14 and 1.
 //!
-//! The entry area reuses [`crate::pack::PartitionBuilder`] /
-//! [`crate::pack::parse_partition`] unchanged — path, codec and stat
-//! are the pack fields; the per-version metadata the LSM needs (`seq`,
-//! `expires_us`, a tombstone flag) rides a fixed prefix of each entry's
-//! data field.
+//! The entry area is [`crate::pack`]'s partition layout unchanged — path,
+//! codec and stat are the pack fields; the per-version metadata the LSM
+//! needs (`seq`, `expires_us`, a tombstone flag) rides a fixed prefix of
+//! each entry's data field. It has one writer, [`assemble`], and one
+//! reader, [`index`]: a payload-free walk that yields one [`SegRow`] per
+//! entry — the entry's metadata plus where its stored value bytes lie in
+//! the blob. A store keeps the [`SegIndex`] (bloom filter + rows) of every
+//! published segment in memory, so a lookup answers "absent", "deleted"
+//! and "expired" without the medium and fetches exactly one value's bytes
+//! otherwise; [`parse_entries`] is the same walk plus a copy of each
+//! payload, for verification and tests.
 //!
 //! Values are compressed with the store's configured codec at flush
 //! (falling back to stored-raw when compression does not pay), so the
 //! durable footprint of the write path matches the read path's packed
-//! partitions. The bloom filter sits in the header so a store can keep
-//! every filter in memory and answer negative lookups without reading
-//! the entry area at all.
+//! partitions. Compaction does not decode them again: it hands the stored
+//! bytes of each surviving version back to [`assemble`] as they are.
+
+use std::borrow::Cow;
 
 use fanstore_compress::registry::create;
 use fanstore_compress::{CodecFamily, CodecId};
 
 use crate::framing::{Malformed, Reader};
-use crate::pack::{parse_partition, PartitionBuilder};
+use crate::pack::{read_entry, PartitionBuilder, ENTRY_OVERHEAD};
 use crate::stat::FileStat;
 use crate::FsError;
 
@@ -37,12 +43,16 @@ pub const MAGIC: [u8; 4] = *b"FSWS";
 /// Current segment format version.
 pub const VERSION: u16 = 1;
 
+/// Header bytes before the bloom filter: magic, version, the sequence
+/// range and the filter's length.
+const FIXED_HEADER: usize = 4 + 2 + 8 + 8 + 4;
+
 /// Per-entry metadata prefix on the pack data field.
 const META_PREFIX: usize = 8 + 8 + 1;
 
-/// One decoded segment entry.
+/// One index row: an entry's metadata and where its stored value lies.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SegEntry {
+pub struct SegRow {
     /// Object path.
     pub path: String,
     /// Version (WAL sequence) of this write.
@@ -51,10 +61,52 @@ pub struct SegEntry {
     pub expires_us: u64,
     /// Whether this version deletes the key.
     pub tombstone: bool,
-    /// Codec of `payload`.
+    /// Codec of the stored value bytes.
     pub codec: CodecId,
     /// Uncompressed value length.
     pub raw_len: usize,
+    /// Byte offset of the stored value bytes within the segment blob.
+    pub offset: usize,
+    /// Length of the stored (compressed or raw) value bytes.
+    pub stored_len: usize,
+}
+
+impl SegRow {
+    /// Whether this version reads as absent at `now_us`: a tombstone, or
+    /// a value whose TTL has run out.
+    pub fn dead_at(&self, now_us: u64) -> bool {
+        self.tombstone || (self.expires_us != 0 && self.expires_us <= now_us)
+    }
+
+    /// Decode the value from its stored bytes (`stored_len` bytes at
+    /// `offset` of the blob). The decoded length is checked against
+    /// `raw_len` on every read.
+    pub fn decode_value(&self, stored: &[u8]) -> Result<Vec<u8>, FsError> {
+        crate::node::decompress_object(self.codec, stored, self.raw_len, &self.path)
+    }
+
+    /// This version as a [`Part`] whose stored bytes are borrowed from
+    /// `blob`, the segment the row indexes: what compaction carries into
+    /// its output. `None` when the row does not lie inside `blob`.
+    pub fn carry<'a>(&'a self, blob: &'a [u8]) -> Option<Part<'a>> {
+        let stored = blob.get(self.offset..self.offset.checked_add(self.stored_len)?)?;
+        Some(Part {
+            path: &self.path,
+            seq: self.seq,
+            expires_us: self.expires_us,
+            tombstone: self.tombstone,
+            codec: self.codec,
+            raw_len: self.raw_len,
+            stored: Cow::Borrowed(stored),
+        })
+    }
+}
+
+/// One segment entry with its stored bytes copied out.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SegEntry {
+    /// The entry's index row.
+    pub row: SegRow,
     /// Compressed (or raw) value bytes.
     pub payload: Vec<u8>,
 }
@@ -62,12 +114,12 @@ pub struct SegEntry {
 impl SegEntry {
     /// Decompress the value.
     pub fn decode_value(&self) -> Result<Vec<u8>, FsError> {
-        crate::node::decompress_object(self.codec, &self.payload, self.raw_len, &self.path)
+        self.row.decode_value(&self.payload)
     }
 }
 
-/// The header of a segment: everything a store keeps in memory.
-#[derive(Debug, Clone)]
+/// The header of a segment.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegHeader {
     /// Lowest WAL sequence covered.
     pub first_seq: u64,
@@ -79,63 +131,134 @@ pub struct SegHeader {
     pub entries_at: usize,
 }
 
-/// Build a segment blob from sorted `(path, entry)` pairs. Returns the
-/// blob plus the summed raw (uncompressed) value bytes, for compaction
-/// amplification accounting. Entries must be non-empty and sorted by
-/// path (the memtable and the compactor both iterate sorted).
+/// Everything a store keeps in memory about a published segment.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SegIndex {
+    /// Sequence range and bloom filter.
+    pub header: SegHeader,
+    /// One row per entry, sorted by path.
+    pub rows: Vec<SegRow>,
+}
+
+impl SegIndex {
+    /// The row for `path`, if the segment holds a version of it.
+    pub fn find(&self, path: &str) -> Option<&SegRow> {
+        self.rows.binary_search_by(|r| r.path.as_str().cmp(path)).ok().map(|i| &self.rows[i])
+    }
+}
+
+/// One entry as [`assemble`] lays it down: the version's metadata and its
+/// value *as stored* — freshly compressed by [`build`], or borrowed from
+/// the segment a compaction carries it out of.
+#[derive(Debug, Clone)]
+pub struct Part<'a> {
+    /// Object path.
+    pub path: &'a str,
+    /// Version (WAL sequence) of this write.
+    pub seq: u64,
+    /// Absolute TTL expiry (0 = none).
+    pub expires_us: u64,
+    /// Whether this version deletes the key.
+    pub tombstone: bool,
+    /// Codec of `stored`.
+    pub codec: CodecId,
+    /// Uncompressed value length.
+    pub raw_len: usize,
+    /// Compressed (or raw) value bytes.
+    pub stored: Cow<'a, [u8]>,
+}
+
+/// A finished segment: the blob for the medium and its index, whose rows
+/// are exactly what [`index`] would read back from the blob.
+#[derive(Debug)]
+pub struct Built {
+    /// The segment bytes.
+    pub blob: Vec<u8>,
+    /// The index over `blob`.
+    pub index: SegIndex,
+}
+
+/// Build a segment from sorted `(path, entry)` pairs, compressing each
+/// value with `codec` (stored raw when that does not shrink it). Entries
+/// must be non-empty and sorted by path (the memtable iterates sorted).
 pub fn build(
     entries: &[(String, MemEntry)],
     codec: CodecId,
     bloom_fp: f64,
-) -> Result<(Vec<u8>, u64), FsError> {
+) -> Result<Built, FsError> {
     let comp = create(codec).map_err(|e| FsError::Corrupt(format!("wal segment codec: {e}")))?;
-    let bloom =
-        BloomFilter::from_keys(entries.iter().map(|(p, _)| p.as_str()), entries.len(), bloom_fp);
-    let mut part = PartitionBuilder::new();
-    let mut raw_bytes = 0u64;
-    let mut first_seq = u64::MAX;
-    let mut last_seq = 0u64;
-    for (path, e) in entries {
-        first_seq = first_seq.min(e.seq);
-        last_seq = last_seq.max(e.seq);
-        let raw: &[u8] = e.value.as_deref().map_or(&[], |v| v.as_slice());
-        raw_bytes += raw.len() as u64;
-        let (entry_codec, stored) = if raw.is_empty() {
-            (CodecId::new(CodecFamily::Store, 0), Vec::new())
-        } else {
-            let packed = fanstore_compress::compress_to_vec(comp.as_ref(), raw);
-            if packed.len() < raw.len() {
-                (codec, packed)
-            } else {
-                (CodecId::new(CodecFamily::Store, 0), raw.to_vec())
+    let parts: Vec<Part<'_>> = entries
+        .iter()
+        .map(|(path, e)| {
+            let raw: &[u8] = e.value.as_deref().map_or(&[], |v| v.as_slice());
+            let packed = (!raw.is_empty())
+                .then(|| fanstore_compress::compress_to_vec(comp.as_ref(), raw))
+                .filter(|packed| packed.len() < raw.len());
+            let (codec, stored) = match packed {
+                Some(packed) => (codec, Cow::Owned(packed)),
+                None => (CodecId::new(CodecFamily::Store, 0), Cow::Borrowed(raw)),
+            };
+            Part {
+                path,
+                seq: e.seq,
+                expires_us: e.expires_us,
+                tombstone: e.value.is_none(),
+                codec,
+                raw_len: raw.len(),
+                stored,
             }
-        };
-        let mut data = Vec::with_capacity(META_PREFIX + stored.len());
-        data.extend_from_slice(&e.seq.to_le_bytes());
-        data.extend_from_slice(&e.expires_us.to_le_bytes());
-        data.push(if e.value.is_none() { FLAG_TOMBSTONE } else { 0 });
-        data.extend_from_slice(&stored);
-        let mut stat = FileStat::regular(e.seq, raw.len() as u64);
-        stat.mtime = e.expires_us;
-        part.push(path, entry_codec, &stat, &data);
-    }
-    let bloom_bytes = bloom.encode();
-    let partition = part.finish();
-    let mut out = Vec::with_capacity(4 + 2 + 8 + 8 + 4 + bloom_bytes.len() + partition.len());
+        })
+        .collect();
+    Ok(assemble(&parts, bloom_fp))
+}
+
+/// Lay `parts` (sorted by path) down as one segment. The blob's exact
+/// size is known before the first byte is written, so header, bloom
+/// filter and entries go straight into the one allocation that is handed
+/// to the medium.
+pub fn assemble(parts: &[Part<'_>], bloom_fp: f64) -> Built {
+    let bloom = BloomFilter::from_keys(parts.iter().map(|p| p.path), parts.len(), bloom_fp);
+    let entries_at = FIXED_HEADER + bloom.byte_len();
+    let size = entries_at
+        + 4
+        + parts.iter().map(|p| ENTRY_OVERHEAD + META_PREFIX + p.stored.len()).sum::<usize>();
+    let first_seq = parts.iter().map(|p| p.seq).min().unwrap_or(u64::MAX);
+    let last_seq = parts.iter().map(|p| p.seq).max().unwrap_or(0);
+    let mut out = Vec::with_capacity(size);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&first_seq.to_le_bytes());
     out.extend_from_slice(&last_seq.to_le_bytes());
-    out.extend_from_slice(&(bloom_bytes.len() as u32).to_le_bytes());
-    out.extend_from_slice(&bloom_bytes);
-    out.extend_from_slice(&partition);
-    Ok((out, raw_bytes))
+    out.extend_from_slice(&(bloom.byte_len() as u32).to_le_bytes());
+    out.extend_from_slice(&bloom.encode());
+    let mut partition = PartitionBuilder::after(out);
+    let mut rows = Vec::with_capacity(parts.len());
+    for p in parts {
+        let mut prefix = [0u8; META_PREFIX];
+        prefix[..8].copy_from_slice(&p.seq.to_le_bytes());
+        prefix[8..16].copy_from_slice(&p.expires_us.to_le_bytes());
+        prefix[16] = if p.tombstone { FLAG_TOMBSTONE } else { 0 };
+        let mut stat = FileStat::regular(p.seq, p.raw_len as u64);
+        stat.mtime = p.expires_us;
+        partition.push_split(p.path, p.codec, &stat, &prefix, &p.stored);
+        rows.push(SegRow {
+            path: p.path.to_string(),
+            seq: p.seq,
+            expires_us: p.expires_us,
+            tombstone: p.tombstone,
+            codec: p.codec,
+            raw_len: p.raw_len,
+            offset: entries_at + partition.byte_len() - p.stored.len(),
+            stored_len: p.stored.len(),
+        });
+    }
+    let blob = partition.finish();
+    debug_assert_eq!(blob.len(), size, "segment size is computed, not grown into");
+    let header = SegHeader { first_seq, last_seq, bloom, entries_at };
+    Built { blob, index: SegIndex { header, rows } }
 }
 
-/// Parse just the header (magic, seq range, bloom) — the open/replay
-/// path, which must not touch entry data.
-pub fn parse_header(blob: &[u8]) -> Result<SegHeader, FsError> {
-    let mut r = Reader::new(blob);
+fn read_header(r: &mut Reader<'_>) -> Result<SegHeader, FsError> {
     let mut fixed = || -> Result<(u64, u64, &[u8]), Malformed> {
         r.tag(&MAGIC, "bad magic")?;
         r.tag(&VERSION.to_le_bytes(), "unsupported version")?;
@@ -146,31 +269,66 @@ pub fn parse_header(blob: &[u8]) -> Result<SegHeader, FsError> {
     Ok(SegHeader { first_seq, last_seq, bloom, entries_at: r.consumed() })
 }
 
-/// Parse the full entry list (a positive lookup, verify, or compaction).
-pub fn parse_entries(blob: &[u8]) -> Result<Vec<SegEntry>, FsError> {
-    let header = parse_header(blob)?;
-    let packed = parse_partition(&blob[header.entries_at..])?;
-    let mut out = Vec::with_capacity(packed.len());
-    for e in packed {
-        let mut r = Reader::new(&e.data);
-        let mut prefix = || Ok((r.u64()?, r.u64()?, r.u8()?));
-        let (seq, expires_us, flags) = prefix().map_err(|m: Malformed| {
-            m.corrupt(&format!("wal segment: {}: entry metadata", e.path))
-        })?;
-        out.push(SegEntry {
-            seq,
-            expires_us,
-            tombstone: flags & FLAG_TOMBSTONE != 0,
-            codec: e.codec,
-            raw_len: e.stat.size as usize,
-            payload: r.rest().to_vec(),
-            path: e.path,
-        });
-    }
-    Ok(out)
+/// Parse just the header (magic, seq range, bloom); the entry area is
+/// not looked at.
+pub fn parse_header(blob: &[u8]) -> Result<SegHeader, FsError> {
+    read_header(&mut Reader::new(blob))
 }
 
-/// Convenience for tests and the store: a sorted entry list from pairs.
+/// Index a segment: the header, then one payload-free walk of the entry
+/// area. This is the only decoder of that area; it trusts nothing — a
+/// count or length the blob cannot hold, a short metadata prefix or rows
+/// out of path order are [`FsError::Corrupt`] — but it does not checksum:
+/// callers verify the whole-segment CRC from the manifest first.
+pub fn index(blob: &[u8]) -> Result<SegIndex, FsError> {
+    let mut r = Reader::new(blob);
+    let header = read_header(&mut r)?;
+    let mut walk = || -> Result<Vec<SegRow>, Malformed> {
+        let count = r.count(ENTRY_OVERHEAD + META_PREFIX)?;
+        let mut rows: Vec<SegRow> = Vec::with_capacity(count);
+        for _ in 0..count {
+            let e = read_entry(&mut r)?;
+            let mut data = Reader::new(e.data);
+            let prefix = (data.u64(), data.u64(), data.u8());
+            let (Ok(seq), Ok(expires_us), Ok(flags)) = prefix else {
+                return Err(r.fail("short entry metadata"));
+            };
+            if rows.last().is_some_and(|prev| prev.path.as_str() >= e.path) {
+                return Err(r.fail("entries out of path order"));
+            }
+            let stored_len = data.rest().len();
+            rows.push(SegRow {
+                path: e.path.to_string(),
+                seq,
+                expires_us,
+                tombstone: flags & FLAG_TOMBSTONE != 0,
+                codec: e.codec,
+                raw_len: usize::try_from(e.stat.size)
+                    .map_err(|_| r.fail("raw length exceeds the address space"))?,
+                offset: r.consumed() - stored_len,
+                stored_len,
+            });
+        }
+        Ok(rows)
+    };
+    let rows = walk().map_err(|e| e.corrupt("wal segment"))?;
+    Ok(SegIndex { header, rows })
+}
+
+/// Index the segment and copy each entry's stored bytes out beside its
+/// row (verification and tests; the store reads values one at a time).
+pub fn parse_entries(blob: &[u8]) -> Result<Vec<SegEntry>, FsError> {
+    let rows = index(blob)?.rows;
+    Ok(rows
+        .into_iter()
+        .map(|row| {
+            let payload = blob[row.offset..row.offset + row.stored_len].to_vec();
+            SegEntry { row, payload }
+        })
+        .collect())
+}
+
+/// Convenience for tests: a sorted entry list from pairs.
 pub fn sorted_entries(
     pairs: impl IntoIterator<Item = (String, MemEntry)>,
 ) -> Vec<(String, MemEntry)> {
@@ -192,41 +350,44 @@ mod tests {
         CodecId::new(CodecFamily::Lz4Hc, 6)
     }
 
+    fn noise() -> Vec<u8> {
+        (0..256u32).flat_map(|i| i.wrapping_mul(0x9E37_79B9).to_le_bytes()).collect()
+    }
+
     #[test]
     fn roundtrip_values_and_tombstones() {
         let entries = sorted_entries([
             ("b/tomb".to_string(), entry(5, None)),
             ("a/data".to_string(), entry(3, Some(&b"compress me ".repeat(50)))),
         ]);
-        let (blob, raw) = build(&entries, lz(), 0.01).unwrap();
-        assert_eq!(raw, 600);
+        let Built { blob, index } = build(&entries, lz(), 0.01).unwrap();
+        assert_eq!(index.rows.iter().map(|r| r.raw_len).sum::<usize>(), 600);
         let h = parse_header(&blob).unwrap();
         assert_eq!((h.first_seq, h.last_seq), (3, 5));
         assert!(h.bloom.contains("a/data") && h.bloom.contains("b/tomb"));
         let parsed = parse_entries(&blob).unwrap();
         assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].path, "a/data");
-        assert!(!parsed[0].tombstone);
+        assert_eq!(parsed[0].row.path, "a/data");
+        assert!(!parsed[0].row.tombstone);
         assert!(parsed[0].payload.len() < 600, "repetitive value compresses");
         assert_eq!(parsed[0].decode_value().unwrap(), b"compress me ".repeat(50));
-        assert!(parsed[1].tombstone);
-        assert_eq!(parsed[1].seq, 5);
+        assert!(parsed[1].row.tombstone);
+        assert_eq!(parsed[1].row.seq, 5);
     }
 
     #[test]
     fn incompressible_values_stored_raw() {
-        let noise: Vec<u8> = (0..256u32).flat_map(|i| i.to_le_bytes()).collect();
-        let entries = sorted_entries([("n".to_string(), entry(1, Some(&noise)))]);
-        let (blob, _) = build(&entries, lz(), 0.01).unwrap();
+        let entries = sorted_entries([("n".to_string(), entry(1, Some(&noise())))]);
+        let blob = build(&entries, lz(), 0.01).unwrap().blob;
         let parsed = parse_entries(&blob).unwrap();
-        assert_eq!(parsed[0].codec, CodecId::new(CodecFamily::Store, 0));
-        assert_eq!(parsed[0].decode_value().unwrap(), noise);
+        assert_eq!(parsed[0].row.codec, CodecId::new(CodecFamily::Store, 0));
+        assert_eq!(parsed[0].decode_value().unwrap(), noise());
     }
 
     #[test]
     fn header_rejects_corruption() {
         let entries = sorted_entries([("k".to_string(), entry(1, Some(b"v")))]);
-        let (blob, _) = build(&entries, lz(), 0.01).unwrap();
+        let blob = build(&entries, lz(), 0.01).unwrap().blob;
         assert!(parse_header(&blob[..10]).is_err());
         let mut bad = blob.clone();
         bad[0] = b'X';
@@ -234,5 +395,85 @@ mod tests {
         let mut wrong_version = blob;
         wrong_version[4] = 9;
         assert!(parse_header(&wrong_version).is_err());
+    }
+
+    /// Compressed, stored-raw, empty, TTL'd and deleted versions.
+    fn mixed() -> Vec<(String, MemEntry)> {
+        let ttl = MemEntry { expires_us: 77, ..entry(9, Some(&b"expiring ".repeat(40))) };
+        sorted_entries([
+            ("m/compressed".to_string(), entry(3, Some(&b"compress me ".repeat(50)))),
+            ("m/raw".to_string(), entry(4, Some(&noise()))),
+            ("m/empty".to_string(), entry(5, Some(b""))),
+            ("m/ttl".to_string(), ttl),
+            ("m/tomb".to_string(), entry(11, None)),
+        ])
+    }
+
+    #[test]
+    fn the_builders_index_is_what_the_walker_reads_back() {
+        let Built { blob, index: built } = build(&mixed(), lz(), 0.01).unwrap();
+        assert_eq!(blob.capacity(), blob.len(), "sized once, exactly");
+        assert_eq!(index(&blob).unwrap(), built);
+        for (row, (path, e)) in built.rows.iter().zip(mixed()) {
+            assert_eq!(row.path, path);
+            assert_eq!(
+                (row.seq, row.expires_us, row.tombstone),
+                (e.seq, e.expires_us, e.value.is_none())
+            );
+            let stored = &blob[row.offset..row.offset + row.stored_len];
+            let value = row.decode_value(stored).unwrap();
+            assert_eq!(value, e.value.map_or(Vec::new(), |v| (*v).clone()), "{path}");
+            assert_eq!(built.find(&path), Some(row));
+        }
+        assert_eq!(built.find("m/absent"), None);
+    }
+
+    #[test]
+    fn carried_bytes_equal_a_rebuild_of_the_decoded_values() {
+        // What compaction does: take the live rows' stored bytes out of a
+        // segment as they are. What it used to do: decode every value and
+        // build again. The two must agree byte for byte.
+        let source = build(&mixed(), lz(), 0.01).unwrap();
+        let carried: Vec<Part<'_>> = source
+            .index
+            .rows
+            .iter()
+            .filter(|r| !r.tombstone)
+            .map(|r| r.carry(&source.blob).expect("the row indexes this blob"))
+            .collect();
+        let decoded: Vec<(String, MemEntry)> = parse_entries(&source.blob)
+            .unwrap()
+            .iter()
+            .filter(|e| !e.row.tombstone)
+            .map(|e| {
+                let value = Some(Arc::new(e.decode_value().unwrap()));
+                (
+                    e.row.path.clone(),
+                    MemEntry { seq: e.row.seq, expires_us: e.row.expires_us, value },
+                )
+            })
+            .collect();
+        assert_eq!(carried.len(), 4);
+        let rebuilt = build(&decoded, lz(), 0.01).unwrap();
+        let carried = assemble(&carried, 0.01);
+        assert_eq!(carried.blob, rebuilt.blob);
+        assert_eq!(carried.index, rebuilt.index);
+    }
+
+    #[test]
+    fn the_walker_rejects_rows_it_could_not_search() {
+        let entries =
+            vec![("b".to_string(), entry(1, Some(b"v"))), ("a".to_string(), entry(2, Some(b"w")))];
+        let blob = build(&entries, lz(), 0.01).unwrap().blob;
+        assert!(matches!(index(&blob), Err(FsError::Corrupt(m)) if m.contains("path order")));
+        // An entry whose data field is shorter than the metadata prefix
+        // (the entry behind it keeps the count plausible).
+        let good = build(&[entries[1].clone(), entries[0].clone()], lz(), 0.01).unwrap();
+        let value_at = good.index.rows[0].offset;
+        let size_at = value_at - META_PREFIX - 8;
+        let mut short = good.blob;
+        short[size_at..size_at + 8].copy_from_slice(&(META_PREFIX as u64 - 1).to_le_bytes());
+        short.drain(value_at - 1..value_at + 1);
+        assert!(matches!(index(&short), Err(FsError::Corrupt(m)) if m.contains("metadata")));
     }
 }

@@ -12,28 +12,44 @@
 //!
 //! ## Flush and compaction
 //!
-//! When the memtable crosses `memtable_budget` bytes it flushes into an
-//! immutable segment — pack-format entries behind a bloom filter
-//! ([`super::segment`]) — and the new segment set is published via an
-//! atomic CRC-tailed manifest ([`super::manifest`]), written last,
-//! exactly the checkpoint generations' publish discipline. Only then is
-//! the log trimmed; a crash between publish and trim merely replays
-//! records the manifest's `trim_seq` already covers, and replay skips
-//! them by sequence. When the set reaches `compact_min_segments`,
-//! compaction merges every segment, dropping superseded versions,
-//! tombstones and expired TTLs, and publishes the merged set the same
-//! way. Compaction is threshold-triggered inline rather than a free
-//! thread: the repo's chaos and crash tests assert byte-identical
-//! seeded outcomes, which a racing background compactor would break.
+//! When the key and value bytes *applied since the last flush* cross
+//! `memtable_budget`, the memtable flushes into an immutable segment —
+//! pack-format entries behind a bloom filter ([`super::segment`]) — and
+//! the new segment set is published via an atomic CRC-tailed manifest
+//! ([`super::manifest`]), written last, exactly the checkpoint
+//! generations' publish discipline. Only then is the log trimmed; a crash
+//! between publish and trim merely replays records the manifest's
+//! `trim_seq` already covers, and replay skips them by sequence. The
+//! trigger counts applied bytes, not the memtable's live bytes: an
+//! overwrite or an unlink *shrinks* the live set while the log it must
+//! one day trim keeps growing, so a node fed put-then-unlink traffic
+//! would hold a near-empty memtable over an unbounded log.
+//!
+//! When the set reaches `compact_min_segments`, compaction merges every
+//! segment, dropping superseded versions, tombstones and expired TTLs,
+//! and publishes the merged set the same way. The merge runs over the
+//! in-memory index rows; each input blob is read once, its length and
+//! CRC are checked against the manifest, and the surviving versions'
+//! *stored* bytes are copied into the output as they are — nothing is
+//! decoded or re-encoded, and the CRC check is what keeps a verbatim copy
+//! from sealing at-rest damage under the output's fresh CRC. Compaction
+//! is threshold-triggered inline rather than a free thread: the repo's
+//! chaos and crash tests assert byte-identical seeded outcomes, which a
+//! racing background compactor would break.
 //!
 //! ## Read path
 //!
-//! `get` consults the memtable, then each published segment newest
-//! first. Every segment's bloom filter lives in memory, so a negative
-//! lookup touches no segment data at all — `wal.bloom.negative` counts
-//! the skips and `wal.segment.reads` stays at zero, which the crash
-//! tests assert directly.
+//! Every published segment's [`SegIndex`] — bloom filter plus one sorted
+//! row per entry — lives in memory, built from the entries in hand when
+//! the segment is written and by one walk of the CRC-verified blob at
+//! `open`. `get` consults the memtable, then each segment newest first:
+//! bloom filter, binary search of the rows, and for a live hit one
+//! [`WalMedia::read_range`] of that value's stored bytes, decoded and
+//! length-checked. A miss, a tombstone, an expired TTL and `contains`
+//! read nothing from the medium — `wal.segment.reads` counts the value
+//! fetches and stays at zero for them, which the crash tests assert.
 
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -44,12 +60,11 @@ use parking_lot::Mutex;
 use crate::metrics::{now_us, Counter, Gauge, Histogram, MetricsRegistry};
 use crate::FsError;
 
-use super::log::{encode_record, replay, WalRecord};
+use super::log::{encode_parts, replay};
 use super::manifest::{WalManifest, WalSegmentMeta};
 use super::media::WalMedia;
 use super::memtable::{MemEntry, MemTable};
-use super::segment;
-use super::segment::SegHeader;
+use super::segment::{self, Part, SegIndex, SegRow};
 
 /// Write-path configuration.
 #[derive(Debug, Clone)]
@@ -61,7 +76,8 @@ pub struct WalConfig {
     pub codec: CodecId,
     /// Per-segment bloom filter false-positive target.
     pub bloom_fp: f64,
-    /// Memtable byte budget; crossing it triggers a flush.
+    /// Flush budget: key + value bytes applied since the last flush;
+    /// crossing it triggers a flush (and with it the log trim).
     pub memtable_budget: usize,
     /// Records per automatic group commit. 1 = sync every write before
     /// acknowledging it; N > 1 = batch N appends per sync (relaxed
@@ -197,7 +213,8 @@ pub struct WalMetrics {
     pub memtable_hits: Arc<Counter>,
     /// Lookups answered by a segment (`wal.segment.hits`).
     pub segment_hits: Arc<Counter>,
-    /// Segment data reads — bloom-positive probes (`wal.segment.reads`).
+    /// Values fetched from segment data on the medium
+    /// (`wal.segment.reads`).
     pub segment_reads: Arc<Counter>,
     /// Segments skipped by a negative bloom probe (`wal.bloom.negative`).
     pub bloom_negative: Arc<Counter>,
@@ -245,22 +262,38 @@ impl WalMetrics {
     }
 }
 
-/// A published segment with its in-memory header (bloom + seq range).
+/// A published segment with its in-memory index (bloom + rows).
 struct LoadedSegment {
     meta: WalSegmentMeta,
-    header: SegHeader,
+    index: SegIndex,
+}
+
+/// Where the newest version of a key was found, before any value bytes
+/// are read.
+enum Found<'a> {
+    /// Live in the memtable.
+    Mem(&'a Arc<Vec<u8>>),
+    /// Live in a segment: fetch `row`'s stored bytes to read it.
+    Seg(&'a LoadedSegment, &'a SegRow),
+    /// Deleted or expired.
+    Dead,
+    /// Never seen.
+    Miss,
 }
 
 /// Mutable store state behind one lock.
 struct Inner {
     mem: MemTable,
+    /// Key + value bytes applied to the memtable since the last flush:
+    /// what the log holds beyond `trim_seq`, and the flush trigger.
+    applied: usize,
     /// Encoded frames not yet appended to the medium.
     pending: Vec<u8>,
     pending_records: u64,
     next_seq: u64,
     durable_seq: u64,
     manifest: WalManifest,
-    /// Loaded headers, aligned with `manifest.segments` (newest first).
+    /// Loaded indexes, aligned with `manifest.segments` (newest first).
     loaded: Vec<LoadedSegment>,
     next_segment_id: u64,
 }
@@ -310,22 +343,17 @@ impl WalStore {
         let mut max_segment_id = 0u64;
         let mut durable_seq = manifest.trim_seq;
         for meta in &manifest.segments {
-            let blob = media
-                .read(&meta.name)
-                .ok_or_else(|| FsError::Corrupt(format!("wal: missing segment {}", meta.name)))?;
-            if blob.len() as u64 != meta.bytes || crc32(&blob) != meta.crc {
-                return Err(FsError::Corrupt(format!("wal: segment {} fails CRC", meta.name)));
-            }
-            let header = segment::parse_header(&blob)?;
-            durable_seq = durable_seq.max(header.last_seq);
+            let index = segment::index(&read_verified(media.as_ref(), meta)?)?;
+            durable_seq = durable_seq.max(index.header.last_seq);
             if let Some(id) = segment_id(&meta.name) {
                 max_segment_id = max_segment_id.max(id);
             }
-            loaded.push(LoadedSegment { meta: meta.clone(), header });
+            loaded.push(LoadedSegment { meta: meta.clone(), index });
         }
         let log = media.read(&format!("{}/LOG", cfg.dir)).unwrap_or_default();
         let (records, torn) = replay(&log);
         let mut mem = MemTable::new();
+        let mut applied = 0usize;
         let mut replayed = 0u64;
         let mut skipped = 0u64;
         for rec in &records {
@@ -334,6 +362,7 @@ impl WalStore {
                 continue;
             }
             mem.apply(rec);
+            applied += rec.path.len() + rec.value.len();
             replayed += 1;
             durable_seq = durable_seq.max(rec.seq);
         }
@@ -349,6 +378,7 @@ impl WalStore {
         metrics.durable_seq.set(durable_seq);
         let inner = Inner {
             mem,
+            applied,
             pending: Vec::new(),
             pending_records: 0,
             next_seq: durable_seq + 1,
@@ -403,26 +433,18 @@ impl WalStore {
         let seq = inner.next_seq;
         inner.next_seq += 1;
         let expires_us = ttl.map_or(0, |d| now_us().saturating_add(d.as_micros() as u64).max(1));
-        let bytes = value.as_ref().map_or(0, Vec::len) as u64;
-        let rec = WalRecord {
-            seq,
-            expires_us,
-            tombstone: value.is_none(),
-            path: path.to_string(),
-            value: value.clone().unwrap_or_default(),
-        };
-        let mut pending = std::mem::take(&mut inner.pending);
-        encode_record(&mut pending, &rec);
-        inner.pending = pending;
+        let bytes = value.as_ref().map_or(0, Vec::len);
+        encode_parts(&mut inner.pending, seq, expires_us, path, value.as_deref());
         inner.pending_records += 1;
         inner.mem.insert(path, MemEntry { seq, expires_us, value: value.map(Arc::new) });
+        inner.applied += path.len() + bytes;
         self.metrics.append_records.inc();
-        self.metrics.append_bytes.add(bytes);
+        self.metrics.append_bytes.add(bytes as u64);
         self.metrics.memtable_bytes.set(inner.mem.bytes() as u64);
         if inner.pending_records >= self.cfg.commit_every.max(1) as u64 {
             self.commit_locked(&mut inner)?;
         }
-        if inner.mem.bytes() >= self.cfg.memtable_budget {
+        if inner.applied >= self.cfg.memtable_budget {
             self.flush_locked(&mut inner)?;
         }
         Ok(seq)
@@ -470,37 +492,30 @@ impl WalStore {
         }
         let entries: Vec<(String, MemEntry)> =
             inner.mem.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        let (blob, _raw) = segment::build(&entries, self.cfg.codec, self.cfg.bloom_fp)?;
-        let header = segment::parse_header(&blob)?;
+        let built = segment::build(&entries, self.cfg.codec, self.cfg.bloom_fp)?;
         let name = format!("{}/seg-{:08}", self.cfg.dir, inner.next_segment_id);
-        let meta = WalSegmentMeta {
-            name: name.clone(),
-            bytes: blob.len() as u64,
-            crc: crc32(&blob),
-            first_seq: header.first_seq,
-            last_seq: header.last_seq,
-            entries: entries.len() as u32,
-        };
+        let meta = segment_meta(&name, &built);
         // Segment first, sync, then the manifest — the atomic publish
         // point — then the log trim. A crash between any two steps
         // leaves a state replay already handles.
-        self.media.write(&name, &blob)?;
+        self.media.write(&name, built.blob)?;
         self.media.sync()?;
         let mut manifest = inner.manifest.clone();
         manifest.publish += 1;
         manifest.trim_seq = manifest.trim_seq.max(inner.durable_seq);
         manifest.segments.insert(0, meta.clone());
-        self.media.write(&self.manifest_name(), &manifest.encode())?;
+        self.media.write(&self.manifest_name(), manifest.encode())?;
         self.media.sync()?;
-        self.media.write(&self.log_name(), &[])?;
+        self.media.write(&self.log_name(), Vec::new())?;
         // Publish succeeded: adopt the new state.
         inner.next_segment_id += 1;
         inner.manifest = manifest;
-        inner.loaded.insert(0, LoadedSegment { meta, header });
-        inner.mem.drain();
         self.metrics.flush_count.inc();
         self.metrics.flush_entries.add(entries.len() as u64);
-        self.metrics.flush_bytes.add(blob.len() as u64);
+        self.metrics.flush_bytes.add(meta.bytes);
+        inner.loaded.insert(0, LoadedSegment { meta, index: built.index });
+        inner.mem.drain();
+        inner.applied = 0;
         self.metrics.memtable_bytes.set(0);
         self.metrics.segments.set(inner.loaded.len() as u64);
         if self.cfg.compact_min_segments > 0
@@ -533,76 +548,66 @@ impl WalStore {
             merged_segments: inner.manifest.segments.len(),
             ..Default::default()
         };
-        // Newest-first walk: the first version of a key wins; everything
-        // after it for the same key is superseded.
-        let mut merged: std::collections::BTreeMap<String, MemEntry> =
-            std::collections::BTreeMap::new();
-        for seg in &inner.loaded {
-            let blob = self.media.read(&seg.meta.name).ok_or_else(|| {
-                FsError::Corrupt(format!("wal: segment {} vanished", seg.meta.name))
-            })?;
-            for e in segment::parse_entries(&blob)? {
-                report.in_bytes += e.raw_len as u64;
-                if merged.contains_key(&e.path) {
+        // Each input is read once and checked against the manifest before
+        // a byte is carried out of it: the output gets a fresh CRC, which
+        // must not seal damage the inputs picked up at rest.
+        let blobs = inner
+            .loaded
+            .iter()
+            .map(|seg| read_verified(self.media.as_ref(), &seg.meta))
+            .collect::<Result<Vec<_>, _>>()?;
+        // Newest-first walk over the index rows: the first version of a
+        // key wins (`None` when that version is a tombstone or expired —
+        // remembered so older versions drop as superseded, emitted as
+        // nothing); everything after it for the same key is superseded.
+        let mut winners: BTreeMap<&str, Option<Part<'_>>> = BTreeMap::new();
+        for (seg, blob) in inner.loaded.iter().zip(&blobs) {
+            for row in &seg.index.rows {
+                report.in_bytes += row.raw_len as u64;
+                let Entry::Vacant(slot) = winners.entry(&row.path) else {
                     report.dropped_versions += 1;
                     continue;
-                }
-                if e.tombstone {
+                };
+                if row.tombstone {
                     report.dropped_tombstones += 1;
-                    // Remember the key so older versions drop as
-                    // superseded, but emit nothing.
-                    merged.insert(e.path, MemEntry { seq: e.seq, expires_us: 0, value: None });
+                    slot.insert(None);
                     continue;
                 }
-                if e.expires_us != 0 && e.expires_us <= now_us {
+                if row.dead_at(now_us) {
                     report.dropped_expired += 1;
-                    merged.insert(
-                        e.path,
-                        MemEntry { seq: e.seq, expires_us: e.expires_us, value: None },
-                    );
+                    slot.insert(None);
                     continue;
                 }
-                let value = Arc::new(e.decode_value()?);
-                merged.insert(
-                    e.path,
-                    MemEntry { seq: e.seq, expires_us: e.expires_us, value: Some(value) },
-                );
+                let part = row.carry(blob).ok_or_else(|| {
+                    FsError::Corrupt(format!(
+                        "wal: {}: index row outside {}",
+                        row.path, seg.meta.name
+                    ))
+                })?;
+                report.out_bytes += row.raw_len as u64;
+                slot.insert(Some(part));
             }
         }
-        let live: Vec<(String, MemEntry)> =
-            merged.into_iter().filter(|(_, e)| e.value.is_some()).collect();
-        report.out_bytes =
-            live.iter().map(|(_, e)| e.value.as_ref().expect("live").len() as u64).sum();
+        let live: Vec<Part<'_>> = winners.into_values().flatten().collect();
         let old: Vec<String> = inner.manifest.segments.iter().map(|s| s.name.clone()).collect();
         let mut manifest = inner.manifest.clone();
         manifest.publish += 1;
-        if live.is_empty() {
-            manifest.segments.clear();
-            self.media.write(&self.manifest_name(), &manifest.encode())?;
-            self.media.sync()?;
-            inner.manifest = manifest;
-            inner.loaded.clear();
+        let merged = if live.is_empty() {
+            None
         } else {
-            let (blob, _raw) = segment::build(&live, self.cfg.codec, self.cfg.bloom_fp)?;
-            let header = segment::parse_header(&blob)?;
+            let built = segment::assemble(&live, self.cfg.bloom_fp);
             let name = format!("{}/seg-{:08}", self.cfg.dir, inner.next_segment_id);
-            let meta = WalSegmentMeta {
-                name: name.clone(),
-                bytes: blob.len() as u64,
-                crc: crc32(&blob),
-                first_seq: header.first_seq,
-                last_seq: header.last_seq,
-                entries: live.len() as u32,
-            };
-            self.media.write(&name, &blob)?;
+            let meta = segment_meta(&name, &built);
+            self.media.write(&name, built.blob)?;
             self.media.sync()?;
-            manifest.segments = vec![meta.clone()];
-            self.media.write(&self.manifest_name(), &manifest.encode())?;
-            self.media.sync()?;
-            inner.next_segment_id += 1;
-            inner.manifest = manifest;
-            inner.loaded = vec![LoadedSegment { meta, header }];
-        }
+            Some(LoadedSegment { meta, index: built.index })
+        };
+        manifest.segments = merged.iter().map(|seg| seg.meta.clone()).collect();
+        self.media.write(&self.manifest_name(), manifest.encode())?;
+        self.media.sync()?;
+        inner.next_segment_id += merged.is_some() as u64;
+        inner.manifest = manifest;
+        inner.loaded = merged.into_iter().collect();
         // The old blobs are unreferenced once the manifest landed;
         // deleting them is GC, crash-safe in either order.
         for name in old {
@@ -618,50 +623,57 @@ impl WalStore {
         Ok(report)
     }
 
-    /// Look up the newest version of `path`: memtable, then segments
-    /// newest-first, each guarded by its in-memory bloom filter.
-    pub fn get(&self, path: &str) -> Result<Lookup, FsError> {
+    /// Find the newest version of `path` — memtable, then segments
+    /// newest-first, each guarded by its bloom filter — from memory alone.
+    fn locate<'a>(&self, inner: &'a Inner, path: &str) -> Found<'a> {
         let now = now_us();
-        let inner = self.inner.lock();
         if let Some(e) = inner.mem.get(path) {
             self.metrics.memtable_hits.inc();
-            return Ok(match &e.value {
-                Some(v) if e.expires_us == 0 || e.expires_us > now => Lookup::Hit(Arc::clone(v)),
-                _ => Lookup::Tombstone,
-            });
+            return match &e.value {
+                Some(v) if e.expires_us == 0 || e.expires_us > now => Found::Mem(v),
+                _ => Found::Dead,
+            };
         }
         for seg in &inner.loaded {
-            if !seg.header.bloom.contains(path) {
+            if !seg.index.header.bloom.contains(path) {
                 self.metrics.bloom_negative.inc();
                 continue;
             }
-            self.metrics.segment_reads.inc();
-            let blob = self.media.read(&seg.meta.name).ok_or_else(|| {
-                FsError::Corrupt(format!("wal: segment {} vanished", seg.meta.name))
-            })?;
-            let entries = segment::parse_entries(&blob)?;
-            match entries.binary_search_by(|e| e.path.as_str().cmp(path)) {
-                Ok(i) => {
-                    let e = &entries[i];
+            match seg.index.find(path) {
+                Some(row) => {
                     self.metrics.segment_hits.inc();
-                    return Ok(if e.tombstone || (e.expires_us != 0 && e.expires_us <= now) {
-                        Lookup::Tombstone
-                    } else {
-                        Lookup::Hit(Arc::new(e.decode_value()?))
-                    });
+                    return if row.dead_at(now) { Found::Dead } else { Found::Seg(seg, row) };
                 }
-                Err(_) => {
-                    self.metrics.bloom_false_positive.inc();
-                }
+                None => self.metrics.bloom_false_positive.inc(),
             }
         }
         self.metrics.lookup_miss.inc();
-        Ok(Lookup::Miss)
+        Found::Miss
     }
 
-    /// Whether `path` currently resolves to a value.
+    /// Look up the newest version of `path`. Only a live value held in a
+    /// segment touches the medium, and then only its own stored bytes.
+    pub fn get(&self, path: &str) -> Result<Lookup, FsError> {
+        let inner = self.inner.lock();
+        Ok(match self.locate(&inner, path) {
+            Found::Mem(v) => Lookup::Hit(Arc::clone(v)),
+            Found::Seg(seg, row) => {
+                self.metrics.segment_reads.inc();
+                let stored =
+                    self.media.read_range(&seg.meta.name, row.offset, row.stored_len).ok_or_else(
+                        || FsError::Corrupt(format!("wal: segment {} vanished", seg.meta.name)),
+                    )?;
+                Lookup::Hit(Arc::new(row.decode_value(&stored)?))
+            }
+            Found::Dead => Lookup::Tombstone,
+            Found::Miss => Lookup::Miss,
+        })
+    }
+
+    /// Whether `path` currently resolves to a value. Answered from the
+    /// memtable and the segment indexes: nothing is read or decoded.
     pub fn contains(&self, path: &str) -> bool {
-        matches!(self.get(path), Ok(Lookup::Hit(_)))
+        matches!(self.locate(&self.inner.lock(), path), Found::Mem(_) | Found::Seg(..))
     }
 
     /// Highest sequence the medium is guaranteed to hold.
@@ -699,24 +711,19 @@ impl WalStore {
         };
         v.publish = manifest.publish;
         for meta in &manifest.segments {
-            match self.media.read(&meta.name) {
-                Some(blob) if blob.len() as u64 == meta.bytes && crc32(&blob) == meta.crc => {
-                    match segment::parse_entries(&blob) {
-                        Ok(entries) if entries.len() as u32 == meta.entries => {
-                            v.segments_ok += 1;
-                            v.entries += entries.len() as u64;
-                        }
-                        Ok(entries) => v.errors.push(format!(
-                            "{}: {} entries, manifest says {}",
-                            meta.name,
-                            entries.len(),
-                            meta.entries
-                        )),
-                        Err(e) => v.errors.push(format!("{}: {e}", meta.name)),
-                    }
+            let indexed = read_verified(self.media.as_ref(), meta)
+                .and_then(|blob| segment::index(&blob))
+                .map(|index| index.rows.len());
+            match indexed {
+                Ok(entries) if entries as u32 == meta.entries => {
+                    v.segments_ok += 1;
+                    v.entries += entries as u64;
                 }
-                Some(_) => v.errors.push(format!("{}: CRC mismatch", meta.name)),
-                None => v.errors.push(format!("{}: missing", meta.name)),
+                Ok(entries) => v.errors.push(format!(
+                    "{}: {entries} entries, manifest says {}",
+                    meta.name, meta.entries
+                )),
+                Err(e) => v.errors.push(format!("{}: {e}", meta.name)),
             }
         }
         let log = self.media.read(&self.log_name()).unwrap_or_default();
@@ -732,6 +739,30 @@ impl WalStore {
 
     fn manifest_name(&self) -> String {
         format!("{}/MANIFEST", self.cfg.dir)
+    }
+}
+
+/// Read a published segment whole and check its length and CRC against
+/// the manifest entry that names it.
+fn read_verified(media: &dyn WalMedia, meta: &WalSegmentMeta) -> Result<Arc<Vec<u8>>, FsError> {
+    let blob = media
+        .read(&meta.name)
+        .ok_or_else(|| FsError::Corrupt(format!("wal: missing segment {}", meta.name)))?;
+    if blob.len() as u64 != meta.bytes || crc32(&blob) != meta.crc {
+        return Err(FsError::Corrupt(format!("wal: segment {} fails CRC", meta.name)));
+    }
+    Ok(blob)
+}
+
+/// The manifest entry for a segment about to be written as `name`.
+fn segment_meta(name: &str, built: &segment::Built) -> WalSegmentMeta {
+    WalSegmentMeta {
+        name: name.to_string(),
+        bytes: built.blob.len() as u64,
+        crc: crc32(&built.blob),
+        first_seq: built.index.header.first_seq,
+        last_seq: built.index.header.last_seq,
+        entries: built.index.rows.len() as u32,
     }
 }
 

@@ -1,0 +1,334 @@
+//! The WAL store against a model, and against a medium that counts.
+//!
+//! * **Model**: seeded scripts of put / overwrite / unlink / put_ttl /
+//!   flush / compact / reopen run against a `BTreeMap`; every `get` and
+//!   `contains` agrees with it, before and after each reopen.
+//! * **What a lookup costs**: [`Counting`] wraps the medium and records
+//!   every read and write. `contains`, tombstones and expired TTLs read
+//!   nothing; a `get` reads exactly the value's stored bytes; a
+//!   compaction reads each input once and writes one segment and one
+//!   manifest.
+//! * **What compaction may not do**: change a stored byte (its output is
+//!   what decoding and rebuilding the live set gives) or carry a damaged
+//!   input forward under a fresh CRC.
+
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
+
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
+
+use fanstore::metrics::{now_us, MetricsRegistry};
+use fanstore::wal::segment::{self, SegRow};
+use fanstore::wal::{Lookup, MemEntry, RamMedia, WalConfig, WalMedia, WalStore};
+use fanstore::FsError;
+
+fn open(media: Arc<dyn WalMedia>, cfg: &WalConfig) -> WalStore {
+    WalStore::open(media, cfg.clone(), &MetricsRegistry::new()).expect("open").0
+}
+
+/// Wait until the shared clock has passed `t`, so a TTL ending at `t` has
+/// run out for every later call.
+fn wait_past(t: u64) {
+    while now_us() <= t {
+        std::hint::spin_loop();
+    }
+}
+
+/// A TTL short enough to wait out; [`put_expired`] does the waiting.
+const SHORT_TTL: Duration = Duration::from_micros(50);
+
+fn put_expired(store: &WalStore, key: &str, value: Vec<u8>) {
+    store.put_ttl(key, value, SHORT_TTL).unwrap();
+    wait_past(now_us() + SHORT_TTL.as_micros() as u64);
+}
+
+/// Compressible, incompressible and empty values, distinguishable by
+/// content.
+fn value(rng: &mut ChaCha8Rng) -> Vec<u8> {
+    let len = rng.gen_range(1..600usize);
+    match rng.gen_range(0..8u32) {
+        0 => Vec::new(),
+        1 | 2 => (0..len).map(|_| rng.gen::<u8>()).collect(),
+        _ => {
+            let fill = rng.gen::<u8>();
+            (0..len).map(|j| fill.wrapping_add((j / 9) as u8)).collect()
+        }
+    }
+}
+
+fn check(store: &WalStore, model: &BTreeMap<String, Vec<u8>>, keys: &[String], when: &str) {
+    for key in keys {
+        let got = store.get(key).expect("get").value();
+        assert_eq!(got.as_deref(), model.get(key), "{when}: get {key}");
+        assert_eq!(store.contains(key), model.contains_key(key), "{when}: contains {key}");
+    }
+    assert!(matches!(store.get("never/written").unwrap(), Lookup::Miss), "{when}");
+    assert!(!store.contains("never/written"), "{when}");
+}
+
+#[test]
+fn seeded_scripts_agree_with_a_btreemap_model() {
+    let keys: Vec<String> = (0..24).map(|i| format!("out/k{i:02}.bin")).collect();
+    for seed in 0..6u64 {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x00DE_1A7A ^ seed);
+        let cfg = WalConfig {
+            memtable_budget: 2048,
+            compact_min_segments: if seed % 2 == 0 { 3 } else { 0 },
+            sync_cost: Duration::ZERO,
+            ..WalConfig::default()
+        };
+        let media = RamMedia::new(Duration::ZERO);
+        let mut store = open(media.clone(), &cfg);
+        let mut model: BTreeMap<String, Vec<u8>> = BTreeMap::new();
+        let mut reopens = 0;
+        for step in 0..400 {
+            let key = &keys[rng.gen_range(0..keys.len())];
+            match rng.gen_range(0..100u32) {
+                0..=54 => {
+                    let v = value(&mut rng);
+                    store.put(key, v.clone()).unwrap();
+                    model.insert(key.clone(), v);
+                }
+                55..=69 => {
+                    store.unlink(key).unwrap();
+                    model.remove(key);
+                }
+                70..=74 => {
+                    let v = value(&mut rng);
+                    store.put_ttl(key, v.clone(), Duration::from_secs(3600)).unwrap();
+                    model.insert(key.clone(), v);
+                }
+                75..=79 => {
+                    put_expired(&store, key, value(&mut rng));
+                    model.remove(key);
+                }
+                80..=89 => {
+                    store.flush().unwrap();
+                }
+                90..=94 => {
+                    store.compact().unwrap();
+                }
+                _ => {
+                    check(&store, &model, &keys, &format!("seed {seed} step {step} before reopen"));
+                    drop(store);
+                    store = open(media.clone(), &cfg);
+                    reopens += 1;
+                    check(&store, &model, &keys, &format!("seed {seed} step {step} after reopen"));
+                }
+            }
+            check(&store, &model, std::slice::from_ref(key), &format!("seed {seed} step {step}"));
+        }
+        check(&store, &model, &keys, &format!("seed {seed} end"));
+        assert!(reopens > 0 && store.metrics().segment_reads.get() > 0, "seed {seed} is too tame");
+        let v = store.verify();
+        assert!(v.errors.is_empty(), "seed {seed}: {:?}", v.errors);
+    }
+}
+
+/// One recorded medium call: object name and bytes moved.
+type Call = (String, usize);
+
+/// A medium that records what crosses it.
+#[derive(Default)]
+struct Calls {
+    whole_reads: Vec<Call>,
+    range_reads: Vec<Call>,
+    writes: Vec<Call>,
+}
+
+struct Counting {
+    inner: Arc<RamMedia>,
+    calls: Mutex<Calls>,
+}
+
+impl Counting {
+    fn new() -> Arc<Self> {
+        Arc::new(Counting { inner: RamMedia::new(Duration::ZERO), calls: Mutex::default() })
+    }
+
+    /// The calls since the last `take`.
+    fn take(&self) -> Calls {
+        std::mem::take(&mut self.calls.lock().unwrap())
+    }
+}
+
+impl WalMedia for Counting {
+    fn write(&self, name: &str, bytes: Vec<u8>) -> Result<(), FsError> {
+        self.calls.lock().unwrap().writes.push((name.to_string(), bytes.len()));
+        self.inner.write(name, bytes)
+    }
+
+    fn append(&self, name: &str, bytes: &[u8]) -> Result<(), FsError> {
+        self.inner.append(name, bytes)
+    }
+
+    fn sync(&self) -> Result<(), FsError> {
+        self.inner.sync()
+    }
+
+    fn read(&self, name: &str) -> Option<Arc<Vec<u8>>> {
+        let out = self.inner.read(name);
+        let len = out.as_ref().map_or(0, |b| b.len());
+        self.calls.lock().unwrap().whole_reads.push((name.to_string(), len));
+        out
+    }
+
+    fn read_range(&self, name: &str, offset: usize, len: usize) -> Option<Vec<u8>> {
+        self.calls.lock().unwrap().range_reads.push((name.to_string(), len));
+        self.inner.read_range(name, offset, len)
+    }
+
+    fn list(&self) -> Vec<String> {
+        self.inner.list()
+    }
+
+    fn delete(&self, name: &str) {
+        self.inner.delete(name)
+    }
+}
+
+fn manual_cfg() -> WalConfig {
+    WalConfig {
+        memtable_budget: usize::MAX,
+        compact_min_segments: 0,
+        sync_cost: Duration::ZERO,
+        ..WalConfig::default()
+    }
+}
+
+/// The index row of `key` in the published segment `name`.
+fn row_of(media: &RamMedia, name: &str, key: &str) -> SegRow {
+    let blob = media.read(name).expect("segment is on the medium");
+    segment::index(&blob).unwrap().find(key).expect("key is in the segment").clone()
+}
+
+#[test]
+fn lookups_read_one_value_or_nothing() {
+    let media = Counting::new();
+    let store = open(media.clone(), &manual_cfg());
+    let compressible = b"sixteen KiB of checkpoint, near enough ".repeat(100);
+    store.put("live/compressed", compressible.clone()).unwrap();
+    store
+        .put(
+            "live/raw",
+            (0..300u32).flat_map(|i| i.wrapping_mul(0x9E37_79B9).to_le_bytes()).collect(),
+        )
+        .unwrap();
+    store.put("gone/unlinked", vec![3; 500]).unwrap();
+    store.put("gone/superseded", vec![4; 500]).unwrap();
+    put_expired(&store, "gone/expired", vec![5; 500]);
+    let first = store.flush().unwrap().expect("a segment");
+    store.unlink("gone/unlinked").unwrap();
+    store.put("gone/superseded", Vec::new()).unwrap();
+    store.unlink("gone/superseded").unwrap();
+    store.flush().unwrap().expect("a second segment");
+    media.take();
+
+    for key in ["live/compressed", "live/raw"] {
+        assert!(store.contains(key));
+    }
+    for key in ["gone/unlinked", "gone/superseded", "gone/expired", "never/written"] {
+        assert!(!store.contains(key), "{key}");
+        assert!(store.get(key).unwrap().value().is_none(), "{key}");
+    }
+    let calls = media.take();
+    assert!(calls.whole_reads.is_empty(), "whole-object reads: {:?}", calls.whole_reads);
+    assert!(calls.range_reads.is_empty(), "range reads: {:?}", calls.range_reads);
+    assert_eq!(store.metrics().segment_reads.get(), 0);
+
+    for key in ["live/compressed", "live/raw"] {
+        let row = row_of(&media.inner, &first, key);
+        let got = store.get(key).unwrap().value().expect("live");
+        assert_eq!(got.len(), row.raw_len);
+        let calls = media.take();
+        assert!(calls.whole_reads.is_empty(), "{key}: {:?}", calls.whole_reads);
+        assert_eq!(calls.range_reads, vec![(first.clone(), row.stored_len)], "{key}");
+    }
+    assert!(row_of(&media.inner, &first, "live/compressed").stored_len < compressible.len());
+    assert_eq!(&**store.get("live/compressed").unwrap().value().unwrap(), &compressible);
+}
+
+#[test]
+fn compaction_reads_each_input_once_and_changes_no_stored_byte() {
+    let media = Counting::new();
+    let store = open(media.clone(), &manual_cfg());
+    let mut rng = ChaCha8Rng::seed_from_u64(0xC0A7);
+    let mut inputs = Vec::new();
+    for round in 0..3 {
+        for i in 0..10 {
+            if (i + round) % 3 != 0 {
+                store.put(&format!("k{i}"), value(&mut rng)).unwrap();
+            } else if round > 0 {
+                store.unlink(&format!("k{i}")).unwrap();
+            }
+        }
+        store.put_ttl(&format!("ttl{round}"), value(&mut rng), Duration::from_secs(3600)).unwrap();
+        inputs.push((store.flush().unwrap().expect("a segment"), 0));
+    }
+    for (name, bytes) in &mut inputs {
+        *bytes = media.inner.read(name).unwrap().len();
+    }
+    inputs.sort();
+    media.take();
+
+    let report = store.compact().unwrap();
+    let mut calls = media.take();
+    calls.whole_reads.sort();
+    assert_eq!(calls.whole_reads, inputs, "each input blob is read once, whole");
+    assert!(calls.range_reads.is_empty());
+    let status = store.status();
+    let out = &status.segments[0];
+    assert_eq!(status.segments.len(), 1);
+    assert_eq!(
+        calls.writes,
+        vec![
+            (out.name.clone(), out.bytes as usize),
+            ("wal/MANIFEST".to_string(), calls.writes[1].1)
+        ],
+        "one segment, then one manifest"
+    );
+
+    // Decode every carried value and build the segment again: same bytes.
+    let blob = media.inner.read(&out.name).unwrap();
+    let entries = segment::parse_entries(&blob).unwrap();
+    let live: Vec<(String, MemEntry)> = entries
+        .iter()
+        .map(|e| {
+            let value = Some(Arc::new(e.decode_value().unwrap()));
+            (e.row.path.clone(), MemEntry { seq: e.row.seq, expires_us: e.row.expires_us, value })
+        })
+        .collect();
+    let cfg = manual_cfg();
+    assert_eq!(*blob, segment::build(&live, cfg.codec, cfg.bloom_fp).unwrap().blob);
+    let raw: u64 = live.iter().map(|(_, e)| e.value.as_ref().unwrap().len() as u64).sum();
+    assert_eq!(report.out_bytes, raw, "out_bytes stays raw value bytes");
+    assert!(report.in_bytes > report.out_bytes && report.dropped_tombstones > 0);
+}
+
+#[test]
+fn compaction_does_not_bless_at_rest_damage() {
+    let media = RamMedia::new(Duration::ZERO);
+    let store = open(media.clone(), &manual_cfg());
+    store.put("a/old", b"first segment ".repeat(20)).unwrap();
+    let damaged = store.flush().unwrap().unwrap();
+    store.put("b/new", b"second segment ".repeat(20)).unwrap();
+    store.flush().unwrap().unwrap();
+
+    // One bit of one stored value rots on the medium.
+    let at = row_of(&media, &damaged, "a/old").offset + 3;
+    let mut rotten = (*media.read(&damaged).unwrap()).clone();
+    rotten[at] ^= 0x04;
+    media.write(&damaged, rotten).unwrap();
+    let before: Vec<(String, Arc<Vec<u8>>)> =
+        media.list().into_iter().map(|n| (n.clone(), media.read(&n).unwrap())).collect();
+
+    assert!(matches!(store.compact(), Err(FsError::Corrupt(m)) if m.contains(&damaged)));
+    let after: Vec<(String, Arc<Vec<u8>>)> =
+        media.list().into_iter().map(|n| (n.clone(), media.read(&n).unwrap())).collect();
+    assert_eq!(after, before, "a refused compaction leaves manifest and segments as they were");
+    assert_eq!(store.status().segments.len(), 2);
+    assert_eq!(&**store.get("b/new").unwrap().value().unwrap(), &b"second segment ".repeat(20));
+    assert!(!store.verify().errors.is_empty(), "verify names the damaged segment");
+}

@@ -43,7 +43,7 @@ use fanstore_repro::store::pack::{
     PartitionBuilder, CHUNKED, CHUNK_HEADER, CHUNK_ROW, ENTRY_OVERHEAD,
 };
 use fanstore_repro::store::stat::{FileStat, STAT_SIZE};
-use fanstore_repro::store::wal::segment::{build, parse_entries, parse_header};
+use fanstore_repro::store::wal::segment::{build, index, parse_entries, parse_header};
 use fanstore_repro::store::wal::{
     encode_record, replay, BloomFilter, MemEntry, WalManifest, WalRecord, WalSegmentMeta,
 };
@@ -307,7 +307,7 @@ fn wal_segment() -> Vec<u8> {
         ("a/data".to_string(), entry(3, Some(&b"compress me ".repeat(6)))),
         ("b/tomb".to_string(), entry(5, None)),
     ];
-    build(&entries, lz(), 0.01).expect("segment builds").0
+    build(&entries, lz(), 0.01).expect("segment builds").blob
 }
 
 fn wal_log() -> Vec<u8> {
@@ -627,6 +627,19 @@ fn rows<'a>(
             reseal: None,
             allowed: at_rest,
             decode: decoder(parse_entries, debug_each),
+        },
+        Row {
+            // What `WalStore::open` runs over every published segment: the
+            // walk `parse_entries` is built on, without the payload copies.
+            name: "WAL segment index",
+            good: wal_seg.clone(),
+            golden: GOLDEN_WAL_SEGMENT,
+            fields: vec![(22, 4), (entries_at, 4), (entries_at + 4 + ENTRY_OVERHEAD - 8, 8)],
+            sealed: 0..0,
+            strict: true,
+            reseal: None,
+            allowed: at_rest,
+            decode: decoder(index, |i| i.rows.iter().map(|r| format!("{r:?}")).collect()),
         },
         Row {
             name: "bloom filter",

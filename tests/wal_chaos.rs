@@ -158,7 +158,7 @@ fn crash_run(
             .expect("recovery must open whatever survived the cut");
     let state = recovered_state(&recovered, ops);
     let media: BTreeMap<String, Vec<u8>> =
-        disk.list().into_iter().filter_map(|n| disk.read(&n).map(|b| (n, b))).collect();
+        disk.list().into_iter().filter_map(|n| disk.read(&n).map(|b| (n, (*b).clone()))).collect();
     (acked, replay.durable_seq, state, media)
 }
 
