@@ -21,7 +21,7 @@ const NODES: usize = 2;
 
 /// Synthetic model state: stable bytes with sparse per-generation drift
 /// (the shape adjacent weight checkpoints show), sized in KiB.
-fn model_state(rank: usize, generation: u64, kib: usize) -> Vec<u8> {
+pub(crate) fn model_state(rank: usize, generation: u64, kib: usize) -> Vec<u8> {
     (0..kib * 1024)
         .map(|i| {
             let stable = ((i * 131) ^ (rank * 7)) as u8;

@@ -17,13 +17,27 @@
 //! Families whose decode loops were not rewritten (Huffman, the range
 //! coders, …) dispatch to the same code on both sides; their speedup
 //! hovers at 1.0x and serves as the control group.
+//!
+//! The second half is the same question asked of the write path, where
+//! the *encoder* is what a caller waits for: a WAL flush compresses the
+//! memtable inline in the `write_whole` that filled it, and a checkpoint
+//! `put` compresses every chunk before it returns. [`encode_rows`]
+//! measures encode MB/s, ratio and decode MB/s for the codec points that
+//! path can choose between, on the data it sees — 16 KiB slices of an EM
+//! tile (what `fsbench`'s `durable_writes` flushes) and checkpoint chunks
+//! with their cross-generation deltas — and [`fused_vs_two_pass`] sets
+//! the `lz4fast-1` encoder, which writes its block while it parses,
+//! against the retained collect-then-emit form in
+//! `fanstore_compress::reference`.
 
 use std::time::Instant;
 
+use fanstore_compress::filters::xdelta;
 use fanstore_compress::registry::create;
-use fanstore_compress::{compress_to_vec, reference, CodecFamily, CodecId};
+use fanstore_compress::{compress_to_vec, reference, Codec, CodecFamily, CodecId};
 use fanstore_datagen::{DatasetKind, DatasetSpec};
 
+use super::ckpt_cost::model_state;
 use crate::report::{fmt_f, md_table};
 
 /// One representative configuration per registry family, hot-loop
@@ -93,6 +107,21 @@ fn rate(total_out: usize, reps: u32, mut decode: impl FnMut()) -> f64 {
     total_out as f64 / best.max(f64::MIN_POSITIVE) / 1e6
 }
 
+/// Decode every `compressed[i]` back to `samples[i].len()` bytes.
+fn decode_all(codec: &dyn Codec, compressed: &[Vec<u8>], samples: &[Vec<u8>]) {
+    for (c, s) in compressed.iter().zip(samples) {
+        let out = fanstore_compress::decompress_to_vec(codec, c, s.len()).expect("decode");
+        std::hint::black_box(&out);
+    }
+}
+
+/// Encode every value into a fresh buffer, as a flush does.
+fn encode_all(codec: &dyn Codec, values: &[Vec<u8>]) {
+    for v in values {
+        std::hint::black_box(compress_to_vec(codec, std::hint::black_box(v)));
+    }
+}
+
 /// Measure one codec on a pre-generated corpus.
 pub fn measure(id: CodecId, samples: &[Vec<u8>], reps: u32) -> DecodeRow {
     let codec = create(id).expect("valid codec");
@@ -101,13 +130,7 @@ pub fn measure(id: CodecId, samples: &[Vec<u8>], reps: u32) -> DecodeRow {
     let input: usize = samples.iter().map(Vec::len).sum();
     let output: usize = compressed.iter().map(Vec::len).sum();
 
-    let optimized_mb_s = rate(input, reps, || {
-        for (c, s) in compressed.iter().zip(samples) {
-            let out = fanstore_compress::decompress_to_vec(codec.as_ref(), c, s.len())
-                .expect("optimized decode");
-            std::hint::black_box(&out);
-        }
-    });
+    let optimized_mb_s = rate(input, reps, || decode_all(codec.as_ref(), &compressed, samples));
     let reference_mb_s = rate(input, reps, || {
         for (c, s) in compressed.iter().zip(samples) {
             let out = reference::decompress(id, c, s.len()).expect("reference decode");
@@ -128,6 +151,141 @@ pub fn measure_crc(samples: &[Vec<u8>], reps: u32) -> (f64, f64) {
         })
     };
     (over(fanstore_compress::crc32::crc32), over(reference::crc32))
+}
+
+/// The codec points a write path can pick between: the `store` ceiling,
+/// both ends of each LZ4 encoder, and the two cheap non-LZ4 families.
+pub fn encode_codecs() -> Vec<CodecId> {
+    vec![
+        CodecId::new(CodecFamily::Store, 0),
+        CodecId::new(CodecFamily::Lz4Fast, 1),
+        CodecId::new(CodecFamily::Lz4Fast, 4),
+        CodecId::new(CodecFamily::Lz4Hc, 1),
+        CodecId::new(CodecFamily::Lz4Hc, 6),
+        CodecId::new(CodecFamily::Lzf, 2),
+        CodecId::new(CodecFamily::Huffman, 0),
+    ]
+}
+
+/// `n` 16 KiB values cut from one generated EM tile at scattered offsets:
+/// the values `fsbench`'s `durable_writes` hands the WAL.
+pub fn em_values(n: usize) -> Vec<Vec<u8>> {
+    const VALUE: usize = 16 << 10;
+    let mut spec = DatasetSpec::scaled(DatasetKind::EmTif, 1, 0xE3);
+    spec.file_size = 4 << 20;
+    let tile = spec.generate(0);
+    (0..n)
+        .map(|i| (i * 1_000_003) % (tile.len() - VALUE))
+        .map(|at| tile[at..at + VALUE].to_vec())
+        .collect()
+}
+
+/// What a checkpoint `put` hands its codec over `generations` generations
+/// of a 256 KiB model: every 64 KiB chunk, and from the second generation
+/// on the chunk's delta against the generation before.
+pub fn checkpoint_chunks(generations: u64) -> Vec<Vec<u8>> {
+    const CHUNK: usize = 64 << 10;
+    let states: Vec<Vec<u8>> = (1..=generations).map(|g| model_state(0, g, 256)).collect();
+    let full = states.iter().flat_map(|s| s.chunks(CHUNK).map(<[u8]>::to_vec));
+    let deltas = states.windows(2).flat_map(|pair| {
+        pair[0].chunks(CHUNK).zip(pair[1].chunks(CHUNK)).map(|(base, cur)| xdelta(base, cur))
+    });
+    full.chain(deltas).collect()
+}
+
+/// Measured encode and decode rates for one codec over a set of values.
+#[derive(Debug, Clone)]
+pub struct EncodeRow {
+    /// Codec under test.
+    pub id: CodecId,
+    /// Compression ratio over the values (input/output).
+    pub ratio: f64,
+    /// Encode throughput, MB/s of plain input.
+    pub encode_mb_s: f64,
+    /// Decode throughput, MB/s of plain output.
+    pub decode_mb_s: f64,
+}
+
+/// Measure every [`encode_codecs`] point on `values`, best of `reps`.
+pub fn encode_rows(values: &[Vec<u8>], reps: u32) -> Vec<EncodeRow> {
+    let input: usize = values.iter().map(Vec::len).sum();
+    encode_codecs()
+        .into_iter()
+        .map(|id| {
+            let codec = create(id).expect("valid codec");
+            let encode_mb_s = rate(input, reps, || encode_all(codec.as_ref(), values));
+            let compressed: Vec<Vec<u8>> =
+                values.iter().map(|v| compress_to_vec(codec.as_ref(), v)).collect();
+            let output: usize = compressed.iter().map(Vec::len).sum();
+            let decode_mb_s = rate(input, reps, || decode_all(codec.as_ref(), &compressed, values));
+            EncodeRow { id, ratio: input as f64 / output.max(1) as f64, encode_mb_s, decode_mb_s }
+        })
+        .collect()
+}
+
+/// `lz4fast-1` encode MB/s over `values` as `(fused, two-pass)`: the
+/// shipping encoder against `reference::lz4_two_pass`. The two take turns
+/// inside each rep, so a machine that slows down for a second slows both.
+pub fn fused_vs_two_pass(values: &[Vec<u8>], reps: u32) -> (f64, f64) {
+    let id = CodecId::new(CodecFamily::Lz4Fast, 1);
+    let codec = create(id).expect("valid codec");
+    let input: usize = values.iter().map(Vec::len).sum();
+    let (mut fused, mut two_pass) = (0f64, 0f64);
+    for _ in 0..reps.max(1) {
+        fused = fused.max(rate(input, 1, || encode_all(codec.as_ref(), values)));
+        two_pass = two_pass.max(rate(input, 1, || {
+            for v in values {
+                std::hint::black_box(reference::lz4_two_pass(id, std::hint::black_box(v)))
+                    .expect("an lz4 id");
+            }
+        }));
+    }
+    (fused, two_pass)
+}
+
+fn encode_table(rows: &[EncodeRow]) -> String {
+    let table: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.id.to_string(),
+                format!("{:.2}", r.ratio),
+                fmt_f(r.encode_mb_s),
+                fmt_f(r.decode_mb_s),
+            ]
+        })
+        .collect();
+    md_table(&["codec", "ratio", "encode MB/s", "decode MB/s"], &table)
+}
+
+/// The write-path half of the report: what each codec point costs the
+/// caller that waits for the encoder.
+fn write_path_section(quick: bool, reps: u32) -> String {
+    let values = em_values(if quick { 16 } else { 256 });
+    let chunks = checkpoint_chunks(if quick { 2 } else { 4 });
+    let (fused, two_pass) = fused_vs_two_pass(&values, reps);
+    format!(
+        "### Write path — what the encoder costs the writer that waits for it (measured)\n\n\
+         Encode and decode MB/s of plain bytes, best of {reps} passes, for the codec\n\
+         points a write path can choose between (Eq. 3 read for writes: the WAL flush\n\
+         and the checkpoint `put` both compress inline in the call that returns to\n\
+         the writer). First {} 16 KiB slices of a generated EM tile — the values\n\
+         `fsbench`'s `durable_writes` flushes; the WAL's default is `lz4fast-1`, prep's\n\
+         is `lz4hc`:\n\n{}\n\
+         `lz4fast-1` writes its block while it parses: {} MB/s against {} MB/s for the\n\
+         retained collect-then-emit form (`reference::lz4_two_pass`, the parsers and\n\
+         emitter as they were), {:.2}x; CI gates >= 1.4x.\n\n\
+         Then {} chunks a checkpoint `put` hands its codec (64 KiB chunks of a\n\
+         256 KiB model over successive generations, and their deltas against the\n\
+         generation before, which are mostly zeros):\n\n{}",
+        values.len(),
+        encode_table(&encode_rows(&values, reps)),
+        fmt_f(fused),
+        fmt_f(two_pass),
+        fused / two_pass.max(f64::MIN_POSITIVE),
+        chunks.len(),
+        encode_table(&encode_rows(&chunks, reps)),
+    )
 }
 
 /// Generate the decode_throughput report section.
@@ -166,8 +324,9 @@ pub fn run(n_per_kind: usize, reps: u32) -> String {
          outside the LZ rewrite dispatch identically on both sides (speedup ~1.0x,\n\
          the control group). The last row is the checksum every remote byte passes\n\
          before decode: slicing-by-16 `crc32` against the byte-wise\n\
-         `reference::crc32`, MB/s of input over the same corpus.\n\n{}",
+         `reference::crc32`, MB/s of input over the same corpus.\n\n{}\n{}",
         md_table(&["codec", "ratio", "reference MB/s", "optimized MB/s", "speedup"], &table),
+        write_path_section(n_per_kind == 1, reps),
     )
 }
 
@@ -203,6 +362,35 @@ mod tests {
         assert!(
             sliced >= 3.0 * bytewise,
             "crc32 must run >= 3x reference::crc32: {sliced:.0} vs {bytewise:.0} MB/s"
+        );
+    }
+
+    #[test]
+    fn write_path_rows_render_and_order() {
+        let rows = encode_rows(&em_values(4), 1);
+        let ratio = |family, level| {
+            rows.iter().find(|r| r.id == CodecId::new(family, level)).expect("a row").ratio
+        };
+        assert_eq!(ratio(CodecFamily::Store, 0), 1.0);
+        assert!(ratio(CodecFamily::Lz4Hc, 6) >= ratio(CodecFamily::Lz4Fast, 1));
+        assert!(ratio(CodecFamily::Lz4Fast, 1) > ratio(CodecFamily::Lz4Fast, 4));
+        let deltas = encode_rows(&checkpoint_chunks(2), 1);
+        assert!(deltas.iter().all(|r| r.encode_mb_s > 0.0 && r.decode_mb_s > 0.0));
+        assert!(run(1, 1).contains("Write path"));
+    }
+
+    /// The flush encoder against the form it replaced, as a ratio on this
+    /// machine: parsing into a list and emitting afterwards must stay the
+    /// slower way to produce the same bytes.
+    #[test]
+    fn lz4fast_1_encodes_at_least_1_4x_the_two_pass_form() {
+        if cfg!(debug_assertions) {
+            return; // as above: machine-code quality, release builds only
+        }
+        let (fused, two_pass) = fused_vs_two_pass(&em_values(64), 9);
+        assert!(
+            fused >= 1.4 * two_pass,
+            "lz4fast-1 must encode >= 1.4x reference::lz4_two_pass: {fused:.0} vs {two_pass:.0} MB/s"
         );
     }
 

@@ -9,7 +9,7 @@
 //! paper measures for real brotli (Table VII: higher ratio, ~6-8x the
 //! decompression cost of lz4hc).
 
-use crate::matchfinder::{lazy_parse, MatchConfig};
+use crate::matchfinder::{lazy_seqs, MatchConfig};
 use crate::zling::{decode_lz_huffman, emit_lz_huffman};
 use crate::{Codec, CodecError, CodecFamily, CodecId};
 
@@ -60,7 +60,7 @@ impl Codec for BrotliLite {
             return;
         }
         let (nctx, shift) = self.contexts();
-        let seqs = lazy_parse(input, &self.config());
+        let seqs = lazy_seqs(input, &self.config());
         emit_lz_huffman(input, &seqs, out, nctx, shift);
     }
 

@@ -5,7 +5,12 @@
 //! the literals, a 2-byte little-endian offset, and the low nibble match
 //! length minus 4 (15 = extended). The final sequence has literals only.
 //!
-//! Two compressors share this one decoder:
+//! Two compressors share one emitter and one decoder. Neither builds a
+//! parse list: the match finder hands over each sequence as it is decided
+//! and it is written into output capacity reserved once, up front. The
+//! collect-then-emit form they replaced, parsers included, is kept as
+//! [`crate::reference::lz4_two_pass`], the oracle `tests/prop_encode.rs`
+//! pins the output against byte for byte.
 //!
 //! * [`Lz4Fast`] — greedy single-probe search; the `level` is the LZ4
 //!   acceleration factor (higher = faster, worse ratio).
@@ -20,8 +25,13 @@ use crate::{Codec, CodecError, CodecFamily, CodecId};
 const MIN_MATCH: usize = 4;
 const MAX_DIST: usize = 65535;
 
-/// Encode a parse into the LZ4 block format.
-fn emit_block(input: &[u8], seqs: &[Seq], out: &mut Vec<u8>) {
+/// Append one sequence to an LZ4 block: token, literal-length extension,
+/// literals, then offset and match-length extension unless this is the
+/// block's final, literals-only sequence. Everything a sequence needs is
+/// in the sequence, which is what lets the encoders write the block while
+/// the parse is still running.
+#[inline]
+fn emit_seq(input: &[u8], seq: Seq, out: &mut Vec<u8>) {
     let write_len_ext = |out: &mut Vec<u8>, mut v: usize| {
         while v >= 255 {
             out.push(255);
@@ -30,23 +40,19 @@ fn emit_block(input: &[u8], seqs: &[Seq], out: &mut Vec<u8>) {
         out.push(v as u8);
     };
 
-    for (idx, seq) in seqs.iter().enumerate() {
-        let is_last = idx + 1 == seqs.len();
-        debug_assert!(is_last || seq.match_len >= MIN_MATCH);
-        let lit_nibble = seq.lit_len.min(15);
-        let match_code = if seq.match_len == 0 { 0 } else { seq.match_len - MIN_MATCH };
-        let match_nibble = match_code.min(15);
-        out.push(((lit_nibble as u8) << 4) | match_nibble as u8);
-        if lit_nibble == 15 {
-            write_len_ext(out, seq.lit_len - 15);
-        }
-        out.extend_from_slice(&input[seq.lit_start..seq.lit_start + seq.lit_len]);
-        if seq.match_len > 0 {
-            debug_assert!(seq.dist >= 1 && seq.dist <= MAX_DIST);
-            out.extend_from_slice(&(seq.dist as u16).to_le_bytes());
-            if match_nibble == 15 {
-                write_len_ext(out, match_code - 15);
-            }
+    let lit_nibble = seq.lit_len.min(15);
+    let match_code = seq.match_len.saturating_sub(MIN_MATCH);
+    let match_nibble = match_code.min(15);
+    out.push(((lit_nibble as u8) << 4) | match_nibble as u8);
+    if lit_nibble == 15 {
+        write_len_ext(out, seq.lit_len - 15);
+    }
+    copy::append_slice(out, &input[seq.lit_start..seq.lit_start + seq.lit_len]);
+    if seq.match_len > 0 {
+        debug_assert!(seq.match_len >= MIN_MATCH && seq.dist >= 1 && seq.dist <= MAX_DIST);
+        out.extend_from_slice(&(seq.dist as u16).to_le_bytes());
+        if match_nibble == 15 {
+            write_len_ext(out, match_code - 15);
         }
     }
 }
@@ -161,7 +167,8 @@ impl Lz4Fast {
         Lz4Fast { accel: accel.clamp(1, 32) }
     }
 
-    fn config(&self) -> MatchConfig {
+    /// The greedy parser's settings for this acceleration.
+    pub(crate) fn config(&self) -> MatchConfig {
         MatchConfig {
             window_log: 16,
             min_match: MIN_MATCH,
@@ -179,8 +186,8 @@ impl Codec for Lz4Fast {
     }
 
     fn compress(&self, input: &[u8], out: &mut Vec<u8>) {
-        let seqs = greedy_parse(input, &self.config());
-        emit_block(input, &seqs, out);
+        out.reserve(self.max_compressed_len(input.len()));
+        greedy_parse(input, &self.config(), |seq| emit_seq(input, seq, out));
     }
 
     fn decompress(
@@ -205,7 +212,8 @@ impl Lz4Hc {
         Lz4Hc { level: level.clamp(1, 12) }
     }
 
-    fn config(&self) -> MatchConfig {
+    /// The lazy parser's settings for this level.
+    pub(crate) fn config(&self) -> MatchConfig {
         MatchConfig {
             window_log: 16,
             min_match: MIN_MATCH,
@@ -224,8 +232,8 @@ impl Codec for Lz4Hc {
     }
 
     fn compress(&self, input: &[u8], out: &mut Vec<u8>) {
-        let seqs = lazy_parse(input, &self.config());
-        emit_block(input, &seqs, out);
+        out.reserve(self.max_compressed_len(input.len()));
+        lazy_parse(input, &self.config(), |seq| emit_seq(input, seq, out));
     }
 
     fn decompress(

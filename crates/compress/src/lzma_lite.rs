@@ -14,7 +14,7 @@
 //! the paper's Table IV).
 
 use crate::crc32::crc32;
-use crate::matchfinder::{lazy_parse, MatchConfig};
+use crate::matchfinder::{lazy_seqs, MatchConfig};
 use crate::rangecoder::{Prob, RangeDecoder, RangeEncoder};
 use crate::tokens::{overlap_copy, slots};
 use crate::{Codec, CodecError, CodecFamily, CodecId};
@@ -139,7 +139,7 @@ fn lzma_compress(input: &[u8], level: u8, out: &mut Vec<u8>) {
         nice_len: (16 << lv.min(8)).min(MAX_LEN as u32) as usize,
         accel: 1,
     };
-    let seqs = lazy_parse(input, &cfg);
+    let seqs = lazy_seqs(input, &cfg);
 
     let mut enc = RangeEncoder::new();
     let mut m = Model::new();

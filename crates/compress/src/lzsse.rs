@@ -14,7 +14,7 @@
 //! only (no offset/len). Offsets are 16-bit, window 64 KiB.
 
 use crate::copy;
-use crate::matchfinder::{lazy_parse, MatchConfig};
+use crate::matchfinder::{lazy_seqs, MatchConfig};
 use crate::{Codec, CodecError, CodecFamily, CodecId};
 
 const MIN_MATCH: usize = 8;
@@ -69,7 +69,7 @@ impl Codec for Lzsse8 {
     }
 
     fn compress(&self, input: &[u8], out: &mut Vec<u8>) {
-        let seqs = lazy_parse(input, &self.config());
+        let seqs = lazy_seqs(input, &self.config());
         for (idx, seq) in seqs.iter().enumerate() {
             let is_last = idx + 1 == seqs.len();
             write_ext(out, seq.lit_len);

@@ -1,4 +1,5 @@
-//! Retained byte-wise reference decoders, and the byte-wise CRC-32.
+//! Retained byte-wise reference decoders, the byte-wise CRC-32, and the
+//! list-returning match finders with the two-pass LZ4 encoder over them.
 //!
 //! When the LZ-family decode loops were rewritten around the word-wide
 //! primitives in [`crate::copy`], the decoders here became the semantic
@@ -9,7 +10,10 @@
 //! against these byte for byte on random and adversarial streams, and the
 //! `decode_throughput` bench reports both sides' MB/s. [`crc32`] plays
 //! the same part for the table-sliced [`crate::crc32`]
-//! (`tests/prop_crc.rs`).
+//! (`tests/prop_crc.rs`), and [`greedy_parse`], [`lazy_parse`] and
+//! [`lz4_two_pass`] for the sink-driven parsers in [`crate::matchfinder`]
+//! and the LZ4 encoders that write their block while those parse
+//! (`tests/prop_encode.rs`).
 //!
 //! Families with no word-wide rewrite of their own (rle, huffman, zling,
 //! brotli, lzma, xz, bzip, store) decode through the registry codec in
@@ -18,6 +22,9 @@
 //! touched.
 
 use crate::filters::Filter;
+use crate::lz4::{Lz4Fast, Lz4Hc};
+use crate::matchfinder::MatchConfig;
+use crate::tokens::Seq;
 use crate::varint::read_uvarint;
 use crate::zstd_lite::{read_block, read_field};
 use crate::{bitio::BitReader, CodecError, CodecFamily, CodecId};
@@ -66,6 +73,257 @@ fn overlap_copy(out: &mut Vec<u8>, dist: usize, len: usize) {
 fn push_bytes(out: &mut Vec<u8>, src: &[u8]) {
     for &b in src {
         out.push(b);
+    }
+}
+
+#[inline]
+fn hash4(bytes: &[u8], table_log: u32) -> usize {
+    // Fibonacci hash of the first 4 bytes.
+    let v = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+    ((v.wrapping_mul(2654435761)) >> (32 - table_log)) as usize
+}
+
+#[inline]
+fn match_len(input: &[u8], a: usize, b: usize, limit: usize) -> usize {
+    // Compare 8 bytes at a time: one XOR + trailing_zeros per word, via
+    // the same unaligned word load the decode hot path uses.
+    let max = limit.min(input.len() - b);
+    let mut n = 0;
+    while n + 8 <= max {
+        let x = crate::copy::read_u64(input, a + n);
+        let y = crate::copy::read_u64(input, b + n);
+        let xor = x ^ y;
+        if xor != 0 {
+            return n + (xor.trailing_zeros() / 8) as usize;
+        }
+        n += 8;
+    }
+    while n < max && input[a + n] == input[b + n] {
+        n += 1;
+    }
+    n
+}
+
+/// The greedy parse as it was before [`crate::matchfinder::greedy_parse`]
+/// took a sink: the whole parse returned as a list, each position hashed
+/// from four single-byte loads, an empty slot told apart by a sentinel and
+/// every candidate handed to the match extension from byte 0.
+pub fn greedy_parse(input: &[u8], cfg: &MatchConfig) -> Vec<Seq> {
+    let n = input.len();
+    let mut seqs = Vec::new();
+    if n < cfg.min_match + 4 {
+        if n > 0 {
+            seqs.push(Seq { lit_start: 0, lit_len: n, match_len: 0, dist: 0 });
+        }
+        return seqs;
+    }
+
+    let table_log = cfg.window_log.clamp(10, 16);
+    let mut table = vec![u32::MAX; 1 << table_log];
+    let window = cfg.window();
+
+    let mut anchor = 0usize; // first un-emitted literal
+    let mut pos = 0usize;
+    let mut misses = 0u32;
+    // Leave room for the final 4-byte hash read and a minimal tail.
+    let scan_end = n - cfg.min_match.max(4);
+
+    while pos <= scan_end {
+        let h = hash4(&input[pos..], table_log);
+        let cand = table[h] as usize;
+        table[h] = pos as u32;
+
+        let found = if cand != u32::MAX as usize && pos - cand < window {
+            let len = match_len(input, cand, pos, cfg.max_match);
+            if len >= cfg.min_match {
+                Some((len, pos - cand))
+            } else {
+                None
+            }
+        } else {
+            None
+        };
+
+        match found {
+            Some((len, dist)) => {
+                seqs.push(Seq { lit_start: anchor, lit_len: pos - anchor, match_len: len, dist });
+                pos += len;
+                anchor = pos;
+                misses = 0;
+            }
+            None => {
+                misses += 1;
+                // LZ4-style acceleration: step = 1 + misses/accel_divisor.
+                pos += 1 + (misses >> (6 / cfg.accel.clamp(1, 6))) as usize;
+            }
+        }
+    }
+
+    if anchor < n {
+        seqs.push(Seq { lit_start: anchor, lit_len: n - anchor, match_len: 0, dist: 0 });
+    }
+    seqs
+}
+
+/// The lazy parse as it was before [`crate::matchfinder::lazy_parse`] took
+/// a sink: the whole parse returned as a list, and a position hashed anew
+/// by every probe and every insert.
+pub fn lazy_parse(input: &[u8], cfg: &MatchConfig) -> Vec<Seq> {
+    let n = input.len();
+    let mut seqs = Vec::new();
+    if n < cfg.min_match + 4 {
+        if n > 0 {
+            seqs.push(Seq { lit_start: 0, lit_len: n, match_len: 0, dist: 0 });
+        }
+        return seqs;
+    }
+
+    let table_log = (cfg.window_log + 1).clamp(12, 17);
+    let mut head = vec![u32::MAX; 1 << table_log];
+    // prev chain indexed by position modulo window. Clamp the window to the
+    // input size so big-window configs don't allocate 4 MiB chains for
+    // small files (distances can never exceed the input length anyway).
+    let window = cfg.window().min(n.next_power_of_two());
+    let mask = window - 1;
+    let mut prev = vec![u32::MAX; window];
+
+    let scan_end = n - cfg.min_match.max(4);
+
+    let insert = |head: &mut [u32], prev: &mut [u32], input: &[u8], pos: usize| {
+        let h = hash4(&input[pos..], table_log);
+        prev[pos & mask] = head[h];
+        head[h] = pos as u32;
+    };
+
+    let best_match =
+        |head: &[u32], prev: &[u32], input: &[u8], pos: usize| -> Option<(usize, usize)> {
+            let h = hash4(&input[pos..], table_log);
+            let mut cand = head[h];
+            let mut best_len = cfg.min_match - 1;
+            let mut best_dist = 0usize;
+            let mut depth = cfg.max_chain;
+            while cand != u32::MAX && depth > 0 {
+                let c = cand as usize;
+                if pos - c >= window {
+                    break;
+                }
+                // Quick reject: check the byte just past the current best.
+                if best_len == 0
+                    || (c + best_len < input.len()
+                        && pos + best_len < input.len()
+                        && input[c + best_len] == input[pos + best_len])
+                {
+                    let len = match_len(input, c, pos, cfg.max_match);
+                    if len > best_len {
+                        best_len = len;
+                        best_dist = pos - c;
+                        if len >= cfg.nice_len {
+                            break;
+                        }
+                    }
+                }
+                cand = prev[c & mask];
+                depth -= 1;
+            }
+            if best_len >= cfg.min_match {
+                Some((best_len, best_dist))
+            } else {
+                None
+            }
+        };
+
+    let mut anchor = 0usize;
+    let mut pos = 0usize;
+    while pos <= scan_end {
+        let found = best_match(&head, &prev, input, pos);
+        insert(&mut head, &mut prev, input, pos);
+        let Some((mut len, mut dist)) = found else {
+            pos += 1;
+            continue;
+        };
+
+        // Lazy evaluation: would starting one byte later give a longer match?
+        while pos < scan_end && len < cfg.nice_len {
+            if let Some((len2, dist2)) = best_match(&head, &prev, input, pos + 1) {
+                if len2 > len + 1 {
+                    // Defer: current byte becomes a literal.
+                    insert(&mut head, &mut prev, input, pos + 1);
+                    pos += 1;
+                    len = len2;
+                    dist = dist2;
+                    continue;
+                }
+            }
+            break;
+        }
+
+        seqs.push(Seq { lit_start: anchor, lit_len: pos - anchor, match_len: len, dist });
+        // Insert positions covered by the match (sparsely for speed on
+        // long matches).
+        let match_end = pos + len;
+        let insert_end = match_end.min(scan_end + 1);
+        let step = if len > 512 { 8 } else { 1 };
+        let mut p = pos + 1;
+        while p < insert_end {
+            insert(&mut head, &mut prev, input, p);
+            p += step;
+        }
+        pos = match_end;
+        anchor = pos;
+    }
+
+    if anchor < n {
+        seqs.push(Seq { lit_start: anchor, lit_len: n - anchor, match_len: 0, dist: 0 });
+    }
+    seqs
+}
+
+/// Two-pass LZ4 block encoder (`lz4fast` and `lz4hc`): the retained
+/// parsers below collect the whole parse, then [`lz4_emit_block`] lays the
+/// block down — how both codecs encoded before they fused emission into
+/// the parse. It shares nothing with them but the level-to-settings
+/// tables, so it pins the rewritten parsers, the sink plumbing and the
+/// fused emitter byte for byte (`tests/prop_encode.rs`), and it is the
+/// baseline of the `decode_throughput` encode gate.
+pub fn lz4_two_pass(id: CodecId, input: &[u8]) -> Result<Vec<u8>, CodecError> {
+    let seqs = match id.family() {
+        Some(CodecFamily::Lz4Fast) => greedy_parse(input, &Lz4Fast::new(id.level()).config()),
+        Some(CodecFamily::Lz4Hc) => lazy_parse(input, &Lz4Hc::new(id.level()).config()),
+        _ => return Err(CodecError::UnknownCodec(id)),
+    };
+    let mut out = Vec::new();
+    lz4_emit_block(input, &seqs, &mut out);
+    Ok(out)
+}
+
+/// Encode a finished parse into the LZ4 block format.
+fn lz4_emit_block(input: &[u8], seqs: &[Seq], out: &mut Vec<u8>) {
+    let write_len_ext = |out: &mut Vec<u8>, mut v: usize| {
+        while v >= 255 {
+            out.push(255);
+            v -= 255;
+        }
+        out.push(v as u8);
+    };
+
+    for (idx, seq) in seqs.iter().enumerate() {
+        let is_last = idx + 1 == seqs.len();
+        debug_assert!(is_last || seq.match_len >= 4);
+        let lit_nibble = seq.lit_len.min(15);
+        let match_code = if seq.match_len == 0 { 0 } else { seq.match_len - 4 };
+        let match_nibble = match_code.min(15);
+        out.push(((lit_nibble as u8) << 4) | match_nibble as u8);
+        if lit_nibble == 15 {
+            write_len_ext(out, seq.lit_len - 15);
+        }
+        out.extend_from_slice(&input[seq.lit_start..seq.lit_start + seq.lit_len]);
+        if seq.match_len > 0 {
+            debug_assert!(seq.dist >= 1 && seq.dist <= 65535);
+            out.extend_from_slice(&(seq.dist as u16).to_le_bytes());
+            if match_nibble == 15 {
+                write_len_ext(out, match_code - 15);
+            }
+        }
     }
 }
 

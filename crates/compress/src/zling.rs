@@ -9,7 +9,7 @@
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::huffman::{build_lengths, read_lengths, write_lengths, HuffDecoder, HuffEncoder};
-use crate::matchfinder::{lazy_parse, MatchConfig};
+use crate::matchfinder::{lazy_seqs, MatchConfig};
 use crate::tokens::{overlap_copy, slots, Seq};
 use crate::{Codec, CodecError, CodecFamily, CodecId};
 
@@ -187,7 +187,7 @@ impl Codec for Zling {
         if input.is_empty() {
             return;
         }
-        let seqs = lazy_parse(input, &self.config());
+        let seqs = lazy_seqs(input, &self.config());
         emit_lz_huffman(input, &seqs, out, 1, 6);
     }
 

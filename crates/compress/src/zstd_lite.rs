@@ -21,7 +21,7 @@
 use crate::bitio::{BitReader, BitWriter};
 use crate::copy;
 use crate::fse::{decode_all, encode_all, FseTable};
-use crate::matchfinder::{lazy_parse, MatchConfig};
+use crate::matchfinder::{lazy_seqs, MatchConfig};
 use crate::tokens::slots;
 use crate::varint::{read_uvarint, write_uvarint};
 use crate::{Codec, CodecError, CodecFamily, CodecId};
@@ -217,7 +217,7 @@ impl Codec for ZstdLite {
         if input.is_empty() {
             return;
         }
-        let seqs = lazy_parse(input, &self.config());
+        let seqs = lazy_seqs(input, &self.config());
 
         // Gather the four streams.
         let mut literals: Vec<u8> = Vec::new();

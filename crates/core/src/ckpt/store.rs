@@ -9,13 +9,14 @@
 //! walks generations newest → oldest and loads the newest one whose
 //! manifest, segments, and delta base chain all CRC-verify.
 
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 
 use fanstore_compress::crc32::crc32;
 use fanstore_compress::{compress_to_vec, registry, CodecFamily, CodecId};
 
-use crate::ckpt::delta::{decode_chunk_delta, encode_chunk_delta};
+use crate::ckpt::delta::{chunk_of, decode_chunk_delta, encode_chunk_delta};
 use crate::ckpt::frame::{decode_segment, encode_frame, FLAG_DELTA};
 use crate::ckpt::manifest::{Manifest, SegmentMeta};
 use crate::client::FsClient;
@@ -273,17 +274,24 @@ impl<'a> CheckpointStore<'a> {
             *seg_chunks = 0;
         };
         for (idx, chunk) in payload.chunks(cs).enumerate() {
-            let full = compress_to_vec(codec.as_ref(), chunk);
-            let (mut flags, mut cid, mut best) = if full.len() < chunk.len() {
-                (0u8, self.cfg.codec, full)
-            } else {
-                (0u8, store_codec, chunk.to_vec())
-            };
+            // Smallest of raw, full and delta, the earlier winning a tie.
+            // A chunk its base already holds skips the full attempt: its
+            // delta is one run of zeros, which no full encoding beats. Only
+            // a tie can come out differently for that — a chunk that is
+            // itself one repeated byte used to keep its full frame.
+            let unchanged = base.as_ref().is_some_and(|(_, b)| chunk_of(b, cs, idx) == chunk);
+            let (mut flags, mut cid, mut best) = (0u8, store_codec, Cow::Borrowed(chunk));
+            if !unchanged {
+                let full = compress_to_vec(codec.as_ref(), chunk);
+                if full.len() < best.len() {
+                    (cid, best) = (self.cfg.codec, Cow::Owned(full));
+                }
+            }
             if let Some((_, base)) = &base {
                 let d = encode_chunk_delta(base, chunk, cs, idx);
                 let dc = compress_to_vec(codec.as_ref(), &d);
                 if dc.len() < best.len() {
-                    (flags, cid, best) = (FLAG_DELTA, self.cfg.codec, dc);
+                    (flags, cid, best) = (FLAG_DELTA, self.cfg.codec, Cow::Owned(dc));
                     delta_chunks += 1;
                 }
             }
@@ -622,6 +630,62 @@ mod tests {
             let v = cold.verify(3).unwrap();
             assert_eq!(v.chain, vec![2, 1], "verify walks the base chain");
             assert_eq!(v.raw_bytes, payloads[2].len() as u64);
+        });
+    }
+
+    #[test]
+    fn unchanged_chunks_are_framed_as_deltas_without_a_full_attempt() {
+        FanStore::run(ClusterConfig::default(), partitions(1), |fs| {
+            let store = CheckpointStore::new(fs, small_cfg());
+            // Eight 1 KiB chunks: text, noise that no codec shrinks, and a
+            // chunk of one repeated byte — the tie the shortcut decides
+            // the other way.
+            let mut first = gen_payload(1);
+            first.truncate(8 * 1024 - 100);
+            let mut x = 0x9E37_79B9u32;
+            for b in &mut first[1024..2048] {
+                x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                *b = (x >> 24) as u8;
+            }
+            first[2048..3072].fill(0x5A);
+            store.put(1, &first).unwrap();
+            // Generation 2 changes one byte of chunk 4 and the short tail.
+            let mut second = first.clone();
+            second[4 * 1024 + 7] ^= 0xFF;
+            *second.last_mut().unwrap() ^= 1;
+            let report = store.put(2, &second).unwrap();
+            assert_eq!(report.chunks, 8);
+            assert_eq!(report.delta_chunks, 8, "six unchanged chunks and two sparse changes");
+            let frames: Vec<_> = ["seg0000", "seg0001"]
+                .iter()
+                .flat_map(|seg| {
+                    let blob = fs.read_whole(&format!("{}/{seg}", store.gen_dir(2))).unwrap();
+                    decode_segment(&blob).unwrap()
+                })
+                .collect();
+            let unchanged = &frames[0];
+            for (i, f) in frames.iter().enumerate() {
+                assert!(f.is_delta(), "chunk {i} is a delta frame");
+                if ![4, 7].contains(&i) {
+                    assert_eq!(f.payload, unchanged.payload, "chunk {i}: one run of zeros");
+                }
+            }
+            // An identical generation is all zero runs, and restores.
+            let report = store.put(3, &second).unwrap();
+            assert_eq!(report.delta_chunks, 8);
+            assert!(
+                report.stored_bytes < 8 * 64,
+                "{} bytes for eight zero runs",
+                report.stored_bytes
+            );
+            let cold = CheckpointStore::new(fs, small_cfg());
+            match cold.recover().unwrap() {
+                Recovery::Loaded { generation, payload, skipped } => {
+                    assert_eq!((generation, skipped), (3, vec![]));
+                    assert_eq!(payload, second, "the chain of deltas restores every chunk");
+                }
+                Recovery::Fresh => panic!("three generations were published"),
+            }
         });
     }
 

@@ -34,10 +34,11 @@ impl MemTable {
         Self::default()
     }
 
-    /// Apply one record (newer seq wins; replay may apply out-of-order
-    /// duplicates after a crash-trim race, so the guard is explicit).
-    pub fn apply(&mut self, rec: &WalRecord) {
-        let value = (!rec.tombstone).then(|| Arc::new(rec.value.clone()));
+    /// Apply one replayed record, taking its value (newer seq wins; replay
+    /// may apply out-of-order duplicates after a crash-trim race, so the
+    /// guard is explicit).
+    pub fn apply(&mut self, rec: WalRecord) {
+        let value = (!rec.tombstone).then(|| Arc::new(rec.value));
         self.insert(&rec.path, MemEntry { seq: rec.seq, expires_us: rec.expires_us, value });
     }
 

@@ -18,10 +18,19 @@
 //! payload, for verification and tests.
 //!
 //! Values are compressed with the store's configured codec at flush
-//! (falling back to stored-raw when compression does not pay), so the
-//! durable footprint of the write path matches the read path's packed
-//! partitions. Compaction does not decode them again: it hands the stored
-//! bytes of each surviving version back to [`assemble`] as they are.
+//! (falling back to stored-raw when compression does not pay). That codec
+//! sits at a different point of the paper's ratio/cost curve than the one
+//! packed partitions use, for the reason the paper picks by (Eq. 3): what
+//! the waiting path pays. A partition is encoded once, offline, and
+//! decoded every epoch, so prep buys ratio with a slow encoder
+//! (`lz4hc`); a flushed value is encoded inline in the `write_whole`
+//! that crossed the memtable budget and is usually superseded or
+//! unlinked within two compactions, so the flush takes the cheap encoder
+//! (`lz4fast-1`: ≈ 9 % more stored bytes than `lz4hc-6` on the
+//! benchmark's values, for about a third of the encode time). The
+//! codec id rides each entry, so a store holds both kinds at once.
+//! Compaction does not decode them again: it hands the stored bytes of
+//! each surviving version back to [`assemble`] as they are.
 
 use std::borrow::Cow;
 
@@ -49,6 +58,9 @@ const FIXED_HEADER: usize = 4 + 2 + 8 + 8 + 4;
 
 /// Per-entry metadata prefix on the pack data field.
 const META_PREFIX: usize = 8 + 8 + 1;
+
+/// Codec id of a value stored as it is.
+const STORED_RAW: CodecId = CodecId::new(CodecFamily::Store, 0);
 
 /// One index row: an entry's metadata and where its stored value lies.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,6 +95,16 @@ impl SegRow {
     /// `raw_len` on every read.
     pub fn decode_value(&self, stored: &[u8]) -> Result<Vec<u8>, FsError> {
         crate::node::decompress_object(self.codec, stored, self.raw_len, &self.path)
+    }
+
+    /// [`SegRow::decode_value`] of stored bytes the caller owns: a
+    /// stored-raw value *is* its stored bytes, and is handed back as read
+    /// from the medium instead of being copied out of them.
+    pub fn into_value(&self, stored: Vec<u8>) -> Result<Vec<u8>, FsError> {
+        if self.codec == STORED_RAW && stored.len() == self.raw_len {
+            return Ok(stored);
+        }
+        self.decode_value(&stored)
     }
 
     /// This version as a [`Part`] whose stored bytes are borrowed from
@@ -196,7 +218,7 @@ pub fn build(
                 .filter(|packed| packed.len() < raw.len());
             let (codec, stored) = match packed {
                 Some(packed) => (codec, Cow::Owned(packed)),
-                None => (CodecId::new(CodecFamily::Store, 0), Cow::Borrowed(raw)),
+                None => (STORED_RAW, Cow::Borrowed(raw)),
             };
             Part {
                 path,

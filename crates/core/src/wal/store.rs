@@ -72,7 +72,11 @@ pub struct WalConfig {
     /// Object-name prefix on the medium (`<dir>/LOG`, `<dir>/seg-*`,
     /// `<dir>/MANIFEST`).
     pub dir: String,
-    /// Codec for segment values (WAL records stay uncompressed).
+    /// Codec for segment values (WAL records stay uncompressed). It is
+    /// paid by the write that crosses `memtable_budget`, so the default
+    /// is the fast end of the ratio/cost curve; each entry records the
+    /// codec it was stored with, so segments written under another
+    /// setting stay readable and compaction carries them as they are.
     pub codec: CodecId,
     /// Per-segment bloom filter false-positive target.
     pub bloom_fp: f64,
@@ -96,7 +100,7 @@ impl Default for WalConfig {
     fn default() -> Self {
         WalConfig {
             dir: "wal".to_string(),
-            codec: CodecId::new(CodecFamily::Lz4Hc, 6),
+            codec: CodecId::new(CodecFamily::Lz4Fast, 1),
             bloom_fp: 0.01,
             memtable_budget: 1 << 20,
             commit_every: 1,
@@ -356,15 +360,15 @@ impl WalStore {
         let mut applied = 0usize;
         let mut replayed = 0u64;
         let mut skipped = 0u64;
-        for rec in &records {
+        for rec in records {
             if rec.seq <= manifest.trim_seq {
                 skipped += 1; // a crashed trim left covered records behind
                 continue;
             }
-            mem.apply(rec);
             applied += rec.path.len() + rec.value.len();
             replayed += 1;
             durable_seq = durable_seq.max(rec.seq);
+            mem.apply(rec);
         }
         let report =
             WalReplay { segments: loaded.len(), records: replayed, skipped, torn, durable_seq };
@@ -663,7 +667,7 @@ impl WalStore {
                     self.media.read_range(&seg.meta.name, row.offset, row.stored_len).ok_or_else(
                         || FsError::Corrupt(format!("wal: segment {} vanished", seg.meta.name)),
                     )?;
-                Lookup::Hit(Arc::new(row.decode_value(&stored)?))
+                Lookup::Hit(Arc::new(row.into_value(stored)?))
             }
             Found::Dead => Lookup::Tombstone,
             Found::Miss => Lookup::Miss,

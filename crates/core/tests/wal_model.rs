@@ -11,6 +11,9 @@
 //! * **What compaction may not do**: change a stored byte (its output is
 //!   what decoding and rebuilding the live set gives) or carry a damaged
 //!   input forward under a fresh CRC.
+//! * **Codecs mix**: a medium whose segments were flushed under another
+//!   codec than the store now writes with keeps reading, and compaction
+//!   carries each row under the codec id it was stored with.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -23,6 +26,7 @@ use fanstore::metrics::{now_us, MetricsRegistry};
 use fanstore::wal::segment::{self, SegRow};
 use fanstore::wal::{Lookup, MemEntry, RamMedia, WalConfig, WalMedia, WalStore};
 use fanstore::FsError;
+use fanstore_compress::{CodecFamily, CodecId};
 
 fn open(media: Arc<dyn WalMedia>, cfg: &WalConfig) -> WalStore {
     WalStore::open(media, cfg.clone(), &MetricsRegistry::new()).expect("open").0
@@ -305,6 +309,79 @@ fn compaction_reads_each_input_once_and_changes_no_stored_byte() {
     let raw: u64 = live.iter().map(|(_, e)| e.value.as_ref().unwrap().len() as u64).sum();
     assert_eq!(report.out_bytes, raw, "out_bytes stays raw value bytes");
     assert!(report.in_bytes > report.out_bytes && report.dropped_tombstones > 0);
+}
+
+/// Every index row of every published segment, newest segment first.
+fn published_rows(store: &WalStore, media: &RamMedia) -> Vec<SegRow> {
+    let names = store.status().segments.into_iter().map(|s| s.name);
+    names.flat_map(|n| segment::index(&media.read(&n).expect("published")).unwrap().rows).collect()
+}
+
+#[test]
+fn segments_flushed_under_another_codec_are_read_and_carried_as_they_are() {
+    let hc = CodecId::new(CodecFamily::Lz4Hc, 6);
+    let fast = manual_cfg().codec;
+    assert_ne!(fast, hc, "the default flush codec is not the one this medium was written with");
+    let keys: Vec<String> = (0..16).map(|i| format!("out/k{i:02}.bin")).collect();
+    let mut rng = ChaCha8Rng::seed_from_u64(0x4D1C);
+    let mut model: BTreeMap<String, Vec<u8>> = BTreeMap::new();
+    let media = Counting::new();
+    let mut put = |store: &WalStore, model: &mut BTreeMap<String, Vec<u8>>, keys: &[String]| {
+        for key in keys {
+            let v = value(&mut rng);
+            store.put(key, v.clone()).unwrap();
+            model.insert(key.clone(), v);
+        }
+    };
+
+    // A life under lz4hc-6 leaves two segments behind.
+    let store = open(media.clone(), &WalConfig { codec: hc, ..manual_cfg() });
+    put(&store, &mut model, &keys[..12]);
+    store.flush().unwrap().expect("a segment");
+    put(&store, &mut model, &keys[8..14]);
+    store.flush().unwrap().expect("a second segment");
+    drop(store);
+
+    // The next life writes under the default: overwrites, an unlink, new keys.
+    let store = open(media.clone(), &manual_cfg());
+    check(&store, &model, &keys, "reopened under another codec");
+    put(&store, &mut model, &keys[4..6]);
+    store.unlink(&keys[0]).unwrap();
+    model.remove(&keys[0]);
+    put(&store, &mut model, &keys[14..]);
+    store.flush().unwrap().expect("a third segment");
+    put(&store, &mut model, &keys[6..7]);
+    store.flush().unwrap().expect("a fourth segment");
+    check(&store, &model, &keys, "four segments, two codecs");
+
+    // What each live key's newest version is stored as, before the merge.
+    let mut stored_as: BTreeMap<String, (CodecId, u64)> = BTreeMap::new();
+    for row in published_rows(&store, &media.inner) {
+        stored_as.entry(row.path.clone()).or_insert((row.codec, row.seq));
+    }
+    let mut inputs: Vec<Call> =
+        store.status().segments.iter().map(|s| (s.name.clone(), s.bytes as usize)).collect();
+    inputs.sort();
+    media.take();
+    store.compact().unwrap();
+    let mut calls = media.take();
+    calls.whole_reads.sort();
+    assert_eq!(calls.whole_reads, inputs, "each input blob is read once, whole");
+    assert!(calls.range_reads.is_empty());
+
+    let carried = published_rows(&store, &media.inner);
+    assert_eq!(carried.len(), model.len(), "one row per live key");
+    for row in &carried {
+        assert_eq!((row.codec, row.seq), stored_as[&row.path], "{} keeps its codec id", row.path);
+    }
+    for codec in [hc, fast] {
+        assert!(carried.iter().any(|r| r.codec == codec), "a row stored as {codec} survives");
+    }
+    check(&store, &model, &keys, "after the merge");
+    drop(store);
+    let store = open(media.clone(), &manual_cfg());
+    check(&store, &model, &keys, "after the merge and a reopen");
+    assert!(store.verify().errors.is_empty());
 }
 
 #[test]
