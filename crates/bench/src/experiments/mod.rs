@@ -1,5 +1,5 @@
-//! Experiment generators, one per paper table/figure. See DESIGN.md §3
-//! for the experiment index.
+//! Experiment generators, one per paper table/figure, indexed by
+//! [`EXPERIMENTS`] (DESIGN.md §3 maps them to the paper).
 
 pub mod batch_fetch;
 pub mod ckpt_cost;
@@ -60,39 +60,74 @@ pub fn measure_candidate(id: CodecId, samples: &[Vec<u8>], reps: u32) -> Candida
     }
 }
 
+/// One experiment: the name the command line takes, what it regenerates,
+/// and `run(quick)` returning its section of the report.
+pub type Experiment = (&'static str, &'static str, fn(bool) -> String);
+
+/// Every experiment, in EXPERIMENTS.md order: the paper's evaluation
+/// first, then this repository's own studies and release-gate workloads.
+/// This is the only list — `fanstore-bench -- <name | all | list>` and
+/// [`all`] read it — and the only place an experiment's sizes are chosen:
+/// `quick` is the shape CI smokes and the tests run, the other the one
+/// EXPERIMENTS.md is generated with.
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("fig1", "Figure 1: utilisation vs node count (modelled)", |_| fig1::run()),
+    ("fig6", "Figure 6: FanStore vs TFRecord read throughput", |q| {
+        fig6::run(if q { 8 } else { 48 })
+    }),
+    ("table3", "Table III: POSIX solution read performance", |q| {
+        table3::run(if q { 4 } else { 24 })
+    }),
+    ("fig7", "Figure 7: compressor configuration sweep", |q| {
+        fig7::run(if q { 1 } else { 3 }, if q { 1 } else { 2 }, q)
+    }),
+    ("table4", "Table IV: per-dataset compression ratios", |q| table4::run(if q { 1 } else { 3 })),
+    ("table5", "Table V: inputs to the compressor selection algorithm", |_| table5::run()),
+    ("table6", "Table VI: FanStore read performance by file size", |_| table6::run()),
+    ("table7", "Table VII: compressor selection for the three cases", |q| {
+        table7::run(if q { 1 } else { 3 })
+    }),
+    ("fig8", "Figure 8: application performance under candidate compressors", |q| {
+        fig8::run(if q { 1 } else { 3 })
+    }),
+    ("fig9", "Figure 9: weak scaling (modelled)", |_| fig9::run()),
+    ("global_view", "§III: global dataset view vs chunk partitions", |_| global_view::run()),
+    ("lossy_fw", "§VIII future work: lossy compression on float datasets", |q| {
+        lossy_fw::run(if q { 2 } else { 8 })
+    }),
+    ("metrics_overhead", "metrics registry enabled vs disabled on the epoch workload", |q| {
+        metrics_overhead::run(if q { 1 } else { 3 })
+    }),
+    ("ckpt_cost", "checkpoint write/restore cost and delta-vs-full storage ratio", |q| {
+        ckpt_cost::run(if q { 2 } else { 6 }, if q { 8 } else { 128 })
+    }),
+    ("batch_fetch", "GetMany coalescing vs one file per rpc", |q| {
+        batch_fetch::run(if q { 16 } else { 96 }, if q { 1 } else { 3 })
+    }),
+    ("decode_throughput", "codec decode/encode and CRC-32 MB/s vs their references", |q| {
+        decode_throughput::run(if q { 1 } else { 4 }, if q { 1 } else { 3 })
+    }),
+    ("pipeline_attrib", "where request wall time goes on a traced cluster", pipeline_attrib::run),
+    ("wal_write", "WAL group commit vs per-write sync, write amplification", wal_write::run),
+    ("range_read", "bytes moved by 5% ranged reads vs whole-file reads", range_read::run),
+];
+
 /// Run every experiment and compose the full report (the body of
-/// EXPERIMENTS.md). `quick` shrinks sample counts so the composition also
-/// serves as an integration test.
+/// EXPERIMENTS.md).
 pub fn all(quick: bool) -> String {
     let mut out = String::new();
     out.push_str("# EXPERIMENTS — paper vs. this reproduction\n\n");
     out.push_str(
-        "Regenerated with `cargo run --release -p fanstore-bench --bin all_experiments`.\n\
+        "Regenerated with `cargo run --release -p fanstore-bench -- all > EXPERIMENTS.md`\n\
+         (one section: `-- <name>`; the names: `-- list`).\n\
          Every number is labelled **measured** (this repository's real code on this\n\
          machine, synthetic datasets) or **modelled** (io-sim models calibrated to the\n\
          paper's published hardware measurements). Absolute values differ from the\n\
          paper (different hardware, synthetic data); the claims under test are the\n\
          *shapes*: orderings, ratios, crossovers and scaling curves.\n\n",
     );
-    for section in [
-        fig1::run(),
-        fig6::run(if quick { 8 } else { 48 }),
-        table3::run(if quick { 4 } else { 24 }),
-        fig7::run(if quick { 1 } else { 3 }, if quick { 1 } else { 2 }, quick),
-        table4::run(if quick { 1 } else { 3 }),
-        table5::run(),
-        table6::run(),
-        table7::run(if quick { 1 } else { 3 }),
-        fig8::run(if quick { 1 } else { 3 }),
-        fig9::run(),
-        global_view::run(),
-        lossy_fw::run(if quick { 2 } else { 8 }),
-        metrics_overhead::run(if quick { 1 } else { 3 }),
-        ckpt_cost::run(if quick { 2 } else { 6 }, if quick { 8 } else { 128 }),
-        batch_fetch::run(if quick { 16 } else { 96 }, if quick { 1 } else { 3 }),
-        decode_throughput::run(if quick { 1 } else { 4 }, if quick { 1 } else { 3 }),
-    ] {
-        out.push_str(&section);
+    for (_, _, run) in EXPERIMENTS {
+        out.push_str(&run(quick));
         out.push('\n');
     }
     out
@@ -109,6 +144,21 @@ mod tests {
         let c = measure_candidate(CodecId::new(CodecFamily::Lz4Hc, 6), &samples, 1);
         assert!(c.ratio > 1.5, "text compresses: {}", c.ratio);
         assert!(c.decomp_s_per_file > 0.0);
+    }
+
+    #[test]
+    fn experiment_names_are_unique() {
+        let mut names: Vec<&str> = EXPERIMENTS.iter().map(|(name, ..)| *name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), EXPERIMENTS.len());
+    }
+
+    #[test]
+    fn all_has_one_section_per_experiment() {
+        let report = all(true);
+        let sections = report.lines().filter(|l| l.starts_with("## ")).count();
+        assert_eq!(sections, EXPERIMENTS.len(), "{report}");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Every request's span tree is joined across ranks and its wall time
 //! decomposed into the named segments from [`fanstore::attrib`]; the
 //! training loop reports its stall breakdown alongside. The result is
-//! the repo's perf trajectory file, `BENCH_pipeline.json`: per-stage
-//! medians, the consumer stall fraction, and attribution coverage.
+//! per-stage medians, the consumer stall fraction, and attribution
+//! coverage.
 //!
 //! Everything here is **measured** on this machine except the link
 //! delay, which is **modelled** (`FaultPlan::delay_prob`) — without it
@@ -23,7 +23,7 @@ use mpi_sim::FaultPlan;
 
 use crate::report::md_table;
 
-/// Structured result behind `BENCH_pipeline.json`.
+/// What one run of the workload measured.
 #[derive(Debug, Clone)]
 pub struct PipelineSummary {
     /// Cluster size the workload ran on.
@@ -34,8 +34,6 @@ pub struct PipelineSummary {
     pub epochs: usize,
     /// Requests with at least one retained span.
     pub requests: usize,
-    /// Summed per-rank epoch wall time (seconds).
-    pub wall_s: f64,
     /// Fraction of request wall time explained by named segments
     /// (1 − residual share). The CI release gate holds this ≥ 0.90.
     pub coverage: f64,
@@ -62,39 +60,6 @@ pub struct StageStat {
     pub total_us: u64,
 }
 
-impl PipelineSummary {
-    /// Serialise for `BENCH_pipeline.json` (stable key order, so diffs
-    /// against the checked-in trajectory stay readable).
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\n  \"experiment\": \"pipeline_attrib\",\n  \"nodes\": {},\n  \"files\": {},\n  \
-             \"epochs\": {},\n  \"requests\": {},\n  \"wall_s\": {:.6},\n  \
-             \"coverage\": {:.4},\n  \"stall_fraction\": {:.4},\n  \"stalls_us\": {{ \
-             \"ready\": {}, \"feed\": {}, \"work\": {}, \"emit\": {} }},\n  \"stages\": {{\n",
-            self.nodes,
-            self.files,
-            self.epochs,
-            self.requests,
-            self.wall_s,
-            self.coverage,
-            self.stall_fraction,
-            self.stalls.ready_wait_us,
-            self.stalls.feed_wait_us,
-            self.stalls.work_wait_us,
-            self.stalls.emit_wait_us,
-        );
-        for (i, s) in self.stage_median_us.iter().enumerate() {
-            let comma = if i + 1 < self.stage_median_us.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    \"{}\": {{ \"requests\": {}, \"median_us\": {}, \"total_us\": {} }}{comma}\n",
-                s.stage, s.requests, s.median_us, s.total_us,
-            ));
-        }
-        out.push_str("  }\n}\n");
-        out
-    }
-}
-
 fn dataset(files: usize) -> Vec<(String, Vec<u8>)> {
     let spec = DatasetSpec::scaled(DatasetKind::LanguageTxt, files, 0xA77B);
     (0..files).map(|i| (format!("train/f{i:03}.txt"), spec.generate(i))).collect()
@@ -118,8 +83,8 @@ fn stage_stat(
 }
 
 /// Run the workload once and summarise it. `quick` is the CI smoke
-/// shape (small cluster, one epoch); the full shape is the trajectory
-/// measurement.
+/// shape (small cluster, one epoch); the full shape is the one the
+/// release gate and EXPERIMENTS.md measure.
 pub fn measure(quick: bool) -> PipelineSummary {
     let (nodes, files, epochs) = if quick { (2, 16, 1) } else { (4, 48, 2) };
     let packed = prepare(dataset(files), &PrepConfig { partitions: nodes, ..Default::default() });
@@ -174,7 +139,6 @@ pub fn measure(quick: bool) -> PipelineSummary {
         files,
         epochs,
         requests: attrs.len(),
-        wall_s: wall_us as f64 / 1e6,
         coverage: agg.coverage(),
         stall_fraction: stalls.ready_wait_us as f64 / wall_us.max(1) as f64,
         stalls,
@@ -182,8 +146,8 @@ pub fn measure(quick: bool) -> PipelineSummary {
     }
 }
 
-/// Generate the markdown report plus the structured summary.
-pub fn run(quick: bool) -> (String, PipelineSummary) {
+/// Generate the markdown report.
+pub fn run(quick: bool) -> String {
     let s = measure(quick);
     let mut out = format!(
         "## Pipeline attribution — where request wall time goes\n\n\
@@ -218,7 +182,7 @@ pub fn run(quick: bool) -> (String, PipelineSummary) {
         })
         .collect();
     out.push_str(&md_table(&["segment", "requests", "median us", "total us", "share"], &rows));
-    (out, s)
+    out
 }
 
 #[cfg(test)]
@@ -238,8 +202,8 @@ mod tests {
     }
 
     /// The CI release gate: named segments must explain ≥ 90% of the
-    /// wall on the trajectory shape — the workload `BENCH_pipeline.json`
-    /// is produced from and the shape the README's claim is about. The
+    /// wall on the full shape — the one EXPERIMENTS.md reports and the
+    /// README's claim is about. The
     /// quick smoke shape has too few requests for its residual share to
     /// be stable, and residual (scheduling gaps between spans) widens
     /// further on debug builds, so debug runs the smoke shape against a
@@ -250,27 +214,6 @@ mod tests {
             if cfg!(debug_assertions) { (measured(true), 0.50) } else { (measured(false), 0.90) };
         assert!(s.coverage >= gate, "attribution coverage {:.3} below the {gate} gate", s.coverage);
         assert!(s.requests > 0);
-    }
-
-    #[test]
-    fn summary_json_is_valid_and_complete() {
-        let s = measured(true);
-        let json = s.to_json();
-        let v = fanstore::metrics::json::parse(&json).expect("valid JSON");
-        assert_eq!(v.get("experiment").and_then(|e| e.as_str()), Some("pipeline_attrib"), "{json}");
-        let stages = v.get("stages").expect("stages object");
-        for name in SEGMENTS {
-            assert!(stages.get(name).is_some(), "missing stage {name}: {json}");
-        }
-        assert!(stages.get("residual").is_some(), "{json}");
-        // The decomposition accounting survives serialisation: segment
-        // totals from the JSON match the summary.
-        let ready = v
-            .get("stalls_us")
-            .and_then(|o| o.get("ready"))
-            .and_then(|n| n.as_u64())
-            .expect("stalls_us.ready");
-        assert_eq!(ready, s.stalls.ready_wait_us);
     }
 
     #[test]

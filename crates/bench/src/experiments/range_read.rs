@@ -13,17 +13,13 @@
 //! 5% window may legitimately cost more than 5% of the bytes (chunk
 //! granularity rounds the window up to covering chunks), but anything
 //! near 1.0 means ranges silently degraded to whole-file fetches.
-//!
-//! The result is the trajectory file `BENCH_range.json`.
-
-use std::time::Instant;
 
 use fanstore::cluster::{ClusterConfig, FanStore};
 use fanstore::prep::{prepare, PrepConfig};
 
 use crate::report::{fmt_f, md_table};
 
-/// Structured result behind `BENCH_range.json`.
+/// What one run of both passes measured.
 #[derive(Debug, Clone)]
 pub struct RangeSummary {
     /// Files in the dataset.
@@ -42,33 +38,9 @@ pub struct RangeSummary {
     /// `range_bytes_moved / whole_bytes_moved` — the CI release gate
     /// holds this ≤ 0.15.
     pub byte_ratio: f64,
-    /// Ranged reads per second (wall-clock, informational).
-    pub ranges_per_s: f64,
     /// Cache hits served when the ranged pass re-read every window (the
     /// partial-residency check: second pass must not refetch).
     pub repeat_cache_hits: u64,
-}
-
-impl RangeSummary {
-    /// Serialise for `BENCH_range.json` (stable key order).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"experiment\": \"range_read\",\n  \"files\": {},\n  \
-             \"file_bytes\": {},\n  \"chunk_bytes\": {},\n  \
-             \"range_fraction\": {:.4},\n  \"range_bytes_moved\": {},\n  \
-             \"whole_bytes_moved\": {},\n  \"byte_ratio\": {:.4},\n  \
-             \"ranges_per_s\": {:.1},\n  \"repeat_cache_hits\": {}\n}}\n",
-            self.files,
-            self.file_bytes,
-            self.chunk_bytes,
-            self.range_fraction,
-            self.range_bytes_moved,
-            self.whole_bytes_moved,
-            self.byte_ratio,
-            self.ranges_per_s,
-            self.repeat_cache_hits,
-        )
-    }
 }
 
 /// Deterministic mildly-compressible file body: position-dependent so
@@ -108,15 +80,13 @@ pub fn measure(quick: bool) -> RangeSummary {
     let ranged =
         FanStore::run(ClusterConfig { nodes: 2, ..ClusterConfig::default() }, parts, |fs| {
             if fs.rank() != 1 {
-                return (0u64, 0u64, 0.0f64);
+                return (0u64, 0u64);
             }
-            let t0 = Instant::now();
             for i in 0..files {
                 let (a, b) = window(i, file_bytes, fraction);
                 let got = fs.read_range(&format!("rr/f{i:03}.bin"), a, b).expect("range read");
                 std::hint::black_box(got.len());
             }
-            let wall = t0.elapsed().as_secs_f64();
             let moved = fs.state().stats.remote_bytes.get();
             let hits_before =
                 fs.state().cache.stats().hits.load(std::sync::atomic::Ordering::Relaxed);
@@ -132,7 +102,7 @@ pub fn measure(quick: bool) -> RangeSummary {
                 moved,
                 "repeat ranged pass must be served from partial cache residency"
             );
-            (moved, hits, files as f64 / wall)
+            (moved, hits)
         });
 
     // Pass 2: whole-file reads of the same dataset, fresh cluster.
@@ -151,7 +121,7 @@ pub fn measure(quick: bool) -> RangeSummary {
         },
     );
 
-    let (range_bytes_moved, repeat_cache_hits, ranges_per_s) = ranged[1];
+    let (range_bytes_moved, repeat_cache_hits) = ranged[1];
     let whole_bytes_moved = whole[1];
     RangeSummary {
         files,
@@ -161,13 +131,12 @@ pub fn measure(quick: bool) -> RangeSummary {
         range_bytes_moved,
         whole_bytes_moved,
         byte_ratio: range_bytes_moved as f64 / whole_bytes_moved.max(1) as f64,
-        ranges_per_s,
         repeat_cache_hits,
     }
 }
 
-/// Generate the markdown report plus the structured summary.
-pub fn run(quick: bool) -> (String, RangeSummary) {
+/// Generate the markdown report.
+pub fn run(quick: bool) -> String {
     let s = measure(quick);
     let mut out = format!(
         "## range_read — byte-range fetches over chunked containers (measured)\n\n\
@@ -194,7 +163,7 @@ pub fn run(quick: bool) -> (String, RangeSummary) {
         fmt_f(s.byte_ratio),
         s.repeat_cache_hits,
     ));
-    (out, s)
+    out
 }
 
 #[cfg(test)]
@@ -218,29 +187,8 @@ mod tests {
     }
 
     #[test]
-    fn summary_json_is_valid_and_complete() {
-        let s = measure(true);
-        let json = s.to_json();
-        let v = fanstore::metrics::json::parse(&json).expect("valid JSON");
-        assert_eq!(v.get("experiment").and_then(|e| e.as_str()), Some("range_read"), "{json}");
-        for field in [
-            "files",
-            "file_bytes",
-            "chunk_bytes",
-            "range_fraction",
-            "range_bytes_moved",
-            "whole_bytes_moved",
-            "byte_ratio",
-            "ranges_per_s",
-            "repeat_cache_hits",
-        ] {
-            assert!(v.get(field).is_some(), "missing {field}: {json}");
-        }
-    }
-
-    #[test]
     fn report_renders() {
-        let (r, _) = run(true);
+        let r = run(true);
         assert!(r.contains("range_read"));
         assert!(r.contains("byte ratio") || r.contains("Byte ratio"));
     }

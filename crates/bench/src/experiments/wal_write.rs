@@ -12,8 +12,6 @@
 //! Media mutation bytes are counted by wrapping the medium in a
 //! [`CrashMedia`] with an effectively infinite power-cut budget and
 //! reading back how much of the budget the workload consumed.
-//!
-//! The result is the write-path trajectory file `BENCH_wal.json`.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -29,8 +27,6 @@ use crate::report::{fmt_f, md_table};
 pub struct ModeStat {
     /// Appends per sync (1 = sync every write).
     pub commit_every: usize,
-    /// Workload wall time (seconds).
-    pub wall_s: f64,
     /// Acknowledged appends per second.
     pub ops_per_s: f64,
     /// Logical value megabytes per second.
@@ -59,7 +55,7 @@ pub struct CompactionStat {
     pub write_amp: f64,
 }
 
-/// Structured result behind `BENCH_wal.json`.
+/// What one run of both durability modes measured.
 #[derive(Debug, Clone)]
 pub struct WalSummary {
     /// Appends per mode.
@@ -79,39 +75,6 @@ pub struct WalSummary {
     pub speedup: f64,
     /// Flush/compaction accounting (group-commit run).
     pub compaction: CompactionStat,
-}
-
-impl WalSummary {
-    /// Serialise for `BENCH_wal.json` (stable key order, so diffs
-    /// against the checked-in trajectory stay readable).
-    pub fn to_json(&self) -> String {
-        let mode = |m: &ModeStat| {
-            format!(
-                "{{ \"commit_every\": {}, \"wall_s\": {:.6}, \"ops_per_s\": {:.1}, \
-                 \"mb_per_s\": {:.2}, \"syncs\": {}, \"p50_us\": {}, \"p99_us\": {} }}",
-                m.commit_every, m.wall_s, m.ops_per_s, m.mb_per_s, m.syncs, m.p50_us, m.p99_us,
-            )
-        };
-        format!(
-            "{{\n  \"experiment\": \"wal_write\",\n  \"ops\": {},\n  \"value_bytes\": {},\n  \
-             \"keys\": {},\n  \"sync_cost_us\": {},\n  \"per_write_sync\": {},\n  \
-             \"group_commit\": {},\n  \"speedup\": {:.2},\n  \"compaction\": {{ \
-             \"runs\": {}, \"in_bytes\": {}, \"out_bytes\": {}, \"dropped\": {}, \
-             \"write_amp\": {:.3} }}\n}}\n",
-            self.ops,
-            self.value_bytes,
-            self.keys,
-            self.sync_cost_us,
-            mode(&self.per_write_sync),
-            mode(&self.group_commit),
-            self.speedup,
-            self.compaction.runs,
-            self.compaction.in_bytes,
-            self.compaction.out_bytes,
-            self.compaction.dropped,
-            self.compaction.write_amp,
-        )
-    }
 }
 
 /// Deterministic compressible-ish value, position-dependent so
@@ -164,7 +127,6 @@ fn run_mode(
     let logical = (ops * value_bytes) as f64;
     let stat = ModeStat {
         commit_every,
-        wall_s,
         ops_per_s: ops as f64 / wall_s,
         mb_per_s: logical / 1e6 / wall_s,
         syncs: disk.syncs(),
@@ -175,7 +137,8 @@ fn run_mode(
 }
 
 /// Run both durability modes and summarise. `quick` is the CI smoke
-/// shape; the full shape is the trajectory measurement.
+/// shape; the full shape is the one the release gate and EXPERIMENTS.md
+/// measure.
 pub fn measure(quick: bool) -> WalSummary {
     // Both shapes pick the memtable budget below `keys * value_bytes` —
     // the memtable is bounded by the live set under round-robin
@@ -211,8 +174,8 @@ pub fn measure(quick: bool) -> WalSummary {
     }
 }
 
-/// Generate the markdown report plus the structured summary.
-pub fn run(quick: bool) -> (String, WalSummary) {
+/// Generate the markdown report.
+pub fn run(quick: bool) -> String {
     let s = measure(quick);
     let mut out = format!(
         "## WAL write path — group commit vs per-write sync\n\n\
@@ -249,7 +212,7 @@ pub fn run(quick: bool) -> (String, WalSummary) {
         s.compaction.dropped,
         fmt_f(s.compaction.write_amp),
     ));
-    (out, s)
+    out
 }
 
 #[cfg(test)]
@@ -268,7 +231,7 @@ mod tests {
     }
 
     /// The CI release gate: amortising the modelled fsync over 16-append
-    /// batches must be worth ≥ 3x throughput on the trajectory shape.
+    /// batches must be worth ≥ 3x throughput on the full shape.
     /// Debug builds run the smoke shape against a sanity floor — the
     /// unoptimised frame/CRC path inflates per-append CPU cost, which
     /// narrows (but must not erase) the sync-amortisation win.
@@ -292,22 +255,6 @@ mod tests {
             s.group_commit.syncs,
             s.per_write_sync.syncs,
         );
-    }
-
-    #[test]
-    fn summary_json_is_valid_and_complete() {
-        let s = measured(true);
-        let json = s.to_json();
-        let v = fanstore::metrics::json::parse(&json).expect("valid JSON");
-        assert_eq!(v.get("experiment").and_then(|e| e.as_str()), Some("wal_write"), "{json}");
-        for key in ["per_write_sync", "group_commit"] {
-            let m = v.get(key).unwrap_or_else(|| panic!("missing {key}: {json}"));
-            for field in ["commit_every", "ops_per_s", "syncs", "p50_us", "p99_us"] {
-                assert!(m.get(field).is_some(), "missing {key}.{field}: {json}");
-            }
-        }
-        let c = v.get("compaction").expect("compaction object");
-        assert!(c.get("write_amp").is_some(), "{json}");
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! Regenerates every table and figure of the FanStore paper's evaluation
 //! (§VII). Each experiment lives in [`experiments`] as a function
-//! returning a markdown report; the `src/bin/*` binaries are thin
-//! wrappers, and `all_experiments` composes the full EXPERIMENTS.md.
+//! returning a markdown report, and [`experiments::EXPERIMENTS`] lists
+//! them all; the `fanstore-bench` binary prints one by name, or the full
+//! EXPERIMENTS.md with `all`.
 //!
 //! Two kinds of numbers appear in the reports, always labelled:
 //!

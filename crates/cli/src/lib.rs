@@ -1,18 +1,24 @@
 //! # fanstore-cli
 //!
-//! Command-line front ends for the FanStore data-preparation workflow
-//! (paper §V-B):
+//! The one `fanstore` binary: [`run`] dispatches over [`COMMANDS`], the
+//! only list of subcommands (the usage text is generated from it).
 //!
-//! * `fanstore-prep` — walk a directory, compress and pack its files into
-//!   partition files (the standalone data-preparation tool).
-//! * `fanstore-inspect` — list the contents of a partition file and
+//! * `fanstore prep` — walk a directory, compress and pack its files into
+//!   partition files (the paper's §V-B data-preparation tool).
+//! * `fanstore inspect` — list the contents of partition files and
 //!   verify that every entry decompresses cleanly.
-//! * `fanstore` — observability front end: `fanstore metrics` runs a
-//!   demo workload on an in-process cluster and prints the merged
-//!   cluster-wide metrics (or `--json true` for the snapshot);
-//!   `fanstore trace dump` prints the I/O event rings and per-request
-//!   span timelines; `fanstore ckpt {ls,verify,gc}` exercises the
-//!   durable checkpoint store and inspects the resulting lineage.
+//! * the rest — observability front end over a small in-process cluster
+//!   running a demo workload. `metrics` merges every rank's registry into
+//!   one cluster-wide view (counters, gauges, latency histograms with
+//!   p50/p90/p99/max; `--json true` for the snapshot, `--tenant N` for one
+//!   tenant's QoS/SLO series). `trace dump` prints each rank's I/O event
+//!   ring, then the span timelines grouped per request, so a remote GET
+//!   reads client -> fabric -> daemon though the stages were recorded on
+//!   different ranks. `attrib` joins the span trees into the per-stage
+//!   bottleneck table; `slo` prints the per-tenant burn-rate table;
+//!   `ckpt` and `wal` exercise the durable stores and inspect what they
+//!   left; `range` and `tier` walk the progressive/partial read path
+//!   (DESIGN.md §10).
 //!
 //! The argument parsing is deliberately dependency-free (`--flag value`
 //! pairs), mirroring the original tool's minimal interface: data path,
@@ -69,10 +75,137 @@ impl Args {
         }
     }
 
+    /// Value of `--key`, which the subcommand cannot run without.
+    pub fn require(&self, key: &str) -> Result<&str, String> {
+        self.get(key).ok_or_else(|| format!("missing --{key}\n{}", usage()))
+    }
+
+    /// `--key true|false`: anything but `false` switches it on.
+    pub fn get_bool(&self, key: &str, default: bool) -> bool {
+        self.get(key).map_or(default, |v| v != "false")
+    }
+
     /// Positional arguments.
     pub fn positional(&self) -> &[String] {
         &self.positional
     }
+
+    /// Exactly `N` positional words after the subcommand's name
+    /// (`ckpt ls` has one, `metrics` none); any other count is a usage
+    /// error.
+    fn words<const N: usize>(&self) -> Result<[&str; N], String> {
+        let rest: Vec<&str> = self.positional.iter().skip(1).map(String::as_str).collect();
+        rest.try_into().map_err(|_| usage())
+    }
+
+    /// `--nodes` and `--files`, the size of the demo cluster and dataset.
+    fn cluster(&self) -> Result<(usize, usize), String> {
+        Ok((self.get_usize("nodes", 4)?, self.get_usize("files", 24)?))
+    }
+
+    /// A subcommand that is one demo over `--nodes` ranks and `--files`
+    /// files and takes no further word.
+    fn demo(&self, demo: fn(usize, usize) -> Result<String, String>) -> Result<String, String> {
+        let [] = self.words()?;
+        let (nodes, files) = self.cluster()?;
+        demo(nodes, files)
+    }
+}
+
+/// One subcommand: its name, its arguments as the usage text shows them,
+/// and the code that runs it.
+pub type Command = (&'static str, &'static str, fn(&Args) -> Result<String, String>);
+
+/// Every `fanstore` subcommand. [`run`] dispatches over this list and
+/// [`usage`] prints it; there is no other.
+pub const COMMANDS: &[Command] = &[
+    ("prep", "--input <dir> --output <dir> [--partitions 1] [--codec lzsse8-2]", |a| {
+        let [] = a.words()?;
+        run_prep(
+            Path::new(a.require("input")?),
+            Path::new(a.require("output")?),
+            a.get_usize("partitions", 1)?,
+            a.get("codec").unwrap_or("lzsse8-2"),
+        )
+    }),
+    ("inspect", "<partition.fst>... [--verify true]", |a| {
+        let files = &a.positional()[1..];
+        if files.is_empty() {
+            return Err(usage());
+        }
+        let verify = a.get_bool("verify", true);
+        let mut lines = Vec::new();
+        for file in files {
+            let listing = run_inspect(Path::new(file), verify);
+            lines.extend(listing.map_err(|e| format!("{file}: {e}"))?);
+        }
+        let report = lines.join("\n");
+        // A damaged entry is the tool's finding, and a failure to the shell.
+        if report.contains("CORRUPT") {
+            Err(report)
+        } else {
+            Ok(report)
+        }
+    }),
+    ("metrics", "[--nodes 4] [--files 24] [--json false] [--tenant N]", |a| {
+        let [] = a.words()?;
+        let (nodes, files) = a.cluster()?;
+        let tenant = a.get("tenant").map(str::parse).transpose();
+        let tenant = tenant.map_err(|_| "--tenant: not a number".to_string())?;
+        run_metrics_demo(nodes, files, a.get_bool("json", false), tenant)
+    }),
+    ("trace", "dump [--nodes 4] [--files 24]", |a| {
+        let ["dump"] = a.words()? else { return Err(usage()) };
+        let (nodes, files) = a.cluster()?;
+        run_trace_dump(nodes, files)
+    }),
+    ("ckpt", "<ls | verify | gc> [--nodes 4] [--generations 5] [--keep-last 2]", |a| {
+        let [sub] = a.words()?;
+        let (nodes, _) = a.cluster()?;
+        run_ckpt_demo(sub, nodes, a.get_usize("generations", 5)?, a.get_usize("keep-last", 2)?)
+    }),
+    ("wal", "<ls | verify | compact> [--nodes 4] [--files 24]", |a| {
+        let [sub] = a.words()?;
+        let (nodes, files) = a.cluster()?;
+        run_wal_demo(sub, nodes, files)
+    }),
+    ("qos", "[--nodes 4] [--files 24]", |a| a.demo(run_qos_demo)),
+    ("attrib", "[--nodes 4] [--files 24]", |a| a.demo(run_attrib_demo)),
+    ("slo", "[--nodes 4] [--files 24]", |a| a.demo(run_slo_demo)),
+    ("range", "[--size 1048576] [--chunk 65536] [--start 100000] [--end start+50000]", |a| {
+        let [] = a.words()?;
+        let start = a.get_usize("start", 100_000)?;
+        run_range_demo(
+            a.get_usize("size", 1 << 20)?,
+            a.get_usize("chunk", 64 * 1024)?,
+            start as u64,
+            a.get_usize("end", start + 50_000)? as u64,
+        )
+    }),
+    ("tier", "[--floats 65536] [--tiers 4] [--min-tier 1]", |a| {
+        let [] = a.words()?;
+        run_tier_demo(
+            a.get_usize("floats", 65_536)?,
+            a.get_usize("tiers", 4)? as u8,
+            a.get_usize("min-tier", 1)? as u8,
+        )
+    }),
+];
+
+/// The usage text: one line per [`COMMANDS`] row.
+pub fn usage() -> String {
+    let rows: Vec<String> =
+        COMMANDS.iter().map(|(name, args, _)| format!("  fanstore {name} {args}")).collect();
+    format!("usage:\n{}", rows.join("\n"))
+}
+
+/// Run the subcommand `args` names and return what it prints; an unknown
+/// or missing one is an `Err` carrying [`usage`]. This is the whole of
+/// the binary but for reading `argv` and choosing the exit code.
+pub fn run(args: &Args) -> Result<String, String> {
+    let name = args.positional().first().ok_or_else(usage)?;
+    let (_, _, command) = COMMANDS.iter().find(|(n, ..)| n == name).ok_or_else(usage)?;
+    command(args)
 }
 
 /// Recursively collect `(relative path, contents)` for every file under
@@ -974,23 +1107,40 @@ mod tests {
         std::fs::remove_dir_all(&root).unwrap();
     }
 
+    /// The binary but for `argv` and the exit code.
+    fn cli(args: &[&str]) -> Result<String, String> {
+        run(&Args::parse(args.iter().map(|a| a.to_string()))?)
+    }
+
     #[test]
     fn prep_then_inspect_roundtrip() {
         let input = make_tree("prep");
         let output = temp_dir("prep-out");
-        let summary = run_prep(&input, &output, 2, "lzsse8-2").unwrap();
+        let (i, o) = (input.to_str().unwrap(), output.to_str().unwrap());
+        let summary = cli(&["prep", "--input", i, "--output", o, "--partitions", "2"]).unwrap();
         assert!(summary.contains("packed 3 files"), "{summary}");
+        assert!(summary.contains("with lzsse8-2"), "the default codec: {summary}");
 
-        let mut total_entries = 0;
-        for i in 0..2 {
-            let lines = run_inspect(&output.join(format!("part{i:04}.fst")), true).unwrap();
-            total_entries += lines.len() - 1;
-            assert!(lines.iter().skip(1).all(|l| l.contains("verify=ok")), "{lines:?}");
-        }
-        assert_eq!(total_entries, 3);
+        let parts: Vec<String> =
+            (0..2).map(|p| output.join(format!("part{p:04}.fst")).display().to_string()).collect();
+        let listing = cli(&["inspect", &parts[0], &parts[1], "--verify", "true"]).unwrap();
+        assert_eq!(listing.matches("verify=ok").count(), 3, "{listing}");
+        assert_eq!(listing.lines().count(), 3 + 2, "one header per partition: {listing}");
 
+        assert!(cli(&["prep", "--input", i]).unwrap_err().contains("missing --output"));
         std::fs::remove_dir_all(&input).unwrap();
         std::fs::remove_dir_all(&output).unwrap();
+    }
+
+    #[test]
+    fn an_unknown_subcommand_is_answered_with_the_usage() {
+        for bad in [&["frobnicate"][..], &[], &["trace"], &["metrics", "extra"], &["inspect"]] {
+            let err = cli(bad).unwrap_err();
+            assert_eq!(err, usage(), "{bad:?}");
+        }
+        for (name, args, _) in COMMANDS {
+            assert!(usage().contains(&format!("fanstore {name} {args}")), "{name}");
+        }
     }
 
     #[test]
@@ -1181,6 +1331,8 @@ mod tests {
             lines.iter().any(|l| l.contains("CORRUPT")),
             "corruption must be reported: {lines:?}"
         );
+        let failed = cli(&["inspect", part.to_str().unwrap()]).unwrap_err();
+        assert!(failed.contains("CORRUPT"), "the listing is the error: {failed}");
         std::fs::remove_dir_all(&input).unwrap();
         std::fs::remove_dir_all(&output).unwrap();
     }

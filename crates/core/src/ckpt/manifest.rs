@@ -73,7 +73,8 @@ impl Manifest {
         out
     }
 
-    /// Decode and CRC-verify a manifest.
+    /// Decode and CRC-verify a manifest. `raw_bytes` is at most the
+    /// segments' chunk count times `chunk_size`.
     pub fn decode(buf: &[u8]) -> Result<Manifest, FsError> {
         let parse = || -> Result<Manifest, Malformed> {
             let mut r = open_record(buf, MAGIC, VERSION)?;
@@ -89,6 +90,13 @@ impl Manifest {
                     bytes: r.u64()?,
                     crc: r.u32()?,
                 });
+            }
+            // `raw_bytes` sizes the buffer a generation is rebuilt into and
+            // sits under a CRC anyone can compute: hold it to what the
+            // chunks named here can decode to.
+            let chunks: u64 = segments.iter().map(|s| u64::from(s.chunks)).sum();
+            if raw_bytes > chunks.saturating_mul(u64::from(chunk_size)) {
+                return Err(r.fail("raw_bytes beyond what its chunks hold"));
             }
             r.finish()?;
             Ok(Manifest { generation, base, chunk_size, raw_bytes, stored_bytes, segments })
@@ -119,7 +127,7 @@ mod tests {
     fn roundtrip() {
         let m = sample();
         assert_eq!(Manifest::decode(&m.encode()).unwrap(), m);
-        let full = Manifest { base: None, segments: Vec::new(), ..sample() };
+        let full = Manifest { base: None, raw_bytes: 0, segments: Vec::new(), ..sample() };
         assert_eq!(Manifest::decode(&full.encode()).unwrap(), full);
     }
 }

@@ -358,7 +358,9 @@ pub fn build_progressive(data: &[u8], tiers: u8) -> Vec<u8> {
 /// Parse an FCHK container's header and chunk table (payloads stay in
 /// place; use [`ChunkTable::payload_offset`] to slice them). Nothing is
 /// returned unless the table CRC holds and every payload the rows name
-/// lies inside `data`.
+/// lies inside `data`. A range container's `raw_len` must be the sum of
+/// its rows': anyone can compute the table CRC, and the decoders size
+/// their output by that field.
 pub fn parse_chunk_table(data: &[u8]) -> Result<ChunkTable, FsError> {
     let parse = || -> Result<ChunkTable, Malformed> {
         let mut r = Reader::new(data);
@@ -375,6 +377,7 @@ pub fn parse_chunk_table(data: &[u8]) -> Result<ChunkTable, FsError> {
         let count = r.count(CHUNK_ROW)?;
         let mut chunks = Vec::with_capacity(count);
         let mut payload_bytes = 0usize;
+        let mut rows_raw = 0u64;
         for _ in 0..count {
             let row = ChunkMeta {
                 offset: r.u64()?,
@@ -384,9 +387,13 @@ pub fn parse_chunk_table(data: &[u8]) -> Result<ChunkTable, FsError> {
                 tier: r.u8()?,
             };
             payload_bytes = payload_bytes.saturating_add(row.stored_len as usize);
+            rows_raw = rows_raw.saturating_add(u64::from(row.raw_len));
             chunks.push(row);
         }
         r.trailing_crc()?;
+        if kind == ChunkKind::Range && rows_raw != raw_len {
+            return Err(r.fail("raw_len is not the sum of its chunks"));
+        }
         r.bytes(payload_bytes)?;
         Ok(ChunkTable { kind, inner_codec, chunk_size, raw_len, chunks })
     };

@@ -61,7 +61,7 @@ pub struct RpcMeta {
 }
 
 impl RpcMeta {
-    /// Meta carrying only a request id (the `*_with_id` behaviour).
+    /// Meta carrying only a request id (no tenant, no deadline).
     pub fn with_id(request_id: u64) -> Self {
         RpcMeta { request_id, ..RpcMeta::default() }
     }
@@ -74,7 +74,7 @@ pub struct Message {
     /// Message tag.
     pub tag: Tag,
     /// Request id carried for request-scoped tracing (0 = not part of a
-    /// traced request). Set by the `*_with_id` rpc variants; the serving
+    /// traced request). Set through [`RpcMeta::with_id`]; the serving
     /// side stamps it onto the spans it records.
     pub request_id: u64,
     /// Requesting tenant (0 = default). Stamped by
@@ -144,75 +144,45 @@ pub struct TrafficStats {
 
 /// One rank's endpoint on one communicator channel.
 pub struct Channel {
-    rank: usize,
-    size: usize,
-    /// Index of this channel within the launch (used by fault scoping).
-    channel_index: usize,
-    senders: Vec<Sender<Message>>,
+    /// The sending half — rank, peers, traffic counters, fault hooks.
+    /// `send` and the `rpc*` calls are its; [`Channel::remote`] clones it.
+    tx: RemoteSender,
     receiver: Receiver<Message>,
     /// Messages received but not yet matched by `recv_match`.
     pending: VecDeque<Message>,
     /// Collective generation counter (advances identically on all ranks).
     generation: u64,
-    stats: Arc<TrafficStats>,
-    /// Fault injector shared across the launch; `None` in fault-free runs
-    /// so the hooks cost a single branch.
-    injector: Option<Arc<FaultInjector>>,
 }
 
 impl Channel {
     /// This endpoint's rank.
     pub fn rank(&self) -> usize {
-        self.rank
+        self.tx.rank
     }
 
     /// Number of ranks in the communicator.
     pub fn size(&self) -> usize {
-        self.size
+        self.tx.size()
     }
 
     /// Left neighbour on the virtual ring (used for partition replication).
     pub fn ring_left(&self) -> usize {
-        (self.rank + self.size - 1) % self.size
+        (self.rank() + self.size() - 1) % self.size()
     }
 
     /// Right neighbour on the virtual ring.
     pub fn ring_right(&self) -> usize {
-        (self.rank + 1) % self.size
+        (self.rank() + 1) % self.size()
     }
 
     /// Shared traffic counters for this endpoint.
     pub fn stats(&self) -> Arc<TrafficStats> {
-        Arc::clone(&self.stats)
+        self.tx.stats()
     }
 
     /// Send `payload` to `dest` with `tag`.
-    pub fn send(&self, dest: usize, tag: Tag, mut payload: Vec<u8>) -> Result<(), CommError> {
-        let tx = self.senders.get(dest).ok_or(CommError::InvalidRank(dest))?;
-        self.stats.bytes_sent.fetch_add(payload.len() as u64, Ordering::Relaxed);
-        self.stats.msgs_sent.fetch_add(1, Ordering::Relaxed);
-        if !apply_send_faults(
-            &self.injector,
-            self.channel_index,
-            self.rank,
-            dest,
-            tag,
-            &mut payload,
-        ) {
-            // Blackholed or dropped in flight: a dead NIC, not an error —
-            // the send "succeeds" and nothing arrives.
-            return Ok(());
-        }
-        tx.send(Message {
-            src: self.rank,
-            tag,
-            request_id: 0,
-            tenant: 0,
-            deadline_us: 0,
-            payload,
-            reply: None,
-        })
-        .map_err(|_| CommError::Disconnected)
+    pub fn send(&self, dest: usize, tag: Tag, payload: Vec<u8>) -> Result<(), CommError> {
+        self.tx.send(dest, tag, payload)
     }
 
     /// Blocking receive of the next message in arrival order (pending
@@ -222,7 +192,7 @@ impl Channel {
             return Ok(m);
         }
         let m = self.receiver.recv().map_err(|_| CommError::Disconnected)?;
-        self.stats.bytes_received.fetch_add(m.payload.len() as u64, Ordering::Relaxed);
+        self.tx.stats.bytes_received.fetch_add(m.payload.len() as u64, Ordering::Relaxed);
         Ok(m)
     }
 
@@ -233,7 +203,7 @@ impl Channel {
         }
         match self.receiver.try_recv() {
             Ok(m) => {
-                self.stats.bytes_received.fetch_add(m.payload.len() as u64, Ordering::Relaxed);
+                self.tx.stats.bytes_received.fetch_add(m.payload.len() as u64, Ordering::Relaxed);
                 Some(m)
             }
             Err(_) => None,
@@ -255,7 +225,7 @@ impl Channel {
         }
         loop {
             let m = self.receiver.recv().map_err(|_| CommError::Disconnected)?;
-            self.stats.bytes_received.fetch_add(m.payload.len() as u64, Ordering::Relaxed);
+            self.tx.stats.bytes_received.fetch_add(m.payload.len() as u64, Ordering::Relaxed);
             if matches(&m) {
                 return Ok(m);
             }
@@ -269,7 +239,7 @@ impl Channel {
     /// daemon never consumes it — use [`Channel::rpc_timeout`] when the
     /// peer may be dead.
     pub fn rpc(&self, dest: usize, tag: Tag, payload: Vec<u8>) -> Result<Vec<u8>, CommError> {
-        self.rpc_with_id(dest, tag, payload, None, 0)
+        self.tx.rpc(dest, tag, payload)
     }
 
     /// [`Channel::rpc`] with a deadline: fails with [`CommError::Timeout`]
@@ -281,20 +251,7 @@ impl Channel {
         payload: Vec<u8>,
         timeout: Duration,
     ) -> Result<Vec<u8>, CommError> {
-        self.rpc_with_id(dest, tag, payload, Some(timeout), 0)
-    }
-
-    /// Fully-general rpc: optional deadline plus a request id stamped
-    /// into the message envelope for request-scoped tracing.
-    pub fn rpc_with_id(
-        &self,
-        dest: usize,
-        tag: Tag,
-        payload: Vec<u8>,
-        timeout: Option<Duration>,
-        request_id: u64,
-    ) -> Result<Vec<u8>, CommError> {
-        self.rpc_with_meta(dest, tag, payload, timeout, RpcMeta::with_id(request_id))
+        self.tx.rpc_timeout(dest, tag, payload, timeout)
     }
 
     /// Fully-general rpc carrying the whole [`RpcMeta`] envelope (request
@@ -307,31 +264,14 @@ impl Channel {
         timeout: Option<Duration>,
         meta: RpcMeta,
     ) -> Result<Vec<u8>, CommError> {
-        rpc_inner(
-            &self.senders,
-            &self.stats,
-            &self.injector,
-            self.channel_index,
-            self.rank,
-            dest,
-            tag,
-            payload,
-            timeout,
-            meta,
-        )
+        self.tx.rpc_with_meta(dest, tag, payload, timeout, meta)
     }
 
     /// A cloneable send-only handle on this channel: lets other threads of
     /// the same rank (e.g. training I/O threads) send and rpc to remote
     /// daemons while the daemon thread owns the receiving endpoint.
     pub fn remote(&self) -> RemoteSender {
-        RemoteSender {
-            rank: self.rank,
-            channel_index: self.channel_index,
-            senders: self.senders.clone(),
-            stats: Arc::clone(&self.stats),
-            injector: self.injector.clone(),
-        }
+        self.tx.clone()
     }
 
     // --- Collectives -----------------------------------------------------
@@ -348,14 +288,14 @@ impl Channel {
     /// with variable lengths). Returns `size` buffers, indexed by rank.
     pub fn allgather(&mut self, local: Vec<u8>) -> Result<Vec<Vec<u8>>, CommError> {
         let tag = self.next_collective_tag();
-        for dest in 0..self.size {
-            if dest != self.rank {
+        for dest in 0..self.size() {
+            if dest != self.rank() {
                 self.send(dest, tag, local.clone())?;
             }
         }
-        let mut results: Vec<Option<Vec<u8>>> = (0..self.size).map(|_| None).collect();
-        results[self.rank] = Some(local);
-        for _ in 0..self.size - 1 {
+        let mut results: Vec<Option<Vec<u8>>> = (0..self.size()).map(|_| None).collect();
+        results[self.rank()] = Some(local);
+        for _ in 0..self.size() - 1 {
             let m = self.recv_match(None, Some(tag))?;
             results[m.src] = Some(m.payload);
         }
@@ -371,9 +311,9 @@ impl Channel {
     /// broadcast buffer.
     pub fn bcast(&mut self, root: usize, data: Option<Vec<u8>>) -> Result<Vec<u8>, CommError> {
         let tag = self.next_collective_tag();
-        if self.rank == root {
+        if self.rank() == root {
             let data = data.expect("root must supply data");
-            for dest in 0..self.size {
+            for dest in 0..self.size() {
                 if dest != root {
                     self.send(dest, tag, data.clone())?;
                 }
@@ -389,7 +329,7 @@ impl Channel {
     /// followed by an allgather pass, each `size - 1` steps, moving
     /// `2 (n-1)/n` of the buffer per rank instead of `n-1` copies.
     pub fn ring_allreduce_f64(&mut self, local: &[f64]) -> Result<Vec<f64>, CommError> {
-        let n = self.size;
+        let n = self.size();
         if n == 1 {
             return Ok(local.to_vec());
         }
@@ -416,8 +356,8 @@ impl Channel {
         // accumulate into chunk (rank - s - 1).
         let base_tag = self.next_collective_tag();
         for step in 0..n - 1 {
-            let send_chunk = (self.rank + n - step) % n;
-            let recv_chunk = (self.rank + n - step - 1) % n;
+            let send_chunk = (self.rank() + n - step) % n;
+            let recv_chunk = (self.rank() + n - step - 1) % n;
             let tag = base_tag + step as Tag;
             self.send(right, tag, encode(&buf[bounds[send_chunk]..bounds[send_chunk + 1]]))?;
             let msg = self.recv_match(Some(left), Some(tag))?;
@@ -433,8 +373,8 @@ impl Channel {
         // Phase 2: allgather of the reduced chunks. After phase 1, rank r
         // holds the fully-reduced chunk (r + 1) % n.
         for step in 0..n - 1 {
-            let send_chunk = (self.rank + 1 + n - step) % n;
-            let recv_chunk = (self.rank + n - step) % n;
+            let send_chunk = (self.rank() + 1 + n - step) % n;
+            let recv_chunk = (self.rank() + n - step) % n;
             let tag = base_tag + (n - 1 + step) as Tag;
             self.send(right, tag, encode(&buf[bounds[send_chunk]..bounds[send_chunk + 1]]))?;
             let msg = self.recv_match(Some(left), Some(tag))?;
@@ -469,92 +409,16 @@ impl Channel {
     }
 }
 
-/// Apply send-side faults. Returns `false` when the message must vanish.
-fn apply_send_faults(
-    injector: &Option<Arc<FaultInjector>>,
-    channel: usize,
-    src: usize,
-    dst: usize,
-    tag: Tag,
-    payload: &mut [u8],
-) -> bool {
-    match injector {
-        None => true,
-        Some(inj) => {
-            let verdict = inj.on_send(channel, src, dst, tag, payload);
-            if let Some(delay) = verdict.delay {
-                std::thread::sleep(delay);
-            }
-            verdict.deliver
-        }
-    }
-}
-
-/// Shared request/reply implementation behind [`Channel::rpc`],
-/// [`Channel::rpc_timeout`] and the [`RemoteSender`] equivalents.
-#[allow(clippy::too_many_arguments)]
-fn rpc_inner(
-    senders: &[Sender<Message>],
-    stats: &TrafficStats,
-    injector: &Option<Arc<FaultInjector>>,
-    channel: usize,
-    rank: usize,
-    dest: usize,
-    tag: Tag,
-    mut payload: Vec<u8>,
-    timeout: Option<Duration>,
-    meta: RpcMeta,
-) -> Result<Vec<u8>, CommError> {
-    let tx = senders.get(dest).ok_or(CommError::InvalidRank(dest))?;
-    let (rtx, rrx) = unbounded();
-    stats.bytes_sent.fetch_add(payload.len() as u64, Ordering::Relaxed);
-    stats.msgs_sent.fetch_add(1, Ordering::Relaxed);
-    let deadline = timeout.map(|t| Instant::now() + t);
-    if apply_send_faults(injector, channel, rank, dest, tag, &mut payload) {
-        tx.send(Message {
-            src: rank,
-            tag,
-            request_id: meta.request_id,
-            tenant: meta.tenant,
-            deadline_us: meta.deadline_us,
-            payload,
-            reply: Some(rtx),
-        })
-        .map_err(|_| CommError::Disconnected)?;
-    } else {
-        // A faulted request never reaches the daemon. Drop the reply
-        // conduit NOW so the recv below observes a disconnect — the
-        // fast-forwarded equivalent of waiting out the deadline on a
-        // dead peer. (Keeping it alive in this frame would make the
-        // recv block for the full deadline, or forever without one.)
-        drop(rtx);
-    }
-    let mut answer = match deadline {
-        None => rrx.recv().map_err(|_| CommError::Disconnected)?,
-        Some(deadline) => rrx.recv_deadline(deadline).map_err(|e| match e {
-            RecvTimeoutError::Timeout => CommError::Timeout,
-            RecvTimeoutError::Disconnected => CommError::Disconnected,
-        })?,
-    };
-    if let Some(inj) = injector {
-        // Reply-side faults are decided at the requester, on the
-        // (server -> client) link stream. A lost reply surfaces as the
-        // deadline firing.
-        if !inj.on_reply(channel, dest, rank, &mut answer) {
-            return Err(CommError::Timeout);
-        }
-    }
-    stats.bytes_received.fetch_add(answer.len() as u64, Ordering::Relaxed);
-    Ok(answer)
-}
-
 /// Send-only endpoint on a channel, cloneable across threads of one rank.
 #[derive(Clone)]
 pub struct RemoteSender {
     rank: usize,
+    /// Index of this channel within the launch (used by fault scoping).
     channel_index: usize,
     senders: Vec<Sender<Message>>,
     stats: Arc<TrafficStats>,
+    /// Fault injector shared across the launch; `None` in fault-free runs
+    /// so the hooks cost a single branch.
     injector: Option<Arc<FaultInjector>>,
 }
 
@@ -574,31 +438,46 @@ impl RemoteSender {
         Arc::clone(&self.stats)
     }
 
-    /// Send `payload` to `dest` with `tag` (no reply expected).
-    pub fn send(&self, dest: usize, tag: Tag, mut payload: Vec<u8>) -> Result<(), CommError> {
+    /// Count one message, run the send-side faults over it and enqueue it
+    /// at `dest`. `Ok(false)` when it was blackholed or dropped in flight:
+    /// a dead NIC, not an error — nothing arrives, and `reply` is dropped
+    /// with it.
+    fn post(
+        &self,
+        dest: usize,
+        tag: Tag,
+        mut payload: Vec<u8>,
+        meta: RpcMeta,
+        reply: Option<Sender<Vec<u8>>>,
+    ) -> Result<bool, CommError> {
         let tx = self.senders.get(dest).ok_or(CommError::InvalidRank(dest))?;
         self.stats.bytes_sent.fetch_add(payload.len() as u64, Ordering::Relaxed);
         self.stats.msgs_sent.fetch_add(1, Ordering::Relaxed);
-        if !apply_send_faults(
-            &self.injector,
-            self.channel_index,
-            self.rank,
-            dest,
-            tag,
-            &mut payload,
-        ) {
-            return Ok(());
+        if let Some(inj) = &self.injector {
+            let verdict = inj.on_send(self.channel_index, self.rank, dest, tag, &mut payload);
+            if let Some(delay) = verdict.delay {
+                std::thread::sleep(delay);
+            }
+            if !verdict.deliver {
+                return Ok(false);
+            }
         }
         tx.send(Message {
             src: self.rank,
             tag,
-            request_id: 0,
-            tenant: 0,
-            deadline_us: 0,
+            request_id: meta.request_id,
+            tenant: meta.tenant,
+            deadline_us: meta.deadline_us,
             payload,
-            reply: None,
+            reply,
         })
-        .map_err(|_| CommError::Disconnected)
+        .map_err(|_| CommError::Disconnected)?;
+        Ok(true)
+    }
+
+    /// Send `payload` to `dest` with `tag` (no reply expected).
+    pub fn send(&self, dest: usize, tag: Tag, payload: Vec<u8>) -> Result<(), CommError> {
+        self.post(dest, tag, payload, RpcMeta::default(), None).map(|_| ())
     }
 
     /// Request/reply against the daemon loop that owns `dest`'s receiving
@@ -606,7 +485,7 @@ impl RemoteSender {
     /// consumes the request — use [`RemoteSender::rpc_timeout`] when the
     /// peer may be dead.
     pub fn rpc(&self, dest: usize, tag: Tag, payload: Vec<u8>) -> Result<Vec<u8>, CommError> {
-        self.rpc_with_id(dest, tag, payload, None, 0)
+        self.rpc_with_meta(dest, tag, payload, None, RpcMeta::default())
     }
 
     /// [`RemoteSender::rpc`] with a deadline: fails with
@@ -618,24 +497,13 @@ impl RemoteSender {
         payload: Vec<u8>,
         timeout: Duration,
     ) -> Result<Vec<u8>, CommError> {
-        self.rpc_with_id(dest, tag, payload, Some(timeout), 0)
-    }
-
-    /// Fully-general rpc: optional deadline plus a request id stamped
-    /// into the message envelope for request-scoped tracing.
-    pub fn rpc_with_id(
-        &self,
-        dest: usize,
-        tag: Tag,
-        payload: Vec<u8>,
-        timeout: Option<Duration>,
-        request_id: u64,
-    ) -> Result<Vec<u8>, CommError> {
-        self.rpc_with_meta(dest, tag, payload, timeout, RpcMeta::with_id(request_id))
+        self.rpc_with_meta(dest, tag, payload, Some(timeout), RpcMeta::default())
     }
 
     /// Fully-general rpc carrying the whole [`RpcMeta`] envelope (request
-    /// id, tenant, absolute deadline) alongside the payload.
+    /// id, tenant, absolute deadline) alongside the payload: the one
+    /// request/reply body behind every `rpc*` call on this handle and on
+    /// [`Channel`].
     pub fn rpc_with_meta(
         &self,
         dest: usize,
@@ -644,18 +512,32 @@ impl RemoteSender {
         timeout: Option<Duration>,
         meta: RpcMeta,
     ) -> Result<Vec<u8>, CommError> {
-        rpc_inner(
-            &self.senders,
-            &self.stats,
-            &self.injector,
-            self.channel_index,
-            self.rank,
-            dest,
-            tag,
-            payload,
-            timeout,
-            meta,
-        )
+        let (rtx, rrx) = unbounded();
+        let deadline = timeout.map(|t| Instant::now() + t);
+        // A faulted request never reaches the daemon, and `post` has
+        // dropped the reply conduit with it, so the recv below observes a
+        // disconnect at once — the fast-forwarded equivalent of waiting
+        // out the deadline on a dead peer. (A conduit kept alive in this
+        // frame would make the recv block for the full deadline, or
+        // forever without one.)
+        self.post(dest, tag, payload, meta, Some(rtx))?;
+        let mut answer = match deadline {
+            None => rrx.recv().map_err(|_| CommError::Disconnected)?,
+            Some(deadline) => rrx.recv_deadline(deadline).map_err(|e| match e {
+                RecvTimeoutError::Timeout => CommError::Timeout,
+                RecvTimeoutError::Disconnected => CommError::Disconnected,
+            })?,
+        };
+        if let Some(inj) = &self.injector {
+            // Reply-side faults are decided at the requester, on the
+            // (server -> client) link stream. A lost reply surfaces as the
+            // deadline firing.
+            if !inj.on_reply(self.channel_index, dest, self.rank, &mut answer) {
+                return Err(CommError::Timeout);
+            }
+        }
+        self.stats.bytes_received.fetch_add(answer.len() as u64, Ordering::Relaxed);
+        Ok(answer)
     }
 }
 
@@ -760,15 +642,16 @@ where
         let mut channels = Vec::with_capacity(nchannels);
         for ch in 0..nchannels {
             channels.push(Some(Channel {
-                rank,
-                size,
-                channel_index: ch,
-                senders: all_senders[ch].clone(),
+                tx: RemoteSender {
+                    rank,
+                    channel_index: ch,
+                    senders: all_senders[ch].clone(),
+                    stats: Arc::new(TrafficStats::default()),
+                    injector: injector.clone(),
+                },
                 receiver: all_receivers[ch][rank].clone(),
                 pending: VecDeque::new(),
                 generation: 0,
-                stats: Arc::new(TrafficStats::default()),
-                injector: injector.clone(),
             }));
         }
         contexts.push(NodeCtx { rank, size, channels, injector: injector.clone() });
@@ -974,7 +857,7 @@ mod tests {
                 (id, plain.request_id)
             } else {
                 let ch = ctx.take_channel(0);
-                ch.rpc_with_id(0, 1, vec![1], None, 0xBEEF).unwrap();
+                ch.rpc_with_meta(0, 1, vec![1], None, RpcMeta::with_id(0xBEEF)).unwrap();
                 ch.send(0, 2, vec![2]).unwrap();
                 (0, 0)
             }
@@ -1000,7 +883,7 @@ mod tests {
                 let ch = ctx.take_channel(0);
                 let meta = RpcMeta { request_id: 0xBEEF, tenant: 7, deadline_us: 1_234_567 };
                 ch.rpc_with_meta(0, 1, vec![1], None, meta).unwrap();
-                ch.rpc_with_id(0, 2, vec![2], None, 0xF00D).unwrap();
+                ch.rpc_with_meta(0, 2, vec![2], None, RpcMeta::with_id(0xF00D)).unwrap();
                 ((0, 0, 0), (0, 0, 0))
             }
         });

@@ -11,9 +11,10 @@
 //!   every prefix length, every byte is flipped (as is, and again with
 //!   the format's CRC re-sealed so the parser and not only the checksum
 //!   sees the damage), and every count/length field is set to its type's
-//!   maximum. A decoder must answer with its typed error or a decode;
-//!   never a panic, and never an allocation out of scale with the input
-//!   (a counting allocator watches the largest single request).
+//!   maximum (a 64-bit one also to 1 TiB). A decoder must answer with its
+//!   typed error or a decode; never a panic, and never an allocation out
+//!   of scale with the input (a counting allocator watches the largest
+//!   single request).
 //!
 //! Decoders private to their module are reached through the public entry
 //! that calls them: PUT and GET_MANY requests are sent to a live daemon,
@@ -39,8 +40,8 @@ use fanstore_repro::store::daemon::{
 use fanstore_repro::store::meta::{encode_single, MetaEntry, MetaTable};
 use fanstore_repro::store::node::NodeState;
 use fanstore_repro::store::pack::{
-    build_chunked, build_progressive, chunk_payload, parse_chunk_table, parse_partition,
-    PartitionBuilder, CHUNKED, CHUNK_HEADER, CHUNK_ROW, ENTRY_OVERHEAD,
+    build_chunked, build_progressive, chunk_payload, decode_chunked, parse_chunk_table,
+    parse_partition, PartitionBuilder, CHUNKED, CHUNK_HEADER, CHUNK_ROW, ENTRY_OVERHEAD,
 };
 use fanstore_repro::store::stat::{FileStat, STAT_SIZE};
 use fanstore_repro::store::wal::segment::{build, index, parse_entries, parse_header};
@@ -431,7 +432,7 @@ fn rows<'a>(
         },
         Row {
             name: "FCHK table",
-            good: fchk,
+            good: fchk.clone(),
             golden: GOLDEN_FCHK,
             // count, then chunk 0's stored_len.
             fields: vec![(20, 4), (CHUNK_HEADER + 12, 4)],
@@ -449,6 +450,20 @@ fn rows<'a>(
                 },
                 |t| debug_each(t.chunks),
             ),
+        },
+        Row {
+            // The whole-container decoder sizes its output by the header's
+            // `raw_len`, which the table row above never looks at.
+            name: "FCHK decode",
+            good: fchk,
+            golden: GOLDEN_FCHK,
+            // raw_len, count, then chunk 0's raw_len.
+            fields: vec![(12, 8), (20, 4), (CHUNK_HEADER + 8, 4)],
+            sealed: 0..fchk_len,
+            strict: true,
+            reseal: Some(reseal_fchk),
+            allowed: at_rest,
+            decode: decoder(decode_chunked, |raw| vec![format!("{raw:?}")]),
         },
         Row {
             name: "meta table",
@@ -657,7 +672,9 @@ fn rows<'a>(
             name: "ckpt manifest",
             good: ckpt_manifest().encode(),
             golden: GOLDEN_CKPT_MANIFEST,
-            fields: vec![(42, 4), (46, 2)],
+            // raw_bytes (what a generation's rebuild buffer is sized by),
+            // the segment count, segment 0's name length.
+            fields: vec![(26, 8), (42, 4), (46, 2)],
             sealed: 0..usize::MAX,
             strict: true,
             reseal: Some(reseal_trailing),
@@ -754,13 +771,18 @@ fn every_decoder_survives_hostile_bytes() {
                 }
             }
             for &(at, width) in &row.fields {
-                let mut bad = row.good.clone();
-                bad[at..at + width].fill(0xFF);
-                if let Some(reseal) = row.reseal {
-                    reseal(&mut bad);
+                // The type's maximum, and for a 64-bit length also 1 TiB:
+                // a size an allocator would attempt, not reject outright.
+                let huge = (width == 8).then_some(1u64 << 40);
+                for value in [u64::MAX].into_iter().chain(huge) {
+                    let mut bad = row.good.clone();
+                    bad[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+                    if let Some(reseal) = row.reseal {
+                        reseal(&mut bad);
+                    }
+                    let what = format!("{width}-byte field at {at} set to {value:#x}");
+                    judge(row, &what, &bad, &original, Verdict::ErrorOrPrefix);
                 }
-                let what = format!("{width}-byte field at {at} set to max");
-                judge(row, &what, &bad, &original, Verdict::ErrorOrPrefix);
             }
         }
     });
