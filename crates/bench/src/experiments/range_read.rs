@@ -1,6 +1,6 @@
 //! range_read: byte-range fetches over chunked containers vs whole-file
 //! fetches — the bytes-moved win of the progressive/partial read path
-//! (DESIGN.md §10).
+//! (DESIGN.md §13).
 //!
 //! A training job that needs a 5% window of each sample (a crop, a
 //! header, one tensor out of a bundle) should not pull the other 95%

@@ -18,7 +18,7 @@
 //!   bottleneck table; `slo` prints the per-tenant burn-rate table;
 //!   `ckpt` and `wal` exercise the durable stores and inspect what they
 //!   left; `range` and `tier` walk the progressive/partial read path
-//!   (DESIGN.md §10).
+//!   (DESIGN.md §13).
 //!
 //! The argument parsing is deliberately dependency-free (`--flag value`
 //! pairs), mirroring the original tool's minimal interface: data path,
@@ -975,7 +975,7 @@ pub fn run_wal_demo(sub: &str, nodes: usize, files_n: usize) -> Result<String, S
 /// `fanstore range`: pack a synthetic file into a range-chunked FCHK
 /// container, run a 2-node cluster, and read a byte window from the
 /// non-owning rank — printing how many compressed bytes actually moved
-/// compared with the file size (DESIGN.md §10).
+/// compared with the file size (DESIGN.md §13).
 pub fn run_range_demo(size: usize, chunk: usize, start: u64, end: u64) -> Result<String, String> {
     let end = end.min(size as u64);
     if start >= end {
@@ -1017,7 +1017,7 @@ pub fn run_range_demo(size: usize, chunk: usize, start: u64, end: u64) -> Result
 
 /// `fanstore tier`: pack a float file progressively and read it back at
 /// a reduced fidelity tier from the non-owning rank, printing the bytes
-/// moved and the resulting approximation error (DESIGN.md §10).
+/// moved and the resulting approximation error (DESIGN.md §13).
 pub fn run_tier_demo(floats: usize, tiers: u8, min_tier: u8) -> Result<String, String> {
     if floats == 0 || tiers == 0 {
         return Err("need at least one float lane and one tier".into());

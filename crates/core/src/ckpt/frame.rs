@@ -1,5 +1,5 @@
 //! The record frame: checkpoint segments and the WAL log are both
-//! byte-concatenations of it (layout: DESIGN.md §13 "Byte layouts",
+//! byte-concatenations of it (layout: DESIGN.md §16 "Byte layouts",
 //! row 11).
 //!
 //! The frame's CRC covers the stored payload, so every chunk verifies

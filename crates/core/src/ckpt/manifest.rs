@@ -9,7 +9,7 @@
 //!
 //! On the wire it is a `framing` publish record — magic, version and the
 //! trailing CRC are that module's; this one is the struct and its field
-//! list (DESIGN.md §13 "Byte layouts", row 15).
+//! list (DESIGN.md §16 "Byte layouts", row 15).
 
 use crate::framing::{begin_record, open_record, put_str16, seal_trailing, Malformed};
 use crate::FsError;

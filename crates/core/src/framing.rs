@@ -1,5 +1,5 @@
 //! Checked framing: the one place `fanstore` turns untrusted bytes into
-//! integers, slices and counts. DESIGN.md §13 ("Byte layouts") lists the
+//! integers, slices and counts. DESIGN.md §16 ("Byte layouts") lists the
 //! formats; every one of them is read through [`Reader`], a cursor that
 //! cannot overflow or index out of range and whose [`Reader::count`]
 //! bounds each pre-allocation by what the remaining input could hold.

@@ -375,7 +375,7 @@ impl HistogramSummary {
 /// Name-keyed home of every instrument. Names are hierarchical,
 /// dot-separated, lowercase: `<layer>.<operation>.<unit>` — e.g.
 /// `client.get.latency_us`, `daemon.served.requests`,
-/// `fabric.rpc.retries`, `codec.lz4hc-9.decode_us` (see DESIGN.md §6).
+/// `fabric.rpc.retries`, `codec.lz4hc-9.decode_us` (see DESIGN.md §9).
 ///
 /// `counter`/`gauge`/`histogram` are get-or-create and return shared
 /// handles; resolve them once and record through the handle.

@@ -175,8 +175,8 @@ pub fn parse_partition(buf: &[u8]) -> Result<Vec<PackEntry>, FsError> {
 // A pack entry's payload is normally one opaque compressed blob; range
 // reads then have to fetch and decode the whole file. Entries whose
 // `compressor` field is the [`CHUNKED`] sentinel instead carry a header, a
-// CRC-tailed chunk table and the chunk payloads (fields: DESIGN.md §13
-// "Byte layouts", row 3; design: §10). `kind` 0 chunks cover disjoint byte
+// CRC-tailed chunk table and the chunk payloads (fields: DESIGN.md §16
+// "Byte layouts", row 3; design: §13). `kind` 0 chunks cover disjoint byte
 // ranges; `kind` 1 chunks are fidelity tiers, a prefix of which decodes to
 // an approximation. Each row's `crc32` covers that chunk's *stored* bytes,
 // so one corrupted chunk is detectable without touching its neighbours.

@@ -1,5 +1,5 @@
 //! Multi-tenant quality of service: admission control, weighted-fair
-//! serving and deadline-aware load-shedding (see DESIGN.md §7).
+//! serving and deadline-aware load-shedding (see DESIGN.md §10).
 //!
 //! The paper's serving model assumes cooperative readers; under heavy
 //! multi-user traffic one tenant's GetMany storm can starve everyone.

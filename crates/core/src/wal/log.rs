@@ -4,7 +4,7 @@
 //! frames ([`crate::ckpt::frame`]) — reused verbatim rather than
 //! duplicated, so a torn log tail is recognised by exactly the code path
 //! the chaos tests already exercise. Each frame's payload is one
-//! [`WalRecord`] (DESIGN.md §13 "Byte layouts", rows 11–12).
+//! [`WalRecord`] (DESIGN.md §16 "Byte layouts", rows 11–12).
 //!
 //! WAL payloads are stored uncompressed (codec = store): the log is
 //! short-lived — flush trims it — and compression belongs to the

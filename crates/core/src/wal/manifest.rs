@@ -10,7 +10,7 @@
 //! what makes the post-publish log truncation safe to crash out of.
 //!
 //! On the wire it is the same `framing` publish record as the checkpoint
-//! manifest with a different magic and field list (DESIGN.md §13 "Byte
+//! manifest with a different magic and field list (DESIGN.md §16 "Byte
 //! layouts", row 16).
 
 use crate::framing::{begin_record, open_record, put_str16, seal_trailing, Malformed};

@@ -3,7 +3,7 @@
 //!
 //! A segment is what one memtable flush (or one compaction) produces: a
 //! header holding the sequence range and the bloom filter, then a pack
-//! partition — DESIGN.md §13 "Byte layouts", rows 13, 14 and 1.
+//! partition — DESIGN.md §16 "Byte layouts", rows 13, 14 and 1.
 //!
 //! The entry area is [`crate::pack`]'s partition layout unchanged — path,
 //! codec and stat are the pack fields; the per-version metadata the LSM

@@ -1,12 +1,18 @@
-//! Property tests pinning the byte-range read path (DESIGN.md §10):
+//! Property tests pinning the byte-range read path (DESIGN.md §13):
 //! for arbitrary file contents, chunk sizes, codecs and ranges,
 //! `read_range(path, a, b)` must be byte-identical to
 //! `read_whole(path)[a..b]` from every rank; malformed ranges must fail
-//! with the typed `FsError::BadRange` (never a panic); and a partial
-//! read followed by a full read must leave the cache entry identical to
-//! a cold full read.
+//! with the typed `FsError::BadRange` (never a panic); a partial read
+//! followed by a full read must leave the cache entry identical to a cold
+//! full read; and for every container kind and every read kind, the rank
+//! that answers from its own bytes and the rank that asks a peer return
+//! the same thing (DESIGN.md §6: one lookup, one planner, one path).
+
+use std::mem::{discriminant, Discriminant};
+use std::sync::Barrier;
 
 use fanstore::cluster::{ClusterConfig, FanStore};
+use fanstore::pack::{parse_partition, PartitionBuilder, TIER_FULL};
 use fanstore::prep::{prepare, PrepConfig};
 use fanstore::FsError;
 use fanstore_compress::{CodecFamily, CodecId};
@@ -37,8 +43,88 @@ fn body_strategy() -> impl Strategy<Value = Vec<u8>> {
     ]
 }
 
+/// The container dimension: packed whole, range-chunked, progressive, and
+/// written by rank 0 at run time.
+const KINDS: [&str; 4] = ["pr/plain.bin", "pr/chunked.bin", "pr/tiered.f32", "pr/written.bin"];
+
+/// The read dimension, in the order [`read_all`] runs it.
+const READS: [&str; 5] =
+    ["read_whole", "read_range", "read_whole_tier(0)", "read_whole_tier(TIER_FULL)", "read_many"];
+
+/// A read's outcome with an error reduced to its variant.
+type Got = Result<Vec<u8>, Discriminant<FsError>>;
+
+/// Every read kind of `path` over `[a, b)`, each from a cold cache.
+fn read_all(fs: &fanstore::client::FsClient, path: &str, a: u64, b: u64) -> [Got; 5] {
+    let cold = |got: Result<Vec<u8>, FsError>| {
+        fs.state().cache.purge(path);
+        got.map_err(|e| discriminant(&e))
+    };
+    // `stat` first, as `enumerate` would: a rank the write's metadata was
+    // not forwarded to learns it from the metadata owner.
+    fs.stat(path).expect("stat");
+    [
+        cold(fs.read_whole(path)),
+        cold(fs.read_range(path, a, b)),
+        cold(fs.read_whole_tier(path, 0)),
+        cold(fs.read_whole_tier(path, TIER_FULL)),
+        cold(fs.read_many(&[path.to_string()]).remove(0)),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Local answer == remote answer: rank 0 holds every file (three in
+    /// its partition, one it wrote), rank 1 reads all of them from rank
+    /// 0. For each container × read kind both ranks return the same
+    /// bytes, or the same error variant; the lossless reads return the
+    /// file.
+    #[test]
+    fn local_answer_equals_remote_answer(
+        data in body_strategy(),
+        chunk_pow in 6u32..12,
+        pick in any::<u8>(),
+        a_frac in 0.0f64..1.0,
+        len_frac in 0.0f64..1.0,
+    ) {
+        let n = data.len();
+        let a = ((n - 1) as f64 * a_frac) as u64;
+        let b = (a + 1 + ((n as u64 - a - 1) as f64 * len_frac) as u64).min(n as u64);
+        let cfgs = [
+            PrepConfig { codec: codec(pick), ..Default::default() },
+            PrepConfig { chunk_size: 1 << chunk_pow, codec: codec(pick), ..Default::default() },
+            PrepConfig { progressive_tiers: 4, ..Default::default() },
+        ];
+        let mut part = PartitionBuilder::new();
+        for (path, cfg) in KINDS.iter().zip(cfgs) {
+            let packed = prepare(vec![(path.to_string(), data.clone())], &cfg).partitions;
+            for e in parse_partition(&packed[0]).expect("partition parses") {
+                part.push(&e.path, e.codec, &e.stat, &e.data);
+            }
+        }
+        let written = Barrier::new(2);
+        let results = FanStore::run(
+            ClusterConfig { nodes: 2, ..Default::default() },
+            vec![part.finish()],
+            |fs| {
+                if fs.rank() == 0 {
+                    fs.write_whole(KINDS[3], &data).expect("write");
+                }
+                written.wait();
+                KINDS.map(|path| read_all(fs, path, a, b))
+            },
+        );
+        for (kind, (local, remote)) in results[0].iter().zip(&results[1]).enumerate() {
+            for (read, (l, r)) in local.iter().zip(remote).enumerate() {
+                prop_assert_eq!(l, r, "{} × {}: local vs remote", KINDS[kind], READS[read]);
+            }
+            let exact = [(0, &data[..]), (1, &data[a as usize..b as usize]), (3, &data[..]), (4, &data[..])];
+            for (read, want) in exact {
+                prop_assert_eq!(local[read].as_deref(), Ok(want), "{} × {}", KINDS[kind], READS[read]);
+            }
+        }
+    }
 
     /// `read_range` equals the slice of the whole file — local on the
     /// owning rank, remote (v2 GET_MANY) on the other — and a

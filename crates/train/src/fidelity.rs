@@ -1,5 +1,5 @@
 //! Dynamic fidelity: trade read fidelity for stall time (progressive
-//! containers, DESIGN.md §10).
+//! containers, DESIGN.md §13).
 //!
 //! When a dataset is packed progressively ([`fanstore::prep::PrepConfig::
 //! progressive_tiers`]), a training loop that is I/O-bound can fetch only

@@ -1,5 +1,5 @@
 //! Range chaos: at-rest single-chunk corruption against the byte-range
-//! read path (DESIGN.md §10).
+//! read path (DESIGN.md §13).
 //!
 //! One chunk of the owner's stored FCHK container is corrupted (the flip
 //! position is a pure function of the seed); a clean replica lives one

@@ -1,8 +1,9 @@
-//! One remote-read path (DESIGN.md §5 "Read protocol"), pinned from the
+//! One remote-read path (DESIGN.md §6 "Read protocol"), pinned from the
 //! outside: the same traffic for `read_whole` and a one-entry `read_many`
 //! (a GET is a GET_MANY batch of one), the same recovery counters for
-//! whole, range and tier reads under the same faults (one ladder), and QoS
-//! admission plus tenant stamping on range and tier reads.
+//! whole, range and tier reads under the same faults (one ladder, walked
+//! once, then the read-through copy), and QoS admission plus tenant
+//! stamping on range and tier reads.
 
 use std::sync::Barrier;
 use std::time::Duration;
@@ -97,6 +98,8 @@ enum Scenario {
     ExpiredDeadline,
     /// Owner and replica are both dead and the retry budget is 1.
     ExhaustedBudget,
+    /// Owner and replica are both dead; the read-through copy is not.
+    ReadThrough,
 }
 
 /// What the reading rank saw: how the read ended (`Ok` = exact bytes)
@@ -107,6 +110,11 @@ type Outcome = (Result<(), &'static str>, [u64; 6]);
 /// One 3-rank run: rank 0 owns both objects, rank 1 is its ring replica,
 /// rank 2 reads.
 fn ladder_run(read: Read, scenario: Scenario) -> Outcome {
+    ladder_counts(read, scenario).0
+}
+
+/// [`ladder_run`] plus the reading rank's `read_through_reads`.
+fn ladder_counts(read: Read, scenario: Scenario) -> (Outcome, u64) {
     // The clean partition, and a copy whose first stored chunk of each
     // object has one flipped byte.
     let (mut clean, mut damaged) = (PartitionBuilder::new(), PartitionBuilder::new());
@@ -133,7 +141,9 @@ fn ladder_run(read: Read, scenario: Scenario) -> Outcome {
         replication: 2,
         fault_plan: match scenario {
             Scenario::KillOwner => Some(FaultPlan::new(7).kill(0, 0)),
-            Scenario::ExhaustedBudget => Some(FaultPlan::new(7).kill(0, 0).kill(1, 0)),
+            Scenario::ExhaustedBudget | Scenario::ReadThrough => {
+                Some(FaultPlan::new(7).kill(0, 0).kill(1, 0))
+            }
             _ => None,
         },
         failover: Some(FailoverConfig {
@@ -146,6 +156,7 @@ fn ladder_run(read: Read, scenario: Scenario) -> Outcome {
         }),
         qos: (scenario == Scenario::ExpiredDeadline)
             .then(|| QosPolicy::new().with_quota(0, expired)),
+        read_through: scenario == Scenario::ReadThrough,
         ..Default::default()
     };
     let loaded = Barrier::new(3);
@@ -177,10 +188,9 @@ fn ladder_run(read: Read, scenario: Scenario) -> Outcome {
         let s = &fs.state().stats;
         let sent = fs.state().metrics.gauge("fabric.msgs_sent");
         let c = [&s.rpc_timeouts, &s.crc_failures, &s.degraded_reads, &s.retry_exhausted];
-        Some((
-            result,
-            [c[0].get(), c[1].get(), c[2].get(), c[3].get(), s.remote_opens.get(), sent.get()],
-        ))
+        let counts =
+            [c[0].get(), c[1].get(), c[2].get(), c[3].get(), s.remote_opens.get(), sent.get()];
+        Some(((result, counts), s.read_through_reads.get()))
     });
     outcomes.into_iter().nth(2).flatten().expect("rank 2 outcome")
 }
@@ -199,13 +209,16 @@ fn whole_range_and_tier_reads_share_one_ladder() {
         let got = ladder_run(read, Scenario::ExpiredDeadline);
         assert_eq!(got, (Err("Shed"), [0; 6]), "{read:?}: expired deadline");
         // Budget 1 = one retry: two attempts at the dead owner, then the
-        // walk stops before ever reaching the (also dead) replica. A
-        // range read walks the ladder twice — ranged, then its whole-file
-        // fallback (the step that reaches read-through when one is
-        // attached) — so it spends exactly two such walks.
-        let w = if read == Read::Range { 2 } else { 1 };
+        // walk stops before ever reaching the (also dead) replica. Every
+        // read kind walks the ladder once.
         let got = ladder_run(read, Scenario::ExhaustedBudget);
-        assert_eq!(got, (Err("Timeout"), [2 * w, 0, 0, w, 0, 2 * w]), "{read:?}: exhausted budget");
+        assert_eq!(got, (Err("Timeout"), [2, 0, 0, 1, 0, 2]), "{read:?}: exhausted budget");
+        // Both copies dead: one walk over them, then the read-through copy
+        // answers — planned like any stored object, so a range or tier
+        // read gets exactly its bytes — as one degraded read.
+        let (got, read_through) = ladder_counts(read, Scenario::ReadThrough);
+        assert_eq!(got, (Ok(()), [2, 0, 1, 0, 0, 2]), "{read:?}: read-through");
+        assert_eq!(read_through, 1, "{read:?}: read-through");
     }
 }
 

@@ -32,6 +32,7 @@ use fanstore_repro::store::cluster::{ClusterConfig, FanStore};
 use fanstore_repro::store::metrics::MetricsRegistry;
 use fanstore_repro::store::prep::{prepare, PrepConfig};
 use fanstore_repro::store::wal::{CrashMedia, Lookup, RamMedia, WalConfig, WalMedia, WalStore};
+use fanstore_repro::store::FsError;
 
 const SEED: u64 = 0x0A17_C4A5;
 
@@ -250,8 +251,11 @@ fn negative_lookups_do_zero_segment_reads() {
 /// Daemon-restart wiring through the cluster runtime: run one cluster
 /// with a WAL on a shared medium, write output files, tear the cluster
 /// down, start a fresh one on the same medium — the writes must be
-/// readable again (WAL replay into the new daemon's store), and the
-/// write-path counters must have registered the traffic.
+/// readable again (WAL replay into the new daemon's store) by whole,
+/// batched and tier reads alike, still write-once, and the write-path
+/// counters must have registered the traffic. (`stat` and `read_range`
+/// of a recovered path wait on the metadata table being rebuilt from
+/// replay: ROADMAP item 1 (c).)
 #[test]
 fn cluster_restart_replays_wal_into_fresh_daemons() {
     let files: Vec<(String, Vec<u8>)> =
@@ -282,10 +286,22 @@ fn cluster_restart_replays_wal_into_fresh_daemons() {
     });
 
     // Second life: fresh cluster, same media. The write-store maps start
-    // empty; reads must be served from the replayed WAL.
+    // empty; reads must be served from the replayed WAL — by every read
+    // kind, through the same lookup that keeps the path write-once.
     let read_back = FanStore::run(cluster(&media), packed.partitions, |fs| {
         let path = format!("out/rank{}.bin", fs.rank());
+        let fallbacks = fs.state().metrics.counter("client.get_many.fallbacks");
+        let before = fallbacks.get();
+        let many = fs.read_many(std::slice::from_ref(&path)).remove(0).expect("batched read");
+        assert_eq!(fallbacks.get(), before, "a recovered path resolves in the local pass");
+        let tier = fs.read_whole_tier(&path, 0).expect("a tier read of a recovered path");
+        let again = fs.write_whole(&path, b"a second write of an acknowledged path");
+        assert!(
+            matches!(again, Err(FsError::AlreadyExists(_))),
+            "write-once holds across the restart: {again:?}"
+        );
         let body = fs.read_whole(&path).expect("restart must recover the acknowledged write");
+        assert_eq!((&many, &tier), (&body, &body), "every read kind returns the same bytes");
         let doomed = format!("out/doomed{}.bin", fs.rank());
         assert!(
             fs.read_whole(&doomed).is_err(),
