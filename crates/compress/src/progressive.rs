@@ -37,6 +37,9 @@ const COMP_STORE: u8 = 0;
 const COMP_LZ4: u8 = 1;
 /// Format version written into every tier header.
 const VERSION: u8 = 1;
+/// Most bytes one byte of an LZ4 block decodes to: a 255 byte extending a
+/// match length.
+const LZ4_MAX_EXPANSION: usize = 255;
 
 /// Clamp a requested tier count to the encodable range (1..=32 — there
 /// are only 32 planes to distribute).
@@ -105,7 +108,9 @@ pub fn encode_tiers(data: &[u8], tiers: u8) -> Vec<Vec<u8>> {
 }
 
 /// Parse one tier payload: header validation, body decompression.
-/// Returns `(tier_index, total_tiers, body)`.
+/// Returns `(tier_index, total_tiers, body)`. The header's `body_len` is
+/// untrusted: one the stored bytes could not decode to is rejected before
+/// anything is sized by it.
 fn parse_tier(payload: &[u8]) -> Result<(u8, u8, Vec<u8>), CodecError> {
     if payload.len() < 4 {
         return Err(CodecError::Truncated);
@@ -130,6 +135,9 @@ fn parse_tier(payload: &[u8]) -> Result<(u8, u8, Vec<u8>), CodecError> {
             }
             stored.to_vec()
         }
+        COMP_LZ4 if body_len > stored.len().saturating_mul(LZ4_MAX_EXPANSION) => {
+            return Err(CodecError::Corrupt("progressive body_len exceeds its stored bytes"))
+        }
         COMP_LZ4 => decompress_to_vec(&Lz4Fast::new(1), stored, body_len)?,
         _ => return Err(CodecError::Corrupt("unknown progressive body compression")),
     };
@@ -140,13 +148,18 @@ fn parse_tier(payload: &[u8]) -> Result<(u8, u8, Vec<u8>), CodecError> {
 /// the first `k` payloads of an [`encode_tiers`] result, in order; with
 /// all tiers present the output is byte-identical to the original.
 /// Missing low planes read as zero (truncation toward zero).
+///
+/// `raw_len` is untrusted (it comes from a peer's frame or an FCHK
+/// header): tier 0 carries every lane's top planes, so a `raw_len` whose
+/// lanes tier 0's body cannot hold is rejected before anything is sized
+/// by it.
 pub fn decode_prefix(tiers: &[&[u8]], raw_len: usize) -> Result<Vec<u8>, CodecError> {
     if tiers.is_empty() {
         return Err(CodecError::Corrupt("no progressive tiers to decode"));
     }
     let n = raw_len / 4;
     let tail_len = raw_len - n * 4;
-    let mut words = vec![0u32; n];
+    let mut words = Vec::new();
     let mut tail: Vec<u8> = Vec::new();
     let mut expect_total: Option<u8> = None;
 
@@ -155,16 +168,19 @@ pub fn decode_prefix(tiers: &[&[u8]], raw_len: usize) -> Result<Vec<u8>, CodecEr
         if index as usize != at || *expect_total.get_or_insert(total) != total {
             return Err(CodecError::Corrupt("progressive tiers out of order"));
         }
+        let count = planes_of(total, index);
         let bit_bytes = if index == 0 {
-            if body.len() < tail_len {
-                return Err(CodecError::Truncated);
+            let bits = body.get(tail_len..).ok_or(CodecError::Truncated)?;
+            let need = n.checked_mul(count as usize);
+            if need.is_none_or(|need| need > bits.len().saturating_mul(8)) {
+                return Err(CodecError::Corrupt("progressive raw_len exceeds tier 0"));
             }
             tail = body[..tail_len].to_vec();
-            &body[tail_len..]
+            words = vec![0u32; n];
+            bits
         } else {
             &body[..]
         };
-        let count = planes_of(total, index);
         let hi = plane_hi(total, index);
         let mut bits = crate::bitio::BitReader::new(bit_bytes);
         for p in (hi - count..hi).rev() {

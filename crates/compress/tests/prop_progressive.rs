@@ -4,6 +4,7 @@
 //! round-trip bit-exactly — for arbitrary payloads and tier counts.
 
 use fanstore_compress::progressive::{decode_prefix, encode_tiers, max_abs_error};
+use fanstore_compress::varint::{read_uvarint, write_uvarint};
 use proptest::prelude::*;
 
 /// Payloads the tiering must survive: arbitrary bytes (including lengths
@@ -95,5 +96,30 @@ proptest! {
             let refs: Vec<&[u8]> = encoded.iter().map(Vec::as_slice).collect();
             let _ = decode_prefix(&refs, data.len()); // must not panic
         }
+    }
+
+    /// A tier header is untrusted: one whose `body_len` claims 1 TiB, far
+    /// beyond what its LZ4-stored bytes can decode to, is an error, never
+    /// an allocation of that size.
+    #[test]
+    fn a_tier_claiming_a_huge_body_is_an_error(
+        lanes in 256usize..2048,
+        tiers in 1u8..=8,
+        victim in any::<usize>(),
+    ) {
+        // Small integers: long runs of equal planes, so every tier's body
+        // is stored LZ4-compressed.
+        let data: Vec<u8> = (0..lanes).flat_map(|i| ((i % 16) as f32).to_le_bytes()).collect();
+        let mut encoded = encode_tiers(&data, tiers);
+        let t = victim % encoded.len();
+        prop_assert_eq!(encoded[t][3], 1, "tier {} is LZ4-stored", t);
+        let mut at = 4;
+        read_uvarint(&encoded[t], &mut at).unwrap();
+        let mut forged = encoded[t][..4].to_vec();
+        write_uvarint(&mut forged, 1 << 40);
+        forged.extend_from_slice(&encoded[t][at..]);
+        encoded[t] = forged;
+        let refs: Vec<&[u8]> = encoded[..=t].iter().map(Vec::as_slice).collect();
+        prop_assert!(decode_prefix(&refs, data.len()).is_err());
     }
 }

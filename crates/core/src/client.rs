@@ -637,7 +637,7 @@ impl FsClient {
         spec: &GetManySpec,
         request: u64,
         deadline_us: u64,
-        mut finish: impl FnMut(GetManyItem<&[u8]>, Option<&Arc<Vec<u8>>>) -> Result<T, FsError>,
+        mut finish: impl FnMut(GetManyItem<'_>, Option<&Arc<Vec<u8>>>) -> Result<T, FsError>,
     ) -> Result<T, FsError> {
         let path = spec.path;
         if let Some(obj) = self.state.lookup(path)? {
@@ -649,8 +649,7 @@ impl FsClient {
             // Metadata says the bytes are here, and they are not.
             None => FsError::NotFound(path.to_string()),
             Some(owner) => {
-                let item = |item: GetManyItem| finish(item.view(), None);
-                match self.remote_read(spec, owner, request, deadline_us, item) {
+                match self.remote_read(spec, owner, request, deadline_us, |i| finish(i, None)) {
                     Err(e) if !matches!(e, FsError::BadRange(_)) => e,
                     done => return done,
                 }
@@ -691,7 +690,7 @@ impl FsClient {
     fn cache_whole(
         &self,
         path: &str,
-        item: GetManyItem<&[u8]>,
+        item: GetManyItem<'_>,
         plain: Option<&Arc<Vec<u8>>>,
         request: u64,
     ) -> Result<Arc<Vec<u8>>, FsError> {
@@ -728,16 +727,19 @@ impl FsClient {
 
     /// One GET_MANY round trip to `rank` (optionally under the failover
     /// deadline): the only place a read request is encoded and its reply
-    /// decoded. The leg lands in `fabric.rpc.latency_us` / a `fabric.rpc`
-    /// span; a SHED reply is counted here, once, for every caller.
-    fn get_many_rpc(
+    /// decoded. The decoded entries borrow the reply buffer, so `finish`
+    /// consumes them here, where they landed. The leg lands in
+    /// `fabric.rpc.latency_us` / a `fabric.rpc` span; a SHED reply is
+    /// counted here, once, for every caller.
+    fn get_many_rpc<T>(
         &self,
         specs: &[GetManySpec],
         rank: usize,
         timeout: Option<Duration>,
         request: u64,
         deadline_us: u64,
-    ) -> Result<Vec<Result<GetManyItem, FsError>>, FsError> {
+        finish: impl FnOnce(Vec<Result<GetManyItem<'_>, FsError>>) -> Result<T, FsError>,
+    ) -> Result<T, FsError> {
         let payload = encode_get_many_request(specs);
         let rpc_start = if self.timed { now_us() } else { 0 };
         let meta = self.rpc_meta(request, deadline_us);
@@ -757,36 +759,42 @@ impl FsClient {
             }
             other => FsError::Comm(other.to_string()),
         })?;
-        let decoded = decode_get_many_reply(&reply, specs.len());
-        if let Err(FsError::Shed(_)) = &decoded {
-            // The daemon answered SHED: deadline unmeetable or queue
-            // full. Retryable — the caller walks replicas / read-through.
-            self.state.stats.shed_replies.inc();
+        match decode_get_many_reply(&reply, specs.len()) {
+            Ok(items) => finish(items),
+            Err(e) => {
+                if let FsError::Shed(_) = e {
+                    // The daemon answered SHED: deadline unmeetable or
+                    // queue full. Retryable — the caller walks replicas /
+                    // read-through.
+                    self.state.stats.shed_replies.inc();
+                }
+                Err(e)
+            }
         }
-        decoded
     }
 
-    /// One read attempt against `replica`: a batch of one.
-    fn try_spec(
+    /// One read attempt against `replica`: a batch of one, its entry
+    /// handed to `finish` borrowed from the reply.
+    fn try_spec<T>(
         &self,
         spec: &GetManySpec,
         replica: usize,
         timeout: Option<Duration>,
         request: u64,
         deadline_us: u64,
-    ) -> Result<GetManyItem, FsError> {
+        finish: impl FnOnce(GetManyItem<'_>) -> Result<T, FsError>,
+    ) -> Result<T, FsError> {
         let specs = std::slice::from_ref(spec);
-        let item = self
-            .get_many_rpc(specs, replica, timeout, request, deadline_us)?
-            .pop()
-            .expect("decoder checked the entry count")?;
-        let stored = match &item {
-            GetManyItem::Whole(_, _, data) => data.len(),
-            GetManyItem::Partial(p) => p.stored_bytes(),
-        };
-        self.state.stats.remote_opens.inc();
-        self.state.stats.remote_bytes.add(stored as u64);
-        Ok(item)
+        self.get_many_rpc(specs, replica, timeout, request, deadline_us, |mut items| {
+            let item = items.pop().expect("decoder checked the entry count")?;
+            let stored = match &item {
+                GetManyItem::Whole(_, _, data) => data.len(),
+                GetManyItem::Partial(p) => p.stored_bytes(),
+            };
+            self.state.stats.remote_opens.inc();
+            self.state.stats.remote_bytes.add(stored as u64);
+            finish(item)
+        })
     }
 
     /// The one way a read reaches a remote replica. Without a
@@ -808,7 +816,7 @@ impl FsClient {
         owner: usize,
         request: u64,
         deadline_us: u64,
-        mut finish: impl FnMut(GetManyItem) -> Result<T, FsError>,
+        mut finish: impl FnMut(GetManyItem<'_>) -> Result<T, FsError>,
     ) -> Result<T, FsError> {
         let path = spec.path;
         if deadline_us != 0 && now_us() >= deadline_us {
@@ -817,7 +825,7 @@ impl FsClient {
             return Err(FsError::Shed(format!("{path}: deadline exhausted before send")));
         }
         let Some(cfg) = &self.failover else {
-            return self.try_spec(spec, owner, None, request, deadline_us).and_then(finish);
+            return self.try_spec(spec, owner, None, request, deadline_us, finish);
         };
         let replicas = replicas_of(owner, self.state.size, cfg.replica_rounds);
         let mut attempt = 0u32;
@@ -843,9 +851,7 @@ impl FsClient {
                     }
                     timeout = timeout.min(Duration::from_micros(rem));
                 }
-                match self
-                    .try_spec(spec, replica, Some(timeout), request, deadline_us)
-                    .and_then(&mut finish)
+                match self.try_spec(spec, replica, Some(timeout), request, deadline_us, &mut finish)
                 {
                     Ok(out) => {
                         if attempt > 1 {
@@ -974,27 +980,31 @@ impl FsClient {
             for chunk in idxs.chunks(MAX_BATCH) {
                 let specs: Vec<GetManySpec> =
                     chunk.iter().map(|&i| GetManySpec::whole(&paths[i])).collect();
-                match self.get_many_rpc(&specs, rank, timeout, request, deadline_us) {
-                    Ok(items) => {
-                        for (&slot, item) in chunk.iter().zip(items) {
-                            match item {
-                                Ok(GetManyItem::Whole(codec, stat, bytes)) => {
-                                    self.state.stats.remote_opens.inc();
-                                    self.state.stats.remote_bytes.add(bytes.len() as u64);
-                                    out[slot] = Some(Ok(RawEntry::Packed {
-                                        codec,
-                                        size: stat.size as usize,
-                                        bytes: Arc::new(bytes),
-                                        request,
-                                    }));
-                                }
-                                Err(FsError::Corrupt(_)) => {
-                                    self.state.stats.crc_failures.inc();
-                                }
-                                _ => {}
+                // Each payload is copied once out of the reply, into the
+                // entry a worker decompresses later.
+                let fill = |items: Vec<Result<GetManyItem<'_>, FsError>>| {
+                    for (&slot, item) in chunk.iter().zip(items) {
+                        match item {
+                            Ok(GetManyItem::Whole(codec, stat, bytes)) => {
+                                self.state.stats.remote_opens.inc();
+                                self.state.stats.remote_bytes.add(bytes.len() as u64);
+                                out[slot] = Some(Ok(RawEntry::Packed {
+                                    codec,
+                                    size: stat.size as usize,
+                                    bytes: Arc::new(bytes.to_vec()),
+                                    request,
+                                }));
                             }
+                            Err(FsError::Corrupt(_)) => {
+                                self.state.stats.crc_failures.inc();
+                            }
+                            _ => {}
                         }
                     }
+                    Ok(())
+                };
+                match self.get_many_rpc(&specs, rank, timeout, request, deadline_us, fill) {
+                    Ok(()) => {}
                     Err(FsError::Timeout(_)) => {
                         self.state.stats.rpc_timeouts.inc();
                     }

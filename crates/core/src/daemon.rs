@@ -28,9 +28,7 @@ use fanstore_compress::crc32::crc32;
 use fanstore_compress::CodecId;
 use mpi_sim::{Channel, Message};
 
-use crate::framing::{
-    put_str16, reserve_crc, seal_leading, seal_leading_with_tail, Malformed, Reader,
-};
+use crate::framing::{put_str16, reserve_crc, Malformed, Reader};
 use crate::meta::encode_single;
 use crate::metrics::now_us;
 use crate::node::{LocalObject, NodeState};
@@ -125,38 +123,27 @@ const ENTRY_HEADER: usize = GET_BODY + 2 + STAT_SIZE;
 /// into a valid frame.
 fn encode_whole_entry(out: &mut Vec<u8>, obj: &LocalObject) {
     out.push(status::OK);
-    let crc_at = reserve_crc(out);
+    let mut crc = reserve_crc(out);
     out.extend_from_slice(&obj.codec.0.to_le_bytes());
     obj.stat.encode(out);
-    seal_leading_with_tail(out, crc_at, obj.data_crc(), obj.data.len());
+    crc.span(out, obj.data.len(), obj.data_crc());
     out.extend_from_slice(&obj.data);
+    crc.seal(out);
 }
 
-/// A cursor over the CRC-verified body (everything after the CRC field)
-/// of a whole or PARTIAL entry frame. [`Malformed::reply`] turns a
-/// mismatch into [`FsError::Corrupt`], which the client's failover ladder
-/// treats as retryable on the next replica.
-fn entry_body(buf: &[u8]) -> Result<Reader<'_>, Malformed> {
-    let mut r = Reader::new(buf);
-    r.u8()?; // status: the caller dispatched on it
-    r.leading_crc()?;
-    Ok(r)
-}
-
-/// Decode a whole-file entry frame (inverse of [`encode_whole_entry`]).
-fn decode_whole_entry(buf: &[u8]) -> Result<GetManyItem, FsError> {
-    match buf.first() {
-        Some(&status::OK) => {}
-        Some(&status::NOT_FOUND) => return Err(FsError::NotFound("remote: not found".into())),
-        _ => return Err(FsError::Comm("malformed GET_MANY entry".into())),
-    }
-    let parse = || -> Result<GetManyItem, Malformed> {
-        let mut r = entry_body(buf)?;
-        let codec = CodecId(r.u16()?);
-        let stat = FileStat::read(&mut r)?;
-        Ok(GetManyItem::Whole(codec, stat, r.rest().to_vec()))
+/// Decode an `OK` entry frame (inverse of [`encode_whole_entry`]) in one
+/// pass, the CRC check, with the payload borrowed from `buf`.
+/// [`Malformed::reply`] turns a mismatch into [`FsError::Corrupt`], which
+/// the client's failover ladder treats as retryable on the next replica.
+fn decode_whole_entry(buf: &[u8]) -> Result<GetManyItem<'_>, FsError> {
+    let parse = || {
+        let mut r = Reader::new(buf);
+        r.u8()?; // status: the caller dispatched on it
+        r.leading_crc(|r, _| {
+            Ok(GetManyItem::Whole(CodecId(r.u16()?), FileStat::read(r)?, r.rest()))
+        })
     };
-    parse().map_err(|e| e.reply("GET_MANY entry"))
+    parse().map_err(|e: Malformed| e.reply("GET_MANY entry"))
 }
 
 /// Count-field flag every GET_MANY request must carry: it marks the
@@ -248,11 +235,11 @@ fn decode_get_many_request(buf: &[u8]) -> Option<Vec<GetManySpec<'_>>> {
     parse().ok()
 }
 
-/// One chunk of a PARTIAL entry: its table row plus the stored bytes —
-/// owned when decoded from a peer's frame, borrowed from the container
-/// when [`LocalObject::plan`] picks it on this node.
+/// One chunk of a PARTIAL entry: its table row plus the stored bytes,
+/// borrowed from the reply buffer they arrived in or, when
+/// [`LocalObject::plan`] picks the chunk on this node, from the container.
 #[derive(Debug, Clone)]
-pub struct PartialChunk<B = Vec<u8>> {
+pub struct PartialChunk<'a> {
     /// Chunk index in the file's chunk table.
     pub index: u32,
     /// Fidelity tier (0 for range chunks).
@@ -266,20 +253,25 @@ pub struct PartialChunk<B = Vec<u8>> {
     /// damaged, so the client fails over to a replica).
     pub crc32: u32,
     /// Stored (possibly compressed) chunk bytes.
-    pub stored: B,
+    pub stored: &'a [u8],
+    /// CRC-32 of `stored` as it arrived from a peer, taken in the pass
+    /// that checked the entry frame; `None` for bytes borrowed from this
+    /// node's object or the read-through copy, which
+    /// [`PartialChunk::verified`] hashes itself.
+    pub(crate) arrival_crc: Option<u32>,
 }
 
-impl<B: AsRef<[u8]>> PartialChunk<B> {
+impl<'a> PartialChunk<'a> {
     /// The stored bytes, once their at-rest CRC holds. A mismatch means
     /// the *serving node's copy* is damaged (the outer entry CRC already
     /// ruled out in-flight damage), so the caller should fail over to a
-    /// replica.
-    pub fn verified(&self) -> Result<&[u8], FsError> {
-        let stored = self.stored.as_ref();
-        if crc32(stored) != self.crc32 {
+    /// replica. Bytes from a peer are not hashed again: the frame check
+    /// already took their CRC.
+    pub fn verified(&self) -> Result<&'a [u8], FsError> {
+        if self.arrival_crc.unwrap_or_else(|| crc32(self.stored)) != self.crc32 {
             return Err(FsError::Corrupt(format!("chunk {}: at-rest CRC mismatch", self.index)));
         }
-        Ok(stored)
+        Ok(self.stored)
     }
 
     /// Verify the chunk's at-rest CRC and decode it to raw bytes.
@@ -291,7 +283,7 @@ impl<B: AsRef<[u8]>> PartialChunk<B> {
 /// A PARTIAL entry: the chunks covering the requested range (or fidelity
 /// prefix) plus the geometry needed to decode and cache them.
 #[derive(Debug, Clone)]
-pub struct PartialReply<B = Vec<u8>> {
+pub struct PartialReply<'a> {
     /// Codec the range chunks are compressed with.
     pub inner_codec: CodecId,
     /// File attributes.
@@ -301,57 +293,41 @@ pub struct PartialReply<B = Vec<u8>> {
     /// Total raw file length.
     pub raw_len: u64,
     /// Served chunks, in table order.
-    pub chunks: Vec<PartialChunk<B>>,
+    pub chunks: Vec<PartialChunk<'a>>,
 }
 
-impl<B: AsRef<[u8]>> PartialReply<B> {
+impl PartialReply<'_> {
     /// Stored bytes of the chunks.
     pub fn stored_bytes(&self) -> usize {
-        self.chunks.iter().map(|c| c.stored.as_ref().len()).sum()
+        self.chunks.iter().map(|c| c.stored.len()).sum()
     }
 }
 
-/// One GET_MANY entry: a whole-file frame or a partial frame. A decoded
-/// reply owns its bytes; [`LocalObject::plan`] answers with the same
-/// shape borrowed from a stored object, and [`GetManyItem::view`] lends a
-/// decoded entry in that shape, so every read finishes one type.
+/// One GET_MANY entry: a whole-file frame or a partial frame, its bytes
+/// borrowed where they lie. A decoded reply lends them from the reply
+/// buffer; [`LocalObject::plan`] answers with the same shape borrowed from
+/// a stored object, so every read finishes one type.
 #[derive(Debug, Clone)]
-pub enum GetManyItem<B = Vec<u8>> {
+pub enum GetManyItem<'a> {
     /// The whole-file entry: codec, stat, compressed payload.
-    Whole(CodecId, FileStat, B),
+    Whole(CodecId, FileStat, &'a [u8]),
     /// A partial (chunked) entry.
-    Partial(PartialReply<B>),
-}
-
-impl<B: AsRef<[u8]>> GetManyItem<B> {
-    /// The entry with its bytes borrowed.
-    pub fn view(&self) -> GetManyItem<&[u8]> {
-        let p = match self {
-            GetManyItem::Whole(codec, stat, data) => {
-                return GetManyItem::Whole(*codec, *stat, data.as_ref())
-            }
-            GetManyItem::Partial(p) => p,
-        };
-        let chunks = p.chunks.iter().map(|c| {
-            let PartialChunk { index, tier, offset, raw_len, crc32, ref stored } = *c;
-            PartialChunk { index, tier, offset, raw_len, crc32, stored: stored.as_ref() }
-        });
-        let PartialReply { inner_codec, stat, chunk_size, raw_len, .. } = *p;
-        let chunks = chunks.collect();
-        GetManyItem::Partial(PartialReply { inner_codec, stat, chunk_size, raw_len, chunks })
-    }
+    Partial(PartialReply<'a>),
 }
 
 /// Append a PARTIAL entry frame for a chunked object (DESIGN.md §16, row
 /// 10). The outer CRC covers everything after the CRC field (in-flight
-/// damage fails the entry) and is computed per request, over the frame as
-/// sent: the chunks differ from request to request. Each chunk
-/// additionally carries its at-rest CRC from the chunk table, which the
-/// daemon does *not* verify — a client detecting an at-rest mismatch
-/// fails over to a replica whose copy may be intact.
-fn encode_partial_entry(out: &mut Vec<u8>, p: &PartialReply<&[u8]>) {
+/// damage fails the entry), and like a whole entry's it is derived, not
+/// recomputed: the header bytes are hashed and each chunk enters under the
+/// at-rest CRC its chunk-table row carries, so the daemon copies the
+/// chunks and never walks them. A chunk whose stored bytes no longer match
+/// the CRC taken when it was packed therefore fails the requester's frame
+/// check, and the requester fails over to a replica whose copy may be
+/// intact. Each chunk also carries that row CRC, for the requester's
+/// at-rest check.
+fn encode_partial_entry(out: &mut Vec<u8>, p: &PartialReply<'_>) {
     out.push(status::PARTIAL);
-    let crc_at = reserve_crc(out);
+    let mut crc = reserve_crc(out);
     out.extend_from_slice(&p.inner_codec.0.to_le_bytes());
     p.stat.encode(out);
     out.extend_from_slice(&p.chunk_size.to_le_bytes());
@@ -365,41 +341,61 @@ fn encode_partial_entry(out: &mut Vec<u8>, p: &PartialReply<&[u8]>) {
         out.extend_from_slice(&c.raw_len.to_le_bytes());
         out.extend_from_slice(&(c.stored.len() as u32).to_le_bytes());
         out.extend_from_slice(&c.crc32.to_le_bytes());
+        crc.span(out, c.stored.len(), c.crc32);
         out.extend_from_slice(c.stored);
     }
-    seal_leading(out, crc_at);
+    crc.seal(out);
 }
 
 /// Fixed bytes of one chunk in a PARTIAL entry, before its stored bytes.
 const PARTIAL_CHUNK_HEADER: usize = 4 + 1 + 8 + 4 + 4 + 4;
 
-/// Decode a PARTIAL entry frame (inverse of [`encode_partial_entry`]).
-fn decode_partial_entry(buf: &[u8]) -> Result<PartialReply, FsError> {
-    let parse = || -> Result<PartialReply, Malformed> {
-        let mut r = entry_body(buf)?;
-        let inner_codec = CodecId(r.u16()?);
-        let stat = FileStat::read(&mut r)?;
-        let (chunk_size, raw_len) = (r.u32()?, r.u64()?);
-        let count = r.count(PARTIAL_CHUNK_HEADER)?;
-        let mut chunks = Vec::with_capacity(count);
-        for _ in 0..count {
-            let (index, tier, offset, raw_len) = (r.u32()?, r.u8()?, r.u64()?, r.u32()?);
-            let (stored_len, crc32) = (r.u32()?, r.u32()?);
-            let stored = r.bytes(stored_len as usize)?.to_vec();
-            chunks.push(PartialChunk { index, tier, offset, raw_len, crc32, stored });
-        }
-        r.finish()?;
-        Ok(PartialReply { inner_codec, stat, chunk_size, raw_len, chunks })
+/// Decode a PARTIAL entry frame (inverse of [`encode_partial_entry`]) in
+/// one pass: each chunk's stored bytes are hashed once, as they are
+/// reached, and that hash serves both the frame check and, kept as the
+/// chunk's arrival CRC, its at-rest check. The chunks borrow `buf`.
+fn decode_partial_entry(buf: &[u8]) -> Result<PartialReply<'_>, FsError> {
+    let parse = || {
+        let mut r = Reader::new(buf);
+        r.u8()?; // status: the caller dispatched on it
+        r.leading_crc(|r, crc| {
+            let inner_codec = CodecId(r.u16()?);
+            let stat = FileStat::read(r)?;
+            let (chunk_size, raw_len) = (r.u32()?, r.u64()?);
+            let count = r.count(PARTIAL_CHUNK_HEADER)?;
+            let mut chunks = Vec::with_capacity(count);
+            for _ in 0..count {
+                let (index, tier, offset, raw_len) = (r.u32()?, r.u8()?, r.u64()?, r.u32()?);
+                let (stored_len, crc32) = (r.u32()?, r.u32()?);
+                let (stored, arrived) = r.hashed(stored_len as usize, crc)?;
+                let arrival_crc = Some(arrived);
+                chunks.push(PartialChunk {
+                    index,
+                    tier,
+                    offset,
+                    raw_len,
+                    crc32,
+                    stored,
+                    arrival_crc,
+                });
+            }
+            Ok(PartialReply { inner_codec, stat, chunk_size, raw_len, chunks })
+        })
     };
-    parse().map_err(|e| e.reply("PARTIAL entry"))
+    parse().map_err(|e: Malformed| e.reply("PARTIAL entry"))
 }
 
 /// Decode a GET_MANY reply (DESIGN.md §16, rows 8–10): `expected` entries
 /// in request order, each a whole-file frame, a PARTIAL frame or a bare
-/// status byte. Entries carry their *own* status byte and CRC32 — a byte
-/// flipped in flight fails only the entry it landed in, so the caller can
-/// fail over per entry instead of refetching the whole batch. Outer-frame
-/// damage (or a count mismatch) returns an error for the batch as a whole.
+/// status byte. Every entry status byte is read here, once. Entries carry
+/// their *own* status byte and CRC32 — a byte flipped in flight fails only
+/// the entry it landed in, so the caller can fail over per entry instead
+/// of refetching the whole batch. Outer-frame damage (or a count mismatch)
+/// returns an error for the batch as a whole.
+///
+/// The entries borrow `buf`: a payload is decoded where it landed, with no
+/// copy, and the only pass over its bytes is the frame check (for a
+/// PARTIAL chunk, also its at-rest check).
 ///
 /// A [`status::BAD_REQUEST`] entry byte maps to [`FsError::BadRange`] — the
 /// daemon judged the requested range malformed for that file, so
@@ -409,7 +405,7 @@ fn decode_partial_entry(buf: &[u8]) -> Result<PartialReply, FsError> {
 pub fn decode_get_many_reply(
     buf: &[u8],
     expected: usize,
-) -> Result<Vec<Result<GetManyItem, FsError>>, FsError> {
+) -> Result<Vec<Result<GetManyItem<'_>, FsError>>, FsError> {
     let mut r = Reader::new(buf);
     match r.u8() {
         Ok(status::OK) => {}
@@ -428,14 +424,16 @@ pub fn decode_get_many_reply(
     for _ in 0..count {
         let entry = r.bytes32().map_err(framing)?;
         out.push(match entry.first() {
+            Some(&status::OK) => decode_whole_entry(entry),
             Some(&status::PARTIAL) => decode_partial_entry(entry).map(GetManyItem::Partial),
+            Some(&status::NOT_FOUND) => Err(FsError::NotFound("remote: not found".into())),
             Some(&status::BAD_REQUEST) => {
                 Err(FsError::BadRange("rejected by serving daemon".into()))
             }
             Some(&status::ERROR) => {
                 Err(FsError::Corrupt("serving daemon's local copy damaged".into()))
             }
-            _ => decode_whole_entry(entry),
+            _ => Err(FsError::Comm("malformed GET_MANY entry".into())),
         });
     }
     r.finish().map_err(framing)?;
@@ -447,7 +445,7 @@ pub fn decode_get_many_reply(
 /// this node's object with its one planner's answer, or the bare status
 /// byte that answers instead (not found, a bad range, a damaged local
 /// copy). The daemon only encodes it.
-type Planned<'a> = Result<(&'a LocalObject, GetManyItem<&'a [u8]>), u8>;
+type Planned<'a> = Result<(&'a LocalObject, GetManyItem<'a>), u8>;
 
 /// One entry's answer: [`LocalObject::plan`] over what [`find`] returned.
 fn plan_entry<'a>(found: &'a Result<LocalObject, u8>, spec: &GetManySpec<'_>) -> Planned<'a> {
@@ -1010,7 +1008,8 @@ mod tests {
             );
             // The empty path is a legal (if unknown) path, not a framing error.
             let empty = encode_get_many_request(&[GetManySpec::whole("")]);
-            let items = decode_get_many_reply(&get_many(empty), 1).unwrap();
+            let reply = get_many(empty);
+            let items = decode_get_many_reply(&reply, 1).unwrap();
             assert!(matches!(items[0], Err(FsError::NotFound(_))));
             // SHED: a request whose deadline already passed is answered with
             // the bare status byte, which decodes to a batch-level Shed.
@@ -1025,33 +1024,83 @@ mod tests {
     }
 
     #[test]
-    fn whole_entry_crc_is_combined_from_the_load_time_payload_crc() {
-        for len in [0usize, 1, 1 << 20] {
-            let data: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+    fn entry_crcs_are_combined_from_the_load_time_and_chunk_table_crcs() {
+        // Whole objects of three sizes, then a range-chunked and a
+        // progressive container, each with the spec that makes it a PARTIAL
+        // frame whose last chunk holds the container's last byte.
+        let ramp = |len: usize| (0..len).map(|i| (i * 31 % 251) as u8).collect::<Vec<u8>>();
+        let floats: Vec<u8> = (0..4096).flat_map(|i| ((i as f32) * 0.37).to_le_bytes()).collect();
+        let packed = |data: &[u8], cfg: PrepConfig| {
+            let part = prepare(vec![("f".to_string(), data.to_vec())], &cfg).partitions.remove(0);
+            let e = crate::pack::parse_partition(&part).unwrap().remove(0);
+            LocalObject::new(e.codec, e.stat, Arc::new(e.data))
+        };
+        let whole = |len: usize| {
             let stat = FileStat::regular(7, len as u64);
-            let obj = LocalObject::new(CodecId(0), stat, Arc::new(data.clone()));
+            (LocalObject::new(CodecId(0), stat, Arc::new(ramp(len))), GetManySpec::whole("f"))
+        };
+        let inputs = [
+            whole(0),
+            whole(1),
+            whole(1 << 20),
+            (
+                packed(&ramp(50_000), PrepConfig { chunk_size: 4096, ..Default::default() }),
+                GetManySpec::range("f", 40_000, 50_000),
+            ),
+            (
+                packed(&floats, PrepConfig { progressive_tiers: 4, ..Default::default() }),
+                GetManySpec::tiered("f", 3),
+            ),
+        ];
+        let encode = |obj: &LocalObject, spec: &GetManySpec| {
+            let planned = Ok((obj, obj.plan(spec).unwrap()));
             let mut frame = Vec::new();
-            encode_whole_entry(&mut frame, &obj);
-            let planned = Ok((&obj, obj.plan(&GetManySpec::whole("f")).unwrap()));
-            assert_eq!(frame.len(), frame_len(&planned), "{len} B");
-            // The derived CRC is the CRC of the body as sent.
-            assert_eq!(frame[1..GET_BODY], crc32(&frame[GET_BODY..]).to_le_bytes(), "{len} B");
-            match decode_whole_entry(&frame) {
-                Ok(GetManyItem::Whole(_, _, got)) => assert_eq!(got, data, "{len} B"),
-                other => panic!("{len} B: {other:?}"),
+            match &planned {
+                Ok((_, GetManyItem::Whole(..))) => encode_whole_entry(&mut frame, obj),
+                Ok((_, GetManyItem::Partial(p))) => encode_partial_entry(&mut frame, p),
+                Err(_) => unreachable!("planned above"),
             }
-            // A payload that changed after the object was created is sent
-            // under the CRC of the bytes that were loaded: the requester
-            // rejects it, where a per-request hash would have blessed it.
-            if let Some(last) = data.last() {
+            assert_eq!(frame.len(), frame_len(&planned), "the frame is sized before it is written");
+            frame
+        };
+        // The entry as a one-entry reply, through the one status dispatch.
+        let decode = |frame: &[u8], check: &dyn Fn(Result<GetManyItem, FsError>)| {
+            let mut reply = vec![status::OK];
+            reply.extend_from_slice(&1u32.to_le_bytes());
+            reply.extend_from_slice(&(frame.len() as u32).to_le_bytes());
+            reply.extend_from_slice(frame);
+            check(decode_get_many_reply(&reply, 1).unwrap().remove(0));
+        };
+        for (obj, spec) in &inputs {
+            let what = format!("{} B, {spec:?}", obj.data.len());
+            let frame = encode(obj, spec);
+            // The derived CRC is the CRC of the body as sent.
+            assert_eq!(frame[1..GET_BODY], crc32(&frame[GET_BODY..]).to_le_bytes(), "{what}");
+            decode(&frame, &|got| match (got, obj.plan(spec).unwrap()) {
+                (Ok(GetManyItem::Whole(_, _, got)), GetManyItem::Whole(_, _, sent)) => {
+                    assert_eq!(got, sent, "{what}")
+                }
+                (Ok(GetManyItem::Partial(got)), GetManyItem::Partial(sent)) => {
+                    assert!(got.chunks.len() > 1, "{what}: a PARTIAL frame of several chunks");
+                    for (g, s) in got.chunks.iter().zip(&sent.chunks) {
+                        assert_eq!((g.index, g.stored), (s.index, s.stored), "{what}");
+                        assert_eq!(g.verified().unwrap(), s.stored, "{what}");
+                    }
+                }
+                (other, _) => panic!("{what}: {other:?}"),
+            });
+            // Bytes that changed after the object was loaded, or after the
+            // chunk was packed, are sent under the CRC taken then: the
+            // requester rejects the frame, where a per-request hash would
+            // have blessed it.
+            if let Some(&last) = obj.data.last() {
                 let mut stale = obj.clone();
-                let mut flipped = data.clone();
-                flipped[len - 1] = last ^ 0x04;
+                let mut flipped = (*obj.data).clone();
+                *flipped.last_mut().unwrap() = last ^ 0x04;
                 stale.data = Arc::new(flipped);
-                let mut frame = Vec::new();
-                encode_whole_entry(&mut frame, &stale);
-                let got = decode_whole_entry(&frame);
-                assert!(matches!(got, Err(FsError::Corrupt(_))), "{len} B: {got:?}");
+                decode(&encode(&stale, spec), &|got| {
+                    assert!(matches!(got, Err(FsError::Corrupt(_))), "{what}: {got:?}")
+                });
             }
         }
     }
@@ -1194,7 +1243,7 @@ mod tests {
                 };
                 assert_eq!(stat.owner_rank, 1, "owner stays the pusher");
                 let plain =
-                    decompress_object(codec, &data, stat.size as usize, "ckpt/seg0").unwrap();
+                    decompress_object(codec, data, stat.size as usize, "ckpt/seg0").unwrap();
                 assert_eq!(plain, vec![0xABu8; 128]);
                 // Unlink removes it; a second unlink reports NOT_FOUND.
                 let r = service.rpc(0, tags::UNLINK, b"ckpt/seg0".to_vec()).unwrap();

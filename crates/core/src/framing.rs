@@ -9,10 +9,14 @@
 //!
 //! * **trailing**, `body | crc32(body)`: [`seal_trailing`] /
 //!   [`Reader::trailing_crc`] (the FCHK table, both manifests);
-//! * **leading**, `crc32(rest) | rest`: [`reserve_crc`] + [`seal_leading`]
-//!   / [`Reader::leading_crc`] (GET_MANY entry frames, assembled in place;
-//!   [`seal_leading_with_tail`] when `rest` ends in a payload whose CRC
-//!   the sender already holds);
+//! * **leading**, `crc32(rest) | rest`: [`reserve_crc`] +
+//!   [`LeadingCrc::seal`] / [`Reader::leading_crc`] (GET_MANY entry
+//!   frames, assembled in place). Both ends compose the CRC in the pass
+//!   that writes or parses the frame: payload spans enter through
+//!   [`LeadingCrc::span`] under a CRC-32 the sender already holds (taken
+//!   at load or pack time) and the reader takes once, on arrival
+//!   ([`Reader::hashed`]); only the header bytes between them are walked
+//!   here;
 //! * the written-last **publish record** `magic | version u16 | fields… |
 //!   crc32`: [`begin_record`] … [`seal_trailing`] / [`open_record`].
 //!
@@ -176,14 +180,93 @@ impl<'a> Reader<'a> {
         self.crc_over(&self.buf[..self.consumed()])
     }
 
-    /// Leading placement: the next `u32` is the CRC-32 of every byte after
-    /// it.
-    pub(crate) fn leading_crc(&mut self) -> Result<(), Malformed> {
-        self.crc_over(self.rest.get(4..).unwrap_or_default())
-    }
-
     fn crc_over(&mut self, covered: &[u8]) -> Result<(), Malformed> {
         (self.u32()? == crc32(covered)).then_some(()).ok_or(self.fail(CHECKSUM))
+    }
+
+    /// Leading placement, checked in the pass that parses the frame: the
+    /// next `u32` is the CRC-32 of every byte after it, to the end of the
+    /// buffer. `parse` reads those bytes, taking each payload span through
+    /// [`Reader::hashed`], and must consume them all. The check compares
+    /// the field with the CRC composed from those span hashes and the
+    /// bytes between them, which by construction is the CRC of the frame
+    /// as it arrived, so damage anywhere under the field is a checksum
+    /// error. A field that does not parse may itself be such damage: only
+    /// on that error path is the frame hashed whole, to tell the two apart.
+    pub(crate) fn leading_crc<T>(
+        mut self,
+        parse: impl FnOnce(&mut Self, &mut LeadingCrc) -> Result<T, Malformed>,
+    ) -> Result<T, Malformed> {
+        let mut crc = LeadingCrc::new(self.consumed());
+        let sealed = self.u32()?;
+        let parsed = parse(&mut self, &mut crc)
+            .and_then(|v| self.is_empty().then_some(v).ok_or(self.fail("trailing bytes")));
+        match parsed {
+            Ok(v) if crc.value(self.buf) == sealed => Ok(v),
+            Err(e) if crc32(&self.buf[crc.at + 4..]) == sealed => Err(e),
+            _ => Err(self.fail(CHECKSUM)),
+        }
+    }
+
+    /// The next `n` bytes and their CRC-32, folded into `crc`: the one
+    /// pass over a payload span serves both the frame check and whatever
+    /// the caller checks the span against.
+    pub(crate) fn hashed(
+        &mut self,
+        n: usize,
+        crc: &mut LeadingCrc,
+    ) -> Result<(&'a [u8], u32), Malformed> {
+        let start = self.consumed();
+        let span = self.bytes(n)?;
+        let span_crc = crc32(span);
+        crc.span(&self.buf[..start], n, span_crc);
+        Ok((span, span_crc))
+    }
+}
+
+/// A leading CRC field and the CRC-32 of its frame, composed in the one
+/// pass that writes or parses the frame. The CRC covers every byte after
+/// the field. Payload spans enter under a CRC-32 the caller holds and are
+/// never walked here; the few header bytes between them are, and the
+/// pieces are joined with [`combine`]. The result is bit for bit the
+/// value one pass over the finished frame would give.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LeadingCrc {
+    /// Offset of the CRC field in the frame's buffer.
+    at: usize,
+    /// Offset up to which bytes are folded in.
+    walked: usize,
+    /// CRC-32 of `buffer[at + 4..walked]`.
+    crc: u32,
+}
+
+impl LeadingCrc {
+    fn new(at: usize) -> Self {
+        LeadingCrc { at, walked: at + 4, crc: 0 }
+    }
+
+    /// Fold in the bytes of `frame` past the previous span (`frame` ends
+    /// where this span starts), then the `len`-byte span whose CRC-32 is
+    /// `span_crc`.
+    pub(crate) fn span(&mut self, frame: &[u8], len: usize, span_crc: u32) {
+        let between = &frame[self.walked..];
+        let crc = combine(self.crc, crc32(between), between.len() as u64);
+        self.crc = combine(crc, span_crc, len as u64);
+        self.walked = frame.len() + len;
+    }
+
+    /// The CRC of `frame` after the field, folding in what follows the
+    /// last span.
+    fn value(self, frame: &[u8]) -> u32 {
+        let rest = &frame[self.walked..];
+        combine(self.crc, crc32(rest), rest.len() as u64)
+    }
+
+    /// Leading placement, step two: patch the placeholder with the CRC of
+    /// everything `out` holds after it.
+    pub(crate) fn seal(self, out: &mut [u8]) {
+        let crc = self.value(out);
+        out[self.at..self.at + 4].copy_from_slice(&crc.to_le_bytes());
     }
 }
 
@@ -210,29 +293,11 @@ pub(crate) fn seal_trailing(out: &mut Vec<u8>) {
     out.extend_from_slice(&crc.to_le_bytes());
 }
 
-/// Leading placement, step one: append a CRC placeholder and return its
-/// offset for [`seal_leading`].
-pub(crate) fn reserve_crc(out: &mut Vec<u8>) -> usize {
+/// Leading placement, step one: append a CRC placeholder and return the
+/// [`LeadingCrc`] that composes and seals it as the frame is appended.
+pub(crate) fn reserve_crc(out: &mut Vec<u8>) -> LeadingCrc {
     out.extend_from_slice(&[0u8; 4]);
-    out.len() - 4
-}
-
-/// Leading placement, step two: patch the placeholder at `at` with the
-/// CRC-32 of everything appended after it.
-pub(crate) fn seal_leading(out: &mut [u8], at: usize) {
-    let crc = crc32(&out[at + 4..]);
-    out[at..at + 4].copy_from_slice(&crc.to_le_bytes());
-}
-
-/// Leading placement over a body whose tail is already checksummed: patch
-/// the placeholder at `at` with the CRC-32 of everything appended after it
-/// *followed by* `tail_len` bytes whose CRC-32 is `tail_crc`, which the
-/// caller appends next. Only the bytes already in `out` — a frame's few
-/// header bytes — are walked; the result is the value [`seal_leading`]
-/// would compute over the finished frame.
-pub(crate) fn seal_leading_with_tail(out: &mut [u8], at: usize, tail_crc: u32, tail_len: usize) {
-    let crc = combine(crc32(&out[at + 4..]), tail_crc, tail_len as u64);
-    out[at..at + 4].copy_from_slice(&crc.to_le_bytes());
+    LeadingCrc::new(out.len() - 4)
 }
 
 /// Start a publish record: `magic | version u16`, to be followed by the
@@ -327,20 +392,47 @@ mod tests {
             assert!(open_record(&bad, *b"TEST", 3).is_err(), "flip {i}");
         }
 
+        // A leading frame `9 | crc | len u8 | span | tail`: the writer
+        // composes the CRC from the span's known CRC, the reader from its
+        // own hash of the span; both equal one pass over the frame.
+        let span = b"payload span";
         let mut frame = vec![9u8];
-        let at = reserve_crc(&mut frame);
-        frame.extend_from_slice(b"body");
-        seal_leading(&mut frame, at);
-        let mut r = Reader::new(&frame);
-        assert_eq!(r.u8(), Ok(9));
-        assert!(r.leading_crc().is_ok());
-        assert_eq!(r.rest(), b"body");
+        let mut crc = reserve_crc(&mut frame);
+        frame.push(span.len() as u8);
+        crc.span(&frame, span.len(), crc32(span));
+        frame.extend_from_slice(span);
+        frame.extend_from_slice(b"tail");
+        crc.seal(&mut frame);
+        assert_eq!(frame[1..5], crc32(&frame[5..]).to_le_bytes());
+        let read = |buf: &[u8]| {
+            let mut r = Reader::new(buf);
+            r.u8()?;
+            r.leading_crc(|r, crc| {
+                let n = r.u8()?.into();
+                let (got, got_crc) = r.hashed(n, crc)?;
+                assert_eq!(got_crc, crc32(got));
+                r.tag(b"tail", "bad tail")?;
+                Ok(got.to_vec())
+            })
+        };
+        assert_eq!(read(&frame), Ok(span.to_vec()));
         for i in 1..frame.len() {
             let mut bad = frame.clone();
             bad[i] ^= 0x80;
-            let mut r = Reader::new(&bad);
-            r.u8().unwrap();
-            assert!(r.leading_crc().is_err(), "flip {i}");
+            let err = read(&bad).expect_err("flip");
+            assert_eq!(err.what, CHECKSUM, "flip {i}: damage under the CRC is a checksum error");
         }
+        // A field that does not parse under a CRC that holds is the
+        // parser's error, not a checksum error.
+        let mut short = frame.clone();
+        short[5] = 200;
+        let crc = crc32(&short[5..]);
+        short[1..5].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(read(&short).map_err(|e| e.what), Err("truncated"));
+        let mut padded = frame.clone();
+        padded.push(0);
+        let crc = crc32(&padded[5..]);
+        padded[1..5].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(read(&padded).map_err(|e| e.what), Err("trailing bytes"));
     }
 }

@@ -44,7 +44,8 @@ const PLAIN: CodecId = CodecId::new(CodecFamily::Store, 0);
 /// A packed payload is immutable once stored, so its CRC-32 is computed
 /// once, by [`LocalObject::new`], and the daemon seals every whole-entry
 /// reply from it instead of walking the payload per request
-/// (`framing::seal_leading_with_tail`).
+/// (`framing::LeadingCrc`); PARTIAL replies are sealed the same way, from
+/// the chunk table's CRCs.
 #[derive(Clone)]
 pub struct LocalObject {
     /// Codec of `data`.
@@ -102,7 +103,7 @@ impl LocalObject {
     /// reader slices or decodes. A range outside a range container is
     /// [`FsError::BadRange`]; a damaged chunk table is
     /// [`FsError::Corrupt`].
-    pub fn plan(&self, spec: &GetManySpec<'_>) -> Result<GetManyItem<&[u8]>, FsError> {
+    pub fn plan(&self, spec: &GetManySpec<'_>) -> Result<GetManyItem<'_>, FsError> {
         let whole = GetManyItem::Whole(self.codec, self.stat, &self.data[..]);
         if self.codec != CHUNKED || (spec.range.is_none() && spec.min_tier == TIER_FULL) {
             return Ok(whole);
@@ -121,7 +122,8 @@ impl LocalObject {
         let chunk = |idx: usize| {
             let ChunkMeta { tier, offset, raw_len, crc32, .. } = table.chunks[idx];
             let stored = chunk_stored(&self.data, &table, idx)?;
-            Ok(PartialChunk { index: idx as u32, tier, offset, raw_len, crc32, stored })
+            let index = idx as u32;
+            Ok(PartialChunk { index, tier, offset, raw_len, crc32, stored, arrival_crc: None })
         };
         Ok(GetManyItem::Partial(PartialReply {
             inner_codec: table.inner_codec,

@@ -404,7 +404,10 @@ fn rows<'a>(
     request: Vec<u8>,
     reply: Vec<u8>,
 ) -> Vec<Row<'a>> {
-    let fchk = parse_partition(partition).expect("sample parses").remove(1).data;
+    let mut entries = parse_partition(partition).expect("sample parses");
+    let model = entries.remove(2).data;
+    let model_len = model.len();
+    let fchk = entries.remove(1).data;
     let fchk_len = fchk.len();
     let mut stat_block = Vec::new();
     sample_stat(42, 1 << 33).encode(&mut stat_block);
@@ -460,6 +463,20 @@ fn rows<'a>(
             // raw_len, count, then chunk 0's raw_len.
             fields: vec![(12, 8), (20, 4), (CHUNK_HEADER + 8, 4)],
             sealed: 0..fchk_len,
+            strict: true,
+            reseal: Some(reseal_fchk),
+            allowed: at_rest,
+            decode: decoder(decode_chunked, |raw| vec![format!("{raw:?}")]),
+        },
+        Row {
+            // A progressive container's `raw_len` sizes the tier decoder's
+            // lanes and output; no table row sums to it.
+            name: "FCHK progressive decode",
+            good: model,
+            golden: GOLDEN_FCHK_PROGRESSIVE,
+            // raw_len, count, then tier 0's raw_len.
+            fields: vec![(12, 8), (20, 4), (CHUNK_HEADER + 8, 4)],
+            sealed: 0..model_len,
             strict: true,
             reseal: Some(reseal_fchk),
             allowed: at_rest,
@@ -570,16 +587,17 @@ fn rows<'a>(
             decode: decoder(
                 move |buf| {
                     // The sample's last entry is NOT_FOUND; any *other*
-                    // entry failing fails the decode.
+                    // entry failing fails the decode. The entries borrow
+                    // `buf`, so they are rendered here.
                     let mut items = decode_get_many_reply(buf, expected)?;
                     match items.pop() {
                         Some(Err(FsError::NotFound(_))) => {}
                         Some(Err(e)) => return Err(e),
                         other => return Err(FsError::Comm(format!("last entry {other:?}"))),
                     }
-                    items.into_iter().collect::<Result<Vec<_>, _>>()
+                    items.into_iter().map(|item| item.map(|i| format!("{i:?}"))).collect()
                 },
-                debug_each,
+                |items| items,
             ),
         },
         Row {
@@ -807,6 +825,11 @@ const GOLDEN_FCHK: &str = "\
     800000000b000000ec8c2c22000001 00*6 \
     2c0000000b0000008db391d600bef649677f000102030405060700667f020304 \
     050600010700667f04050600010203070012";
+// `t/model.f32`'s container, the tail of `GOLDEN_PARTITION`.
+const GOLDEN_FCHK_PROGRESSIVE: &str = "\
+    4643484b0101 00*6 40 00*7 02 00*11 1c0000001c0000008c711873 00*9 \
+    0a0000000a000000bb3809120120775664010002012064000000fffe000200b3 \
+    fc00f200c8f0a0cc00aa00010001010201201f0001000c";
 const GOLDEN_META: &str = "\
     0100000008006f75742f782e6835090457fa 00*6 09 00*7 01 00*7 a4810000e8030000e803 00*14 \
     e703 00*7 10 00*6 02 00*24 f15365 00*28 02 00*7 ffffffff 00*12";
