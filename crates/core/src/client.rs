@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use fanstore_compress::CodecId;
-use mpi_sim::{CommError, RemoteSender, RpcMeta};
+use mpi_sim::{CommError, RemoteSender, RpcMeta, Tag};
 use parking_lot::Mutex;
 
 use crate::backend::Backend;
@@ -82,7 +82,8 @@ impl Default for FailoverConfig {
     }
 }
 
-/// FNV-1a of a path (stable input to the jitter hash).
+/// FNV-1a of a path (stable input to the jitter hash and to
+/// [`meta_owner`]).
 fn fnv64(path: &str) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
     for &b in path.as_bytes() {
@@ -895,7 +896,7 @@ impl FsClient {
     /// One request id covers the whole batch: the `client.get_many` span
     /// is its root, each per-rank RPC records a `fabric.rpc` child, and
     /// every deferred decompression later records a `client.decompress`
-    /// child — so a trace dump joins the batch back together.
+    /// child — so the joined spans reassemble the batch.
     ///
     /// Per-entry failure isolation: a missing, corrupted or unreachable
     /// entry does not fail the batch. Each unresolved entry falls back to
@@ -1180,10 +1181,12 @@ impl FsClient {
                     Whence::Cur => *pos as i64,
                     Whence::End => data.len() as i64,
                 };
-                let target = base + offset;
-                if target < 0 {
-                    return Err(FsError::BadFd(fd));
-                }
+                // A negative or overflowing target is EINVAL, as POSIX
+                // `lseek` answers; the position stays where it was.
+                let target = base
+                    .checked_add(offset)
+                    .filter(|t| *t >= 0)
+                    .ok_or_else(|| FsError::BadRange(format!("lseek({fd}): {base} + {offset}")))?;
                 *pos = target as usize; // seeking past EOF is legal
                 Ok(*pos as u64)
             }
@@ -1228,14 +1231,7 @@ impl FsClient {
         let entry = self.state.finalize_write(path, buf)?;
         let owner = meta_owner(path, self.state.size);
         if owner != self.state.rank {
-            let payload = encode_single(path, &entry);
-            let sent = match &self.failover {
-                Some(cfg) => {
-                    self.service.rpc_timeout(owner, tags::PUT_META, payload, cfg.rpc_timeout)
-                }
-                None => self.service.rpc(owner, tags::PUT_META, payload),
-            };
-            if let Err(e) = sent {
+            if let Err(e) = self.control_rpc(owner, tags::PUT_META, encode_single(path, &entry)) {
                 if self.failover.is_none() {
                     return Err(FsError::Comm(e.to_string()));
                 }
@@ -1270,16 +1266,7 @@ impl FsClient {
         }
         let owner = meta_owner(path, self.state.size);
         if owner != self.state.rank {
-            let reply = match &self.failover {
-                Some(cfg) => self.service.rpc_timeout(
-                    owner,
-                    tags::GET_META,
-                    path.as_bytes().to_vec(),
-                    cfg.rpc_timeout,
-                ),
-                None => self.service.rpc(owner, tags::GET_META, path.as_bytes().to_vec()),
-            };
-            match reply {
+            match self.control_rpc(owner, tags::GET_META, path.as_bytes().to_vec()) {
                 Ok(reply) => {
                     if reply.first() == Some(&crate::daemon::status::OK) {
                         self.state.merge_meta(&reply[1..])?;
@@ -1422,6 +1409,16 @@ impl FsClient {
         }
     }
 
+    /// One metadata-plane round trip (PUT_META, GET_META, UNLINK) to
+    /// `rank`, under the failover deadline when one is attached. Each
+    /// caller maps the error itself.
+    fn control_rpc(&self, rank: usize, tag: Tag, payload: Vec<u8>) -> Result<Vec<u8>, CommError> {
+        match &self.failover {
+            Some(cfg) => self.service.rpc_timeout(rank, tag, payload, cfg.rpc_timeout),
+            None => self.service.rpc(rank, tag, payload),
+        }
+    }
+
     /// Push a whole object into `rank`'s write store (checkpoint
     /// replication): the peer can then serve GETs for `path` and keeps a
     /// durable copy across this rank's crash. Runs under the failover
@@ -1432,7 +1429,7 @@ impl FsClient {
         // When timed, the push is one traced request: a `client.put`
         // root span with a `fabric.rpc` child, and the request id rides
         // the envelope so the serving daemon's `daemon.write_serve` span
-        // joins the same tree (`fanstore attrib` write attribution).
+        // joins the same tree (`attrib` charges it to `serve`).
         let request = if self.timed { self.state.next_request_id() } else { 0 };
         let start = if self.timed { now_us() } else { 0 };
         let meta = self.rpc_meta(request, 0); // writes are never shed on deadline
@@ -1477,11 +1474,7 @@ impl FsClient {
     /// checkpoint generations). A missing path reports success: the goal
     /// state — "not there" — already holds.
     pub fn unlink_remote(&self, rank: usize, path: &str) -> Result<(), FsError> {
-        let payload = path.as_bytes().to_vec();
-        let reply = match &self.failover {
-            Some(cfg) => self.service.rpc_timeout(rank, tags::UNLINK, payload, cfg.rpc_timeout),
-            None => self.service.rpc(rank, tags::UNLINK, payload),
-        };
+        let reply = self.control_rpc(rank, tags::UNLINK, path.as_bytes().to_vec());
         match reply.map_err(|e| self.rpc_error(&format!("UNLINK {path} at rank {rank}"), e))? {
             r if matches!(
                 r.first(),
@@ -1520,13 +1513,7 @@ impl FsClient {
 /// The rank responsible for a path's *metadata* (write-forwarding target,
 /// §V-D): stable hash of the path modulo node count.
 pub fn meta_owner(path: &str, size: usize) -> usize {
-    // FNV-1a.
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in path.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    (h % size.max(1) as u64) as usize
+    (fnv64(path) % size.max(1) as u64) as usize
 }
 
 #[cfg(test)]

@@ -747,8 +747,8 @@ pub fn serve(
                     start_us: start,
                     dur_us: now_us().saturating_sub(start),
                 });
-                // Writes get their own stage so `fanstore attrib` can
-                // attribute write latency separately from read serving.
+                // Writes get their own stage so `attrib` can charge write
+                // latency separately from read serving.
                 if msg.tag == tags::PUT {
                     t.record_span(SpanEvent {
                         request: msg.request_id,

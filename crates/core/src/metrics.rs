@@ -599,8 +599,8 @@ impl Snapshot {
     /// {"count": .., "sum": .., "min": .., "max": .., "p50": .., "p90":
     /// .., "p99": ..}, ..}, "exemplars": {"name": [{"value": ..,
     /// "request": "<hex>"}, ..], ..}}`. Exemplar request ids are hex
-    /// strings in the same format the trace dump uses, so a dashboard
-    /// can join an outlier straight to its span timeline.
+    /// strings in the same format `fanstore report` prints beside each
+    /// slowest request, so an outlier joins straight to its span timeline.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"counters\":{");
         push_map(&mut out, &self.counters, |out, v| out.push_str(&v.to_string()));

@@ -9,8 +9,10 @@
 //! mix. Alongside the event stream it keeps a ring of [`SpanEvent`]s —
 //! request-scoped timing records minted per client op and carried
 //! through the fabric into the daemon, so one GET can be reassembled
-//! into a client→fabric→daemon→client timeline. Traces can be
-//! serialised to a compact text form and replayed against any client.
+//! into a client→fabric→daemon→client timeline. The event stream
+//! serialises to a compact text form and parses back
+//! ([`TraceRecorder::serialize`] / [`TraceRecorder::parse`]); spans are
+//! read in memory ([`TraceRecorder::spans`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -269,95 +271,36 @@ impl TraceRecorder {
         out
     }
 
-    /// The retained spans, one per line:
-    /// `span <request:hex> <rank> <stage> <start_us> <dur_us>`.
-    pub fn serialize_spans(&self) -> String {
-        let mut out = String::new();
-        for s in self.spans() {
-            out.push_str(&format!(
-                "span {:x} {} {} {} {}\n",
-                s.request, s.rank, s.stage, s.start_us, s.dur_us
-            ));
-        }
-        out
-    }
-
-    /// Events followed by spans — the on-disk dump format read back by
-    /// [`TraceRecorder::parse_dump`].
-    pub fn dump(&self) -> String {
-        let mut out = self.serialize();
-        out.push_str(&self.serialize_spans());
-        out
-    }
-
-    /// Parse the event text form back into events. Lines starting with
-    /// `span` are rejected here — use [`TraceRecorder::parse_dump`] for
-    /// combined dumps.
+    /// Parse the event text form ([`TraceRecorder::serialize`]) back
+    /// into events.
     pub fn parse(text: &str) -> Result<Vec<Event>, String> {
         let mut events = Vec::new();
         for (lineno, line) in text.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
-            events.push(Self::parse_event_line(line, lineno)?);
+            let mut parts = line.split_whitespace();
+            let op = match parts.next() {
+                Some("open") => Op::Open,
+                Some("close") => Op::Close,
+                Some("read") => Op::Read,
+                Some("seek") => Op::Seek,
+                Some("write") => Op::Write,
+                Some("stat") => Op::Stat,
+                Some("readdir") => Op::Readdir,
+                Some("degraded") => Op::Degraded,
+                other => return Err(format!("line {}: bad op {:?}", lineno + 1, other)),
+            };
+            let path = unescape_path(parts.next().unwrap_or("%"))
+                .map_err(|e| format!("line {}: {e}", lineno + 1))?;
+            let bytes = parts
+                .next()
+                .unwrap_or("0")
+                .parse()
+                .map_err(|e| format!("line {}: bad bytes: {e}", lineno + 1))?;
+            events.push(Event { op, path, bytes });
         }
         Ok(events)
-    }
-
-    fn parse_event_line(line: &str, lineno: usize) -> Result<Event, String> {
-        let mut parts = line.split_whitespace();
-        let op = match parts.next() {
-            Some("open") => Op::Open,
-            Some("close") => Op::Close,
-            Some("read") => Op::Read,
-            Some("seek") => Op::Seek,
-            Some("write") => Op::Write,
-            Some("stat") => Op::Stat,
-            Some("readdir") => Op::Readdir,
-            Some("degraded") => Op::Degraded,
-            other => return Err(format!("line {}: bad op {:?}", lineno + 1, other)),
-        };
-        let path = unescape_path(parts.next().unwrap_or("%"))
-            .map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let bytes = parts
-            .next()
-            .unwrap_or("0")
-            .parse()
-            .map_err(|e| format!("line {}: bad bytes: {e}", lineno + 1))?;
-        Ok(Event { op, path, bytes })
-    }
-
-    fn parse_span_line(line: &str, lineno: usize) -> Result<SpanEvent, String> {
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        if fields.len() != 6 || fields[0] != "span" {
-            return Err(format!("line {}: bad span line", lineno + 1));
-        }
-        let bad = |what: &str| format!("line {}: bad span {what}", lineno + 1);
-        Ok(SpanEvent {
-            request: u64::from_str_radix(fields[1], 16).map_err(|_| bad("request"))?,
-            rank: fields[2].parse().map_err(|_| bad("rank"))?,
-            stage: fields[3].to_string(),
-            start_us: fields[4].parse().map_err(|_| bad("start"))?,
-            dur_us: fields[5].parse().map_err(|_| bad("duration"))?,
-        })
-    }
-
-    /// Parse a combined dump ([`TraceRecorder::dump`]) back into events
-    /// and spans.
-    pub fn parse_dump(text: &str) -> Result<(Vec<Event>, Vec<SpanEvent>), String> {
-        let mut events = Vec::new();
-        let mut spans = Vec::new();
-        for (lineno, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            if line.trim_start().starts_with("span ") {
-                spans.push(Self::parse_span_line(line, lineno)?);
-            } else {
-                events.push(Self::parse_event_line(line, lineno)?);
-            }
-        }
-        Ok((events, spans))
     }
 }
 
@@ -491,26 +434,6 @@ mod tests {
         let kept = t.spans();
         assert_eq!(kept.len(), 2);
         assert_eq!(kept[0].request, 0xabc2);
-        let (events, spans) = TraceRecorder::parse_dump(&t.dump()).unwrap();
-        assert!(events.is_empty());
-        assert_eq!(spans, kept);
-    }
-
-    #[test]
-    fn dump_mixes_events_and_spans() {
-        let t = TraceRecorder::new(8);
-        t.record(Op::Read, "a b", 3);
-        t.record_span(SpanEvent {
-            request: 7,
-            rank: 0,
-            stage: "daemon.serve".into(),
-            start_us: 1,
-            dur_us: 2,
-        });
-        let (events, spans) = TraceRecorder::parse_dump(&t.dump()).unwrap();
-        assert_eq!(events, vec![Event { op: Op::Read, path: "a b".into(), bytes: 3 }]);
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].stage, "daemon.serve");
     }
 
     #[test]
@@ -531,8 +454,6 @@ mod tests {
         assert!(TraceRecorder::parse("frobnicate x 0").is_err());
         assert!(TraceRecorder::parse("read x notanumber").is_err());
         assert!(TraceRecorder::parse("").unwrap().is_empty());
-        assert!(TraceRecorder::parse_dump("span zz 0 s 1 2").is_err());
-        assert!(TraceRecorder::parse_dump("span 1 0 s 1").is_err());
     }
 
     #[test]

@@ -147,7 +147,7 @@ pub struct WalReplay {
     pub durable_seq: u64,
 }
 
-/// Verification report for `fanstore wal verify`.
+/// Verification report of [`WalStore::verify`].
 #[derive(Debug, Clone, Default)]
 pub struct WalVerify {
     /// Publish counter of the manifest checked.
@@ -302,7 +302,7 @@ struct Inner {
     next_segment_id: u64,
 }
 
-/// A snapshot of the store's shape (the `fanstore wal ls` view).
+/// A snapshot of the store's shape ([`WalStore::status`]).
 #[derive(Debug, Clone)]
 pub struct WalStatus {
     /// Publish counter of the current manifest.
@@ -685,7 +685,8 @@ impl WalStore {
         self.inner.lock().durable_seq
     }
 
-    /// The store's current shape (the `fanstore wal ls` view).
+    /// The store's current shape: publish counter, memtable and
+    /// published segments.
     pub fn status(&self) -> WalStatus {
         let inner = self.inner.lock();
         WalStatus {

@@ -59,7 +59,7 @@ fn observed_run() -> Vec<(Arc<MetricsRegistry>, Vec<SpanEvent>)> {
 fn four_node_run_emits_histograms_and_complete_get_span() {
     let per_rank = observed_run();
 
-    // Merge every rank into one cluster view, as `fanstore metrics` does.
+    // Merge every rank into one cluster view, as `fanstore report` does.
     let merged = MetricsRegistry::new();
     for (registry, _) in &per_rank {
         merged.merge(registry);
@@ -250,7 +250,7 @@ fn qos_metrics_snapshot_schema() {
     });
     // The daemon-side tenant lane (served/shed/queue_depth) materialises on
     // whichever rank serves that tenant's traffic, so the schema contract
-    // holds on the merged cluster view — exactly what `fanstore qos` and
+    // holds on the merged cluster view — exactly what `fanstore report` and
     // the dashboards consume.
     let merged = MetricsRegistry::new();
     for registry in &registries {

@@ -36,8 +36,21 @@ fn read_lseek_semantics() {
         assert_eq!(fs.lseek(fd, 100, Whence::End).unwrap(), 10_100);
         assert_eq!(fs.read(fd, &mut buf).unwrap(), 0);
 
-        // Negative absolute positions are rejected.
-        assert!(fs.lseek(fd, -1, Whence::Set).is_err());
+        // Negative and overflowing targets are EINVAL, as POSIX `lseek`
+        // answers, and leave the position where it was.
+        assert_eq!(fs.lseek(fd, 200, Whence::Set).unwrap(), 200);
+        for (offset, whence) in [
+            (-1, Whence::Set),
+            (-201, Whence::Cur),
+            (i64::MIN, Whence::Cur),
+            (i64::MAX, Whence::Cur),
+            (i64::MAX, Whence::End),
+        ] {
+            let got = fs.lseek(fd, offset, whence);
+            assert!(matches!(got, Err(FsError::BadRange(_))), "{offset} {whence:?}: {got:?}");
+        }
+        assert_eq!(fs.read(fd, &mut buf).unwrap(), 100);
+        assert_eq!(&buf[..], &content[200..300], "a failed seek does not move the fd");
 
         fs.close(fd).unwrap();
         // Operations on a closed fd fail.

@@ -80,7 +80,7 @@ fn get_many_mints_one_request_id_and_spans_join_across_ranks() {
     // One `read_many` call = one batch request id. The `client.get_many`
     // span is the root; every per-rank GetMany RPC records a `fabric.rpc`
     // child under the same id on the calling rank, and the serving ranks
-    // stamp `daemon.serve` spans with it — so `fanstore trace dump` can
+    // stamp `daemon.serve` spans with it — so `fanstore report` can
     // join the whole batch back together across recorders.
     let files = dataset(16);
     let packed = prepare(files.clone(), &PrepConfig { partitions: 4, ..Default::default() });
