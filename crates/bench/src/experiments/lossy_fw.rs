@@ -1,6 +1,7 @@
-//! Future-work experiment (paper §VIII): error-bounded lossy compression
-//! (SZ / ZFP) on the floating-point datasets, against the best lossless
-//! ratios.
+//! Future-work experiment (paper §VIII): lossy compression of the
+//! floating-point datasets, against the best lossless ratios — SZ-style
+//! error-bounded coding (`lossy::SzLite`) and ZFP-style fixed precision,
+//! which is a prefix of the store's bit-plane tiers (`progressive`).
 //!
 //! The paper ends: "In future work we aim to investigate additional
 //! applications and compression methods, including lossy compressors such
@@ -11,7 +12,10 @@
 //! synthetic datasets (lossy coders operate on typed arrays, not on file
 //! bytes with ASCII headers).
 
-use fanstore_compress::lossy::{LossyCodec, SzLite, ZfpLite};
+use fanstore_compress::lossy::SzLite;
+use fanstore_compress::progressive::{
+    decode_prefix, encode_tiers, max_abs_error, prefix_error_bound,
+};
 use fanstore_compress::registry::parse_name;
 
 use crate::report::{fmt_f, md_table};
@@ -69,11 +73,13 @@ fn lossless_ratio(values: &[f32], codec: &str) -> f64 {
 pub fn run(n: usize) -> String {
     let mut out = String::from(
         "## Future work (§VIII) — lossy compression on float datasets (measured)\n\n\
-         SZ-style error-bounded prediction+quantisation and ZFP-style\n\
-         fixed-precision block coding vs the best lossless ratio, on float arrays\n\
-         with the tokamak-trace and astronomy-frame signal character. Training-\n\
-         accuracy impact is out of scope (as in the paper); this quantifies the\n\
-         storage side of the tradeoff the CODAR project studies.\n\n",
+         SZ-style error-bounded prediction+quantisation, and ZFP-style fixed\n\
+         precision as a prefix of the store's 32 bit-plane tiers (`planes(k)`\n\
+         keeps the sign, 8 exponent and k-9 mantissa planes), vs the best\n\
+         lossless ratio, on float arrays with the tokamak-trace and astronomy-\n\
+         frame signal character. Training-accuracy impact is out of scope (as in\n\
+         the paper); this quantifies the storage side of the tradeoff the CODAR\n\
+         project studies.\n\n",
     );
 
     let cases: [(&str, Vec<f32>); 2] = [
@@ -81,7 +87,7 @@ pub fn run(n: usize) -> String {
         ("astro-style frames", astro_signal(n.max(1) * 20_000)),
     ];
     for (name, values) in cases {
-        let float_bytes = values.len() * 4;
+        let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
         let lzma = lossless_ratio(&values, "lzma-6");
 
         let mut rows = Vec::new();
@@ -93,22 +99,22 @@ pub fn run(n: usize) -> String {
                 values.iter().zip(&restored).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
             rows.push(vec![
                 sz.name(),
-                fmt_f(float_bytes as f64 / c.len() as f64),
+                fmt_f(bytes.len() as f64 / c.len() as f64),
                 format!("{worst:.2e}"),
                 format!("{eb:.0e}"),
             ]);
         }
-        for bits in [8u32, 12, 16] {
-            let zfp = ZfpLite::new(bits);
-            let c = zfp.compress(&values);
-            let restored = zfp.decompress(&c, values.len()).unwrap();
-            let worst =
-                values.iter().zip(&restored).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
+        let tiers = encode_tiers(&bytes, 32);
+        // 9 sign/exponent planes plus 8, 12 and 16 mantissa planes.
+        for kept in [17u8, 21, 25] {
+            let prefix: Vec<&[u8]> = tiers[..usize::from(kept)].iter().map(Vec::as_slice).collect();
+            let stored: usize = prefix.iter().map(|t| t.len()).sum();
+            let approx = decode_prefix(&prefix, bytes.len()).unwrap();
             rows.push(vec![
-                zfp.name(),
-                fmt_f(float_bytes as f64 / c.len() as f64),
-                format!("{worst:.2e}"),
-                format!("{:.2e}", zfp.max_error(&values)),
+                format!("planes({kept})"),
+                fmt_f(bytes.len() as f64 / stored as f64),
+                format!("{:.2e}", max_abs_error(&bytes, &approx)),
+                format!("{:.2e}", prefix_error_bound(&bytes, 32, kept)),
             ]);
         }
         out.push_str(&format!(
@@ -126,7 +132,6 @@ pub fn run(n: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fanstore_compress::lossy::{LossyCodec, SzLite};
 
     #[test]
     fn lossy_report_produces_both_cases() {
@@ -134,7 +139,19 @@ mod tests {
         assert!(r.contains("tokamak-style"));
         assert!(r.contains("astro-style"));
         assert!(r.contains("sz(1e-2)"));
-        assert!(r.contains("zfp(12b)"));
+        assert!(r.contains("planes(21)"));
+        // Every row's measured error is within its guaranteed bound.
+        let rows: Vec<Vec<&str>> = r
+            .lines()
+            .filter(|l| l.starts_with("| sz(") || l.starts_with("| planes("))
+            .map(|l| l.split('|').map(str::trim).collect())
+            .collect();
+        assert_eq!(rows.len(), 14, "four sz and three planes rows per dataset");
+        for row in rows {
+            let (measured, bound) =
+                (row[3].parse::<f64>().unwrap(), row[4].parse::<f64>().unwrap());
+            assert!(measured <= bound, "{row:?}");
+        }
     }
 
     #[test]

@@ -1,44 +1,22 @@
-//! Error-bounded lossy compressors for floating-point data — the paper's
+//! Error-bounded lossy compression of floating-point data — the paper's
 //! future work (§VIII: "including lossy compressors such as SZ and ZFP
 //! as examined in the CODAR project").
 //!
-//! Two from-scratch implementations of the classic design points:
+//! [`SzLite`] is an SZ-style coder: a Lorenzo (previous-value) predictor,
+//! residuals quantised to `2 * error_bound` bins, quantisation codes
+//! entropy-coded with the in-crate Huffman, unpredictable values stored
+//! verbatim. Every decoded value is within `error_bound` of its original.
 //!
-//! * [`SzLite`] — SZ-style prediction + error-bounded quantisation:
-//!   a Lorenzo (previous-value) predictor, residuals quantised to
-//!   `2 * error_bound` bins, quantisation codes entropy-coded with the
-//!   in-crate Huffman, unpredictable values stored verbatim.
-//! * [`ZfpLite`] — ZFP-style fixed-rate block coding: blocks of 4 values
-//!   aligned to a per-block exponent and truncated to a configurable
-//!   number of fraction bits (rate-controlled rather than error-bound
-//!   controlled, like real ZFP's fixed-precision mode; the error bound is
-//!   then one quantisation step at the block's dynamic range).
+//! ZFP's fixed-precision mode is a prefix of the store's bit-plane tiers,
+//! whose error [`crate::progressive::prefix_error_bound`] states.
 //!
-//! Lossy codecs cannot implement the lossless [`crate::Codec`] trait; they
-//! implement [`LossyCodec`] with an explicit error contract, and the
-//! tests verify the bound.
+//! A lossy coder cannot implement the lossless [`crate::Codec`] trait, and
+//! has no `CodecId`: nothing in the store can name it.
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::huffman::{build_lengths, HuffDecoder, HuffEncoder};
 use crate::varint::{read_uvarint, write_uvarint};
 use crate::CodecError;
-
-/// An error-bounded lossy compressor over `f32` slices.
-pub trait LossyCodec: Send + Sync {
-    /// Short name for reports, e.g. `sz(1e-3)`.
-    fn name(&self) -> String;
-
-    /// Compress `values` into bytes.
-    fn compress(&self, values: &[f32]) -> Vec<u8>;
-
-    /// Decompress to exactly `n` values.
-    fn decompress(&self, data: &[u8], n: usize) -> Result<Vec<f32>, CodecError>;
-
-    /// Maximum absolute error guaranteed for `values`.
-    fn max_error(&self, values: &[f32]) -> f32;
-}
-
-// --------------------------------------------------------------------- SZ
 
 /// Number of quantisation bins on each side of the prediction (the
 /// alphabet must stay below u16::MAX for the Huffman tables).
@@ -60,14 +38,14 @@ impl SzLite {
         assert!(eb > 0.0, "error bound must be positive");
         SzLite { error_bound: eb }
     }
-}
 
-impl LossyCodec for SzLite {
-    fn name(&self) -> String {
+    /// Short name for reports, e.g. `sz(1e-3)`.
+    pub fn name(&self) -> String {
         format!("sz({:.0e})", self.error_bound)
     }
 
-    fn compress(&self, values: &[f32]) -> Vec<u8> {
+    /// Compress `values` into bytes.
+    pub fn compress(&self, values: &[f32]) -> Vec<u8> {
         let eb = f64::from(self.error_bound);
         // Pass 1: quantise against the *reconstructed* predictor (the
         // decoder only sees reconstructed values; tracking them here keeps
@@ -129,7 +107,10 @@ impl LossyCodec for SzLite {
         out
     }
 
-    fn decompress(&self, data: &[u8], n: usize) -> Result<Vec<f32>, CodecError> {
+    /// Decompress to exactly `n` values. The header's counts are
+    /// untrusted: one that overruns `data` is an error, never an
+    /// overflowing offset.
+    pub fn decompress(&self, data: &[u8], n: usize) -> Result<Vec<f32>, CodecError> {
         let mut pos = 0usize;
         if data.len() < 4 {
             return Err(CodecError::Truncated);
@@ -141,14 +122,15 @@ impl LossyCodec for SzLite {
             return Err(CodecError::LengthMismatch { expected: n, actual: count });
         }
         let n_escapes = read_uvarint(data, &mut pos)? as usize;
-        if pos + 4 * n_escapes > data.len() {
-            return Err(CodecError::Truncated);
-        }
-        let mut escapes = Vec::with_capacity(n_escapes);
-        for _ in 0..n_escapes {
-            escapes.push(f32::from_le_bytes(data[pos..pos + 4].try_into().expect("4 bytes")));
-            pos += 4;
-        }
+        let escape_bytes = n_escapes
+            .checked_mul(4)
+            .and_then(|len| data.get(pos..)?.get(..len))
+            .ok_or(CodecError::Truncated)?;
+        pos += escape_bytes.len();
+        let escapes: Vec<f32> = escape_bytes
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
+            .collect();
         let n_used = read_uvarint(data, &mut pos)? as usize;
         let mut lengths = vec![0u8; SZ_ALPHABET];
         for _ in 0..n_used {
@@ -162,10 +144,8 @@ impl LossyCodec for SzLite {
         }
         let dec = HuffDecoder::from_lengths(&lengths)?;
         let bits_len = read_uvarint(data, &mut pos)? as usize;
-        if pos + bits_len > data.len() {
-            return Err(CodecError::Truncated);
-        }
-        let mut r = BitReader::new(&data[pos..pos + bits_len]);
+        let bitstream = data.get(pos..).and_then(|rest| rest.get(..bits_len));
+        let mut r = BitReader::new(bitstream.ok_or(CodecError::Truncated)?);
 
         let mut out = Vec::with_capacity(n);
         let mut prev = 0.0f64;
@@ -184,123 +164,6 @@ impl LossyCodec for SzLite {
         }
         Ok(out)
     }
-
-    fn max_error(&self, _values: &[f32]) -> f32 {
-        self.error_bound
-    }
-}
-
-// -------------------------------------------------------------------- ZFP
-
-/// ZFP-style fixed-precision block coder.
-#[derive(Debug, Clone, Copy)]
-pub struct ZfpLite {
-    /// Fraction bits kept per value (1..=23). Higher = more precise.
-    pub precision_bits: u32,
-}
-
-const ZFP_BLOCK: usize = 4;
-
-impl ZfpLite {
-    /// Create with `bits` fraction bits per value (clamped to 1..=23).
-    pub fn new(bits: u32) -> Self {
-        ZfpLite { precision_bits: bits.clamp(1, 23) }
-    }
-}
-
-impl LossyCodec for ZfpLite {
-    fn name(&self) -> String {
-        format!("zfp({}b)", self.precision_bits)
-    }
-
-    fn compress(&self, values: &[f32]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(values.len() / 2 + 16);
-        write_uvarint(&mut out, values.len() as u64);
-        out.push(self.precision_bits as u8);
-        let mut w = BitWriter::with_capacity(values.len() / 2);
-        for block in values.chunks(ZFP_BLOCK) {
-            // Block exponent: the largest magnitude sets the scale.
-            let max_abs = block.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-            let exp = if max_abs > 0.0 { max_abs.log2().floor() as i32 + 1 } else { -255 };
-            // 9 bits of biased exponent.
-            w.write(u64::from((exp + 255) as u32 & 0x1ff), 9);
-            if max_abs == 0.0 {
-                continue;
-            }
-            let scale = (2.0f64).powi(self.precision_bits as i32) / (2.0f64).powi(exp);
-            for &v in block {
-                // Sign-magnitude fixed point at the block scale.
-                let q = (f64::from(v) * scale).round() as i64;
-                let sign = u64::from(q < 0);
-                let mag = q.unsigned_abs().min((1 << self.precision_bits) - 1);
-                w.write(sign, 1);
-                w.write(mag, self.precision_bits);
-            }
-        }
-        let bits = w.finish();
-        write_uvarint(&mut out, bits.len() as u64);
-        out.extend_from_slice(&bits);
-        out
-    }
-
-    fn decompress(&self, data: &[u8], n: usize) -> Result<Vec<f32>, CodecError> {
-        let mut pos = 0usize;
-        let count = read_uvarint(data, &mut pos)? as usize;
-        if count != n {
-            return Err(CodecError::LengthMismatch { expected: n, actual: count });
-        }
-        let &prec = data.get(pos).ok_or(CodecError::Truncated)?;
-        pos += 1;
-        if u32::from(prec) != self.precision_bits {
-            return Err(CodecError::Corrupt("zfp precision mismatch"));
-        }
-        let bits_len = read_uvarint(data, &mut pos)? as usize;
-        if pos + bits_len > data.len() {
-            return Err(CodecError::Truncated);
-        }
-        let mut r = BitReader::new(&data[pos..pos + bits_len]);
-        let mut out = Vec::with_capacity(n);
-        let mut remaining = n;
-        while remaining > 0 {
-            let block_n = remaining.min(ZFP_BLOCK);
-            let exp = r.read(9)? as i32 - 255;
-            if exp == -255 {
-                out.extend(std::iter::repeat_n(0.0f32, block_n));
-                remaining -= block_n;
-                continue;
-            }
-            let scale = (2.0f64).powi(self.precision_bits as i32) / (2.0f64).powi(exp);
-            for _ in 0..block_n {
-                let sign = r.read(1)?;
-                let mag = r.read(self.precision_bits)? as f64;
-                let v = mag / scale;
-                out.push(if sign == 1 { -(v as f32) } else { v as f32 });
-            }
-            remaining -= block_n;
-        }
-        Ok(out)
-    }
-
-    fn max_error(&self, values: &[f32]) -> f32 {
-        // Per block: one quantisation step at the block's scale.
-        let mut worst = 0.0f32;
-        for block in values.chunks(ZFP_BLOCK) {
-            let max_abs = block.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-            if max_abs == 0.0 {
-                continue;
-            }
-            let exp = max_abs.log2().floor() as i32 + 1;
-            let step = (2.0f32).powi(exp) / (2.0f32).powi(self.precision_bits as i32);
-            worst = worst.max(step);
-        }
-        worst
-    }
-}
-
-/// Interpret a byte buffer as little-endian `f32`s (trailing bytes
-/// dropped) — helper for applying lossy codecs to the float datasets.
-pub fn bytes_to_f32(data: &[u8]) -> Vec<f32> {
-    data.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes"))).collect()
 }
 
 #[cfg(test)]
@@ -380,59 +243,6 @@ mod tests {
         let sz = SzLite::new(1e-3);
         let c = sz.compress(&smooth_signal(100));
         assert!(sz.decompress(&c, 99).is_err());
-    }
-
-    #[test]
-    fn zfp_respects_block_relative_error() {
-        for bits in [8u32, 12, 16, 20] {
-            let zfp = ZfpLite::new(bits);
-            let values = noisy_signal(4000);
-            let restored = zfp.decompress(&zfp.compress(&values), values.len()).unwrap();
-            let bound = zfp.max_error(&values);
-            let worst =
-                values.iter().zip(&restored).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
-            assert!(worst <= bound * 1.001 + 1e-6, "bits {bits}: worst {worst} bound {bound}");
-        }
-    }
-
-    #[test]
-    fn zfp_rate_is_fixed() {
-        let zfp = ZfpLite::new(12);
-        let values = noisy_signal(4096);
-        let c = zfp.compress(&values);
-        // ~ (1 sign + 12 mag) bits/value + 9/4 bits exponent overhead.
-        let bits_per_value = c.len() as f64 * 8.0 / values.len() as f64;
-        assert!((14.0..17.5).contains(&bits_per_value), "{bits_per_value}");
-    }
-
-    #[test]
-    fn zfp_zero_blocks_cost_one_exponent() {
-        let zfp = ZfpLite::new(16);
-        let values = vec![0.0f32; 4096];
-        let c = zfp.compress(&values);
-        // 1024 blocks x 9 bits ~ 1.2 KB.
-        assert!(c.len() < 1400, "{}", c.len());
-        let restored = zfp.decompress(&c, 4096).unwrap();
-        assert!(restored.iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn zfp_precision_mismatch_rejected() {
-        let a = ZfpLite::new(12);
-        let b = ZfpLite::new(16);
-        let c = a.compress(&smooth_signal(64));
-        assert!(b.decompress(&c, 64).is_err());
-    }
-
-    #[test]
-    fn bytes_to_f32_roundtrip() {
-        let values = smooth_signal(10);
-        let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
-        assert_eq!(bytes_to_f32(&bytes), values);
-        // Trailing bytes dropped.
-        let mut padded = bytes.clone();
-        padded.push(0xFF);
-        assert_eq!(bytes_to_f32(&padded), values);
     }
 
     #[test]

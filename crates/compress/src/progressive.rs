@@ -19,6 +19,8 @@
 //! magnitude (non-negative IEEE-754 values order like their bit
 //! patterns), the per-lane absolute error is non-increasing as tiers are
 //! added — the monotonicity property the test suite pins.
+//! [`prefix_error_bound`] states what a prefix guarantees; the sign,
+//! exponent and top `m` mantissa planes are ZFP's fixed precision at `m` bits.
 //!
 //! Each tier's plane bitstream is packed plane-major (all lanes' bits
 //! for one plane, then the next plane), which groups the highly
@@ -215,6 +217,37 @@ pub fn max_abs_error(original: &[u8], approx: &[u8]) -> f32 {
         }
     }
     worst
+}
+
+/// The [`max_abs_error`] a decode of the first `kept` of `total_tiers`
+/// tiers of `data`'s encoding is guaranteed to stay within: 0 when every
+/// tier is kept, and never larger for a longer prefix.
+///
+/// Per finite lane, the gap (in f64) between the lane with its dropped
+/// planes cleared, which is what the decode yields, and with them set;
+/// capped at `|v|`, since a decode never flips the sign or grows the
+/// magnitude, and `|v|` where setting them makes the lane non-finite.
+/// Rounded up to f32, so it bounds `max_abs_error`'s f32 measurement.
+pub fn prefix_error_bound(data: &[u8], total_tiers: u8, kept: u8) -> f32 {
+    let total = clamp_tiers(total_tiers);
+    let dropped = ((1u64 << plane_hi(total, kept.min(total))) - 1) as u32;
+    let worst = data
+        .chunks_exact(4)
+        .map(|lane| f32::from_le_bytes(lane.try_into().expect("4 bytes")))
+        .filter(|v| v.is_finite())
+        .map(|v| {
+            let (lo, hi) =
+                (f32::from_bits(v.to_bits() & !dropped), f32::from_bits(v.to_bits() | dropped));
+            let gap = if hi.is_finite() { f64::from(hi) - f64::from(lo) } else { f64::INFINITY };
+            gap.abs().min(f64::from(v.abs()))
+        })
+        .fold(0.0f64, f64::max);
+    let bound = worst as f32;
+    if f64::from(bound) < worst {
+        bound.next_up()
+    } else {
+        bound
+    }
 }
 
 #[cfg(test)]

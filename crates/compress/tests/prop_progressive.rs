@@ -1,9 +1,12 @@
 //! Property-based tests for the progressive (fidelity-tiered) codec:
 //! any tier prefix must decode, the f32 approximation error must be
-//! non-increasing as tiers are added, and the full tier set must
-//! round-trip bit-exactly — for arbitrary payloads and tier counts.
+//! non-increasing as tiers are added and within the bound the prefix
+//! guarantees, and the full tier set must round-trip bit-exactly — for
+//! arbitrary payloads and tier counts.
 
-use fanstore_compress::progressive::{decode_prefix, encode_tiers, max_abs_error};
+use fanstore_compress::progressive::{
+    decode_prefix, encode_tiers, max_abs_error, prefix_error_bound,
+};
 use fanstore_compress::varint::{read_uvarint, write_uvarint};
 use proptest::prelude::*;
 
@@ -77,6 +80,27 @@ proptest! {
             prev = err;
         }
         prop_assert_eq!(prev, 0.0, "all tiers together must be exact");
+    }
+
+    /// A prefix's measured error stays within `prefix_error_bound`, the
+    /// bound does not grow as tiers are added, and it is 0 at the full set —
+    /// at every tier count, so for whichever tiers a tier read fetches.
+    #[test]
+    fn error_stays_within_the_prefix_bound(data in payload_strategy()) {
+        for tiers in 1u8..=32 {
+            let encoded = encode_tiers(&data, tiers);
+            let mut prev = f32::INFINITY;
+            for kept in 1..=tiers {
+                let prefix: Vec<&[u8]> =
+                    encoded[..usize::from(kept)].iter().map(Vec::as_slice).collect();
+                let err = max_abs_error(&data, &decode_prefix(&prefix, data.len()).unwrap());
+                let bound = prefix_error_bound(&data, tiers, kept);
+                prop_assert!(err <= bound, "{}/{} tiers: error {} > bound {}", kept, tiers, err, bound);
+                prop_assert!(bound <= prev, "{}/{} tiers: bound grew from {} to {}", kept, tiers, prev, bound);
+                prev = bound;
+            }
+            prop_assert_eq!(prev, 0.0, "the full set of {} tiers is exact", tiers);
+        }
     }
 
     /// Corrupting any single byte of any tier must produce an error or a
