@@ -1,7 +1,7 @@
 //! decode_throughput: word-wide decoders vs the retained byte-wise
-//! reference, MB/s per registry codec — and the table-sliced CRC-32 vs
-//! the byte-wise loop, since every remote byte is checksummed before it
-//! is decoded.
+//! reference, MB/s per registry codec — and the four-lane CRC-32 vs the
+//! byte-wise loop, since every remote byte is checksummed before it is
+//! decoded.
 //!
 //! Training I/O pays decompression on every sample read (§IV-C2), so the
 //! decode loop *is* the hot path: a 2x faster decoder halves the CPU the
@@ -140,17 +140,26 @@ pub fn measure(id: CodecId, samples: &[Vec<u8>], reps: u32) -> DecodeRow {
     DecodeRow { id, ratio: input as f64 / output.max(1) as f64, optimized_mb_s, reference_mb_s }
 }
 
-/// Checksum throughput over the corpus: `(sliced, byte-wise)` MB/s.
+/// Checksum throughput over the corpus: `(four-lane, byte-wise)` MB/s,
+/// best of `reps`. The two take turns inside each rep, so the best
+/// four-lane pass is taken over the whole span of the slow byte-wise
+/// ones: four chains keep the load ports busy and slow down while a
+/// neighbour shares the core, which one chain barely notices.
 pub fn measure_crc(samples: &[Vec<u8>], reps: u32) -> (f64, f64) {
     let bytes: usize = samples.iter().map(Vec::len).sum();
     let over = |crc: fn(&[u8]) -> u32| {
-        rate(bytes, reps, || {
+        rate(bytes, 1, || {
             for s in samples {
                 std::hint::black_box(crc(std::hint::black_box(s)));
             }
         })
     };
-    (over(fanstore_compress::crc32::crc32), over(reference::crc32))
+    let (mut lanes, mut bytewise) = (0f64, 0f64);
+    for _ in 0..reps.max(1) {
+        lanes = lanes.max(over(fanstore_compress::crc32::crc32));
+        bytewise = bytewise.max(over(reference::crc32));
+    }
+    (lanes, bytewise)
 }
 
 /// The codec points a write path can pick between: the `store` ceiling,
@@ -293,7 +302,7 @@ pub fn run(n_per_kind: usize, reps: u32) -> String {
     let samples = corpus(n_per_kind);
     let rows: Vec<DecodeRow> =
         codecs_under_test().into_iter().map(|id| measure(id, &samples, reps)).collect();
-    let (crc_sliced, crc_bytewise) = measure_crc(&samples, reps);
+    let (crc_lanes, crc_bytewise) = measure_crc(&samples, reps);
     let mut table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -310,8 +319,8 @@ pub fn run(n_per_kind: usize, reps: u32) -> String {
         "crc32 (not a codec)".to_string(),
         "-".to_string(),
         fmt_f(crc_bytewise),
-        fmt_f(crc_sliced),
-        format!("{:.2}x", crc_sliced / crc_bytewise.max(f64::MIN_POSITIVE)),
+        fmt_f(crc_lanes),
+        format!("{:.2}x", crc_lanes / crc_bytewise.max(f64::MIN_POSITIVE)),
     ]);
     format!(
         "## decode_throughput — word-wide decoders vs byte-wise reference (measured)\n\n\
@@ -323,8 +332,9 @@ pub fn run(n_per_kind: usize, reps: u32) -> String {
          byte-wise decoder the differential proptests pin it against. Families\n\
          outside the LZ rewrite dispatch identically on both sides (speedup ~1.0x,\n\
          the control group). The last row is the checksum every remote byte passes\n\
-         before decode: slicing-by-16 `crc32` against the byte-wise\n\
-         `reference::crc32`, MB/s of input over the same corpus.\n\n{}\n{}",
+         before decode: the four-lane `crc32` (four slicing-by-16 chains, joined\n\
+         by `x^(8·lane)`) against the byte-wise `reference::crc32`, MB/s of input\n\
+         over the same corpus.\n\n{}\n{}",
         md_table(&["codec", "ratio", "reference MB/s", "optimized MB/s", "speedup"], &table),
         write_path_section(n_per_kind == 1, reps),
     )
@@ -345,8 +355,12 @@ mod tests {
     /// The read path's two per-byte costs, as ratios against the byte-wise
     /// originals on this machine: the cold read pays one CRC pass and one
     /// decode, and neither may fall back towards the loops they replaced.
+    /// The CRC ratio sits above what one slicing-by-16 chain reached
+    /// (≈ 5.3x): only the four-lane kernel passes it. Its 25 turns span
+    /// a few hundred milliseconds, longer than a neighbour's share of the
+    /// core usually lasts (see [`measure_crc`]).
     #[test]
-    fn lz4hc_at_least_2x_and_crc32_at_least_3x_reference() {
+    fn lz4hc_at_least_2x_and_crc32_at_least_8x_reference() {
         if cfg!(debug_assertions) {
             return; // as below: machine-code quality, release builds only
         }
@@ -358,10 +372,10 @@ mod tests {
             row.optimized_mb_s,
             row.reference_mb_s,
         );
-        let (sliced, bytewise) = measure_crc(&samples, 3);
+        let (lanes, bytewise) = measure_crc(&samples, 25);
         assert!(
-            sliced >= 3.0 * bytewise,
-            "crc32 must run >= 3x reference::crc32: {sliced:.0} vs {bytewise:.0} MB/s"
+            lanes >= 8.0 * bytewise,
+            "crc32 must run >= 8x reference::crc32: {lanes:.0} vs {bytewise:.0} MB/s"
         );
     }
 

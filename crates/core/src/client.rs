@@ -1350,7 +1350,7 @@ impl FsClient {
                 GetManyItem::Partial(p) => {
                     let mut raw = Vec::with_capacity(p.chunks.len());
                     for c in &p.chunks {
-                        let data = Arc::new(c.decode(p.inner_codec)?);
+                        let data = Arc::new(c.decode(p.inner_codec, p.chunk_size)?);
                         let cache = &self.state.cache;
                         cache.insert_chunk(path, p.chunk_size, p.raw_len, c.index, data.clone());
                         raw.push((c.offset, data));

@@ -274,9 +274,12 @@ impl<'a> PartialChunk<'a> {
         Ok(self.stored)
     }
 
-    /// Verify the chunk's at-rest CRC and decode it to raw bytes.
-    pub fn decode(&self, inner: CodecId) -> Result<Vec<u8>, FsError> {
-        crate::pack::decode_stored(inner, self.index as usize, self.verified()?, self.raw_len)
+    /// Verify the chunk's at-rest CRC and decode it to raw bytes with the
+    /// reply's `inner` codec; a `raw_len` beyond the reply's nominal
+    /// `chunk_size` is [`FsError::Corrupt`].
+    pub fn decode(&self, inner: CodecId, chunk_size: u32) -> Result<Vec<u8>, FsError> {
+        let stored = self.verified()?;
+        crate::pack::decode_stored(inner, self.index as usize, stored, self.raw_len, chunk_size)
     }
 }
 
@@ -847,8 +850,11 @@ mod tests {
                 assert_eq!(p.stat.served_by, 0);
                 let got: Vec<u8> = p.chunks.iter().map(|c| c.tier).collect();
                 assert_eq!(got, *tiers, "only the covering chunks / the tier prefix travel");
-                let raw: Vec<Vec<u8>> =
-                    p.chunks.iter().map(|c| c.decode(p.inner_codec).unwrap()).collect();
+                let raw: Vec<Vec<u8>> = p
+                    .chunks
+                    .iter()
+                    .map(|c| c.decode(p.inner_codec, p.chunk_size).unwrap())
+                    .collect();
                 if let Some((a, b)) = *window {
                     assert_eq!((p.raw_len, p.chunk_size), (big.len() as u64, 4096));
                     let lo = p.chunks[0].offset as usize;

@@ -1,9 +1,9 @@
 //! First-class observability: counters, gauges and lock-free log-linear
 //! latency histograms behind a [`MetricsRegistry`] with stable
 //! hierarchical names (`client.get.latency_us`, `fabric.rpc.retries`,
-//! `codec.<name>.decode_us`, …), plus export surfaces — Prometheus-style
-//! text exposition, a JSON snapshot, and mergeable [`Snapshot`]s whose
-//! per-epoch deltas feed `EpochReport` and the bench reports.
+//! `codec.<name>.decode_us`, …), plus export surfaces — a JSON snapshot
+//! and mergeable [`Snapshot`]s whose per-epoch deltas feed `EpochReport`
+//! and the bench reports.
 //!
 //! Overhead discipline: recording is atomics-only on the hot path (no
 //! locks, no allocation), and a registry built with
@@ -227,19 +227,6 @@ impl Histogram {
         let mut ex = self.exemplars.lock().clone();
         ex.reverse();
         ex
-    }
-
-    /// Non-empty buckets as `(inclusive upper bound, count)`, low to
-    /// high — the raw series behind the Prometheus `le` exposition.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| {
-                let n = b.load(Ordering::Relaxed);
-                (n > 0).then(|| (Self::bucket_range(i).1, n))
-            })
-            .collect()
     }
 
     /// Number of recorded values.
@@ -488,53 +475,6 @@ impl MetricsRegistry {
     pub fn to_json(&self) -> String {
         self.snapshot().to_json()
     }
-
-    /// Prometheus text-exposition export: every family gets `# HELP` and
-    /// `# TYPE` lines; counters and gauges are single samples, and
-    /// histograms are real Prometheus histograms — cumulative
-    /// `_bucket{le="…"}` series over the non-empty log-linear buckets
-    /// (each `le` is the bucket's inclusive upper bound), closed by
-    /// `le="+Inf"`, `_sum` and `_count`. Dots in names become
-    /// underscores and every family is prefixed `fanstore_`.
-    pub fn to_prometheus(&self) -> String {
-        fn sanitize(name: &str) -> String {
-            let mut out = String::with_capacity(name.len() + 9);
-            out.push_str("fanstore_");
-            for c in name.chars() {
-                out.push(if c.is_ascii_alphanumeric() { c } else { '_' });
-            }
-            out
-        }
-        let mut out = String::new();
-        for (name, c) in self.counters.lock().iter() {
-            let n = sanitize(name);
-            out.push_str(&format!(
-                "# HELP {n} fanstore counter `{name}`\n# TYPE {n} counter\n{n} {}\n",
-                c.get()
-            ));
-        }
-        for (name, g) in self.gauges.lock().iter() {
-            let n = sanitize(name);
-            out.push_str(&format!(
-                "# HELP {n} fanstore gauge `{name}`\n# TYPE {n} gauge\n{n} {}\n",
-                g.get()
-            ));
-        }
-        for (name, h) in self.histograms.lock().iter() {
-            let n = sanitize(name);
-            out.push_str(&format!(
-                "# HELP {n} fanstore histogram `{name}`\n# TYPE {n} histogram\n"
-            ));
-            let mut cumulative = 0u64;
-            for (upper, count) in h.nonzero_buckets() {
-                cumulative += count;
-                out.push_str(&format!("{n}_bucket{{le=\"{upper}\"}} {cumulative}\n"));
-            }
-            out.push_str(&format!("{n}_bucket{{le=\"+Inf\"}} {}\n", h.count()));
-            out.push_str(&format!("{n}_sum {}\n{n}_count {}\n", h.sum(), h.count()));
-        }
-        out
-    }
 }
 
 /// A point-in-time copy of a registry's instruments, comparable and
@@ -771,85 +711,6 @@ mod tests {
         );
         let h = parsed.get("histograms").and_then(|h| h.get("client.get.latency_us")).unwrap();
         assert_eq!(h.get("count").and_then(|v| v.as_u64()), Some(1));
-    }
-
-    #[test]
-    fn prometheus_exposition_shape() {
-        let reg = MetricsRegistry::new();
-        reg.counter("client.remote.opens").add(3);
-        reg.histogram("client.get.latency_us").record(50);
-        let text = reg.to_prometheus();
-        assert!(text.contains("# HELP fanstore_client_remote_opens"));
-        assert!(text.contains("# TYPE fanstore_client_remote_opens counter"));
-        assert!(text.contains("fanstore_client_remote_opens 3"));
-        assert!(text.contains("# TYPE fanstore_client_get_latency_us histogram"));
-        assert!(text.contains("fanstore_client_get_latency_us_bucket{le=\"50\"} 1"));
-        assert!(text.contains("fanstore_client_get_latency_us_bucket{le=\"+Inf\"} 1"));
-        assert!(text.contains("fanstore_client_get_latency_us_count 1"));
-    }
-
-    /// Minimal exposition-format parser for the round-trip test:
-    /// `(help families, type families, samples)`.
-    type Exposition = (Vec<String>, Vec<(String, String)>, Vec<(String, u64)>);
-
-    fn parse_prometheus(text: &str) -> Exposition {
-        let mut helps = Vec::new();
-        let mut types = Vec::new();
-        let mut samples = Vec::new();
-        for line in text.lines() {
-            if let Some(rest) = line.strip_prefix("# HELP ") {
-                helps.push(rest.split_whitespace().next().unwrap().to_string());
-            } else if let Some(rest) = line.strip_prefix("# TYPE ") {
-                let mut it = rest.split_whitespace();
-                types.push((it.next().unwrap().to_string(), it.next().unwrap().to_string()));
-            } else if !line.is_empty() {
-                let (series, value) = line.rsplit_once(' ').expect("sample line");
-                samples.push((series.to_string(), value.parse().expect("sample value")));
-            }
-        }
-        (helps, types, samples)
-    }
-
-    #[test]
-    fn prometheus_histogram_buckets_round_trip() {
-        let reg = MetricsRegistry::new();
-        let h = reg.histogram("fabric.rpc.latency_us");
-        let values = [3u64, 3, 40, 500, 500, 500, 65_000];
-        for v in values {
-            h.record(v);
-        }
-        reg.counter("ops").add(9);
-        let (helps, types, samples) = parse_prometheus(&reg.to_prometheus());
-        // Every family carries HELP and TYPE.
-        for fam in ["fanstore_ops", "fanstore_fabric_rpc_latency_us"] {
-            assert!(helps.iter().any(|h| h == fam), "missing HELP for {fam}");
-            assert!(types.iter().any(|(n, _)| n == fam), "missing TYPE for {fam}");
-        }
-        assert!(types.contains(&("fanstore_fabric_rpc_latency_us".into(), "histogram".into())));
-        // The bucket series is cumulative and non-decreasing, the +Inf
-        // bucket equals _count, and _sum/_count round-trip exactly.
-        let buckets: Vec<(u64, u64)> = samples
-            .iter()
-            .filter_map(|(s, v)| {
-                let le = s.strip_prefix("fanstore_fabric_rpc_latency_us_bucket{le=\"")?;
-                let le = le.strip_suffix("\"}")?;
-                Some((le.parse().unwrap_or(u64::MAX), *v))
-            })
-            .collect();
-        assert!(buckets.len() >= 4, "one bucket per distinct value class + Inf: {buckets:?}");
-        assert!(buckets.windows(2).all(|w| w[0].0 < w[1].0 && w[0].1 <= w[1].1), "{buckets:?}");
-        assert_eq!(buckets.last().unwrap().1, values.len() as u64, "+Inf holds every record");
-        // Each recorded value is inside the cumulative count at its
-        // bucket's upper bound.
-        for v in values {
-            let (_, high) = Histogram::bounds_of(v);
-            let at = buckets.iter().find(|(le, _)| *le >= high).unwrap().1;
-            assert!(at >= values.iter().filter(|&&x| x <= v).count() as u64 / 2, "le {high}: {at}");
-        }
-        let get = |name: &str| samples.iter().find(|(s, _)| s == name).map(|(_, v)| *v);
-        assert_eq!(get("fanstore_fabric_rpc_latency_us_sum"), Some(values.iter().sum()));
-        assert_eq!(get("fanstore_fabric_rpc_latency_us_count"), Some(values.len() as u64));
-        assert_eq!(get("fanstore_ops"), Some(9));
     }
 
     #[test]

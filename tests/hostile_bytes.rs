@@ -35,7 +35,8 @@ use fanstore_repro::store::cache::CacheConfig;
 use fanstore_repro::store::ckpt::frame::{decode_segment, encode_frame, scan_segment, FLAG_DELTA};
 use fanstore_repro::store::ckpt::manifest::{Manifest, SegmentMeta};
 use fanstore_repro::store::daemon::{
-    decode_get_many_reply, encode_get_many_request, encode_put, serve, status, tags, GetManySpec,
+    decode_get_many_reply, encode_get_many_request, encode_put, serve, status, tags, GetManyItem,
+    GetManySpec,
 };
 use fanstore_repro::store::meta::{encode_single, MetaEntry, MetaTable};
 use fanstore_repro::store::node::NodeState;
@@ -333,7 +334,7 @@ fn wal_log() -> Vec<u8> {
 }
 
 /// The reply's count, per-entry length prefixes and, inside PARTIAL
-/// entries, the chunk count and each chunk's stored length.
+/// entries, the chunk count and each chunk's raw and stored lengths.
 fn reply_fields(reply: &[u8]) -> Vec<(usize, usize)> {
     let mut fields = vec![(1, 4)];
     for (start, len) in reply_entries(reply) {
@@ -345,6 +346,7 @@ fn reply_fields(reply: &[u8]) -> Vec<(usize, usize)> {
         fields.push((count_at, 4));
         let mut chunk = count_at + 4;
         while chunk + 25 <= start + len {
+            fields.push((chunk + 13, 4));
             fields.push((chunk + 17, 4));
             chunk += 25 + le(reply, chunk + 17, 4).expect("stored_len in range");
         }
@@ -595,7 +597,21 @@ fn rows<'a>(
                         Some(Err(e)) => return Err(e),
                         other => return Err(FsError::Comm(format!("last entry {other:?}"))),
                     }
-                    items.into_iter().map(|item| item.map(|i| format!("{i:?}"))).collect()
+                    items
+                        .into_iter()
+                        .map(|item| {
+                            // A PARTIAL chunk's `raw_len` sizes its decode and
+                            // only the frame CRC, which anyone can reseal,
+                            // covers it: decode every chunk as a range read
+                            // does.
+                            if let Ok(GetManyItem::Partial(p)) = &item {
+                                for c in &p.chunks {
+                                    c.decode(p.inner_codec, p.chunk_size)?;
+                                }
+                            }
+                            item.map(|i| format!("{i:?}"))
+                        })
+                        .collect()
                 },
                 |items| items,
             ),

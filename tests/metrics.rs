@@ -79,13 +79,6 @@ fn four_node_run_emits_histograms_and_complete_get_span() {
     let rpc = snap.histograms.get("fabric.rpc.latency_us").expect("RPC histogram");
     assert!(rpc.count > 0, "remote fetches went over the fabric");
 
-    // The Prometheus surface carries the same series, in full
-    // exposition shape: HELP/TYPE headers and cumulative le-buckets.
-    let prom = merged.to_prometheus();
-    assert!(prom.contains("# TYPE fanstore_client_get_latency_us histogram"), "{prom}");
-    assert!(prom.contains("fanstore_client_get_latency_us_bucket{le=\"+Inf\"}"), "{prom}");
-    assert!(prom.contains("fanstore_client_get_latency_us_count"), "{prom}");
-
     // At least one GET must trace client -> fabric -> daemon *across
     // ranks*: the daemon.serve stage lands on the serving rank's
     // recorder, so completeness is only visible after joining all ranks'
