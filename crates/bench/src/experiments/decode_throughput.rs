@@ -1,5 +1,5 @@
 //! decode_throughput: word-wide decoders vs the retained byte-wise
-//! reference, MB/s per registry codec — and the four-lane CRC-32 vs the
+//! reference, MB/s per registry codec — and the CRC-32 kernels vs the
 //! byte-wise loop, since every remote byte is checksummed before it is
 //! decoded.
 //!
@@ -140,12 +140,23 @@ pub fn measure(id: CodecId, samples: &[Vec<u8>], reps: u32) -> DecodeRow {
     DecodeRow { id, ratio: input as f64 / output.max(1) as f64, optimized_mb_s, reference_mb_s }
 }
 
-/// Checksum throughput over the corpus: `(four-lane, byte-wise)` MB/s,
-/// best of `reps`. The two take turns inside each rep, so the best
-/// four-lane pass is taken over the whole span of the slow byte-wise
-/// ones: four chains keep the load ports busy and slow down while a
-/// neighbour shares the core, which one chain barely notices.
-pub fn measure_crc(samples: &[Vec<u8>], reps: u32) -> (f64, f64) {
+/// Checksum throughput over the corpus, MB/s, best of `reps` per side.
+#[derive(Debug, Clone, Copy)]
+pub struct CrcRates {
+    /// `crc32` as shipped: the carry-less-multiply kernel where the CPU has
+    /// it, the table kernel elsewhere.
+    pub dispatched: f64,
+    /// The four-lane table kernel alone (`Crc32::update_tables`).
+    pub tables: f64,
+    /// The byte-wise `reference::crc32`.
+    pub bytewise: f64,
+}
+
+/// Measure [`CrcRates`]. The three sides take turns inside each rep, so
+/// each side's best pass is taken over the whole span of the others: the
+/// table kernel keeps the load ports busy and slows down while a neighbour
+/// shares the core, which one byte-wise chain barely notices.
+pub fn measure_crc(samples: &[Vec<u8>], reps: u32) -> CrcRates {
     let bytes: usize = samples.iter().map(Vec::len).sum();
     let over = |crc: fn(&[u8]) -> u32| {
         rate(bytes, 1, || {
@@ -154,12 +165,30 @@ pub fn measure_crc(samples: &[Vec<u8>], reps: u32) -> (f64, f64) {
             }
         })
     };
-    let (mut lanes, mut bytewise) = (0f64, 0f64);
+    let tables = |data: &[u8]| {
+        let mut c = fanstore_compress::crc32::Crc32::new();
+        c.update_tables(data);
+        c.finish()
+    };
+    let mut best = CrcRates { dispatched: 0.0, tables: 0.0, bytewise: 0.0 };
     for _ in 0..reps.max(1) {
-        lanes = lanes.max(over(fanstore_compress::crc32::crc32));
-        bytewise = bytewise.max(over(reference::crc32));
+        best.dispatched = best.dispatched.max(over(fanstore_compress::crc32::crc32));
+        best.tables = best.tables.max(over(tables));
+        best.bytewise = best.bytewise.max(over(reference::crc32));
     }
-    (lanes, bytewise)
+    best
+}
+
+/// Whether this CPU runs `crc32`'s carry-less-multiply kernel.
+fn has_clmul() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
 }
 
 /// The codec points a write path can pick between: the `store` ceiling,
@@ -302,7 +331,7 @@ pub fn run(n_per_kind: usize, reps: u32) -> String {
     let samples = corpus(n_per_kind);
     let rows: Vec<DecodeRow> =
         codecs_under_test().into_iter().map(|id| measure(id, &samples, reps)).collect();
-    let (crc_lanes, crc_bytewise) = measure_crc(&samples, reps);
+    let crc = measure_crc(&samples, reps);
     let mut table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -315,12 +344,20 @@ pub fn run(n_per_kind: usize, reps: u32) -> String {
             ]
         })
         .collect();
+    let versus = |rate: f64| format!("{:.2}x", rate / crc.bytewise.max(f64::MIN_POSITIVE));
     table.push(vec![
-        "crc32 (not a codec)".to_string(),
+        "crc32 tables (not a codec)".to_string(),
         "-".to_string(),
-        fmt_f(crc_bytewise),
-        fmt_f(crc_lanes),
-        format!("{:.2}x", crc_lanes / crc_bytewise.max(f64::MIN_POSITIVE)),
+        fmt_f(crc.bytewise),
+        fmt_f(crc.tables),
+        versus(crc.tables),
+    ]);
+    table.push(vec![
+        format!("crc32 {} (not a codec)", if has_clmul() { "clmul" } else { "dispatched" }),
+        "-".to_string(),
+        fmt_f(crc.bytewise),
+        fmt_f(crc.dispatched),
+        versus(crc.dispatched),
     ]);
     format!(
         "## decode_throughput — word-wide decoders vs byte-wise reference (measured)\n\n\
@@ -331,10 +368,12 @@ pub fn run(n_per_kind: usize, reps: u32) -> String {
          reserve-once cursor and shortcut sequence path); `reference` is the retained\n\
          byte-wise decoder the differential proptests pin it against. Families\n\
          outside the LZ rewrite dispatch identically on both sides (speedup ~1.0x,\n\
-         the control group). The last row is the checksum every remote byte passes\n\
-         before decode: the four-lane `crc32` (four slicing-by-16 chains, joined\n\
-         by `x^(8·lane)`) against the byte-wise `reference::crc32`, MB/s of input\n\
-         over the same corpus.\n\n{}\n{}",
+         the control group). The last two rows are the checksum every remote byte\n\
+         passes before decode, MB/s of input over the same corpus against the\n\
+         byte-wise `reference::crc32`: the four-lane table kernel (four\n\
+         slicing-by-16 chains, joined by `x^(8·lane)`), which runs on CPUs without\n\
+         carry-less multiply, and `crc32` as dispatched, which folds with\n\
+         `pclmulqdq` where the CPU has it (the `clmul` row).\n\n{}\n{}",
         md_table(&["codec", "ratio", "reference MB/s", "optimized MB/s", "speedup"], &table),
         write_path_section(n_per_kind == 1, reps),
     )
@@ -356,9 +395,10 @@ mod tests {
     /// originals on this machine: the cold read pays one CRC pass and one
     /// decode, and neither may fall back towards the loops they replaced.
     /// The CRC ratio sits above what one slicing-by-16 chain reached
-    /// (≈ 5.3x): only the four-lane kernel passes it. Its 25 turns span
-    /// a few hundred milliseconds, longer than a neighbour's share of the
-    /// core usually lasts (see [`measure_crc`]).
+    /// (≈ 5.3x). Where the CPU has carry-less multiply, `crc32` must also
+    /// stay well ahead of the table kernel it would otherwise run. The 25
+    /// turns span a few hundred milliseconds, longer than a neighbour's
+    /// share of the core usually lasts (see [`measure_crc`]).
     #[test]
     fn lz4hc_at_least_2x_and_crc32_at_least_8x_reference() {
         if cfg!(debug_assertions) {
@@ -372,11 +412,21 @@ mod tests {
             row.optimized_mb_s,
             row.reference_mb_s,
         );
-        let (lanes, bytewise) = measure_crc(&samples, 25);
+        let crc = measure_crc(&samples, 25);
         assert!(
-            lanes >= 8.0 * bytewise,
-            "crc32 must run >= 8x reference::crc32: {lanes:.0} vs {bytewise:.0} MB/s"
+            crc.dispatched >= 8.0 * crc.bytewise,
+            "crc32 must run >= 8x reference::crc32: {:.0} vs {:.0} MB/s",
+            crc.dispatched,
+            crc.bytewise
         );
+        if has_clmul() {
+            assert!(
+                crc.dispatched >= 2.5 * crc.tables,
+                "with pclmulqdq, crc32 must run >= 2.5x the table kernel: {:.0} vs {:.0} MB/s",
+                crc.dispatched,
+                crc.tables
+            );
+        }
     }
 
     #[test]

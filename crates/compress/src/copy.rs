@@ -18,8 +18,10 @@
 //!   up to 16 literals) and [`Cursor::wild_match`] (8 + 8 + 2 bytes for a
 //!   match of up to 18 at distance ≥ 8).
 //!
-//! This is the **only** module in the crate that contains `unsafe`. The
-//! safety argument is local and small:
+//! This is the **only** module in the crate that touches memory through
+//! raw pointers (the crate's one other `unsafe` is `crc32`'s feature-checked
+//! call into its carry-less-multiply kernel). The safety argument is local
+//! and small:
 //!
 //! * Reads never leave the source slice. Short literal copies use
 //!   *overlapping* head/tail word loads (first 8 and last 8 bytes of the

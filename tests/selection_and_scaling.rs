@@ -3,37 +3,71 @@
 //! end to end (real codecs + real synthetic data + the Eq. 1-3 selector).
 
 use fanstore_repro::compress::registry::parse_name;
-use fanstore_repro::compress::{compress_to_vec, decompress_to_vec};
+use fanstore_repro::compress::{compress_to_vec, decompress_to_vec, Codec};
 use fanstore_repro::datagen::{DatasetKind, DatasetSpec};
 use fanstore_repro::select::{select, Candidate, IoProfile};
 use fanstore_repro::train::apps::AppSpec;
 use fanstore_repro::train::pipeline::{relative_performance, FetchModel};
 
+/// One codec's corpus, compressed once, so that decoding it can be timed
+/// as often as a test needs.
+struct Corpus {
+    name: String,
+    codec: Box<dyn Codec>,
+    samples: Vec<Vec<u8>>,
+    compressed: Vec<Vec<u8>>,
+}
+
+impl Corpus {
+    fn new(name: &str, kind: DatasetKind, n: usize) -> Self {
+        let codec = fanstore_repro::compress::registry::create(parse_name(name).unwrap()).unwrap();
+        let spec = DatasetSpec::scaled(kind, n, 0x5E1E);
+        let samples: Vec<Vec<u8>> = (0..n).map(|i| spec.generate(i)).collect();
+        let compressed = samples.iter().map(|s| compress_to_vec(codec.as_ref(), s)).collect();
+        Corpus { name: name.into(), codec, samples, compressed }
+    }
+
+    /// Seconds per file of one decode pass over the corpus.
+    fn decode_pass(&self) -> f64 {
+        let t0 = std::time::Instant::now();
+        for (c, s) in self.compressed.iter().zip(&self.samples) {
+            std::hint::black_box(decompress_to_vec(self.codec.as_ref(), c, s.len()).unwrap());
+        }
+        t0.elapsed().as_secs_f64() / self.samples.len() as f64
+    }
+
+    fn candidate(&self, decomp_s_per_file: f64) -> Candidate {
+        let input: usize = self.samples.iter().map(Vec::len).sum();
+        let output: usize = self.compressed.iter().map(Vec::len).sum();
+        Candidate {
+            name: self.name.clone(),
+            decomp_s_per_file,
+            ratio: input as f64 / output as f64,
+        }
+    }
+}
+
 fn measure(name: &str, kind: DatasetKind, n: usize) -> Candidate {
-    let codec = fanstore_repro::compress::registry::create(parse_name(name).unwrap()).unwrap();
-    let spec = DatasetSpec::scaled(kind, n, 0x5E1E);
-    let samples: Vec<Vec<u8>> = (0..n).map(|i| spec.generate(i)).collect();
-    let compressed: Vec<Vec<u8>> =
-        samples.iter().map(|s| compress_to_vec(codec.as_ref(), s)).collect();
-    let t0 = std::time::Instant::now();
-    for (c, s) in compressed.iter().zip(&samples) {
-        std::hint::black_box(decompress_to_vec(codec.as_ref(), c, s.len()).unwrap());
-    }
-    let input: usize = samples.iter().map(Vec::len).sum();
-    let output: usize = compressed.iter().map(Vec::len).sum();
-    Candidate {
-        name: name.into(),
-        decomp_s_per_file: t0.elapsed().as_secs_f64() / n as f64,
-        ratio: input as f64 / output as f64,
-    }
+    let corpus = Corpus::new(name, kind, n);
+    corpus.candidate(corpus.decode_pass())
 }
 
 #[test]
 fn measured_candidates_have_paper_ordering() {
     // On EM data: lzma must beat lz4hc on ratio and lose badly on
-    // decompression speed — the tradeoff the whole paper turns on.
-    let lz = measure("lz4hc-9", DatasetKind::EmTif, 2);
-    let lzma = measure("lzma-6", DatasetKind::EmTif, 2);
+    // decompression speed — the tradeoff the whole paper turns on. Each
+    // codec's time is its best of five passes, taken in turns, so that a
+    // pause landing on one lz4hc pass cannot close the gap.
+    let (lz, lzma) = (
+        Corpus::new("lz4hc-9", DatasetKind::EmTif, 2),
+        Corpus::new("lzma-6", DatasetKind::EmTif, 2),
+    );
+    let (mut lz_s, mut lzma_s) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..5 {
+        lz_s = lz_s.min(lz.decode_pass());
+        lzma_s = lzma_s.min(lzma.decode_pass());
+    }
+    let (lz, lzma) = (lz.candidate(lz_s), lzma.candidate(lzma_s));
     assert!(lzma.ratio > lz.ratio, "lzma {} vs lz4hc {}", lzma.ratio, lz.ratio);
     assert!(
         lzma.decomp_s_per_file > 3.0 * lz.decomp_s_per_file,
