@@ -20,13 +20,6 @@ pub struct Seq {
     pub dist: usize,
 }
 
-impl Seq {
-    /// Total number of output bytes this sequence reconstructs.
-    pub fn output_len(&self) -> usize {
-        self.lit_len + self.match_len
-    }
-}
-
 /// Copy `len` bytes from `dist` back in `out` to the end of `out`,
 /// correctly handling overlapping copies (`dist < len` replicates the
 /// pattern, which is how LZ run-length-style matches work).

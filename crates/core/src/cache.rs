@@ -221,11 +221,6 @@ impl FileCache {
         (shard_hash(path) % self.shards.len() as u64) as usize
     }
 
-    /// Number of lock shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Look up `path` for an `open()`: on hit, increments the open-count
     /// and returns the decompressed data. Partial entries are not whole
     /// files, so a whole-file open treats them as a miss.

@@ -35,7 +35,7 @@ use crate::node::{LocalObject, NodeState};
 use crate::placement::replicas_of;
 use crate::qos::{QosPolicy, SloTracker, TenantId, TokenBucket};
 use crate::stat::FileStat;
-use crate::trace::{Op, SpanEvent, TraceRecorder};
+use crate::trace::{SpanEvent, TraceRecorder};
 use crate::FsError;
 
 /// Client-side recovery policy for remote operations.
@@ -220,6 +220,17 @@ struct ClientMetrics {
     bufpool_misses: Arc<Gauge>,
     bufpool_returns: Arc<Gauge>,
     bufpool_idle_bytes: Arc<Gauge>,
+    // The §II-B call mix: `client.posix.<call>.calls`, plus the bytes
+    // reads deliver and writes accept.
+    posix_open: Arc<Counter>,
+    posix_close: Arc<Counter>,
+    posix_read: Arc<Counter>,
+    posix_read_bytes: Arc<Counter>,
+    posix_lseek: Arc<Counter>,
+    posix_write: Arc<Counter>,
+    posix_write_bytes: Arc<Counter>,
+    posix_stat: Arc<Counter>,
+    posix_readdir: Arc<Counter>,
 }
 
 impl ClientMetrics {
@@ -248,7 +259,22 @@ impl ClientMetrics {
             bufpool_misses: m.gauge("bufpool.take.misses"),
             bufpool_returns: m.gauge("bufpool.put.returns"),
             bufpool_idle_bytes: m.gauge("bufpool.idle.bytes"),
+            posix_open: m.counter("client.posix.open.calls"),
+            posix_close: m.counter("client.posix.close.calls"),
+            posix_read: m.counter("client.posix.read.calls"),
+            posix_read_bytes: m.counter("client.posix.read.bytes"),
+            posix_lseek: m.counter("client.posix.lseek.calls"),
+            posix_write: m.counter("client.posix.write.calls"),
+            posix_write_bytes: m.counter("client.posix.write.bytes"),
+            posix_stat: m.counter("client.posix.stat.calls"),
+            posix_readdir: m.counter("client.posix.readdir.calls"),
         }
+    }
+
+    /// Count one `read()` that delivered `bytes`.
+    fn count_read(&self, bytes: u64) {
+        self.posix_read.inc();
+        self.posix_read_bytes.add(bytes);
     }
 }
 
@@ -360,8 +386,8 @@ impl FsClient {
         }
     }
 
-    /// Attach an I/O trace recorder; subsequent calls are recorded and
-    /// remote operations produce span events.
+    /// Attach a trace recorder: subsequent operations record their
+    /// request spans into it.
     pub fn with_trace(mut self, trace: Arc<TraceRecorder>) -> Self {
         self.trace = Some(trace);
         self.timed = true; // spans need timestamps even with metrics off
@@ -513,13 +539,6 @@ impl FsClient {
         RpcMeta { request_id: request, tenant: self.tenant(), deadline_us }
     }
 
-    #[inline]
-    fn record(&self, op: Op, path: &str, bytes: u64) {
-        if let Some(t) = &self.trace {
-            t.record(op, path, bytes);
-        }
-    }
-
     /// Record one request span into the trace (no-op without a trace).
     #[inline]
     fn span(&self, request: u64, stage: &str, start_us: u64) {
@@ -569,7 +588,7 @@ impl FsClient {
     /// remote daemon, Figure 2), decompress if needed, and return a file
     /// descriptor positioned at offset 0.
     pub fn open(&self, path: &str) -> Result<i32, FsError> {
-        self.record(Op::Open, path, 0);
+        self.metrics.posix_open.inc();
         let data = self.fetch(path)?;
         let fd = self.alloc_fd();
         self.fds.lock().insert(fd, OpenFile::Read { path: path.to_string(), data, pos: 0 });
@@ -726,7 +745,6 @@ impl FsClient {
                             if round > 0 && got.is_ok() {
                                 // Answered by a retry or a replica, not the owner.
                                 stats.degraded_reads.inc();
-                                self.record(Op::Degraded, specs[r.slot].path, 0);
                             }
                             out[r.slot] = Some(got);
                         }
@@ -748,7 +766,6 @@ impl FsClient {
             if got.is_ok() {
                 stats.read_through_reads.inc();
                 stats.degraded_reads.inc();
-                self.record(Op::Degraded, specs[i].path, 0);
             }
             out[i] = Some(got);
         }
@@ -885,7 +902,7 @@ impl FsClient {
             let mut out: Vec<_> = paths
                 .iter()
                 .map(|path| {
-                    self.record(Op::Open, path, 0);
+                    self.metrics.posix_open.inc();
                     let hit = self.state.cache.open(path)?;
                     self.state.stats.local_opens.inc();
                     Some(Ok(RawEntry::Ready(hit)))
@@ -949,9 +966,9 @@ impl FsClient {
     /// (the shared tail of [`FsClient::read_whole`] and
     /// [`FsClient::finish_read`]).
     fn read_to_end_and_close(&self, path: &str, data: Arc<Vec<u8>>) -> Vec<u8> {
-        self.record(Op::Read, path, data.len() as u64);
+        self.metrics.count_read(data.len() as u64);
         self.state.cache.close(path);
-        self.record(Op::Close, path, 0);
+        self.metrics.posix_close.inc();
         // Under the eager-release cache policy the close above dropped the
         // cache's reference, so ours is the last one and the buffer moves
         // out with no copy. When the entry stays cached (or another reader
@@ -1031,16 +1048,14 @@ impl FsClient {
     pub fn read(&self, fd: i32, buf: &mut [u8]) -> Result<usize, FsError> {
         let mut fds = self.fds.lock();
         match fds.get_mut(&fd) {
-            Some(OpenFile::Read { data, pos, path }) => {
+            Some(OpenFile::Read { data, pos, .. }) => {
                 // The offset may sit past EOF (lseek allows it); clamp the
                 // slice start so such reads return 0 instead of panicking.
                 let start = (*pos).min(data.len());
                 let n = buf.len().min(data.len() - start);
                 buf[..n].copy_from_slice(&data[start..start + n]);
                 *pos += n;
-                if let Some(t) = &self.trace {
-                    t.record(Op::Read, path, n as u64);
-                }
+                self.metrics.count_read(n as u64);
                 Ok(n)
             }
             Some(OpenFile::Write { path, .. }) => Err(FsError::ReadOnly(path.clone())),
@@ -1052,10 +1067,9 @@ impl FsClient {
     pub fn write(&self, fd: i32, buf: &[u8]) -> Result<usize, FsError> {
         let mut fds = self.fds.lock();
         match fds.get_mut(&fd) {
-            Some(OpenFile::Write { buf: wbuf, path }) => {
-                if let Some(t) = &self.trace {
-                    t.record(Op::Write, path, buf.len() as u64);
-                }
+            Some(OpenFile::Write { buf: wbuf, .. }) => {
+                self.metrics.posix_write.inc();
+                self.metrics.posix_write_bytes.add(buf.len() as u64);
                 wbuf.extend_from_slice(buf);
                 Ok(buf.len())
             }
@@ -1067,7 +1081,7 @@ impl FsClient {
     /// `lseek(fd, offset, whence)`: reposition a read descriptor; returns
     /// the new offset.
     pub fn lseek(&self, fd: i32, offset: i64, whence: Whence) -> Result<u64, FsError> {
-        self.record(Op::Seek, "", 0);
+        self.metrics.posix_lseek.inc();
         let mut fds = self.fds.lock();
         match fds.get_mut(&fd) {
             Some(OpenFile::Read { data, pos, .. }) => {
@@ -1094,7 +1108,7 @@ impl FsClient {
     /// finalises the file (immutable from now on) and forwards its
     /// metadata to the owner rank (§V-D).
     pub fn close(&self, fd: i32) -> Result<(), FsError> {
-        self.record(Op::Close, "", 0);
+        self.metrics.posix_close.inc();
         let entry = self.fds.lock().remove(&fd).ok_or(FsError::BadFd(fd))?;
         match entry {
             OpenFile::Read { path, data, .. } => {
@@ -1135,7 +1149,6 @@ impl FsClient {
                 // forward instead of killing the training run.
                 self.state.stats.rpc_timeouts.inc();
                 self.state.stats.meta_forward_failures.inc();
-                self.record(Op::Degraded, path, 0);
             }
         }
         Ok(())
@@ -1155,7 +1168,7 @@ impl FsClient {
     }
 
     fn stat_inner(&self, path: &str) -> Result<FileStat, FsError> {
-        self.record(Op::Stat, path, 0);
+        self.metrics.posix_stat.inc();
         if let Some(s) = self.state.meta.read().stat(path) {
             return Ok(s);
         }
@@ -1185,7 +1198,7 @@ impl FsClient {
 
     /// `opendir(path)`: snapshot of the directory entries.
     pub fn opendir(&self, path: &str) -> Result<DirStream, FsError> {
-        self.record(Op::Readdir, path, 0);
+        self.metrics.posix_readdir.inc();
         self.state
             .meta
             .read()
@@ -1200,7 +1213,7 @@ impl FsClient {
 
     /// Convenience: read an entire file (open + read-to-end + close).
     pub fn read_whole(&self, path: &str) -> Result<Vec<u8>, FsError> {
-        self.record(Op::Open, path, 0);
+        self.metrics.posix_open.inc();
         let data = self.fetch(path)?;
         Ok(self.read_to_end_and_close(path, data))
     }
@@ -1230,7 +1243,7 @@ impl FsClient {
                 let size = stat.size;
                 return Err(FsError::BadRange(format!("{path}: [{start}, {end}) of {size}")));
             }
-            self.record(Op::Read, path, end - start);
+            self.metrics.count_read(end - start);
             // Cache: full entries slice in place, partial entries serve the
             // range when every covering chunk is resident.
             if let Some(hit) = self.state.cache.open_range(path, start, end) {
@@ -1276,7 +1289,7 @@ impl FsClient {
     /// holds exact bytes only, so a later full-fidelity read of the same
     /// path cannot observe the approximation.
     pub fn read_whole_tier(&self, path: &str, min_tier: u8) -> Result<Vec<u8>, FsError> {
-        self.record(Op::Read, path, 0);
+        self.metrics.count_read(0);
         self.read_op(path, "client.get", None, |request, deadline| {
             let (spec, mut got) = ([GetManySpec::tiered(path, min_tier)], [None]);
             self.answer_many(&spec, &mut got, request, deadline, |_, item, _| match item {
@@ -1361,7 +1374,6 @@ impl FsClient {
                     return Err(e);
                 }
                 self.state.stats.meta_forward_failures.inc();
-                self.record(Op::Degraded, path, 0);
             }
         }
         Ok(())

@@ -48,9 +48,10 @@ pub struct ClusterConfig {
     /// validates that assigned partitions fit and clamps `replication` to
     /// the rounds every node can afford (§IV-C1 dynamic load decisions).
     pub node_capacity: Option<u64>,
-    /// I/O trace ring size per node (0 = tracing off). When non-zero the
-    /// client records every POSIX-surface call; inspect via
-    /// `fs.trace()` inside the closure.
+    /// Span ring size per node (0 = tracing off). When non-zero the client
+    /// and daemon record request spans; inspect via `fs.trace()` inside
+    /// the closure. The POSIX call mix is counted in the registry
+    /// (`client.posix.*`) either way.
     pub trace_ring: usize,
     /// Seeded fault schedule injected into the simulated fabric. Plans
     /// without an explicit channel scope are restricted to the service
@@ -263,9 +264,8 @@ impl FanStore {
             }
 
             // 4. Daemon + client. The daemon owns the service endpoint; the
-            // client keeps a send-only handle. Both share the trace
-            // recorder so undeliverable replies surface next to client
-            // failovers.
+            // client keeps a send-only handle. Both record spans into this
+            // rank's one trace recorder.
             let daemon_state = Arc::clone(&state);
             let trace = (trace_ring > 0).then(|| Arc::new(TraceRecorder::new(trace_ring)));
             let daemon_trace = trace.clone();

@@ -34,7 +34,7 @@ use crate::metrics::now_us;
 use crate::node::{LocalObject, NodeState};
 use crate::qos::QosPolicy;
 use crate::stat::{FileStat, STAT_SIZE};
-use crate::trace::{Op, SpanEvent, TraceRecorder};
+use crate::trace::{SpanEvent, TraceRecorder};
 use crate::FsError;
 
 /// Service-channel tags.
@@ -651,15 +651,14 @@ const EST_REFRESH: u64 = 64;
 /// endpoint is gone. Returns the number of requests served.
 ///
 /// With a `trace` recorder, served requests record `daemon.queue` /
-/// `daemon.serve` spans and undeliverable replies (the requester gave
-/// up — timed out or died) are recorded as [`Op::Degraded`] events on top
-/// of the `stats.reply_failures` count. Under a [`QosPolicy`], arriving
-/// requests queue per tenant (bounded; overflow is shed), the queues
-/// drain by deficit round-robin instead of strict FIFO, and any request
-/// whose deadline has expired — or whose remaining budget cannot cover
-/// the estimated service time (the serve-latency median) — is answered
-/// with [`status::SHED`] instead of being served. With `policy` `None`
-/// the loop is strict FIFO.
+/// `daemon.serve` spans. Undeliverable replies (the requester gave up —
+/// timed out or died) count in `stats.reply_failures`. Under a
+/// [`QosPolicy`], arriving requests queue per tenant (bounded; overflow
+/// is shed), the queues drain by deficit round-robin instead of strict
+/// FIFO, and any request whose deadline has expired — or whose remaining
+/// budget cannot cover the estimated service time (the serve-latency
+/// median) — is answered with [`status::SHED`] instead of being served.
+/// With `policy` `None` the loop is strict FIFO.
 pub fn serve(
     state: Arc<NodeState>,
     mut service: Channel,
@@ -765,9 +764,6 @@ pub fn serve(
         }
         if !delivered {
             state.stats.reply_failures.inc();
-            if let Some(t) = &trace {
-                t.record(Op::Degraded, "daemon:reply-drop", 0);
-            }
         }
         if shutdown {
             break 'daemon;
@@ -1208,10 +1204,9 @@ mod tests {
             let service = ctx.take_channel(0);
             if ctx.rank == 0 {
                 let state = Arc::new(NodeState::new(0, 2, CacheConfig::default()));
-                let trace = Arc::new(crate::trace::TraceRecorder::new(8));
-                let st = Arc::clone(&state);
-                let served = serve(st, service, Some(Arc::clone(&trace)), None);
-                (served, state.stats.reply_failures.get(), trace.count(Op::Degraded))
+                let trace = Some(Arc::new(crate::trace::TraceRecorder::new(8)));
+                let served = serve(Arc::clone(&state), service, trace, None);
+                (served, state.stats.reply_failures.get())
             } else {
                 // A bare send carries no reply conduit: the daemon's
                 // answer is undeliverable and must be counted, not lost
@@ -1219,10 +1214,10 @@ mod tests {
                 let req = encode_get_many_request(&[GetManySpec::whole("whatever")]);
                 service.send(0, tags::GET_MANY, req).unwrap();
                 service.rpc(0, tags::SHUTDOWN, Vec::new()).unwrap();
-                (0, 0, 0)
+                (0, 0)
             }
         });
-        assert_eq!(results[0], (2, 1, 1));
+        assert_eq!(results[0], (2, 1));
     }
 
     #[test]

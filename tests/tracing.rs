@@ -1,6 +1,7 @@
-//! Integration: the I/O trace recorder captures the §II-B workload
+//! Integration: the `client.posix.*` counters capture the §II-B workload
 //! profile of a real training run — metadata-heavy at enumeration,
-//! read-heavy in steady state.
+//! read-heavy in steady state — and the trace ring joins a batch's spans
+//! across ranks.
 
 use std::sync::Arc;
 
@@ -24,55 +25,27 @@ fn trace_captures_training_workload_shape() {
         seed: 4,
         prefetch: None,
     };
-    let summaries = FanStore::run(
-        ClusterConfig { trace_ring: 4096, ..Default::default() },
-        packed.partitions,
-        |fs| {
-            run_epochs(fs, &cfg).unwrap();
-            fs.trace().expect("tracing enabled").summary()
-        },
-    );
-    let s = summaries[0];
+    let snaps = FanStore::run(ClusterConfig::default(), packed.partitions, |fs| {
+        run_epochs(fs, &cfg).unwrap();
+        fs.state().metrics.snapshot()
+    });
+    let calls = |call: &str| snaps[0].counter(&format!("client.posix.{call}.calls"));
     // Enumeration: readdir for root + 3 subdirs + stat per file (9) and
     // per dir visit; the epoch loop re-enumerates once.
-    assert!(s.readdirs >= 4, "readdirs {}", s.readdirs);
-    assert!(s.stats >= 9, "stats {}", s.stats);
+    assert!(calls("readdir") >= 4, "readdirs {}", calls("readdir"));
+    assert!(calls("stat") >= 9, "stats {}", calls("stat"));
     // Steady state: every file opened/closed/read once per epoch.
-    assert_eq!(s.opens, 18, "9 files x 2 epochs");
+    assert_eq!(calls("open"), 18, "9 files x 2 epochs");
     // Each file: one data read + one EOF read.
-    assert!(s.reads >= 18);
-    assert_eq!(s.bytes_read, 9 * 2048 * 2);
+    assert!(calls("read") >= 18);
+    assert_eq!(snaps[0].counter("client.posix.read.bytes"), 9 * 2048 * 2);
     // One checkpoint publish through the ckpt store: a segment object
     // plus the generation manifest written last (the publish point).
-    assert_eq!(s.writes, 2);
-    assert!(s.bytes_written > 0, "segment + manifest carry the stored checkpoint");
-}
-
-#[test]
-fn trace_serialization_is_replayable() {
-    let packed = prepare(dataset(3), &PrepConfig::default());
-    let text = FanStore::run(
-        ClusterConfig { trace_ring: 64, ..Default::default() },
-        packed.partitions,
-        |fs| {
-            for (path, _) in &dataset(3) {
-                let data = fs.read_whole(path).unwrap();
-                std::hint::black_box(&data);
-            }
-            fs.trace().unwrap().serialize()
-        },
-    )
-    .remove(0);
-    let events = fanstore_repro::store::trace::TraceRecorder::parse(&text).unwrap();
-    assert!(!events.is_empty());
-    // read_whole does not allocate fds, so the ring holds no open events;
-    // parse-ability and byte accounting are what matter here.
-    let read_bytes: u64 = events
-        .iter()
-        .filter(|e| e.op == fanstore_repro::store::trace::Op::Read)
-        .map(|e| e.bytes)
-        .sum();
-    let _ = read_bytes;
+    assert_eq!(calls("write"), 2);
+    assert!(
+        snaps[0].counter("client.posix.write.bytes") > 0,
+        "segment + manifest carry the stored checkpoint"
+    );
 }
 
 #[test]
@@ -151,5 +124,12 @@ fn tracing_disabled_by_default() {
     let packed = prepare(dataset(1), &PrepConfig::default());
     FanStore::run(ClusterConfig::default(), packed.partitions, |fs| {
         assert!(fs.trace().is_none());
+        // The call mix is a registry count, so it needs no trace ring.
+        let before = fs.state().metrics.snapshot();
+        let data = fs.read_whole("tr/d0/f00.bin").unwrap();
+        let delta = fs.state().metrics.snapshot().delta(&before);
+        assert_eq!(delta.counter("client.posix.open.calls"), 1);
+        assert_eq!(delta.counter("client.posix.read.bytes"), data.len() as u64);
+        assert_eq!(data.len(), 2048);
     });
 }
