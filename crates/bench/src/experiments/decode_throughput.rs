@@ -36,8 +36,8 @@ use fanstore_compress::filters::xdelta;
 use fanstore_compress::registry::create;
 use fanstore_compress::{compress_to_vec, reference, Codec, CodecFamily, CodecId};
 use fanstore_datagen::{DatasetKind, DatasetSpec};
+use fanstore_train::epoch::checkpoint_payload;
 
-use super::ckpt_cost::model_state;
 use crate::report::{fmt_f, md_table};
 
 /// One representative configuration per registry family, hot-loop
@@ -223,7 +223,8 @@ pub fn em_values(n: usize) -> Vec<Vec<u8>> {
 /// on the chunk's delta against the generation before.
 pub fn checkpoint_chunks(generations: u64) -> Vec<Vec<u8>> {
     const CHUNK: usize = 64 << 10;
-    let states: Vec<Vec<u8>> = (1..=generations).map(|g| model_state(0, g, 256)).collect();
+    let states: Vec<Vec<u8>> =
+        (1..=generations).map(|g| checkpoint_payload(0, g, CHUNK * 4)).collect();
     let full = states.iter().flat_map(|s| s.chunks(CHUNK).map(<[u8]>::to_vec));
     let deltas = states.windows(2).flat_map(|pair| {
         pair[0].chunks(CHUNK).zip(pair[1].chunks(CHUNK)).map(|(base, cur)| xdelta(base, cur))

@@ -6,10 +6,10 @@
 //! extreme points (fastest decompression / highest ratio, the green
 //! crosses and red pluses of the paper's figure) and the Pareto frontier.
 
-use fanstore_compress::evaluate::{pareto_frontier, sweep, EvalRecord};
 use fanstore_datagen::stats::{summarize, DatasetSummary};
 use fanstore_datagen::{DatasetKind, DatasetSpec};
 
+use crate::evaluate::{pareto_frontier, sweep, EvalRecord};
 use crate::experiments::sample_files;
 use crate::report::{ascii_plot, fmt_f, md_table};
 

@@ -1,8 +1,6 @@
 //! Experiment generators, one per paper table/figure, indexed by
 //! [`EXPERIMENTS`] (DESIGN.md §3 maps them to the paper).
 
-pub mod batch_fetch;
-pub mod ckpt_cost;
 pub mod decode_throughput;
 pub mod fig1;
 pub mod fig6;
@@ -11,19 +9,13 @@ pub mod fig8;
 pub mod fig9;
 pub mod global_view;
 pub mod lossy_fw;
-pub mod metrics_overhead;
 pub mod pipeline_attrib;
-pub mod range_read;
 pub mod table3;
 pub mod table4;
 pub mod table5;
 pub mod table6;
 pub mod table7;
-pub mod wal_write;
 
-use std::time::Instant;
-
-use fanstore_compress::registry::create;
 use fanstore_compress::CodecId;
 use fanstore_datagen::{DatasetKind, DatasetSpec};
 use fanstore_select::Candidate;
@@ -34,30 +26,11 @@ pub fn sample_files(kind: DatasetKind, n: usize) -> Vec<Vec<u8>> {
     (0..n).map(|i| spec.generate(i)).collect()
 }
 
-/// Measure a codec on sample files: compression ratio and per-file
-/// decompression cost (best of `reps`, lzbench-style).
+/// Measure a codec on sample files as a selection candidate: compression
+/// ratio and per-file decompression cost (best of `reps`, lzbench-style).
 pub fn measure_candidate(id: CodecId, samples: &[Vec<u8>], reps: u32) -> Candidate {
-    let codec = create(id).expect("valid codec");
-    let compressed: Vec<Vec<u8>> =
-        samples.iter().map(|s| fanstore_compress::compress_to_vec(codec.as_ref(), s)).collect();
-    let input: usize = samples.iter().map(Vec::len).sum();
-    let output: usize = compressed.iter().map(Vec::len).sum();
-
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let t0 = Instant::now();
-        for (c, s) in compressed.iter().zip(samples) {
-            let out = fanstore_compress::decompress_to_vec(codec.as_ref(), c, s.len())
-                .expect("roundtrip");
-            std::hint::black_box(&out);
-        }
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    Candidate {
-        name: id.to_string(),
-        decomp_s_per_file: best / samples.len().max(1) as f64,
-        ratio: input as f64 / output.max(1) as f64,
-    }
+    let r = crate::evaluate::evaluate_config(id, samples, reps);
+    Candidate { name: r.name, decomp_s_per_file: r.decomp_us_per_file / 1e6, ratio: r.ratio }
 }
 
 /// One experiment: the name the command line takes, what it regenerates,
@@ -95,21 +68,10 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ("lossy_fw", "§VIII future work: lossy compression on float datasets", |q| {
         lossy_fw::run(if q { 2 } else { 8 })
     }),
-    ("metrics_overhead", "metrics registry enabled vs disabled on the epoch workload", |q| {
-        metrics_overhead::run(if q { 1 } else { 3 })
-    }),
-    ("ckpt_cost", "checkpoint write/restore cost and delta-vs-full storage ratio", |q| {
-        ckpt_cost::run(if q { 2 } else { 6 }, if q { 8 } else { 128 })
-    }),
-    ("batch_fetch", "GetMany coalescing vs one file per rpc", |q| {
-        batch_fetch::run(if q { 16 } else { 96 }, if q { 1 } else { 3 })
-    }),
     ("decode_throughput", "codec decode/encode and CRC-32 MB/s vs their references", |q| {
         decode_throughput::run(if q { 1 } else { 4 }, if q { 1 } else { 3 })
     }),
     ("pipeline_attrib", "where request wall time goes on a traced cluster", pipeline_attrib::run),
-    ("wal_write", "WAL group commit vs per-write sync, write amplification", wal_write::run),
-    ("range_read", "bytes moved by 5% ranged reads vs whole-file reads", range_read::run),
 ];
 
 /// Run every experiment and compose the full report (the body of

@@ -117,7 +117,7 @@ pub fn measure(quick: bool) -> PipelineSummary {
     let mut wall_us = 0u64;
     let mut spans = Vec::new();
     for (report, rank_wall, trace) in per_rank {
-        let s = report.stalls.expect("metrics on");
+        let s = report.stalls;
         stalls.ready_wait_us += s.ready_wait_us;
         stalls.feed_wait_us += s.feed_wait_us;
         stalls.work_wait_us += s.work_wait_us;

@@ -15,5 +15,6 @@
 //!   paper's published hardware measurements (we have no Lustre, fabric,
 //!   or 512 nodes here).
 
+pub mod evaluate;
 pub mod experiments;
 pub mod report;

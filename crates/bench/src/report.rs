@@ -47,30 +47,6 @@ pub fn fmt_time(seconds: f64) -> String {
     }
 }
 
-/// Render a metrics snapshot's histograms as a markdown table:
-/// one row per histogram with count, p50/p90/p99 and max (all in the
-/// histogram's recorded unit, microseconds for `*_us` names).
-pub fn histogram_table(snap: &fanstore::metrics::Snapshot) -> String {
-    let rows: Vec<Vec<String>> = snap
-        .histograms
-        .iter()
-        .map(|(name, h)| {
-            vec![
-                name.clone(),
-                h.count.to_string(),
-                h.p50.to_string(),
-                h.p90.to_string(),
-                h.p99.to_string(),
-                h.max.to_string(),
-            ]
-        })
-        .collect();
-    if rows.is_empty() {
-        return String::from("(no histograms recorded)\n");
-    }
-    md_table(&["histogram", "count", "p50", "p90", "p99", "max"], &rows)
-}
-
 /// An ASCII scatter/line sketch for quick terminal viewing of figure data
 /// (the numeric series themselves are always printed too).
 pub fn ascii_plot(points: &[(f64, f64)], width: usize, height: usize) -> String {
@@ -145,19 +121,6 @@ mod tests {
     fn plot_contains_points() {
         let p = ascii_plot(&[(0.0, 0.0), (1.0, 1.0)], 10, 5);
         assert_eq!(p.matches('*').count(), 2);
-    }
-
-    #[test]
-    fn histogram_table_rows() {
-        let reg = fanstore::metrics::MetricsRegistry::new();
-        let h = reg.histogram("client.get.latency_us");
-        for v in [10u64, 20, 30] {
-            h.record(v);
-        }
-        let t = histogram_table(&reg.snapshot());
-        assert!(t.contains("client.get.latency_us"), "{t}");
-        assert!(t.lines().next().unwrap().contains("p99"), "{t}");
-        assert!(histogram_table(&Default::default()).contains("no histograms"));
     }
 
     #[test]

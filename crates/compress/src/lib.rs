@@ -29,17 +29,15 @@
 //! [`registry`] under a stable [`CodecId`] used by the FanStore pack format
 //! (the 2-byte "compressor" field of Table I in the paper).
 //!
-//! The [`evaluate`] module is an lzbench-style harness: it sweeps the full
-//! configuration space over sample files and reports (ratio, compression
-//! throughput, decompression throughput) tuples — the raw material for the
-//! paper's Figure 7 and Table IV.
+//! The lzbench-style harness that sweeps the configuration space over
+//! sample files (the raw material for the paper's Figure 7 and Table IV)
+//! lives with its one caller, `fanstore_bench::evaluate`.
 
 pub mod bitio;
 pub mod brotli_lite;
 pub mod bzip_lite;
 pub mod copy;
 pub mod crc32;
-pub mod evaluate;
 pub mod filters;
 pub mod fse;
 pub mod huffman;

@@ -36,10 +36,10 @@ pub struct CkptConfig {
     /// Codec for chunk payloads (chunks that do not shrink are stored
     /// raw regardless).
     pub codec: CodecId,
-    /// Delta-encode against the previous generation when smaller.
-    pub delta: bool,
     /// Force a full (non-delta) generation whenever `generation %
-    /// full_every == 0`, bounding recovery chain length. 0 = never force.
+    /// full_every == 0`, bounding recovery chain length; every other
+    /// generation delta-encodes each chunk against the previous one when
+    /// that is smaller. 0 = never force; 1 = every generation full.
     pub full_every: u64,
     /// Ring replicas each segment + manifest is pushed to (0 = none).
     pub replicas: usize,
@@ -55,7 +55,6 @@ impl Default for CkptConfig {
             chunk_size: 64 * 1024,
             chunks_per_segment: 16,
             codec: CodecId::new(CodecFamily::Lz4Hc, 6),
-            delta: true,
             full_every: 4,
             replicas: 1,
             keep_last: 0,
@@ -245,7 +244,7 @@ impl<'a> CheckpointStore<'a> {
         let start = now_us();
         let cs = self.cfg.chunk_size.max(1);
         let force_full = self.cfg.full_every > 0 && generation.is_multiple_of(self.cfg.full_every);
-        let base: Option<(u64, Arc<Vec<u8>>)> = if self.cfg.delta && !force_full {
+        let base: Option<(u64, Arc<Vec<u8>>)> = if !force_full {
             self.last.lock().expect("ckpt last").clone().filter(|(g, _)| *g < generation)
         } else {
             None

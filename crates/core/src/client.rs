@@ -361,9 +361,6 @@ pub struct FsClient {
     read_through: Option<Arc<dyn Backend>>,
     qos: Option<QosState>,
     metrics: ClientMetrics,
-    /// Whether per-op timing is worth taking (metrics enabled; spans
-    /// additionally need an attached trace).
-    timed: bool,
 }
 
 impl FsClient {
@@ -371,7 +368,6 @@ impl FsClient {
     /// service channel.
     pub fn new(state: Arc<NodeState>, service: RemoteSender) -> Self {
         let metrics = ClientMetrics::resolve(&state);
-        let timed = state.metrics.is_enabled();
         FsClient {
             state,
             service,
@@ -382,7 +378,6 @@ impl FsClient {
             read_through: None,
             qos: None,
             metrics,
-            timed,
         }
     }
 
@@ -390,7 +385,6 @@ impl FsClient {
     /// request spans into it.
     pub fn with_trace(mut self, trace: Arc<TraceRecorder>) -> Self {
         self.trace = Some(trace);
-        self.timed = true; // spans need timestamps even with metrics off
         self
     }
 
@@ -556,9 +550,6 @@ impl FsClient {
     /// Refresh the fabric traffic gauges from the channel's counters so a
     /// snapshot taken mid-run reflects current totals.
     fn sync_fabric_gauges(&self) {
-        if !self.state.metrics.is_enabled() {
-            return;
-        }
         let stats = self.service.stats();
         self.metrics.fabric_bytes_sent.set(stats.bytes_sent.load(Ordering::Relaxed));
         self.metrics.fabric_bytes_received.set(stats.bytes_received.load(Ordering::Relaxed));
@@ -596,10 +587,10 @@ impl FsClient {
     }
 
     /// Run one read operation as one request: token-bucket admission (one
-    /// token per public call), the op deadline, and — when timing is on — a
-    /// fresh [`NodeState::next_request_id`], the tenant latency/SLO
-    /// observation, an optional latency histogram and a `root` span (plus
-    /// whatever child spans `body` records under the id it is handed).
+    /// token per public call), the op deadline, a fresh
+    /// [`NodeState::next_request_id`], the tenant latency/SLO observation,
+    /// an optional latency histogram and a `root` span (plus whatever child
+    /// spans `body` records under the id it is handed).
     fn read_op<T>(
         &self,
         path: &str,
@@ -607,10 +598,6 @@ impl FsClient {
         latency: Option<&Histogram>,
         body: impl FnOnce(u64, u64) -> Result<T, FsError>,
     ) -> Result<T, FsError> {
-        if !self.timed {
-            self.admit(path)?;
-            return body(0, self.op_deadline_us());
-        }
         // The request id is minted before admission so backoff waits are
         // attributable: with QoS attached the admit leg becomes a
         // `client.admit` child span of this request.
@@ -843,15 +830,11 @@ impl FsClient {
         mut each: impl FnMut(usize, Result<GetManyItem<'_>, FsError>),
     ) {
         let payload = encode_get_many_request(specs);
-        let rpc_start = if self.timed { now_us() } else { 0 };
+        let rpc_start = now_us();
         let meta = self.rpc_meta(request, deadline_us);
         let reply = self.service.rpc_with_meta(rank, tags::GET_MANY, payload, timeout, meta);
-        if self.timed {
-            self.metrics
-                .rpc_latency
-                .record_with_exemplar(now_us().saturating_sub(rpc_start), request);
-            self.span(request, "fabric.rpc", rpc_start);
-        }
+        self.metrics.rpc_latency.record_with_exemplar(now_us().saturating_sub(rpc_start), request);
+        self.span(request, "fabric.rpc", rpc_start);
         self.sync_fabric_gauges();
         let what = || format!("GET_MANY {} from rank {rank}", specs[0].path);
         let decoded = reply.map_err(|e| self.rpc_error(&what(), e)).and_then(|reply| {
@@ -1008,9 +991,6 @@ impl FsClient {
     /// Refresh the cache gauges (`cache.*`, `cache.shard.*`) from the
     /// sharded cache's merged and per-shard counters.
     fn sync_cache_gauges(&self) {
-        if !self.state.metrics.is_enabled() {
-            return;
-        }
         let merged = self.state.cache.stats();
         self.metrics.cache_hits.set(merged.hits.load(Ordering::Relaxed));
         self.metrics.cache_misses.set(merged.misses.load(Ordering::Relaxed));
@@ -1122,13 +1102,11 @@ impl FsClient {
             OpenFile::Write { path, buf } => {
                 // The finalisation (durable local landing + metadata
                 // forward) is the write's latency-bearing leg: one
-                // `client.put` span when timed.
-                let request = if self.timed { self.state.next_request_id() } else { 0 };
-                let start = if self.timed { now_us() } else { 0 };
+                // `client.put` span.
+                let request = self.state.next_request_id();
+                let start = now_us();
                 let out = self.close_write(&path, buf);
-                if self.timed {
-                    self.span(request, "client.put", start);
-                }
+                self.span(request, "client.put", start);
                 out
             }
         }
@@ -1158,9 +1136,6 @@ impl FsClient {
     /// output files written elsewhere, falls back to the metadata owner
     /// rank.
     pub fn stat(&self, path: &str) -> Result<FileStat, FsError> {
-        if !self.timed {
-            return self.stat_inner(path);
-        }
         let start = now_us();
         let out = self.stat_inner(path);
         self.metrics.stat_latency.record(now_us().saturating_sub(start));
@@ -1261,11 +1236,9 @@ impl FsClient {
                         cache.insert_chunk(path, p.chunk_size, p.raw_len, c.index, data.clone());
                         raw.push((c.offset, data));
                     }
-                    let t = if self.timed { now_us() } else { 0 };
+                    let t = now_us();
                     let out = assemble(raw.iter().map(|(at, data)| (*at, &data[..])), start, end);
-                    if self.timed {
-                        self.span(request, "client.assemble", t);
-                    }
+                    self.span(request, "client.assemble", t);
                     out
                 }
                 // A whole-object answer: decode it all, cache it all, slice
@@ -1336,25 +1309,21 @@ impl FsClient {
     pub fn put_remote(&self, rank: usize, path: &str, data: &[u8]) -> Result<(), FsError> {
         let payload = crate::daemon::encode_put(path, self.state.rank as u32, data);
         let timeout = self.failover.as_ref().map(|cfg| cfg.rpc_timeout);
-        // When timed, the push is one traced request: a `client.put`
-        // root span with a `fabric.rpc` child, and the request id rides
-        // the envelope so the serving daemon's `daemon.write_serve` span
-        // joins the same tree (`attrib` charges it to `serve`).
-        let request = if self.timed { self.state.next_request_id() } else { 0 };
-        let start = if self.timed { now_us() } else { 0 };
+        // The push is one request: a `client.put` root span with a
+        // `fabric.rpc` child, and the request id rides the envelope so the
+        // serving daemon's `daemon.write_serve` span joins the same tree
+        // (`attrib` charges it to `serve`).
+        let request = self.state.next_request_id();
+        let start = now_us();
         let meta = self.rpc_meta(request, 0); // writes are never shed on deadline
         let reply = self.service.rpc_with_meta(rank, tags::PUT, payload, timeout, meta);
-        if self.timed {
-            self.span(request, "fabric.rpc", start);
-        }
+        self.span(request, "fabric.rpc", start);
         let out =
             match reply.map_err(|e| self.rpc_error(&format!("PUT {path} to rank {rank}"), e))? {
                 r if r.first() == Some(&crate::daemon::status::OK) => Ok(()),
                 _ => Err(FsError::Comm(format!("PUT {path} rejected by rank {rank}"))),
             };
-        if self.timed {
-            self.span(request, "client.put", start);
-        }
+        self.span(request, "client.put", start);
         out
     }
 

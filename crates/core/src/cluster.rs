@@ -16,7 +16,6 @@ use crate::cache::CacheConfig;
 use crate::client::{FailoverConfig, FsClient};
 use crate::daemon::{serve, tags};
 use crate::framing::{put_bytes64, Malformed, Reader};
-use crate::metrics::MetricsRegistry;
 use crate::node::{LocalObject, NodeState};
 use crate::qos::QosPolicy;
 use crate::trace::TraceRecorder;
@@ -68,10 +67,6 @@ pub struct ClusterConfig {
     /// every replica failed, letting training survive a dead rank even
     /// for unreplicated partitions.
     pub read_through: bool,
-    /// Per-node metrics collection (counters, gauges, latency
-    /// histograms). On by default; turn off to benchmark the raw path —
-    /// disabled instruments are a single branch per record.
-    pub metrics: bool,
     /// Multi-tenant QoS policy (admission control, weighted-fair daemon
     /// scheduling, deadline shedding). `None` (default) keeps the pre-QoS
     /// behaviour exactly: strict-FIFO daemons, no deadlines, no
@@ -103,7 +98,6 @@ impl Default for ClusterConfig {
             fault_plan: None,
             failover: None,
             read_through: false,
-            metrics: true,
             qos: None,
             wal: None,
             wal_media: None,
@@ -187,7 +181,6 @@ impl FanStore {
         let cache_cfg = cfg.cache;
         let backend_kind = cfg.backend.clone();
         let trace_ring = cfg.trace_ring;
-        let metrics_on = cfg.metrics;
         let qos = cfg.qos.clone().map(Arc::new);
         let wal_cfg = cfg.wal.clone();
         let wal_media = cfg.wal_media.clone();
@@ -198,13 +191,7 @@ impl FanStore {
             let service = ctx.take_channel(1);
             let service_remote = service.remote();
             let backend = backend_kind.create(ctx.rank).expect("backend init");
-            let registry = Arc::new(if metrics_on {
-                MetricsRegistry::new()
-            } else {
-                MetricsRegistry::disabled()
-            });
-            let mut state =
-                NodeState::with_metrics(ctx.rank, ctx.size, cache_cfg, backend, registry);
+            let mut state = NodeState::with_backend(ctx.rank, ctx.size, cache_cfg, backend);
             if let Some(wcfg) = &wal_cfg {
                 // This rank's durable medium: the caller-provided one
                 // (surviving across runs — a restart on the same disk),

@@ -528,8 +528,8 @@ fn handle_get_many(state: &NodeState, msg: &Message, get_bytes: &crate::metrics:
 /// DRR bookkeeping, and per-tenant instrument handles (resolved once per
 /// tenant, recorded through `Arc`s on the hot path).
 struct Lane {
-    /// `(arrival µs, message)`; the arrival stamp (0 when untimed) turns
-    /// into the `daemon.queue` wait span at dispatch.
+    /// `(arrival µs, message)`; the arrival stamp turns into the
+    /// `daemon.queue` wait span at dispatch.
     queue: VecDeque<(u64, Message)>,
     weight: u64,
     deficit: u64,
@@ -549,13 +549,11 @@ struct Scheduler<'a> {
     /// deficit.
     rr: VecDeque<u32>,
     queued: usize,
-    /// Whether to stamp arrivals for queue-wait attribution.
-    timed: bool,
 }
 
 impl<'a> Scheduler<'a> {
-    fn new(state: &'a NodeState, policy: Option<&'a QosPolicy>, timed: bool) -> Self {
-        Scheduler { state, policy, lanes: BTreeMap::new(), rr: VecDeque::new(), queued: 0, timed }
+    fn new(state: &'a NodeState, policy: Option<&'a QosPolicy>) -> Self {
+        Scheduler { state, policy, lanes: BTreeMap::new(), rr: VecDeque::new(), queued: 0 }
     }
 
     fn is_empty(&self) -> bool {
@@ -589,8 +587,7 @@ impl<'a> Scheduler<'a> {
         if lane.queue.is_empty() {
             self.rr.push_back(tenant);
         }
-        let arrival = if self.timed { now_us() } else { 0 };
-        lane.queue.push_back((arrival, msg));
+        lane.queue.push_back((now_us(), msg));
         lane.depth.set(lane.queue.len() as u64);
         self.queued += 1;
     }
@@ -669,8 +666,7 @@ pub fn serve(
     let serve_latency = state.metrics.histogram("daemon.serve.latency_us");
     let queue_wait = state.metrics.histogram("daemon.queue.wait_us");
     let get_bytes = state.metrics.counter("daemon.get.bytes");
-    let timed = state.metrics.is_enabled() || trace.is_some();
-    let mut sched = Scheduler::new(&state, policy.as_deref(), timed);
+    let mut sched = Scheduler::new(&state, policy.as_deref());
     let mut served = 0u64;
     // Cached estimate of one request's service time, used by the shed
     // decision; refreshed from the latency histogram every EST_REFRESH
@@ -692,7 +688,7 @@ pub fn serve(
         let Some((tenant, arrival_us, msg)) = sched.next() else { continue };
         // Queue wait: arrival → dispatch, charged to the request whether
         // it is served or shed below (the requester waited either way).
-        if timed && arrival_us != 0 && msg.tag != tags::SHUTDOWN {
+        if msg.tag != tags::SHUTDOWN {
             let wait = now_us().saturating_sub(arrival_us);
             queue_wait.record_with_exemplar(wait, msg.request_id);
             if let Some(t) = &trace {
@@ -720,7 +716,7 @@ pub fn serve(
         }
         served += 1;
         sched.count_served(tenant);
-        let start = if timed { now_us() } else { 0 };
+        let start = now_us();
         let shutdown = msg.tag == tags::SHUTDOWN;
         let delivered = match msg.tag {
             tags::SHUTDOWN => msg.reply(vec![status::OK]),
@@ -734,7 +730,7 @@ pub fn serve(
             tags::UNLINK => handle_unlink(&state, &msg),
             _ => msg.reply(vec![status::BAD_REQUEST]),
         };
-        if timed && !shutdown {
+        if !shutdown {
             serve_latency.record_with_exemplar(now_us().saturating_sub(start), msg.request_id);
             if served.is_multiple_of(EST_REFRESH) {
                 est_serve_us = serve_latency.quantile(0.5);

@@ -6,10 +6,10 @@
 //! and the bench reports.
 //!
 //! Overhead discipline: recording is atomics-only on the hot path (no
-//! locks, no allocation), and a registry built with
-//! [`MetricsRegistry::disabled`] mints instruments whose `record`/`add`
-//! are a single branch, so instrumented code needs no `cfg` gates.
-//! Instrument handles are `Arc`s resolved once at setup time; the
+//! locks, no allocation). The registry is always on — every count the
+//! store reports about itself (`NodeStats`, `wal.*`, the §II-B call mix)
+//! lives here, so there is no switch that could zero them. Instrument
+//! handles are `Arc`s resolved once at setup time; the
 //! name-keyed maps are only locked at registration and export.
 
 use std::collections::BTreeMap;
@@ -38,12 +38,11 @@ pub fn now_us() -> u64 {
 #[derive(Debug)]
 pub struct Counter {
     value: AtomicU64,
-    enabled: bool,
 }
 
 impl Counter {
-    fn new(enabled: bool) -> Self {
-        Counter { value: AtomicU64::new(0), enabled }
+    fn new() -> Self {
+        Counter { value: AtomicU64::new(0) }
     }
 
     /// Add one.
@@ -55,9 +54,7 @@ impl Counter {
     /// Add `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if self.enabled {
-            self.value.fetch_add(n, Ordering::Relaxed);
-        }
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -71,20 +68,17 @@ impl Counter {
 #[derive(Debug)]
 pub struct Gauge {
     value: AtomicU64,
-    enabled: bool,
 }
 
 impl Gauge {
-    fn new(enabled: bool) -> Self {
-        Gauge { value: AtomicU64::new(0), enabled }
+    fn new() -> Self {
+        Gauge { value: AtomicU64::new(0) }
     }
 
     /// Set the current value.
     #[inline]
     pub fn set(&self, v: u64) {
-        if self.enabled {
-            self.value.store(v, Ordering::Relaxed);
-        }
+        self.value.store(v, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -128,7 +122,6 @@ pub struct Exemplar {
 /// here) can be [`merge`](Histogram::merge)d.
 #[derive(Debug)]
 pub struct Histogram {
-    /// Empty when the histogram is disabled (no memory, no recording).
     buckets: Box<[AtomicU64]>,
     count: AtomicU64,
     sum: AtomicU64,
@@ -142,11 +135,9 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    fn new(enabled: bool) -> Self {
-        let buckets: Box<[AtomicU64]> =
-            if enabled { (0..BUCKETS).map(|_| AtomicU64::new(0)).collect() } else { Box::new([]) };
+    fn new() -> Self {
         Histogram {
-            buckets,
+            buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
@@ -189,9 +180,6 @@ impl Histogram {
     /// Record one value.
     #[inline]
     pub fn record(&self, v: u64) {
-        if self.buckets.is_empty() {
-            return;
-        }
         self.buckets[Self::index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
@@ -207,7 +195,7 @@ impl Histogram {
     /// value only.
     pub fn record_with_exemplar(&self, v: u64, request: u64) {
         self.record(v);
-        if self.buckets.is_empty() || request == 0 {
+        if request == 0 {
             return;
         }
         let candidate = Exemplar { value: v, request };
@@ -259,7 +247,7 @@ impl Histogram {
     /// observed `[min, max]`. Estimates are monotone in `q`.
     pub fn quantile(&self, q: f64) -> u64 {
         let count = self.count();
-        if count == 0 || self.buckets.is_empty() {
+        if count == 0 {
             return 0;
         }
         if q >= 1.0 {
@@ -282,9 +270,6 @@ impl Histogram {
     /// equivalent to having recorded the union of both value streams,
     /// within the bucket precision.
     pub fn merge(&self, other: &Histogram) {
-        if self.buckets.is_empty() || other.buckets.is_empty() {
-            return;
-        }
         for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
             let n = theirs.load(Ordering::Relaxed);
             if n > 0 {
@@ -367,7 +352,6 @@ impl HistogramSummary {
 /// `counter`/`gauge`/`histogram` are get-or-create and return shared
 /// handles; resolve them once and record through the handle.
 pub struct MetricsRegistry {
-    enabled: bool,
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
@@ -380,54 +364,31 @@ impl Default for MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// A live registry: instruments record.
+    /// An empty registry.
     pub fn new() -> Self {
-        Self::with_enabled(true)
-    }
-
-    /// A disabled registry: instruments exist (names resolve, exports
-    /// work) but every `record`/`add`/`set` is a no-op behind a single
-    /// branch, and histograms allocate no buckets.
-    pub fn disabled() -> Self {
-        Self::with_enabled(false)
-    }
-
-    fn with_enabled(enabled: bool) -> Self {
         MetricsRegistry {
-            enabled,
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
         }
     }
 
-    /// Whether instruments from this registry record anything.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Get or create the counter `name`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
         let mut map = self.counters.lock();
-        Arc::clone(
-            map.entry(name.to_string()).or_insert_with(|| Arc::new(Counter::new(self.enabled))),
-        )
+        Arc::clone(map.entry(name.to_string()).or_insert_with(|| Arc::new(Counter::new())))
     }
 
     /// Get or create the gauge `name`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
         let mut map = self.gauges.lock();
-        Arc::clone(
-            map.entry(name.to_string()).or_insert_with(|| Arc::new(Gauge::new(self.enabled))),
-        )
+        Arc::clone(map.entry(name.to_string()).or_insert_with(|| Arc::new(Gauge::new())))
     }
 
     /// Get or create the histogram `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         let mut map = self.histograms.lock();
-        Arc::clone(
-            map.entry(name.to_string()).or_insert_with(|| Arc::new(Histogram::new(self.enabled))),
-        )
+        Arc::clone(map.entry(name.to_string()).or_insert_with(|| Arc::new(Histogram::new())))
     }
 
     /// Fold every instrument of `other` into `self` (creating missing
@@ -615,7 +576,7 @@ mod tests {
 
     #[test]
     fn histogram_quantiles_and_exact_stats() {
-        let h = Histogram::new(true);
+        let h = Histogram::new();
         for v in 1..=1000u64 {
             h.record(v);
         }
@@ -632,9 +593,9 @@ mod tests {
 
     #[test]
     fn histogram_merge_equals_union() {
-        let a = Histogram::new(true);
-        let b = Histogram::new(true);
-        let union = Histogram::new(true);
+        let a = Histogram::new();
+        let b = Histogram::new();
+        let union = Histogram::new();
         for v in [3u64, 99, 4096, 70_000] {
             a.record(v);
             union.record(v);
@@ -645,22 +606,6 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a.summary(), union.summary());
-    }
-
-    #[test]
-    fn disabled_registry_is_inert() {
-        let reg = MetricsRegistry::disabled();
-        let c = reg.counter("x");
-        let h = reg.histogram("y.latency_us");
-        let g = reg.gauge("z");
-        c.add(10);
-        h.record(99);
-        g.set(5);
-        assert_eq!(c.get(), 0);
-        assert_eq!(h.count(), 0);
-        assert_eq!(g.get(), 0);
-        // Exports still work and stay well-formed.
-        assert!(json::parse(&reg.to_json()).is_ok());
     }
 
     #[test]
@@ -715,7 +660,7 @@ mod tests {
 
     #[test]
     fn exemplar_reservoir_keeps_largest_deterministically() {
-        let h = Histogram::new(true);
+        let h = Histogram::new();
         for i in 1..=100u64 {
             h.record_with_exemplar(i, 0x1000 + i);
         }
@@ -734,9 +679,9 @@ mod tests {
 
     #[test]
     fn exemplar_merge_equals_union() {
-        let a = Histogram::new(true);
-        let b = Histogram::new(true);
-        let union = Histogram::new(true);
+        let a = Histogram::new();
+        let b = Histogram::new();
+        let union = Histogram::new();
         for v in [5u64, 900, 30] {
             a.record_with_exemplar(v, v * 2);
             union.record_with_exemplar(v, v * 2);

@@ -277,19 +277,17 @@ pub struct NodeState {
 impl NodeState {
     /// Fresh state for `rank` of `size` with the default RAM backend.
     pub fn new(rank: usize, size: usize, cache_cfg: CacheConfig) -> Self {
-        let backend = Box::new(RamBackend::new());
-        Self::with_metrics(rank, size, cache_cfg, backend, Arc::new(MetricsRegistry::new()))
+        Self::with_backend(rank, size, cache_cfg, Box::new(RamBackend::new()))
     }
 
-    /// Fresh state with an explicit backend and metrics registry (pass a
-    /// [`MetricsRegistry::disabled`] registry to run metrics-free).
-    pub fn with_metrics(
+    /// Fresh state with an explicit backend.
+    pub fn with_backend(
         rank: usize,
         size: usize,
         cache_cfg: CacheConfig,
         backend: Box<dyn Backend>,
-        metrics: Arc<MetricsRegistry>,
     ) -> Self {
+        let metrics = Arc::new(MetricsRegistry::new());
         let stats = NodeStats::register(&metrics);
         let pool = Arc::new(BufPool::default());
         // The in-memory write store: a WAL whose medium dies with it.
@@ -374,26 +372,23 @@ impl NodeState {
         expected_len: usize,
         path: &str,
     ) -> Result<Vec<u8>, FsError> {
-        let timed = self.metrics.is_enabled();
-        let start = if timed { now_us() } else { 0 };
+        let start = now_us();
         let mut out = self.pool.take(expected_len);
         if let Err(e) = decompress_object_into(codec, data, expected_len, path, &mut out) {
             self.pool.put(out);
             return Err(e);
         }
-        if timed {
-            let elapsed = now_us() - start;
-            let name = if codec == CHUNKED {
-                "chunked"
-            } else {
-                codec.family().map_or("unknown", |f| f.name())
-            };
-            self.metrics.histogram(&format!("codec.{name}.decode_us")).record(elapsed);
-            self.metrics.counter(&format!("codec.{name}.decode_bytes")).add(out.len() as u64);
-            self.stats.decompress_bytes.add(out.len() as u64);
-            // bytes/us == MB/s: both scale factors are 10^6.
-            self.stats.decompress_mb_per_s.set(out.len() as u64 / elapsed.max(1));
-        }
+        let elapsed = now_us() - start;
+        let name = if codec == CHUNKED {
+            "chunked"
+        } else {
+            codec.family().map_or("unknown", |f| f.name())
+        };
+        self.metrics.histogram(&format!("codec.{name}.decode_us")).record(elapsed);
+        self.metrics.counter(&format!("codec.{name}.decode_bytes")).add(out.len() as u64);
+        self.stats.decompress_bytes.add(out.len() as u64);
+        // bytes/us == MB/s: both scale factors are 10^6.
+        self.stats.decompress_mb_per_s.set(out.len() as u64 / elapsed.max(1));
         Ok(out)
     }
 

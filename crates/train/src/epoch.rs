@@ -89,20 +89,19 @@ pub struct EpochReport {
     /// training survived faults rather than running clean.
     pub degraded: u64,
     /// Plain bytes produced by decompression during this range
-    /// (`client.decompress.bytes` delta; 0 with metrics disabled).
+    /// (`client.decompress.bytes` delta).
     pub decode_bytes: u64,
     /// Aggregate decode throughput over this range in MB/s: decompressed
     /// bytes divided by the summed per-codec decode time. 0.0 when
-    /// metrics are disabled or nothing was decoded.
+    /// nothing was decoded.
     pub decode_mb_per_s: f64,
     /// Per-epoch-range metrics delta (counters and latency histograms
-    /// scoped to this run), or `None` when the cluster runs with
-    /// metrics disabled. Gauges in the delta are last-observed current
-    /// values, not differences.
-    pub metrics: Option<fanstore::metrics::Snapshot>,
+    /// scoped to this run). Gauges in the delta are last-observed
+    /// current values, not differences.
+    pub metrics: fanstore::metrics::Snapshot,
     /// Pipeline stall breakdown for this range (all zeros when the run
-    /// was synchronous); `None` when metrics are disabled.
-    pub stalls: Option<StallBreakdown>,
+    /// was synchronous).
+    pub stalls: StallBreakdown,
 }
 
 /// Run `cfg.epochs` epochs of batch reads on this node's view of the
@@ -149,8 +148,7 @@ pub fn run_epoch_range(
     start: usize,
     end: usize,
 ) -> Result<EpochReport, FsError> {
-    let metrics = &fs.state().metrics;
-    let metrics_before = metrics.is_enabled().then(|| metrics.snapshot());
+    let metrics_before = fs.state().metrics.snapshot();
     let degraded_before = fs.state().stats.degraded_total();
     let ckpt_store =
         (cfg.checkpoint_every > 0).then(|| CheckpointStore::new(fs, epoch_ckpt_config(fs)));
@@ -206,34 +204,26 @@ pub fn run_epoch_range(
         }
     }
 
-    let metrics_delta = metrics_before.map(|b| fs.state().metrics.snapshot().delta(&b));
-    let (decode_bytes, decode_mb_per_s) = metrics_delta
-        .as_ref()
-        .map(|d| {
-            let bytes = d.counters.get("client.decompress.bytes").copied().unwrap_or(0);
-            // Summed decode wall time across every codec's histogram;
-            // bytes/us == MB/s (both scale factors are 10^6).
-            let us: u64 = d
-                .histograms
-                .iter()
-                .filter(|(name, _)| name.starts_with("codec.") && name.ends_with(".decode_us"))
-                .map(|(_, h)| h.sum)
-                .sum();
-            (bytes, if us == 0 { 0.0 } else { bytes as f64 / us as f64 })
-        })
-        .unwrap_or((0, 0.0));
-
-    let stalls = metrics_delta.as_ref().map(|d| {
-        let wait = |stage: &str| {
-            d.histograms.get(&format!("train.stall.{stage}.wait_us")).map_or(0, |h| h.sum)
-        };
-        StallBreakdown {
-            ready_wait_us: wait("ready"),
-            feed_wait_us: wait("feed"),
-            work_wait_us: wait("work"),
-            emit_wait_us: wait("emit"),
-        }
-    });
+    let delta = fs.state().metrics.snapshot().delta(&metrics_before);
+    let decode_bytes = delta.counter("client.decompress.bytes");
+    // Summed decode wall time across every codec's histogram; bytes/us ==
+    // MB/s (both scale factors are 10^6).
+    let decode_us: u64 = delta
+        .histograms
+        .iter()
+        .filter(|(name, _)| name.starts_with("codec.") && name.ends_with(".decode_us"))
+        .map(|(_, h)| h.sum)
+        .sum();
+    let decode_mb_per_s = if decode_us == 0 { 0.0 } else { decode_bytes as f64 / decode_us as f64 };
+    let wait = |stage: &str| {
+        delta.histograms.get(&format!("train.stall.{stage}.wait_us")).map_or(0, |h| h.sum)
+    };
+    let stalls = StallBreakdown {
+        ready_wait_us: wait("ready"),
+        feed_wait_us: wait("feed"),
+        work_wait_us: wait("work"),
+        emit_wait_us: wait("emit"),
+    };
 
     Ok(EpochReport {
         files_seen: files.len(),
@@ -243,7 +233,7 @@ pub fn run_epoch_range(
         degraded: fs.state().stats.degraded_total() - degraded_before,
         decode_bytes,
         decode_mb_per_s,
-        metrics: metrics_delta,
+        metrics: delta,
         stalls,
     })
 }
@@ -291,7 +281,7 @@ mod tests {
             assert_eq!(r.bytes_read, total_bytes * 2, "every file read once per epoch");
             assert_eq!(r.checkpoints, 2);
             assert_eq!(r.degraded, 0, "clean run: no recovery events");
-            let m = r.metrics.as_ref().expect("metrics are on by default");
+            let m = &r.metrics;
             let get = m.histograms.get("client.get.latency_us").expect("GET histogram");
             assert_eq!(get.count, 20, "every file fetched once per epoch");
             assert!(m.counter("client.files.written") >= 2, "checkpoints counted");

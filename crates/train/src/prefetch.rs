@@ -47,10 +47,7 @@ impl Default for PrefetchConfig {
 /// Send, recording the blocked time into `stall` when the channel was
 /// full. The try-first shape means an unobstructed send never touches
 /// the clock, so only genuine stalls land in the histogram.
-fn send_stalled<T>(tx: &Sender<T>, value: T, timed: bool, stall: &Histogram) -> Result<(), ()> {
-    if !timed {
-        return tx.send(value).map_err(|_| ());
-    }
+fn send_stalled<T>(tx: &Sender<T>, value: T, stall: &Histogram) -> Result<(), ()> {
     match tx.try_send(value) {
         Ok(()) => Ok(()),
         Err(TrySendError::Disconnected(_)) => Err(()),
@@ -65,10 +62,7 @@ fn send_stalled<T>(tx: &Sender<T>, value: T, timed: bool, stall: &Histogram) -> 
 
 /// Receive, recording the blocked time into `stall` when the channel was
 /// empty (see [`send_stalled`]).
-fn recv_stalled<T>(rx: &Receiver<T>, timed: bool, stall: &Histogram) -> Result<T, ()> {
-    if !timed {
-        return rx.recv().map_err(|_| ());
-    }
+fn recv_stalled<T>(rx: &Receiver<T>, stall: &Histogram) -> Result<T, ()> {
     match rx.try_recv() {
         Ok(v) => Ok(v),
         Err(TryRecvError::Disconnected) => Err(()),
@@ -99,7 +93,7 @@ pub struct Fetched {
 /// feeder is already coalescing batch *i+1*'s RPCs and the workers are
 /// decompressing its entries (bounded by `cfg.queue_batches`).
 ///
-/// With metrics enabled, every stage's *blocked* time is recorded into
+/// Every stage's *blocked* time is recorded into
 /// the `train.stall.{ready,feed,work,emit}.wait_us` histograms:
 /// `ready` is the consumer starved for data (the stall the paper's
 /// argument is about — the accelerator idles), `feed` is the feeder
@@ -133,7 +127,6 @@ where
     let rpc_batch = if cfg.rpc_batch == 0 { batch } else { cfg.rpc_batch };
     let capacity = (cfg.queue_batches.max(1) * batch).max(1);
     let m = &fs.state().metrics;
-    let timed = m.is_enabled();
     let stall_ready: Arc<Histogram> = m.histogram("train.stall.ready.wait_us");
     let stall_feed: Arc<Histogram> = m.histogram("train.stall.feed.wait_us");
     let stall_work: Arc<Histogram> = m.histogram("train.stall.work.wait_us");
@@ -152,7 +145,7 @@ where
                 let raw = fs.fetch_many_raw(chunk);
                 for (j, (path, entry)) in chunk.iter().zip(raw).enumerate() {
                     let index = round * rpc_batch + j;
-                    if send_stalled(&work_tx, (index, path.clone(), entry), timed, &feed).is_err() {
+                    if send_stalled(&work_tx, (index, path.clone(), entry), &feed).is_err() {
                         return;
                     }
                 }
@@ -164,13 +157,13 @@ where
             let ready_tx = ready_tx.clone();
             let (work, emit) = (Arc::clone(&stall_work), Arc::clone(&stall_emit));
             scope.spawn(move || {
-                while let Ok((index, path, entry)) = recv_stalled(&work_rx, timed, &work) {
+                while let Ok((index, path, entry)) = recv_stalled(&work_rx, &work) {
                     let result = entry.and_then(|e| fs.finish_read(&path, e)).map(|data| Fetched {
                         index,
                         path,
                         data,
                     });
-                    if send_stalled(&ready_tx, result, timed, &emit).is_err() {
+                    if send_stalled(&ready_tx, result, &emit).is_err() {
                         return;
                     }
                 }
@@ -191,7 +184,7 @@ where
                 fs.recycle(f.data);
             }
         };
-        while let Ok(fetched) = recv_stalled(&ready_rx, timed, &stall_ready) {
+        while let Ok(fetched) = recv_stalled(&ready_rx, &stall_ready) {
             let f = fetched?;
             total += f.data.len() as u64;
             current.push(f);

@@ -275,31 +275,3 @@ fn qos_metrics_snapshot_schema() {
     assert!(get("client.throttled.ops") > 0, "burst-2 bucket must throttle the flood: {text}");
     assert!(get("daemon.shed.requests") > 0, "expired deadline must shed at the daemons: {text}");
 }
-
-#[test]
-fn disabled_metrics_record_nothing() {
-    let packed = prepare(dataset(), &PrepConfig { partitions: NODES, ..Default::default() });
-    let cfg = ClusterConfig { nodes: NODES, metrics: false, ..Default::default() };
-    let epoch_cfg = EpochConfig {
-        root: "train".into(),
-        batch_per_node: 4,
-        epochs: 1,
-        checkpoint_every: 1,
-        checkpoint_bytes: 128,
-        seed: 5,
-        prefetch: None,
-    };
-    let out = FanStore::run(cfg, packed.partitions, |fs| {
-        assert!(!fs.state().metrics.is_enabled());
-        let report = run_epochs(fs, &epoch_cfg).expect("clean run");
-        (report, fs.state().metrics.snapshot())
-    });
-    for (report, snap) in out {
-        assert!(report.metrics.is_none(), "disabled cluster must not report deltas");
-        assert!(snap.counters.values().all(|&v| v == 0), "{snap:?}");
-        assert!(snap.histograms.values().all(|h| h.count == 0), "{snap:?}");
-        // The run itself still worked.
-        assert_eq!(report.files_seen, FILES);
-        assert_eq!(report.checkpoints, 1);
-    }
-}

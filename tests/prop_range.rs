@@ -6,9 +6,12 @@
 //! followed by a full read must leave the cache entry identical to a cold
 //! full read; and for every container kind and every read kind, the rank
 //! that answers from its own bytes and the rank that asks a peer return
-//! the same thing (DESIGN.md §6: one lookup, one planner, one path).
+//! the same thing (DESIGN.md §6: one lookup, one planner, one path). A
+//! 5 % window moves a small fraction of a whole read's bytes, counted by
+//! the reader's `client.remote.bytes`, and a repeated window moves none.
 
 use std::mem::{discriminant, Discriminant};
+use std::sync::atomic::Ordering;
 use std::sync::Barrier;
 
 use fanstore_repro::compress::{CodecFamily, CodecId};
@@ -216,4 +219,82 @@ proptest! {
             prop_assert_eq!(&good[..], &data[..1], "rank {} reads fine after errors", rank);
         }
     }
+}
+
+/// Files, raw bytes per file and chunk size of the window dataset.
+const WINDOW_FILES: usize = 8;
+const WINDOW_FILE_BYTES: usize = 256 * 1024;
+const WINDOW_CHUNK: usize = 16 * 1024;
+
+fn window_path(file: usize) -> String {
+    format!("rr/f{file:03}.bin")
+}
+
+/// Rank 1's compressed fabric bytes for `pass` over the window dataset,
+/// every file of which lives in rank 0's partition, plus whatever `pass`
+/// returns.
+fn reader_pass<T: Send>(pass: impl Fn(&FsClient) -> T + Sync) -> (u64, T) {
+    // Mildly compressible and position-dependent, so every chunk shrinks
+    // and none to nothing.
+    let dataset = (0..WINDOW_FILES)
+        .map(|i| {
+            let body = (0..WINDOW_FILE_BYTES)
+                .map(|j| ((i * 31) as u8).wrapping_add((j / 7) as u8).wrapping_add(j as u8 & 3))
+                .collect();
+            (window_path(i), body)
+        })
+        .collect();
+    let packed = prepare(
+        dataset,
+        &PrepConfig { partitions: 1, chunk_size: WINDOW_CHUNK, ..PrepConfig::default() },
+    );
+    let cluster = ClusterConfig { nodes: 2, ..ClusterConfig::default() };
+    let mut out = FanStore::run(cluster, packed.partitions, |fs| {
+        let got = (fs.rank() == 1).then(|| pass(fs));
+        (fs.state().metrics.counter("client.remote.bytes").get(), got)
+    });
+    let (bytes, got) = out.swap_remove(1);
+    (bytes, got.expect("rank 1 ran the pass"))
+}
+
+#[test]
+fn a_5_percent_window_moves_at_most_15_percent_of_the_bytes() {
+    // A staggered 5 % window of every file.
+    let window = |file: usize| {
+        let len = WINDOW_FILE_BYTES / 20;
+        let start = file * 2_654_435_761 % (WINDOW_FILE_BYTES - len);
+        (start as u64, (start + len) as u64)
+    };
+    let read_windows = |fs: &FsClient| {
+        for i in 0..WINDOW_FILES {
+            let (a, b) = window(i);
+            let got = fs.read_range(&window_path(i), a, b).expect("range read");
+            assert_eq!(got.len() as u64, b - a);
+        }
+    };
+    let (ranged, (first, hits)) = reader_pass(|fs| {
+        read_windows(fs);
+        let bytes = || fs.state().metrics.counter("client.remote.bytes").get();
+        let hits = || fs.state().cache.stats().hits.load(Ordering::Relaxed);
+        let (first, hits_before) = (bytes(), hits());
+        read_windows(fs);
+        (first, hits() - hits_before)
+    });
+    assert_eq!(ranged, first, "a repeated window is served from partial cache residency");
+    assert!(hits >= WINDOW_FILES as u64, "{hits} cache hits for {WINDOW_FILES} repeated windows");
+
+    let (whole, ()) = reader_pass(|fs| {
+        for i in 0..WINDOW_FILES {
+            assert_eq!(
+                fs.read_whole(&window_path(i)).expect("whole read").len(),
+                WINDOW_FILE_BYTES
+            );
+        }
+    });
+    // Chunk granularity rounds a window up to its covering chunks, so the
+    // ratio exceeds 5 %; near 1 would mean ranges fell back to whole reads.
+    assert!(
+        ranged as f64 <= 0.15 * whole as f64,
+        "5 % windows moved {ranged} B against {whole} B for whole files"
+    );
 }

@@ -3,8 +3,9 @@
 //! (a GET is a GET_MANY batch of one), the same recovery counters for
 //! whole, range, tier and batch reads under the same faults (one ladder,
 //! walked once, then the read-through copy), one GET_MANY per ladder round
-//! for a batch with a dead owner, and QoS admission plus tenant stamping on
-//! range and tier reads.
+//! for a batch with a dead owner, one message for a 32-file batch where
+//! single reads send 32, and QoS admission plus tenant stamping on range
+//! and tier reads.
 
 use std::sync::Barrier;
 use std::time::Duration;
@@ -76,6 +77,39 @@ fn a_get_is_a_batch_of_one() {
     let [after_whole, after_many, _] = results[1].1[0];
     assert!(after_whole > 0, "rank 1's daemon served the whole read");
     assert_eq!(after_whole, after_many - after_whole, "daemon.get.bytes");
+}
+
+#[test]
+fn a_batch_of_32_is_one_message_where_single_reads_send_32() {
+    // 64 files in rank 0's partition; rank 1 reads 32 of them in one
+    // `read_many` and the other 32 one `read_whole` each, every one a
+    // cold miss. The batch is one request message to the owner, the
+    // single reads one each: per-message latency is paid 32x less.
+    let name = |set: &str, i: usize| format!("b/{set}{i:02}.bin");
+    let files = ["many", "whole"]
+        .into_iter()
+        .flat_map(|set| {
+            (0..32).map(move |i| (name(set, i), format!("sample {set} {i} ").repeat(40)))
+        })
+        .map(|(path, body)| (path, body.into_bytes()))
+        .collect();
+    let packed = prepare(files, &PrepConfig { partitions: 1, ..Default::default() });
+    let cluster = ClusterConfig { nodes: 2, ..Default::default() };
+    let sent = FanStore::run(cluster, packed.partitions, |fs| {
+        if fs.rank() == 0 {
+            return [0; 2];
+        }
+        let msgs = || fs.state().metrics.gauge("fabric.msgs_sent").get();
+        let before = msgs();
+        let paths: Vec<String> = (0..32).map(|i| name("many", i)).collect();
+        assert!(fs.read_many(&paths).iter().all(Result::is_ok));
+        let after_many = msgs();
+        for i in 0..32 {
+            fs.read_whole(&name("whole", i)).expect("whole read");
+        }
+        [after_many - before, msgs() - after_many]
+    });
+    assert_eq!(sent[1], [1, 32], "fabric.msgs_sent for one read_many, then 32 read_whole");
 }
 
 /// The read under test. Whole, range and batch reads target a

@@ -1,22 +1,30 @@
-//! What put-then-unlink traffic may not grow: the write-ahead log on a
-//! node whose live set stays small, and the namespace on the rank that
-//! owns a file's metadata.
+//! What write traffic may not grow: the write-ahead log on a node whose
+//! live set stays small, the namespace on the rank that owns a file's
+//! metadata, the syncs a group commit pays and the bytes compaction
+//! rewrites.
 //!
-//! Both grew one record or one entry per client write before: the flush
-//! that trims the log was triggered by the memtable's *live* bytes, which
-//! an unlink shrinks, and `unlink` removed a file's metadata on the
-//! writer's rank only. A checkpoint replica (every generation is put,
-//! then garbage-collected) and a metadata owner see exactly this traffic
-//! for the whole length of a training run.
+//! The first two grew one record or one entry per client write before:
+//! the flush that trims the log was triggered by the memtable's *live*
+//! bytes, which an unlink shrinks, and `unlink` removed a file's metadata
+//! on the writer's rank only. A checkpoint replica (every generation is
+//! put, then garbage-collected) and a metadata owner see exactly this
+//! traffic for the whole length of a training run.
+//!
+//! The last two are counted, not timed: one fixed overwrite script runs
+//! at `commit_every` 16 and at 1, and the store's `wal.*` counters and a
+//! byte-counting medium say what each run cost. The medium charges its
+//! modelled fsync per sync, so the sync count is the durable-write cost.
 
 use std::sync::Arc;
 use std::time::Duration;
 
+use fanstore_repro::compress::{CodecFamily, CodecId};
 use fanstore_repro::store::client::meta_owner;
 use fanstore_repro::store::cluster::{ClusterConfig, FanStore};
 use fanstore_repro::store::metrics::MetricsRegistry;
+use fanstore_repro::store::metrics::Snapshot;
 use fanstore_repro::store::prep::{prepare, PrepConfig};
-use fanstore_repro::store::wal::{RamMedia, WalConfig, WalMedia, WalStore};
+use fanstore_repro::store::wal::{CrashMedia, RamMedia, WalConfig, WalMedia, WalStore};
 use fanstore_repro::store::FsError;
 
 #[test]
@@ -90,4 +98,81 @@ fn unlink_removes_the_metadata_its_write_forwarded() {
         assert_eq!(state.meta.read().file_count(), WINDOW + forwarded, "rank {rank}");
         assert_eq!(state.stats.meta_forward_failures.get(), 0);
     }
+}
+
+/// The overwrite script: `OPS` puts of `VALUE` bytes round-robin over
+/// `KEYS` keys, each version different, then a final flush.
+const OPS: usize = 600;
+const VALUE: usize = 512;
+const KEYS: usize = 64;
+
+/// What one run of the script cost: the store's counters, the syncs the
+/// medium saw and the bytes it was asked to mutate.
+struct ScriptCost {
+    counters: Snapshot,
+    media_syncs: u64,
+    media_bytes: u64,
+}
+
+fn overwrite_script(commit_every: usize) -> ScriptCost {
+    const PROBE: u64 = u64::MAX / 2;
+    let registry = MetricsRegistry::new();
+    let disk = RamMedia::new(Duration::ZERO);
+    let probe = CrashMedia::new(disk.clone() as Arc<dyn WalMedia>, PROBE);
+    let cfg = WalConfig {
+        // The store codec keeps the segment bytes independent of any
+        // encoder's choices; the budget sits below the live set so the
+        // overwrites flush and the flushes compact.
+        codec: CodecId::new(CodecFamily::Store, 0),
+        memtable_budget: 24 * 1024,
+        commit_every,
+        compact_min_segments: 4,
+        sync_cost: Duration::ZERO,
+        ..WalConfig::default()
+    };
+    let (store, _) = WalStore::open(probe.clone(), cfg, &registry).expect("open");
+    for op in 0..OPS {
+        let value = (0..VALUE).map(|j| ((op * 31) as u8).wrapping_add((j / 13) as u8)).collect();
+        store.put(&format!("out/obj-{:04}.bin", op % KEYS), value).expect("put");
+    }
+    store.flush().expect("final flush");
+    ScriptCost {
+        counters: registry.snapshot(),
+        media_syncs: disk.syncs(),
+        media_bytes: PROBE - probe.remaining(),
+    }
+}
+
+#[test]
+fn group_commit_pays_a_quarter_of_the_syncs() {
+    let grouped = overwrite_script(16);
+    let per_write = overwrite_script(1);
+    let syncs = |c: &ScriptCost| c.counters.counter("wal.sync.count");
+    // Per-write sync commits every put; group commit commits every 16th,
+    // plus the part-filled batches a flush commits before it seals.
+    assert_eq!(syncs(&per_write), OPS as u64, "commit_every 1");
+    assert_eq!(syncs(&grouped), 39, "commit_every 16");
+    assert!(syncs(&grouped) * 4 <= syncs(&per_write));
+    // The medium also syncs each flushed segment and manifest; those are
+    // the same in both runs, and the grouped run still pays at most a
+    // quarter of the per-write run's syncs.
+    assert_eq!(per_write.media_syncs - syncs(&per_write), grouped.media_syncs - syncs(&grouped));
+    assert!(
+        grouped.media_syncs * 4 <= per_write.media_syncs,
+        "group commit did not amortise syncs: {} vs {}",
+        grouped.media_syncs,
+        per_write.media_syncs,
+    );
+}
+
+#[test]
+fn overwrites_feed_compaction_and_amplification_is_sane() {
+    let c = overwrite_script(16);
+    assert!(c.counters.counter("wal.compact.runs") > 0, "threshold compaction never ran");
+    assert!(c.counters.counter("wal.compact.dropped") > 0, "overwrites drop superseded versions");
+    // Every logical byte hits the log once, so amplification is at least
+    // 1; log + segments + manifests + compaction rewrites stay far below
+    // 20.
+    let write_amp = c.media_bytes as f64 / (OPS * VALUE) as f64;
+    assert!((1.0..20.0).contains(&write_amp), "write amplification {write_amp}");
 }
