@@ -9,7 +9,6 @@ pub mod fig8;
 pub mod fig9;
 pub mod global_view;
 pub mod lossy_fw;
-pub mod pipeline_attrib;
 pub mod table3;
 pub mod table4;
 pub mod table5;
@@ -71,7 +70,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ("decode_throughput", "codec decode/encode and CRC-32 MB/s vs their references", |q| {
         decode_throughput::run(if q { 1 } else { 4 }, if q { 1 } else { 3 })
     }),
-    ("pipeline_attrib", "where request wall time goes on a traced cluster", pipeline_attrib::run),
 ];
 
 /// Run every experiment and compose the full report (the body of

@@ -28,8 +28,9 @@ pub struct PrefetchConfig {
     pub batch_size: usize,
     /// Files coalesced per fetch round (one `GetMany` RPC per owner rank
     /// per round). 0 means "use `batch_size`". 1 degenerates to one
-    /// file per rpc — the baseline the `batch_fetch` experiment measures
-    /// against.
+    /// file per rpc — the baseline that
+    /// `tests/read_ladder.rs::a_batch_of_32_is_one_message_where_single_reads_send_32`
+    /// counts messages against.
     pub rpc_batch: usize,
     /// QoS tenant this pipeline's reads are accounted to. When it differs
     /// from the client's own tenant, the epoch runs on a forked sibling
