@@ -8,15 +8,15 @@
 //! input pipeline steals from the trainer. This experiment pins that
 //! claim with numbers: for every codec family in the registry it decodes
 //! the same compressed corpus twice — once through the optimized decoders
-//! (8/16-byte wild copies, pattern-doubled overlaps and, for LZ4, the
-//! reserve-once cursor with its shortcut sequence path, all in
-//! `fanstore_compress::copy`) and once through the byte-wise originals kept in
-//! `fanstore_compress::reference` — and reports both in MB/s of plain
-//! output, lzbench-style (best of `reps`).
+//! (every LZ decoder writes through the reserve-once `copy::Cursor`:
+//! 16-byte literal stores, 8/16-byte wild match copies, pattern-doubled
+//! overlaps and, for LZ4, its shortcut sequence path) and once through
+//! the byte-wise originals kept in `fanstore_compress::reference` — and
+//! reports both in MB/s of plain output, lzbench-style (best of `reps`).
 //!
-//! Families whose decode loops were not rewritten (Huffman, the range
-//! coders, …) dispatch to the same code on both sides; their speedup
-//! hovers at 1.0x and serves as the control group.
+//! Families with no byte-wise twin (Huffman, zling, the range coders, …)
+//! dispatch to the same code on both sides; their speedup hovers at 1.0x
+//! and serves as the control group.
 //!
 //! The second half is the same question asked of the write path, where
 //! the *encoder* is what a caller waits for: a WAL flush compresses the
@@ -364,15 +364,16 @@ pub fn run(n_per_kind: usize, reps: u32) -> String {
         "## decode_throughput — word-wide decoders vs byte-wise reference (measured)\n\n\
          Decode MB/s of plain output over a mixed datagen corpus ({n_per_kind} files\n\
          from each of the six dataset families, best of {reps} passes). `optimized`\n\
-         is the shipping hot path (8/16-byte wild copies + pattern-doubled overlap\n\
-         copies in `fanstore_compress::copy`; the two LZ4 codecs decode through its\n\
-         reserve-once cursor and shortcut sequence path); `reference` is the retained\n\
-         byte-wise decoder the differential proptests pin it against. Families\n\
-         outside the LZ rewrite dispatch identically on both sides (speedup ~1.0x,\n\
-         the control group). The last two rows are the checksum every remote byte\n\
-         passes before decode, MB/s of input over the same corpus against the\n\
-         byte-wise `reference::crc32`: the four-lane table kernel (four\n\
-         slicing-by-16 chains, joined by `x^(8·lane)`), which runs on CPUs without\n\
+         is the shipping hot path (every LZ decoder writes through the reserve-once\n\
+         `copy::Cursor`: 16-byte literal stores, 8/16-byte wild match copies and\n\
+         pattern-doubled overlaps; the two LZ4 codecs add its shortcut sequence\n\
+         path); `reference` is the retained byte-wise decoder the differential\n\
+         proptests pin it against. Families with no byte-wise twin dispatch\n\
+         identically on both sides (speedup ~1.0x, the control group). The last\n\
+         two rows are the checksum every remote byte passes before decode, MB/s\n\
+         of input over the same corpus against the byte-wise `reference::crc32`:\n\
+         the four-lane table kernel (four slicing-by-16 chains, joined by\n\
+         `x^(8·lane)`), which runs on CPUs without\n\
          carry-less multiply, and `crc32` as dispatched, which folds with\n\
          `pclmulqdq` where the CPU has it (the `clmul` row).\n\n{}\n{}",
         md_table(&["codec", "ratio", "reference MB/s", "optimized MB/s", "speedup"], &table),
@@ -459,6 +460,11 @@ mod tests {
         );
     }
 
+    /// The cursor decoders against their byte-wise originals, as ratios
+    /// on this machine: lz4fast-1, lzf-2 and lzsse8-2 must each decode at
+    /// least 2x their `reference` twin. (lzsse8 is not gated against
+    /// lz4hc: their ratio swings across 1.0 from run to run on a shared
+    /// 2-vCPU host.)
     #[test]
     fn lz4fast_and_lzf_at_least_2x_reference() {
         if cfg!(debug_assertions) {
@@ -468,7 +474,9 @@ mod tests {
             return;
         }
         let samples = corpus(2);
-        for (family, level) in [(CodecFamily::Lz4Fast, 1), (CodecFamily::Lzf, 2)] {
+        for (family, level) in
+            [(CodecFamily::Lz4Fast, 1), (CodecFamily::Lzf, 2), (CodecFamily::Lzsse8, 2)]
+        {
             let row = measure(CodecId::new(family, level), &samples, 3);
             assert!(
                 row.speedup() >= 2.0,

@@ -70,9 +70,6 @@ impl Codec for BrotliLite {
         expected_len: usize,
         out: &mut Vec<u8>,
     ) -> Result<(), CodecError> {
-        if expected_len == 0 {
-            return Ok(());
-        }
         let (nctx, shift) = self.contexts();
         decode_lz_huffman(input, expected_len, out, nctx, shift)
     }

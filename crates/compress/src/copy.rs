@@ -3,44 +3,44 @@
 //! Every LZ-family decoder in this crate reduces to two operations: append
 //! a literal run from the compressed stream, and append a back-reference
 //! copy from earlier output. Done byte-at-a-time those are bounds-check
-//! bound; this module implements both as unaligned 8- and 16-byte block
-//! moves, the technique real LZ4/LZSSE decoders use ("wild copies").
+//! bound; this module implements the back-reference as unaligned 8- and
+//! 16-byte block moves, the technique real LZ4/LZSSE decoders use ("wild
+//! copies").
 //!
-//! Two interfaces share the same raw copies:
-//!
-//! * [`append_slice`] / [`overlap_copy`] grow a `Vec<u8>` one run at a
-//!   time (reserve, copy, `set_len` per call) — what lzf, lzsse8,
-//!   zstd_lite and the token replayer use.
-//! * [`Cursor`] reserves the whole output once and then only moves a
-//!   write position, so a sequence costs no capacity check, no `Vec`
-//!   header update and no call. It adds the two *shortcut* copies of the
-//!   LZ4 block decoder: [`Cursor::wild_literals`] (one 16-byte store for
-//!   up to 16 literals) and [`Cursor::wild_match`] (8 + 8 + 2 bytes for a
-//!   match of up to 18 at distance ≥ 8).
+//! There is one interface, [`Cursor`], and every LZ decoder (lz4, lzf,
+//! lzsse8, zstd_lite, zling and brotli_lite, lzma_lite and xz) writes
+//! through it. It reserves the whole output once and then only moves a
+//! write position, so a sequence costs no capacity check, no `Vec` header
+//! update and no call. Its *shortcut* copies are
+//! [`Cursor::wild_literals`] (one 16-byte store for up to 16 literals,
+//! taken by the decoders that copy literal runs, lz4, lzf, lzsse8 and
+//! zstd_lite, while 16 source bytes remain) and
+//! [`Cursor::wild_match`] (8 + 8 + 2 bytes for a match of up to 18 at
+//! distance ≥ 8, taken by the LZ4 block decoder alone).
 //!
 //! This is the **only** module in the crate that touches memory through
 //! raw pointers (the crate's one other `unsafe` is `crc32`'s feature-checked
 //! call into its carry-less-multiply kernel). The safety argument is local
 //! and small:
 //!
-//! * Reads never leave the source slice. Short literal copies use
-//!   *overlapping* head/tail word loads (first 8 and last 8 bytes of the
-//!   run), and the 16-byte literal shortcut takes a `&[u8; 16]`: never a
-//!   load that crosses the end of the input.
+//! * Reads never leave the source slice: a literal run is copied at its
+//!   exact length, and the 16-byte literal shortcut takes a `&[u8; 16]`,
+//!   never a load that crosses the end of the input.
 //! * Writes may overrun the *logical* end of the output by up to
 //!   `WILD_SLACK - 1` bytes, but always land inside capacity reserved up
-//!   front (`reserve(len + WILD_SLACK)`), and `set_len` only ever exposes
-//!   the exact logical length.
+//!   front (`reserve(expected_len + WILD_SLACK)`), and `set_len` only ever
+//!   exposes the bytes written.
 //! * Overlap copies read only bytes at or below the write frontier, which
 //!   are initialized by construction (each wild stride keeps
 //!   `src + stride <= dst`, with the 16-byte stride used only for
 //!   `dist >= 16`; the `dist < 8` path doubles an already-initialized
 //!   pattern in place).
-//! * Every entry point checks its own preconditions with a hard
-//!   `assert!`: decoders validate lengths and distances first (they owe
-//!   the caller a typed error), so a decoder bug can panic but never read
-//!   or write out of bounds. [`Cursor`]'s fields are private, which is
-//!   what lets its methods trust `start <= pos <= limit` and
+//! * Every method checks its own preconditions with a hard `assert!`:
+//!   decoders check each run against [`Cursor::remaining`] and each
+//!   distance against [`Cursor::produced`] first (they owe the caller a
+//!   typed error), so a decoder bug can panic but never read or write out
+//!   of bounds. [`Cursor`]'s fields are private, which is what lets its
+//!   methods trust `start <= pos <= limit` and
 //!   `limit + WILD_SLACK <= capacity`.
 //!
 //! CI runs this module's unit tests under Miri, so they stay free of
@@ -57,61 +57,10 @@ pub const WILD_SLACK: usize = 16;
 ///
 /// Safe: the slice index panics (rather than reading out of bounds) if the
 /// window does not fit. Shared by the match finder's XOR + `trailing_zeros`
-/// match extension and the decoders' copy loops.
+/// match extension and its twin in [`crate::reference`].
 #[inline(always)]
 pub fn read_u64(buf: &[u8], pos: usize) -> u64 {
     u64::from_le_bytes(buf[pos..pos + 8].try_into().unwrap())
-}
-
-/// Append `src` to `out` with word-wide copies.
-///
-/// Semantically identical to `out.extend_from_slice(src)`, but the short
-/// runs LZ decoders produce (a handful of literals between matches) skip
-/// the generic `memcpy` dispatch in favour of one or two overlapping
-/// 8-byte load/store pairs.
-#[inline]
-pub fn append_slice(out: &mut Vec<u8>, src: &[u8]) {
-    let n = src.len();
-    if n > 32 {
-        out.extend_from_slice(src);
-        return;
-    }
-    out.reserve(n + WILD_SLACK);
-    let old_len = out.len();
-    debug_assert!(out.capacity() >= old_len + n + WILD_SLACK);
-    // SAFETY: all loads below stay inside `src` (overlapping head/tail
-    // windows, each starting at an offset where a full word fits); all
-    // stores stay inside the `n + WILD_SLACK` bytes of spare capacity
-    // reserved above (the widest is 8 bytes at an offset below `n`);
-    // `set_len` exposes exactly the `n` bytes just written.
-    unsafe {
-        let dst = out.as_mut_ptr().add(old_len);
-        let sp = src.as_ptr();
-        if n >= 8 {
-            std::ptr::copy_nonoverlapping(sp, dst, 8);
-            if n > 8 {
-                // Tail word overlaps the head/mid words; the double-write
-                // region is written with identical bytes. Mid words at 8
-                // and 16 close the gap up to n = 32 (LZF's max literal
-                // run), the largest n that reaches this branch.
-                std::ptr::copy_nonoverlapping(sp.add(n - 8), dst.add(n - 8), 8);
-                if n > 16 {
-                    std::ptr::copy_nonoverlapping(sp.add(8), dst.add(8), 8);
-                }
-                if n > 24 {
-                    std::ptr::copy_nonoverlapping(sp.add(16), dst.add(16), 8);
-                }
-            }
-        } else if n >= 4 {
-            std::ptr::copy_nonoverlapping(sp, dst, 4);
-            std::ptr::copy_nonoverlapping(sp.add(n - 4), dst.add(n - 4), 4);
-        } else {
-            for k in 0..n {
-                *dst.add(k) = *sp.add(k);
-            }
-        }
-        out.set_len(old_len + n);
-    }
 }
 
 /// Copy `len` bytes from `buf[pos - dist..]` to `buf[pos..]`, replicating
@@ -168,32 +117,6 @@ unsafe fn overlap_raw(buf: *mut u8, pos: usize, dist: usize, len: usize) {
     }
 }
 
-/// Append `len` bytes copied from `dist` bytes behind the end of `out`,
-/// replicating the pattern when `dist < len` (LZ run-length-style matches).
-///
-/// # Panics
-/// If `dist == 0` or `dist > out.len()`. Decoders validate distances
-/// before calling; the assert turns a decoder bug into a panic instead of
-/// an out-of-bounds access.
-#[inline]
-pub fn overlap_copy(out: &mut Vec<u8>, dist: usize, len: usize) {
-    assert!(dist >= 1 && dist <= out.len(), "overlap_copy: invalid distance");
-    if len == 0 {
-        return;
-    }
-    out.reserve(len + WILD_SLACK);
-    let old_len = out.len();
-    debug_assert!(out.capacity() >= old_len + len + WILD_SLACK);
-    // SAFETY: the reservation above makes the buffer valid for
-    // `old_len + len + WILD_SLACK` bytes, its first `old_len` are
-    // initialized, and the assert checked `dist`. `set_len` exposes
-    // exactly the `len` bytes `overlap_raw` wrote.
-    unsafe {
-        overlap_raw(out.as_mut_ptr(), old_len, dist, len);
-        out.set_len(old_len + len);
-    }
-}
-
 /// An output position over capacity reserved once: the decoder's view of
 /// "`out`, plus `expected_len` bytes I am about to produce".
 ///
@@ -201,8 +124,7 @@ pub fn overlap_copy(out: &mut Vec<u8>, dist: usize, len: usize) {
 /// `out`'s current length; every method then writes through a raw pointer
 /// and advances `pos`, never past `limit = start + expected_len`. Dropping
 /// the cursor publishes what was written (`set_len(pos)`), so a decoder
-/// that bails out with an error leaves the bytes it produced, as the
-/// `Vec`-growing primitives do.
+/// that bails out with an error leaves the bytes it produced.
 pub struct Cursor<'a> {
     out: &'a mut Vec<u8>,
     /// `out`'s buffer, valid for `limit + WILD_SLACK` bytes. `out` is
@@ -239,6 +161,19 @@ impl<'a> Cursor<'a> {
     #[inline(always)]
     pub fn remaining(&self) -> usize {
         self.limit - self.pos
+    }
+
+    /// The last byte written through this cursor: the context byte that
+    /// zling's and lzma's literal models read after a match.
+    ///
+    /// # Panics
+    /// If nothing was written yet.
+    #[inline(always)]
+    pub fn last(&self) -> u8 {
+        assert!(self.pos > self.start, "Cursor::last: nothing written");
+        // SAFETY: `start < pos`, so `buf[pos - 1]` is a byte written
+        // through this cursor, inside the reservation and initialized.
+        unsafe { *self.buf.add(self.pos - 1) }
     }
 
     /// Append `src`, exactly: nothing is written past its last byte.
@@ -326,8 +261,8 @@ impl Drop for Cursor<'_> {
 mod tests {
     use super::*;
 
-    /// Byte-wise model the word-wide implementations must match exactly.
-    fn overlap_copy_model(out: &mut Vec<u8>, dist: usize, len: usize) {
+    /// Byte-wise model the word-wide copies must match exactly.
+    fn match_model(out: &mut Vec<u8>, dist: usize, len: usize) {
         let start = out.len() - dist;
         for i in 0..len {
             let b = out[start + i];
@@ -340,57 +275,6 @@ mod tests {
         let buf = [1u8, 2, 3, 4, 5, 6, 7, 8, 9];
         assert_eq!(read_u64(&buf, 0), u64::from_le_bytes([1, 2, 3, 4, 5, 6, 7, 8]));
         assert_eq!(read_u64(&buf, 1), u64::from_le_bytes([2, 3, 4, 5, 6, 7, 8, 9]));
-    }
-
-    #[test]
-    fn append_slice_all_short_lengths() {
-        for n in 0..=40usize {
-            for prefix in [0usize, 1, 7, 13] {
-                let src: Vec<u8> =
-                    (0..n as u8).map(|b| b.wrapping_mul(37).wrapping_add(11)).collect();
-                let mut out: Vec<u8> = (0..prefix as u8).collect();
-                let mut expect = out.clone();
-                expect.extend_from_slice(&src);
-                append_slice(&mut out, &src);
-                assert_eq!(out, expect, "n={n} prefix={prefix}");
-            }
-        }
-    }
-
-    #[test]
-    fn overlap_copy_exhaustive_small() {
-        // Every (dist, len) pair over a varied seed buffer must match the
-        // byte-wise model, covering both the wild-stride and the
-        // pattern-doubling branches plus their boundaries.
-        let seed: Vec<u8> = (0..48u8).map(|b| b.wrapping_mul(101).wrapping_add(3)).collect();
-        for dist in 1..=seed.len() {
-            for len in 0..=130usize {
-                let mut fast = seed.clone();
-                let mut slow = seed.clone();
-                overlap_copy(&mut fast, dist, len);
-                overlap_copy_model(&mut slow, dist, len);
-                assert_eq!(fast, slow, "dist={dist} len={len}");
-            }
-        }
-    }
-
-    #[test]
-    fn overlap_copy_long_runs() {
-        for (dist, len) in [(1usize, 5_000usize), (3, 4_099), (8, 4_999), (9, 4_000), (16, 4_001)] {
-            let mut fast: Vec<u8> = (0..dist as u8).collect();
-            let mut slow = fast.clone();
-            overlap_copy(&mut fast, dist, len);
-            overlap_copy_model(&mut slow, dist, len);
-            assert_eq!(fast, slow, "dist={dist} len={len}");
-        }
-    }
-
-    #[test]
-    fn overlap_copy_does_not_disturb_prefix() {
-        let mut out = b"prefix-material-0123456789".to_vec();
-        let snapshot = out.clone();
-        overlap_copy(&mut out, 10, 25);
-        assert_eq!(&out[..snapshot.len()], &snapshot[..]);
     }
 
     /// A buffer of exactly the capacity a cursor needs for `expected`
@@ -410,9 +294,15 @@ mod tests {
             let mut cur = Cursor::new(&mut out, 40);
             assert_eq!((cur.produced(), cur.remaining()), (0, 40));
             cur.literals(b"abcdefgh");
+            assert_eq!(cur.last(), b'h');
+            // The shortcut stored all sixteen bytes; the last one written
+            // is the third.
             cur.wild_literals(b"0123456789ABCDEF", 3);
+            assert_eq!(cur.last(), b'2');
             cur.copy_match(11, 11);
+            assert_eq!(cur.last(), b'2');
             cur.wild_match(8, 18);
+            assert_eq!(cur.last(), b'e');
             assert_eq!((cur.produced(), cur.remaining()), (40, 0));
         }
         assert_eq!(out, b"head:abcdefgh012abcdefgh012defgh012defgh012de");
@@ -426,6 +316,21 @@ mod tests {
         cur.literals(b"partial");
         drop(cur);
         assert_eq!(out, b"partial");
+    }
+
+    #[test]
+    fn cursor_literals_all_short_lengths() {
+        // Runs at exactly the expected length, behind existing content.
+        for n in 0..=40usize {
+            for prefix in [0usize, 1, 7, 13] {
+                let src: Vec<u8> =
+                    (0..n as u8).map(|b| b.wrapping_mul(37).wrapping_add(11)).collect();
+                let head: Vec<u8> = (0..prefix as u8).collect();
+                let mut out = tight(&head, n);
+                Cursor::new(&mut out, n).literals(&src);
+                assert_eq!(out, [head, src].concat(), "n={n} prefix={prefix}");
+            }
+        }
     }
 
     #[test]
@@ -451,7 +356,7 @@ mod tests {
                 cur.wild_match(dist, len);
                 drop(cur);
                 let mut slow = seed.clone();
-                overlap_copy_model(&mut slow, dist, len);
+                match_model(&mut slow, dist, len);
                 assert_eq!(fast, slow, "dist={dist} len={len}");
             }
         }
@@ -459,21 +364,25 @@ mod tests {
 
     #[test]
     fn cursor_copy_match_matches_the_model_up_to_the_limit() {
-        let seed: Vec<u8> = (0..20u8).map(|b| b.wrapping_mul(101).wrapping_add(3)).collect();
-        for dist in 1..=seed.len() {
-            for len in [0usize, 1, 4, 7, 8, 15, 16, 17, 31, 33, 70] {
-                // `len` is exactly what remains: the wild strides spill
-                // into the slack and nowhere else.
-                let mut fast = tight(b"pre", seed.len() + len);
-                let mut cur = Cursor::new(&mut fast, seed.len() + len);
-                cur.literals(&seed);
-                cur.copy_match(dist, len);
-                assert_eq!(cur.remaining(), 0);
-                drop(cur);
-                let mut slow = seed.clone();
-                overlap_copy_model(&mut slow, dist, len);
-                assert_eq!(fast, [b"pre", &slow[..]].concat(), "dist={dist} len={len}");
-            }
+        // Every (dist, len) pair over a varied seed, covering both the
+        // wild-stride and the pattern-doubling branches plus their
+        // boundaries, then long runs on both sides of the 8- and 16-byte
+        // strides.
+        let seed: Vec<u8> = (0..48u8).map(|b| b.wrapping_mul(101).wrapping_add(3)).collect();
+        let grid = (1..=seed.len()).flat_map(|dist| (0..=130usize).map(move |len| (dist, len)));
+        let long = [(1usize, 5_000usize), (3, 4_099), (8, 4_999), (9, 4_000), (16, 4_001)];
+        for (dist, len) in grid.chain(long) {
+            // `len` is exactly what remains: the wild strides spill into
+            // the slack and nowhere else, and the prefix stays untouched.
+            let mut fast = tight(b"pre", seed.len() + len);
+            let mut cur = Cursor::new(&mut fast, seed.len() + len);
+            cur.literals(&seed);
+            cur.copy_match(dist, len);
+            assert_eq!(cur.remaining(), 0);
+            drop(cur);
+            let mut slow = seed.clone();
+            match_model(&mut slow, dist, len);
+            assert_eq!(fast, [b"pre", &slow[..]].concat(), "dist={dist} len={len}");
         }
     }
 
@@ -496,6 +405,22 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "nothing written")]
+    fn cursor_last_does_not_read_before_its_start() {
+        let mut out = tight(b"0123456789", 8);
+        Cursor::new(&mut out, 8).last();
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid distance")]
+    fn cursor_copy_match_rejects_zero_distance() {
+        let mut out = tight(b"", 8);
+        let mut cur = Cursor::new(&mut out, 8);
+        cur.literals(b"abc");
+        cur.copy_match(0, 4);
+    }
+
+    #[test]
     fn cursor_rejects_writes_past_the_expected_length() {
         let overrun: [fn(&mut Cursor); 5] = [
             |c| c.literals(&[0; 9]),
@@ -513,19 +438,5 @@ mod tests {
             });
             assert!(caught.is_err(), "case {i}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid distance")]
-    fn overlap_copy_rejects_zero_dist() {
-        let mut out = b"abc".to_vec();
-        overlap_copy(&mut out, 0, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid distance")]
-    fn overlap_copy_rejects_dist_past_start() {
-        let mut out = b"abc".to_vec();
-        overlap_copy(&mut out, 4, 2);
     }
 }

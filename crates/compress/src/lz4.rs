@@ -47,7 +47,7 @@ fn emit_seq(input: &[u8], seq: Seq, out: &mut Vec<u8>) {
     if lit_nibble == 15 {
         write_len_ext(out, seq.lit_len - 15);
     }
-    copy::append_slice(out, &input[seq.lit_start..seq.lit_start + seq.lit_len]);
+    out.extend_from_slice(&input[seq.lit_start..seq.lit_start + seq.lit_len]);
     if seq.match_len > 0 {
         debug_assert!(seq.match_len >= MIN_MATCH && seq.dist >= 1 && seq.dist <= MAX_DIST);
         out.extend_from_slice(&(seq.dist as u16).to_le_bytes());

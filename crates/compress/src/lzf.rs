@@ -8,6 +8,7 @@
 //! The level selects the hash-table size used during compression; the
 //! format (and therefore decompression speed) is identical at all levels.
 
+use crate::copy::Cursor;
 use crate::{Codec, CodecError, CodecFamily, CodecId};
 
 const MAX_OFF: usize = 1 << 13;
@@ -98,11 +99,12 @@ impl Codec for Lzf {
         expected_len: usize,
         out: &mut Vec<u8>,
     ) -> Result<(), CodecError> {
-        // Hot loop on the word-wide primitives in `crate::copy`; byte-wise
-        // original retained as `crate::reference::lzf`.
-        let base = out.len();
+        // Hot loop on a `copy::Cursor`: each run is checked against what
+        // remains before it is written, and a run of up to 16 literals with
+        // 16 input bytes left is one 16-byte store. Byte-wise original
+        // retained as `crate::reference::lzf`.
+        let mut cur = Cursor::new(out, expected_len);
         let mut i = 0usize;
-        out.reserve(expected_len + 8);
         while i < input.len() {
             let ctrl = input[i] as usize;
             i += 1;
@@ -111,7 +113,13 @@ impl Codec for Lzf {
                 if i + len > input.len() {
                     return Err(CodecError::Truncated);
                 }
-                crate::copy::append_slice(out, &input[i..i + len]);
+                if len > cur.remaining() {
+                    return Err(CodecError::Corrupt("lzf output exceeds expected length"));
+                }
+                match input[i..].first_chunk::<16>() {
+                    Some(window) if len <= 16 => cur.wild_literals(window, len),
+                    _ => cur.literals(&input[i..i + len]),
+                }
                 i += len;
             } else {
                 let mut len = (ctrl >> 5) + 2;
@@ -122,14 +130,13 @@ impl Codec for Lzf {
                 let lo = *input.get(i).ok_or(CodecError::Truncated)? as usize;
                 i += 1;
                 let off = ((ctrl & 0x1f) << 8 | lo) + 1;
-                let produced = out.len() - base;
-                if off > produced {
+                if off > cur.produced() {
                     return Err(CodecError::Corrupt("lzf offset before start"));
                 }
-                crate::copy::overlap_copy(out, off, len);
-            }
-            if out.len() - base > expected_len {
-                return Err(CodecError::Corrupt("lzf output exceeds expected length"));
+                if len > cur.remaining() {
+                    return Err(CodecError::Corrupt("lzf output exceeds expected length"));
+                }
+                cur.copy_match(off, len);
             }
         }
         Ok(())

@@ -13,10 +13,11 @@
 //! verified on decompression (the small extra cost matching xz vs lzma in
 //! the paper's Table IV).
 
+use crate::copy::Cursor;
 use crate::crc32::crc32;
 use crate::matchfinder::{lazy_seqs, MatchConfig};
 use crate::rangecoder::{Prob, RangeDecoder, RangeEncoder};
-use crate::tokens::{overlap_copy, slots};
+use crate::tokens::slots;
 use crate::{Codec, CodecError, CodecFamily, CodecId};
 
 const MIN_MATCH: usize = 2;
@@ -167,29 +168,27 @@ fn lzma_decompress(input: &[u8], expected_len: usize, out: &mut Vec<u8>) -> Resu
     if expected_len == 0 {
         return Ok(());
     }
-    let base = out.len();
-    let target = base + expected_len;
     let mut dec = RangeDecoder::new(input)?;
     let mut m = Model::new();
     let mut prev = 0u8;
-    out.reserve(expected_len);
-    while out.len() < target {
+    let mut cur = Cursor::new(out, expected_len);
+    while cur.remaining() > 0 {
         let ctx = Model::lit_ctx(prev);
         if dec.decode_bit(&mut m.is_match[ctx]) == 0 {
             let b = dec.decode_bittree(&mut m.literal[ctx * 256..(ctx + 1) * 256], 8) as u8;
-            out.push(b);
+            cur.literals(&[b]);
             prev = b;
         } else {
             let len = decode_len(&mut dec, &mut m);
             let dist = decode_dist(&mut dec, &mut m, len);
-            if dist > out.len() - base {
+            if dist > cur.produced() {
                 return Err(CodecError::Corrupt("lzma distance out of range"));
             }
-            if out.len() + len > target {
+            if len > cur.remaining() {
                 return Err(CodecError::Corrupt("lzma match exceeds expected length"));
             }
-            overlap_copy(out, dist, len);
-            prev = *out.last().unwrap();
+            cur.copy_match(dist, len);
+            prev = cur.last();
         }
     }
     Ok(())

@@ -15,11 +15,13 @@
 //! and the LZ4 encoders that write their block while those parse
 //! (`tests/prop_encode.rs`).
 //!
-//! Families with no word-wide rewrite of their own (rle, huffman, zling,
-//! brotli, lzma, xz, bzip, store) decode through the registry codec in
+//! Families with no byte-wise twin here (rle, huffman, zling, brotli,
+//! lzma, xz, bzip, store) decode through the registry codec in
 //! [`decompress`]; for those the differential suite degenerates to a
-//! roundtrip check, which is intentional — their hot loops were not
-//! touched.
+//! roundtrip check. zling, brotli, lzma and xz do write through
+//! [`crate::copy::Cursor`], but their match copies are a small share of a
+//! bit-serial entropy decode; the suite's truncation, bit-flip, garbage
+//! and wrong-length properties are what would catch a check they miss.
 
 use crate::filters::Filter;
 use crate::lz4::{Lz4Fast, Lz4Hc};
@@ -60,7 +62,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 /// Per-byte overlap copy (`out.push` in a loop): the model the optimized
-/// [`crate::copy::overlap_copy`] must reproduce for every `(dist, len)`.
+/// [`crate::copy::Cursor::copy_match`] must reproduce for every `(dist, len)`.
 fn overlap_copy(out: &mut Vec<u8>, dist: usize, len: usize) {
     let start = out.len() - dist;
     for i in 0..len {
@@ -69,7 +71,7 @@ fn overlap_copy(out: &mut Vec<u8>, dist: usize, len: usize) {
     }
 }
 
-/// Per-byte literal copy: the model for [`crate::copy::append_slice`].
+/// Per-byte literal copy: the model for [`crate::copy::Cursor::literals`].
 fn push_bytes(out: &mut Vec<u8>, src: &[u8]) {
     for &b in src {
         out.push(b);

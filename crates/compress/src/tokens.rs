@@ -20,19 +20,6 @@ pub struct Seq {
     pub dist: usize,
 }
 
-/// Copy `len` bytes from `dist` back in `out` to the end of `out`,
-/// correctly handling overlapping copies (`dist < len` replicates the
-/// pattern, which is how LZ run-length-style matches work).
-///
-/// Delegates to the word-wide primitive in [`crate::copy`]; every
-/// LZ-family decoder (lz4, lzf, lzsse, zstd, zling, lzma, brotli, bzip)
-/// gets the fast path through this one entry point. The byte-wise
-/// original lives on in [`crate::reference`].
-#[inline]
-pub fn overlap_copy(out: &mut Vec<u8>, dist: usize, len: usize) {
-    crate::copy::overlap_copy(out, dist, len);
-}
-
 /// LZMA-style slot coding for unbounded values (match lengths, distances).
 ///
 /// Values `0..=3` are their own slot; a larger value with most-significant
@@ -162,26 +149,5 @@ mod tests {
         let input = b"abcabc";
         let seqs = [Seq { lit_start: 0, lit_len: 2, match_len: 4, dist: 5 }];
         assert!(!parse_reconstructs(input, &seqs));
-    }
-
-    #[test]
-    fn overlap_copy_replicates_pattern() {
-        let mut out = b"ab".to_vec();
-        overlap_copy(&mut out, 2, 6);
-        assert_eq!(out, b"abababab");
-    }
-
-    #[test]
-    fn overlap_copy_run_of_one() {
-        let mut out = b"x".to_vec();
-        overlap_copy(&mut out, 1, 5);
-        assert_eq!(out, b"xxxxxx");
-    }
-
-    #[test]
-    fn overlap_copy_non_overlapping() {
-        let mut out = b"0123456789".to_vec();
-        overlap_copy(&mut out, 10, 4);
-        assert_eq!(out, b"01234567890123");
     }
 }

@@ -8,9 +8,10 @@
 //! medium ratio, table-driven medium-cost decode).
 
 use crate::bitio::{BitReader, BitWriter};
+use crate::copy::Cursor;
 use crate::huffman::{build_lengths, read_lengths, write_lengths, HuffDecoder, HuffEncoder};
 use crate::matchfinder::{lazy_seqs, MatchConfig};
-use crate::tokens::{overlap_copy, slots, Seq};
+use crate::tokens::{slots, Seq};
 use crate::{Codec, CodecError, CodecFamily, CodecId};
 
 const MIN_MATCH: usize = 4;
@@ -124,8 +125,9 @@ pub(crate) fn decode_lz_huffman(
     nctx: usize,
     ctx_shift: u32,
 ) -> Result<(), CodecError> {
-    let base = out.len();
-    let target = base + expected_len;
+    if input.is_empty() && expected_len == 0 {
+        return Ok(()); // what an empty input compresses to
+    }
     let mut pos = 0usize;
     let mut decoders = Vec::with_capacity(nctx);
     for _ in 0..nctx {
@@ -137,15 +139,15 @@ pub(crate) fn decode_lz_huffman(
 
     let mut r = BitReader::new(&input[pos..]);
     let mut prev_byte = 0u8;
-    out.reserve(expected_len);
+    let mut cur = Cursor::new(out, expected_len);
     loop {
         let ctx = (prev_byte >> ctx_shift) as usize % nctx;
         let sym = decoders[ctx].decode(&mut r)? as usize;
         if sym < LIT_SYMS {
-            if out.len() >= target {
+            if cur.remaining() == 0 {
                 return Err(CodecError::Corrupt("zling literal exceeds expected length"));
             }
-            out.push(sym as u8);
+            cur.literals(&[sym as u8]);
             prev_byte = sym as u8;
         } else if sym == EOB {
             break;
@@ -159,21 +161,18 @@ pub(crate) fn decode_lz_huffman(
             }
             let dextra = r.read(slots::extra_bits(dslot))? as u32;
             let dist = (slots::base(dslot) + dextra) as usize + 1;
-            if dist > out.len() - base {
+            if dist > cur.produced() {
                 return Err(CodecError::Corrupt("zling distance out of range"));
             }
-            if out.len() + len > target {
+            if len > cur.remaining() {
                 return Err(CodecError::Corrupt("zling match exceeds expected length"));
             }
-            overlap_copy(out, dist, len);
-            prev_byte = *out.last().unwrap();
+            cur.copy_match(dist, len);
+            prev_byte = cur.last();
         }
     }
-    if out.len() != target {
-        return Err(CodecError::LengthMismatch {
-            expected: expected_len,
-            actual: out.len() - base,
-        });
+    if cur.remaining() != 0 {
+        return Err(CodecError::LengthMismatch { expected: expected_len, actual: cur.produced() });
     }
     Ok(())
 }
@@ -197,9 +196,6 @@ impl Codec for Zling {
         expected_len: usize,
         out: &mut Vec<u8>,
     ) -> Result<(), CodecError> {
-        if expected_len == 0 {
-            return Ok(());
-        }
         decode_lz_huffman(input, expected_len, out, 1, 6)
     }
 }

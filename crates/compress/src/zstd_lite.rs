@@ -19,7 +19,7 @@
 //! counts so the decoder can rebuild the table.
 
 use crate::bitio::{BitReader, BitWriter};
-use crate::copy;
+use crate::copy::Cursor;
 use crate::fse::{decode_all, encode_all, FseTable};
 use crate::matchfinder::{lazy_seqs, MatchConfig};
 use crate::tokens::slots;
@@ -257,8 +257,6 @@ impl Codec for ZstdLite {
                 Err(CodecError::Corrupt("zstd trailing data"))
             };
         }
-        let base = out.len();
-        let target = base + expected_len;
         let mut pos = 0usize;
         let n_seqs = read_uvarint(input, &mut pos)? as usize;
         let n_literals = read_uvarint(input, &mut pos)? as usize;
@@ -278,7 +276,7 @@ impl Codec for ZstdLite {
         }
         let mut extras = BitReader::new(&input[pos..pos + extras_len]);
 
-        out.reserve(expected_len + 8);
+        let mut cur = Cursor::new(out, expected_len);
         let mut lit_pos = 0usize;
         for i in 0..n_seqs {
             let lit_len = read_field(&mut extras, ll[i])? as usize;
@@ -287,22 +285,25 @@ impl Codec for ZstdLite {
             if lit_pos + lit_len > lit_syms.len() {
                 return Err(CodecError::Corrupt("zstd literal overrun"));
             }
-            if out.len() + lit_len + match_len > target {
+            if lit_len + match_len > cur.remaining() {
                 return Err(CodecError::Corrupt("zstd output overrun"));
             }
-            copy::append_slice(out, &lit_syms[lit_pos..lit_pos + lit_len]);
+            match lit_syms[lit_pos..].first_chunk::<16>() {
+                Some(window) if lit_len <= 16 => cur.wild_literals(window, lit_len),
+                _ => cur.literals(&lit_syms[lit_pos..lit_pos + lit_len]),
+            }
             lit_pos += lit_len;
             if match_len > 0 {
-                if dist == 0 || dist > out.len() - base {
+                if dist == 0 || dist > cur.produced() {
                     return Err(CodecError::Corrupt("zstd distance out of range"));
                 }
-                copy::overlap_copy(out, dist, match_len);
+                cur.copy_match(dist, match_len);
             }
         }
-        if out.len() != target {
+        if cur.remaining() != 0 {
             return Err(CodecError::LengthMismatch {
                 expected: expected_len,
-                actual: out.len() - base,
+                actual: cur.produced(),
             });
         }
         Ok(())

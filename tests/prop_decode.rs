@@ -1,21 +1,25 @@
 //! Differential decode properties: the word-wide optimized decoders must
 //! produce *byte-for-byte* the same output as the retained byte-wise
-//! decoders in `fanstore_compress::reference`, for every registry codec
-//! configuration, on random and adversarial streams — and corrupt streams
-//! (truncated or bit-flipped) must error identically-or-gracefully on
-//! both, never panic or read out of bounds.
+//! decoders in `fanstore_repro::compress::reference`, for every registry
+//! codec configuration, on random and adversarial streams — and corrupt
+//! streams (truncated or bit-flipped) or valid streams under a wrong
+//! expected length must error identically-or-gracefully on both, never
+//! panic or read out of bounds.
 //!
 //! The LZ4 block decoder additionally has a shortcut path that no
 //! compressor output is guaranteed to steer through every edge of, so the
 //! second half of this file builds blocks by hand: every combination of
 //! literal/match nibble, match distance and distance from the end of the
 //! block that decides between the shortcut and the bounded path, plus
-//! every truncation and bit flip of a thinner set of them.
+//! every truncation and bit flip of a thinner set of them. lzf and lzsse8
+//! get the same treatment at the edge of their 16-byte literal store.
 
-use fanstore_compress::copy::WILD_SLACK;
-use fanstore_compress::lz4::Lz4Fast;
-use fanstore_compress::registry::create;
-use fanstore_compress::{
+use fanstore_repro::compress::copy::WILD_SLACK;
+use fanstore_repro::compress::lz4::Lz4Fast;
+use fanstore_repro::compress::lzf::Lzf;
+use fanstore_repro::compress::lzsse::Lzsse8;
+use fanstore_repro::compress::registry::create;
+use fanstore_repro::compress::{
     compress_to_vec, decompress_into, decompress_to_vec, reference, Codec, CodecError, CodecFamily,
     CodecId,
 };
@@ -162,6 +166,33 @@ proptest! {
         }
     }
 
+    /// A valid stream under a wrong expected length is an error on both
+    /// sides, and the same one: never a panic, never a short or padded
+    /// success. No other property hands a decoder a valid stream and a
+    /// wrong length, which is where a missing check before a write would
+    /// reach one of `copy::Cursor`'s asserts. Huffman and lzma streams
+    /// carry no end marker (the frame's length ends them), so there a
+    /// wrong length need only not panic and agree with the reference.
+    #[test]
+    fn wrong_expected_len_errors_like_the_reference(data in data_strategy()) {
+        let wrong = [data.len().checked_sub(1), Some(data.len() + 1), Some(0)];
+        for id in all_registry_ids() {
+            let codec = create(id).unwrap();
+            let compressed = compress_to_vec(codec.as_ref(), &data);
+            let ended_by_length =
+                matches!(id.family(), Some(CodecFamily::Huffman | CodecFamily::LzmaLite));
+            for expected_len in wrong.into_iter().flatten().filter(|&n| n != data.len()) {
+                let fast = decompress_to_vec(codec.as_ref(), &compressed, expected_len);
+                let slow = reference::decompress(id, &compressed, expected_len);
+                prop_assert!(
+                    fast.is_err() || ended_by_length,
+                    "{} accepted {} bytes as {}", id, data.len(), expected_len
+                );
+                prop_assert_eq!(fast, slow, "{} under expected_len {}", id, expected_len);
+            }
+        }
+    }
+
     /// Pure garbage presented as a compressed stream never panics either
     /// decoder.
     #[test]
@@ -225,17 +256,38 @@ fn lz4_block(seqs: &[Seq], final_lits: usize) -> (Vec<u8>, Vec<u8>) {
 
 type Outcome = Result<Vec<u8>, CodecError>;
 
+/// A byte-wise reference decoder, as `reference` exports them.
+type Reference = fn(&[u8], usize, &mut Vec<u8>) -> Result<(), CodecError>;
+
 /// Decode with the shipping decoder into a buffer of exactly the capacity
-/// it is entitled to, and with the byte-wise reference; both outcomes.
-fn decode_both(block: &[u8], expected_len: usize) -> (Outcome, Outcome) {
+/// it is entitled to, and with the byte-wise reference; both outcomes. A
+/// success of the wrong length is the error `decompress_to_vec` makes of
+/// it (lzf leaves that check to its caller).
+fn decode_with(
+    codec: &dyn Codec,
+    reference: Reference,
+    block: &[u8],
+    expected_len: usize,
+) -> (Outcome, Outcome) {
     let mut out = Vec::with_capacity(expected_len + WILD_SLACK);
     let buffer = out.as_ptr();
-    let fast = Lz4Fast::new(1).decompress(block, expected_len, &mut out);
+    let fast = codec.decompress(block, expected_len, &mut out);
     assert_eq!(out.as_ptr(), buffer, "the decoder outgrew expected_len + WILD_SLACK");
     assert!(out.len() <= expected_len, "the decoder published more than expected_len");
     let mut model = Vec::new();
-    let slow = reference::lz4_block(block, expected_len, &mut model);
-    (fast.map(|()| out), slow.map(|()| model))
+    let slow = reference(block, expected_len, &mut model);
+    let exact = |decoded: Result<(), CodecError>, out: Vec<u8>| match decoded {
+        Ok(()) if out.len() != expected_len => {
+            Err(CodecError::LengthMismatch { expected: expected_len, actual: out.len() })
+        }
+        decoded => decoded.map(|()| out),
+    };
+    (exact(fast, out), exact(slow, model))
+}
+
+/// [`decode_with`] the LZ4 block decoder.
+fn decode_both(block: &[u8], expected_len: usize) -> (Outcome, Outcome) {
+    decode_with(&Lz4Fast::new(1), reference::lz4_block, block, expected_len)
 }
 
 /// A 20-byte literal prelude with a first match (so every distance up to
@@ -309,4 +361,130 @@ fn lz4_shortcut_edges_truncated_or_flipped_agree_with_the_reference() {
             }
         }
     }
+}
+
+/// A hand-built block and the plain bytes it decodes to.
+#[derive(Default)]
+struct Built {
+    block: Vec<u8>,
+    plain: Vec<u8>,
+    next: u8,
+}
+
+impl Built {
+    /// `n` literal bytes, no two neighbours alike, so a misplaced copy shows.
+    fn literals(&mut self, n: usize) {
+        for _ in 0..n {
+            self.next = self.next.wrapping_mul(73).wrapping_add(41);
+            self.block.push(self.next);
+            self.plain.push(self.next);
+        }
+    }
+
+    fn copy(&mut self, dist: usize, len: usize) {
+        for _ in 0..len {
+            self.plain.push(self.plain[self.plain.len() - dist]);
+        }
+    }
+}
+
+/// An lzsse8 block: a prelude (20 literals, then 8 bytes from 3 back), a
+/// run of `lits` literals, and `trail` more input bytes. Those are a match
+/// of 8 from 9 back (two offset bytes and a length byte), cut short when
+/// `trail < 3`, then a final run of `trail - 4` literals behind its length
+/// byte. Returns the block, its plain bytes and whether it is whole.
+fn lzsse8_edge_block(lits: usize, trail: usize) -> (Built, bool) {
+    let mut b = Built::default();
+    b.block.push(20);
+    b.literals(20);
+    b.block.extend([3, 0, 0]);
+    b.copy(3, 8);
+    b.block.push(lits as u8);
+    b.literals(lits);
+    if trail == 0 {
+        return (b, true);
+    }
+    b.block.extend(&[9, 0, 0][..trail.min(3)]);
+    if trail < 3 {
+        return (b, false);
+    }
+    b.copy(9, 8);
+    if trail > 3 {
+        b.block.push((trail - 4) as u8);
+        b.literals(trail - 4);
+    }
+    (b, true)
+}
+
+/// An lzf block: a prelude (20 literals, then 3 bytes from 3 back), a run
+/// of `lits >= 1` literals (a control byte encodes runs of 1..=32), and
+/// `trail` more input bytes. Those are a match of 4 from 9 back (control
+/// and offset byte), cut short when `trail < 2`, then a final run of
+/// `trail - 3` literals behind its control byte, cut short when that run
+/// would be empty. Returns the block, its plain bytes and whether it is
+/// whole.
+fn lzf_edge_block(lits: usize, trail: usize) -> (Built, bool) {
+    let mut b = Built::default();
+    b.block.push(19);
+    b.literals(20);
+    b.block.extend([1 << 5, 2]);
+    b.copy(3, 3);
+    b.block.push((lits - 1) as u8);
+    b.literals(lits);
+    if trail == 0 {
+        return (b, true);
+    }
+    b.block.extend(&[2 << 5, 8][..trail.min(2)]);
+    if trail < 2 {
+        return (b, false);
+    }
+    b.copy(9, 4);
+    if trail == 2 {
+        return (b, true);
+    }
+    if trail == 3 {
+        b.block.push(0);
+        return (b, false);
+    }
+    b.block.push((trail - 4) as u8);
+    b.literals(trail - 3);
+    (b, true)
+}
+
+/// lzf, lzsse8 (and zstd_lite) copy a run of up to 16 literals as one
+/// 16-byte store while 16 source bytes remain from its start. Runs of
+/// 0..=17 literals with 0..=17 input bytes behind them straddle both
+/// limits; each block decodes like the byte-wise reference under its own
+/// length and one byte either side, and only a whole block under its own
+/// length decodes at all.
+#[test]
+fn wild_literal_edges_decode_like_the_reference() {
+    type Edge = fn(usize, usize) -> (Built, bool);
+    let cases: [(&dyn Codec, Reference, Edge, usize); 2] = [
+        (&Lzf::new(1), reference::lzf, lzf_edge_block, 1),
+        (&Lzsse8::new(1), reference::lzsse8, lzsse8_edge_block, 0),
+    ];
+    let mut blocks = 0;
+    for (codec, reference, edge_block, min_lits) in cases {
+        for lits in min_lits..=17 {
+            for trail in 0..=17 {
+                let (Built { block, plain, .. }, whole) = edge_block(lits, trail);
+                for expected_len in [plain.len() - 1, plain.len(), plain.len() + 1] {
+                    let (fast, slow) = decode_with(codec, reference, &block, expected_len);
+                    let what = format!(
+                        "{}: {lits} literals + {trail} bytes, expected_len {expected_len}",
+                        codec.name()
+                    );
+                    if whole && expected_len == plain.len() {
+                        assert_eq!(fast.as_ref(), Ok(&plain), "{what}");
+                    } else {
+                        assert!(fast.is_err(), "{what}");
+                    }
+                    assert_eq!(fast, slow, "{what}");
+                }
+                blocks += 1;
+            }
+        }
+    }
+    assert_eq!(blocks, 17 * 18 + 18 * 18);
 }

@@ -12,10 +12,12 @@
 //! pinned by digests of what they emitted for a fixed corpus at the commit
 //! before the rewrite.
 
-use fanstore_compress::crc32::crc32;
-use fanstore_compress::matchfinder::{greedy_parse, lazy_seqs, MatchConfig};
-use fanstore_compress::registry::create;
-use fanstore_compress::{compress_to_vec, decompress_to_vec, reference, CodecFamily, CodecId};
+use fanstore_repro::compress::crc32::crc32;
+use fanstore_repro::compress::matchfinder::{greedy_parse, lazy_seqs, MatchConfig};
+use fanstore_repro::compress::registry::create;
+use fanstore_repro::compress::{
+    compress_to_vec, decompress_to_vec, reference, CodecFamily, CodecId,
+};
 
 /// Every `lz4fast` acceleration and `lz4hc` level the registry accepts.
 fn lz4_ids() -> Vec<CodecId> {
