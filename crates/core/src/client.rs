@@ -26,8 +26,8 @@ use parking_lot::Mutex;
 
 use crate::backend::Backend;
 use crate::daemon::{
-    decode_get_many_reply, encode_get_many_request, tags, GetManyItem, GetManySpec, PartialChunk,
-    MAX_BATCH,
+    decode_get_many_reply, encode_get_many_request, status, tags, GetManyItem, GetManySpec,
+    PartialChunk, MAX_BATCH,
 };
 use crate::meta::encode_single;
 use crate::metrics::{now_us, Counter, Gauge, Histogram};
@@ -38,21 +38,20 @@ use crate::stat::FileStat;
 use crate::trace::{SpanEvent, TraceRecorder};
 use crate::FsError;
 
-/// Client-side recovery policy for remote operations.
+/// Client-side recovery policy for remote operations; every client runs
+/// under one ([`crate::cluster::ClusterConfig::failover`]).
 ///
-/// When attached ([`FsClient::with_failover`]), every remote rpc runs
-/// under a deadline and failed GETs retry against the ring replicas of
-/// the owner ([`replicas_of`]) with bounded exponential backoff and
+/// Every remote rpc runs under a deadline, and failed reads retry against
+/// the ring replicas of the owner ([`replicas_of`], in the order the
+/// cluster's placement granted) with bounded exponential backoff and
 /// deterministic seeded jitter. Timeouts, CRC failures and replica
 /// retries are counted in [`crate::node::NodeStats`]; a read that needed
-/// any recovery marks the node degraded rather than failing training.
+/// any recovery marks the node degraded rather than failing training,
+/// and an unreachable metadata owner costs a count, not the operation.
 #[derive(Debug, Clone)]
 pub struct FailoverConfig {
     /// Per-attempt rpc deadline.
     pub rpc_timeout: Duration,
-    /// Ring-replication rounds the cluster performed (replica count − 1);
-    /// fixes the failover order via [`replicas_of`].
-    pub replica_rounds: usize,
     /// Attempts per replica before moving to the next one (≥ 1).
     pub attempts_per_replica: u32,
     /// Backoff before the second attempt; doubles every attempt after.
@@ -73,7 +72,6 @@ impl Default for FailoverConfig {
     fn default() -> Self {
         FailoverConfig {
             rpc_timeout: Duration::from_millis(250),
-            replica_rounds: 0,
             attempts_per_replica: 2,
             backoff_base: Duration::from_millis(1),
             backoff_max: Duration::from_millis(20),
@@ -357,7 +355,10 @@ pub struct FsClient {
     fds: Mutex<HashMap<i32, OpenFile>>,
     next_fd: AtomicU64,
     trace: Option<Arc<TraceRecorder>>,
-    failover: Option<FailoverConfig>,
+    failover: FailoverConfig,
+    /// Ring-replication rounds the cluster's placement granted (replica
+    /// count − 1): fixes every ladder's order via [`replicas_of`].
+    replica_rounds: usize,
     read_through: Option<Arc<dyn Backend>>,
     qos: Option<QosState>,
     metrics: ClientMetrics,
@@ -365,8 +366,14 @@ pub struct FsClient {
 
 impl FsClient {
     /// Build a client over a node's state and a send handle on the
-    /// service channel.
-    pub fn new(state: Arc<NodeState>, service: RemoteSender) -> Self {
+    /// service channel, recovering under `failover` over `replica_rounds`
+    /// granted ring-replication rounds.
+    pub(crate) fn new(
+        state: Arc<NodeState>,
+        service: RemoteSender,
+        failover: FailoverConfig,
+        replica_rounds: usize,
+    ) -> Self {
         let metrics = ClientMetrics::resolve(&state);
         FsClient {
             state,
@@ -374,7 +381,8 @@ impl FsClient {
             fds: Mutex::new(HashMap::new()),
             next_fd: AtomicU64::new(3),
             trace: None,
-            failover: None,
+            failover,
+            replica_rounds,
             read_through: None,
             qos: None,
             metrics,
@@ -385,13 +393,6 @@ impl FsClient {
     /// request spans into it.
     pub fn with_trace(mut self, trace: Arc<TraceRecorder>) -> Self {
         self.trace = Some(trace);
-        self
-    }
-
-    /// Attach a failover policy: remote rpcs run under its deadline and
-    /// failed GETs retry over the owner's ring replicas.
-    pub fn with_failover(mut self, cfg: FailoverConfig) -> Self {
-        self.failover = Some(cfg);
         self
     }
 
@@ -447,12 +448,10 @@ impl FsClient {
     /// process serving several training jobs gives each its own tenant
     /// identity (and its own admission bucket).
     pub fn fork_tenant(&self, tenant: TenantId) -> FsClient {
-        let mut c = FsClient::new(Arc::clone(&self.state), self.service.clone());
+        let (state, service) = (Arc::clone(&self.state), self.service.clone());
+        let mut c = FsClient::new(state, service, self.failover.clone(), self.replica_rounds);
         if let Some(t) = &self.trace {
             c = c.with_trace(Arc::clone(t));
-        }
-        if let Some(f) = &self.failover {
-            c = c.with_failover(f.clone());
         }
         if let Some(b) = &self.read_through {
             c = c.with_read_through(Arc::clone(b));
@@ -508,22 +507,15 @@ impl FsClient {
 
     /// The absolute deadline (µs on the shared monotonic clock) to stamp
     /// on this operation's rpcs: the tenant's `op_deadline` when set, else
-    /// the failover `rpc_timeout` when the policy derives deadlines from
-    /// it. 0 = no deadline (also without a QoS policy — the pre-QoS
-    /// envelope, so the daemon never sheds legacy traffic).
+    /// `rpc_timeout` when the QoS policy derives deadlines from it. 0 = no
+    /// op deadline (so no shedding: always without a QoS policy); each rpc
+    /// still waits at most `rpc_timeout`.
     fn op_deadline_us(&self) -> u64 {
         let Some(q) = &self.qos else { return 0 };
         let d = match q.policy.quota(q.tenant).and_then(|t| t.op_deadline) {
             Some(d) => d,
-            None => {
-                if !q.policy.deadline_from_timeout {
-                    return 0;
-                }
-                match &self.failover {
-                    Some(c) => c.rpc_timeout,
-                    None => return 0,
-                }
-            }
+            None if q.policy.deadline_from_timeout => self.failover.rpc_timeout,
+            None => return 0,
         };
         now_us().saturating_add(d.as_micros() as u64).max(1)
     }
@@ -682,23 +674,22 @@ impl FsClient {
             }
         }
         ladder.sort_by_key(|r| r.owner);
-        let cfg = self.failover.as_ref();
+        let cfg = &self.failover;
         for round in 0u32.. {
-            let mut backoff = cfg.filter(|_| round > 0);
+            let mut backoff = round > 0;
             let groups = ladder.chunk_by_mut(|a, b| a.owner == b.owner);
             for chunk in groups.flat_map(|group| group.chunks_mut(MAX_BATCH)) {
                 let mut to = self.rung(chunk[0].owner, round);
-                if to.is_some() && cfg.is_some_and(|c| c.retry_budget > 0 && round > c.retry_budget)
-                {
+                if to.is_some() && cfg.retry_budget > 0 && round > cfg.retry_budget {
                     stats.retry_exhausted.add(chunk.len() as u64);
                     to = None;
                 }
-                if let (Some(_), Some(cfg)) = (to, backoff.take()) {
+                if to.is_some() && std::mem::take(&mut backoff) {
                     std::thread::sleep(backoff_delay(cfg, specs[chunk[0].slot].path, round));
                 }
-                // Never send past the op deadline, nor wait past it.
-                let left = if deadline == 0 { u64::MAX } else { deadline.saturating_sub(now_us()) };
-                let Some(to) = to.filter(|_| left > 0) else {
+                // Never send past the op deadline.
+                let expired = deadline != 0 && now_us() >= deadline;
+                let Some(to) = to.filter(|_| !expired) else {
                     // Off the ladder: at its end, by the budget or the deadline.
                     for r in chunk {
                         let path = specs[r.slot].path;
@@ -716,9 +707,8 @@ impl FsClient {
                     self.metrics.rpc_retries.inc();
                     self.metrics.get_many_fallbacks.add(chunk.len() as u64);
                 }
-                let timeout = cfg.map(|c| c.rpc_timeout.min(Duration::from_micros(left)));
                 let wire: Vec<GetManySpec> = chunk.iter().map(|r| specs[r.slot]).collect();
-                self.get_many_rpc(&wire, to, timeout, request, deadline, |j, item| {
+                self.get_many_rpc(&wire, to, request, deadline, |j, item| {
                     let r = &mut chunk[j];
                     match item.and_then(|item| finish(r.slot, item, None)) {
                         // Retryable on the next rung: NotFound, Comm, Shed too.
@@ -758,17 +748,15 @@ impl FsClient {
         }
     }
 
-    /// Step `round` of `owner`'s ladder, or `None` past its end: without a
-    /// [`FailoverConfig`] the owner, once; with one, its ring replicas in
-    /// [`replicas_of`] order, `attempts_per_replica` rounds each. This node
-    /// is never a step, so its own ladder is empty.
+    /// Step `round` of `owner`'s ladder, or `None` past its end: its ring
+    /// replicas in [`replicas_of`] order, `attempts_per_replica` rounds
+    /// each. This node is never a step, so its own ladder is empty.
     fn rung(&self, owner: usize, round: u32) -> Option<usize> {
         if owner == self.state.rank {
             return None;
         }
-        let Some(cfg) = &self.failover else { return (round == 0).then_some(owner) };
-        let step = (round / cfg.attempts_per_replica.max(1)) as usize;
-        let replicas = replicas_of(owner, self.state.size, cfg.replica_rounds).into_iter();
+        let step = (round / self.failover.attempts_per_replica.max(1)) as usize;
+        let replicas = replicas_of(owner, self.state.size, self.replica_rounds).into_iter();
         replicas.filter(|&r| r != self.state.rank).nth(step)
     }
 
@@ -813,26 +801,23 @@ impl FsClient {
         Ok(plain)
     }
 
-    /// One GET_MANY round trip to `rank` (optionally under a timeout): the
-    /// only place a read request is encoded and its reply decoded. Entry
-    /// `j`'s outcome goes to `each(j, ..)`, borrowing the reply buffer
-    /// where it landed; a failed rpc, a SHED reply or a damaged outer frame
-    /// is every entry's outcome. The leg lands in `fabric.rpc.latency_us` /
+    /// One GET_MANY round trip to `rank`: the only place a read request is
+    /// encoded and its reply decoded. Entry `j`'s outcome goes to
+    /// `each(j, ..)`, borrowing the reply buffer where it landed; a failed
+    /// rpc, a SHED reply or a damaged outer frame is every entry's outcome. The leg lands in `fabric.rpc.latency_us` /
     /// a `fabric.rpc` span; a timed-out rpc and a SHED reply are counted
     /// here, once.
     fn get_many_rpc(
         &self,
         specs: &[GetManySpec],
         rank: usize,
-        timeout: Option<Duration>,
         request: u64,
         deadline_us: u64,
         mut each: impl FnMut(usize, Result<GetManyItem<'_>, FsError>),
     ) {
         let payload = encode_get_many_request(specs);
         let rpc_start = now_us();
-        let meta = self.rpc_meta(request, deadline_us);
-        let reply = self.service.rpc_with_meta(rank, tags::GET_MANY, payload, timeout, meta);
+        let reply = self.rpc(rank, tags::GET_MANY, payload, self.rpc_meta(request, deadline_us));
         self.metrics.rpc_latency.record_with_exemplar(now_us().saturating_sub(rpc_start), request);
         self.span(request, "fabric.rpc", rpc_start);
         self.sync_fabric_gauges();
@@ -1113,22 +1098,11 @@ impl FsClient {
     }
 
     /// Finalise one written file: land it in the node's write store and
-    /// forward its metadata to the owner rank.
+    /// forward its metadata to the owner rank. The file stays readable
+    /// from this node even if the forward is lost.
     fn close_write(&self, path: &str, buf: Vec<u8>) -> Result<(), FsError> {
         let entry = self.state.finalize_write(path, buf)?;
-        let owner = meta_owner(path, self.state.size);
-        if owner != self.state.rank {
-            if let Err(e) = self.control_rpc(owner, tags::PUT_META, encode_single(path, &entry)) {
-                if self.failover.is_none() {
-                    return Err(FsError::Comm(e.to_string()));
-                }
-                // Degraded mode: the metadata owner is unreachable. The
-                // file stays readable from this node; count the lost
-                // forward instead of killing the training run.
-                self.state.stats.rpc_timeouts.inc();
-                self.state.stats.meta_forward_failures.inc();
-            }
-        }
+        self.forward_meta(path, tags::PUT_META, encode_single(path, &entry));
         Ok(())
     }
 
@@ -1147,24 +1121,15 @@ impl FsClient {
         if let Some(s) = self.state.meta.read().stat(path) {
             return Ok(s);
         }
+        // An unreachable owner is a degraded metadata view: the path is
+        // simply not visible from here.
         let owner = meta_owner(path, self.state.size);
         if owner != self.state.rank {
-            match self.control_rpc(owner, tags::GET_META, path.as_bytes().to_vec()) {
-                Ok(reply) => {
-                    if reply.first() == Some(&crate::daemon::status::OK) {
-                        self.state.merge_meta(&reply[1..])?;
-                        if let Some(s) = self.state.meta.read().stat(path) {
-                            return Ok(s);
-                        }
-                    }
-                }
-                Err(e) => {
-                    if self.failover.is_none() {
-                        return Err(FsError::Comm(e.to_string()));
-                    }
-                    // Degraded metadata view: the owner is unreachable,
-                    // so the path is simply not visible from here.
-                    self.state.stats.rpc_timeouts.inc();
+            let reply = self.meta_rpc(owner, tags::GET_META, path, path.as_bytes().to_vec());
+            if let Some(meta) = reply.as_deref().ok().and_then(|r| r.strip_prefix(&[status::OK])) {
+                self.state.merge_meta(meta)?;
+                if let Some(s) = self.state.meta.read().stat(path) {
+                    return Ok(s);
                 }
             }
         }
@@ -1292,23 +1257,56 @@ impl FsClient {
         }
     }
 
-    /// One metadata-plane round trip (PUT_META, GET_META, UNLINK) to
-    /// `rank`, under the failover deadline when one is attached. Each
-    /// caller maps the error itself.
-    fn control_rpc(&self, rank: usize, tag: Tag, payload: Vec<u8>) -> Result<Vec<u8>, CommError> {
-        match &self.failover {
-            Some(cfg) => self.service.rpc_timeout(rank, tag, payload, cfg.rpc_timeout),
-            None => self.service.rpc(rank, tag, payload),
+    /// The one rpc door: every remote call waits at most `rpc_timeout`.
+    /// The op deadline `meta` carries gates the send (the ladder checks it
+    /// first) and the serve (the daemon sheds past it), not the wait, so a
+    /// request that expires in flight comes back SHED rather than racing
+    /// its own reply.
+    fn rpc(
+        &self,
+        rank: usize,
+        tag: Tag,
+        payload: Vec<u8>,
+        meta: RpcMeta,
+    ) -> Result<Vec<u8>, CommError> {
+        self.service.rpc_with_meta(rank, tag, payload, Some(self.failover.rpc_timeout), meta)
+    }
+
+    /// One metadata-plane round trip (PUT_META, GET_META, UNLINK) about
+    /// `path`: an unreachable rank is counted once, by
+    /// [`FsClient::rpc_error`], and a reply other than OK or NOT_FOUND is
+    /// a refusal.
+    fn meta_rpc(
+        &self,
+        rank: usize,
+        tag: Tag,
+        path: &str,
+        payload: Vec<u8>,
+    ) -> Result<Vec<u8>, FsError> {
+        let what = || format!("metadata rpc {tag} for {path} at rank {rank}");
+        let reply = self.rpc(rank, tag, payload, RpcMeta::default());
+        let reply = reply.map_err(|e| self.rpc_error(&what(), e))?;
+        match reply.first() {
+            Some(&(status::OK | status::NOT_FOUND)) => Ok(reply),
+            _ => Err(FsError::Comm(format!("{} refused", what()))),
+        }
+    }
+
+    /// Forward a metadata change (`close_write`'s PUT_META, `unlink`'s
+    /// UNLINK) to `path`'s metadata owner (§V-D). Degraded mode: a lost
+    /// forward costs a `meta_forward_failures` count, never the operation.
+    fn forward_meta(&self, path: &str, tag: Tag, payload: Vec<u8>) {
+        let owner = meta_owner(path, self.state.size);
+        if owner != self.state.rank && self.meta_rpc(owner, tag, path, payload).is_err() {
+            self.state.stats.meta_forward_failures.inc();
         }
     }
 
     /// Push a whole object into `rank`'s write store (checkpoint
     /// replication): the peer can then serve GETs for `path` and keeps a
-    /// durable copy across this rank's crash. Runs under the failover
-    /// deadline when one is attached.
+    /// durable copy across this rank's crash.
     pub fn put_remote(&self, rank: usize, path: &str, data: &[u8]) -> Result<(), FsError> {
         let payload = crate::daemon::encode_put(path, self.state.rank as u32, data);
-        let timeout = self.failover.as_ref().map(|cfg| cfg.rpc_timeout);
         // The push is one request: a `client.put` root span with a
         // `fabric.rpc` child, and the request id rides the envelope so the
         // serving daemon's `daemon.write_serve` span joins the same tree
@@ -1316,11 +1314,11 @@ impl FsClient {
         let request = self.state.next_request_id();
         let start = now_us();
         let meta = self.rpc_meta(request, 0); // writes are never shed on deadline
-        let reply = self.service.rpc_with_meta(rank, tags::PUT, payload, timeout, meta);
+        let reply = self.rpc(rank, tags::PUT, payload, meta);
         self.span(request, "fabric.rpc", start);
         let out =
             match reply.map_err(|e| self.rpc_error(&format!("PUT {path} to rank {rank}"), e))? {
-                r if r.first() == Some(&crate::daemon::status::OK) => Ok(()),
+                r if r.first() == Some(&status::OK) => Ok(()),
                 _ => Err(FsError::Comm(format!("PUT {path} rejected by rank {rank}"))),
             };
         self.span(request, "client.put", start);
@@ -1329,22 +1327,14 @@ impl FsClient {
 
     /// `unlink(path)` for output files held on this node (checkpoint GC).
     /// The removal is forwarded to the rank `close_write` forwarded the
-    /// file's metadata to, so that rank stops answering `stat` for it;
-    /// under a failover configuration an unreachable owner is counted and
-    /// the unlink still succeeds, as a lost metadata forward does.
+    /// file's metadata to, so that rank stops answering `stat` for it; an
+    /// unreachable owner is counted and the unlink still succeeds, as a
+    /// lost metadata forward does.
     pub fn unlink(&self, path: &str) -> Result<(), FsError> {
         if !self.state.remove_write(path)? {
             return Err(FsError::NotFound(path.to_string()));
         }
-        let owner = meta_owner(path, self.state.size);
-        if owner != self.state.rank {
-            if let Err(e) = self.unlink_remote(owner, path) {
-                if self.failover.is_none() {
-                    return Err(e);
-                }
-                self.state.stats.meta_forward_failures.inc();
-            }
-        }
+        self.forward_meta(path, tags::UNLINK, path.as_bytes().to_vec());
         Ok(())
     }
 
@@ -1352,17 +1342,7 @@ impl FsClient {
     /// checkpoint generations). A missing path reports success: the goal
     /// state — "not there" — already holds.
     pub fn unlink_remote(&self, rank: usize, path: &str) -> Result<(), FsError> {
-        let reply = self.control_rpc(rank, tags::UNLINK, path.as_bytes().to_vec());
-        match reply.map_err(|e| self.rpc_error(&format!("UNLINK {path} at rank {rank}"), e))? {
-            r if matches!(
-                r.first(),
-                Some(&crate::daemon::status::OK | &crate::daemon::status::NOT_FOUND)
-            ) =>
-            {
-                Ok(())
-            }
-            _ => Err(FsError::Comm(format!("UNLINK {path} rejected by rank {rank}"))),
-        }
+        self.meta_rpc(rank, tags::UNLINK, path, path.as_bytes().to_vec()).map(drop)
     }
 
     /// Recursively enumerate the dataset the way a training program does

@@ -58,10 +58,10 @@ pub struct ClusterConfig {
     /// startup collectives and the teardown barrier rather than model a
     /// dying daemon.
     pub fault_plan: Option<FaultPlan>,
-    /// Client-side recovery policy (rpc deadlines, replica failover,
-    /// backoff). `replica_rounds` is overwritten with the replication the
-    /// placement actually granted.
-    pub failover: Option<FailoverConfig>,
+    /// Client-side recovery policy every rank's client runs under: rpc
+    /// deadlines, replica failover over the ring rounds the placement
+    /// granted, backoff. An unreachable peer degrades, never hangs.
+    pub failover: FailoverConfig,
     /// Keep a read-through copy of every partition (models the shared
     /// file system staying available): the client's last resort after
     /// every replica failed, letting training survive a dead rank even
@@ -96,7 +96,7 @@ impl Default for ClusterConfig {
             node_capacity: None,
             trace_ring: 0,
             fault_plan: None,
-            failover: None,
+            failover: FailoverConfig::default(),
             read_through: false,
             qos: None,
             wal: None,
@@ -166,10 +166,7 @@ impl FanStore {
         } else {
             None
         };
-        let failover = cfg.failover.clone().map(|mut fo| {
-            fo.replica_rounds = placement.extra_rounds;
-            fo
-        });
+        let failover = cfg.failover.clone();
         let fault_plan = cfg.fault_plan.clone().map(|mut plan| {
             if plan.channels.is_none() {
                 plan.channels = Some(vec![1]); // service channel only
@@ -260,12 +257,14 @@ impl FanStore {
             let result = std::thread::scope(|scope| {
                 let daemon =
                     scope.spawn(move || serve(daemon_state, service, daemon_trace, daemon_qos));
-                let mut client = FsClient::new(Arc::clone(&state), service_remote.clone());
+                let mut client = FsClient::new(
+                    Arc::clone(&state),
+                    service_remote.clone(),
+                    failover.clone(),
+                    replication - 1,
+                );
                 if let Some(t) = &trace {
                     client = client.with_trace(Arc::clone(t));
-                }
-                if let Some(fo) = &failover {
-                    client = client.with_failover(fo.clone());
                 }
                 if let Some(rt) = &read_through {
                     client = client.with_read_through(Arc::clone(rt));

@@ -40,7 +40,7 @@ pub struct TenantQuota {
     /// relative to other tenants (min 1).
     pub weight: u32,
     /// Per-operation deadline stamped on the rpc envelope. `None` derives
-    /// the deadline from the failover `rpc_timeout` (when
+    /// the deadline from the client's `FailoverConfig::rpc_timeout` (when
     /// [`QosPolicy::deadline_from_timeout`] is set); `Some(0)` makes
     /// every request arrive already expired — the daemon sheds it
     /// deterministically.
@@ -178,7 +178,7 @@ pub struct QosPolicy {
     /// immediately. 0 = unbounded.
     pub queue_depth: usize,
     /// When a tenant has no explicit `op_deadline`, derive one from the
-    /// client's failover `rpc_timeout` (requests that would time out
+    /// client's `FailoverConfig::rpc_timeout` (requests that would time out
     /// anyway get shed instead of burning daemon CPU).
     pub deadline_from_timeout: bool,
     /// Admission retries under seeded backoff before an op surfaces as

@@ -37,20 +37,22 @@ fn main() {
     };
 
     // The fault schedule: rank 0's service links go dark after 3
-    // messages each, and ~1% of surviving payloads are corrupted.
+    // messages each, and ~1% of surviving payloads are corrupted. Every
+    // cluster recovers under one `FailoverConfig`; this run tunes the
+    // default's deadline and backoff.
     let plan = FaultPlan::new(0xC4A0).kill(0, 3).corrupt_prob(0.01);
     let cfg = ClusterConfig {
         nodes: 4,
         replication: 2,
         read_through: true,
         fault_plan: Some(plan),
-        failover: Some(FailoverConfig {
+        failover: FailoverConfig {
             rpc_timeout: Duration::from_millis(500),
             backoff_base: Duration::from_micros(200),
             backoff_max: Duration::from_millis(2),
             seed: 42,
             ..Default::default()
-        }),
+        },
         ..Default::default()
     };
 
@@ -70,18 +72,15 @@ fn main() {
         );
     }
 
-    // Same plan without recovery: the deadline turns the dead rank into
-    // a prompt, clean error instead of a hang.
-    println!("same faults, failover but no read-through: bounded failure");
+    // Rank 0 dead from the start, with nowhere else to read its files
+    // from: the default policy's deadlines turn the dead rank into a
+    // prompt, typed error instead of a hang.
+    println!("rank 0 dead, no replicas, no read-through: bounded failure");
     let cfg = ClusterConfig {
         nodes: 4,
         replication: 1, // no replicas: rank 0's files are unreachable
         read_through: false,
         fault_plan: Some(FaultPlan::new(0xC4A0).kill(0, 0)),
-        failover: Some(FailoverConfig {
-            rpc_timeout: Duration::from_millis(100),
-            ..Default::default()
-        }),
         ..Default::default()
     };
     let outcomes = FanStore::run(cfg, packed.partitions, |fs| {

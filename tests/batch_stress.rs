@@ -137,14 +137,14 @@ fn run_stress(seed: u64, parallel: bool) -> Vec<RankOutcome> {
         // Rank 0's links are dead before the first message: survivors
         // fail over to ring replicas, rank 0 itself reads through.
         fault_plan: Some(FaultPlan::new(seed).kill(0, 0)),
-        failover: Some(FailoverConfig {
+        failover: FailoverConfig {
             rpc_timeout: Duration::from_millis(500),
             attempts_per_replica: 1,
             backoff_base: Duration::from_micros(100),
             backoff_max: Duration::from_millis(1),
             seed,
             ..Default::default()
-        }),
+        },
         ..Default::default()
     };
     FanStore::run(cfg, packed.partitions, |fs| {

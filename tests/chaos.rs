@@ -8,12 +8,13 @@
 //! function of the seed, the degraded-read counters must be *identical*
 //! across two runs of the same plan.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use fanstore_repro::mpi::FaultPlan;
-use fanstore_repro::store::client::FailoverConfig;
+use fanstore_repro::store::client::{meta_owner, FailoverConfig};
 use fanstore_repro::store::cluster::{ClusterConfig, FanStore};
 use fanstore_repro::store::prep::{prepare, PrepConfig};
+use fanstore_repro::store::FsError;
 use fanstore_repro::train::epoch::{run_epochs, EpochConfig};
 
 const NODES: usize = 4;
@@ -54,14 +55,14 @@ fn chaotic_run(seed: u64) -> Vec<RankOutcome> {
             // ~1% of surviving payloads are corrupted in flight.
             FaultPlan::new(seed).kill(0, 3).corrupt_prob(0.01),
         ),
-        failover: Some(FailoverConfig {
+        failover: FailoverConfig {
             rpc_timeout: Duration::from_millis(500),
             attempts_per_replica: 2,
             backoff_base: Duration::from_micros(200),
             backoff_max: Duration::from_millis(2),
             seed,
             ..Default::default()
-        }),
+        },
         ..Default::default()
     };
     let epoch_cfg = EpochConfig {
@@ -151,14 +152,14 @@ fn batched_chaotic_run(seed: u64) -> Vec<BatchOutcome> {
         replication: 2,
         read_through: true,
         fault_plan: Some(FaultPlan::new(seed).corrupt_prob(0.2)),
-        failover: Some(FailoverConfig {
+        failover: FailoverConfig {
             rpc_timeout: Duration::from_millis(500),
             attempts_per_replica: 2,
             backoff_base: Duration::from_micros(200),
             backoff_max: Duration::from_millis(2),
             seed,
             ..Default::default()
-        }),
+        },
         ..Default::default()
     };
     FanStore::run(cfg, packed.partitions, |fs| {
@@ -241,4 +242,49 @@ fn same_seed_gives_identical_degraded_counters() {
     let c = chaotic_run(8);
     let degraded_c: u64 = c.iter().map(|o| o.degraded).sum();
     assert!(degraded_c > 0);
+}
+
+#[test]
+fn a_default_cluster_degrades_around_a_dead_metadata_owner() {
+    // No recovery policy is set: the default one applies. Rank 1 is dead
+    // from its first message, and rank 0 writes, stats and reads against
+    // it. Every call ends typed, none as `Comm`, and none hangs.
+    let owned_by_1 = |stem: &str| {
+        (0..).map(|i| format!("{stem}{i}.bin")).find(|p| meta_owner(p, 2) == 1).expect("a path")
+    };
+    let (written, unseen) = (owned_by_1("out/ckpt_"), owned_by_1("out/never_"));
+    let packed = prepare(dataset(), &PrepConfig { partitions: 2, ..Default::default() });
+    let cfg = ClusterConfig {
+        nodes: 2,
+        fault_plan: Some(FaultPlan::new(0xDEAD).kill(1, 0)),
+        ..Default::default()
+    };
+    let timeout = cfg.failover.rpc_timeout;
+    let outcomes = FanStore::run(cfg, packed.partitions, |fs| {
+        if fs.rank() == 1 {
+            // The owner never sees the write: its forward is lost.
+            return (fs.stat(&written), None);
+        }
+        let write = fs.write_whole(&written, b"weights");
+        let forward_failures = fs.state().stats.meta_forward_failures.get();
+        let remote =
+            dataset().into_iter().map(|(p, _)| p).find(|p| fs.state().owner_of(p) == Some(1));
+        let remote = remote.expect("a rank-1 file");
+        let start = Instant::now();
+        let read = fs.read_whole(&remote);
+        (fs.stat(&unseen), Some((write, forward_failures, read, start.elapsed())))
+    });
+    let (stat, rank0) = outcomes[0].clone();
+    let (write, forward_failures, read, took) = rank0.expect("rank 0 outcome");
+    // The lost metadata forward is counted, not fatal.
+    assert!(write.is_ok(), "write_whole with a dead metadata owner: {write:?}");
+    assert_eq!(forward_failures, 1, "one lost PUT_META forward");
+    // Neither the dead owner nor a rank that must ask it sees the path.
+    let owner_stat = &outcomes[1].0;
+    assert!(matches!(owner_stat, Err(FsError::NotFound(_))), "owner's stat: {owner_stat:?}");
+    assert!(matches!(stat, Err(FsError::NotFound(_))), "stat via the dead owner: {stat:?}");
+    // The read walks the owner's ladder and fails typed, inside one rpc
+    // deadline: a dead link fails fast, it is not waited out.
+    assert!(matches!(read, Err(FsError::Timeout(_))), "read of a rank-1 file: {read:?}");
+    assert!(took < timeout, "the read took {took:?}, past the {timeout:?} rpc deadline");
 }

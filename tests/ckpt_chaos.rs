@@ -64,10 +64,7 @@ fn chaos_cluster(put_sends_before_kill: u64) -> ClusterConfig {
             tags::PUT,
             put_sends_before_kill,
         )),
-        failover: Some(FailoverConfig {
-            rpc_timeout: Duration::from_millis(300),
-            ..Default::default()
-        }),
+        failover: FailoverConfig { rpc_timeout: Duration::from_millis(300), ..Default::default() },
         ..Default::default()
     }
 }

@@ -162,14 +162,14 @@ fn chaos_metrics_snapshot_schema() {
         replication: 2,
         read_through: true,
         fault_plan: Some(FaultPlan::new(0x0B5E_C4A0).kill(0, 3).corrupt_prob(0.01)),
-        failover: Some(FailoverConfig {
+        failover: FailoverConfig {
             rpc_timeout: Duration::from_millis(500),
             attempts_per_replica: 2,
             backoff_base: Duration::from_micros(200),
             backoff_max: Duration::from_millis(2),
             seed: 0x0B5E_C4A0,
             ..Default::default()
-        }),
+        },
         ..Default::default()
     };
     let epoch_cfg = EpochConfig {

@@ -11,20 +11,15 @@
 //! the run is deterministic, three same-seed runs must produce identical
 //! degraded-read counters.
 //!
-//! `FanStore::run` hands every rank the same partition bytes, so an
-//! at-rest divergence between owner and replica needs a hand-built
-//! harness: this test wires the 3-rank cluster out of the same parts
-//! `cluster.rs` uses (allgather, daemon thread, client), except rank 0
-//! loads the corrupted partition copy and rank 1 the clean one.
+//! The cluster is an ordinary `FanStore::run` with one ring replica: the
+//! owner, rank 0, overlays the corrupted partition copy after load, behind
+//! a barrier, while rank 1 keeps the clean copy it received over the ring.
 
-use std::sync::Arc;
+use std::sync::Barrier;
 use std::time::Duration;
 
-use fanstore_repro::mpi::launch;
-use fanstore_repro::store::cache::CacheConfig;
 use fanstore_repro::store::client::{FailoverConfig, FsClient};
-use fanstore_repro::store::daemon::{serve, tags};
-use fanstore_repro::store::node::NodeState;
+use fanstore_repro::store::cluster::{ClusterConfig, FanStore};
 use fanstore_repro::store::pack::{
     chunk_payload, parse_chunk_table, parse_partition, PartitionBuilder,
 };
@@ -142,44 +137,26 @@ fn reader_outcome(fs: &FsClient, data: &[u8], victim: usize) -> Outcome {
 fn chaos_run(seed: u64) -> Outcome {
     let (clean, corrupted, victim) = partitions(seed);
     let data = body();
-    let results = launch(NODES, 2, |mut ctx| {
-        let mut control = ctx.take_channel(0);
-        let service = ctx.take_channel(1);
-        let service_remote = service.remote();
-        let state = Arc::new(NodeState::new(ctx.rank, NODES, CacheConfig::default()));
-        match ctx.rank {
-            0 => drop(state.load_partition(&corrupted).expect("corrupted partition parses")),
-            1 => drop(state.load_partition(&clean).expect("clean partition parses")),
-            _ => {}
+    let cluster = ClusterConfig {
+        nodes: NODES,
+        replication: 2, // replicas_of(0) = [0, 1]
+        failover: FailoverConfig {
+            rpc_timeout: Duration::from_millis(500),
+            attempts_per_replica: 1,
+            backoff_base: Duration::from_micros(100),
+            backoff_max: Duration::from_millis(1),
+            seed,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let loaded = Barrier::new(NODES);
+    let results = FanStore::run(cluster, vec![clean], |fs| {
+        if fs.rank() == 0 {
+            fs.state().load_partition(&corrupted).expect("corrupted partition parses");
         }
-        // Metadata allgather, as cluster startup does: rank 2 learns the
-        // file exists and that rank 0 owns it.
-        let gathered = control.allgather(state.encode_local_meta()).expect("meta allgather");
-        for (rank, buf) in gathered.iter().enumerate() {
-            if rank != ctx.rank {
-                state.merge_meta(buf).expect("peer metadata parses");
-            }
-        }
-        let daemon_state = Arc::clone(&state);
-        std::thread::scope(|scope| {
-            let daemon = scope.spawn(move || serve(daemon_state, service, None, None));
-            let client = FsClient::new(Arc::clone(&state), service_remote.clone()).with_failover(
-                FailoverConfig {
-                    rpc_timeout: Duration::from_millis(500),
-                    replica_rounds: 1, // replicas_of(0) = [0, 1]
-                    attempts_per_replica: 1,
-                    backoff_base: Duration::from_micros(100),
-                    backoff_max: Duration::from_millis(1),
-                    seed,
-                    ..Default::default()
-                },
-            );
-            let out = (ctx.rank == 2).then(|| reader_outcome(&client, &data, victim));
-            control.barrier().expect("quiesce barrier");
-            let _ = service_remote.rpc(ctx.rank, tags::SHUTDOWN, Vec::new());
-            daemon.join().expect("daemon thread");
-            out
-        })
+        loaded.wait();
+        (fs.rank() == 2).then(|| reader_outcome(fs, &data, victim))
     });
     results.into_iter().nth(2).flatten().expect("rank 2 outcome")
 }

@@ -184,14 +184,14 @@ fn ladder_counts(read: Read, scenario: Scenario) -> (Outcome, u64) {
             }
             _ => None,
         },
-        failover: Some(FailoverConfig {
+        failover: FailoverConfig {
             rpc_timeout: Duration::from_millis(200),
             attempts_per_replica: if exhausted { 2 } else { 1 },
             retry_budget: if exhausted { 1 } else { 8 },
             backoff_base: Duration::from_micros(100),
             backoff_max: Duration::from_millis(1),
             ..Default::default()
-        }),
+        },
         qos: (scenario == Scenario::ExpiredDeadline)
             .then(|| QosPolicy::new().with_quota(0, expired)),
         read_through: scenario == Scenario::ReadThrough,
@@ -305,13 +305,13 @@ fn a_dead_owner_costs_a_batch_one_get_many_per_round() {
         nodes: 3,
         replication: 2,
         fault_plan: Some(FaultPlan::new(7).kill(0, 0)),
-        failover: Some(FailoverConfig {
+        failover: FailoverConfig {
             rpc_timeout: Duration::from_millis(200),
             attempts_per_replica: 1,
             backoff_base: Duration::from_micros(100),
             backoff_max: Duration::from_millis(1),
             ..Default::default()
-        }),
+        },
         ..Default::default()
     };
     let outcomes = FanStore::run(cluster, packed.partitions, |fs| {
@@ -355,11 +355,11 @@ fn a_byte_flipped_in_the_owners_memory_after_load_is_caught_by_the_reader() {
         let cluster = ClusterConfig {
             nodes: 3,
             replication: 2,
-            failover: Some(FailoverConfig {
+            failover: FailoverConfig {
                 rpc_timeout: Duration::from_millis(200),
                 attempts_per_replica: 1,
                 ..Default::default()
-            }),
+            },
             ..Default::default()
         };
         let loaded = Barrier::new(3);
