@@ -1,7 +1,7 @@
 //! Property tests for the extension codecs: FSE streams, the zstd-class
 //! and bzip-class codecs, filters, and the SZ-style lossy coder's error
 //! bound and hostile-header handling. The bit-plane prefix's error bound
-//! is pinned in `prop_progressive.rs`.
+//! is pinned in the root `tests/prop_progressive.rs`.
 
 use fanstore_compress::bzip_lite::BzipLite;
 use fanstore_compress::filters::{delta, shuffle, undelta, unshuffle};

@@ -14,7 +14,7 @@
 //! read-through copy (DESIGN.md §6, "Read protocol").
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use fanstore_compress::crc32::crc32;
@@ -27,7 +27,7 @@ use crate::bufpool::BufPool;
 use crate::cache::{CacheConfig, FileCache};
 use crate::daemon::{GetManyItem, GetManySpec, PartialChunk, PartialReply};
 use crate::meta::{MetaEntry, MetaTable};
-use crate::metrics::{now_us, Counter, Gauge, MetricsRegistry};
+use crate::metrics::{now_us, Counter, Gauge, Histogram, MetricsRegistry};
 use crate::pack::{
     chunk_stored, parse_chunk_table, parse_partition, ChunkKind, ChunkMeta, CHUNKED, TIER_FULL,
 };
@@ -272,6 +272,39 @@ pub struct NodeState {
     /// Request-id sequence for this node's clients (see
     /// [`NodeState::next_request_id`]).
     next_request: AtomicU64,
+    /// Per-codec decode instruments, resolved on each codec's first decode.
+    codec_decode: CodecDecodeMetrics,
+}
+
+/// Decode names: one per codec family, then `chunked` and `unknown`.
+const DECODE_NAMES: usize = CodecFamily::ALL.len() + 2;
+
+/// `codec.<name>.decode_us` and `codec.<name>.decode_bytes` for every name
+/// a decode reports under, each pair resolved once, on the name's first
+/// decode, so the registry lists only codecs that decoded something.
+#[derive(Debug, Default)]
+struct CodecDecodeMetrics {
+    slots: [OnceLock<(Arc<Histogram>, Arc<Counter>)>; DECODE_NAMES],
+}
+
+impl CodecDecodeMetrics {
+    fn handles(
+        &self,
+        registry: &MetricsRegistry,
+        codec: CodecId,
+    ) -> &(Arc<Histogram>, Arc<Counter>) {
+        let (slot, name) = match codec.family() {
+            _ if codec == CHUNKED => (DECODE_NAMES - 2, "chunked"),
+            Some(f) => (f as usize, f.name()),
+            None => (DECODE_NAMES - 1, "unknown"),
+        };
+        self.slots[slot].get_or_init(|| {
+            (
+                registry.histogram(&format!("codec.{name}.decode_us")),
+                registry.counter(&format!("codec.{name}.decode_bytes")),
+            )
+        })
+    }
 }
 
 impl NodeState {
@@ -305,6 +338,7 @@ impl NodeState {
             stats,
             pool,
             next_request: AtomicU64::new(0),
+            codec_decode: CodecDecodeMetrics::default(),
         }
     }
 
@@ -379,13 +413,9 @@ impl NodeState {
             return Err(e);
         }
         let elapsed = now_us() - start;
-        let name = if codec == CHUNKED {
-            "chunked"
-        } else {
-            codec.family().map_or("unknown", |f| f.name())
-        };
-        self.metrics.histogram(&format!("codec.{name}.decode_us")).record(elapsed);
-        self.metrics.counter(&format!("codec.{name}.decode_bytes")).add(out.len() as u64);
+        let (decode_us, decode_bytes) = self.codec_decode.handles(&self.metrics, codec);
+        decode_us.record(elapsed);
+        decode_bytes.add(out.len() as u64);
         self.stats.decompress_bytes.add(out.len() as u64);
         // bytes/us == MB/s: both scale factors are 10^6.
         self.stats.decompress_mb_per_s.set(out.len() as u64 / elapsed.max(1));

@@ -25,7 +25,8 @@
 //! decoded every epoch, so prep buys ratio with a slow encoder
 //! (`lz4hc`); a flushed value is encoded inline in the `write_whole`
 //! that crossed the memtable budget and is usually superseded or
-//! unlinked within two compactions, so the flush takes the cheap encoder
+//! unlinked a few flushes later, after one or two size-tiered merges
+//! have carried it as stored, so the flush takes the cheap encoder
 //! (`lz4fast-1`: ≈ 9 % more stored bytes than `lz4hc-6` on the
 //! benchmark's values, for about a third of the encode time). The
 //! codec id rides each entry, so a store holds both kinds at once.

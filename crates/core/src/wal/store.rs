@@ -26,17 +26,29 @@
 //! one day trim keeps growing, so a node fed put-then-unlink traffic
 //! would hold a near-empty memtable over an unbounded log.
 //!
-//! When the set reaches `compact_min_segments`, compaction merges every
-//! segment, dropping superseded versions, tombstones and expired TTLs,
-//! and publishes the merged set the same way. The merge runs over the
-//! in-memory index rows; each input blob is read once, its length and
-//! CRC are checked against the manifest, and the surviving versions'
-//! *stored* bytes are copied into the output as they are — nothing is
-//! decoded or re-encoded, and the CRC check is what keeps a verbatim copy
-//! from sealing at-rest damage under the output's fresh CRC. Compaction
-//! is threshold-triggered inline rather than a free thread: the repo's
-//! chaos and crash tests assert byte-identical seeded outcomes, which a
-//! racing background compactor would break.
+//! Compaction is size-tiered. After a flush, the *run* starts at the
+//! newest segment and takes in the next older one while that segment's
+//! blob is no larger than the run's total so far; once the run holds
+//! `compact_min_segments` segments it merges into one, which takes the
+//! run's place at the front of the newest-first set, published the same
+//! way. Flushes of similar size gather into one run, and a segment that
+//! outweighs everything above it waits until as many bytes gather there,
+//! so the bulk of the live set is rewritten far less often than every
+//! few flushes. The price is space: a dead version in an older segment
+//! stays on the medium until a run reaches it. A run that reaches the
+//! oldest segment (and an explicit [`WalStore::compact`], which merges
+//! every segment) drops superseded versions, tombstones and expired TTLs;
+//! a shorter run drops superseded versions and carries each tombstone or
+//! expired winner that an older segment still holds a version of —
+//! decided from the blooms and index rows in memory — so that version
+//! stays shadowed. The merge runs over the index rows; each input blob is
+//! read once, its length and CRC are checked against the manifest, and
+//! the surviving versions' *stored* bytes are copied into the output as
+//! they are — nothing is decoded or re-encoded, and the CRC check is what
+//! keeps a verbatim copy from sealing at-rest damage under the output's
+//! fresh CRC. Compaction is threshold-triggered inline rather than a free
+//! thread: the repo's chaos and crash tests assert byte-identical seeded
+//! outcomes, which a racing background compactor would break.
 //!
 //! ## Read path
 //!
@@ -88,8 +100,9 @@ pub struct WalConfig {
     /// acknowledging it; N > 1 = batch N appends per sync (relaxed
     /// durability: a crash may lose the last un-committed < N writes).
     pub commit_every: usize,
-    /// Compact when the published set reaches this many segments
-    /// (0 = only on explicit [`WalStore::compact`]).
+    /// Merge the newest size-tiered run of segments after a flush once it
+    /// holds this many (see the module doc; 0 = only on explicit
+    /// [`WalStore::compact`], which merges every segment).
     pub compact_min_segments: usize,
     /// Modelled fsync cost for media the cluster runtime constructs on
     /// this store's behalf (see [`super::media::RamMedia`]); ignored
@@ -271,6 +284,14 @@ impl WalMetrics {
 struct LoadedSegment {
     meta: WalSegmentMeta,
     index: SegIndex,
+}
+
+impl LoadedSegment {
+    /// Whether the segment holds a version of `path`, from its bloom
+    /// filter and index rows alone.
+    fn holds(&self, path: &str) -> bool {
+        self.index.header.bloom.contains(path) && self.index.find(path).is_some()
+    }
 }
 
 /// Where the newest version of a key was found, before any value bytes
@@ -526,10 +547,9 @@ impl WalStore {
         inner.applied = 0;
         self.metrics.memtable_bytes.set(0);
         self.metrics.segments.set(inner.loaded.len() as u64);
-        if self.cfg.compact_min_segments > 0
-            && inner.manifest.segments.len() >= self.cfg.compact_min_segments
-        {
-            self.compact_locked(&mut *inner, now_us())?;
+        let run = tiered_run(&inner.manifest.segments);
+        if self.cfg.compact_min_segments > 0 && run >= self.cfg.compact_min_segments {
+            self.compact_locked(&mut *inner, run, now_us())?;
         }
         Ok(Some(name))
     }
@@ -545,44 +565,52 @@ impl WalStore {
     /// `now_us` to make TTL expiry deterministic.
     pub fn compact_at(&self, now_us: u64) -> Result<CompactionReport, FsError> {
         let mut inner = self.inner.lock();
-        self.compact_locked(&mut inner, now_us)
+        let all = inner.loaded.len();
+        self.compact_locked(&mut inner, all, now_us)
     }
 
-    fn compact_locked(&self, inner: &mut Inner, now_us: u64) -> Result<CompactionReport, FsError> {
-        if inner.manifest.segments.len() < 2 {
+    /// Merge the newest `run` segments into one, which takes their place
+    /// at the front of the set. A run that reaches the oldest segment
+    /// drops every tombstone and expired TTL it wins with; a shorter run
+    /// carries each one an older segment still holds a version of, so it
+    /// keeps shadowing that version.
+    fn compact_locked(
+        &self,
+        inner: &mut Inner,
+        run: usize,
+        now_us: u64,
+    ) -> Result<CompactionReport, FsError> {
+        if run < 2 {
             return Ok(CompactionReport::default());
         }
-        let mut report = CompactionReport {
-            merged_segments: inner.manifest.segments.len(),
-            ..Default::default()
-        };
+        let mut report = CompactionReport { merged_segments: run, ..Default::default() };
+        let (inputs, older) = inner.loaded.split_at(run);
         // Each input is read once and checked against the manifest before
         // a byte is carried out of it: the output gets a fresh CRC, which
         // must not seal damage the inputs picked up at rest.
-        let blobs = inner
-            .loaded
+        let blobs = inputs
             .iter()
             .map(|seg| read_verified(self.media.as_ref(), &seg.meta))
             .collect::<Result<Vec<_>, _>>()?;
         // Newest-first walk over the index rows: the first version of a
-        // key wins (`None` when that version is a tombstone or expired —
-        // remembered so older versions drop as superseded, emitted as
-        // nothing); everything after it for the same key is superseded.
+        // key wins (`None` when that version is a tombstone or expired
+        // that nothing older needs shadowed — remembered so older versions
+        // drop as superseded, emitted as nothing); everything after it for
+        // the same key is superseded.
         let mut winners: BTreeMap<&str, Option<Part<'_>>> = BTreeMap::new();
-        for (seg, blob) in inner.loaded.iter().zip(&blobs) {
+        for (seg, blob) in inputs.iter().zip(&blobs) {
             for row in &seg.index.rows {
                 report.in_bytes += row.raw_len as u64;
                 let Entry::Vacant(slot) = winners.entry(&row.path) else {
                     report.dropped_versions += 1;
                     continue;
                 };
-                if row.tombstone {
-                    report.dropped_tombstones += 1;
-                    slot.insert(None);
-                    continue;
-                }
-                if row.dead_at(now_us) {
-                    report.dropped_expired += 1;
+                if row.dead_at(now_us) && !older.iter().any(|seg| seg.holds(&row.path)) {
+                    if row.tombstone {
+                        report.dropped_tombstones += 1;
+                    } else {
+                        report.dropped_expired += 1;
+                    }
                     slot.insert(None);
                     continue;
                 }
@@ -597,9 +625,7 @@ impl WalStore {
             }
         }
         let live: Vec<Part<'_>> = winners.into_values().flatten().collect();
-        let old: Vec<String> = inner.manifest.segments.iter().map(|s| s.name.clone()).collect();
-        let mut manifest = inner.manifest.clone();
-        manifest.publish += 1;
+        let old: Vec<String> = inputs.iter().map(|seg| seg.meta.name.clone()).collect();
         let merged = if live.is_empty() {
             None
         } else {
@@ -610,12 +636,14 @@ impl WalStore {
             self.media.sync()?;
             Some(LoadedSegment { meta, index: built.index })
         };
-        manifest.segments = merged.iter().map(|seg| seg.meta.clone()).collect();
+        let mut manifest = inner.manifest.clone();
+        manifest.publish += 1;
+        manifest.segments.splice(..run, merged.iter().map(|seg| seg.meta.clone()));
         self.media.write(&self.manifest_name(), manifest.encode())?;
         self.media.sync()?;
         inner.next_segment_id += merged.is_some() as u64;
         inner.manifest = manifest;
-        inner.loaded = merged.into_iter().collect();
+        inner.loaded.splice(..run, merged);
         // The old blobs are unreferenced once the manifest landed;
         // deleting them is GC, crash-safe in either order.
         for name in old {
@@ -748,6 +776,21 @@ impl WalStore {
     fn manifest_name(&self) -> String {
         format!("{}/MANIFEST", self.cfg.dir)
     }
+}
+
+/// The size-tiered run after a flush, as a count of the newest segments:
+/// the next older segment joins while its blob is no larger than the
+/// run's total so far.
+fn tiered_run(segments: &[WalSegmentMeta]) -> usize {
+    let mut total = 0u64;
+    segments
+        .iter()
+        .take_while(|seg| {
+            let joins = total == 0 || seg.bytes <= total;
+            total += seg.bytes;
+            joins
+        })
+        .count()
 }
 
 /// Read a published segment whole and check its length and CRC against
@@ -902,6 +945,54 @@ mod tests {
         let v = store.verify();
         assert!(v.errors.is_empty(), "{:?}", v.errors);
         assert_eq!(v.segments_ok, 1);
+    }
+
+    #[test]
+    fn a_shorter_run_keeps_what_shadows_an_older_segment() {
+        let media = RamMedia::new(Duration::ZERO);
+        let cfg = WalConfig { memtable_budget: 1 << 20, compact_min_segments: 3, ..tiny_cfg() };
+        let (store, _) = open(media.clone(), cfg.clone());
+        // The old segment: `k`, a key the TTL'd write will shadow, and
+        // incompressible filler that makes it larger than every flush after it.
+        let noise =
+            |seed: usize| (0..300).map(move |j| (j * 131 + seed * 71) as u8 ^ (j >> 3) as u8);
+        store.put("k", b"v1".to_vec()).unwrap();
+        store.put("ttl", b"old".to_vec()).unwrap();
+        for i in 0..4 {
+            store.put(&format!("fill{i}"), noise(i).collect()).unwrap();
+        }
+        store.flush().unwrap();
+        let old = store.status().segments[0].clone();
+        store.unlink("k").unwrap();
+        store.flush().unwrap();
+        store.put_ttl("ttl", b"short".to_vec(), Duration::from_micros(1)).unwrap();
+        store.flush().unwrap();
+        std::thread::sleep(Duration::from_millis(2));
+        assert!(matches!(store.get("k").unwrap(), Lookup::Tombstone));
+        assert!(matches!(store.get("ttl").unwrap(), Lookup::Tombstone));
+        // The fourth flush closes a run of three small segments above `old`.
+        store.put("x", vec![9u8; 32]).unwrap();
+        store.flush().unwrap();
+        assert_eq!(store.metrics().compact_runs.get(), 1, "the run merged");
+        let names: Vec<String> = store.status().segments.iter().map(|s| s.name.clone()).collect();
+        assert_eq!(names.len(), 2, "{names:?}");
+        assert_eq!(names[1], old.name, "the older segment stays published");
+        let shadowed = |store: &WalStore| {
+            assert!(matches!(store.get("k").unwrap(), Lookup::Tombstone), "v1 stays shadowed");
+            assert!(matches!(store.get("ttl").unwrap(), Lookup::Tombstone), "old stays shadowed");
+            assert_eq!(&**store.get("x").unwrap().value().unwrap(), &[9u8; 32]);
+            assert_eq!(store.status().segments[1], old);
+        };
+        shadowed(&store);
+        drop(store);
+        let (store, _) = open(media, cfg);
+        shadowed(&store);
+        let report = store.compact().unwrap();
+        assert_eq!(report.merged_segments, 2);
+        assert_eq!(report.dropped_tombstones, 1, "the tombstone retires with v1");
+        assert_eq!(report.dropped_expired, 1);
+        assert_eq!(report.dropped_versions, 2, "v1 and the shadowed `ttl` drop");
+        assert!(matches!(store.get("k").unwrap(), Lookup::Miss));
     }
 
     #[test]

@@ -50,8 +50,15 @@ enum Op {
 /// unlinks, sized so the memtable budget forces several flushes and the
 /// segment threshold forces at least one compaction.
 fn script(seed: u64, ops: usize) -> Vec<Op> {
+    script_over(seed, ops, 12)
+}
+
+/// [`script`] over the first `keys` names of the universe. Many keys for
+/// few ops grow the live set, so that a merged segment ends up larger
+/// than the flushes above it and a later merge takes a shorter run.
+fn script_over(seed: u64, ops: usize, keys: usize) -> Vec<Op> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let keys: Vec<String> = (0..12).map(|i| format!("out/obj-{i:02}.bin")).collect();
+    let keys: Vec<String> = (0..keys).map(|i| format!("out/obj-{i:02}.bin")).collect();
     (0..ops)
         .map(|i| {
             let key = keys[rng.gen_range(0..keys.len())].clone();
@@ -166,7 +173,11 @@ fn crash_run(
 
 #[test]
 fn kill_anywhere_recovers_newest_acknowledged_state() {
-    let ops = script(SEED, 90);
+    // The original 90 ops, then 90 over a wider universe: the tail grows
+    // the live set until a merge takes a shorter run.
+    const FIRST: usize = 90;
+    let mut ops = script(SEED, FIRST);
+    ops.extend(script_over(SEED ^ 0x0715_50E5, 90, 96));
     // Measure the workload's total mutation bytes with an uncuttable
     // medium, then sweep cuts across the whole range.
     let (acked, seq, full_state, _) = crash_run(&ops, u64::MAX);
@@ -177,15 +188,34 @@ fn kill_anywhere_recovers_newest_acknowledged_state() {
     let disk = RamMedia::new(Duration::ZERO);
     let probe = CrashMedia::new(disk, u64::MAX / 2);
     let (store, _) = WalStore::open(probe.clone(), crash_cfg(), &MetricsRegistry::new()).unwrap();
-    run_script(&store, &ops);
-    let total = u64::MAX / 2 - probe.remaining();
-    assert!(total > 2000, "workload must actually mutate the medium ({total} bytes)");
+    let written = || u64::MAX / 2 - probe.remaining();
+    // Mutation bytes after the first `FIRST` ops, and the byte range of
+    // every op whose merge took a shorter run: one that left an older
+    // segment published beside its output.
+    let mut first = 0;
+    let mut shorter_runs = Vec::new();
+    for (i, op) in ops.iter().enumerate() {
+        let (merges, from) = (store.metrics().compact_runs.get(), written());
+        assert_eq!(run_script(&store, std::slice::from_ref(op)), 1);
+        if store.metrics().compact_runs.get() != merges && store.status().segments.len() >= 2 {
+            shorter_runs.push(from..written());
+        }
+        if i + 1 == FIRST {
+            first = written();
+        }
+    }
+    let total = written();
+    assert!(first > 2000, "workload must actually mutate the medium ({first} bytes)");
 
-    // ~60 cut points spread over every phase of the store's life, plus
-    // the degenerate edges.
-    let step = (total / 57).max(1);
+    // ~60 cut points spread over every phase of the first ops' life, the
+    // same spacing on through the tail, plus the degenerate edges.
+    let step = (first / 57).max(1);
     let mut cuts: Vec<u64> = (0..total).step_by(step as usize).collect();
-    cuts.extend([0, 1, total - 1, total]);
+    cuts.extend([0, 1, first - 1, first, total - 1, total]);
+    assert!(
+        shorter_runs.iter().any(|run| cuts.iter().any(|cut| run.contains(cut))),
+        "no cut lands in a merge of a shorter run: {shorter_runs:?}"
+    );
     for cut in cuts {
         let ops = ops.clone();
         let (acked, seq, state, _) = crash_run(&ops, cut);
