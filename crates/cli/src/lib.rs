@@ -11,8 +11,8 @@
 //!   cluster and print what its own telemetry says about it: the
 //!   per-stage bottleneck table, the slowest requests with their span
 //!   timelines (stages recorded on different ranks, joined by request
-//!   id), the per-tenant SLO burn, and every rank's metrics merged into
-//!   one registry (`--json true` for that snapshot alone).
+//!   id), and every rank's metrics merged into one registry (`--json
+//!   true` for that snapshot alone).
 //!
 //! The argument parsing is deliberately dependency-free (`--flag value`
 //! pairs), mirroring the original tool's minimal interface: data path,
@@ -27,7 +27,6 @@ use fanstore::metrics::{MetricsRegistry, Snapshot};
 use fanstore::node::decompress_object;
 use fanstore::pack::parse_partition;
 use fanstore::prep::{prepare, PrepConfig};
-use fanstore::qos::{QosPolicy, SloObjective, TenantQuota};
 use fanstore::trace::SpanEvent;
 use fanstore_compress::registry::{create, parse_name};
 use fanstore_datagen::{DatasetKind, DatasetSpec};
@@ -270,29 +269,21 @@ fn demo_dataset(files_n: usize) -> Vec<(String, Vec<u8>)> {
 /// metrics registry and the spans its trace ring recorded.
 type RankObservations = (Arc<MetricsRegistry>, Vec<SpanEvent>);
 
-/// Run the report's one seeded workload on an in-process cluster under a
-/// QoS policy (two tenants, each with an SLO) and a modelled 200 µs link
-/// delay, so the span trees carry admission, queue, network, serve and
-/// decode stages worth attributing. Tenant 2 does a cold batched pass
-/// (`read_many`, one GetMany per owner rank) against a tight 300 µs
-/// objective (it burns error budget); tenant 1 does a warm single-read
-/// pass against a loose 20 ms objective (it stays healthy). Every rank
-/// then writes one output file. Returns each rank's registry and spans.
+/// Run the report's one seeded workload on an in-process cluster with a
+/// modelled 200 µs link delay, so the span trees carry queue, network,
+/// serve and decode stages worth attributing. Each rank's client does a
+/// cold batched pass (`read_many`, one GetMany per owner rank), then a
+/// warm single-read pass, then writes one output file. Returns each
+/// rank's registry and spans.
 fn run_attributed_cluster(nodes: usize, files_n: usize) -> Result<Vec<RankObservations>, String> {
     if nodes == 0 || files_n == 0 {
         return Err("need at least one node and one file".into());
     }
     let packed =
         prepare(demo_dataset(files_n), &PrepConfig { partitions: nodes, ..Default::default() });
-    let policy = QosPolicy::new()
-        .with_quota(1, TenantQuota { weight: 4, ..TenantQuota::default() })
-        .with_quota(2, TenantQuota { rate_per_s: 0.0, burst: 100_000, ..TenantQuota::default() })
-        .with_slo(1, SloObjective { latency_us: 20_000, target: 0.999 })
-        .with_slo(2, SloObjective { latency_us: 300, target: 0.99 });
     let cfg = ClusterConfig {
         nodes,
         trace_ring: 8192,
-        qos: Some(policy),
         fault_plan: Some(
             FaultPlan::new(0x0B5E).delay_prob(1.0, std::time::Duration::from_micros(200)),
         ),
@@ -300,20 +291,18 @@ fn run_attributed_cluster(nodes: usize, files_n: usize) -> Result<Vec<RankObserv
     };
     let out = FanStore::run(cfg, packed.partitions, |fs| {
         let work = || -> Result<(), fanstore::FsError> {
-            let cold = fs.fork_tenant(2);
-            let warm = fs.fork_tenant(1);
-            let files = cold.enumerate("train")?;
+            let files = fs.enumerate("train")?;
             // Cold batched pass: each chunk is one request id whose
             // client.get_many span joins the per-rank fabric.rpc children
             // across the (delayed) fabric.
             for chunk in files.chunks(8) {
-                for r in cold.read_many(chunk) {
+                for r in fs.read_many(chunk) {
                     r?;
                 }
             }
             // Warm single-read pass: mostly served from the cache.
             for path in &files {
-                warm.read_whole(path)?;
+                fs.read_whole(path)?;
             }
             fs.write_whole(&format!("checkpoints/rank{}/model.h5", fs.rank()), &[0xCE; 512])
         };
@@ -334,7 +323,7 @@ fn run_attributed_cluster(nodes: usize, files_n: usize) -> Result<Vec<RankObserv
 /// `fanstore report`: run the seeded workload, then print, in order, a
 /// header (requests, attributed share of wall time, bottleneck), the
 /// per-stage bottleneck table, the five slowest requests with their span
-/// timelines, the per-tenant SLO table, and the merged registry. With
+/// timelines, and the merged registry. With
 /// `json` it prints only the merged snapshot, exemplars included.
 pub fn run_report(nodes: usize, files_n: usize, json: bool) -> Result<String, String> {
     let per_rank = run_attributed_cluster(nodes, files_n)?;
@@ -362,11 +351,6 @@ pub fn run_report(nodes: usize, files_n: usize, json: bool) -> Result<String, St
     );
     out.push_str(&bottleneck_table(&attrs));
     out.push_str(&slowest_requests(&attrs, &spans));
-    // Counters sum meaningfully across ranks; objective gauges do NOT
-    // (merge adds gauges, so a 3-rank merge triples `target_milli`).
-    // Every rank configures the same policy, so read the objectives
-    // from a single rank's snapshot.
-    out.push_str(&slo_table(&snap, &per_rank[0].0.snapshot())?);
     out.push('\n');
     out.push_str(&render_snapshot(&snap));
     Ok(out)
@@ -399,46 +383,6 @@ fn slowest_requests(attrs: &[RequestAttribution], spans: &[SpanEvent]) -> String
         }
     }
     out
-}
-
-/// The per-tenant SLO table — objective, good/bad classification, bad
-/// fraction and burn rate — from the merged `qos.tenant.<id>.slo.*`
-/// counters and one rank's objective gauges (`objectives`). A burn rate
-/// of 1.0 spends the error budget exactly as fast as the objective
-/// allows; above 1.0 it runs out early.
-fn slo_table(merged: &Snapshot, objectives: &Snapshot) -> Result<String, String> {
-    let mut tenants: Vec<u64> = merged
-        .counters
-        .keys()
-        .filter_map(|k| k.strip_prefix("qos.tenant.")?.strip_suffix(".slo.good")?.parse().ok())
-        .collect();
-    tenants.sort_unstable();
-    tenants.dedup();
-    // Only tenants with a configured objective classify reads; the rest
-    // have empty zero-valued series minted at registration.
-    tenants.retain(|t| objectives.gauges.contains_key(&format!("qos.tenant.{t}.slo.target_milli")));
-    if tenants.is_empty() {
-        return Err("no tenant recorded SLO classifications".into());
-    }
-    let mut out = format!(
-        "\nper-tenant SLO burn:\n{:>6}  {:>20}  {:>7}  {:>7}  {:>7}  {:>8}\n",
-        "tenant", "objective", "good", "bad", "bad%", "burn"
-    );
-    for t in tenants {
-        let series = |m: &std::collections::BTreeMap<String, u64>, suffix: &str| {
-            m.get(&format!("qos.tenant.{t}.slo.{suffix}")).copied().unwrap_or(0)
-        };
-        let (good, bad) = (series(&merged.counters, "good"), series(&merged.counters, "bad"));
-        let bad_frac = bad as f64 / (good + bad).max(1) as f64;
-        let target = series(&objectives.gauges, "target_milli") as f64 / 1000.0;
-        let burn = bad_frac / (1.0 - target).max(1e-9);
-        out.push_str(&format!(
-            "{t:>6}  {:>20}  {good:>7}  {bad:>7}  {:>6.1}%  {burn:>8.2}\n",
-            format!("<= {} us @ {:.1}%", series(&objectives.gauges, "latency_us"), target * 100.0),
-            bad_frac * 100.0,
-        ));
-    }
-    Ok(out)
 }
 
 /// Render a metrics snapshot as aligned text tables: counters, gauges,
@@ -646,11 +590,6 @@ mod tests {
         // Each slowest request is followed by its span timeline.
         let slowest = out.split("slowest requests:").nth(1).expect("slowest requests section");
         assert!(slowest.lines().any(|l| l.trim_start().starts_with('+')), "{out}");
-        // Tenant 2's 300 us objective against a 200 us-per-hop link must
-        // burn; tenant 1's 20 ms objective on warm reads must not.
-        let slo = out.split("per-tenant SLO burn:").nth(1).expect("SLO section");
-        let t2 = slo.lines().find(|l| l.trim_start().starts_with("2 ")).expect("tenant 2 row");
-        assert!(t2.contains("<= 300 us"), "{t2}");
         assert!(out.contains("client.get.latency_us"), "{out}");
         assert!(out.contains("client.files.written"), "{out}");
         assert!(out.contains("p99"), "{out}");

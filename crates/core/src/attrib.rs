@@ -1,8 +1,8 @@
 //! Critical-path attribution: joins the cross-rank span trees recorded
 //! by the tracer (client.get / client.get_many → fabric.rpc →
-//! daemon.serve → client.decompress, plus the QoS stages client.admit
-//! and daemon.queue) per [`RequestId`] and decomposes each request's
-//! wall time into named segments with an explicit residual.
+//! daemon.queue → daemon.serve → client.decompress) per [`RequestId`] and
+//! decomposes each request's wall time into named segments with an
+//! explicit residual.
 //!
 //! The decomposition is a priority sweep over the request's spans, all
 //! of which share one monotonic clock (see `metrics::now_us`). Each
@@ -11,15 +11,17 @@
 //!
 //! | priority | stage                                  | segment     |
 //! |----------|----------------------------------------|-------------|
-//! | 6        | `daemon.write_serve`                   | `serve`     |
-//! | 5        | `daemon.serve`                         | `serve`     |
-//! | 4        | `daemon.queue`                         | `queue`     |
-//! | 3        | `client.decompress`, `client.assemble` | `decode`    |
-//! | 2        | `client.admit`                         | `admission` |
+//! | 5        | `daemon.write_serve`                   | `serve`     |
+//! | 4        | `daemon.serve`                         | `serve`     |
+//! | 3        | `daemon.queue`                         | `queue`     |
+//! | 2        | `client.decompress`, `client.assemble` | `decode`    |
 //! | 1        | `fabric.rpc`                           | `network`   |
 //! | 0        | root client ops                        | `cache`     |
 //! | –        | none, after a retained root has ended  | `queue`     |
 //! | –        | none, anywhere else                    | residual    |
+//!
+//! No stage maps to `admission`: it stays first in [`SEGMENTS`], always
+//! 0, because fsbench labels the segments by position.
 //!
 //! Root client ops are `client.get`, `client.get_many`, `client.put`
 //! (the write path's root span, whose serve leg is the daemon's
@@ -47,7 +49,8 @@ use crate::trace::SpanEvent;
 use std::collections::BTreeMap;
 
 /// Segment names, in fixed report order. Indexes into
-/// [`RequestAttribution::segments`].
+/// [`RequestAttribution::segments`]. `SEGMENTS[0]` is never charged; it
+/// stays because fsbench's `ATTRIB_SHARES` labels these by position.
 pub const SEGMENTS: [&str; 6] = ["admission", "queue", "network", "serve", "decode", "cache"];
 
 /// `(segment index, sweep priority)` for a span stage; `None` for
@@ -59,13 +62,12 @@ fn classify(stage: &str) -> Option<(usize, u8)> {
         // dispatch loop also records for a PUT: same segment, one notch
         // higher priority, so write serving charges to `serve` exactly
         // once.
-        "daemon.write_serve" => Some((3, 6)),
-        "daemon.serve" => Some((3, 5)),
-        "daemon.queue" => Some((1, 4)),
+        "daemon.write_serve" => Some((3, 5)),
+        "daemon.serve" => Some((3, 4)),
+        "daemon.queue" => Some((1, 3)),
         // Chunk assembly after a ranged fetch is decode-side work, same
         // slot and priority as decompression.
-        "client.decompress" | "client.assemble" => Some((4, 3)),
-        "client.admit" => Some((0, 2)),
+        "client.decompress" | "client.assemble" => Some((4, 2)),
         "fabric.rpc" => Some((2, 1)),
         "client.get" | "client.get_many" | "client.put" | "client.range" => Some((5, 0)),
         _ => None,
@@ -323,7 +325,7 @@ mod tests {
     #[test]
     fn segments_plus_residual_equal_wall_exactly() {
         // root [0,100], rpc [10,60], serve [20,40], decode [70,90]:
-        // admission 0, queue 0, network 10..20 + 40..60 = 30, serve 20,
+        // queue 0, network 10..20 + 40..60 = 30, serve 20,
         // decode 20, cache 0..10 + 60..70 + 90..100 = 30, residual 0.
         let spans = vec![
             span(7, 0, "client.get", 0, 100),
@@ -389,20 +391,19 @@ mod tests {
     }
 
     #[test]
-    fn queue_and_admission_outrank_network() {
+    fn queue_outranks_network() {
         let spans = vec![
             span(9, 0, "client.get", 0, 100),
-            span(9, 0, "client.admit", 0, 10),
             span(9, 0, "fabric.rpc", 10, 80),
             span(9, 1, "daemon.queue", 20, 30),
             span(9, 1, "daemon.serve", 50, 30),
         ];
         let a = &attribute(&spans)[0];
-        assert_eq!(a.segment("admission"), 10);
+        assert_eq!(a.segments[0], 0, "no stage is charged to SEGMENTS[0]");
         assert_eq!(a.segment("queue"), 30);
         assert_eq!(a.segment("serve"), 30);
         assert_eq!(a.segment("network"), 20, "rpc minus queue minus serve");
-        assert_eq!(a.segment("cache"), 10, "root tail 90..100");
+        assert_eq!(a.segment("cache"), 20, "root head 0..10 and tail 90..100");
         assert_eq!(a.residual_us, 0);
     }
 

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use fanstore_compress::CodecId;
-use mpi_sim::{CommError, RemoteSender, RpcMeta, Tag};
+use mpi_sim::{CommError, RemoteSender, Tag};
 use parking_lot::Mutex;
 
 use crate::backend::Backend;
@@ -33,7 +33,6 @@ use crate::meta::encode_single;
 use crate::metrics::{now_us, Counter, Gauge, Histogram};
 use crate::node::{LocalObject, NodeState};
 use crate::placement::replicas_of;
-use crate::qos::{QosPolicy, SloTracker, TenantId, TokenBucket};
 use crate::stat::FileStat;
 use crate::trace::{SpanEvent, TraceRecorder};
 use crate::FsError;
@@ -100,21 +99,14 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Backoff before retry number `attempt` (1-based): exponential from
-/// `base`, capped at `max`, plus up to 25% deterministic jitter derived
-/// from `(seed, path, attempt)`. Shared by the replica-failover and the
-/// QoS-admission retry loops.
-fn seeded_backoff(base: Duration, max: Duration, seed: u64, path: &str, attempt: u32) -> Duration {
-    let shift = (attempt.saturating_sub(1)).min(20);
-    let exp = base.saturating_mul(1u32 << shift);
-    let capped = exp.min(max);
-    let h = mix64(seed ^ fnv64(path) ^ u64::from(attempt));
-    capped + capped.mul_f64((h % 1024) as f64 / 4096.0)
-}
-
-/// [`seeded_backoff`] parameterised by a [`FailoverConfig`].
+/// The replica ladder's backoff before retry round `attempt` (1-based):
+/// exponential from `backoff_base`, capped at `backoff_max`, plus up to
+/// 25% deterministic jitter derived from `(seed, path, attempt)`.
 fn backoff_delay(cfg: &FailoverConfig, path: &str, attempt: u32) -> Duration {
-    seeded_backoff(cfg.backoff_base, cfg.backoff_max, cfg.seed, path, attempt)
+    let shift = (attempt.saturating_sub(1)).min(20);
+    let capped = cfg.backoff_base.saturating_mul(1u32 << shift).min(cfg.backoff_max);
+    let h = mix64(cfg.seed ^ fnv64(path) ^ u64::from(attempt));
+    capped + capped.mul_f64((h % 1024) as f64 / 4096.0)
 }
 
 /// Assemble `[start, end)` from decoded chunks `(offset, bytes)` in offset
@@ -306,47 +298,6 @@ pub enum RawEntry {
     },
 }
 
-/// Client-side QoS state for one tenant: the shared policy, the tenant's
-/// admission bucket (absent when admission is disabled for it) and the
-/// per-tenant instrument handles.
-struct QosState {
-    policy: Arc<QosPolicy>,
-    tenant: TenantId,
-    /// Token bucket admitting this tenant's read operations. `None` when
-    /// the tenant has no quota or `burst == 0` — admission disabled, the
-    /// op is always admitted (but still counted).
-    bucket: Option<TokenBucket>,
-    admitted: Arc<Counter>,
-    throttled: Arc<Counter>,
-    latency: Arc<Histogram>,
-    /// Latency objective tracker; `None` when the policy sets no
-    /// objective for this tenant.
-    slo: Option<SloTracker>,
-    slo_good: Arc<Counter>,
-    slo_bad: Arc<Counter>,
-    /// Sliding-window error-budget burn rate ×1000 (gauges are integral;
-    /// 1000 = burning exactly at the sustainable rate).
-    slo_burn: Arc<Gauge>,
-}
-
-impl QosState {
-    /// Record one completed read's latency against the tenant histogram
-    /// (tail values keep their request id as exemplars) and, when an
-    /// objective is configured, classify it good/bad and refresh the
-    /// burn-rate gauge.
-    fn observe_latency(&self, elapsed_us: u64, request: u64) {
-        self.latency.record_with_exemplar(elapsed_us, request);
-        if let Some(slo) = &self.slo {
-            if slo.observe(elapsed_us) {
-                self.slo_good.inc();
-            } else {
-                self.slo_bad.inc();
-            }
-            self.slo_burn.set((slo.burn_rate() * 1000.0).round() as u64);
-        }
-    }
-}
-
 /// A POSIX-style handle onto the FanStore namespace for one process (one
 /// training I/O thread can clone its own).
 pub struct FsClient {
@@ -360,7 +311,6 @@ pub struct FsClient {
     /// count − 1): fixes every ladder's order via [`replicas_of`].
     replica_rounds: usize,
     read_through: Option<Arc<dyn Backend>>,
-    qos: Option<QosState>,
     metrics: ClientMetrics,
 }
 
@@ -384,7 +334,6 @@ impl FsClient {
             failover,
             replica_rounds,
             read_through: None,
-            qos: None,
             metrics,
         }
     }
@@ -403,126 +352,9 @@ impl FsClient {
         self
     }
 
-    /// Attach a QoS policy and identify this client as `tenant`: read
-    /// operations pass token-bucket admission (surfacing
-    /// [`FsError::Throttled`] after the policy's backoff retries), carry
-    /// the tenant id and an absolute deadline on every rpc envelope, and
-    /// record under `qos.tenant.<id>.*`. The tenant's quota is snapshot
-    /// into `qos.tenant.<id>.quota.*` gauges.
-    pub fn with_qos(mut self, policy: Arc<QosPolicy>, tenant: TenantId) -> Self {
-        let m = &self.state.metrics;
-        let bucket = policy
-            .quota(tenant)
-            .filter(|q| q.burst > 0)
-            .map(|q| TokenBucket::new(q.rate_per_s, q.burst));
-        if let Some(q) = policy.quota(tenant) {
-            m.gauge(&format!("qos.tenant.{tenant}.quota.burst")).set(u64::from(q.burst));
-            m.gauge(&format!("qos.tenant.{tenant}.quota.weight")).set(u64::from(q.weight.max(1)));
-            m.gauge(&format!("qos.tenant.{tenant}.quota.rate_per_s")).set(q.rate_per_s as u64);
-        }
-        let slo = policy
-            .objective(tenant)
-            .map(|o| SloTracker::new(o, policy.slo_slot, policy.slo_windows));
-        if let Some(o) = policy.objective(tenant) {
-            m.gauge(&format!("qos.tenant.{tenant}.slo.latency_us")).set(o.latency_us);
-            m.gauge(&format!("qos.tenant.{tenant}.slo.target_milli"))
-                .set((o.target * 1000.0).round() as u64);
-        }
-        self.qos = Some(QosState {
-            bucket,
-            admitted: m.counter(&format!("qos.tenant.{tenant}.admitted")),
-            throttled: m.counter(&format!("qos.tenant.{tenant}.throttled")),
-            latency: m.histogram(&format!("qos.tenant.{tenant}.latency_us")),
-            slo,
-            slo_good: m.counter(&format!("qos.tenant.{tenant}.slo.good")),
-            slo_bad: m.counter(&format!("qos.tenant.{tenant}.slo.bad")),
-            slo_burn: m.gauge(&format!("qos.tenant.{tenant}.slo.burn_milli")),
-            policy,
-            tenant,
-        });
-        self
-    }
-
-    /// A sibling client for `tenant` over the same node state, service
-    /// channel, trace, failover and read-through configuration — how a
-    /// process serving several training jobs gives each its own tenant
-    /// identity (and its own admission bucket).
-    pub fn fork_tenant(&self, tenant: TenantId) -> FsClient {
-        let (state, service) = (Arc::clone(&self.state), self.service.clone());
-        let mut c = FsClient::new(state, service, self.failover.clone(), self.replica_rounds);
-        if let Some(t) = &self.trace {
-            c = c.with_trace(Arc::clone(t));
-        }
-        if let Some(b) = &self.read_through {
-            c = c.with_read_through(Arc::clone(b));
-        }
-        if let Some(q) = &self.qos {
-            c = c.with_qos(Arc::clone(&q.policy), tenant);
-        }
-        c
-    }
-
-    /// The tenant this client's operations are accounted to (0 without a
-    /// QoS policy).
-    pub fn tenant(&self) -> TenantId {
-        self.qos.as_ref().map_or(0, |q| q.tenant)
-    }
-
     /// The attached trace recorder, if any.
     pub fn trace(&self) -> Option<&Arc<TraceRecorder>> {
         self.trace.as_ref()
-    }
-
-    /// Token-bucket admission for one read operation. Without a QoS
-    /// policy (or for a tenant with no bucket) every op is admitted; with
-    /// one, a refused op retries under seeded backoff
-    /// (`policy.throttle_retries` times) and then surfaces as
-    /// [`FsError::Throttled`].
-    fn admit(&self, path: &str) -> Result<(), FsError> {
-        let Some(q) = &self.qos else { return Ok(()) };
-        let Some(bucket) = &q.bucket else {
-            q.admitted.inc();
-            return Ok(());
-        };
-        let retries = q.policy.throttle_retries;
-        for attempt in 0..=retries {
-            if bucket.try_admit(now_us()) {
-                q.admitted.inc();
-                return Ok(());
-            }
-            if attempt < retries {
-                std::thread::sleep(seeded_backoff(
-                    q.policy.backoff_base,
-                    q.policy.backoff_max,
-                    q.policy.seed,
-                    path,
-                    attempt + 1,
-                ));
-            }
-        }
-        q.throttled.inc();
-        self.state.stats.throttled_ops.inc();
-        Err(FsError::Throttled(format!("tenant {}: {path}", q.tenant)))
-    }
-
-    /// The absolute deadline (µs on the shared monotonic clock) to stamp
-    /// on this operation's rpcs: the tenant's `op_deadline` when set, else
-    /// `rpc_timeout` when the QoS policy derives deadlines from it. 0 = no
-    /// op deadline (so no shedding: always without a QoS policy); each rpc
-    /// still waits at most `rpc_timeout`.
-    fn op_deadline_us(&self) -> u64 {
-        let Some(q) = &self.qos else { return 0 };
-        let d = match q.policy.quota(q.tenant).and_then(|t| t.op_deadline) {
-            Some(d) => d,
-            None if q.policy.deadline_from_timeout => self.failover.rpc_timeout,
-            None => return 0,
-        };
-        now_us().saturating_add(d.as_micros() as u64).max(1)
-    }
-
-    /// The rpc envelope meta for one request leg.
-    fn rpc_meta(&self, request: u64, deadline_us: u64) -> RpcMeta {
-        RpcMeta { request_id: request, tenant: self.tenant(), deadline_us }
     }
 
     /// Record one request span into the trace (no-op without a trace).
@@ -578,36 +410,21 @@ impl FsClient {
         Ok(fd)
     }
 
-    /// Run one read operation as one request: token-bucket admission (one
-    /// token per public call), the op deadline, a fresh
-    /// [`NodeState::next_request_id`], the tenant latency/SLO observation,
-    /// an optional latency histogram and a `root` span (plus whatever child
-    /// spans `body` records under the id it is handed).
+    /// Run one read operation as one request: a fresh
+    /// [`NodeState::next_request_id`], an optional latency histogram and a
+    /// `root` span (plus whatever child spans `body` records under the id
+    /// it is handed).
     fn read_op<T>(
         &self,
-        path: &str,
         root: &str,
         latency: Option<&Histogram>,
-        body: impl FnOnce(u64, u64) -> Result<T, FsError>,
-    ) -> Result<T, FsError> {
-        // The request id is minted before admission so backoff waits are
-        // attributable: with QoS attached the admit leg becomes a
-        // `client.admit` child span of this request.
+        body: impl FnOnce(u64) -> T,
+    ) -> T {
         let request = self.state.next_request_id();
         let start = now_us();
-        let admitted = self.admit(path);
-        if self.qos.is_some() {
-            self.span(request, "client.admit", start);
-        }
-        // A throttled op never ran: no latency, no root span.
-        admitted?;
-        let out = body(request, self.op_deadline_us());
-        let elapsed = now_us().saturating_sub(start);
+        let out = body(request);
         if let Some(h) = latency {
-            h.record_with_exemplar(elapsed, request);
-        }
-        if let Some(q) = &self.qos {
-            q.observe_latency(elapsed, request);
+            h.record_with_exemplar(now_us().saturating_sub(start), request);
         }
         self.span(request, root, start);
         out
@@ -618,13 +435,13 @@ impl FsClient {
     /// lands in `client.get.latency_us`. A cache hit counts as a local
     /// open; a miss decodes the answer into the cache.
     fn fetch(&self, path: &str) -> Result<Arc<Vec<u8>>, FsError> {
-        self.read_op(path, "client.get", Some(&self.metrics.get_latency), |request, deadline| {
+        self.read_op("client.get", Some(&self.metrics.get_latency), |request| {
             if let Some(hit) = self.state.cache.open(path) {
                 self.state.stats.local_opens.inc();
                 return Ok(hit);
             }
             let (spec, mut got) = ([GetManySpec::whole(path)], [None]);
-            self.answer_many(&spec, &mut got, request, deadline, |_, item, obj| {
+            self.answer_many(&spec, &mut got, request, |_, item, obj| {
                 self.cache_whole(path, item, obj, request)
             });
             got[0].take().expect("answer_many answers every spec")
@@ -637,8 +454,8 @@ impl FsClient {
     /// is final), then ladder rounds — round *k* sends each owner one
     /// GET_MANY, chunked at [`MAX_BATCH`], to step *k* of its ladder
     /// ([`FsClient::rung`]) with all its unanswered specs, under one seeded
-    /// backoff per retry round, `retry_budget` in rounds and the op
-    /// deadline — then the read-through copy. Every source is planned by
+    /// backoff per retry round and `retry_budget` in rounds — then the
+    /// read-through copy. Every source is planned by
     /// [`LocalObject::plan`]; `finish(i, item, obj)` turns the answer into
     /// spec `i`'s result (`obj`: the stored object `item` borrows, `None`
     /// for a reply) inside the round, so a payload that fails a CRC or its
@@ -649,7 +466,6 @@ impl FsClient {
         specs: &[GetManySpec<'_>],
         out: &mut [Option<Result<T, FsError>>],
         request: u64,
-        deadline: u64,
         mut finish: impl FnMut(usize, GetManyItem<'_>, Option<&LocalObject>) -> Result<T, FsError>,
     ) {
         let stats = &self.state.stats;
@@ -687,17 +503,12 @@ impl FsClient {
                 if to.is_some() && std::mem::take(&mut backoff) {
                     std::thread::sleep(backoff_delay(cfg, specs[chunk[0].slot].path, round));
                 }
-                // Never send past the op deadline.
-                let expired = deadline != 0 && now_us() >= deadline;
-                let Some(to) = to.filter(|_| !expired) else {
-                    // Off the ladder: at its end, by the budget or the deadline.
+                let Some(to) = to else {
+                    // Off the ladder: at its end or by the budget.
                     for r in chunk {
+                        // Nothing asked: metadata says the bytes are here.
                         let path = specs[r.slot].path;
-                        let last = match to {
-                            Some(_) => FsError::Shed(format!("{path}: deadline exhausted")),
-                            // Nothing asked: metadata says the bytes are here.
-                            None => r.last.take().unwrap_or_else(|| FsError::NotFound(path.into())),
-                        };
+                        let last = r.last.take().unwrap_or_else(|| FsError::NotFound(path.into()));
                         out[r.slot] = Some(Err(last));
                         fallen.push(r.slot);
                     }
@@ -708,10 +519,10 @@ impl FsClient {
                     self.metrics.get_many_fallbacks.add(chunk.len() as u64);
                 }
                 let wire: Vec<GetManySpec> = chunk.iter().map(|r| specs[r.slot]).collect();
-                self.get_many_rpc(&wire, to, request, deadline, |j, item| {
+                self.get_many_rpc(&wire, to, request, |j, item| {
                     let r = &mut chunk[j];
                     match item.and_then(|item| finish(r.slot, item, None)) {
-                        // Retryable on the next rung: NotFound, Comm, Shed too.
+                        // Retryable on the next rung: NotFound, Comm, Corrupt too.
                         Err(e) if !matches!(e, FsError::BadRange(_)) => {
                             if let FsError::Corrupt(_) = e {
                                 stats.crc_failures.inc();
@@ -804,20 +615,19 @@ impl FsClient {
     /// One GET_MANY round trip to `rank`: the only place a read request is
     /// encoded and its reply decoded. Entry `j`'s outcome goes to
     /// `each(j, ..)`, borrowing the reply buffer where it landed; a failed
-    /// rpc, a SHED reply or a damaged outer frame is every entry's outcome. The leg lands in `fabric.rpc.latency_us` /
-    /// a `fabric.rpc` span; a timed-out rpc and a SHED reply are counted
-    /// here, once.
+    /// rpc or a damaged outer frame is every entry's outcome. The leg lands
+    /// in `fabric.rpc.latency_us` / a `fabric.rpc` span; a timed-out rpc is
+    /// counted here, once.
     fn get_many_rpc(
         &self,
         specs: &[GetManySpec],
         rank: usize,
         request: u64,
-        deadline_us: u64,
         mut each: impl FnMut(usize, Result<GetManyItem<'_>, FsError>),
     ) {
         let payload = encode_get_many_request(specs);
         let rpc_start = now_us();
-        let reply = self.rpc(rank, tags::GET_MANY, payload, self.rpc_meta(request, deadline_us));
+        let reply = self.rpc(rank, tags::GET_MANY, payload, request);
         self.metrics.rpc_latency.record_with_exemplar(now_us().saturating_sub(rpc_start), request);
         self.span(request, "fabric.rpc", rpc_start);
         self.sync_fabric_gauges();
@@ -837,10 +647,6 @@ impl FsClient {
             Ok(())
         });
         if let Err(e) = decoded {
-            if let FsError::Shed(_) = e {
-                // Deadline unmeetable or queue full: retryable.
-                self.state.stats.shed_replies.inc();
-            }
             (0..specs.len()).for_each(|j| each(j, Err(e.clone())));
         }
     }
@@ -859,12 +665,11 @@ impl FsClient {
     /// chunk damage under a valid frame surfaces from
     /// [`FsClient::finish_read`] as `Corrupt`, not failed over.
     pub fn fetch_many_raw(&self, paths: &[String]) -> Vec<Result<RawEntry, FsError>> {
-        let Some(first) = paths.first() else { return Vec::new() };
-        // Admission: one token per batch. One deadline covers the whole
-        // batch too: every ladder round is charged against it, so a
-        // degraded batch is bounded by one budget.
+        if paths.is_empty() {
+            return Vec::new();
+        }
         let latency = Some(&*self.metrics.get_many_latency);
-        let out = self.read_op(first, "client.get_many", latency, |request, deadline| {
+        let out = self.read_op("client.get_many", latency, |request| {
             // Cache pass: a hit is `Ready`, open-count held, and counts as a
             // local open; a miss stays empty for `answer_many`.
             let mut out: Vec<_> = paths
@@ -877,7 +682,7 @@ impl FsClient {
                 })
                 .collect();
             let specs: Vec<GetManySpec> = paths.iter().map(|p| GetManySpec::whole(p)).collect();
-            self.answer_many(&specs, &mut out, request, deadline, |i, item, obj| {
+            self.answer_many(&specs, &mut out, request, |i, item, obj| {
                 let path = &paths[i];
                 if let Some(plain) = obj.and_then(LocalObject::plain_bytes) {
                     return Ok(RawEntry::Ready(self.state.cache.insert(path, Arc::clone(plain))));
@@ -892,20 +697,14 @@ impl FsClient {
                 let bytes = obj.map_or_else(|| Arc::new(data.to_vec()), |o| Arc::clone(&o.data));
                 Ok(RawEntry::Packed { codec, size: stat.size as usize, bytes, request })
             });
-            Ok(out.into_iter().map(|r| r.expect("answer_many answers every spec")).collect())
+            out.into_iter().map(|r| r.expect("answer_many answers every spec")).collect()
         });
-        match out {
-            Ok(out) => {
-                self.metrics.get_many_batches.inc();
-                self.metrics.get_many_entries.add(paths.len() as u64);
-                // Also for an all-local batch: writes move the fabric too.
-                self.sync_fabric_gauges();
-                self.sync_cache_gauges();
-                out
-            }
-            // A refused batch fails whole: each entry carries Throttled.
-            Err(e) => paths.iter().map(|_| Err(e.clone())).collect(),
-        }
+        self.metrics.get_many_batches.inc();
+        self.metrics.get_many_entries.add(paths.len() as u64);
+        // Also for an all-local batch: writes move the fabric too.
+        self.sync_fabric_gauges();
+        self.sync_cache_gauges();
+        out
     }
 
     /// Finish one [`RawEntry`]: decompress a `Packed` entry (recording
@@ -1177,7 +976,7 @@ impl FsClient {
     /// `[start, end)` must be non-empty and lie inside the file;
     /// anything else is [`FsError::BadRange`] (EINVAL), never a panic.
     pub fn read_range(&self, path: &str, start: u64, end: u64) -> Result<Vec<u8>, FsError> {
-        self.read_op(path, "client.range", None, |request, deadline| {
+        self.read_op("client.range", None, |request| {
             let stat = self.stat(path)?;
             if start >= end || end > stat.size {
                 let size = stat.size;
@@ -1190,7 +989,7 @@ impl FsClient {
                 return Ok(hit);
             }
             let (spec, mut got) = ([GetManySpec::range(path, start, end)], [None]);
-            self.answer_many(&spec, &mut got, request, deadline, |_, item, obj| match item {
+            self.answer_many(&spec, &mut got, request, |_, item, obj| match item {
                 // The covering chunks: decode them into the cache as partial
                 // residency, then assemble the window.
                 GetManyItem::Partial(p) => {
@@ -1228,9 +1027,9 @@ impl FsClient {
     /// path cannot observe the approximation.
     pub fn read_whole_tier(&self, path: &str, min_tier: u8) -> Result<Vec<u8>, FsError> {
         self.metrics.count_read(0);
-        self.read_op(path, "client.get", None, |request, deadline| {
+        self.read_op("client.get", None, |request| {
             let (spec, mut got) = ([GetManySpec::tiered(path, min_tier)], [None]);
-            self.answer_many(&spec, &mut got, request, deadline, |_, item, _| match item {
+            self.answer_many(&spec, &mut got, request, |_, item, _| match item {
                 GetManyItem::Partial(p) => {
                     let tiers = p.chunks.iter().map(PartialChunk::verified);
                     let tiers: Vec<&[u8]> = tiers.collect::<Result<_, _>>()?;
@@ -1257,19 +1056,16 @@ impl FsClient {
         }
     }
 
-    /// The one rpc door: every remote call waits at most `rpc_timeout`.
-    /// The op deadline `meta` carries gates the send (the ladder checks it
-    /// first) and the serve (the daemon sheds past it), not the wait, so a
-    /// request that expires in flight comes back SHED rather than racing
-    /// its own reply.
+    /// The one rpc door: every remote call waits at most `rpc_timeout`,
+    /// carrying `request` (0 = outside any traced request) on the envelope.
     fn rpc(
         &self,
         rank: usize,
         tag: Tag,
         payload: Vec<u8>,
-        meta: RpcMeta,
+        request: u64,
     ) -> Result<Vec<u8>, CommError> {
-        self.service.rpc_with_meta(rank, tag, payload, Some(self.failover.rpc_timeout), meta)
+        self.service.rpc_with_id(rank, tag, payload, Some(self.failover.rpc_timeout), request)
     }
 
     /// One metadata-plane round trip (PUT_META, GET_META, UNLINK) about
@@ -1284,7 +1080,7 @@ impl FsClient {
         payload: Vec<u8>,
     ) -> Result<Vec<u8>, FsError> {
         let what = || format!("metadata rpc {tag} for {path} at rank {rank}");
-        let reply = self.rpc(rank, tag, payload, RpcMeta::default());
+        let reply = self.rpc(rank, tag, payload, 0);
         let reply = reply.map_err(|e| self.rpc_error(&what(), e))?;
         match reply.first() {
             Some(&(status::OK | status::NOT_FOUND)) => Ok(reply),
@@ -1313,8 +1109,7 @@ impl FsClient {
         // (`attrib` charges it to `serve`).
         let request = self.state.next_request_id();
         let start = now_us();
-        let meta = self.rpc_meta(request, 0); // writes are never shed on deadline
-        let reply = self.rpc(rank, tags::PUT, payload, meta);
+        let reply = self.rpc(rank, tags::PUT, payload, request);
         self.span(request, "fabric.rpc", start);
         let out =
             match reply.map_err(|e| self.rpc_error(&format!("PUT {path} to rank {rank}"), e))? {

@@ -17,7 +17,6 @@ use crate::client::{FailoverConfig, FsClient};
 use crate::daemon::{serve, tags};
 use crate::framing::{put_bytes64, Malformed, Reader};
 use crate::node::{LocalObject, NodeState};
-use crate::qos::QosPolicy;
 use crate::trace::TraceRecorder;
 use crate::FsError;
 
@@ -67,12 +66,6 @@ pub struct ClusterConfig {
     /// every replica failed, letting training survive a dead rank even
     /// for unreplicated partitions.
     pub read_through: bool,
-    /// Multi-tenant QoS policy (admission control, weighted-fair daemon
-    /// scheduling, deadline shedding). `None` (default) keeps the pre-QoS
-    /// behaviour exactly: strict-FIFO daemons, no deadlines, no
-    /// throttling. The closure's client runs as tenant 0; fork siblings
-    /// with [`FsClient::fork_tenant`].
-    pub qos: Option<QosPolicy>,
     /// Each node's write store, a WAL (see [`crate::wal`]) that replays
     /// what its medium holds at daemon start. `None` (default) opens
     /// `WalConfig { sync_cost: Duration::ZERO, ..WalConfig::default() }`
@@ -98,7 +91,6 @@ impl Default for ClusterConfig {
             fault_plan: None,
             failover: FailoverConfig::default(),
             read_through: false,
-            qos: None,
             wal: None,
             wal_media: None,
         }
@@ -178,7 +170,6 @@ impl FanStore {
         let cache_cfg = cfg.cache;
         let backend_kind = cfg.backend.clone();
         let trace_ring = cfg.trace_ring;
-        let qos = cfg.qos.clone().map(Arc::new);
         let wal_cfg = cfg.wal.clone();
         let wal_media = cfg.wal_media.clone();
         let f = &f;
@@ -253,10 +244,8 @@ impl FanStore {
             let daemon_state = Arc::clone(&state);
             let trace = (trace_ring > 0).then(|| Arc::new(TraceRecorder::new(trace_ring)));
             let daemon_trace = trace.clone();
-            let daemon_qos = qos.clone();
             let result = std::thread::scope(|scope| {
-                let daemon =
-                    scope.spawn(move || serve(daemon_state, service, daemon_trace, daemon_qos));
+                let daemon = scope.spawn(move || serve(daemon_state, service, daemon_trace));
                 let mut client = FsClient::new(
                     Arc::clone(&state),
                     service_remote.clone(),
@@ -268,9 +257,6 @@ impl FanStore {
                 }
                 if let Some(rt) = &read_through {
                     client = client.with_read_through(Arc::clone(rt));
-                }
-                if let Some(q) = &qos {
-                    client = client.with_qos(Arc::clone(q), 0);
                 }
 
                 // Catch panics from the user closure so the daemon still

@@ -21,7 +21,7 @@
 //!   store, or remove one (checkpoint replication and GC).
 //! * **SHUTDOWN** — terminate the loop.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use fanstore_compress::crc32::crc32;
@@ -32,7 +32,6 @@ use crate::framing::{put_str16, reserve_crc, Malformed, Reader};
 use crate::meta::encode_single;
 use crate::metrics::now_us;
 use crate::node::{LocalObject, NodeState};
-use crate::qos::QosPolicy;
 use crate::stat::{FileStat, STAT_SIZE};
 use crate::trace::{SpanEvent, TraceRecorder};
 use crate::FsError;
@@ -70,11 +69,6 @@ pub mod status {
     pub const NOT_FOUND: u8 = 1;
     /// Request malformed.
     pub const BAD_REQUEST: u8 = 2;
-    /// Request shed by the daemon's QoS scheduler: its deadline had
-    /// expired (or could not cover the estimated service time), or the
-    /// tenant's queue was full. The client treats this as retryable and
-    /// falls over to the next replica / read-through.
-    pub const SHED: u8 = 3;
     /// Entry served as a *partial* frame: only the chunks covering the
     /// requested byte range (or the fidelity tiers up to `min_tier`) of
     /// a chunked object, each with its own stored-CRC.
@@ -412,7 +406,6 @@ pub fn decode_get_many_reply(
     let mut r = Reader::new(buf);
     match r.u8() {
         Ok(status::OK) => {}
-        Ok(status::SHED) => return Err(FsError::Shed("remote: batch shed".into())),
         _ => return Err(FsError::Comm("malformed GET_MANY reply".into())),
     }
     let framing = |e: Malformed| e.reply("GET_MANY reply");
@@ -524,170 +517,40 @@ fn handle_get_many(state: &NodeState, msg: &Message, get_bytes: &crate::metrics:
     msg.reply(reply)
 }
 
-/// One tenant's service lane in the daemon scheduler: its bounded queue,
-/// DRR bookkeeping, and per-tenant instrument handles (resolved once per
-/// tenant, recorded through `Arc`s on the hot path).
-struct Lane {
-    /// `(arrival µs, message)`; the arrival stamp turns into the
-    /// `daemon.queue` wait span at dispatch.
-    queue: VecDeque<(u64, Message)>,
-    weight: u64,
-    deficit: u64,
-    served: Arc<crate::metrics::Counter>,
-    shed: Arc<crate::metrics::Counter>,
-    depth: Arc<crate::metrics::Gauge>,
-}
-
-/// Per-tenant bounded queues drained by deficit round-robin. Without a
-/// policy every message lands in tenant 0's unbounded lane and the drain
-/// order is exactly arrival order — the pre-QoS FIFO, bit for bit.
-struct Scheduler<'a> {
-    state: &'a NodeState,
-    policy: Option<&'a QosPolicy>,
-    lanes: BTreeMap<u32, Lane>,
-    /// Active tenants in visit order; the front lane holds the current
-    /// deficit.
-    rr: VecDeque<u32>,
-    queued: usize,
-}
-
-impl<'a> Scheduler<'a> {
-    fn new(state: &'a NodeState, policy: Option<&'a QosPolicy>) -> Self {
-        Scheduler { state, policy, lanes: BTreeMap::new(), rr: VecDeque::new(), queued: 0 }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.queued == 0
-    }
-
-    /// Queue one arriving message on its tenant's lane; a full lane sheds
-    /// it immediately (SHUTDOWN is never shed).
-    fn enqueue(&mut self, msg: Message) {
-        let tenant = msg.tenant;
-        let lane = self.lanes.entry(tenant).or_insert_with(|| {
-            let m = &self.state.metrics;
-            Lane {
-                queue: VecDeque::new(),
-                weight: self.policy.map_or(1, |p| p.weight(tenant)),
-                deficit: 0,
-                served: m.counter(&format!("qos.tenant.{tenant}.served")),
-                shed: m.counter(&format!("qos.tenant.{tenant}.shed")),
-                depth: m.gauge(&format!("qos.tenant.{tenant}.queue_depth")),
-            }
-        });
-        let depth = self.policy.map_or(0, |p| p.queue_depth);
-        if depth > 0 && lane.queue.len() >= depth && msg.tag != tags::SHUTDOWN {
-            // Count before replying: the requester may act on the SHED
-            // reply immediately, and must find the counters consistent.
-            lane.shed.inc();
-            self.state.stats.daemon_shed.inc();
-            msg.reply(vec![status::SHED]);
-            return;
-        }
-        if lane.queue.is_empty() {
-            self.rr.push_back(tenant);
-        }
-        lane.queue.push_back((now_us(), msg));
-        lane.depth.set(lane.queue.len() as u64);
-        self.queued += 1;
-    }
-
-    /// Pop the next message under DRR: the front tenant receives its
-    /// weight as quantum on arrival at the head and serves one request
-    /// per unit of deficit; spending it (or draining the lane) rotates
-    /// the tenant to the back of the round.
-    fn next(&mut self) -> Option<(u32, u64, Message)> {
-        while let Some(&tenant) = self.rr.front() {
-            let lane = self.lanes.get_mut(&tenant).expect("active lane exists");
-            if lane.queue.is_empty() {
-                lane.deficit = 0;
-                self.rr.pop_front();
-                continue;
-            }
-            if lane.deficit == 0 {
-                lane.deficit = lane.weight.max(1);
-            }
-            let (arrival, msg) = lane.queue.pop_front().expect("lane non-empty");
-            lane.deficit -= 1;
-            lane.depth.set(lane.queue.len() as u64);
-            self.queued -= 1;
-            let drained = lane.queue.is_empty();
-            if lane.deficit == 0 || drained {
-                lane.deficit = 0;
-                self.rr.pop_front();
-                if !drained {
-                    self.rr.push_back(tenant);
-                }
-            }
-            return Some((tenant, arrival, msg));
-        }
-        None
-    }
-
-    /// Count a dispatched request against its tenant.
-    fn count_served(&self, tenant: u32) {
-        if let Some(lane) = self.lanes.get(&tenant) {
-            lane.served.inc();
-        }
-    }
-
-    /// Count a shed request against its tenant (and the node total).
-    fn count_shed(&self, tenant: u32) {
-        if let Some(lane) = self.lanes.get(&tenant) {
-            lane.shed.inc();
-        }
-        self.state.stats.daemon_shed.inc();
-    }
-}
-
-/// How many dispatches between refreshes of the cached service-time
-/// estimate (the `daemon.serve.latency_us` median).
-const EST_REFRESH: u64 = 64;
-
 /// Run the daemon loop until a SHUTDOWN message arrives or every peer
 /// endpoint is gone. Returns the number of requests served.
 ///
-/// With a `trace` recorder, served requests record `daemon.queue` /
-/// `daemon.serve` spans. Undeliverable replies (the requester gave up —
-/// timed out or died) count in `stats.reply_failures`. Under a
-/// [`QosPolicy`], arriving requests queue per tenant (bounded; overflow
-/// is shed), the queues drain by deficit round-robin instead of strict
-/// FIFO, and any request whose deadline has expired — or whose remaining
-/// budget cannot cover the estimated service time (the serve-latency
-/// median) — is answered with [`status::SHED`] instead of being served.
-/// With `policy` `None` the loop is strict FIFO.
+/// Requests are served one at a time in arrival order. With a `trace`
+/// recorder, served requests record `daemon.queue` / `daemon.serve`
+/// spans. Undeliverable replies (the requester gave up — timed out or
+/// died) count in `stats.reply_failures`.
 pub fn serve(
     state: Arc<NodeState>,
     mut service: Channel,
     trace: Option<Arc<TraceRecorder>>,
-    policy: Option<Arc<QosPolicy>>,
 ) -> u64 {
     // Resolve instrument handles once; the loop records through Arcs.
     let serve_latency = state.metrics.histogram("daemon.serve.latency_us");
     let queue_wait = state.metrics.histogram("daemon.queue.wait_us");
     let get_bytes = state.metrics.counter("daemon.get.bytes");
-    let mut sched = Scheduler::new(&state, policy.as_deref());
+    // `(arrival µs, message)`: the arrival stamp turns into the
+    // `daemon.queue` wait at dispatch.
+    let mut queue: VecDeque<(u64, Message)> = VecDeque::new();
     let mut served = 0u64;
-    // Cached estimate of one request's service time, used by the shed
-    // decision; refreshed from the latency histogram every EST_REFRESH
-    // dispatches (0 until the histogram has data).
-    let mut est_serve_us = 0u64;
     'daemon: loop {
-        // Admission: block only when nothing is queued, then drain every
-        // message already waiting so the scheduler sees all tenants
-        // before picking.
-        if sched.is_empty() {
+        // Block only when nothing is queued, then drain every message
+        // already waiting, stamping its arrival.
+        if queue.is_empty() {
             match service.recv() {
-                Ok(m) => sched.enqueue(m),
+                Ok(m) => queue.push_back((now_us(), m)),
                 Err(_) => break, // all peers disconnected
             }
         }
         while let Some(m) = service.try_recv() {
-            sched.enqueue(m);
+            queue.push_back((now_us(), m));
         }
-        let Some((tenant, arrival_us, msg)) = sched.next() else { continue };
-        // Queue wait: arrival → dispatch, charged to the request whether
-        // it is served or shed below (the requester waited either way).
+        let Some((arrival_us, msg)) = queue.pop_front() else { continue };
+        // Queue wait: arrival → dispatch.
         if msg.tag != tags::SHUTDOWN {
             let wait = now_us().saturating_sub(arrival_us);
             queue_wait.record_with_exemplar(wait, msg.request_id);
@@ -701,21 +564,7 @@ pub fn serve(
                 });
             }
         }
-        // Deadline shed: the requester stamped an absolute deadline on
-        // the shared monotonic clock. If it already passed — or the
-        // remaining budget can't cover the estimated service time — the
-        // requester would discard the reply anyway; answer SHED instead
-        // of burning the decode.
-        if msg.deadline_us != 0 && msg.tag != tags::SHUTDOWN {
-            let now = now_us();
-            if now >= msg.deadline_us || msg.deadline_us - now < est_serve_us {
-                sched.count_shed(tenant); // count first: see `enqueue`
-                msg.reply(vec![status::SHED]);
-                continue;
-            }
-        }
         served += 1;
-        sched.count_served(tenant);
         let start = now_us();
         let shutdown = msg.tag == tags::SHUTDOWN;
         let delivered = match msg.tag {
@@ -732,9 +581,6 @@ pub fn serve(
         };
         if !shutdown {
             serve_latency.record_with_exemplar(now_us().saturating_sub(start), msg.request_id);
-            if served.is_multiple_of(EST_REFRESH) {
-                est_serve_us = serve_latency.quantile(0.5);
-            }
             // The requester minted the id; stamping it here lets a span
             // tree reassemble the server leg of the request.
             if let Some(t) = &trace {
@@ -816,6 +662,7 @@ mod tests {
     use crate::node::decompress_object;
     use crate::prep::{prepare, PrepConfig};
     use fanstore_compress::crc32::crc32;
+    use std::time::Duration;
 
     /// What a row of [`read_protocol_table`] must decode to, whatever
     /// surrounds it in the batch.
@@ -931,7 +778,7 @@ mod tests {
                 for p in &parts {
                     state.load_partition(p).unwrap();
                 }
-                return serve(state, service, None, None);
+                return serve(state, service, None);
             }
             let mut served = 0u64;
             let mut get_many = |req: Vec<u8>| {
@@ -1009,16 +856,47 @@ mod tests {
             let reply = get_many(empty);
             let items = decode_get_many_reply(&reply, 1).unwrap();
             assert!(matches!(items[0], Err(FsError::NotFound(_))));
-            // SHED: a request whose deadline already passed is answered with
-            // the bare status byte, which decodes to a batch-level Shed.
-            let expired = mpi_sim::RpcMeta { deadline_us: 1, ..Default::default() };
-            let reply = service.rpc_with_meta(0, tags::GET_MANY, good, None, expired).unwrap();
-            assert_eq!(reply, vec![status::SHED]);
-            assert!(matches!(decode_get_many_reply(&reply, 3), Err(FsError::Shed(_))));
             assert_eq!(service.rpc(0, tags::SHUTDOWN, Vec::new()).unwrap()[0], status::OK);
             served + 1
         });
-        assert_eq!(results[0], results[1], "daemon served every request but the shed one");
+        assert_eq!(results[0], results[1], "daemon served every request");
+    }
+
+    #[test]
+    fn requests_waiting_at_start_are_served_in_send_order() {
+        // Rank 1 posts four GET_MANY rpcs before rank 0's loop starts. Each
+        // gives up at once (a zero timeout), so one thread sends all four
+        // in a known order. The loop drains them into its one FIFO and
+        // answers them in send order (each answer is undeliverable, and
+        // counted), with one queue-wait sample each; SHUTDOWN is not
+        // sampled.
+        const N: u64 = 4;
+        let results = mpi_sim::launch(2, 2, |mut ctx| {
+            let (mut control, service) = (ctx.take_channel(0), ctx.take_channel(1));
+            if ctx.rank == 0 {
+                let state = Arc::new(NodeState::new(0, 2, CacheConfig::default()));
+                let trace = Arc::new(TraceRecorder::new(64));
+                control.barrier().unwrap();
+                serve(Arc::clone(&state), service, Some(Arc::clone(&trace)));
+                let spans = trace.spans();
+                let served = spans.iter().filter(|s| s.stage == "daemon.serve");
+                let waits = state.metrics.histogram("daemon.queue.wait_us").count();
+                return (
+                    served.map(|s| s.request).collect(),
+                    waits,
+                    state.stats.reply_failures.get(),
+                );
+            }
+            for id in 1..=N {
+                let req = encode_get_many_request(&[GetManySpec::whole("q/missing")]);
+                let gave_up = service.rpc_with_id(0, tags::GET_MANY, req, Some(Duration::ZERO), id);
+                assert_eq!(gave_up, Err(mpi_sim::CommError::Timeout));
+            }
+            control.barrier().unwrap();
+            service.rpc(0, tags::SHUTDOWN, Vec::new()).unwrap();
+            (Vec::new(), 0, 0)
+        });
+        assert_eq!(results[0], ((1..=N).collect::<Vec<u64>>(), N, N));
     }
 
     #[test]
@@ -1170,7 +1048,7 @@ mod tests {
             let service = ctx.take_channel(0);
             if ctx.rank == 0 {
                 let state = Arc::new(NodeState::new(0, 2, CacheConfig::default()));
-                serve(state, service, None, None)
+                serve(state, service, None)
             } else {
                 // Tag 1 is unassigned (every read is a GET_MANY, tag 6).
                 let r = service.rpc(0, 1, b"d/file.bin".to_vec()).unwrap();
@@ -1201,7 +1079,7 @@ mod tests {
             if ctx.rank == 0 {
                 let state = Arc::new(NodeState::new(0, 2, CacheConfig::default()));
                 let trace = Some(Arc::new(crate::trace::TraceRecorder::new(8)));
-                let served = serve(Arc::clone(&state), service, trace, None);
+                let served = serve(Arc::clone(&state), service, trace);
                 (served, state.stats.reply_failures.get())
             } else {
                 // A bare send carries no reply conduit: the daemon's
@@ -1223,7 +1101,7 @@ mod tests {
             if ctx.rank == 0 {
                 let state = Arc::new(NodeState::new(0, 2, CacheConfig::default()));
                 let st = Arc::clone(&state);
-                let served = serve(st, service, None, None);
+                let served = serve(st, service, None);
                 let still_there = state.lookup("ckpt/seg0").unwrap().is_some();
                 (served, still_there)
             } else {
@@ -1264,7 +1142,7 @@ mod tests {
             if ctx.rank == 0 {
                 let state = Arc::new(NodeState::new(0, 2, CacheConfig::default()));
                 let st = Arc::clone(&state);
-                let served = serve(st, service, None, None);
+                let served = serve(st, service, None);
                 let size = state.meta.read().stat("out/model_epoch3.h5").map(|s| s.size);
                 (served, size)
             } else {

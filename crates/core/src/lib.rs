@@ -76,7 +76,6 @@ pub mod node;
 pub mod pack;
 pub mod placement;
 pub mod prep;
-pub mod qos;
 pub mod stat;
 pub mod trace;
 pub mod wal;
@@ -103,14 +102,6 @@ pub enum FsError {
     /// Every replica (and the read-through fallback, if configured)
     /// failed; the read could not be served even in degraded mode.
     Degraded(String),
-    /// EAGAIN: the tenant's token bucket rejected the operation even
-    /// after the admission backoff retries (QoS admission control).
-    Throttled(String),
-    /// The serving daemon shed the request — its deadline had expired
-    /// (or could not cover the estimated service time), or the tenant's
-    /// queue was full. Retryable: the client maps it onto the replica
-    /// failover / read-through path.
-    Shed(String),
     /// EINVAL: a byte-range read was malformed or out of bounds for the
     /// file (start >= end, or end beyond the file size).
     BadRange(String),
@@ -130,8 +121,6 @@ impl std::fmt::Display for FsError {
             FsError::Comm(m) => write!(f, "communication failure: {m}"),
             FsError::Timeout(m) => write!(f, "rpc deadline elapsed: {m}"),
             FsError::Degraded(m) => write!(f, "all replicas failed: {m}"),
-            FsError::Throttled(m) => write!(f, "admission throttled: {m}"),
-            FsError::Shed(m) => write!(f, "request shed by daemon: {m}"),
             FsError::BadRange(m) => write!(f, "invalid byte range: {m}"),
             FsError::BadPath(m) => write!(f, "path the store cannot hold: {m}"),
         }

@@ -178,19 +178,9 @@ pub struct NodeStats {
     /// unreachable (the write stays readable from this node)
     /// (`client.meta_forward.failures`).
     pub meta_forward_failures: Arc<Counter>,
-    /// Operations rejected by the tenant's token bucket after the
-    /// admission backoff retries (`client.throttled.ops`).
-    pub throttled_ops: Arc<Counter>,
-    /// SHED replies received from daemons — the server dropped the
-    /// request rather than serve it past its deadline
-    /// (`client.shed.replies`).
-    pub shed_replies: Arc<Counter>,
     /// Remote fetches that exhausted the per-op retry budget before any
     /// replica answered (`client.retry.exhausted`).
     pub retry_exhausted: Arc<Counter>,
-    /// Requests this node's daemon shed — expired deadline, uncoverable
-    /// service estimate, or a full tenant queue (`daemon.shed.requests`).
-    pub daemon_shed: Arc<Counter>,
     /// Writes landed in this node's write store — finalised outputs and
     /// replica pushes alike (`daemon.write.count`).
     pub write_count: Arc<Counter>,
@@ -224,10 +214,7 @@ impl NodeStats {
             read_through_reads: registry.counter("client.read_through.reads"),
             reply_failures: registry.counter("daemon.reply.failures"),
             meta_forward_failures: registry.counter("client.meta_forward.failures"),
-            throttled_ops: registry.counter("client.throttled.ops"),
-            shed_replies: registry.counter("client.shed.replies"),
             retry_exhausted: registry.counter("client.retry.exhausted"),
-            daemon_shed: registry.counter("daemon.shed.requests"),
             write_count: registry.counter("daemon.write.count"),
             write_bytes: registry.counter("daemon.write.bytes"),
             write_overwrites: registry.counter("daemon.write.overwrites"),

@@ -43,30 +43,6 @@ pub type Tag = u64;
 /// Tags at or above this value are reserved for collective operations.
 pub const COLLECTIVE_TAG_BASE: Tag = 1 << 60;
 
-/// Request-scoped metadata riding the rpc envelope alongside the payload:
-/// the trace request id, the requesting tenant, and an absolute deadline.
-/// All three default to 0 ("untraced, tenant 0, no deadline") on plain
-/// sends and the legacy rpc variants.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct RpcMeta {
-    /// Request id for request-scoped tracing (0 = untraced).
-    pub request_id: u64,
-    /// Requesting tenant (0 = the default tenant). The serving side may
-    /// queue and schedule per tenant.
-    pub tenant: u32,
-    /// Absolute deadline on the requester's monotonic microsecond clock
-    /// (0 = none). Carried opaquely; a server sharing the clock can shed
-    /// requests whose deadline has already passed.
-    pub deadline_us: u64,
-}
-
-impl RpcMeta {
-    /// Meta carrying only a request id (no tenant, no deadline).
-    pub fn with_id(request_id: u64) -> Self {
-        RpcMeta { request_id, ..RpcMeta::default() }
-    }
-}
-
 /// A point-to-point message.
 pub struct Message {
     /// Sending rank.
@@ -74,16 +50,9 @@ pub struct Message {
     /// Message tag.
     pub tag: Tag,
     /// Request id carried for request-scoped tracing (0 = not part of a
-    /// traced request). Set through [`RpcMeta::with_id`]; the serving
+    /// traced request). Set through [`Channel::rpc_with_id`]; the serving
     /// side stamps it onto the spans it records.
     pub request_id: u64,
-    /// Requesting tenant (0 = default). Stamped by
-    /// [`Channel::rpc_with_meta`]; servers may schedule per tenant.
-    pub tenant: u32,
-    /// Absolute deadline in microseconds on the requester's monotonic
-    /// clock (0 = none); servers sharing the clock may shed expired
-    /// requests.
-    pub deadline_us: u64,
     /// Payload bytes.
     pub payload: Vec<u8>,
     /// Reply conduit set by [`Channel::rpc`]; a daemon answers with
@@ -254,17 +223,17 @@ impl Channel {
         self.tx.rpc_timeout(dest, tag, payload, timeout)
     }
 
-    /// Fully-general rpc carrying the whole [`RpcMeta`] envelope (request
-    /// id, tenant, absolute deadline) alongside the payload.
-    pub fn rpc_with_meta(
+    /// Fully-general rpc: an optional timeout, and the trace request id
+    /// riding the envelope alongside the payload.
+    pub fn rpc_with_id(
         &self,
         dest: usize,
         tag: Tag,
         payload: Vec<u8>,
         timeout: Option<Duration>,
-        meta: RpcMeta,
+        request_id: u64,
     ) -> Result<Vec<u8>, CommError> {
-        self.tx.rpc_with_meta(dest, tag, payload, timeout, meta)
+        self.tx.rpc_with_id(dest, tag, payload, timeout, request_id)
     }
 
     /// A cloneable send-only handle on this channel: lets other threads of
@@ -447,7 +416,7 @@ impl RemoteSender {
         dest: usize,
         tag: Tag,
         mut payload: Vec<u8>,
-        meta: RpcMeta,
+        request_id: u64,
         reply: Option<Sender<Vec<u8>>>,
     ) -> Result<bool, CommError> {
         let tx = self.senders.get(dest).ok_or(CommError::InvalidRank(dest))?;
@@ -462,22 +431,14 @@ impl RemoteSender {
                 return Ok(false);
             }
         }
-        tx.send(Message {
-            src: self.rank,
-            tag,
-            request_id: meta.request_id,
-            tenant: meta.tenant,
-            deadline_us: meta.deadline_us,
-            payload,
-            reply,
-        })
-        .map_err(|_| CommError::Disconnected)?;
+        tx.send(Message { src: self.rank, tag, request_id, payload, reply })
+            .map_err(|_| CommError::Disconnected)?;
         Ok(true)
     }
 
     /// Send `payload` to `dest` with `tag` (no reply expected).
     pub fn send(&self, dest: usize, tag: Tag, payload: Vec<u8>) -> Result<(), CommError> {
-        self.post(dest, tag, payload, RpcMeta::default(), None).map(|_| ())
+        self.post(dest, tag, payload, 0, None).map(|_| ())
     }
 
     /// Request/reply against the daemon loop that owns `dest`'s receiving
@@ -485,7 +446,7 @@ impl RemoteSender {
     /// consumes the request — use [`RemoteSender::rpc_timeout`] when the
     /// peer may be dead.
     pub fn rpc(&self, dest: usize, tag: Tag, payload: Vec<u8>) -> Result<Vec<u8>, CommError> {
-        self.rpc_with_meta(dest, tag, payload, None, RpcMeta::default())
+        self.rpc_with_id(dest, tag, payload, None, 0)
     }
 
     /// [`RemoteSender::rpc`] with a deadline: fails with
@@ -497,20 +458,20 @@ impl RemoteSender {
         payload: Vec<u8>,
         timeout: Duration,
     ) -> Result<Vec<u8>, CommError> {
-        self.rpc_with_meta(dest, tag, payload, Some(timeout), RpcMeta::default())
+        self.rpc_with_id(dest, tag, payload, Some(timeout), 0)
     }
 
-    /// Fully-general rpc carrying the whole [`RpcMeta`] envelope (request
-    /// id, tenant, absolute deadline) alongside the payload: the one
+    /// Fully-general rpc: an optional timeout, and the trace request id
+    /// riding the envelope alongside the payload (0 = untraced). The one
     /// request/reply body behind every `rpc*` call on this handle and on
     /// [`Channel`].
-    pub fn rpc_with_meta(
+    pub fn rpc_with_id(
         &self,
         dest: usize,
         tag: Tag,
         payload: Vec<u8>,
         timeout: Option<Duration>,
-        meta: RpcMeta,
+        request_id: u64,
     ) -> Result<Vec<u8>, CommError> {
         let (rtx, rrx) = unbounded();
         let deadline = timeout.map(|t| Instant::now() + t);
@@ -520,7 +481,7 @@ impl RemoteSender {
         // out the deadline on a dead peer. (A conduit kept alive in this
         // frame would make the recv block for the full deadline, or
         // forever without one.)
-        self.post(dest, tag, payload, meta, Some(rtx))?;
+        self.post(dest, tag, payload, request_id, Some(rtx))?;
         let mut answer = match deadline {
             None => rrx.recv().map_err(|_| CommError::Disconnected)?,
             Some(deadline) => rrx.recv_deadline(deadline).map_err(|e| match e {
@@ -857,38 +818,12 @@ mod tests {
                 (id, plain.request_id)
             } else {
                 let ch = ctx.take_channel(0);
-                ch.rpc_with_meta(0, 1, vec![1], None, RpcMeta::with_id(0xBEEF)).unwrap();
+                ch.rpc_with_id(0, 1, vec![1], None, 0xBEEF).unwrap();
                 ch.send(0, 2, vec![2]).unwrap();
                 (0, 0)
             }
         });
         assert_eq!(results[0], (0xBEEF, 0));
-    }
-
-    #[test]
-    fn rpc_meta_rides_the_envelope() {
-        // Tenant and deadline travel opaquely with the request; plain
-        // sends and the id-only variant leave them at their defaults.
-        let results = launch(2, 1, |mut ctx| {
-            if ctx.rank == 0 {
-                let mut service = ctx.take_channel(0);
-                let m = service.recv().unwrap();
-                let tagged = (m.request_id, m.tenant, m.deadline_us);
-                m.reply(Vec::new());
-                let legacy = service.recv().unwrap();
-                let plain = (legacy.request_id, legacy.tenant, legacy.deadline_us);
-                legacy.reply(Vec::new());
-                (tagged, plain)
-            } else {
-                let ch = ctx.take_channel(0);
-                let meta = RpcMeta { request_id: 0xBEEF, tenant: 7, deadline_us: 1_234_567 };
-                ch.rpc_with_meta(0, 1, vec![1], None, meta).unwrap();
-                ch.rpc_with_meta(0, 2, vec![2], None, RpcMeta::with_id(0xF00D)).unwrap();
-                ((0, 0, 0), (0, 0, 0))
-            }
-        });
-        assert_eq!(results[0].0, (0xBEEF, 7, 1_234_567));
-        assert_eq!(results[0].1, (0xF00D, 0, 0));
     }
 
     #[test]

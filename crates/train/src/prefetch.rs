@@ -32,10 +32,7 @@ pub struct PrefetchConfig {
     /// `tests/read_ladder.rs::a_batch_of_32_is_one_message_where_single_reads_send_32`
     /// counts messages against.
     pub rpc_batch: usize,
-    /// QoS tenant this pipeline's reads are accounted to. When it differs
-    /// from the client's own tenant, the epoch runs on a forked sibling
-    /// client ([`FsClient::fork_tenant`]) so several training jobs in one
-    /// process each get their own admission bucket and fair-share lane.
+    /// Read by nothing; kept because fsbench builds this struct literally.
     pub tenant: u32,
 }
 
@@ -114,16 +111,6 @@ where
     if paths.is_empty() {
         return Ok(0);
     }
-    // Account the epoch to the configured tenant: fork a sibling client
-    // when it differs from the caller's (fork carries the QoS policy, so
-    // without one this is the identity tenant 0 either way).
-    let forked;
-    let fs = if cfg.tenant != fs.tenant() {
-        forked = fs.fork_tenant(cfg.tenant);
-        &forked
-    } else {
-        fs
-    };
     let batch = cfg.batch_size.max(1);
     let rpc_batch = if cfg.rpc_batch == 0 { batch } else { cfg.rpc_batch };
     let capacity = (cfg.queue_batches.max(1) * batch).max(1);
@@ -226,8 +213,7 @@ mod tests {
                     io_threads: 3,
                     queue_batches: 2,
                     batch_size: 4,
-                    rpc_batch: 0,
-                    tenant: 0,
+                    ..Default::default()
                 };
                 let mut batches = 0usize;
                 let mut seen = std::collections::HashSet::new();
@@ -258,8 +244,7 @@ mod tests {
                 io_threads: 2,
                 queue_batches: 1,
                 batch_size: 4,
-                rpc_batch: 0,
-                tenant: 0,
+                ..Default::default()
             };
             let mut collected: Vec<(usize, Vec<u8>)> = Vec::new();
             prefetched_epoch(fs, &paths, &cfg, |batch| {
@@ -294,7 +279,7 @@ mod tests {
                         queue_batches: 2,
                         batch_size: 5,
                         rpc_batch,
-                        tenant: 0,
+                        ..Default::default()
                     };
                     let mut collected: Vec<(usize, Vec<u8>)> = Vec::new();
                     prefetched_epoch(fs, &paths, &cfg, |batch| {
@@ -333,8 +318,7 @@ mod tests {
                     io_threads: 3,
                     queue_batches: 2,
                     batch_size: 6,
-                    rpc_batch: 0,
-                    tenant: 0,
+                    ..Default::default()
                 };
                 prefetched_epoch(fs, &paths, &cfg, |_| {}).unwrap();
                 // Seed the pool up to the pipeline's peak in-flight demand
@@ -396,8 +380,7 @@ mod tests {
                 io_threads: 2,
                 queue_batches: 1,
                 batch_size: 3,
-                rpc_batch: 0,
-                tenant: 0,
+                ..Default::default()
             };
             let mut sizes = Vec::new();
             prefetched_epoch(fs, &paths, &cfg, |batch| sizes.push(batch.len())).unwrap();

@@ -1,5 +1,5 @@
-//! Critical-path attribution, end to end: a seeded 4-rank run under
-//! QoS and modelled link delay must decompose every request's wall time
+//! Critical-path attribution, end to end: a seeded 4-rank run under a
+//! modelled link delay must decompose every request's wall time
 //! into named segments plus an explicit residual — exactly (the sweep
 //! is arithmetic, not estimation), with no residual in any request
 //! whose root span was traced, and with a structural signature that is
@@ -16,7 +16,6 @@ use fanstore_repro::store::attrib::{
 };
 use fanstore_repro::store::cluster::{ClusterConfig, FanStore};
 use fanstore_repro::store::prep::{prepare, PrepConfig};
-use fanstore_repro::store::qos::{QosPolicy, SloObjective, TenantQuota};
 use fanstore_repro::store::trace::SpanEvent;
 use fanstore_repro::train::epoch::{run_epochs, EpochConfig};
 use fanstore_repro::train::prefetch::PrefetchConfig;
@@ -35,31 +34,26 @@ fn dataset() -> Vec<(String, Vec<u8>)> {
 }
 
 /// One seeded run: every rank reads the dataset through the batched
-/// path (so get_many roots appear) and once through single GETs, under
-/// a QoS policy with an SLO — exercising admit, queue, rpc, serve and
-/// decompress spans. Returns all ranks' spans joined.
+/// path (so get_many roots appear) and once through single GETs —
+/// exercising queue, rpc, serve and decompress spans. Returns all ranks'
+/// spans joined.
 fn seeded_run() -> Vec<SpanEvent> {
     let packed = prepare(dataset(), &PrepConfig { partitions: NODES, ..Default::default() });
-    let policy = QosPolicy::new()
-        .with_quota(2, TenantQuota { rate_per_s: 0.0, burst: 10_000, ..Default::default() })
-        .with_slo(2, SloObjective { latency_us: 5_000, target: 0.99 });
     let cfg = ClusterConfig {
         nodes: NODES,
         trace_ring: 8192,
-        qos: Some(policy),
         fault_plan: Some(FaultPlan::new(SEED).delay_prob(1.0, Duration::from_micros(200))),
         ..Default::default()
     };
     let per_rank = FanStore::run(cfg, packed.partitions, |fs| {
-        let tenant = fs.fork_tenant(2);
-        let files = tenant.enumerate("train").expect("enumerate");
+        let files = fs.enumerate("train").expect("enumerate");
         for chunk in files.chunks(6) {
-            for r in tenant.read_many(chunk) {
+            for r in fs.read_many(chunk) {
                 r.expect("batched read");
             }
         }
         for path in &files {
-            tenant.read_whole(path).expect("read");
+            fs.read_whole(path).expect("read");
         }
         // Return the ring handle, not its contents: this rank's daemon
         // may still be serving peers' requests when the closure ends, so
@@ -188,44 +182,4 @@ fn same_seed_runs_attribute_identically() {
     }
     assert!(!first.is_empty());
     assert!(first.contains("root=client.get"), "{first}");
-}
-
-#[test]
-fn slo_counters_and_burn_gauge_exported() {
-    // The SLO plane rides the same run: good/bad classification against
-    // the tenant's objective plus the burn-rate gauge must land in the
-    // registry.
-    let packed = prepare(dataset(), &PrepConfig { partitions: NODES, ..Default::default() });
-    let policy = QosPolicy::new()
-        .with_slo(2, SloObjective { latency_us: 0, target: 0.9 }) // nothing meets 0 us
-        .with_slo(3, SloObjective { latency_us: u64::MAX, target: 0.9 }); // everything does
-    let cfg = ClusterConfig { nodes: NODES, qos: Some(policy), ..Default::default() };
-    let registries = FanStore::run(cfg, packed.partitions, |fs| {
-        let files = fs.enumerate("train").expect("enumerate");
-        let slow = fs.fork_tenant(2);
-        let fast = fs.fork_tenant(3);
-        for path in &files {
-            slow.read_whole(path).expect("read");
-            fast.read_whole(path).expect("read");
-        }
-        Arc::clone(&fs.state().metrics)
-    });
-    for m in &registries {
-        let snap = m.snapshot();
-        let c = |k: &str| snap.counters.get(k).copied().unwrap_or(0);
-        let g = |k: &str| snap.gauges.get(k).copied().unwrap_or(0);
-        // A 0 µs objective marks (at least almost) every read bad; the
-        // clock's 1 µs resolution makes an exact count timing-dependent,
-        // so assert the classification total and the dominant outcome.
-        let (good, bad) = (c("qos.tenant.2.slo.good"), c("qos.tenant.2.slo.bad"));
-        assert_eq!(good + bad, FILES as u64, "every read classified once");
-        assert!(bad * 2 > FILES as u64, "0 us objective must mark most reads bad");
-        assert!(g("qos.tenant.2.slo.burn_milli") > 0, "burning error budget");
-        // The unreachable objective is exact: nothing is ever bad.
-        assert_eq!(c("qos.tenant.3.slo.good"), FILES as u64);
-        assert_eq!(c("qos.tenant.3.slo.bad"), 0);
-        assert_eq!(g("qos.tenant.3.slo.burn_milli"), 0);
-        assert_eq!(g("qos.tenant.2.slo.latency_us"), 0);
-        assert_eq!(g("qos.tenant.2.slo.target_milli"), 900);
-    }
 }

@@ -40,8 +40,7 @@ fn disk_backend_supports_epochs_and_prefetch() {
                 io_threads: 2,
                 queue_batches: 2,
                 batch_size: 4,
-                rpc_batch: 0,
-                tenant: 0,
+                ..Default::default()
             };
             prefetched_epoch(fs, &paths, &cfg, |_| {}).unwrap()
         },

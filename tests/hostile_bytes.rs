@@ -378,7 +378,7 @@ fn with_rows(f: impl Fn(&[Row<'_>]) + Send + Sync) {
         if ctx.rank == 0 {
             let state = Arc::new(NodeState::new(0, 2, CacheConfig::default()));
             state.load_partition(&partition).expect("sample partition loads");
-            serve(state, service, None, None);
+            serve(state, service, None);
             return;
         }
         let specs = [
@@ -581,7 +581,6 @@ fn rows<'a>(
                     e,
                     FsError::Comm(_)
                         | FsError::Corrupt(_)
-                        | FsError::Shed(_)
                         | FsError::BadRange(_)
                         | FsError::NotFound(_)
                 )

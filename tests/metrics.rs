@@ -194,12 +194,7 @@ fn chaos_metrics_snapshot_schema() {
             "client.degraded.reads",
             "client.read_through.reads",
             "fabric.rpc.timeouts",
-            // QoS counters register unconditionally (NodeStats), so the
-            // dashboards can key on them even for clusters with no policy.
-            "client.shed.replies",
-            "client.throttled.ops",
             "client.retry.exhausted",
-            "daemon.shed.requests",
         ] {
             assert!(counters.contains_key(key), "rank {rank} missing {key}: {text}");
         }
@@ -210,68 +205,4 @@ fn chaos_metrics_snapshot_schema() {
             .unwrap_or(0);
     }
     assert!(degraded_total > 0, "the fault plan must bite: {jsons:?}");
-}
-
-#[test]
-fn qos_metrics_snapshot_schema() {
-    // A QoS-enabled run must export the per-tenant series — admission on
-    // the client (admitted/throttled), scheduling on the daemon
-    // (served/shed/queue_depth) and the quota snapshot gauges — with the
-    // throttle and shed counters actually biting.
-    use fanstore_repro::store::qos::{QosPolicy, TenantQuota};
-    let packed = prepare(dataset(), &PrepConfig { partitions: NODES, ..Default::default() });
-    // Every request sits 40 ms in flight, so a 30 ms deadline that was
-    // live when the client sent (a client never sends past it) has passed
-    // when the daemon dispatches: the daemon sheds.
-    let deadline = Some(Duration::from_millis(30));
-    let mut policy = QosPolicy::new()
-        .with_quota(7, TenantQuota { rate_per_s: 0.0, burst: 2, weight: 1, op_deadline: deadline });
-    policy.deadline_from_timeout = false;
-    policy.throttle_retries = 0;
-    let cfg = ClusterConfig {
-        nodes: NODES,
-        read_through: true,
-        qos: Some(policy),
-        fault_plan: Some(FaultPlan::new(3).delay_prob(1.0, Duration::from_millis(40))),
-        ..Default::default()
-    };
-    let registries = FanStore::run(cfg, packed.partitions, |fs| {
-        let noisy = fs.fork_tenant(7);
-        let files = fs.enumerate("train").expect("enumerate");
-        for chunk in files.chunks(3) {
-            for r in noisy.read_many(chunk) {
-                match r {
-                    Ok(_) | Err(fanstore_repro::store::FsError::Throttled(_)) => {}
-                    Err(e) => panic!("unexpected error: {e}"),
-                }
-            }
-        }
-        Arc::clone(&fs.state().metrics)
-    });
-    // The daemon-side tenant lane (served/shed/queue_depth) materialises on
-    // whichever rank serves that tenant's traffic, so the schema contract
-    // holds on the merged cluster view — exactly what `fanstore report` and
-    // the dashboards consume.
-    let merged = MetricsRegistry::new();
-    for registry in &registries {
-        merged.merge(registry);
-    }
-    let text = merged.to_json();
-    let v = json::parse(&text).unwrap_or_else(|e| panic!("merged JSON: {e}\n{text}"));
-    let counters = v.get("counters").and_then(|c| c.as_obj()).expect("counters object");
-    for key in [
-        "qos.tenant.7.admitted",
-        "qos.tenant.7.throttled",
-        "qos.tenant.7.served",
-        "qos.tenant.7.shed",
-    ] {
-        assert!(counters.contains_key(key), "merged snapshot missing {key}: {text}");
-    }
-    let gauges = v.get("gauges").and_then(|c| c.as_obj()).expect("gauges object");
-    for key in ["qos.tenant.7.quota.burst", "qos.tenant.7.quota.weight"] {
-        assert!(gauges.contains_key(key), "merged snapshot missing gauge {key}: {text}");
-    }
-    let get = |k: &str| counters.get(k).and_then(json::Value::as_u64).unwrap_or(0);
-    assert!(get("client.throttled.ops") > 0, "burst-2 bucket must throttle the flood: {text}");
-    assert!(get("daemon.shed.requests") > 0, "expired deadline must shed at the daemons: {text}");
 }

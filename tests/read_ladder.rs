@@ -3,9 +3,8 @@
 //! (a GET is a GET_MANY batch of one), the same recovery counters for
 //! whole, range, tier and batch reads under the same faults (one ladder,
 //! walked once, then the read-through copy), one GET_MANY per ladder round
-//! for a batch with a dead owner, one message for a 32-file batch where
-//! single reads send 32, and QoS admission plus tenant stamping on range
-//! and tier reads.
+//! for a batch with a dead owner, and one message for a 32-file batch
+//! where single reads send 32.
 
 use std::sync::Barrier;
 use std::time::Duration;
@@ -17,7 +16,6 @@ use fanstore_repro::store::pack::{
     decode_progressive_prefix, parse_chunk_table, parse_partition, PartitionBuilder,
 };
 use fanstore_repro::store::prep::{prepare, PrepConfig};
-use fanstore_repro::store::qos::{QosPolicy, TenantQuota};
 use fanstore_repro::store::FsError;
 
 const CHUNK: usize = 4096;
@@ -132,8 +130,6 @@ enum Scenario {
     /// The owner's stored copy has one flipped byte in the chunk every
     /// read covers; the ring replica's copy is clean.
     CorruptOwner,
-    /// The tenant's op deadline has passed before the first send.
-    ExpiredDeadline,
     /// Owner and replica are both dead and the retry budget is 1.
     ExhaustedBudget,
     /// Owner and replica are both dead; the read-through copy is not.
@@ -172,8 +168,6 @@ fn ladder_counts(read: Read, scenario: Scenario) -> (Outcome, u64) {
     }
     let damaged = damaged.finish();
     let exhausted = scenario == Scenario::ExhaustedBudget;
-    let expired =
-        TenantQuota { rate_per_s: 0.0, burst: 0, weight: 1, op_deadline: Some(Duration::ZERO) };
     let cluster = ClusterConfig {
         nodes: 3,
         replication: 2,
@@ -192,8 +186,6 @@ fn ladder_counts(read: Read, scenario: Scenario) -> (Outcome, u64) {
             backoff_max: Duration::from_millis(1),
             ..Default::default()
         },
-        qos: (scenario == Scenario::ExpiredDeadline)
-            .then(|| QosPolicy::new().with_quota(0, expired)),
         read_through: scenario == Scenario::ReadThrough,
         ..Default::default()
     };
@@ -221,7 +213,6 @@ fn ladder_counts(read: Read, scenario: Scenario) -> (Outcome, u64) {
             Ok(bytes) if bytes == expect => Ok(()),
             Ok(_) => Err("wrong bytes"),
             Err(FsError::Timeout(_)) => Err("Timeout"),
-            Err(FsError::Shed(_)) => Err("Shed"),
             Err(_) => Err("other"),
         };
         let s = &fs.state().stats;
@@ -249,9 +240,6 @@ fn whole_range_and_tier_reads_share_one_ladder() {
         let opens = if read == Read::Whole { 2 } else { 1 };
         let got = ladder_run(read, Scenario::CorruptOwner);
         assert_eq!(got, (Ok(()), [0, 1, 1, 0, opens, 2]), "{read:?}: corrupt owner copy");
-        // Expired before the first send: no message leaves the node.
-        let got = ladder_run(read, Scenario::ExpiredDeadline);
-        assert_eq!(got, (Err("Shed"), [0; 6]), "{read:?}: expired deadline");
         // Budget 1 = one retry: two attempts at the dead owner, then the
         // walk stops before ever reaching the (also dead) replica. Every
         // read kind walks the ladder once.
@@ -270,12 +258,7 @@ fn whole_range_and_tier_reads_share_one_ladder() {
 fn a_batch_of_one_reads_like_a_single_read() {
     // A one-entry `read_many` walks the one ladder: the same counters and
     // messages as `read_whole` under every fault...
-    for scenario in [
-        Scenario::KillOwner,
-        Scenario::ExpiredDeadline,
-        Scenario::ExhaustedBudget,
-        Scenario::ReadThrough,
-    ] {
+    for scenario in [Scenario::KillOwner, Scenario::ExhaustedBudget, Scenario::ReadThrough] {
         let whole = ladder_counts(Read::Whole, scenario);
         assert_eq!(ladder_counts(Read::Many, scenario), whole, "{scenario:?}");
     }
@@ -392,48 +375,4 @@ fn a_byte_flipped_in_the_owners_memory_after_load_is_caught_by_the_reader() {
         // frame is rejected once, and the next round asks the replica.
         assert_eq!(counters, [0, 1, 1, 0], "batched: {batched}: one degraded read");
     }
-}
-
-#[test]
-fn range_and_tier_reads_pass_admission_under_the_callers_tenant() {
-    // Tenant 7 may run exactly one read: rate 0, burst 1, no retries.
-    let quota = TenantQuota { rate_per_s: 0.0, burst: 1, weight: 1, op_deadline: None };
-    let mut policy = QosPolicy::new().with_quota(7, quota);
-    policy.throttle_retries = 0;
-    policy.deadline_from_timeout = false;
-    let files = ["qt/m0.f32", "qt/m1.f32"].map(|p| (p.to_string(), tiered_body()));
-    let prep = PrepConfig { partitions: 2, progressive_tiers: 4, ..Default::default() };
-    // Rank 0 reads rank 1's object; the barrier lets rank 1 sample its
-    // daemon's per-tenant counters once tenant 7's reads are over.
-    let done = Barrier::new(2);
-    let cluster = ClusterConfig { nodes: 2, qos: Some(policy), ..Default::default() };
-    let results = FanStore::run(cluster, prepare(files.into(), &prep).partitions, |fs| {
-        if fs.rank() == 1 {
-            done.wait();
-            let m = &fs.state().metrics;
-            let served = [7, 0].map(|t| m.counter(&format!("qos.tenant.{t}.served")).get());
-            done.wait();
-            return (Vec::new(), served);
-        }
-        let tenant = fs.fork_tenant(7);
-        let mut reads = vec![
-            tenant.read_whole_tier("qt/m1.f32", 0).map(|b| b.len()),
-            tenant.read_whole_tier("qt/m1.f32", 0).map(|b| b.len()),
-            tenant.read_range("qt/m1.f32", 10, 100).map(|b| b.len()),
-        ];
-        done.wait();
-        done.wait();
-        // A byte range of a progressive object has no partial form: the
-        // whole frame ships and the client slices it (tier chunks were
-        // once assembled as if they were range chunks).
-        let exact = |b: Vec<u8>| usize::from(b == tiered_body()[10..100]);
-        reads.push(fs.read_range("qt/m1.f32", 10, 100).map(exact));
-        (reads, [0, 0])
-    });
-    let reads = &results[0].0;
-    assert_eq!(reads[0].as_ref().ok(), Some(&(2048 * 4)), "the one token buys the tier read");
-    assert!(matches!(reads[1], Err(FsError::Throttled(_))), "tier read on an empty bucket");
-    assert!(matches!(reads[2], Err(FsError::Throttled(_))), "range read on an empty bucket");
-    assert_eq!(reads[3].as_ref().ok(), Some(&1), "range of a progressive object is exact");
-    assert_eq!(results[1].1, [1, 0], "the tier read is served under tenant 7, not tenant 0");
 }
