@@ -47,11 +47,6 @@ impl BitWriter {
         }
         self.out
     }
-
-    /// Number of whole bytes emitted so far (excludes the partial byte).
-    pub fn bytes_written(&self) -> usize {
-        self.out.len()
-    }
 }
 
 impl Default for BitWriter {

@@ -24,7 +24,6 @@ use fanstore_compress::CodecId;
 use mpi_sim::{CommError, RemoteSender, Tag};
 use parking_lot::Mutex;
 
-use crate::backend::Backend;
 use crate::daemon::{
     decode_get_many_reply, encode_get_many_request, status, tags, GetManyItem, GetManySpec,
     PartialChunk, MAX_BATCH,
@@ -62,8 +61,7 @@ pub struct FailoverConfig {
     /// Per-operation retry budget: at most this many *retries* (attempts
     /// after the first) across all replicas before the op fails with the
     /// last error; exhaustions are counted in
-    /// `NodeStats::retry_exhausted`. 0 = unlimited (the pre-budget
-    /// behaviour: replicas × attempts_per_replica attempts).
+    /// `NodeStats::retry_exhausted`.
     pub retry_budget: u32,
 }
 
@@ -269,8 +267,8 @@ impl ClientMetrics {
 }
 
 /// One entry produced by [`FsClient::fetch_many_raw`]: either already
-/// decompressed (a cache or write-store hit) or still compressed (local
-/// backend, remote daemon or read-through copy). Finishing —
+/// decompressed (a cache or write-store hit) or still compressed (this
+/// node's inputs, a remote daemon or the read-through copy). Finishing —
 /// decompression plus cache insertion — is deferred to
 /// [`FsClient::finish_read`] /
 /// [`FsClient::finish_entry`], which may run on a *different* thread;
@@ -310,7 +308,7 @@ pub struct FsClient {
     /// Ring-replication rounds the cluster's placement granted (replica
     /// count − 1): fixes every ladder's order via [`replicas_of`].
     replica_rounds: usize,
-    read_through: Option<Arc<dyn Backend>>,
+    read_through: Option<Arc<HashMap<String, LocalObject>>>,
     metrics: ClientMetrics,
 }
 
@@ -345,10 +343,10 @@ impl FsClient {
         self
     }
 
-    /// Attach a read-through backend (models falling back to the shared
-    /// file system): the last resort after every replica failed.
-    pub fn with_read_through(mut self, backend: Arc<dyn Backend>) -> Self {
-        self.read_through = Some(backend);
+    /// Attach a read-through copy of every input (models falling back to
+    /// the shared file system): the last resort after every replica failed.
+    pub fn with_read_through(mut self, copy: Arc<HashMap<String, LocalObject>>) -> Self {
+        self.read_through = Some(copy);
         self
     }
 
@@ -399,7 +397,7 @@ impl FsClient {
         self.next_fd.fetch_add(1, Ordering::Relaxed) as i32
     }
 
-    /// `open(path, O_RDONLY)`: locate the file (cache → local backend →
+    /// `open(path, O_RDONLY)`: locate the file (cache → this node →
     /// remote daemon, Figure 2), decompress if needed, and return a file
     /// descriptor positioned at offset 0.
     pub fn open(&self, path: &str) -> Result<i32, FsError> {
@@ -496,7 +494,7 @@ impl FsClient {
             let groups = ladder.chunk_by_mut(|a, b| a.owner == b.owner);
             for chunk in groups.flat_map(|group| group.chunks_mut(MAX_BATCH)) {
                 let mut to = self.rung(chunk[0].owner, round);
-                if to.is_some() && cfg.retry_budget > 0 && round > cfg.retry_budget {
+                if to.is_some() && round > cfg.retry_budget {
                     stats.retry_exhausted.add(chunk.len() as u64);
                     to = None;
                 }
@@ -547,10 +545,10 @@ impl FsClient {
         // The last resort: the read-through copy of the paper's shared file
         // system, which holds every partition.
         for i in fallen {
-            let Some(obj) = self.read_through.as_ref().and_then(|b| b.get(specs[i].path)) else {
+            let Some(obj) = self.read_through.as_ref().and_then(|c| c.get(specs[i].path)) else {
                 continue;
             };
-            let got = obj.plan(&specs[i]).and_then(|item| finish(i, item, Some(&obj)));
+            let got = obj.plan(&specs[i]).and_then(|item| finish(i, item, Some(obj)));
             if got.is_ok() {
                 stats.read_through_reads.inc();
                 stats.degraded_reads.inc();

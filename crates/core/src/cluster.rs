@@ -7,11 +7,11 @@
 //! allgather, starts its daemon, and then runs the user's training
 //! closure against a [`FsClient`].
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use mpi_sim::{launch, launch_with_faults, FaultPlan, NodeCtx, Tag};
 
-use crate::backend::{Backend, BackendKind, RamBackend};
 use crate::cache::CacheConfig;
 use crate::client::{FailoverConfig, FsClient};
 use crate::daemon::{serve, tags};
@@ -39,9 +39,6 @@ pub struct ClusterConfig {
     /// A broadcast partition (e.g. validation set) loaded by every node
     /// (§V-B).
     pub broadcast: Option<Vec<u8>>,
-    /// Node-local storage backend for the compressed objects (§IV-C1:
-    /// RAM hash table or local file system).
-    pub backend: BackendKind,
     /// Burst-buffer capacity per node in bytes. When set, FanStore::run
     /// validates that assigned partitions fit and clamps `replication` to
     /// the rounds every node can afford (§IV-C1 dynamic load decisions).
@@ -85,7 +82,6 @@ impl Default for ClusterConfig {
             cache: CacheConfig::default(),
             replication: 1,
             broadcast: None,
-            backend: BackendKind::Ram,
             node_capacity: None,
             trace_ring: 0,
             fault_plan: None,
@@ -146,18 +142,15 @@ impl FanStore {
         let replication = placement.extra_rounds + 1;
         // Read-through copy: the "shared file system" every partition was
         // packed from, kept reachable as the failover path of last resort.
-        let read_through: Option<Arc<dyn Backend>> = if cfg.read_through {
-            let ram = RamBackend::new();
+        let read_through = cfg.read_through.then(|| {
+            let mut copy = HashMap::new();
             for p in partitions.iter().chain(cfg.broadcast.as_ref()) {
                 for e in crate::pack::parse_partition(p).expect("read-through partition parses") {
-                    ram.put(&e.path, LocalObject::new(e.codec, e.stat, Arc::new(e.data)))
-                        .expect("read-through insert");
+                    copy.insert(e.path, LocalObject::new(e.codec, e.stat, Arc::new(e.data)));
                 }
             }
-            Some(Arc::new(ram))
-        } else {
-            None
-        };
+            Arc::new(copy)
+        });
         let failover = cfg.failover.clone();
         let fault_plan = cfg.fault_plan.clone().map(|mut plan| {
             if plan.channels.is_none() {
@@ -168,7 +161,6 @@ impl FanStore {
         let partitions = Arc::new(partitions);
         let broadcast = Arc::new(cfg.broadcast.clone());
         let cache_cfg = cfg.cache;
-        let backend_kind = cfg.backend.clone();
         let trace_ring = cfg.trace_ring;
         let wal_cfg = cfg.wal.clone();
         let wal_media = cfg.wal_media.clone();
@@ -178,8 +170,7 @@ impl FanStore {
             let mut control = ctx.take_channel(0);
             let service = ctx.take_channel(1);
             let service_remote = service.remote();
-            let backend = backend_kind.create(ctx.rank).expect("backend init");
-            let mut state = NodeState::with_backend(ctx.rank, ctx.size, cache_cfg, backend);
+            let mut state = NodeState::new(ctx.rank, ctx.size, cache_cfg);
             if let Some(wcfg) = &wal_cfg {
                 // This rank's durable medium: the caller-provided one
                 // (surviving across runs — a restart on the same disk),

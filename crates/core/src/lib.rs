@@ -62,7 +62,6 @@
 //! ```
 
 pub mod attrib;
-pub mod backend;
 pub mod bufpool;
 pub mod cache;
 pub mod ckpt;
@@ -99,9 +98,6 @@ pub enum FsError {
     Comm(String),
     /// A remote daemon did not answer within the configured deadline.
     Timeout(String),
-    /// Every replica (and the read-through fallback, if configured)
-    /// failed; the read could not be served even in degraded mode.
-    Degraded(String),
     /// EINVAL: a byte-range read was malformed or out of bounds for the
     /// file (start >= end, or end beyond the file size).
     BadRange(String),
@@ -120,7 +116,6 @@ impl std::fmt::Display for FsError {
             FsError::Corrupt(p) => write!(f, "corrupt data: {p}"),
             FsError::Comm(m) => write!(f, "communication failure: {m}"),
             FsError::Timeout(m) => write!(f, "rpc deadline elapsed: {m}"),
-            FsError::Degraded(m) => write!(f, "all replicas failed: {m}"),
             FsError::BadRange(m) => write!(f, "invalid byte range: {m}"),
             FsError::BadPath(m) => write!(f, "path the store cannot hold: {m}"),
         }

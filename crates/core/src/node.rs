@@ -6,13 +6,14 @@
 //! requests) and its training I/O threads (the `FsClient`s).
 //!
 //! Every read of this node's bytes finds them through one lookup,
-//! [`NodeState::lookup`] (partition backend, then the write store): the
+//! [`NodeState::lookup`] (partition table, then the write store): the
 //! daemon serving a peer, a client's local read and a batch's local pass
 //! alike. Every read then decides which of those bytes answer it through
 //! one planner, [`LocalObject::plan`] (the whole object, or the covering
 //! chunks / tier prefix of a chunked one), which also plans the
 //! read-through copy (DESIGN.md §6, "Read protocol").
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -22,7 +23,6 @@ use fanstore_compress::registry::create;
 use fanstore_compress::{CodecFamily, CodecId};
 use parking_lot::RwLock;
 
-use crate::backend::{Backend, RamBackend};
 use crate::bufpool::BufPool;
 use crate::cache::{CacheConfig, FileCache};
 use crate::daemon::{GetManyItem, GetManySpec, PartialChunk, PartialReply};
@@ -38,9 +38,9 @@ use crate::FsError;
 /// Codec of an output file's bytes: they are kept plain.
 const PLAIN: CodecId = CodecId::new(CodecFamily::Store, 0);
 
-/// One stored object on this node: a compressed object in the node-local
-/// backend (RAM in this reproduction; the paper also supports local SSD
-/// as the backend), or an output file's plain bytes.
+/// One stored object on this node: a compressed input object held in RAM
+/// (the paper's default backend; its SSD backend is modelled by io-sim),
+/// or an output file's plain bytes.
 ///
 /// A packed payload is immutable once stored, so its CRC-32 is computed
 /// once, by [`LocalObject::new`], and the daemon seals every whole-entry
@@ -68,18 +68,6 @@ impl LocalObject {
     pub fn new(codec: CodecId, stat: FileStat, data: Arc<Vec<u8>>) -> Self {
         let data_crc = Some(crc32(&data));
         LocalObject { codec, stat, data, data_crc }
-    }
-
-    /// The object over a payload read back from the medium it was stored
-    /// on, under the CRC taken when it was stored: no second pass over the
-    /// bytes, and damage on the medium is the requester's to detect.
-    pub(crate) fn reread(
-        codec: CodecId,
-        stat: FileStat,
-        data: Arc<Vec<u8>>,
-        data_crc: u32,
-    ) -> Self {
-        LocalObject { codec, stat, data, data_crc: Some(data_crc) }
     }
 
     /// CRC-32 of `data` as it was when the object was created (plain
@@ -144,7 +132,7 @@ impl LocalObject {
 /// registered metric names are listed next to each field.
 #[derive(Debug)]
 pub struct NodeStats {
-    /// Files opened and served from the local backend
+    /// Files opened and served from this node
     /// (`client.local.opens`).
     pub local_opens: Arc<Counter>,
     /// Files fetched from a remote daemon (`client.remote.opens`).
@@ -167,7 +155,7 @@ pub struct NodeStats {
     /// RPCs that hit the configured deadline (or found the peer dead)
     /// (`fabric.rpc.timeouts`).
     pub rpc_timeouts: Arc<Counter>,
-    /// Reads ultimately served by the read-through backend (the "shared
+    /// Reads ultimately served by the read-through copy (the "shared
     /// file system" escape hatch) after every replica failed
     /// (`client.read_through.reads`).
     pub read_through_reads: Arc<Counter>,
@@ -238,9 +226,9 @@ pub struct NodeState {
     pub size: usize,
     /// Replicated global metadata (input files + forwarded write metadata).
     pub meta: RwLock<MetaTable>,
-    /// Local compressed objects, keyed by path (RAM or local-disk backend,
-    /// §IV-C1).
-    pub local: Box<dyn Backend>,
+    /// Local compressed input objects, keyed by path: the RAM hash table
+    /// of §IV-C1.
+    pub local: RwLock<HashMap<String, LocalObject>>,
     /// Decompressed-file cache.
     pub cache: FileCache,
     /// The write store (see [`crate::wal`]): outputs finalised here and
@@ -295,18 +283,8 @@ impl CodecDecodeMetrics {
 }
 
 impl NodeState {
-    /// Fresh state for `rank` of `size` with the default RAM backend.
+    /// Fresh state for `rank` of `size`, holding no inputs yet.
     pub fn new(rank: usize, size: usize, cache_cfg: CacheConfig) -> Self {
-        Self::with_backend(rank, size, cache_cfg, Box::new(RamBackend::new()))
-    }
-
-    /// Fresh state with an explicit backend.
-    pub fn with_backend(
-        rank: usize,
-        size: usize,
-        cache_cfg: CacheConfig,
-        backend: Box<dyn Backend>,
-    ) -> Self {
         let metrics = Arc::new(MetricsRegistry::new());
         let stats = NodeStats::register(&metrics);
         let pool = Arc::new(BufPool::default());
@@ -318,7 +296,7 @@ impl NodeState {
             rank,
             size,
             meta: RwLock::new(MetaTable::new()),
-            local: backend,
+            local: RwLock::new(HashMap::new()),
             cache: FileCache::with_recycle(cache_cfg, Arc::clone(&pool)),
             wal: Some(Arc::new(wal)),
             metrics,
@@ -349,18 +327,18 @@ impl NodeState {
         ((self.rank as u64 + 1) << 48) | (seq & 0xFFFF_FFFF_FFFF)
     }
 
-    /// Load one packed partition into the local backend and the local
-    /// metadata table (§IV-C1). `owned` marks partitions assigned to this
+    /// Load one packed partition into the local table and the local
+    /// metadata table (§IV-C1); an entry replaces one of the same path. `owned` marks partitions assigned to this
     /// rank (their entries keep their recorded owner); replicas loaded for
     /// locality keep the original owner rank in metadata so other nodes
     /// still address the assigned owner.
     pub fn load_partition(&self, partition: &[u8]) -> Result<usize, FsError> {
         let entries = parse_partition(partition)?;
         let count = entries.len();
-        let mut meta = self.meta.write();
+        let (mut meta, mut local) = (self.meta.write(), self.local.write());
         for e in entries {
             meta.insert(&e.path, MetaEntry { stat: e.stat, codec: e.codec });
-            self.local.put(&e.path, LocalObject::new(e.codec, e.stat, Arc::new(e.data)))?;
+            local.insert(e.path, LocalObject::new(e.codec, e.stat, Arc::new(e.data)));
         }
         Ok(count)
     }
@@ -424,14 +402,14 @@ impl NodeState {
     /// Find `path`'s stored bytes on this node: the one lookup behind
     /// every read of them (the daemon serving a peer, a client's local
     /// read, a batch's local pass). The order is fixed — the partition
-    /// backend, then the write store, which holds this life's writes,
+    /// table, then the write store, which holds this life's writes,
     /// what a restart recovered and the tombstones that hide unlinked
     /// files. An output file comes back as its plain bytes under its
     /// recorded attributes, so a replica serving a pushed copy keeps the
     /// true owner rank.
     pub fn lookup(&self, path: &str) -> Result<Option<LocalObject>, FsError> {
-        if let Some(obj) = self.local.get(path) {
-            return Ok(Some(obj));
+        if let Some(obj) = self.local.read().get(path) {
+            return Ok(Some(obj.clone()));
         }
         let Some(data) = self.store().get(path)?.value() else { return Ok(None) };
         let stat = self.meta.read().get(path).map(|e| e.stat);
@@ -442,7 +420,7 @@ impl NodeState {
     /// Whether `path` is an input or an output this node holds — the
     /// write-once test, answered from indexes without reading a byte.
     pub(crate) fn holds(&self, path: &str) -> bool {
-        self.local.contains(path) || self.store().contains(path)
+        self.local.read().contains_key(path) || self.store().contains(path)
     }
 
     /// Finalise an output file on this node (the write-cache dump of
@@ -455,7 +433,8 @@ impl NodeState {
         // group-commit policy) before it becomes visible. An error here
         // means the write is NOT durable and must not be acknowledged.
         let len = data.len() as u64;
-        if self.local.contains(path) || self.store().put_if_absent(path, data)?.is_none() {
+        if self.local.read().contains_key(path) || self.store().put_if_absent(path, data)?.is_none()
+        {
             return Err(FsError::AlreadyExists(path.to_string()));
         }
         let mut stat = FileStat::regular(0, len);
@@ -493,7 +472,7 @@ impl NodeState {
     /// the metadata entry and any cached decompression. Input files are
     /// immutable and refuse removal. Returns whether anything was present.
     pub fn remove_write(&self, path: &str) -> Result<bool, FsError> {
-        if self.local.contains(path) {
+        if self.local.read().contains_key(path) {
             return Err(FsError::ReadOnly(path.to_string()));
         }
         // The tombstone is durable, so the unlink also survives a restart.

@@ -1,51 +1,15 @@
-//! Integration: the disk (SSD) backend and the checkpoint/resume
+//! Integration: capacity-aware placement and the checkpoint/resume
 //! workflow, end to end across crates.
 
-use fanstore_repro::store::backend::BackendKind;
 use fanstore_repro::store::cluster::{ClusterConfig, FanStore};
 use fanstore_repro::store::prep::{prepare, PrepConfig};
 use fanstore_repro::train::epoch::{run_epoch_range, EpochConfig};
-use fanstore_repro::train::prefetch::{prefetched_epoch, PrefetchConfig};
 use fanstore_repro::train::resume::{latest_checkpoint_epoch, run_epochs_resuming};
 
 fn dataset(n: usize) -> Vec<(String, Vec<u8>)> {
     (0..n)
         .map(|i| (format!("ds/c{}/f{i:03}.bin", i % 2), format!("x{i}").repeat(300).into_bytes()))
         .collect()
-}
-
-#[test]
-fn disk_backend_serves_identical_bytes() {
-    let files = dataset(10);
-    let packed = prepare(files.clone(), &PrepConfig { partitions: 2, ..Default::default() });
-    let results = FanStore::run(
-        ClusterConfig { nodes: 2, backend: BackendKind::DiskTemp, ..Default::default() },
-        packed.partitions,
-        |fs| files.iter().all(|(p, d)| &fs.read_whole(p).unwrap() == d),
-    );
-    assert_eq!(results, vec![true, true]);
-}
-
-#[test]
-fn disk_backend_supports_epochs_and_prefetch() {
-    let files = dataset(12);
-    let total: u64 = files.iter().map(|(_, d)| d.len() as u64).sum();
-    let packed = prepare(files.clone(), &PrepConfig { partitions: 2, ..Default::default() });
-    let results = FanStore::run(
-        ClusterConfig { nodes: 2, backend: BackendKind::DiskTemp, ..Default::default() },
-        packed.partitions,
-        |fs| {
-            let paths: Vec<String> = files.iter().map(|(p, _)| p.clone()).collect();
-            let cfg = PrefetchConfig {
-                io_threads: 2,
-                queue_batches: 2,
-                batch_size: 4,
-                ..Default::default()
-            };
-            prefetched_epoch(fs, &paths, &cfg, |_| {}).unwrap()
-        },
-    );
-    assert_eq!(results, vec![total, total]);
 }
 
 #[test]

@@ -130,8 +130,9 @@ enum Scenario {
     /// The owner's stored copy has one flipped byte in the chunk every
     /// read covers; the ring replica's copy is clean.
     CorruptOwner,
-    /// Owner and replica are both dead and the retry budget is 1.
-    ExhaustedBudget,
+    /// Owner and replica are both dead; the retry budget is the given
+    /// number of rounds after the first.
+    ExhaustedBudget(u32),
     /// Owner and replica are both dead; the read-through copy is not.
     ReadThrough,
 }
@@ -147,8 +148,10 @@ fn ladder_run(read: Read, scenario: Scenario) -> Outcome {
     ladder_counts(read, scenario).0
 }
 
-/// [`ladder_run`] plus the reading rank's `read_through_reads`.
-fn ladder_counts(read: Read, scenario: Scenario) -> (Outcome, u64) {
+/// [`ladder_run`] plus the reading rank's `[read_through_reads,
+/// fabric.rpc.retries]`. A retry round that sends is the one place the
+/// ladder sleeps its backoff, so 0 retries means no backoff sleep.
+fn ladder_counts(read: Read, scenario: Scenario) -> (Outcome, [u64; 2]) {
     // The clean partition, and a copy whose first stored chunk of each
     // object has one flipped byte.
     let (mut clean, mut damaged) = (PartitionBuilder::new(), PartitionBuilder::new());
@@ -167,21 +170,24 @@ fn ladder_counts(read: Read, scenario: Scenario) -> (Outcome, u64) {
         damaged.push(&entry.path, entry.codec, &entry.stat, &bad);
     }
     let damaged = damaged.finish();
-    let exhausted = scenario == Scenario::ExhaustedBudget;
+    let budget = match scenario {
+        Scenario::ExhaustedBudget(budget) => Some(budget),
+        _ => None,
+    };
     let cluster = ClusterConfig {
         nodes: 3,
         replication: 2,
         fault_plan: match scenario {
             Scenario::KillOwner => Some(FaultPlan::new(7).kill(0, 0)),
-            Scenario::ExhaustedBudget | Scenario::ReadThrough => {
+            Scenario::ExhaustedBudget(_) | Scenario::ReadThrough => {
                 Some(FaultPlan::new(7).kill(0, 0).kill(1, 0))
             }
             _ => None,
         },
         failover: FailoverConfig {
             rpc_timeout: Duration::from_millis(200),
-            attempts_per_replica: if exhausted { 2 } else { 1 },
-            retry_budget: if exhausted { 1 } else { 8 },
+            attempts_per_replica: if budget.is_some() { 2 } else { 1 },
+            retry_budget: budget.unwrap_or(8),
             backoff_base: Duration::from_micros(100),
             backoff_max: Duration::from_millis(1),
             ..Default::default()
@@ -220,7 +226,8 @@ fn ladder_counts(read: Read, scenario: Scenario) -> (Outcome, u64) {
         let c = [&s.rpc_timeouts, &s.crc_failures, &s.degraded_reads, &s.retry_exhausted];
         let counts =
             [c[0].get(), c[1].get(), c[2].get(), c[3].get(), s.remote_opens.get(), sent.get()];
-        Some(((result, counts), s.read_through_reads.get()))
+        let retries = fs.state().metrics.counter("fabric.rpc.retries").get();
+        Some(((result, counts), [s.read_through_reads.get(), retries]))
     });
     outcomes.into_iter().nth(2).flatten().expect("rank 2 outcome")
 }
@@ -243,12 +250,19 @@ fn whole_range_and_tier_reads_share_one_ladder() {
         // Budget 1 = one retry: two attempts at the dead owner, then the
         // walk stops before ever reaching the (also dead) replica. Every
         // read kind walks the ladder once.
-        let got = ladder_run(read, Scenario::ExhaustedBudget);
+        let (got, [_, retries]) = ladder_counts(read, Scenario::ExhaustedBudget(1));
         assert_eq!(got, (Err("Timeout"), [2, 0, 0, 1, 0, 2]), "{read:?}: exhausted budget");
+        assert_eq!(retries, 1, "{read:?}: exhausted budget");
+        // Budget 0 = the first round only: one attempt at the dead owner,
+        // the entry counted as exhausted, and no retry round, so no
+        // backoff sleep.
+        let (got, [_, retries]) = ladder_counts(read, Scenario::ExhaustedBudget(0));
+        assert_eq!(got, (Err("Timeout"), [1, 0, 0, 1, 0, 1]), "{read:?}: budget 0");
+        assert_eq!(retries, 0, "{read:?}: budget 0");
         // Both copies dead: one walk over them, then the read-through copy
         // answers — planned like any stored object, so a range or tier
         // read gets exactly its bytes — as one degraded read.
-        let (got, read_through) = ladder_counts(read, Scenario::ReadThrough);
+        let (got, [read_through, _]) = ladder_counts(read, Scenario::ReadThrough);
         assert_eq!(got, (Ok(()), [2, 0, 1, 0, 0, 2]), "{read:?}: read-through");
         assert_eq!(read_through, 1, "{read:?}: read-through");
     }
@@ -258,7 +272,12 @@ fn whole_range_and_tier_reads_share_one_ladder() {
 fn a_batch_of_one_reads_like_a_single_read() {
     // A one-entry `read_many` walks the one ladder: the same counters and
     // messages as `read_whole` under every fault...
-    for scenario in [Scenario::KillOwner, Scenario::ExhaustedBudget, Scenario::ReadThrough] {
+    for scenario in [
+        Scenario::KillOwner,
+        Scenario::ExhaustedBudget(1),
+        Scenario::ExhaustedBudget(0),
+        Scenario::ReadThrough,
+    ] {
         let whole = ladder_counts(Read::Whole, scenario);
         assert_eq!(ladder_counts(Read::Many, scenario), whole, "{scenario:?}");
     }
@@ -348,12 +367,11 @@ fn a_byte_flipped_in_the_owners_memory_after_load_is_caught_by_the_reader() {
         let loaded = Barrier::new(3);
         let outcomes = FanStore::run(cluster, packed.partitions, |fs| {
             if fs.rank() == 0 {
-                let local = &fs.state().local;
-                let mut obj = local.get("mem/obj.bin").expect("rank 0 owns the object");
+                let mut local = fs.state().local.write();
+                let obj = local.get_mut("mem/obj.bin").expect("rank 0 owns the object");
                 let mut flipped = (*obj.data).clone();
                 flipped[40] ^= 0x10;
                 obj.data = std::sync::Arc::new(flipped);
-                local.put("mem/obj.bin", obj).expect("overlay");
             }
             loaded.wait();
             if fs.rank() != 2 {
