@@ -250,6 +250,28 @@ pub trait Codec: Send + Sync {
         expected_len: usize,
         out: &mut Vec<u8>,
     ) -> Result<(), CodecError>;
+
+    /// Decompress a stream of `expected_len` bytes, appending only its
+    /// first `stop` of them to `out` (`stop` is clamped to
+    /// `expected_len`): what a byte-range read of the front of a chunk
+    /// needs. Damage in the part of the stream decoded is the error
+    /// [`Codec::decompress`] gives; damage past it may go unseen.
+    ///
+    /// The default decodes the whole stream and truncates. The LZ4 family
+    /// overrides it to stop decoding at the first sequence that reaches
+    /// `stop`.
+    fn decompress_prefix(
+        &self,
+        input: &[u8],
+        expected_len: usize,
+        stop: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodecError> {
+        let start = out.len();
+        self.decompress(input, expected_len, out)?;
+        out.truncate(start + stop.min(expected_len));
+        Ok(())
+    }
 }
 
 /// Convenience: compress into a fresh buffer sized to the codec's
@@ -289,10 +311,26 @@ pub fn decompress_into(
     expected_len: usize,
     out: &mut Vec<u8>,
 ) -> Result<(), CodecError> {
+    decompress_prefix_into(codec, input, expected_len, expected_len, out)
+}
+
+/// [`decompress_into`] that keeps only the first `stop` bytes of the
+/// `expected_len` the stream decodes to ([`Codec::decompress_prefix`]).
+/// On success `out` holds exactly `stop.min(expected_len)` bytes; the
+/// reservation is still the whole `expected_len`, which the last decoded
+/// sequence may reach.
+pub fn decompress_prefix_into(
+    codec: &dyn Codec,
+    input: &[u8],
+    expected_len: usize,
+    stop: usize,
+    out: &mut Vec<u8>,
+) -> Result<(), CodecError> {
+    let stop = stop.min(expected_len);
     out.clear();
     out.reserve(expected_len.saturating_add(copy::WILD_SLACK));
-    codec.decompress(input, expected_len, out)?;
-    if out.len() != expected_len {
+    codec.decompress_prefix(input, expected_len, stop, out)?;
+    if out.len() != stop {
         let actual = out.len();
         out.clear();
         return Err(CodecError::LengthMismatch { expected: expected_len, actual });

@@ -66,8 +66,16 @@ const SHORTCUT_INPUT: usize = 16 + 2;
 /// Longest match the token nibble encodes without extension bytes.
 const SHORT_MATCH: usize = 14 + MIN_MATCH;
 
-/// Decode an LZ4 block, appending to `out` until `expected_len` bytes have
-/// been produced.
+/// Decode an LZ4 block of `expected_len` bytes, appending its first `stop`
+/// of them to `out` (`stop <= expected_len`; a full decode is
+/// `stop == expected_len`).
+///
+/// A prefix decode leaves the loop at the first sequence that ends at or
+/// past `stop` and truncates to `stop`: a sequence is decoded whole and
+/// checked whole (bounds, offset range, length against `expected_len`), so
+/// damage in a sequence that reaches the prefix fails exactly as it would
+/// in a full decode. A full decode never leaves early: it must consume the
+/// whole stream, so trailing bytes are still an error.
 ///
 /// Hot loop: the output is a [`copy::Cursor`] over capacity reserved once.
 /// A sequence whose literal length fits the token nibble, with
@@ -80,7 +88,15 @@ const SHORT_MATCH: usize = 14 + MIN_MATCH;
 /// makes the checks of the byte-wise original,
 /// [`crate::reference::lz4_block`], in the same order; the differential
 /// suite pins the two byte-for-byte and error-for-error.
-fn decode_block(input: &[u8], expected_len: usize, out: &mut Vec<u8>) -> Result<(), CodecError> {
+fn decode_block(
+    input: &[u8],
+    expected_len: usize,
+    stop: usize,
+    out: &mut Vec<u8>,
+) -> Result<(), CodecError> {
+    debug_assert!(stop <= expected_len);
+    let start = out.len();
+    let halt = if stop < expected_len { stop } else { usize::MAX };
     let mut cur = copy::Cursor::new(out, expected_len);
     let mut i = 0usize;
 
@@ -96,7 +112,7 @@ fn decode_block(input: &[u8], expected_len: usize, out: &mut Vec<u8>) -> Result<
         }
     };
 
-    while i < input.len() {
+    while i < input.len() && cur.produced() < halt {
         let token = input[i];
         i += 1;
         let mut lit_len = (token >> 4) as usize;
@@ -122,7 +138,7 @@ fn decode_block(input: &[u8], expected_len: usize, out: &mut Vec<u8>) -> Result<
             cur.literals(&input[i..i + lit_len]);
             i += lit_len;
             if cur.remaining() == 0 && i == input.len() {
-                return Ok(()); // final literals-only sequence
+                break; // final literals-only sequence
             }
             // Match part.
             if i + 2 > input.len() {
@@ -149,9 +165,11 @@ fn decode_block(input: &[u8], expected_len: usize, out: &mut Vec<u8>) -> Result<
         }
         cur.copy_match(dist, match_len);
     }
-    if cur.remaining() != 0 {
+    if cur.produced() < stop {
         return Err(CodecError::LengthMismatch { expected: expected_len, actual: cur.produced() });
     }
+    drop(cur);
+    out.truncate(start + stop);
     Ok(())
 }
 
@@ -196,7 +214,17 @@ impl Codec for Lz4Fast {
         expected_len: usize,
         out: &mut Vec<u8>,
     ) -> Result<(), CodecError> {
-        decode_block(input, expected_len, out)
+        decode_block(input, expected_len, expected_len, out)
+    }
+
+    fn decompress_prefix(
+        &self,
+        input: &[u8],
+        expected_len: usize,
+        stop: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodecError> {
+        decode_block(input, expected_len, stop.min(expected_len), out)
     }
 }
 
@@ -242,7 +270,17 @@ impl Codec for Lz4Hc {
         expected_len: usize,
         out: &mut Vec<u8>,
     ) -> Result<(), CodecError> {
-        decode_block(input, expected_len, out)
+        decode_block(input, expected_len, expected_len, out)
+    }
+
+    fn decompress_prefix(
+        &self,
+        input: &[u8],
+        expected_len: usize,
+        stop: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodecError> {
+        decode_block(input, expected_len, stop.min(expected_len), out)
     }
 }
 
@@ -322,7 +360,7 @@ mod tests {
         // token: 0 literals + match, offset 0x0000 (invalid).
         let bad = [0x00u8, 0x00, 0x00];
         let mut out = Vec::new();
-        assert!(decode_block(&bad, 10, &mut out).is_err());
+        assert!(decode_block(&bad, 10, 10, &mut out).is_err());
     }
 
     #[test]
@@ -330,7 +368,7 @@ mod tests {
         let data = b"truncate this compressed stream somewhere in the middle".repeat(10);
         let c = compress_to_vec(&Lz4Fast::new(1), &data);
         let mut out = Vec::new();
-        assert!(decode_block(&c[..c.len() / 2], data.len(), &mut out).is_err());
+        assert!(decode_block(&c[..c.len() / 2], data.len(), data.len(), &mut out).is_err());
     }
 
     #[test]

@@ -92,16 +92,18 @@ enum Payload {
     Partial(PartialEntry),
 }
 
-/// Partial residency for a chunked file: the decoded chunks seen so far,
-/// keyed by chunk index. Only the *resident* bytes are charged against
-/// the shard budget — a partial entry of a huge file costs what it
-/// holds, not the file's declared size.
+/// Partial residency for a chunked file: the decoded chunk prefixes seen
+/// so far, keyed by chunk index. A range read decodes a chunk only as far
+/// as its window's end, so a resident chunk holds its first bytes, up to
+/// all of them. Only the *resident* bytes are charged against the shard
+/// budget — a partial entry of a huge file costs what it holds, not the
+/// file's declared size.
 struct PartialEntry {
     /// The file's nominal chunk size (all chunks but the last have it).
     chunk_size: u32,
     /// Total raw file length (for bounds checks on range hits).
     total_len: u64,
-    /// Resident decoded chunks by index.
+    /// Resident decoded chunk prefixes by index.
     chunks: BTreeMap<u32, Arc<Vec<u8>>>,
     /// Sum of resident chunk byte lengths (the budget charge).
     resident: usize,
@@ -290,11 +292,14 @@ impl FileCache {
         data
     }
 
-    /// Install one decoded chunk of a chunked file, creating or extending
-    /// a partial entry. Only the chunk's own bytes are charged against
-    /// the shard budget (partial entries cost what they hold, never the
-    /// file's declared full size). A resident full entry wins — the chunk
-    /// is already covered.
+    /// Install a decoded prefix of one chunk of a chunked file (its first
+    /// bytes, up to all of them), creating or extending a partial entry.
+    /// Only the bytes held are charged against the shard budget (partial
+    /// entries cost what they hold, never the file's declared full size).
+    /// A resident full entry wins — the chunk is already covered — and so
+    /// does a resident prefix at least as long; a longer prefix replaces a
+    /// shorter one, is charged the difference, and the shorter buffer is
+    /// recycled.
     pub fn insert_chunk(
         &self,
         path: &str,
@@ -308,18 +313,21 @@ impl FileCache {
         match inner.entries.get_mut(path) {
             Some(Entry { payload: Payload::Full(_), .. }) => {}
             Some(Entry { payload: Payload::Partial(p), .. }) => {
-                if p.chunks.contains_key(&index) {
+                let held = p.chunks.get(&index).map(|c| c.len());
+                if held.is_some_and(|held| held >= data.len()) {
                     return;
                 }
-                let size = data.len();
-                p.chunks.insert(index, data);
-                p.resident += size;
+                let grown = data.len() - held.unwrap_or(0);
+                if let Some(shorter) = p.chunks.insert(index, data) {
+                    self.recycle_evicted(shorter);
+                }
+                p.resident += grown;
                 // Charge the shard *before* trimming: make_room may evict
                 // this very entry (open-count 0), and its `bytes()` now
-                // includes the new chunk — subtracting it must not
+                // includes the new bytes — subtracting it must not
                 // underflow, and an evicted entry must not be re-charged
                 // afterwards.
-                inner.bytes += size;
+                inner.bytes += grown;
                 self.make_room(shard, &mut inner, 0);
             }
             None => {
@@ -346,9 +354,9 @@ impl FileCache {
     }
 
     /// Serve raw bytes `[start, end)` of `path` from resident data: a
-    /// full entry slices directly; a partial entry answers only when all
-    /// covering chunks are resident. Range reads are copy-out — they do
-    /// not take an open-count.
+    /// full entry slices directly; a partial entry answers only when every
+    /// covering chunk is resident at least up to `min(end, its end)`.
+    /// Range reads are copy-out — they do not take an open-count.
     pub fn open_range(&self, path: &str, start: u64, end: u64) -> Option<Vec<u8>> {
         let shard = self.shard(path);
         let inner = shard.inner.lock();
@@ -365,18 +373,18 @@ impl FileCache {
                     let cs = u64::from(p.chunk_size);
                     let first = (start / cs) as u32;
                     let last = ((end - 1) / cs) as u32;
-                    (first..=last).map(|i| p.chunks.get(&i)).collect::<Option<Vec<_>>>().map(
-                        |chunks| {
-                            let mut out = Vec::with_capacity((end - start) as usize);
-                            for (i, c) in chunks.iter().enumerate() {
-                                let base = u64::from(first + i as u32) * cs;
-                                let lo = start.max(base) - base;
-                                let hi = end.min(base + c.len() as u64) - base;
-                                out.extend_from_slice(&c[lo as usize..hi as usize]);
-                            }
-                            out
-                        },
-                    )
+                    // Each covering chunk's slice of the window, if its
+                    // resident prefix reaches that far (`end <= total_len`).
+                    let slice = |i: u32| {
+                        let base = u64::from(i) * cs;
+                        let (lo, hi) = (start.max(base) - base, end.min(base + cs) - base);
+                        let c = p.chunks.get(&i)?;
+                        c.get(lo as usize..hi as usize)
+                    };
+                    (first..=last)
+                        .map(slice)
+                        .collect::<Option<Vec<_>>>()
+                        .map(|parts| parts.concat())
                 }
             }
             None => None,
@@ -789,6 +797,32 @@ mod tests {
         c.insert_chunk("p", 10, 30, 1, data(10, 2));
         assert_eq!(c.resident_bytes(), 10);
         assert_eq!(c.open_range("p", 10, 12).unwrap(), vec![1, 1], "first chunk wins");
+    }
+
+    #[test]
+    fn a_chunk_prefix_serves_only_windows_it_reaches_and_grows_by_the_difference() {
+        let pool = Arc::new(crate::bufpool::BufPool::default());
+        let cfg = CacheConfig { capacity: 1 << 20, release_on_zero: false, shards: 1 };
+        let c = FileCache::with_recycle(cfg, Arc::clone(&pool));
+        let chunk = |n: u8| Arc::new((10..10 + n).collect::<Vec<u8>>());
+        c.insert_chunk("p", 10, 25, 1, chunk(4));
+        assert_eq!(c.resident_bytes(), 4);
+        assert_eq!(c.open_range("p", 11, 14).unwrap(), vec![11, 12, 13]);
+        assert!(c.open_range("p", 12, 15).is_none(), "byte 14 is past the prefix");
+        assert!(c.open_range("p", 12, 25).is_none(), "chunk 2 is not resident");
+        // A shorter decode of the same chunk changes nothing.
+        c.insert_chunk("p", 10, 25, 1, chunk(2));
+        assert_eq!(c.resident_bytes(), 4);
+        // A longer one replaces it, charged the difference; the shorter
+        // buffer goes back to the pool.
+        let old = Arc::new(Vec::with_capacity(1 << 12));
+        c.insert_chunk("q", 10, 25, 0, Arc::clone(&old));
+        drop(old);
+        c.insert_chunk("q", 10, 25, 0, chunk(10));
+        assert_eq!(pool.stats().returns, 1, "the shorter prefix is recycled");
+        c.insert_chunk("p", 10, 25, 1, chunk(10));
+        assert_eq!(c.resident_bytes(), 20);
+        assert_eq!(c.open_range("p", 12, 20).unwrap(), (12..20u8).collect::<Vec<_>>());
     }
 
     #[test]

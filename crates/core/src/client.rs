@@ -584,26 +584,24 @@ impl FsClient {
         };
         let plain = match obj.and_then(LocalObject::plain_bytes) {
             Some(plain) => Arc::clone(plain),
-            None => {
-                Arc::new(self.decompress_span(path, codec, data, stat.size as usize, request)?)
-            }
+            None => Arc::new(self.decompress_span(request, |s| {
+                s.decompress_timed(codec, data, stat.size as usize, path)
+            })?),
         };
         Ok(self.state.cache.insert(path, plain))
     }
 
-    /// Decompress a fetched payload; under a trace the leg becomes a
+    /// Run one of the node's timed decodes ([`NodeState::decompress_timed`],
+    /// [`NodeState::decode_chunk_timed`]); under a trace the leg becomes a
     /// `client.decompress` span of `request` (and the codec histograms
     /// see it either way).
     fn decompress_span(
         &self,
-        path: &str,
-        codec: CodecId,
-        data: &[u8],
-        size: usize,
         request: u64,
+        decode: impl FnOnce(&NodeState) -> Result<Vec<u8>, FsError>,
     ) -> Result<Vec<u8>, FsError> {
         let dec_start = (self.trace.is_some() && request != 0).then(now_us);
-        let plain = self.state.decompress_timed(codec, data, size, path)?;
+        let plain = decode(&self.state)?;
         if let Some(start) = dec_start {
             self.span(request, "client.decompress", start);
         }
@@ -713,7 +711,8 @@ impl FsClient {
         match entry {
             RawEntry::Ready(data) => Ok(data),
             RawEntry::Packed { codec, size, bytes, request } => {
-                let plain = self.decompress_span(path, codec, &bytes, size, request)?;
+                let plain = self
+                    .decompress_span(request, |s| s.decompress_timed(codec, &bytes, size, path))?;
                 Ok(self.state.cache.insert(path, Arc::new(plain)))
             }
         }
@@ -988,12 +987,20 @@ impl FsClient {
             }
             let (spec, mut got) = ([GetManySpec::range(path, start, end)], [None]);
             self.answer_many(&spec, &mut got, request, |_, item, obj| match item {
-                // The covering chunks: decode them into the cache as partial
-                // residency, then assemble the window.
+                // The covering chunks, each decoded only as far as the
+                // window's end (an LZ4 stream decodes from its chunk's
+                // start, but nothing past `end` is needed): into the cache
+                // as prefix residency, then assemble the window. The
+                // geometry is checked against the file first, since each
+                // chunk's `raw_len` sizes its buffer.
                 GetManyItem::Partial(p) => {
+                    p.check_extent(stat.size)?;
                     let mut raw = Vec::with_capacity(p.chunks.len());
                     for c in &p.chunks {
-                        let data = Arc::new(c.decode(p.inner_codec, p.chunk_size)?);
+                        let want = end.saturating_sub(c.offset).min(u64::from(c.raw_len)) as u32;
+                        let data = Arc::new(self.decompress_span(request, |s| {
+                            s.decode_chunk_timed(c, p.inner_codec, p.chunk_size, want)
+                        })?);
                         let cache = &self.state.cache;
                         cache.insert_chunk(path, p.chunk_size, p.raw_len, c.index, data.clone());
                         raw.push((c.offset, data));
@@ -1001,6 +1008,10 @@ impl FsClient {
                     let t = now_us();
                     let out = assemble(raw.iter().map(|(at, data)| (*at, &data[..])), start, end);
                     self.span(request, "client.assemble", t);
+                    // A chunk the cache did not keep goes back to the pool.
+                    for (_, data) in raw {
+                        self.state.pool.put_arc(data);
+                    }
                     out
                 }
                 // A whole-object answer: decode it all, cache it all, slice
@@ -1034,9 +1045,9 @@ impl FsClient {
                     fanstore_compress::progressive::decode_prefix(&tiers, p.raw_len as usize)
                         .map_err(|e| FsError::Corrupt(format!("{path}: tier decode: {e}")))
                 }
-                GetManyItem::Whole(codec, stat, data) => {
-                    self.decompress_span(path, codec, data, stat.size as usize, request)
-                }
+                GetManyItem::Whole(codec, stat, data) => self.decompress_span(request, |s| {
+                    s.decompress_timed(codec, data, stat.size as usize, path)
+                }),
             });
             got[0].take().expect("answer_many answers every spec")
         })

@@ -268,12 +268,21 @@ impl<'a> PartialChunk<'a> {
         Ok(self.stored)
     }
 
-    /// Verify the chunk's at-rest CRC and decode it to raw bytes with the
-    /// reply's `inner` codec; a `raw_len` beyond the reply's nominal
-    /// `chunk_size` is [`FsError::Corrupt`].
-    pub fn decode(&self, inner: CodecId, chunk_size: u32) -> Result<Vec<u8>, FsError> {
+    /// Verify the chunk's at-rest CRC over all its stored bytes, then
+    /// decode its first `want` raw bytes (at most `raw_len`) into `out`
+    /// with the reply's `inner` codec; a `raw_len` beyond the reply's
+    /// nominal `chunk_size` is [`FsError::Corrupt`]. A range read wants a
+    /// covering chunk only up to the window's end.
+    pub fn decode(
+        &self,
+        inner: CodecId,
+        chunk_size: u32,
+        want: u32,
+        out: &mut Vec<u8>,
+    ) -> Result<(), FsError> {
         let stored = self.verified()?;
-        crate::pack::decode_stored(inner, self.index as usize, stored, self.raw_len, chunk_size)
+        let idx = self.index as usize;
+        crate::pack::decode_stored(inner, idx, stored, self.raw_len, chunk_size, want, out)
     }
 }
 
@@ -297,6 +306,34 @@ impl PartialReply<'_> {
     /// Stored bytes of the chunks.
     pub fn stored_bytes(&self) -> usize {
         self.chunks.iter().map(|c| c.stored.len()).sum()
+    }
+
+    /// Check a range answer's geometry against the file's `size` from
+    /// metadata: the answer's `raw_len` must be `size`, and every chunk
+    /// must sit where its index puts it (`offset == index × chunk_size`,
+    /// where the cache will look for it) and end inside the file. A
+    /// chunk's `raw_len` sizes its decode buffer, and a frame that lies
+    /// about both it and `chunk_size` would otherwise size one of up to
+    /// 4 GiB; this bounds every buffer by the file. A lie is
+    /// [`FsError::Corrupt`].
+    pub fn check_extent(&self, size: u64) -> Result<(), FsError> {
+        if self.raw_len != size {
+            return Err(FsError::Corrupt(format!(
+                "PARTIAL raw_len {} of a {size} B file",
+                self.raw_len
+            )));
+        }
+        for c in &self.chunks {
+            let placed = c.offset == u64::from(c.index) * u64::from(self.chunk_size);
+            let end = c.offset.checked_add(u64::from(c.raw_len));
+            if !placed || end.is_none_or(|end| end > size) {
+                return Err(FsError::Corrupt(format!(
+                    "chunk {} of {} B at {} does not fit {size} B in {} B chunks",
+                    c.index, c.raw_len, c.offset, self.chunk_size
+                )));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -692,7 +729,11 @@ mod tests {
                 let raw: Vec<Vec<u8>> = p
                     .chunks
                     .iter()
-                    .map(|c| c.decode(p.inner_codec, p.chunk_size).unwrap())
+                    .map(|c| {
+                        let mut out = Vec::new();
+                        c.decode(p.inner_codec, p.chunk_size, c.raw_len, &mut out).unwrap();
+                        out
+                    })
                     .collect();
                 if let Some((a, b)) = *window {
                     assert_eq!((p.raw_len, p.chunk_size), (big.len() as u64, 4096));

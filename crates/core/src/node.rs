@@ -371,9 +371,40 @@ impl NodeState {
         expected_len: usize,
         path: &str,
     ) -> Result<Vec<u8>, FsError> {
+        self.decode_timed(codec, expected_len, |out| {
+            decompress_object_into(codec, data, expected_len, path, out)
+        })
+    }
+
+    /// [`NodeState::decompress_timed`] for one chunk of a PARTIAL answer:
+    /// its first `want` raw bytes ([`PartialChunk::decode`]), recorded
+    /// under the answer's `inner` codec. The pooled buffer is sized for
+    /// the chunk's whole `raw_len`, which the decode's last sequence may
+    /// reach, so the caller bounds `raw_len` first
+    /// ([`crate::daemon::PartialReply::check_extent`]).
+    pub fn decode_chunk_timed(
+        &self,
+        chunk: &PartialChunk<'_>,
+        inner: CodecId,
+        chunk_size: u32,
+        want: u32,
+    ) -> Result<Vec<u8>, FsError> {
+        self.decode_timed(inner, chunk.raw_len as usize, |out| {
+            chunk.decode(inner, chunk_size, want, out)
+        })
+    }
+
+    /// The one timed decode: `decode` fills a pooled buffer with room for
+    /// `capacity` bytes, and the bytes it produced count under `codec`.
+    fn decode_timed(
+        &self,
+        codec: CodecId,
+        capacity: usize,
+        decode: impl FnOnce(&mut Vec<u8>) -> Result<(), FsError>,
+    ) -> Result<Vec<u8>, FsError> {
         let start = now_us();
-        let mut out = self.pool.take(expected_len);
-        if let Err(e) = decompress_object_into(codec, data, expected_len, path, &mut out) {
+        let mut out = self.pool.take(capacity);
+        if let Err(e) = decode(&mut out) {
             self.pool.put(out);
             return Err(e);
         }

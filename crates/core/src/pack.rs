@@ -443,33 +443,41 @@ pub fn chunk_payload<'a>(
 
 /// Decode one *range* chunk's stored payload to its raw bytes.
 pub fn decode_chunk(table: &ChunkTable, idx: usize, payload: &[u8]) -> Result<Vec<u8>, FsError> {
-    decode_stored(table.inner_codec, idx, payload, table.chunks[idx].raw_len, table.chunk_size)
+    let (raw_len, mut out) = (table.chunks[idx].raw_len, Vec::new());
+    decode_stored(table.inner_codec, idx, payload, raw_len, table.chunk_size, raw_len, &mut out)?;
+    Ok(out)
 }
 
-/// Decode range chunk `idx`'s stored bytes: raw when they are already
-/// `raw_len` long (the store-if-bigger fallback), else `inner`-compressed.
-/// `raw_len` comes from an FCHK row or a peer's PARTIAL frame and sizes
-/// the output, so one beyond the nominal `chunk_size` — more than any
-/// range chunk covers — is [`FsError::Corrupt`] before anything is
-/// allocated.
+/// Decode the first `want` raw bytes (at most `raw_len`) of range chunk
+/// `idx`'s stored bytes into `out`, which is cleared first: raw when they
+/// are already `raw_len` long (the store-if-bigger fallback), else
+/// `inner`-compressed. `raw_len` comes from an FCHK row or a peer's
+/// PARTIAL frame and sizes the output, so one beyond the nominal
+/// `chunk_size` — more than any range chunk covers — is
+/// [`FsError::Corrupt`] before anything is allocated.
 pub(crate) fn decode_stored(
     inner: CodecId,
     idx: usize,
     stored: &[u8],
     raw_len: u32,
     chunk_size: u32,
-) -> Result<Vec<u8>, FsError> {
-    if stored.len() == raw_len as usize {
-        return Ok(stored.to_vec());
-    }
-    if raw_len > chunk_size {
+    want: u32,
+    out: &mut Vec<u8>,
+) -> Result<(), FsError> {
+    let codec = if stored.len() == raw_len as usize {
+        CodecId::new(fanstore_compress::CodecFamily::Store, 0)
+    } else if raw_len > chunk_size {
         return Err(FsError::Corrupt(format!(
             "chunk {idx}: raw_len {raw_len} exceeds the chunk size {chunk_size}"
         )));
-    }
+    } else {
+        inner
+    };
     let corrupt = |e: fanstore_compress::CodecError| FsError::Corrupt(format!("chunk {idx}: {e}"));
-    let codec = fanstore_compress::registry::create(inner).map_err(corrupt)?;
-    fanstore_compress::decompress_to_vec(codec.as_ref(), stored, raw_len as usize).map_err(corrupt)
+    let codec = fanstore_compress::registry::create(codec).map_err(corrupt)?;
+    let (raw_len, want) = (raw_len as usize, want as usize);
+    fanstore_compress::decompress_prefix_into(codec.as_ref(), stored, raw_len, want, out)
+        .map_err(corrupt)
 }
 
 /// Decode a whole FCHK container back to the raw file bytes.

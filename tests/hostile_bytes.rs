@@ -16,6 +16,12 @@
 //!   of scale with the input (a counting allocator watches the largest
 //!   single request).
 //!
+//! A third test, `range_reads_size_no_buffer_past_the_file`, serves
+//! range-chunked objects whose bytes pass every checksum yet lie — about
+//! their geometry, or in a chunk's stream past a window — to `read_range`
+//! on the rank that holds them and on one that fetches them, under the
+//! same allocation watch.
+//!
 //! Decoders private to their module are reached through the public entry
 //! that calls them: PUT and GET_MANY requests are sent to a live daemon,
 //! whose reply status is the verdict. `cluster::decode_partition_set`
@@ -34,6 +40,7 @@ use fanstore_repro::mpi::{launch, Channel};
 use fanstore_repro::store::cache::CacheConfig;
 use fanstore_repro::store::ckpt::frame::{decode_segment, encode_frame, scan_segment, FLAG_DELTA};
 use fanstore_repro::store::ckpt::manifest::{Manifest, SegmentMeta};
+use fanstore_repro::store::cluster::{ClusterConfig, FanStore};
 use fanstore_repro::store::daemon::{
     decode_get_many_reply, encode_get_many_request, encode_put, serve, status, tags, GetManyItem,
     GetManySpec,
@@ -605,7 +612,8 @@ fn rows<'a>(
                             // does.
                             if let Ok(GetManyItem::Partial(p)) = &item {
                                 for c in &p.chunks {
-                                    c.decode(p.inner_codec, p.chunk_size)?;
+                                    let want = c.raw_len;
+                                    c.decode(p.inner_codec, p.chunk_size, want, &mut Vec::new())?;
                                 }
                             }
                             item.map(|i| format!("{i:?}"))
@@ -819,6 +827,99 @@ fn every_decoder_survives_hostile_bytes() {
             }
         }
     });
+}
+
+/// A range-chunked container of `data` in `chunk`-byte `lz4fast-1`
+/// chunks, rewritten by `lie` and its table CRC resealed: a partition
+/// whose every checksum holds can still carry it.
+fn lying_fchk(data: &[u8], chunk: usize, lie: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut fchk = build_chunked(data, chunk, lz4fast());
+    lie(&mut fchk);
+    reseal_fchk(&mut fchk);
+    fchk
+}
+
+fn lz4fast() -> CodecId {
+    CodecId::new(CodecFamily::Lz4Fast, 1)
+}
+
+/// Byte range of the `width`-byte field at `at` in chunk row `row` of an
+/// FCHK container.
+fn row_field(row: usize, at: usize, width: usize) -> Range<usize> {
+    let start = CHUNK_HEADER + row * CHUNK_ROW + at;
+    start..start + width
+}
+
+#[test]
+fn range_reads_size_no_buffer_past_the_file() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let small = ramp(300);
+    let text: Vec<u8> = (0..4096u32).map(|i| (i / 3 % 251) as u8).collect();
+    let mut b = PartitionBuilder::new();
+    // `chunk_size` and `raw_len` both claim 4 GiB; the file is 300 B.
+    let huge = u32::MAX - 15;
+    let lying = lying_fchk(&small, 300, |f| {
+        f[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        f[12..20].copy_from_slice(&u64::from(huge).to_le_bytes());
+        f[row_field(0, 8, 4)].copy_from_slice(&huge.to_le_bytes());
+    });
+    b.push("h/lying.bin", CHUNKED, &sample_stat(1, 300), &lying);
+    // Chunk 1 of two claims bytes [250, 400) of the 300 B file.
+    let overrun = lying_fchk(&small, 150, |f| {
+        f[row_field(1, 0, 8)].copy_from_slice(&250u64.to_le_bytes());
+    });
+    b.push("h/overrun.bin", CHUNKED, &sample_stat(2, 300), &overrun);
+    // Chunk 1 of two claims bytes [100, 250): inside the file, but not
+    // where its index puts it, which is where the cache serves it from.
+    let shifted = lying_fchk(&small, 150, |f| {
+        f[row_field(1, 0, 8)].copy_from_slice(&100u64.to_le_bytes());
+    });
+    b.push("h/shifted.bin", CHUNKED, &sample_stat(4, 300), &shifted);
+    // One 4 KiB chunk whose stream is that of its first 3 KiB followed by
+    // an offset of 0: a decode that reaches byte 3072 fails there.
+    let damaged = lying_fchk(&text, 4096, |f| {
+        let codec = registry::create(lz4fast()).expect("lz4fast is registered");
+        let mut stream = compress_to_vec(codec.as_ref(), &text[..3072]);
+        stream.extend_from_slice(&[0, 0]);
+        f.truncate(CHUNK_HEADER + CHUNK_ROW + 4);
+        f[row_field(0, 12, 4)].copy_from_slice(&(stream.len() as u32).to_le_bytes());
+        f[row_field(0, 16, 4)].copy_from_slice(&crc32(&stream).to_le_bytes());
+        f.extend_from_slice(&stream);
+    });
+    b.push("h/damaged.bin", CHUNKED, &sample_stat(3, 4096), &damaged);
+
+    let rows = [
+        "4 GiB geometry",
+        "a chunk past the file",
+        "a chunk off its index",
+        "a window before the damage",
+        "a second window before it",
+        "a window reaching the damage",
+        "the whole file",
+    ];
+    PEAK.store(0, Ordering::Relaxed);
+    let cluster = ClusterConfig { nodes: 2, ..Default::default() };
+    let verdicts = FanStore::run(cluster, vec![b.finish()], |fs| {
+        let corrupt = |got: Result<Vec<u8>, FsError>| matches!(got, Err(FsError::Corrupt(_)));
+        let exact = |got: Result<Vec<u8>, FsError>, want: &[u8]| got.is_ok_and(|got| got == want);
+        [
+            corrupt(fs.read_range("h/lying.bin", 0, 100)),
+            corrupt(fs.read_range("h/overrun.bin", 260, 280)),
+            corrupt(fs.read_range("h/shifted.bin", 160, 170)),
+            exact(fs.read_range("h/damaged.bin", 0, 1000), &text[..1000]),
+            exact(fs.read_range("h/damaged.bin", 1000, 2000), &text[1000..2000]),
+            corrupt(fs.read_range("h/damaged.bin", 3000, 3100)),
+            corrupt(fs.read_whole("h/damaged.bin")),
+        ]
+    });
+    let peak = PEAK.load(Ordering::Relaxed);
+    // Rank 0 holds the partition and reads it locally; rank 1 fetches.
+    for (rank, verdict) in verdicts.iter().enumerate() {
+        for (row, ok) in rows.iter().zip(verdict) {
+            assert!(ok, "rank {rank}: {row}");
+        }
+    }
+    assert!(peak <= 1 << 20, "a 2-node run of small range reads allocated {peak} bytes at once");
 }
 
 // Captured at commit 1554774 (the parent of the `framing` module).

@@ -193,6 +193,56 @@ proptest! {
         }
     }
 
+    /// The LZ4 family's prefix decode ([`Codec::decompress_prefix`], what
+    /// a range read asks of a chunk) is the full decode's first `stop`
+    /// bytes, for stops 0, 1, `expected_len`, a seeded one and either side
+    /// of sequence edges, where the decoder leaves its loop. On a
+    /// truncated or bit-flipped stream it answers with what the full
+    /// decode produced before failing, or with the full decode's error,
+    /// and with that error whenever `stop` lies past the damage; never
+    /// with a panic.
+    #[test]
+    fn lz4_prefix_decode_is_the_full_decode_cut_at_stop(
+        data in data_strategy(),
+        stop_seed in any::<u64>(),
+        damage_seed in any::<u64>(),
+    ) {
+        let n = data.len();
+        for id in [CodecId::new(CodecFamily::Lz4Fast, 1), CodecId::new(CodecFamily::Lz4Hc, 9)] {
+            let codec = create(id).unwrap();
+            let compressed = compress_to_vec(codec.as_ref(), &data);
+            let ends = sequence_ends(&compressed);
+            let mut stops = vec![0, 1.min(n), n, stop_seed as usize % (n + 1)];
+            for &end in ends.iter().step_by(ends.len().div_ceil(8).max(1)) {
+                stops.extend([end.saturating_sub(1), end, (end + 1).min(n)]);
+            }
+            for &stop in &stops {
+                let got = prefix(codec.as_ref(), &compressed, n, stop);
+                prop_assert_eq!(got, Ok(data[..stop].to_vec()), "{} stop {} of {}", id, stop, n);
+            }
+            let cut = compressed[..damage_seed as usize % compressed.len()].to_vec();
+            let mut flipped = compressed.clone();
+            let at = (damage_seed >> 8) as usize % flipped.len();
+            flipped[at] ^= 1 << (damage_seed % 8);
+            for (what, bad) in [("cut", cut), ("flipped", flipped)] {
+                // The full decode, and what it had produced when it stopped.
+                let mut produced = Vec::new();
+                let full = codec.decompress(&bad, n, &mut produced);
+                for &stop in &stops {
+                    let got = prefix(codec.as_ref(), &bad, n, stop);
+                    match (&full, got) {
+                        (_, Ok(p)) => {
+                            prop_assert!(stop <= produced.len(), "{} {}: stop {} past the damage decoded", id, what, stop);
+                            prop_assert_eq!(&p[..], &produced[..stop], "{} {}: stop {}", id, what, stop);
+                        }
+                        (Err(e), Err(g)) => prop_assert_eq!(&g, e, "{} {}: stop {}", id, what, stop),
+                        (Ok(()), Err(g)) => prop_assert!(false, "{} {}: stop {} failed with {:?}, the full decode did not", id, what, stop, g),
+                    }
+                }
+            }
+        }
+    }
+
     /// Pure garbage presented as a compressed stream never panics either
     /// decoder.
     #[test]
@@ -206,6 +256,47 @@ proptest! {
             let _ = reference::decompress(id, &garbage, expected_len);
         }
     }
+}
+
+/// [`Codec::decompress_prefix`] into a fresh buffer.
+fn prefix(codec: &dyn Codec, input: &[u8], expected_len: usize, stop: usize) -> Outcome {
+    let mut out = Vec::new();
+    codec.decompress_prefix(input, expected_len, stop, &mut out).map(|()| out)
+}
+
+/// The output offsets at which the sequences of a valid LZ4 block end.
+fn sequence_ends(block: &[u8]) -> Vec<usize> {
+    let ext = |i: &mut usize| {
+        let mut v = 0;
+        loop {
+            let b = block[*i];
+            *i += 1;
+            v += b as usize;
+            if b != 255 {
+                return v;
+            }
+        }
+    };
+    let (mut i, mut produced, mut ends) = (0, 0, Vec::new());
+    while i < block.len() {
+        let token = block[i];
+        i += 1;
+        let mut lits = (token >> 4) as usize;
+        if lits == 15 {
+            lits += ext(&mut i);
+        }
+        (i, produced) = (i + lits, produced + lits);
+        if i < block.len() {
+            i += 2;
+            let mut match_len = (token & 0x0f) as usize;
+            if match_len == 15 {
+                match_len += ext(&mut i);
+            }
+            produced += match_len + 4;
+        }
+        ends.push(produced);
+    }
+    ends
 }
 
 /// One LZ4 sequence: literals, then `match_len >= 4` bytes from `dist` back.

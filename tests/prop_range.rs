@@ -230,10 +230,9 @@ fn window_path(file: usize) -> String {
     format!("rr/f{file:03}.bin")
 }
 
-/// Rank 1's compressed fabric bytes for `pass` over the window dataset,
-/// every file of which lives in rank 0's partition, plus whatever `pass`
-/// returns.
-fn reader_pass<T: Send>(pass: impl Fn(&FsClient) -> T + Sync) -> (u64, T) {
+/// The window dataset, range-chunked in one partition, which rank 0 of
+/// a two-node cluster holds.
+fn window_partitions() -> Vec<Vec<u8>> {
     // Mildly compressible and position-dependent, so every chunk shrinks
     // and none to nothing.
     let dataset = (0..WINDOW_FILES)
@@ -244,12 +243,16 @@ fn reader_pass<T: Send>(pass: impl Fn(&FsClient) -> T + Sync) -> (u64, T) {
             (window_path(i), body)
         })
         .collect();
-    let packed = prepare(
-        dataset,
-        &PrepConfig { partitions: 1, chunk_size: WINDOW_CHUNK, ..PrepConfig::default() },
-    );
+    let cfg = PrepConfig { partitions: 1, chunk_size: WINDOW_CHUNK, ..PrepConfig::default() };
+    prepare(dataset, &cfg).partitions
+}
+
+/// Rank 1's compressed fabric bytes for `pass` over the window dataset,
+/// every file of which lives in rank 0's partition, plus whatever `pass`
+/// returns.
+fn reader_pass<T: Send>(pass: impl Fn(&FsClient) -> T + Sync) -> (u64, T) {
     let cluster = ClusterConfig { nodes: 2, ..ClusterConfig::default() };
-    let mut out = FanStore::run(cluster, packed.partitions, |fs| {
+    let mut out = FanStore::run(cluster, window_partitions(), |fs| {
         let got = (fs.rank() == 1).then(|| pass(fs));
         (fs.state().metrics.counter("client.remote.bytes").get(), got)
     });
@@ -296,5 +299,60 @@ fn a_5_percent_window_moves_at_most_15_percent_of_the_bytes() {
     assert!(
         ranged as f64 <= 0.15 * whole as f64,
         "5 % windows moved {ranged} B against {whole} B for whole files"
+    );
+}
+
+/// Decoded bytes are counted work. On a cold cache a range read decodes
+/// each covering chunk only as far as the window's end, so
+/// `client.decompress.bytes` grows by exactly `end` minus the first
+/// covering chunk's offset, on the rank that holds the chunks and on the
+/// rank that fetches them alike; the same window again is served from the
+/// cache's chunk prefixes and decodes nothing.
+#[test]
+fn a_window_decodes_from_its_first_chunk_to_its_end_and_a_repeat_decodes_nothing() {
+    // Seeded windows, plus a whole file and its last byte.
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = |below: usize| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x as usize % below
+    };
+    let mut windows =
+        vec![(0, 0, WINDOW_FILE_BYTES), (1, WINDOW_FILE_BYTES - 1, WINDOW_FILE_BYTES)];
+    for _ in 0..24 {
+        let (file, len) = (next(WINDOW_FILES), 1 + next(WINDOW_FILE_BYTES / 10));
+        let start = next(WINDOW_FILE_BYTES - len + 1);
+        windows.push((file, start, start + len));
+    }
+    let want: u64 =
+        windows.iter().map(|&(_, a, b)| (b - a / WINDOW_CHUNK * WINDOW_CHUNK) as u64).sum();
+    let cluster = ClusterConfig { nodes: 2, ..ClusterConfig::default() };
+    let counts = FanStore::run(cluster, window_partitions(), |fs| {
+        let decoded = || fs.state().metrics.counter("client.decompress.bytes").get();
+        let read = |&(file, a, b): &(usize, usize, usize)| {
+            let got = fs.read_range(&window_path(file), a as u64, b as u64).expect("range read");
+            assert_eq!(got.len(), b - a);
+        };
+        let before = decoded();
+        for w in &windows {
+            fs.state().cache.purge(&window_path(w.0));
+            read(w);
+        }
+        let cold = decoded() - before;
+        for w in &windows {
+            fs.state().cache.purge(&window_path(w.0));
+            read(w);
+            let warm = decoded();
+            read(w);
+            assert_eq!(decoded(), warm, "window {w:?} repeated decoded again");
+        }
+        cold
+    });
+    assert_eq!(
+        counts,
+        [want, want],
+        "bytes decoded on [holder, fetcher] for {} windows",
+        windows.len()
     );
 }
