@@ -109,7 +109,8 @@ pub fn run(n: usize) -> String {
         for kept in [17u8, 21, 25] {
             let prefix: Vec<&[u8]> = tiers[..usize::from(kept)].iter().map(Vec::as_slice).collect();
             let stored: usize = prefix.iter().map(|t| t.len()).sum();
-            let approx = decode_prefix(&prefix, bytes.len()).unwrap();
+            let mut approx = Vec::new();
+            decode_prefix(&prefix, bytes.len(), &mut approx).unwrap();
             rows.push(vec![
                 format!("planes({kept})"),
                 fmt_f(bytes.len() as f64 / stored as f64),

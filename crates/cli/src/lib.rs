@@ -24,7 +24,7 @@ use std::sync::Arc;
 use fanstore::attrib::{aggregate, attribute, bottleneck_table, RequestAttribution, SEGMENTS};
 use fanstore::cluster::{ClusterConfig, FanStore};
 use fanstore::metrics::{MetricsRegistry, Snapshot};
-use fanstore::node::decompress_object;
+use fanstore::node::decompress_object_into;
 use fanstore::pack::parse_partition;
 use fanstore::prep::{prepare, PrepConfig};
 use fanstore::trace::SpanEvent;
@@ -239,10 +239,12 @@ pub fn run_inspect(partition_file: &Path, verify: bool) -> Result<Vec<String>, S
         entries.len(),
         bytes.len()
     ));
+    let mut scratch = Vec::new();
     for e in &entries {
+        let size = e.stat.size as usize;
         let status = if !verify {
             "-"
-        } else if decompress_object(e.codec, &e.data, e.stat.size as usize, &e.path).is_ok() {
+        } else if decompress_object_into(e.codec, &e.data, size, &e.path, &mut scratch).is_ok() {
             "ok"
         } else {
             "CORRUPT"

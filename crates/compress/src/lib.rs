@@ -311,14 +311,15 @@ pub fn decompress_into(
     expected_len: usize,
     out: &mut Vec<u8>,
 ) -> Result<(), CodecError> {
+    out.clear();
     decompress_prefix_into(codec, input, expected_len, expected_len, out)
 }
 
-/// [`decompress_into`] that keeps only the first `stop` bytes of the
-/// `expected_len` the stream decodes to ([`Codec::decompress_prefix`]).
-/// On success `out` holds exactly `stop.min(expected_len)` bytes; the
-/// reservation is still the whole `expected_len`, which the last decoded
-/// sequence may reach.
+/// Append the first `stop` bytes of the `expected_len` the stream decodes
+/// to behind what `out` holds ([`Codec::decompress_prefix`]). On success
+/// exactly `stop.min(expected_len)` bytes were appended; the reservation
+/// is still the whole `expected_len`, which the last decoded sequence may
+/// reach.
 pub fn decompress_prefix_into(
     codec: &dyn Codec,
     input: &[u8],
@@ -326,13 +327,12 @@ pub fn decompress_prefix_into(
     stop: usize,
     out: &mut Vec<u8>,
 ) -> Result<(), CodecError> {
-    let stop = stop.min(expected_len);
-    out.clear();
+    let (stop, start) = (stop.min(expected_len), out.len());
     out.reserve(expected_len.saturating_add(copy::WILD_SLACK));
     codec.decompress_prefix(input, expected_len, stop, out)?;
-    if out.len() != stop {
-        let actual = out.len();
-        out.clear();
+    if out.len() - start != stop {
+        let actual = out.len() - start;
+        out.truncate(start);
         return Err(CodecError::LengthMismatch { expected: expected_len, actual });
     }
     Ok(())

@@ -146,16 +146,17 @@ fn parse_tier(payload: &[u8]) -> Result<(u8, u8, Vec<u8>), CodecError> {
     Ok((index, total, body))
 }
 
-/// Decode a prefix of tiers back into `raw_len` bytes. `tiers` must be
-/// the first `k` payloads of an [`encode_tiers`] result, in order; with
-/// all tiers present the output is byte-identical to the original.
-/// Missing low planes read as zero (truncation toward zero).
+/// Append a prefix of tiers, decoded back into `raw_len` bytes, to `out`
+/// (untouched on an error). `tiers` must be the first `k` payloads of an
+/// [`encode_tiers`] result, in order; with all tiers present the output is
+/// byte-identical to the original. Missing low planes read as zero
+/// (truncation toward zero).
 ///
 /// `raw_len` is untrusted (it comes from a peer's frame or an FCHK
 /// header): tier 0 carries every lane's top planes, so a `raw_len` whose
 /// lanes tier 0's body cannot hold is rejected before anything is sized
 /// by it.
-pub fn decode_prefix(tiers: &[&[u8]], raw_len: usize) -> Result<Vec<u8>, CodecError> {
+pub fn decode_prefix(tiers: &[&[u8]], raw_len: usize, out: &mut Vec<u8>) -> Result<(), CodecError> {
     if tiers.is_empty() {
         return Err(CodecError::Corrupt("no progressive tiers to decode"));
     }
@@ -192,12 +193,12 @@ pub fn decode_prefix(tiers: &[&[u8]], raw_len: usize) -> Result<Vec<u8>, CodecEr
         }
     }
 
-    let mut out = Vec::with_capacity(raw_len);
+    out.reserve(raw_len);
     for w in &words {
         out.extend_from_slice(&w.to_le_bytes());
     }
     out.extend_from_slice(&tail);
-    Ok(out)
+    Ok(())
 }
 
 /// Maximum absolute reconstruction error over the finite f32 lanes of
@@ -258,6 +259,11 @@ mod tests {
         vals.iter().flat_map(|v| v.to_le_bytes()).collect()
     }
 
+    fn decode(tiers: &[&[u8]], raw_len: usize) -> Result<Vec<u8>, CodecError> {
+        let mut out = Vec::new();
+        decode_prefix(tiers, raw_len, &mut out).map(|()| out)
+    }
+
     #[test]
     fn full_prefix_is_lossless_for_arbitrary_bytes() {
         let mut x = 0x243f6a88u32;
@@ -271,7 +277,7 @@ mod tests {
             let enc = encode_tiers(&data, tiers);
             assert_eq!(enc.len(), usize::from(clamp_tiers(tiers)));
             let refs: Vec<&[u8]> = enc.iter().map(Vec::as_slice).collect();
-            assert_eq!(decode_prefix(&refs, data.len()).unwrap(), data, "tiers={tiers}");
+            assert_eq!(decode(&refs, data.len()).unwrap(), data, "tiers={tiers}");
         }
     }
 
@@ -284,7 +290,7 @@ mod tests {
         let mut last = f32::INFINITY;
         for k in 1..=enc.len() {
             let refs: Vec<&[u8]> = enc[..k].iter().map(Vec::as_slice).collect();
-            let out = decode_prefix(&refs, data.len()).unwrap();
+            let out = decode(&refs, data.len()).unwrap();
             let err = max_abs_error(&data, &out);
             assert!(err <= last, "tier {k}: {err} > {last}");
             last = err;
@@ -308,29 +314,29 @@ mod tests {
         let data = f32_bytes(&[f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 1.5e-42]);
         let enc = encode_tiers(&data, 4);
         let refs: Vec<&[u8]> = enc.iter().map(Vec::as_slice).collect();
-        assert_eq!(decode_prefix(&refs, data.len()).unwrap(), data);
+        assert_eq!(decode(&refs, data.len()).unwrap(), data);
     }
 
     #[test]
     fn corrupt_or_empty_tiers_error_not_panic() {
-        assert!(decode_prefix(&[], 16).is_err());
+        assert!(decode(&[], 16).is_err());
         let enc = encode_tiers(&[1, 2, 3, 4, 5, 6, 7, 8], 3);
         // Out-of-order prefix.
         let refs: Vec<&[u8]> = vec![&enc[1]];
-        assert!(decode_prefix(&refs, 8).is_err());
+        assert!(decode(&refs, 8).is_err());
         // Truncated payload.
         let cut = &enc[0][..2];
-        assert!(decode_prefix(&[cut], 8).is_err());
+        assert!(decode(&[cut], 8).is_err());
         // Bad version byte.
         let mut bad = enc[0].clone();
         bad[0] = 99;
-        assert!(decode_prefix(&[&bad], 8).is_err());
+        assert!(decode(&[&bad], 8).is_err());
     }
 
     #[test]
     fn empty_input_encodes_and_decodes() {
         let enc = encode_tiers(&[], 4);
         let refs: Vec<&[u8]> = enc.iter().map(Vec::as_slice).collect();
-        assert_eq!(decode_prefix(&refs, 0).unwrap(), Vec::<u8>::new());
+        assert_eq!(decode(&refs, 0).unwrap(), Vec::<u8>::new());
     }
 }

@@ -31,6 +31,7 @@ use crate::daemon::{
 use crate::meta::encode_single;
 use crate::metrics::{now_us, Counter, Gauge, Histogram};
 use crate::node::{LocalObject, NodeState};
+use crate::pack::{decode_tiers, ChunkKind, CHUNKED};
 use crate::placement::replicas_of;
 use crate::stat::FileStat;
 use crate::trace::{SpanEvent, TraceRecorder};
@@ -591,10 +592,9 @@ impl FsClient {
         Ok(self.state.cache.insert(path, plain))
     }
 
-    /// Run one of the node's timed decodes ([`NodeState::decompress_timed`],
-    /// [`NodeState::decode_chunk_timed`]); under a trace the leg becomes a
-    /// `client.decompress` span of `request` (and the codec histograms
-    /// see it either way).
+    /// Run one of the node's timed decodes ([`NodeState::decode_timed`]);
+    /// under a trace the leg becomes a `client.decompress` span of
+    /// `request` (and the codec histograms see it either way).
     fn decompress_span(
         &self,
         request: u64,
@@ -994,12 +994,13 @@ impl FsClient {
                 // geometry is checked against the file first, since each
                 // chunk's `raw_len` sizes its buffer.
                 GetManyItem::Partial(p) => {
-                    p.check_extent(stat.size)?;
+                    p.check_extent(ChunkKind::Range, stat.size)?;
                     let mut raw = Vec::with_capacity(p.chunks.len());
                     for c in &p.chunks {
                         let want = end.saturating_sub(c.offset).min(u64::from(c.raw_len)) as u32;
+                        let (inner, len) = (p.inner_codec, c.raw_len as usize);
                         let data = Arc::new(self.decompress_span(request, |s| {
-                            s.decode_chunk_timed(c, p.inner_codec, p.chunk_size, want)
+                            s.decode_timed(inner, len, |out| c.decode(inner, want, out))
                         })?);
                         let cache = &self.state.cache;
                         cache.insert_chunk(path, p.chunk_size, p.raw_len, c.index, data.clone());
@@ -1039,11 +1040,17 @@ impl FsClient {
         self.read_op("client.get", None, |request| {
             let (spec, mut got) = ([GetManySpec::tiered(path, min_tier)], [None]);
             self.answer_many(&spec, &mut got, request, |_, item, _| match item {
+                // Held to the file's size from metadata (every node loads a
+                // packed file's), not the peer's stat, then timed and
+                // counted like a whole read.
                 GetManyItem::Partial(p) => {
+                    let size = self.state.meta.read().stat(path).map(|s| s.size);
+                    let size = size.ok_or_else(|| FsError::NotFound(path.to_string()))?;
+                    p.check_extent(ChunkKind::Progressive, size)?;
                     let tiers = p.chunks.iter().map(PartialChunk::verified);
-                    let tiers: Vec<&[u8]> = tiers.collect::<Result<_, _>>()?;
-                    fanstore_compress::progressive::decode_prefix(&tiers, p.raw_len as usize)
-                        .map_err(|e| FsError::Corrupt(format!("{path}: tier decode: {e}")))
+                    self.decompress_span(request, |s| {
+                        s.decode_timed(CHUNKED, size as usize, |out| decode_tiers(tiers, size, out))
+                    })
                 }
                 GetManyItem::Whole(codec, stat, data) => self.decompress_span(request, |s| {
                     s.decompress_timed(codec, data, stat.size as usize, path)

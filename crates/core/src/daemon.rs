@@ -32,6 +32,7 @@ use crate::framing::{put_str16, reserve_crc, Malformed, Reader};
 use crate::meta::encode_single;
 use crate::metrics::now_us;
 use crate::node::{LocalObject, NodeState};
+use crate::pack::{row_fits, ChunkKind, ChunkMeta};
 use crate::stat::{FileStat, STAT_SIZE};
 use crate::trace::{SpanEvent, TraceRecorder};
 use crate::FsError;
@@ -269,20 +270,13 @@ impl<'a> PartialChunk<'a> {
     }
 
     /// Verify the chunk's at-rest CRC over all its stored bytes, then
-    /// decode its first `want` raw bytes (at most `raw_len`) into `out`
-    /// with the reply's `inner` codec; a `raw_len` beyond the reply's
-    /// nominal `chunk_size` is [`FsError::Corrupt`]. A range read wants a
-    /// covering chunk only up to the window's end.
-    pub fn decode(
-        &self,
-        inner: CodecId,
-        chunk_size: u32,
-        want: u32,
-        out: &mut Vec<u8>,
-    ) -> Result<(), FsError> {
+    /// append its first `want` raw bytes (at most `raw_len`) to `out` with
+    /// the reply's `inner` codec. `raw_len` sizes the reservation, so the
+    /// answer passes [`PartialReply::check_extent`] first. A range read
+    /// wants a covering chunk only up to the window's end.
+    pub fn decode(&self, inner: CodecId, want: u32, out: &mut Vec<u8>) -> Result<(), FsError> {
         let stored = self.verified()?;
-        let idx = self.index as usize;
-        crate::pack::decode_stored(inner, idx, stored, self.raw_len, chunk_size, want, out)
+        crate::pack::decode_stored(inner, self.index as usize, stored, self.raw_len, want, out)
     }
 }
 
@@ -308,30 +302,25 @@ impl PartialReply<'_> {
         self.chunks.iter().map(|c| c.stored.len()).sum()
     }
 
-    /// Check a range answer's geometry against the file's `size` from
-    /// metadata: the answer's `raw_len` must be `size`, and every chunk
-    /// must sit where its index puts it (`offset == index × chunk_size`,
-    /// where the cache will look for it) and end inside the file. A
-    /// chunk's `raw_len` sizes its decode buffer, and a frame that lies
-    /// about both it and `chunk_size` would otherwise size one of up to
+    /// Check the answer's geometry against the file's `size`, as the
+    /// reader that asked for `kind` chunks knows it: the answer's `raw_len`
+    /// must be `size`, and every chunk must be the row its index names in
+    /// a `kind` table over the file (`pack::row_fits`: a range chunk sits
+    /// at `index × chunk_size`, where the cache will look for it, and is
+    /// as long as the tiling says). `raw_len` sizes the decode buffers, and
+    /// a frame that lies about it would otherwise size one of up to
     /// 4 GiB; this bounds every buffer by the file. A lie is
     /// [`FsError::Corrupt`].
-    pub fn check_extent(&self, size: u64) -> Result<(), FsError> {
-        if self.raw_len != size {
-            return Err(FsError::Corrupt(format!(
-                "PARTIAL raw_len {} of a {size} B file",
-                self.raw_len
-            )));
-        }
-        for c in &self.chunks {
-            let placed = c.offset == u64::from(c.index) * u64::from(self.chunk_size);
-            let end = c.offset.checked_add(u64::from(c.raw_len));
-            if !placed || end.is_none_or(|end| end > size) {
-                return Err(FsError::Corrupt(format!(
-                    "chunk {} of {} B at {} does not fit {size} B in {} B chunks",
-                    c.index, c.raw_len, c.offset, self.chunk_size
-                )));
-            }
+    pub fn check_extent(&self, kind: ChunkKind, size: u64) -> Result<(), FsError> {
+        let fits = |c: &PartialChunk<'_>| {
+            let (offset, raw_len, crc32, tier) = (c.offset, c.raw_len, c.crc32, c.tier);
+            let row = ChunkMeta { offset, raw_len, stored_len: c.stored.len() as u32, crc32, tier };
+            row_fits(kind, self.chunk_size, size, c.index as usize, &row)
+        };
+        if self.raw_len != size || !self.chunks.iter().all(fits) {
+            let (raw_len, chunk_size) = (self.raw_len, self.chunk_size);
+            let lie = format!("{raw_len} B in {chunk_size} B chunks do not fit a {size} B file");
+            return Err(FsError::Corrupt(lie));
         }
         Ok(())
     }
@@ -696,7 +685,7 @@ fn handle_get_meta(state: &NodeState, msg: &Message) -> bool {
 mod tests {
     use super::*;
     use crate::cache::CacheConfig;
-    use crate::node::decompress_object;
+    use crate::node::decompress_object_into;
     use crate::prep::{prepare, PrepConfig};
     use fanstore_compress::crc32::crc32;
     use std::time::Duration;
@@ -719,32 +708,28 @@ mod tests {
         match (item, want) {
             (Ok(GetManyItem::Whole(codec, stat, data)), Want::Whole(expect)) => {
                 assert_eq!(stat.served_by, 0, "daemon stamps the serving rank");
-                let plain = decompress_object(*codec, data, stat.size as usize, "row").unwrap();
+                let mut plain = Vec::new();
+                decompress_object_into(*codec, data, stat.size as usize, "row", &mut plain)
+                    .unwrap();
                 assert_eq!(&plain, expect);
             }
             (Ok(GetManyItem::Partial(p)), Want::Partial(tiers, window)) => {
                 assert_eq!(p.stat.served_by, 0);
                 let got: Vec<u8> = p.chunks.iter().map(|c| c.tier).collect();
                 assert_eq!(got, *tiers, "only the covering chunks / the tier prefix travel");
-                let raw: Vec<Vec<u8>> = p
-                    .chunks
-                    .iter()
-                    .map(|c| {
-                        let mut out = Vec::new();
-                        c.decode(p.inner_codec, p.chunk_size, c.raw_len, &mut out).unwrap();
-                        out
-                    })
-                    .collect();
+                let mut raw = Vec::new();
                 if let Some((a, b)) = *window {
                     assert_eq!((p.raw_len, p.chunk_size), (big.len() as u64, 4096));
+                    for c in &p.chunks {
+                        c.decode(p.inner_codec, c.raw_len, &mut raw).unwrap();
+                    }
                     let lo = p.chunks[0].offset as usize;
-                    assert_eq!(raw.concat()[a - lo..b - lo], big[a..b]);
+                    assert_eq!(raw[a - lo..b - lo], big[a..b]);
                 } else {
                     // The served tier prefix decodes to a usable approximation.
-                    let refs: Vec<&[u8]> = raw.iter().map(Vec::as_slice).collect();
-                    let approx =
-                        fanstore_compress::progressive::decode_prefix(&refs, p.raw_len as usize);
-                    assert_eq!(approx.unwrap().len() as u64, p.raw_len);
+                    let tiers = p.chunks.iter().map(PartialChunk::verified);
+                    crate::pack::decode_tiers(tiers, p.raw_len, &mut raw).unwrap();
+                    assert_eq!(raw.len() as u64, p.raw_len);
                 }
             }
             (Err(FsError::NotFound(_)), Want::NotFound) => {}
@@ -1158,8 +1143,9 @@ mod tests {
                     other => panic!("expected a whole entry, got {other:?}"),
                 };
                 assert_eq!(stat.owner_rank, 1, "owner stays the pusher");
-                let plain =
-                    decompress_object(codec, data, stat.size as usize, "ckpt/seg0").unwrap();
+                let mut plain = Vec::new();
+                decompress_object_into(codec, data, stat.size as usize, "ckpt/seg0", &mut plain)
+                    .unwrap();
                 assert_eq!(plain, vec![0xABu8; 128]);
                 // Unlink removes it; a second unlink reports NOT_FOUND.
                 let r = service.rpc(0, tags::UNLINK, b"ckpt/seg0".to_vec()).unwrap();

@@ -101,7 +101,7 @@ impl LocalObject {
         let idxs = match (table.kind, spec.range) {
             (ChunkKind::Progressive, None) => table.tiers_up_to(spec.min_tier),
             (ChunkKind::Range, Some((start, end))) if start < end && end <= table.raw_len => {
-                table.covering(start, end)?
+                table.covering(start, end)
             }
             (ChunkKind::Range, Some((start, end))) => {
                 return Err(FsError::BadRange(format!("[{start}, {end}) of {}", table.raw_len)))
@@ -356,14 +356,8 @@ impl NodeState {
         self.meta.write().merge_encoded(buf)
     }
 
-    /// Pool-backed [`decompress_object`] plus decode metrics: per-codec
-    /// (`codec.<name>.decode_us`, `codec.<name>.decode_bytes`) and
-    /// node-wide (`client.decompress.bytes`, `client.decompress.mb_per_s`).
-    ///
-    /// The output buffer comes from [`NodeState::pool`]; in a warm steady
-    /// state this call performs no allocation. The buffer flows back to
-    /// the pool via cache eviction ([`crate::cache::FileCache`] recycling)
-    /// or [`crate::client::FsClient::recycle`].
+    /// Pool-backed [`decompress_object_into`] plus decode metrics, through
+    /// [`NodeState::decode_timed`].
     pub fn decompress_timed(
         &self,
         codec: CodecId,
@@ -376,27 +370,18 @@ impl NodeState {
         })
     }
 
-    /// [`NodeState::decompress_timed`] for one chunk of a PARTIAL answer:
-    /// its first `want` raw bytes ([`PartialChunk::decode`]), recorded
-    /// under the answer's `inner` codec. The pooled buffer is sized for
-    /// the chunk's whole `raw_len`, which the decode's last sequence may
-    /// reach, so the caller bounds `raw_len` first
-    /// ([`crate::daemon::PartialReply::check_extent`]).
-    pub fn decode_chunk_timed(
-        &self,
-        chunk: &PartialChunk<'_>,
-        inner: CodecId,
-        chunk_size: u32,
-        want: u32,
-    ) -> Result<Vec<u8>, FsError> {
-        self.decode_timed(inner, chunk.raw_len as usize, |out| {
-            chunk.decode(inner, chunk_size, want, out)
-        })
-    }
-
     /// The one timed decode: `decode` fills a pooled buffer with room for
-    /// `capacity` bytes, and the bytes it produced count under `codec`.
-    fn decode_timed(
+    /// `capacity` bytes, and the bytes it produced count under `codec` —
+    /// per codec (`codec.<name>.decode_us`, `codec.<name>.decode_bytes`)
+    /// and node-wide (`client.decompress.bytes`,
+    /// `client.decompress.mb_per_s`). `capacity` sizes an allocation, so it
+    /// is a length the caller has bounded by the file.
+    ///
+    /// In a warm steady state this call performs no allocation. The buffer
+    /// flows back to the pool via cache eviction
+    /// ([`crate::cache::FileCache`] recycling) or
+    /// [`crate::client::FsClient::recycle`].
+    pub fn decode_timed(
         &self,
         codec: CodecId,
         capacity: usize,
@@ -519,35 +504,12 @@ impl NodeState {
     }
 }
 
-/// Decompress a compressed object payload (shared by the local path and
-/// the remote-fetch path). Payloads marked [`crate::pack::CHUNKED`] are
-/// FCHK containers and decode through the chunk table, so every existing
-/// read path is transparently chunk-aware.
-pub fn decompress_object(
-    codec: CodecId,
-    data: &[u8],
-    expected_len: usize,
-    path: &str,
-) -> Result<Vec<u8>, FsError> {
-    if codec == crate::pack::CHUNKED {
-        let plain = crate::pack::decode_chunked(data)
-            .map_err(|e| FsError::Corrupt(format!("{path}: {e}")))?;
-        if plain.len() != expected_len {
-            return Err(FsError::Corrupt(format!(
-                "{path}: chunked length mismatch: expected {expected_len}, got {}",
-                plain.len()
-            )));
-        }
-        return Ok(plain);
-    }
-    let codec = create(codec).map_err(|e| FsError::Corrupt(format!("{path}: {e}")))?;
-    fanstore_compress::decompress_to_vec(codec.as_ref(), data, expected_len)
-        .map_err(|e| FsError::Corrupt(format!("{path}: {e}")))
-}
-
-/// [`decompress_object`] into a caller-supplied (typically pooled)
-/// buffer. The buffer is cleared first; on success it holds exactly
-/// `expected_len` bytes.
+/// Decode a stored object payload into a caller-supplied (typically
+/// pooled) buffer: the one whole-object decode, shared by every read
+/// path. The buffer is cleared first; on success it holds exactly
+/// `expected_len` bytes. Payloads marked [`crate::pack::CHUNKED`] are FCHK
+/// containers and decode through [`crate::pack::decode_container`], so
+/// every read path is transparently chunk-aware.
 pub fn decompress_object_into(
     codec: CodecId,
     data: &[u8],
@@ -555,15 +517,13 @@ pub fn decompress_object_into(
     path: &str,
     out: &mut Vec<u8>,
 ) -> Result<(), FsError> {
-    if codec == crate::pack::CHUNKED {
-        let plain = decompress_object(codec, data, expected_len, path)?;
-        out.clear();
-        out.extend_from_slice(&plain);
-        return Ok(());
+    if codec == CHUNKED {
+        return crate::pack::decode_container(data, expected_len, TIER_FULL, out)
+            .map_err(|e| FsError::Corrupt(format!("{path}: {e}")));
     }
-    let codec = create(codec).map_err(|e| FsError::Corrupt(format!("{path}: {e}")))?;
-    fanstore_compress::decompress_into(codec.as_ref(), data, expected_len, out)
-        .map_err(|e| FsError::Corrupt(format!("{path}: {e}")))
+    let corrupt = |e: fanstore_compress::CodecError| FsError::Corrupt(format!("{path}: {e}"));
+    let codec = create(codec).map_err(corrupt)?;
+    fanstore_compress::decompress_into(codec.as_ref(), data, expected_len, out).map_err(corrupt)
 }
 
 #[cfg(test)]

@@ -260,23 +260,14 @@ impl ChunkTable {
         table_end + self.chunks[..idx].iter().map(|c| c.stored_len as usize).sum::<usize>()
     }
 
-    /// Indices of the range chunks covering raw bytes `[start, end)`.
-    /// Meaningful for [`ChunkKind::Range`] containers; chunks are stored
-    /// in offset order so the result is a contiguous run. The rows come
-    /// from a stored partition: one whose extent overflows `u64` is
-    /// [`FsError::Corrupt`], never a panic or a wrapped comparison.
-    pub fn covering(&self, start: u64, end: u64) -> Result<Vec<usize>, FsError> {
-        let mut idxs = Vec::new();
-        for (i, c) in self.chunks.iter().enumerate() {
-            let c_end = c
-                .offset
-                .checked_add(u64::from(c.raw_len))
-                .ok_or_else(|| FsError::Corrupt(format!("chunk {i} extent overflows")))?;
-            if c.offset < end && c_end > start {
-                idxs.push(i);
-            }
-        }
-        Ok(idxs)
+    /// Indices of the range chunks covering raw bytes `[start, end)`, a
+    /// window inside the file. The table tiles the file
+    /// ([`parse_chunk_table`]), so chunk *i* starts at `i × chunk_size` and
+    /// the run is arithmetic.
+    pub fn covering(&self, start: u64, end: u64) -> Vec<usize> {
+        let size = u64::from(self.chunk_size.max(1));
+        let last = end.div_ceil(size).min(self.chunks.len() as u64);
+        (start / size..last).map(|i| i as usize).collect()
     }
 
     /// Indices of the progressive tiers with `tier <= min_tier`, i.e. the
@@ -369,12 +360,43 @@ pub fn build_progressive(data: &[u8], tiers: u8) -> Vec<u8> {
     encode_container(&table, &payloads)
 }
 
+/// The one FCHK geometry rule: whether `row` is row `idx` of a `kind`
+/// table over a file of `len` raw bytes in `chunk_size` chunks. A range
+/// row is tier 0 and covers `[idx × chunk_size, +min(chunk_size, rest))`
+/// of the file, so `ceil(len / chunk_size)` rows that pass tile
+/// `[0, len)`; a progressive row is tier `idx` of the whole file, at
+/// offset 0, stored as it is (its `raw_len` is its `stored_len`).
+/// [`parse_chunk_table`] holds every stored row to it, and
+/// `PartialReply::check_extent` every chunk a peer sends.
+pub(crate) fn row_fits(
+    kind: ChunkKind,
+    chunk_size: u32,
+    len: u64,
+    idx: usize,
+    row: &ChunkMeta,
+) -> bool {
+    match kind {
+        ChunkKind::Range => (idx as u64).checked_mul(u64::from(chunk_size)).is_some_and(|at| {
+            let rest = len.saturating_sub(at);
+            row.tier == 0
+                && row.offset == at
+                && rest > 0
+                && u64::from(row.raw_len) == rest.min(u64::from(chunk_size))
+        }),
+        ChunkKind::Progressive => {
+            row.offset == 0 && usize::from(row.tier) == idx && row.raw_len == row.stored_len
+        }
+    }
+}
+
 /// Parse an FCHK container's header and chunk table (payloads stay in
 /// place; use [`ChunkTable::payload_offset`] to slice them). Nothing is
-/// returned unless the table CRC holds and every payload the rows name
-/// lies inside `data`. A range container's `raw_len` must be the sum of
-/// its rows': anyone can compute the table CRC, and the decoders size
-/// their output by that field.
+/// returned unless the table CRC holds, every payload the rows name lies
+/// inside `data` and the rows obey `row_fits`: a range table has
+/// `ceil(raw_len / chunk_size)` rows (`chunk_size > 0` if it has any) and
+/// tiles `[0, raw_len)`, a progressive one holds tier *i* at row *i*.
+/// Anyone can compute the table CRC, so this is the proof every consumer
+/// of a [`ChunkTable`] relies on.
 pub fn parse_chunk_table(data: &[u8]) -> Result<ChunkTable, FsError> {
     let parse = || -> Result<ChunkTable, Malformed> {
         let mut r = Reader::new(data);
@@ -391,7 +413,6 @@ pub fn parse_chunk_table(data: &[u8]) -> Result<ChunkTable, FsError> {
         let count = r.count(CHUNK_ROW)?;
         let mut chunks = Vec::with_capacity(count);
         let mut payload_bytes = 0usize;
-        let mut rows_raw = 0u64;
         for _ in 0..count {
             let row = ChunkMeta {
                 offset: r.u64()?,
@@ -401,12 +422,15 @@ pub fn parse_chunk_table(data: &[u8]) -> Result<ChunkTable, FsError> {
                 tier: r.u8()?,
             };
             payload_bytes = payload_bytes.saturating_add(row.stored_len as usize);
-            rows_raw = rows_raw.saturating_add(u64::from(row.raw_len));
             chunks.push(row);
         }
         r.trailing_crc()?;
-        if kind == ChunkKind::Range && rows_raw != raw_len {
-            return Err(r.fail("raw_len is not the sum of its chunks"));
+        let rows = raw_len.div_ceil(u64::from(chunk_size.max(1)));
+        let counted = kind == ChunkKind::Progressive
+            || (count as u64 == rows && (chunk_size > 0 || count == 0));
+        let fits = |(i, c)| row_fits(kind, chunk_size, raw_len, i, c);
+        if !counted || !chunks.iter().enumerate().all(fits) {
+            return Err(r.fail("chunk rows do not tile the file"));
         }
         r.bytes(payload_bytes)?;
         Ok(ChunkTable { kind, inner_codec, chunk_size, raw_len, chunks })
@@ -434,42 +458,37 @@ pub fn chunk_payload<'a>(
     table: &ChunkTable,
     idx: usize,
 ) -> Result<&'a [u8], FsError> {
-    let payload = chunk_stored(data, table, idx)?;
-    if crc32(payload) != table.chunks[idx].crc32 {
-        return Err(FsError::Corrupt(format!("chunk {idx} checksum mismatch")));
-    }
-    Ok(payload)
+    verified(idx, &table.chunks[idx], chunk_stored(data, table, idx)?)
+}
+
+/// `stored` as chunk `idx`'s payload, once it matches the row's CRC.
+fn verified<'a>(idx: usize, row: &ChunkMeta, stored: &'a [u8]) -> Result<&'a [u8], FsError> {
+    let mismatch = || FsError::Corrupt(format!("chunk {idx} checksum mismatch"));
+    (crc32(stored) == row.crc32).then_some(stored).ok_or_else(mismatch)
 }
 
 /// Decode one *range* chunk's stored payload to its raw bytes.
 pub fn decode_chunk(table: &ChunkTable, idx: usize, payload: &[u8]) -> Result<Vec<u8>, FsError> {
     let (raw_len, mut out) = (table.chunks[idx].raw_len, Vec::new());
-    decode_stored(table.inner_codec, idx, payload, raw_len, table.chunk_size, raw_len, &mut out)?;
-    Ok(out)
+    decode_stored(table.inner_codec, idx, payload, raw_len, raw_len, &mut out).map(|()| out)
 }
 
-/// Decode the first `want` raw bytes (at most `raw_len`) of range chunk
-/// `idx`'s stored bytes into `out`, which is cleared first: raw when they
-/// are already `raw_len` long (the store-if-bigger fallback), else
-/// `inner`-compressed. `raw_len` comes from an FCHK row or a peer's
-/// PARTIAL frame and sizes the output, so one beyond the nominal
-/// `chunk_size` — more than any range chunk covers — is
-/// [`FsError::Corrupt`] before anything is allocated.
+/// Append the first `want` raw bytes (at most `raw_len`) of range chunk
+/// `idx`'s stored bytes to `out`: raw when they are already `raw_len`
+/// long (the store-if-bigger fallback), else `inner`-compressed.
+/// `raw_len` sizes the reservation, so it comes from a proven
+/// [`ChunkTable`] row or a PARTIAL chunk that passed
+/// `PartialReply::check_extent`.
 pub(crate) fn decode_stored(
     inner: CodecId,
     idx: usize,
     stored: &[u8],
     raw_len: u32,
-    chunk_size: u32,
     want: u32,
     out: &mut Vec<u8>,
 ) -> Result<(), FsError> {
     let codec = if stored.len() == raw_len as usize {
         CodecId::new(fanstore_compress::CodecFamily::Store, 0)
-    } else if raw_len > chunk_size {
-        return Err(FsError::Corrupt(format!(
-            "chunk {idx}: raw_len {raw_len} exceeds the chunk size {chunk_size}"
-        )));
     } else {
         inner
     };
@@ -480,36 +499,55 @@ pub(crate) fn decode_stored(
         .map_err(corrupt)
 }
 
-/// Decode a whole FCHK container back to the raw file bytes.
-pub fn decode_chunked(data: &[u8]) -> Result<Vec<u8>, FsError> {
-    decode_progressive_prefix(data, TIER_FULL)
+/// Append the approximation a prefix of verified progressive tiers gives
+/// of a file of `raw_len` bytes to `out` (every tier: bit-exact).
+pub fn decode_tiers<'a>(
+    tiers: impl Iterator<Item = Result<&'a [u8], FsError>>,
+    raw_len: u64,
+    out: &mut Vec<u8>,
+) -> Result<(), FsError> {
+    let tiers: Vec<&[u8]> = tiers.collect::<Result<_, _>>()?;
+    progressive::decode_prefix(&tiers, raw_len as usize, out)
+        .map_err(|e| FsError::Corrupt(format!("progressive decode: {e}")))
 }
 
-/// Decode an FCHK container: a range container to its raw bytes, a
-/// progressive one to the approximation its tiers up to `min_tier` give
-/// ([`TIER_FULL`]: every tier, bit-exact).
-pub fn decode_progressive_prefix(data: &[u8], min_tier: u8) -> Result<Vec<u8>, FsError> {
+/// The one whole-container decode, behind
+/// [`crate::node::decompress_object_into`]: an FCHK container of a file of
+/// `expected_len` raw bytes into `out`, which is cleared first. A range
+/// container decodes to its bytes, each chunk CRC-checked and appended
+/// behind the one before (the table tiles the file, so nothing is placed
+/// or zero-filled); a progressive one to the approximation its tiers up
+/// to `min_tier` give ([`TIER_FULL`]: every tier, bit-exact). A table
+/// whose `raw_len` is not `expected_len` is [`FsError::Corrupt`] before
+/// anything is reserved.
+pub fn decode_container(
+    data: &[u8],
+    expected_len: usize,
+    min_tier: u8,
+    out: &mut Vec<u8>,
+) -> Result<(), FsError> {
     let table = parse_chunk_table(data)?;
+    if table.raw_len != expected_len as u64 {
+        let raw_len = table.raw_len;
+        return Err(FsError::Corrupt(format!("FCHK raw_len {raw_len} of a {expected_len} B file")));
+    }
+    out.clear();
+    // The parse proved the payloads lie back to back inside `data`.
+    let mut at = table.payload_offset(0);
+    let payloads = table.chunks.iter().enumerate().map(|(idx, row)| {
+        let stored = &data[at..at + row.stored_len as usize];
+        at += stored.len();
+        verified(idx, row, stored)
+    });
     if table.kind == ChunkKind::Progressive {
-        let payloads: Result<Vec<&[u8]>, FsError> =
-            table.tiers_up_to(min_tier).iter().map(|&i| chunk_payload(data, &table, i)).collect();
-        return progressive::decode_prefix(&payloads?, table.raw_len as usize)
-            .map_err(|e| FsError::Corrupt(format!("progressive decode: {e}")));
+        let tiers = payloads.take(table.tiers_up_to(min_tier).len());
+        return decode_tiers(tiers, table.raw_len, out);
     }
-    let mut out = vec![0u8; table.raw_len as usize];
-    for (idx, c) in table.chunks.iter().enumerate() {
-        let raw = decode_chunk(&table, idx, chunk_payload(data, &table, idx)?)?;
-        // The row passed the table CRC but is still untrusted:
-        // `offset + raw_len` is checked, not computed.
-        let dst = usize::try_from(c.offset)
-            .ok()
-            .and_then(|at| out.get_mut(at..at.checked_add(raw.len())?));
-        match dst {
-            Some(dst) if raw.len() == c.raw_len as usize => dst.copy_from_slice(&raw),
-            _ => return Err(FsError::Corrupt(format!("chunk {idx} extent out of range"))),
-        }
+    out.reserve(expected_len.saturating_add(fanstore_compress::copy::WILD_SLACK));
+    for ((idx, c), stored) in table.chunks.iter().enumerate().zip(payloads) {
+        decode_stored(table.inner_codec, idx, stored?, c.raw_len, c.raw_len, out)?;
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -598,6 +636,24 @@ mod tests {
         (0..n).map(|i| (i % 251) as u8).collect()
     }
 
+    /// What the one whole-container decode gives for a file of `len`
+    /// bytes at `min_tier`.
+    fn decode(packed: &[u8], len: usize, min_tier: u8) -> Result<Vec<u8>, FsError> {
+        let mut out = Vec::new();
+        decode_container(packed, len, min_tier, &mut out).map(|()| out)
+    }
+
+    /// `packed` with its table rewritten by `lie`, re-encoded over the same
+    /// payloads: a container whose every CRC holds.
+    fn relaid(packed: &[u8], lie: impl FnOnce(&mut ChunkTable)) -> Vec<u8> {
+        let mut table = parse_chunk_table(packed).expect("a built container parses");
+        let payloads: Vec<Vec<u8>> = (0..table.chunks.len())
+            .map(|i| chunk_stored(packed, &table, i).expect("in bounds").to_vec())
+            .collect();
+        lie(&mut table);
+        encode_container(&table, &payloads)
+    }
+
     #[test]
     fn chunked_sentinel_is_not_a_registry_codec() {
         assert!(CHUNKED.family().is_none());
@@ -610,7 +666,76 @@ mod tests {
             let data = sample(len);
             let packed = build_chunked(&data, chunk, codec());
             assert!(packed.starts_with(&CHUNK_MAGIC));
-            assert_eq!(decode_chunked(&packed).unwrap(), data, "len={len} chunk={chunk}");
+            assert_eq!(decode(&packed, len, TIER_FULL).unwrap(), data, "len={len} chunk={chunk}");
+        }
+    }
+
+    #[test]
+    fn every_inner_codec_decodes_chunk_after_chunk_into_one_buffer() {
+        let data = sample(1000);
+        for family in CodecFamily::ALL {
+            let valid = |&id: &CodecId| fanstore_compress::registry::create(id).is_ok();
+            let inner = (0..=9).map(|level| CodecId::new(family, level)).find(valid).unwrap();
+            let packed = build_chunked(&data, 96, inner);
+            assert_eq!(decode(&packed, data.len(), TIER_FULL).unwrap(), data, "{inner}");
+        }
+    }
+
+    #[test]
+    fn a_table_that_does_not_tile_its_file_is_corrupt_at_parse() {
+        let vals: Vec<u8> = (0..64u32).flat_map(|i| (i as f32).to_le_bytes()).collect();
+        let rows: [(&str, Vec<u8>); 8] = [
+            (
+                "chunk 1 of two at 100, not 150",
+                relaid(&build_chunked(&sample(300), 150, codec()), |t| {
+                    t.chunks[1].offset = 100;
+                }),
+            ),
+            (
+                "a gap: chunk 1 of three at 110",
+                relaid(&build_chunked(&sample(300), 100, codec()), |t| {
+                    t.chunks[1].offset = 110;
+                }),
+            ),
+            (
+                "a row count one short",
+                relaid(&build_chunked(&sample(300), 100, codec()), |t| {
+                    t.chunks.pop();
+                }),
+            ),
+            (
+                "chunk_size 0 with rows",
+                relaid(&build_chunked(&sample(300), 100, codec()), |t| {
+                    t.chunk_size = 0;
+                }),
+            ),
+            (
+                "a last row longer than the rest",
+                relaid(&build_chunked(&sample(300), 128, codec()), |t| {
+                    t.chunks[2].raw_len = 128;
+                }),
+            ),
+            (
+                "progressive tiers out of order",
+                relaid(&build_progressive(&vals, 3), |t| {
+                    (t.chunks[0].tier, t.chunks[1].tier) = (1, 0);
+                }),
+            ),
+            (
+                "a progressive tier off offset 0",
+                relaid(&build_progressive(&vals, 3), |t| {
+                    t.chunks[1].offset = 4;
+                }),
+            ),
+            (
+                "a progressive tier longer than it is stored",
+                relaid(&build_progressive(&vals, 3), |t| {
+                    t.chunks[2].raw_len += 1;
+                }),
+            ),
+        ];
+        for (row, packed) in rows {
+            assert!(matches!(parse_chunk_table(&packed), Err(FsError::Corrupt(_))), "{row}");
         }
     }
 
@@ -620,27 +745,26 @@ mod tests {
         let packed = build_chunked(&data, 100, codec());
         let table = parse_chunk_table(&packed).unwrap();
         assert_eq!(table.chunks.len(), 10);
-        assert_eq!(table.covering(0, 1).unwrap(), vec![0]);
-        assert_eq!(table.covering(250, 251).unwrap(), vec![2]);
-        assert_eq!(table.covering(250, 450).unwrap(), vec![2, 3, 4]);
-        assert_eq!(table.covering(999, 1000).unwrap(), vec![9]);
-        assert!(table.covering(1000, 1001).unwrap().is_empty());
+        assert_eq!(table.covering(0, 1), vec![0]);
+        assert_eq!(table.covering(250, 251), vec![2]);
+        assert_eq!(table.covering(250, 450), vec![2, 3, 4]);
+        assert_eq!(table.covering(999, 1000), vec![9]);
+        assert!(table.covering(1000, 1001).is_empty());
     }
 
     #[test]
     fn crafted_chunk_offset_is_corrupt_not_overflow() {
         // A row that passes the table CRC but claims offset u64::MAX - 1:
-        // its extent overflows u64. covering() must say Corrupt, not
-        // panic (debug) or wrap into a bogus match (release).
+        // its extent overflows u64. The parse must say Corrupt, not panic
+        // (debug) or wrap into a bogus match (release).
         let mut packed = build_chunked(&sample(1000), 100, codec());
         let row1 = CHUNK_HEADER + CHUNK_ROW; // the offset field leads the row
         packed[row1..row1 + 8].copy_from_slice(&(u64::MAX - 1).to_le_bytes());
         let table_end = CHUNK_HEADER + 10 * CHUNK_ROW;
         let crc = crc32(&packed[..table_end]);
         packed[table_end..table_end + 4].copy_from_slice(&crc.to_le_bytes());
-        let table = parse_chunk_table(&packed).expect("table CRC is correct");
-        assert!(matches!(table.covering(0, u64::MAX), Err(FsError::Corrupt(_))));
-        assert!(matches!(decode_chunked(&packed), Err(FsError::Corrupt(_))));
+        assert!(matches!(parse_chunk_table(&packed), Err(FsError::Corrupt(_))));
+        assert!(matches!(decode(&packed, 1000, TIER_FULL), Err(FsError::Corrupt(_))));
     }
 
     #[test]
@@ -651,13 +775,13 @@ mod tests {
         let table = parse_chunk_table(&packed).unwrap();
         assert_eq!(table.kind, ChunkKind::Progressive);
         assert_eq!(table.chunks.len(), 4);
-        assert_eq!(decode_chunked(&packed).unwrap(), vals);
-        let coarse = decode_progressive_prefix(&packed, 0).unwrap();
+        assert_eq!(decode(&packed, vals.len(), TIER_FULL).unwrap(), vals);
+        let coarse = decode(&packed, vals.len(), 0).unwrap();
         assert_eq!(coarse.len(), vals.len());
         let err0 = fanstore_compress::progressive::max_abs_error(&vals, &coarse);
         let err_full = fanstore_compress::progressive::max_abs_error(
             &vals,
-            &decode_progressive_prefix(&packed, TIER_FULL).unwrap(),
+            &decode(&packed, vals.len(), TIER_FULL).unwrap(),
         );
         assert!(err_full <= err0);
         assert_eq!(err_full, 0.0);
@@ -674,7 +798,7 @@ mod tests {
         // Neighbouring chunks are untouched.
         assert!(chunk_payload(&packed, &table, 2).is_ok());
         assert!(chunk_payload(&packed, &table, 4).is_ok());
-        assert!(decode_chunked(&packed).is_err());
+        assert!(decode(&packed, data.len(), TIER_FULL).is_err());
     }
 
     #[test]

@@ -39,6 +39,7 @@ use fanstore_compress::registry::create;
 use fanstore_compress::{CodecFamily, CodecId};
 
 use crate::framing::{Malformed, Reader};
+use crate::node::decompress_object_into;
 use crate::pack::{read_entry, PartitionBuilder, ENTRY_OVERHEAD};
 use crate::stat::FileStat;
 use crate::FsError;
@@ -95,7 +96,9 @@ impl SegRow {
     /// `offset` of the blob). The decoded length is checked against
     /// `raw_len` on every read.
     pub fn decode_value(&self, stored: &[u8]) -> Result<Vec<u8>, FsError> {
-        crate::node::decompress_object(self.codec, stored, self.raw_len, &self.path)
+        let mut value = Vec::new();
+        decompress_object_into(self.codec, stored, self.raw_len, &self.path, &mut value)?;
+        Ok(value)
     }
 
     /// [`SegRow::decode_value`] of stored bytes the caller owns: a

@@ -20,7 +20,9 @@
 //! range-chunked objects whose bytes pass every checksum yet lie — about
 //! their geometry, or in a chunk's stream past a window — to `read_range`
 //! on the rank that holds them and on one that fetches them, under the
-//! same allocation watch.
+//! same allocation watch; its twin, `whole_reads_size_no_buffer_past_the_file`,
+//! serves the lying geometries to `read_whole` and to the one
+//! whole-container decode.
 //!
 //! Decoders private to their module are reached through the public entry
 //! that calls them: PUT and GET_MANY requests are sent to a live daemon,
@@ -31,9 +33,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
+use fanstore_repro::compress::copy::WILD_SLACK;
 use fanstore_repro::compress::crc32::crc32;
 use fanstore_repro::compress::{compress_to_vec, registry, CodecFamily, CodecId};
 use fanstore_repro::mpi::{launch, Channel};
@@ -43,13 +46,14 @@ use fanstore_repro::store::ckpt::manifest::{Manifest, SegmentMeta};
 use fanstore_repro::store::cluster::{ClusterConfig, FanStore};
 use fanstore_repro::store::daemon::{
     decode_get_many_reply, encode_get_many_request, encode_put, serve, status, tags, GetManyItem,
-    GetManySpec,
+    GetManySpec, PartialChunk,
 };
 use fanstore_repro::store::meta::{encode_single, MetaEntry, MetaTable};
-use fanstore_repro::store::node::NodeState;
+use fanstore_repro::store::node::{decompress_object_into, LocalObject, NodeState};
 use fanstore_repro::store::pack::{
-    build_chunked, build_progressive, chunk_payload, decode_chunked, parse_chunk_table,
-    parse_partition, PartitionBuilder, CHUNKED, CHUNK_HEADER, CHUNK_ROW, ENTRY_OVERHEAD,
+    build_chunked, build_progressive, chunk_payload, decode_container, decode_tiers,
+    parse_chunk_table, parse_partition, ChunkKind, PartitionBuilder, CHUNKED, CHUNK_HEADER,
+    CHUNK_ROW, ENTRY_OVERHEAD, TIER_FULL,
 };
 use fanstore_repro::store::stat::{FileStat, STAT_SIZE};
 use fanstore_repro::store::wal::segment::{build, index, parse_entries, parse_header};
@@ -260,6 +264,14 @@ fn floats(n: usize) -> Vec<u8> {
     (0..n).flat_map(|i| ((i as f32) * 0.25).to_le_bytes()).collect()
 }
 
+/// The one whole-container decode, for a file of `len` bytes.
+fn whole(len: usize) -> impl Fn(&[u8]) -> Result<Vec<u8>, FsError> {
+    move |buf| {
+        let mut out = Vec::new();
+        decode_container(buf, len, TIER_FULL, &mut out).map(|()| out)
+    }
+}
+
 /// The partition the daemon serves: one plain, one range-chunked and one
 /// progressive object, built by hand so the sample depends on nothing
 /// but the pack, FCHK and codec layouts.
@@ -414,6 +426,8 @@ fn rows<'a>(
     reply: Vec<u8>,
 ) -> Vec<Row<'a>> {
     let mut entries = parse_partition(partition).expect("sample parses");
+    // The served files' sizes, in the order the GET_MANY sample asks for them.
+    let sizes: Vec<u64> = entries.iter().map(|e| e.stat.size).collect();
     let model = entries.remove(2).data;
     let model_len = model.len();
     let fchk = entries.remove(1).data;
@@ -464,8 +478,8 @@ fn rows<'a>(
             ),
         },
         Row {
-            // The whole-container decoder sizes its output by the header's
-            // `raw_len`, which the table row above never looks at.
+            // The whole-container decode holds the header's `raw_len` to
+            // the file's length before it sizes its output.
             name: "FCHK decode",
             good: fchk,
             golden: GOLDEN_FCHK,
@@ -475,7 +489,7 @@ fn rows<'a>(
             strict: true,
             reseal: Some(reseal_fchk),
             allowed: at_rest,
-            decode: decoder(decode_chunked, |raw| vec![format!("{raw:?}")]),
+            decode: decoder(whole(300), |raw| vec![format!("{raw:?}")]),
         },
         Row {
             // A progressive container's `raw_len` sizes the tier decoder's
@@ -489,7 +503,7 @@ fn rows<'a>(
             strict: true,
             reseal: Some(reseal_fchk),
             allowed: at_rest,
-            decode: decoder(decode_chunked, |raw| vec![format!("{raw:?}")]),
+            decode: decoder(whole(64), |raw| vec![format!("{raw:?}")]),
         },
         Row {
             name: "meta table",
@@ -605,15 +619,23 @@ fn rows<'a>(
                     }
                     items
                         .into_iter()
-                        .map(|item| {
-                            // A PARTIAL chunk's `raw_len` sizes its decode and
+                        .enumerate()
+                        .map(|(j, item)| {
+                            // A PARTIAL answer's `raw_len`s size its decode and
                             // only the frame CRC, which anyone can reseal,
-                            // covers it: decode every chunk as a range read
-                            // does.
+                            // covers them: check and decode it as the read
+                            // that asked for it does (entry 1 a range read,
+                            // entry 2 a tier read), against the file's size.
                             if let Ok(GetManyItem::Partial(p)) = &item {
-                                for c in &p.chunks {
-                                    let want = c.raw_len;
-                                    c.decode(p.inner_codec, p.chunk_size, want, &mut Vec::new())?;
+                                if j == 1 {
+                                    p.check_extent(ChunkKind::Range, sizes[j])?;
+                                    for c in &p.chunks {
+                                        c.decode(p.inner_codec, c.raw_len, &mut Vec::new())?;
+                                    }
+                                } else {
+                                    p.check_extent(ChunkKind::Progressive, sizes[j])?;
+                                    let tiers = p.chunks.iter().map(PartialChunk::verified);
+                                    decode_tiers(tiers, p.raw_len, &mut Vec::new())?;
                                 }
                             }
                             item.map(|i| format!("{i:?}"))
@@ -850,12 +872,11 @@ fn row_field(row: usize, at: usize, width: usize) -> Range<usize> {
     start..start + width
 }
 
-#[test]
-fn range_reads_size_no_buffer_past_the_file() {
-    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+/// Push range containers of a 300 B ramp whose every checksum holds but
+/// whose tables do not tile the file: `h/lying.bin`, `h/overrun.bin`,
+/// `h/shifted.bin`, `h/gap.bin` and `h/overlap.bin`.
+fn push_lying_geometries(b: &mut PartitionBuilder) {
     let small = ramp(300);
-    let text: Vec<u8> = (0..4096u32).map(|i| (i / 3 % 251) as u8).collect();
-    let mut b = PartitionBuilder::new();
     // `chunk_size` and `raw_len` both claim 4 GiB; the file is 300 B.
     let huge = u32::MAX - 15;
     let lying = lying_fchk(&small, 300, |f| {
@@ -875,6 +896,24 @@ fn range_reads_size_no_buffer_past_the_file() {
         f[row_field(1, 0, 8)].copy_from_slice(&100u64.to_le_bytes());
     });
     b.push("h/shifted.bin", CHUNKED, &sample_stat(4, 300), &shifted);
+    // Chunk 1 of three claims bytes [110, 210): nothing covers [100, 110).
+    let gap = lying_fchk(&small, 100, |f| {
+        f[row_field(1, 0, 8)].copy_from_slice(&110u64.to_le_bytes());
+    });
+    b.push("h/gap.bin", CHUNKED, &sample_stat(5, 300), &gap);
+    // Chunk 2 of three claims bytes [150, 250), over chunk 1's.
+    let overlap = lying_fchk(&small, 100, |f| {
+        f[row_field(2, 0, 8)].copy_from_slice(&150u64.to_le_bytes());
+    });
+    b.push("h/overlap.bin", CHUNKED, &sample_stat(6, 300), &overlap);
+}
+
+#[test]
+fn range_reads_size_no_buffer_past_the_file() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let text: Vec<u8> = (0..4096u32).map(|i| (i / 3 % 251) as u8).collect();
+    let mut b = PartitionBuilder::new();
+    push_lying_geometries(&mut b);
     // One 4 KiB chunk whose stream is that of its first 3 KiB followed by
     // an offset of 0: a decode that reaches byte 3072 fails there.
     let damaged = lying_fchk(&text, 4096, |f| {
@@ -920,6 +959,86 @@ fn range_reads_size_no_buffer_past_the_file() {
         }
     }
     assert!(peak <= 1 << 20, "a 2-node run of small range reads allocated {peak} bytes at once");
+}
+
+/// The whole-path twin of `range_reads_size_no_buffer_past_the_file`: a
+/// whole read of a container whose table does not tile its file is
+/// `Corrupt` on the rank that holds it and on one that fetches it, and
+/// the one whole-container decode reserves nothing past the file.
+#[test]
+fn whole_reads_size_no_buffer_past_the_file() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let mut b = PartitionBuilder::new();
+    push_lying_geometries(&mut b);
+    let partition = b.finish();
+    let entries = parse_partition(&partition).expect("the partition parses");
+    for e in &entries {
+        let (size, mut out) = (e.stat.size as usize, Vec::new());
+        PEAK.store(0, Ordering::Relaxed);
+        let got = decompress_object_into(e.codec, &e.data, size, &e.path, &mut out);
+        let peak = PEAK.load(Ordering::Relaxed);
+        assert!(
+            matches!(got, Err(FsError::Corrupt(_))),
+            "{}: decoded {}: {got:?}",
+            e.path,
+            out.len()
+        );
+        assert!(
+            peak <= size + WILD_SLACK,
+            "{}: allocated {peak} bytes for a {size} B file",
+            e.path
+        );
+    }
+    let paths: Vec<&str> = entries.iter().map(|e| e.path.as_str()).collect();
+    PEAK.store(0, Ordering::Relaxed);
+    let cluster = ClusterConfig { nodes: 2, ..Default::default() };
+    let verdicts = FanStore::run(cluster, vec![partition], |fs| {
+        let corrupt = |path: &str| matches!(fs.read_whole(path), Err(FsError::Corrupt(_)));
+        paths.iter().map(|path| corrupt(path)).collect::<Vec<_>>()
+    });
+    let peak = PEAK.load(Ordering::Relaxed);
+    // Rank 0 holds the partition and reads it locally; rank 1 fetches.
+    for (rank, verdict) in verdicts.iter().enumerate() {
+        for (path, ok) in paths.iter().zip(verdict) {
+            assert!(ok, "rank {rank}: read_whole({path}) is not Corrupt");
+        }
+    }
+    assert!(peak <= 1 << 20, "a 2-node run of small whole reads allocated {peak} bytes at once");
+}
+
+/// A tier read holds a PARTIAL answer to the file's size from its own
+/// metadata, not to the stat the answer carries: an owner whose copy
+/// claims a 4 GiB file behind a 4 GiB FCHK `raw_len` (the owner seals the
+/// frame, so every CRC holds) is `Corrupt` on the rank that holds it and
+/// on one that fetches it, and nothing is sized by the lie.
+#[test]
+fn tier_reads_size_no_buffer_by_the_answers_stat() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let (path, vals) = ("h/tiers.f32", floats(64));
+    let mut b = PartitionBuilder::new();
+    b.push(path, CHUNKED, &sample_stat(7, vals.len() as u64), &build_progressive(&vals, 3));
+    let huge = u64::from(u32::MAX - 15);
+    let mut lying = build_progressive(&vals, 3);
+    lying[12..20].copy_from_slice(&huge.to_le_bytes());
+    reseal_fchk(&mut lying);
+    let lying = Arc::new(lying);
+    PEAK.store(0, Ordering::Relaxed);
+    let loaded = Barrier::new(2);
+    let cluster = ClusterConfig { nodes: 2, ..Default::default() };
+    let verdicts = FanStore::run(cluster, vec![b.finish()], |fs| {
+        if fs.rank() == 0 {
+            let obj = LocalObject::new(CHUNKED, sample_stat(7, huge), Arc::clone(&lying));
+            fs.state().local.write().insert(path.to_string(), obj);
+        }
+        loaded.wait();
+        fs.read_whole_tier(path, 0)
+    });
+    let peak = PEAK.load(Ordering::Relaxed);
+    // Rank 0 holds the lying copy and reads it locally; rank 1 fetches it.
+    for (rank, got) in verdicts.iter().enumerate() {
+        assert!(matches!(got, Err(FsError::Corrupt(_))), "rank {rank}: {got:?}");
+    }
+    assert!(peak <= 1 << 20, "a 2-node run of small tier reads allocated {peak} bytes at once");
 }
 
 // Captured at commit 1554774 (the parent of the `framing` module).

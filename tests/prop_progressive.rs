@@ -8,7 +8,14 @@ use fanstore_repro::compress::progressive::{
     decode_prefix, encode_tiers, max_abs_error, prefix_error_bound,
 };
 use fanstore_repro::compress::varint::{read_uvarint, write_uvarint};
+use fanstore_repro::compress::CodecError;
 use proptest::prelude::*;
+
+/// `decode_prefix` into a fresh buffer.
+fn decode(tiers: &[&[u8]], raw_len: usize) -> Result<Vec<u8>, CodecError> {
+    let mut out = Vec::new();
+    decode_prefix(tiers, raw_len, &mut out).map(|()| out)
+}
 
 /// Payloads the tiering must survive: arbitrary bytes (including lengths
 /// not divisible by 4), realistic float ramps, and degenerate lanes
@@ -50,7 +57,7 @@ proptest! {
         prop_assert_eq!(encoded.len(), tiers as usize);
         for k in 1..=encoded.len() {
             let prefix: Vec<&[u8]> = encoded[..k].iter().map(Vec::as_slice).collect();
-            let approx = decode_prefix(&prefix, data.len())
+            let approx = decode(&prefix, data.len())
                 .unwrap_or_else(|e| panic!("prefix {k}/{tiers} failed: {e}"));
             prop_assert_eq!(approx.len(), data.len(), "prefix {} length", k);
             if k == encoded.len() {
@@ -70,7 +77,7 @@ proptest! {
         let mut prev = f32::INFINITY;
         for k in 1..=encoded.len() {
             let prefix: Vec<&[u8]> = encoded[..k].iter().map(Vec::as_slice).collect();
-            let approx = decode_prefix(&prefix, data.len()).unwrap();
+            let approx = decode(&prefix, data.len()).unwrap();
             let err = max_abs_error(&data, &approx);
             prop_assert!(
                 err <= prev,
@@ -93,7 +100,7 @@ proptest! {
             for kept in 1..=tiers {
                 let prefix: Vec<&[u8]> =
                     encoded[..usize::from(kept)].iter().map(Vec::as_slice).collect();
-                let err = max_abs_error(&data, &decode_prefix(&prefix, data.len()).unwrap());
+                let err = max_abs_error(&data, &decode(&prefix, data.len()).unwrap());
                 let bound = prefix_error_bound(&data, tiers, kept);
                 prop_assert!(err <= bound, "{}/{} tiers: error {} > bound {}", kept, tiers, err, bound);
                 prop_assert!(bound <= prev, "{}/{} tiers: bound grew from {} to {}", kept, tiers, prev, bound);
@@ -118,7 +125,7 @@ proptest! {
             let b = (victim / 7) % encoded[t].len();
             encoded[t][b] ^= flip;
             let refs: Vec<&[u8]> = encoded.iter().map(Vec::as_slice).collect();
-            let _ = decode_prefix(&refs, data.len()); // must not panic
+            let _ = decode(&refs, data.len()); // must not panic
         }
     }
 
@@ -144,6 +151,6 @@ proptest! {
         forged.extend_from_slice(&encoded[t][at..]);
         encoded[t] = forged;
         let refs: Vec<&[u8]> = encoded[..=t].iter().map(Vec::as_slice).collect();
-        prop_assert!(decode_prefix(&refs, data.len()).is_err());
+        prop_assert!(decode(&refs, data.len()).is_err());
     }
 }

@@ -356,3 +356,38 @@ fn a_window_decodes_from_its_first_chunk_to_its_end_and_a_repeat_decodes_nothing
         windows.len()
     );
 }
+
+/// A tier read's decode is the node's one timed decode, as every other
+/// read's is: `client.decompress.bytes` and the `chunked` codec's
+/// `decode_bytes` grow by exactly the approximation's length, at every
+/// tier, on the rank that holds the tiers and on the rank that fetches
+/// them.
+#[test]
+fn a_tier_read_counts_exactly_the_bytes_it_returns() {
+    let path = "pr/tiers.f32";
+    let data: Vec<u8> =
+        (0..2048u32).flat_map(|i| ((i as f32) * 0.01).sin().to_le_bytes()).collect();
+    let cfg = PrepConfig { partitions: 1, progressive_tiers: 4, ..PrepConfig::default() };
+    let partitions = prepare(vec![(path.to_string(), data)], &cfg).partitions;
+    let cluster = ClusterConfig { nodes: 2, ..ClusterConfig::default() };
+    let counts = FanStore::run(cluster, partitions, |fs| {
+        let m = &fs.state().metrics;
+        let counted = || {
+            let names = ["client.decompress.bytes", "codec.chunked.decode_bytes"];
+            names.map(|name| m.counter(name).get())
+        };
+        (0..4u8)
+            .map(|tier| {
+                let before = counted();
+                let got = fs.read_whole_tier(path, tier).expect("tier read");
+                let after = counted();
+                (got.len() as u64, [after[0] - before[0], after[1] - before[1]])
+            })
+            .collect::<Vec<_>>()
+    });
+    for (rank, reads) in counts.iter().enumerate() {
+        for (tier, (len, added)) in reads.iter().enumerate() {
+            assert_eq!(*added, [*len, *len], "rank {rank}, tier {tier}: counted for {len} B");
+        }
+    }
+}

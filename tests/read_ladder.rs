@@ -13,7 +13,7 @@ use fanstore_repro::mpi::FaultPlan;
 use fanstore_repro::store::client::{FailoverConfig, FsClient};
 use fanstore_repro::store::cluster::{ClusterConfig, FanStore};
 use fanstore_repro::store::pack::{
-    decode_progressive_prefix, parse_chunk_table, parse_partition, PartitionBuilder,
+    decode_container, parse_chunk_table, parse_partition, PartitionBuilder,
 };
 use fanstore_repro::store::prep::{prepare, PrepConfig};
 use fanstore_repro::store::FsError;
@@ -163,7 +163,8 @@ fn ladder_counts(read: Read, scenario: Scenario) -> (Outcome, [u64; 2]) {
         let part = prepare(vec![(path.to_string(), data)], &cfg).partitions.remove(0);
         let entry = parse_partition(&part).expect("partition parses").remove(0);
         clean.push(&entry.path, entry.codec, &entry.stat, &entry.data);
-        tier0 = decode_progressive_prefix(&entry.data, 0).expect("tier 0 decodes");
+        let size = entry.stat.size as usize;
+        decode_container(&entry.data, size, 0, &mut tier0).expect("tier 0 decodes");
         let mut bad = entry.data.clone();
         let first = parse_chunk_table(&bad).expect("chunked entry").payload_offset(0);
         bad[first + 5] ^= 0x21;
