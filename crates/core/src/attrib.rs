@@ -17,8 +17,7 @@
 //! | 2        | `client.decompress`, `client.assemble` | `decode`    |
 //! | 1        | `fabric.rpc`                           | `network`   |
 //! | 0        | root client ops                        | `cache`     |
-//! | –        | none, after a retained root has ended  | `queue`     |
-//! | –        | none, anywhere else                    | residual    |
+//! | –        | none                                   | residual    |
 //!
 //! No stage maps to `admission`: it stays first in [`SEGMENTS`], always
 //! 0, because fsbench labels the segments by position.
@@ -32,12 +31,9 @@
 //! `network` is therefore RPC time *not* explained by the daemon's
 //! queue or service; `cache` is time inside the root client span not
 //! explained by any child (cache probes, placement math, local reads).
-//! Uncovered time after the root has ended is the loader hand-off: a
-//! batch's root `client.get_many` closes once its entries are fetched,
-//! and each entry's deferred `client.decompress` opens only when a
-//! prefetch worker takes it, so the wait between is charged to `queue`.
-//! Time no recognised span covers before the root ends, or anywhere in
-//! a request whose root the ring dropped, is the **residual**, reported
+//! Every read finishes inside its root, a batch's decodes included, so
+//! time no recognised span covers — outside the root, or anywhere in a
+//! request whose root the ring dropped — is the **residual**, reported
 //! explicitly rather than smeared into a category. The named segments
 //! plus the residual always sum to the wall time exactly, so
 //! `coverage()` honestly reports how much of the request the tracer
@@ -90,9 +86,7 @@ pub struct RequestAttribution {
     pub wall_us: u64,
     /// Microseconds per segment, indexed like [`SEGMENTS`].
     pub segments: [u64; 6],
-    /// Wall time covered by no span and not charged to the hand-off
-    /// `queue`: uncovered time before the root ends, or all uncovered
-    /// time when the root was not traced. Always
+    /// Wall time covered by no recognised span. Always
     /// `wall_us - segments.sum()`, never negative.
     pub residual_us: u64,
     /// Number of spans joined for this request.
@@ -151,13 +145,10 @@ fn attribute_one(request: u64, group: &[&SpanEvent]) -> RequestAttribution {
     }
     let (root_rank, root_stage) =
         root.map(|(s, _)| (s.rank, s.stage.clone())).unwrap_or((0, String::new()));
-    // Uncovered time after a retained root op has ended is a deferred
-    // child waiting for its consumer: the loader hand-off.
-    let handoff_from = root.filter(|(_, prio)| *prio == 0).map(|(s, _)| s.start_us + s.dur_us);
 
     // Priority sweep: charge every elementary inter-boundary slice to
     // the highest-priority covering span; uncovered slices go to the
-    // hand-off `queue` after the root ends, to the residual otherwise.
+    // residual.
     let mut intervals: Vec<(u64, u64, usize, u8)> = Vec::with_capacity(group.len());
     let mut points: Vec<u64> = Vec::with_capacity(group.len() * 2);
     for s in group {
@@ -180,7 +171,6 @@ fn attribute_one(request: u64, group: &[&SpanEvent]) -> RequestAttribution {
             .max_by_key(|(_, _, _, p)| *p);
         match best {
             Some((_, _, idx, _)) => segments[*idx] += hi - lo,
-            None if handoff_from.is_some_and(|end| lo >= end) => segments[1] += hi - lo,
             None => residual_us += hi - lo,
         }
     }
@@ -363,31 +353,6 @@ mod tests {
         assert_eq!(a.residual_us, 35, "gap 10..30 plus unknown 40..55");
         assert_eq!(a.segments.iter().sum::<u64>() + a.residual_us, a.wall_us);
         assert!(a.coverage() < 0.4);
-    }
-
-    #[test]
-    fn the_wait_after_a_root_ends_is_the_hand_off_queue() {
-        // root [0,100], deferred decodes [130,150] and [160,170]: the
-        // gaps 100..130 and 150..160 are hand-off waits, so queue 40,
-        // decode 30, cache 100 and nothing unexplained.
-        let root = span(5, 0, "client.get_many", 0, 100);
-        let decodes =
-            [span(5, 0, "client.decompress", 130, 20), span(5, 0, "client.decompress", 160, 10)];
-        let spans: Vec<SpanEvent> = std::iter::once(root).chain(decodes.clone()).collect();
-        let a = &attribute(&spans)[0];
-        assert_eq!(a.wall_us, 170);
-        assert_eq!(a.segment("queue"), 40);
-        assert_eq!(a.segment("decode"), 30);
-        assert_eq!(a.segment("cache"), 100);
-        assert_eq!(a.residual_us, 0);
-
-        // Without the root nothing marks where the hand-off starts: the
-        // gap between the decodes stays residual.
-        let a = &attribute(&decodes)[0];
-        assert_eq!(a.wall_us, 40);
-        assert_eq!(a.segment("queue"), 0);
-        assert_eq!(a.segment("decode"), 30);
-        assert_eq!(a.residual_us, 10);
     }
 
     #[test]

@@ -20,7 +20,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use fanstore_compress::CodecId;
 use mpi_sim::{CommError, RemoteSender, Tag};
 use parking_lot::Mutex;
 
@@ -265,36 +264,6 @@ impl ClientMetrics {
         self.posix_read.inc();
         self.posix_read_bytes.add(bytes);
     }
-}
-
-/// One entry produced by [`FsClient::fetch_many_raw`]: either already
-/// decompressed (a cache or write-store hit) or still compressed (this
-/// node's inputs, a remote daemon or the read-through copy). Finishing —
-/// decompression plus cache insertion — is deferred to
-/// [`FsClient::finish_read`] /
-/// [`FsClient::finish_entry`], which may run on a *different* thread;
-/// that is how the prefetch pipeline fans decompression out over its I/O
-/// workers instead of serialising it per file.
-///
-/// A `Ready` entry holds one cache open-count on the caller's behalf:
-/// pass it to `finish_read` (which releases it) or balance it with
-/// [`FsClient::release`]; dropping it on the floor pins the entry in the
-/// cache until it is purged.
-pub enum RawEntry {
-    /// Decompressed and resident in the cache, open-count held.
-    Ready(Arc<Vec<u8>>),
-    /// Compressed payload awaiting decompression and cache insertion.
-    Packed {
-        /// Codec of `bytes`.
-        codec: CodecId,
-        /// Uncompressed length.
-        size: usize,
-        /// The compressed bytes.
-        bytes: Arc<Vec<u8>>,
-        /// Batch request id, stamped into the decompress span (0 when
-        /// the batch was untraced).
-        request: u64,
-    },
 }
 
 /// A POSIX-style handle onto the FanStore namespace for one process (one
@@ -570,8 +539,9 @@ impl FsClient {
         replicas.filter(|&r| r != self.state.rank).nth(step)
     }
 
-    /// Install a whole-object answer in the cache — the file's own bytes
-    /// as they are, a packed payload once decompressed — holding one
+    /// The one whole finish, of every whole read: install a whole-object
+    /// answer in the cache — the file's own bytes as they are, a packed
+    /// payload once decoded ([`FsClient::decode_whole`]) — holding one
     /// open-count.
     fn cache_whole(
         &self,
@@ -580,16 +550,46 @@ impl FsClient {
         obj: Option<&LocalObject>,
         request: u64,
     ) -> Result<Arc<Vec<u8>>, FsError> {
+        let plain = match obj.and_then(LocalObject::plain_bytes) {
+            Some(plain) => Arc::clone(plain),
+            None => Arc::new(self.decode_whole(path, item, obj, request)?),
+        };
+        Ok(self.state.cache.insert(path, plain))
+    }
+
+    /// `path`'s size from this node's metadata. Every packed path a read
+    /// decodes has an entry: a partition's load records its inputs, and
+    /// the ladder asks a peer only for a path whose owner metadata names.
+    fn meta_size(&self, path: &str) -> Result<u64, FsError> {
+        let size = self.state.meta.read().get(path).map(|e| e.stat.size);
+        size.ok_or_else(|| FsError::NotFound(path.to_string()))
+    }
+
+    /// Decode a whole-object answer, sized by what this node knows of the
+    /// file, not by the stat the answer carries: this node's own plain
+    /// bytes by their length (a restart can leave an output file with no
+    /// metadata), anything else by its size from metadata. An answer that
+    /// disagrees is [`FsError::Corrupt`] (retryable on the next rung)
+    /// before anything is reserved.
+    fn decode_whole(
+        &self,
+        path: &str,
+        item: GetManyItem<'_>,
+        obj: Option<&LocalObject>,
+        request: u64,
+    ) -> Result<Vec<u8>, FsError> {
         let GetManyItem::Whole(codec, stat, data) = item else {
             return Err(FsError::Comm(format!("{path}: PARTIAL reply to a whole-file read")));
         };
-        let plain = match obj.and_then(LocalObject::plain_bytes) {
-            Some(plain) => Arc::clone(plain),
-            None => Arc::new(self.decompress_span(request, |s| {
-                s.decompress_timed(codec, data, stat.size as usize, path)
-            })?),
+        let size = match obj.and_then(LocalObject::plain_bytes) {
+            Some(plain) => plain.len() as u64,
+            None => self.meta_size(path)?,
         };
-        Ok(self.state.cache.insert(path, plain))
+        if stat.size != size {
+            let claim = stat.size;
+            return Err(FsError::Corrupt(format!("{path}: answer of {claim} B, file of {size} B")));
+        }
+        self.decompress_span(request, |s| s.decompress_timed(codec, data, size as usize, path))
     }
 
     /// Run one of the node's timed decodes ([`NodeState::decode_timed`]);
@@ -647,88 +647,55 @@ impl FsClient {
         }
     }
 
-    /// Batched fetch (the `GetMany` data path): probe the cache for every
+    /// Batched read (the `GetMany` data path): probe the cache for every
     /// path, then answer the misses on the one read path
-    /// ([`FsClient::answer_many`]): one GET_MANY per owner and ladder round.
-    /// Cache hits and output files come back `Ready`; packed entries, local
-    /// or remote, come back `Packed` so the caller can fan decompression
-    /// out over worker threads. Results align with `paths`. One request id
-    /// covers the batch: the `client.get_many` root span, a `fabric.rpc`
-    /// child per rpc and the deferred `client.decompress` children.
-    ///
-    /// A missing, corrupted or unreachable entry fails alone, counting what
-    /// [`FsClient::read_whole`] counts. Decode is deferred, so at-rest
-    /// chunk damage under a valid frame surfaces from
-    /// [`FsClient::finish_read`] as `Corrupt`, not failed over.
-    pub fn fetch_many_raw(&self, paths: &[String]) -> Vec<Result<RawEntry, FsError>> {
+    /// ([`FsClient::answer_many`]), one GET_MANY per owner and ladder
+    /// round, each answer decoded into the cache inside its round as a
+    /// single read's is; then read every entry to its end and close it.
+    /// Results align with `paths`; a missing, corrupted or unreachable
+    /// entry fails alone, after walking the ladder a single read walks,
+    /// while the rest of the batch still delivers. One request id covers
+    /// the batch: the `client.get_many` root span, a `fabric.rpc` child per
+    /// rpc and a `client.decompress` child per decode.
+    pub fn read_many(&self, paths: &[String]) -> Vec<Result<Vec<u8>, FsError>> {
         if paths.is_empty() {
             return Vec::new();
         }
         let latency = Some(&*self.metrics.get_many_latency);
-        let out = self.read_op("client.get_many", latency, |request| {
-            // Cache pass: a hit is `Ready`, open-count held, and counts as a
-            // local open; a miss stays empty for `answer_many`.
+        let got = self.read_op("client.get_many", latency, |request| {
+            // Cache pass: a hit holds an open-count and counts as a local
+            // open; a miss stays empty for `answer_many`.
             let mut out: Vec<_> = paths
                 .iter()
                 .map(|path| {
                     self.metrics.posix_open.inc();
                     let hit = self.state.cache.open(path)?;
                     self.state.stats.local_opens.inc();
-                    Some(Ok(RawEntry::Ready(hit)))
+                    Some(Ok(hit))
                 })
                 .collect();
             let specs: Vec<GetManySpec> = paths.iter().map(|p| GetManySpec::whole(p)).collect();
             self.answer_many(&specs, &mut out, request, |i, item, obj| {
-                let path = &paths[i];
-                if let Some(plain) = obj.and_then(LocalObject::plain_bytes) {
-                    return Ok(RawEntry::Ready(self.state.cache.insert(path, Arc::clone(plain))));
-                }
-                let GetManyItem::Whole(codec, stat, data) = item else {
-                    return Err(FsError::Comm(format!(
-                        "{path}: PARTIAL reply to a whole-file read"
-                    )));
-                };
-                // Packed for a worker to decode: a stored object's payload is
-                // shared, a reply's copied once.
-                let bytes = obj.map_or_else(|| Arc::new(data.to_vec()), |o| Arc::clone(&o.data));
-                Ok(RawEntry::Packed { codec, size: stat.size as usize, bytes, request })
+                self.cache_whole(&paths[i], item, obj, request)
             });
-            out.into_iter().map(|r| r.expect("answer_many answers every spec")).collect()
+            out
         });
         self.metrics.get_many_batches.inc();
         self.metrics.get_many_entries.add(paths.len() as u64);
         // Also for an all-local batch: writes move the fabric too.
         self.sync_fabric_gauges();
         self.sync_cache_gauges();
-        out
-    }
-
-    /// Finish one [`RawEntry`]: decompress a `Packed` entry (recording
-    /// the `client.decompress` span against its batch request) and insert
-    /// it into the cache. The returned buffer holds one cache open-count;
-    /// balance it with [`FsClient::release`].
-    pub fn finish_entry(&self, path: &str, entry: RawEntry) -> Result<Arc<Vec<u8>>, FsError> {
-        match entry {
-            RawEntry::Ready(data) => Ok(data),
-            RawEntry::Packed { codec, size, bytes, request } => {
-                let plain = self
-                    .decompress_span(request, |s| s.decompress_timed(codec, &bytes, size, path))?;
-                Ok(self.state.cache.insert(path, Arc::new(plain)))
-            }
-        }
-    }
-
-    /// Finish a [`RawEntry`] into owned bytes and release its cache
-    /// reference (the batched equivalent of [`FsClient::read_whole`]'s
-    /// read-to-end + close).
-    pub fn finish_read(&self, path: &str, entry: RawEntry) -> Result<Vec<u8>, FsError> {
-        let data = self.finish_entry(path, entry)?;
-        Ok(self.read_to_end_and_close(path, data))
+        let got = paths.iter().zip(got);
+        got.map(|(path, r)| {
+            let data = r.expect("answer_many answers every spec")?;
+            Ok(self.read_to_end_and_close(path, data))
+        })
+        .collect()
     }
 
     /// Read-to-end + close on an open cache reference, into owned bytes
     /// (the shared tail of [`FsClient::read_whole`] and
-    /// [`FsClient::finish_read`]).
+    /// [`FsClient::read_many`]).
     fn read_to_end_and_close(&self, path: &str, data: Arc<Vec<u8>>) -> Vec<u8> {
         self.metrics.count_read(data.len() as u64);
         self.state.cache.close(path);
@@ -746,27 +713,13 @@ impl FsClient {
         })
     }
 
-    /// Hand a buffer obtained from [`FsClient::finish_read`] /
+    /// Hand a buffer obtained from [`FsClient::read_whole`] /
     /// [`FsClient::read_many`] back to the node's scratch pool once its
     /// contents have been consumed. Optional — a dropped buffer is merely
     /// an allocation on the next decode — but a loop that recycles runs
     /// allocation-free at steady state (see the pool-stats test).
     pub fn recycle(&self, buf: Vec<u8>) {
         self.state.pool.put(buf);
-    }
-
-    /// Release the cache reference held by a finished entry (pairs with
-    /// [`FsClient::finish_entry`]).
-    pub fn release(&self, path: &str) {
-        self.state.cache.close(path);
-    }
-
-    /// Batched convenience read: [`FsClient::fetch_many_raw`] plus
-    /// in-place finishing. Results align with `paths`; a failed entry
-    /// carries its own error while the rest of the batch still delivers.
-    pub fn read_many(&self, paths: &[String]) -> Vec<Result<Vec<u8>, FsError>> {
-        let raw = self.fetch_many_raw(paths);
-        paths.iter().zip(raw).map(|(p, r)| r.and_then(|e| self.finish_read(p, e))).collect()
     }
 
     /// Refresh the cache gauges (`cache.*`, `cache.shard.*`) from the
@@ -1039,22 +992,19 @@ impl FsClient {
         self.metrics.count_read(0);
         self.read_op("client.get", None, |request| {
             let (spec, mut got) = ([GetManySpec::tiered(path, min_tier)], [None]);
-            self.answer_many(&spec, &mut got, request, |_, item, _| match item {
+            self.answer_many(&spec, &mut got, request, |_, item, obj| match item {
                 // Held to the file's size from metadata (every node loads a
                 // packed file's), not the peer's stat, then timed and
                 // counted like a whole read.
                 GetManyItem::Partial(p) => {
-                    let size = self.state.meta.read().stat(path).map(|s| s.size);
-                    let size = size.ok_or_else(|| FsError::NotFound(path.to_string()))?;
+                    let size = self.meta_size(path)?;
                     p.check_extent(ChunkKind::Progressive, size)?;
                     let tiers = p.chunks.iter().map(PartialChunk::verified);
                     self.decompress_span(request, |s| {
                         s.decode_timed(CHUNKED, size as usize, |out| decode_tiers(tiers, size, out))
                     })
                 }
-                GetManyItem::Whole(codec, stat, data) => self.decompress_span(request, |s| {
-                    s.decompress_timed(codec, data, stat.size as usize, path)
-                }),
+                whole => self.decode_whole(path, whole, obj, request),
             });
             got[0].take().expect("answer_many answers every spec")
         })

@@ -27,8 +27,8 @@ pub struct EpochConfig {
     pub checkpoint_bytes: usize,
     /// RNG seed (per-node shuffles derive from it and the rank).
     pub seed: u64,
-    /// Run each epoch through the prefetch pipeline (feeder → decode
-    /// workers → consumer) instead of the synchronous open/read/close
+    /// Run each epoch through the prefetch pipeline (I/O workers, each
+    /// reading a whole batch → consumer) instead of the synchronous open/read/close
     /// loop. The pipeline's `batch_size` is overridden with
     /// `batch_per_node` so iteration counting is identical either way.
     /// `None` = synchronous reads, the historical behaviour.
@@ -58,18 +58,14 @@ impl Default for EpochConfig {
 pub struct StallBreakdown {
     /// Consumer blocked on the ready queue (accelerator starved).
     pub ready_wait_us: u64,
-    /// Feeder blocked on a full work queue.
-    pub feed_wait_us: u64,
-    /// Decode workers idle with nothing fetched.
-    pub work_wait_us: u64,
-    /// Decode workers blocked handing off to a slow consumer.
+    /// I/O workers blocked handing off to a slow consumer.
     pub emit_wait_us: u64,
 }
 
 impl StallBreakdown {
     /// Total blocked time across every pipeline stage.
     pub fn total_us(&self) -> u64 {
-        self.ready_wait_us + self.feed_wait_us + self.work_wait_us + self.emit_wait_us
+        self.ready_wait_us + self.emit_wait_us
     }
 }
 
@@ -218,12 +214,7 @@ pub fn run_epoch_range(
     let wait = |stage: &str| {
         delta.histograms.get(&format!("train.stall.{stage}.wait_us")).map_or(0, |h| h.sum)
     };
-    let stalls = StallBreakdown {
-        ready_wait_us: wait("ready"),
-        feed_wait_us: wait("feed"),
-        work_wait_us: wait("work"),
-        emit_wait_us: wait("emit"),
-    };
+    let stalls = StallBreakdown { ready_wait_us: wait("ready"), emit_wait_us: wait("emit") };
 
     Ok(EpochReport {
         files_seen: files.len(),

@@ -73,8 +73,7 @@ fn root_retained(a: &RequestAttribution) -> bool {
 }
 
 /// Every request decomposes exactly, and one whose root was traced
-/// leaves nothing unexplained: time before the root ends is inside the
-/// root, time after it is the hand-off `queue`.
+/// leaves nothing unexplained: every read finishes inside its root.
 fn assert_exact_and_explained(attrs: &[RequestAttribution]) {
     for a in attrs {
         // The decomposition is exact by construction: named segments
@@ -127,8 +126,8 @@ fn segments_sum_to_wall_and_cover_90_percent() {
 #[test]
 fn a_prefetched_epoch_is_attributed_without_residual() {
     // The prefetched training pipeline on a traced 2-rank cluster under
-    // a modelled 200 µs link delay: batch roots close before their
-    // entries are decoded, so every hand-off wait must land in `queue`.
+    // a modelled 200 µs link delay: each batch decodes its entries inside
+    // its root, so nothing of a batch is left unexplained.
     const FILES: usize = 16;
     let spec = DatasetSpec::scaled(DatasetKind::LanguageTxt, FILES, SEED);
     let files = (0..FILES).map(|i| (format!("train/f{i:03}.txt"), spec.generate(i))).collect();

@@ -964,14 +964,16 @@ fn range_reads_size_no_buffer_past_the_file() {
 /// The whole-path twin of `range_reads_size_no_buffer_past_the_file`: a
 /// whole read of a container whose table does not tile its file is
 /// `Corrupt` on the rank that holds it and on one that fetches it, and
-/// the one whole-container decode reserves nothing past the file.
+/// the one whole-container decode reserves nothing past the file. So is
+/// a whole read of a plain `lz4fast-1` file whose owner's copy claims a
+/// 4 GiB stat: a whole answer is sized by the reader's metadata, not by
+/// the stat it carries.
 #[test]
 fn whole_reads_size_no_buffer_past_the_file() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     let mut b = PartitionBuilder::new();
     push_lying_geometries(&mut b);
-    let partition = b.finish();
-    let entries = parse_partition(&partition).expect("the partition parses");
+    let entries = parse_partition(&b.finish()).expect("the partition parses");
     for e in &entries {
         let (size, mut out) = (e.stat.size as usize, Vec::new());
         PEAK.store(0, Ordering::Relaxed);
@@ -989,10 +991,26 @@ fn whole_reads_size_no_buffer_past_the_file() {
             e.path
         );
     }
-    let paths: Vec<&str> = entries.iter().map(|e| e.path.as_str()).collect();
+    // The same geometries, plus the 300 B file whose owner's copy is
+    // swapped for one claiming 4 GiB once the cluster has loaded.
+    let (stat_path, small) = ("h/stat.bin", ramp(300));
+    let codec = registry::create(lz4fast()).expect("lz4fast is registered");
+    let stream = Arc::new(compress_to_vec(codec.as_ref(), &small));
+    let mut b = PartitionBuilder::new();
+    push_lying_geometries(&mut b);
+    b.push(stat_path, lz4fast(), &sample_stat(8, 300), &stream);
+    let mut paths: Vec<&str> = entries.iter().map(|e| e.path.as_str()).collect();
+    paths.push(stat_path);
+    let huge = u64::from(u32::MAX - 15);
     PEAK.store(0, Ordering::Relaxed);
+    let loaded = Barrier::new(2);
     let cluster = ClusterConfig { nodes: 2, ..Default::default() };
-    let verdicts = FanStore::run(cluster, vec![partition], |fs| {
+    let verdicts = FanStore::run(cluster, vec![b.finish()], |fs| {
+        if fs.rank() == 0 {
+            let obj = LocalObject::new(lz4fast(), sample_stat(8, huge), Arc::clone(&stream));
+            fs.state().local.write().insert(stat_path.to_string(), obj);
+        }
+        loaded.wait();
         let corrupt = |path: &str| matches!(fs.read_whole(path), Err(FsError::Corrupt(_)));
         paths.iter().map(|path| corrupt(path)).collect::<Vec<_>>()
     });

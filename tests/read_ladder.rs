@@ -272,9 +272,12 @@ fn whole_range_and_tier_reads_share_one_ladder() {
 #[test]
 fn a_batch_of_one_reads_like_a_single_read() {
     // A one-entry `read_many` walks the one ladder: the same counters and
-    // messages as `read_whole` under every fault...
+    // messages as `read_whole` under every fault, at-rest chunk damage
+    // under a valid frame included, since a batch decodes each entry
+    // inside its round.
     for scenario in [
         Scenario::KillOwner,
+        Scenario::CorruptOwner,
         Scenario::ExhaustedBudget(1),
         Scenario::ExhaustedBudget(0),
         Scenario::ReadThrough,
@@ -282,14 +285,6 @@ fn a_batch_of_one_reads_like_a_single_read() {
         let whole = ladder_counts(Read::Whole, scenario);
         assert_eq!(ladder_counts(Read::Many, scenario), whole, "{scenario:?}");
     }
-    // ...but one: a batch defers decode to the caller (the prefetch
-    // workers), so at-rest chunk damage under a valid frame is not seen
-    // inside the round. The owner's answer is accepted, and its decode in
-    // `finish_read` fails `Corrupt`; nothing fails over. Decoding batch
-    // entries inside the round would serialize a one-I/O-thread prefetch
-    // pipeline's decodes, so this row is pinned, not fixed.
-    let got = ladder_run(Read::Many, Scenario::CorruptOwner);
-    assert_eq!(got, (Err("other"), [0, 0, 0, 0, 1, 1]), "corrupt owner copy");
 }
 
 #[test]
