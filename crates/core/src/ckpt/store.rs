@@ -164,8 +164,11 @@ impl CkptMetrics {
 pub struct CheckpointStore<'a> {
     fs: &'a FsClient,
     cfg: CkptConfig,
-    owner: usize,
     dir: String,
+    /// The owner's ring replicas other than this rank: where every object
+    /// is pushed and unlinked beside the local copy (none without
+    /// replication).
+    replicas: Vec<usize>,
     /// Previous generation's payload, the delta base for the next put
     /// (seeded by [`recover`](Self::recover) after a restart).
     last: Mutex<Option<(u64, Arc<Vec<u8>>)>>,
@@ -184,7 +187,13 @@ impl<'a> CheckpointStore<'a> {
     pub fn for_rank(fs: &'a FsClient, cfg: CkptConfig, owner: usize) -> CheckpointStore<'a> {
         let dir = format!("ckpt/{}/rank{owner}", cfg.tag);
         let m = CkptMetrics::resolve(fs);
-        CheckpointStore { fs, cfg, owner, dir, last: Mutex::new(None), m }
+        let replicas = if cfg.replicas == 0 || fs.nodes() < 2 {
+            Vec::new()
+        } else {
+            let ring = replicas_of(owner, fs.nodes(), cfg.replicas).into_iter();
+            ring.filter(|&r| r != fs.rank()).collect()
+        };
+        CheckpointStore { fs, cfg, dir, replicas, last: Mutex::new(None), m }
     }
 
     /// The lineage directory, `ckpt/<tag>/rank<owner>`.
@@ -350,14 +359,7 @@ impl<'a> CheckpointStore<'a> {
     /// Push one object to the owner's ring replicas; returns the number
     /// of failed pushes (non-fatal: the local copy already published).
     fn replicate(&self, path: &str, data: &[u8]) -> usize {
-        if self.cfg.replicas == 0 || self.fs.nodes() < 2 {
-            return 0;
-        }
-        replicas_of(self.owner, self.fs.nodes(), self.cfg.replicas)
-            .into_iter()
-            .filter(|&r| r != self.fs.rank())
-            .filter(|&r| self.fs.put_remote(r, path, data).is_err())
-            .count()
+        self.replicas.iter().filter(|&&r| self.fs.put_remote(r, path, data).is_err()).count()
     }
 
     /// Load the newest verifiable generation, skipping torn or corrupt
@@ -521,14 +523,6 @@ impl<'a> CheckpointStore<'a> {
             }
         }
         let removed: Vec<u64> = gens.iter().copied().filter(|g| !keep.contains(g)).collect();
-        let replicas: Vec<usize> = if self.cfg.replicas == 0 || self.fs.nodes() < 2 {
-            Vec::new()
-        } else {
-            replicas_of(self.owner, self.fs.nodes(), self.cfg.replicas)
-                .into_iter()
-                .filter(|&r| r != self.fs.rank())
-                .collect()
-        };
         for &g in &removed {
             // Enumerate segments from the directory, not the manifest, so
             // an unreadable manifest can't strand its segments.
@@ -541,13 +535,13 @@ impl<'a> CheckpointStore<'a> {
             }
             let mpath = self.manifest_path(g);
             let _ = self.fs.unlink(&mpath);
-            for &r in &replicas {
+            for &r in &self.replicas {
                 let _ = self.fs.unlink_remote(r, &mpath);
             }
             for name in seg_names {
                 let path = format!("{gen_dir}/{name}");
                 let _ = self.fs.unlink(&path);
-                for &r in &replicas {
+                for &r in &self.replicas {
                     let _ = self.fs.unlink_remote(r, &path);
                 }
             }

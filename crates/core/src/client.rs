@@ -135,10 +135,12 @@ fn assemble<'a>(
 }
 
 /// An entry of [`FsClient::answer_many`] on the replica ladder: its spec's
-/// index, its owner, and the error its last rung ended with.
+/// index, its owner and size from metadata, and the error its last rung
+/// ended with.
 struct Rung {
     slot: usize,
     owner: usize,
+    size: u64,
     last: Option<FsError>,
 }
 
@@ -409,8 +411,8 @@ impl FsClient {
                 return Ok(hit);
             }
             let (spec, mut got) = ([GetManySpec::whole(path)], [None]);
-            self.answer_many(&spec, &mut got, request, |_, item, obj| {
-                self.cache_whole(path, item, obj, request)
+            self.answer_many(&spec, &mut got, request, |_, item, obj, size| {
+                self.cache_whole(path, item, obj, size, request)
             });
             got[0].take().expect("answer_many answers every spec")
         })
@@ -424,17 +426,19 @@ impl FsClient {
     /// ([`FsClient::rung`]) with all its unanswered specs, under one seeded
     /// backoff per retry round and `retry_budget` in rounds — then the
     /// read-through copy. Every source is planned by
-    /// [`LocalObject::plan`]; `finish(i, item, obj)` turns the answer into
-    /// spec `i`'s result (`obj`: the stored object `item` borrows, `None`
-    /// for a reply) inside the round, so a payload that fails a CRC or its
-    /// decode poisons only its own entry, which rides the next round. A
-    /// rejected range is final: read-through cannot fix EINVAL.
+    /// [`LocalObject::plan`]; `finish(i, item, obj, size)` turns the answer
+    /// into spec `i`'s result (`obj`: the stored object `item` borrows,
+    /// `None` for a reply; `size`: the file's size from this node's
+    /// metadata, read once with its owner, which sizes every decode) inside
+    /// the round, so a payload that fails a CRC or its decode poisons only
+    /// its own entry, which rides the next round. A rejected range is
+    /// final: read-through cannot fix EINVAL.
     fn answer_many<T>(
         &self,
         specs: &[GetManySpec<'_>],
         out: &mut [Option<Result<T, FsError>>],
         request: u64,
-        mut finish: impl FnMut(usize, GetManyItem<'_>, Option<&LocalObject>) -> Result<T, FsError>,
+        mut finish: impl FnMut(usize, GetManyItem<'_>, Option<&LocalObject>, u64) -> Result<T, FsError>,
     ) {
         let stats = &self.state.stats;
         let (mut ladder, mut fallen) = (Vec::new(), Vec::new());
@@ -442,16 +446,20 @@ impl FsClient {
             if out[i].is_some() {
                 continue;
             }
+            let placed = self.state.placement(spec.path);
             match self.state.lookup(spec.path) {
                 Ok(Some(obj)) => {
-                    let got = obj.plan(spec).and_then(|item| finish(i, item, Some(&obj)));
+                    // A write-store value metadata has no entry for is
+                    // sized by its raw length, which its stat carries.
+                    let size = placed.map_or(obj.stat.size, |(_, size)| size);
+                    let got = obj.plan(spec).and_then(|item| finish(i, item, Some(&obj), size));
                     if got.is_ok() {
                         stats.local_opens.inc();
                     }
                     out[i] = Some(got);
                 }
-                Ok(None) => match self.state.owner_of(spec.path) {
-                    Some(owner) => ladder.push(Rung { slot: i, owner, last: None }),
+                Ok(None) => match placed {
+                    Some((owner, size)) => ladder.push(Rung { slot: i, owner, size, last: None }),
                     None => out[i] = Some(Err(FsError::NotFound(spec.path.to_string()))),
                 },
                 Err(e) => out[i] = Some(Err(e)),
@@ -478,7 +486,7 @@ impl FsClient {
                         let path = specs[r.slot].path;
                         let last = r.last.take().unwrap_or_else(|| FsError::NotFound(path.into()));
                         out[r.slot] = Some(Err(last));
-                        fallen.push(r.slot);
+                        fallen.push((r.slot, r.size));
                     }
                     continue;
                 };
@@ -489,7 +497,7 @@ impl FsClient {
                 let wire: Vec<GetManySpec> = chunk.iter().map(|r| specs[r.slot]).collect();
                 self.get_many_rpc(&wire, to, request, |j, item| {
                     let r = &mut chunk[j];
-                    match item.and_then(|item| finish(r.slot, item, None)) {
+                    match item.and_then(|item| finish(r.slot, item, None, r.size)) {
                         // Retryable on the next rung: NotFound, Comm, Corrupt too.
                         Err(e) if !matches!(e, FsError::BadRange(_)) => {
                             if let FsError::Corrupt(_) = e {
@@ -514,11 +522,11 @@ impl FsClient {
         }
         // The last resort: the read-through copy of the paper's shared file
         // system, which holds every partition.
-        for i in fallen {
+        for (i, size) in fallen {
             let Some(obj) = self.read_through.as_ref().and_then(|c| c.get(specs[i].path)) else {
                 continue;
             };
-            let got = obj.plan(&specs[i]).and_then(|item| finish(i, item, Some(obj)));
+            let got = obj.plan(&specs[i]).and_then(|item| finish(i, item, Some(obj), size));
             if got.is_ok() {
                 stats.read_through_reads.inc();
                 stats.degraded_reads.inc();
@@ -540,50 +548,37 @@ impl FsClient {
     }
 
     /// The one whole finish, of every whole read: install a whole-object
-    /// answer in the cache — the file's own bytes as they are, a packed
-    /// payload once decoded ([`FsClient::decode_whole`]) — holding one
-    /// open-count.
+    /// answer in the cache — a write-store value stored raw as it is,
+    /// anything else once decoded ([`FsClient::decode_whole`]) — holding
+    /// one open-count.
     fn cache_whole(
         &self,
         path: &str,
         item: GetManyItem<'_>,
         obj: Option<&LocalObject>,
+        size: u64,
         request: u64,
     ) -> Result<Arc<Vec<u8>>, FsError> {
         let plain = match obj.and_then(LocalObject::plain_bytes) {
             Some(plain) => Arc::clone(plain),
-            None => Arc::new(self.decode_whole(path, item, obj, request)?),
+            None => Arc::new(self.decode_whole(path, item, size, request)?),
         };
         Ok(self.state.cache.insert(path, plain))
     }
 
-    /// `path`'s size from this node's metadata. Every packed path a read
-    /// decodes has an entry: a partition's load records its inputs, and
-    /// the ladder asks a peer only for a path whose owner metadata names.
-    fn meta_size(&self, path: &str) -> Result<u64, FsError> {
-        let size = self.state.meta.read().get(path).map(|e| e.stat.size);
-        size.ok_or_else(|| FsError::NotFound(path.to_string()))
-    }
-
-    /// Decode a whole-object answer, sized by what this node knows of the
-    /// file, not by the stat the answer carries: this node's own plain
-    /// bytes by their length (a restart can leave an output file with no
-    /// metadata), anything else by its size from metadata. An answer that
-    /// disagrees is [`FsError::Corrupt`] (retryable on the next rung)
+    /// Decode a whole-object answer, sized by `size` — the file's size from
+    /// this node's metadata — not by the stat the answer carries. An answer
+    /// that disagrees is [`FsError::Corrupt`] (retryable on the next rung)
     /// before anything is reserved.
     fn decode_whole(
         &self,
         path: &str,
         item: GetManyItem<'_>,
-        obj: Option<&LocalObject>,
+        size: u64,
         request: u64,
     ) -> Result<Vec<u8>, FsError> {
         let GetManyItem::Whole(codec, stat, data) = item else {
             return Err(FsError::Comm(format!("{path}: PARTIAL reply to a whole-file read")));
-        };
-        let size = match obj.and_then(LocalObject::plain_bytes) {
-            Some(plain) => plain.len() as u64,
-            None => self.meta_size(path)?,
         };
         if stat.size != size {
             let claim = stat.size;
@@ -675,8 +670,8 @@ impl FsClient {
                 })
                 .collect();
             let specs: Vec<GetManySpec> = paths.iter().map(|p| GetManySpec::whole(p)).collect();
-            self.answer_many(&specs, &mut out, request, |i, item, obj| {
-                self.cache_whole(&paths[i], item, obj, request)
+            self.answer_many(&specs, &mut out, request, |i, item, obj, size| {
+                self.cache_whole(&paths[i], item, obj, size, request)
             });
             out
         });
@@ -939,7 +934,7 @@ impl FsClient {
                 return Ok(hit);
             }
             let (spec, mut got) = ([GetManySpec::range(path, start, end)], [None]);
-            self.answer_many(&spec, &mut got, request, |_, item, obj| match item {
+            self.answer_many(&spec, &mut got, request, |_, item, obj, size| match item {
                 // The covering chunks, each decoded only as far as the
                 // window's end (an LZ4 stream decodes from its chunk's
                 // start, but nothing past `end` is needed): into the cache
@@ -971,7 +966,7 @@ impl FsClient {
                 // A whole-object answer: decode it all, cache it all, slice
                 // the window.
                 whole => {
-                    let shared = self.cache_whole(path, whole, obj, request)?;
+                    let shared = self.cache_whole(path, whole, obj, size, request)?;
                     let out = assemble([(0, &shared[..])], start, end);
                     self.state.cache.close(path);
                     out
@@ -992,19 +987,18 @@ impl FsClient {
         self.metrics.count_read(0);
         self.read_op("client.get", None, |request| {
             let (spec, mut got) = ([GetManySpec::tiered(path, min_tier)], [None]);
-            self.answer_many(&spec, &mut got, request, |_, item, obj| match item {
+            self.answer_many(&spec, &mut got, request, |_, item, _, size| match item {
                 // Held to the file's size from metadata (every node loads a
                 // packed file's), not the peer's stat, then timed and
                 // counted like a whole read.
                 GetManyItem::Partial(p) => {
-                    let size = self.meta_size(path)?;
                     p.check_extent(ChunkKind::Progressive, size)?;
                     let tiers = p.chunks.iter().map(PartialChunk::verified);
                     self.decompress_span(request, |s| {
                         s.decode_timed(CHUNKED, size as usize, |out| decode_tiers(tiers, size, out))
                     })
                 }
-                whole => self.decode_whole(path, whole, obj, request),
+                whole => self.decode_whole(path, whole, size, request),
             });
             got[0].take().expect("answer_many answers every spec")
         })

@@ -32,15 +32,15 @@ use crate::pack::{
     chunk_stored, parse_chunk_table, parse_partition, ChunkKind, ChunkMeta, CHUNKED, TIER_FULL,
 };
 use crate::stat::FileStat;
-use crate::wal::{RamMedia, WalConfig, WalStore};
+use crate::wal::segment::STORED_RAW;
+use crate::wal::{Lookup, RamMedia, WalConfig, WalStore};
 use crate::FsError;
 
-/// Codec of an output file's bytes: they are kept plain.
-const PLAIN: CodecId = CodecId::new(CodecFamily::Store, 0);
-
-/// One stored object on this node: a compressed input object held in RAM
-/// (the paper's default backend; its SSD backend is modelled by io-sim),
-/// or an output file's plain bytes.
+/// One stored object on this node, as it is stored: a compressed input
+/// object held in RAM (the paper's default backend; its SSD backend is
+/// modelled by io-sim), or an output the write store holds — raw while it
+/// sits in the memtable, compressed once a flush found that it shrinks.
+/// Whoever reads it decodes it ([`NodeState::decode_timed`]).
 ///
 /// A packed payload is immutable once stored, so its CRC-32 is computed
 /// once, by [`LocalObject::new`], and the daemon seals every whole-entry
@@ -58,8 +58,8 @@ pub struct LocalObject {
     /// every requester rejects as corrupt, which is how the read-ladder
     /// test models a bit flipped in memory after load.
     pub data: Arc<Vec<u8>>,
-    /// `None` for an output file's plain bytes ([`NodeState::lookup`]),
-    /// which are hashed when they are served.
+    /// `None` for a write-store value ([`NodeState::lookup`]), which is
+    /// hashed when it is served.
     data_crc: Option<u32>,
 }
 
@@ -70,16 +70,16 @@ impl LocalObject {
         LocalObject { codec, stat, data, data_crc }
     }
 
-    /// CRC-32 of `data` as it was when the object was created (plain
-    /// bytes: as they are now).
+    /// CRC-32 of `data` as it was when the object was created (a
+    /// write-store value: as it is now).
     pub fn data_crc(&self) -> u32 {
         self.data_crc.unwrap_or_else(|| crc32(&self.data))
     }
 
-    /// The file itself, when this object holds an output file's plain
-    /// bytes: they enter the cache as they are, with no decode-copy.
+    /// The file itself, when this object is a write-store value stored
+    /// raw: it enters the cache as it is, with no decode-copy.
     pub fn plain_bytes(&self) -> Option<&Arc<Vec<u8>>> {
-        self.data_crc.is_none().then_some(&self.data)
+        (self.data_crc.is_none() && self.codec == STORED_RAW).then_some(&self.data)
     }
 
     /// Which of this object's bytes answer `spec` — the one decision,
@@ -232,7 +232,7 @@ pub struct NodeState {
     /// Decompressed-file cache.
     pub cache: FileCache,
     /// The write store (see [`crate::wal`]): outputs finalised here and
-    /// replicas pushed here, plain, and the tombstones of unlinked ones.
+    /// replicas pushed here, and the tombstones of unlinked ones.
     /// A write lands in it before it is acknowledged. `Some` on every
     /// node (the constructors open one in memory; [`NodeState::attach_wal`]
     /// replaces it); node code reaches it through one private accessor.
@@ -343,12 +343,16 @@ impl NodeState {
         Ok(count)
     }
 
-    /// Serialise the metadata of the objects this node holds, for the
-    /// startup allgather.
+    /// Record and serialise the metadata of what this node holds, for the
+    /// startup allgather: its inputs, and each live value its write store
+    /// recovered, recorded as [`NodeState::finalize_write`] records an
+    /// output (a replica is then named by two ranks; each reads its own).
     pub fn encode_local_meta(&self) -> Vec<u8> {
-        // The local meta table at load time holds exactly the local
-        // objects' entries.
-        self.meta.read().encode()
+        let mut meta = self.meta.write();
+        for (path, len) in self.store().live() {
+            meta.insert(&path, output_entry(self.rank as u32, len as u64));
+        }
+        meta.encode()
     }
 
     /// Merge another node's metadata (from the allgather).
@@ -411,8 +415,14 @@ impl NodeState {
     /// serving rank here. Output files record an actual rank, which the
     /// modulo leaves unchanged.
     pub fn owner_of(&self, path: &str) -> Option<usize> {
+        self.placement(path).map(|(owner, _)| owner)
+    }
+
+    /// [`NodeState::owner_of`] and the file's size, from one read of the
+    /// metadata.
+    pub fn placement(&self, path: &str) -> Option<(usize, u64)> {
         let meta = self.meta.read();
-        meta.get(path).map(|e| e.stat.owner_rank as usize % self.size.max(1))
+        meta.get(path).map(|e| (e.stat.owner_rank as usize % self.size.max(1), e.stat.size))
     }
 
     /// Find `path`'s stored bytes on this node: the one lookup behind
@@ -420,17 +430,17 @@ impl NodeState {
     /// read, a batch's local pass). The order is fixed — the partition
     /// table, then the write store, which holds this life's writes,
     /// what a restart recovered and the tombstones that hide unlinked
-    /// files. An output file comes back as its plain bytes under its
-    /// recorded attributes, so a replica serving a pushed copy keeps the
-    /// true owner rank.
+    /// files. An output comes back as stored, under its recorded
+    /// attributes (a replica serving a pushed copy keeps the true owner
+    /// rank), or under its raw length where metadata has no entry.
     pub fn lookup(&self, path: &str) -> Result<Option<LocalObject>, FsError> {
         if let Some(obj) = self.local.read().get(path) {
             return Ok(Some(obj.clone()));
         }
-        let Some(data) = self.store().get(path)?.value() else { return Ok(None) };
+        let Lookup::Hit(codec, raw_len, data) = self.store().get(path)? else { return Ok(None) };
         let stat = self.meta.read().get(path).map(|e| e.stat);
-        let stat = stat.unwrap_or_else(|| FileStat::regular(0, data.len() as u64));
-        Ok(Some(LocalObject { codec: PLAIN, stat, data, data_crc: None }))
+        let stat = stat.unwrap_or_else(|| FileStat::regular(0, raw_len as u64));
+        Ok(Some(LocalObject { codec, stat, data, data_crc: None }))
     }
 
     /// Whether `path` is an input or an output this node holds — the
@@ -453,12 +463,10 @@ impl NodeState {
         {
             return Err(FsError::AlreadyExists(path.to_string()));
         }
-        let mut stat = FileStat::regular(0, len);
-        stat.owner_rank = self.rank as u32;
         self.stats.write_bytes.add(len);
         self.stats.files_written.inc();
         self.stats.write_count.inc();
-        let entry = MetaEntry { stat, codec: PLAIN };
+        let entry = output_entry(self.rank as u32, len);
         self.meta.write().insert(path, entry);
         Ok(entry)
     }
@@ -472,15 +480,13 @@ impl NodeState {
         let len = data.len() as u64;
         let replaced = self.store().contains(path);
         self.store().put(path, data)?;
-        let mut stat = FileStat::regular(0, len);
-        stat.owner_rank = owner;
         self.stats.write_count.inc();
         self.stats.write_bytes.add(len);
         if replaced {
             self.stats.write_overwrites.inc();
         }
         self.cache.purge(path);
-        self.meta.write().insert(path, MetaEntry { stat, codec: PLAIN });
+        self.meta.write().insert(path, output_entry(owner, len));
         Ok(())
     }
 
@@ -502,6 +508,13 @@ impl NodeState {
         self.cache.purge(path);
         Ok(had_write || had_meta)
     }
+}
+
+/// The metadata of an output `len` bytes long, owned by rank `owner`.
+fn output_entry(owner: u32, len: u64) -> MetaEntry {
+    let mut stat = FileStat::regular(0, len);
+    stat.owner_rank = owner;
+    MetaEntry { stat, codec: STORED_RAW }
 }
 
 /// Decode a stored object payload into a caller-supplied (typically
@@ -664,6 +677,34 @@ mod tests {
         assert!(matches!(again, Err(FsError::AlreadyExists(_))), "{again:?}");
         assert_eq!(read(&s, "out/recovered.bin").unwrap(), [5u8; 64], "acknowledged bytes stay");
         s.finalize_write("out/gone.bin", vec![2]).unwrap();
+    }
+
+    #[test]
+    fn a_restart_names_every_live_value_the_write_store_recovered() {
+        let registry = MetricsRegistry::new();
+        let media = crate::wal::RamMedia::new(Duration::ZERO);
+        let (wal, _) = WalStore::open(media, Default::default(), &registry).unwrap();
+        let flushed = b"a recovered output ".repeat(64);
+        wal.put("out/flushed.bin", flushed.clone()).unwrap();
+        wal.flush().unwrap();
+        wal.put("out/tail.bin", vec![5u8; 64]).unwrap();
+        wal.put("out/gone.bin", vec![6u8; 8]).unwrap();
+        wal.unlink("out/gone.bin").unwrap();
+        let mut s = NodeState::new(1, 2, CacheConfig::default());
+        s.attach_wal(Arc::new(wal));
+        let peer = NodeState::new(0, 2, CacheConfig::default());
+        peer.merge_meta(&s.encode_local_meta()).unwrap();
+        for node in [&s, &peer] {
+            let meta = node.meta.read();
+            let entry = meta.get("out/flushed.bin").expect("named after the restart");
+            assert_eq!((entry.stat.size, entry.stat.owner_rank), (flushed.len() as u64, 1));
+            assert_eq!(meta.stat("out/tail.bin").unwrap().size, 64);
+            assert!(meta.get("out/gone.bin").is_none(), "a tombstone names nothing");
+        }
+        let obj = s.lookup("out/flushed.bin").unwrap().unwrap();
+        assert!(obj.plain_bytes().is_none(), "a flushed value is served as stored");
+        assert!(obj.data.len() < flushed.len());
+        assert_eq!(read(&s, "out/flushed.bin").unwrap(), flushed);
     }
 
     #[test]

@@ -21,6 +21,14 @@ pub struct MemEntry {
     pub value: Option<Arc<Vec<u8>>>,
 }
 
+impl MemEntry {
+    /// The value, unless this version is a tombstone or its TTL has run
+    /// out at `now_us`.
+    pub fn live_at(&self, now_us: u64) -> Option<&Arc<Vec<u8>>> {
+        self.value.as_ref().filter(|_| self.expires_us == 0 || self.expires_us > now_us)
+    }
+}
+
 /// Sorted write buffer with byte accounting.
 #[derive(Debug, Default)]
 pub struct MemTable {

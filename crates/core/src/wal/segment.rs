@@ -13,9 +13,11 @@
 //! entry — the entry's metadata plus where its stored value bytes lie in
 //! the blob. A store keeps the [`SegIndex`] (bloom filter + rows) of every
 //! published segment in memory, so a lookup answers "absent", "deleted"
-//! and "expired" without the medium and fetches exactly one value's bytes
-//! otherwise; [`parse_entries`] is the same walk plus a copy of each
-//! payload, for verification and tests.
+//! and "expired" without the medium and fetches exactly one value's stored
+//! bytes otherwise; [`parse_entries`] is the same walk plus a copy of each
+//! payload, for verification and tests. Nothing here decodes a value: the
+//! reader does, as it decodes an input
+//! ([`crate::node::NodeState::decode_timed`]).
 //!
 //! Values are compressed with the store's configured codec at flush
 //! (falling back to stored-raw when compression does not pay). That codec
@@ -30,8 +32,8 @@
 //! (`lz4fast-1`: ≈ 9 % more stored bytes than `lz4hc-6` on the
 //! benchmark's values, for about a third of the encode time). The
 //! codec id rides each entry, so a store holds both kinds at once.
-//! Compaction does not decode them again: it hands the stored bytes of
-//! each surviving version back to [`assemble`] as they are.
+//! Compaction does not decode them: it hands the stored bytes of each
+//! surviving version back to [`assemble`] as they are.
 
 use std::borrow::Cow;
 
@@ -39,7 +41,6 @@ use fanstore_compress::registry::create;
 use fanstore_compress::{CodecFamily, CodecId};
 
 use crate::framing::{Malformed, Reader};
-use crate::node::decompress_object_into;
 use crate::pack::{read_entry, PartitionBuilder, ENTRY_OVERHEAD};
 use crate::stat::FileStat;
 use crate::FsError;
@@ -61,8 +62,9 @@ const FIXED_HEADER: usize = 4 + 2 + 8 + 8 + 4;
 /// Per-entry metadata prefix on the pack data field.
 const META_PREFIX: usize = 8 + 8 + 1;
 
-/// Codec id of a value stored as it is.
-const STORED_RAW: CodecId = CodecId::new(CodecFamily::Store, 0);
+/// Codec id of a value stored as it is: every memtable value, and a
+/// flushed one that compression does not shrink.
+pub const STORED_RAW: CodecId = CodecId::new(CodecFamily::Store, 0);
 
 /// One index row: an entry's metadata and where its stored value lies.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,25 +94,6 @@ impl SegRow {
         self.tombstone || (self.expires_us != 0 && self.expires_us <= now_us)
     }
 
-    /// Decode the value from its stored bytes (`stored_len` bytes at
-    /// `offset` of the blob). The decoded length is checked against
-    /// `raw_len` on every read.
-    pub fn decode_value(&self, stored: &[u8]) -> Result<Vec<u8>, FsError> {
-        let mut value = Vec::new();
-        decompress_object_into(self.codec, stored, self.raw_len, &self.path, &mut value)?;
-        Ok(value)
-    }
-
-    /// [`SegRow::decode_value`] of stored bytes the caller owns: a
-    /// stored-raw value *is* its stored bytes, and is handed back as read
-    /// from the medium instead of being copied out of them.
-    pub fn into_value(&self, stored: Vec<u8>) -> Result<Vec<u8>, FsError> {
-        if self.codec == STORED_RAW && stored.len() == self.raw_len {
-            return Ok(stored);
-        }
-        self.decode_value(&stored)
-    }
-
     /// This version as a [`Part`] whose stored bytes are borrowed from
     /// `blob`, the segment the row indexes: what compaction carries into
     /// its output. `None` when the row does not lie inside `blob`.
@@ -135,13 +118,6 @@ pub struct SegEntry {
     pub row: SegRow,
     /// Compressed (or raw) value bytes.
     pub payload: Vec<u8>,
-}
-
-impl SegEntry {
-    /// Decompress the value.
-    pub fn decode_value(&self) -> Result<Vec<u8>, FsError> {
-        self.row.decode_value(&self.payload)
-    }
 }
 
 /// The header of a segment.
@@ -380,6 +356,15 @@ mod tests {
         (0..256u32).flat_map(|i| i.wrapping_mul(0x9E37_79B9).to_le_bytes()).collect()
     }
 
+    /// A row's value decoded from its stored bytes, as a reader decodes it;
+    /// the decoded length is held to `raw_len`.
+    fn decode(row: &SegRow, stored: &[u8]) -> Vec<u8> {
+        let mut value = Vec::new();
+        crate::node::decompress_object_into(row.codec, stored, row.raw_len, &row.path, &mut value)
+            .unwrap();
+        value
+    }
+
     #[test]
     fn roundtrip_values_and_tombstones() {
         let entries = sorted_entries([
@@ -396,7 +381,7 @@ mod tests {
         assert_eq!(parsed[0].row.path, "a/data");
         assert!(!parsed[0].row.tombstone);
         assert!(parsed[0].payload.len() < 600, "repetitive value compresses");
-        assert_eq!(parsed[0].decode_value().unwrap(), b"compress me ".repeat(50));
+        assert_eq!(decode(&parsed[0].row, &parsed[0].payload), b"compress me ".repeat(50));
         assert!(parsed[1].row.tombstone);
         assert_eq!(parsed[1].row.seq, 5);
     }
@@ -407,7 +392,7 @@ mod tests {
         let blob = build(&entries, lz(), 0.01).unwrap().blob;
         let parsed = parse_entries(&blob).unwrap();
         assert_eq!(parsed[0].row.codec, CodecId::new(CodecFamily::Store, 0));
-        assert_eq!(parsed[0].decode_value().unwrap(), noise());
+        assert_eq!(decode(&parsed[0].row, &parsed[0].payload), noise());
     }
 
     #[test]
@@ -447,7 +432,7 @@ mod tests {
                 (e.seq, e.expires_us, e.value.is_none())
             );
             let stored = &blob[row.offset..row.offset + row.stored_len];
-            let value = row.decode_value(stored).unwrap();
+            let value = decode(row, stored);
             assert_eq!(value, e.value.map_or(Vec::new(), |v| (*v).clone()), "{path}");
             assert_eq!(built.find(&path), Some(row));
         }
@@ -472,7 +457,7 @@ mod tests {
             .iter()
             .filter(|e| !e.row.tombstone)
             .map(|e| {
-                let value = Some(Arc::new(e.decode_value().unwrap()));
+                let value = Some(Arc::new(decode(&e.row, &e.payload)));
                 (
                     e.row.path.clone(),
                     MemEntry { seq: e.row.seq, expires_us: e.row.expires_us, value },

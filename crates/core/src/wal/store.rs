@@ -57,12 +57,16 @@
 //! the segment is written and by one walk of the CRC-verified blob at
 //! `open`. `get` consults the memtable, then each segment newest first:
 //! bloom filter, binary search of the rows, and for a live hit one
-//! [`WalMedia::read_range`] of that value's stored bytes, decoded and
-//! length-checked. A miss, a tombstone, an expired TTL and `contains`
+//! [`WalMedia::read_range`] of that value's stored bytes, handed out as
+//! stored with the row's codec and raw length. The store decodes nothing:
+//! the reader decodes a value as it decodes an input, timed and counted
+//! ([`crate::node::NodeState::decode_timed`]), outside the store's lock.
+//! A miss, a tombstone, an expired TTL, `contains` and [`WalStore::live`]
 //! read nothing from the medium — `wal.segment.reads` counts the value
 //! fetches and stays at zero for them, which the crash tests assert.
 
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -77,7 +81,7 @@ use super::log::{encode_parts, replay};
 use super::manifest::{WalManifest, WalSegmentMeta};
 use super::media::WalMedia;
 use super::memtable::{MemEntry, MemTable};
-use super::segment::{self, Part, SegIndex, SegRow};
+use super::segment::{self, Part, SegIndex, SegRow, STORED_RAW};
 
 /// Write-path configuration.
 #[derive(Debug, Clone)]
@@ -127,22 +131,13 @@ impl Default for WalConfig {
 /// Result of a lookup.
 #[derive(Debug, Clone)]
 pub enum Lookup {
-    /// The newest version's value.
-    Hit(Arc<Vec<u8>>),
+    /// The newest version as stored: its codec, its raw (decoded) length
+    /// and its stored bytes. A memtable value is stored raw.
+    Hit(CodecId, usize, Arc<Vec<u8>>),
     /// The newest version deletes the key (or its TTL expired).
     Tombstone,
     /// The store has never seen the key.
     Miss,
-}
-
-impl Lookup {
-    /// The value, when this is a hit.
-    pub fn value(self) -> Option<Arc<Vec<u8>>> {
-        match self {
-            Lookup::Hit(v) => Some(v),
-            _ => None,
-        }
-    }
 }
 
 /// What recovery found on the medium.
@@ -664,10 +659,7 @@ impl WalStore {
     fn locate<'a>(&self, inner: &'a Inner, path: &str) -> Found<'a> {
         if let Some(e) = inner.mem.get(path) {
             self.metrics.memtable_hits.inc();
-            return match &e.value {
-                Some(v) if e.expires_us == 0 || e.expires_us > now_us() => Found::Mem(v),
-                _ => Found::Dead,
-            };
+            return e.live_at(now_us()).map_or(Found::Dead, Found::Mem);
         }
         for seg in &inner.loaded {
             if !seg.index.header.bloom.contains(path) {
@@ -686,23 +678,38 @@ impl WalStore {
         Found::Miss
     }
 
-    /// Look up the newest version of `path`. Only a live value held in a
-    /// segment touches the medium, and then only its own stored bytes.
+    /// Look up the newest version of `path`, as stored. Only a live value
+    /// held in a segment touches the medium, and then only its own stored
+    /// bytes; the lock is held while they are located and read.
     pub fn get(&self, path: &str) -> Result<Lookup, FsError> {
         let inner = self.inner.lock();
-        Ok(match self.locate(&inner, path) {
-            Found::Mem(v) => Lookup::Hit(Arc::clone(v)),
+        let (codec, raw_len, stored) = match self.locate(&inner, path) {
+            Found::Mem(v) => return Ok(Lookup::Hit(STORED_RAW, v.len(), Arc::clone(v))),
             Found::Seg(seg, row) => {
                 self.metrics.segment_reads.inc();
-                let stored =
-                    self.media.read_range(&seg.meta.name, row.offset, row.stored_len).ok_or_else(
-                        || FsError::Corrupt(format!("wal: segment {} vanished", seg.meta.name)),
-                    )?;
-                Lookup::Hit(Arc::new(row.into_value(stored)?))
+                let stored = self.media.read_range(&seg.meta.name, row.offset, row.stored_len);
+                let vanished =
+                    || FsError::Corrupt(format!("wal: segment {} vanished", seg.meta.name));
+                (row.codec, row.raw_len, stored.ok_or_else(vanished)?)
             }
-            Found::Dead => Lookup::Tombstone,
-            Found::Miss => Lookup::Miss,
-        })
+            Found::Dead => return Ok(Lookup::Tombstone),
+            Found::Miss => return Ok(Lookup::Miss),
+        };
+        drop(inner);
+        Ok(Lookup::Hit(codec, raw_len, Arc::new(stored)))
+    }
+
+    /// Every live key with its raw length, from the memtable and the
+    /// segment indexes, newest version first: a tombstone or an expired TTL
+    /// hides its key and adds nothing. Nothing is read from the medium.
+    pub fn live(&self) -> Vec<(String, usize)> {
+        let (inner, now) = (self.inner.lock(), now_us());
+        let mem = inner.mem.iter().map(|(path, e)| (path, e.live_at(now).map(|v| v.len())));
+        let rows = inner.loaded.iter().flat_map(|seg| &seg.index.rows);
+        let rows = rows.map(|row| (&row.path, (!row.dead_at(now)).then_some(row.raw_len)));
+        let mut seen = HashSet::new();
+        let newest = mem.chain(rows).filter(|(path, _)| seen.insert(*path));
+        newest.filter_map(|(path, len)| Some((path.clone(), len?))).collect()
     }
 
     /// Whether `path` currently resolves to a value. Answered from the
@@ -732,7 +739,7 @@ impl WalStore {
 
     /// Verify everything on the medium: manifest CRC, every segment's
     /// CRC + header + entries, and the log scan. Collects problems
-    /// instead of failing fast — the CLI prints them all.
+    /// instead of failing fast, so one report names them all.
     pub fn verify(&self) -> WalVerify {
         let mut v = WalVerify::default();
         let manifest = match self.media.read(&self.manifest_name()) {
@@ -832,6 +839,15 @@ mod tests {
         WalStore::open(media, cfg, &MetricsRegistry::new()).expect("open")
     }
 
+    /// `path`'s value decoded from what `get` hands out, as a reader
+    /// decodes it.
+    fn value(store: &WalStore, path: &str) -> Option<Vec<u8>> {
+        let Lookup::Hit(codec, raw_len, stored) = store.get(path).unwrap() else { return None };
+        let mut out = Vec::new();
+        crate::node::decompress_object_into(codec, &stored, raw_len, path, &mut out).unwrap();
+        Some(out)
+    }
+
     fn tiny_cfg() -> WalConfig {
         WalConfig { memtable_budget: 256, compact_min_segments: 0, ..WalConfig::default() }
     }
@@ -843,7 +859,7 @@ mod tests {
         assert_eq!(replay, WalReplay::default());
         store.put("a", b"one".to_vec()).unwrap();
         store.put("a", b"two".to_vec()).unwrap();
-        assert_eq!(&**store.get("a").unwrap().value().unwrap(), b"two");
+        assert_eq!(&*value(&store, "a").unwrap(), b"two");
         store.unlink("a").unwrap();
         assert!(matches!(store.get("a").unwrap(), Lookup::Tombstone));
         assert!(matches!(store.get("never").unwrap(), Lookup::Miss));
@@ -854,7 +870,7 @@ mod tests {
         let (store, _) = open(RamMedia::new(Duration::ZERO), WalConfig::default());
         assert_eq!(store.put_if_absent("a", b"one".to_vec()).unwrap(), Some(1));
         assert_eq!(store.put_if_absent("a", b"two".to_vec()).unwrap(), None);
-        assert_eq!(&**store.get("a").unwrap().value().unwrap(), b"one");
+        assert_eq!(&*value(&store, "a").unwrap(), b"one");
         assert_eq!(store.metrics().append_records.get(), 1, "a refused put appends nothing");
         store.unlink("a").unwrap();
         assert_eq!(store.put_if_absent("a", b"three".to_vec()).unwrap(), Some(3));
@@ -882,7 +898,7 @@ mod tests {
         let (store, replay) = open(media, WalConfig::default());
         assert_eq!(replay.records, 2);
         assert!(!replay.torn);
-        assert_eq!(&**store.get("x").unwrap().value().unwrap(), b"durable");
+        assert_eq!(&*value(&store, "x").unwrap(), b"durable");
         assert!(matches!(store.get("gone").unwrap(), Lookup::Tombstone));
     }
 
@@ -899,8 +915,27 @@ mod tests {
         let (store, replay) = open(media, tiny_cfg());
         assert_eq!(replay.segments, 1);
         assert_eq!(replay.records, 1, "only the post-flush record replays");
-        assert_eq!(&**store.get("big").unwrap().value().unwrap(), &[7u8; 300]);
-        assert_eq!(&**store.get("after").unwrap().value().unwrap(), b"tail");
+        assert_eq!(&*value(&store, "big").unwrap(), &[7u8; 300]);
+        assert_eq!(&*value(&store, "after").unwrap(), b"tail");
+    }
+
+    #[test]
+    fn live_lists_each_newest_live_version_and_reads_no_value() {
+        let (store, _) = open(RamMedia::new(Duration::ZERO), tiny_cfg());
+        store.put("old", vec![1u8; 40]).unwrap();
+        store.put("gone", vec![2u8; 40]).unwrap();
+        store.put("twice", vec![3u8; 40]).unwrap();
+        store.flush().unwrap();
+        store.put("twice", vec![4u8; 7]).unwrap();
+        store.unlink("gone").unwrap();
+        store.put_ttl("ttl", b"v".to_vec(), Duration::from_micros(1)).unwrap();
+        store.put("new", vec![5u8; 9]).unwrap();
+        std::thread::sleep(Duration::from_millis(2));
+        let mut live = store.live();
+        live.sort();
+        let want = [("new", 9), ("old", 40), ("twice", 7)].map(|(p, n)| (p.to_string(), n));
+        assert_eq!(live, want);
+        assert_eq!(store.metrics().segment_reads.get(), 0, "a listing reads no value");
     }
 
     #[test]
@@ -940,7 +975,7 @@ mod tests {
         assert_eq!(report.dropped_tombstones, 1);
         assert_eq!(report.dropped_expired, 1);
         assert_eq!(store.status().segments.len(), 1);
-        assert_eq!(&**store.get("keep").unwrap().value().unwrap(), b"v2");
+        assert_eq!(&*value(&store, "keep").unwrap(), b"v2");
         assert!(matches!(store.get("dead").unwrap(), Lookup::Miss), "tombstone retired");
         let v = store.verify();
         assert!(v.errors.is_empty(), "{:?}", v.errors);
@@ -980,7 +1015,7 @@ mod tests {
         let shadowed = |store: &WalStore| {
             assert!(matches!(store.get("k").unwrap(), Lookup::Tombstone), "v1 stays shadowed");
             assert!(matches!(store.get("ttl").unwrap(), Lookup::Tombstone), "old stays shadowed");
-            assert_eq!(&**store.get("x").unwrap().value().unwrap(), &[9u8; 32]);
+            assert_eq!(&*value(store, "x").unwrap(), &[9u8; 32]);
             assert_eq!(store.status().segments[1], old);
         };
         shadowed(&store);
@@ -1038,7 +1073,7 @@ mod tests {
         );
         assert!(store.metrics().compact_runs.get() >= 1);
         for i in 0..12 {
-            assert_eq!(&**store.get(&format!("k{i}")).unwrap().value().unwrap(), &[i as u8; 80]);
+            assert_eq!(&*value(&store, &format!("k{i}")).unwrap(), &[i as u8; 80]);
         }
     }
 }

@@ -22,15 +22,18 @@
 //!    state *and* byte-identical bytes on the medium, across runs.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
+use fanstore_repro::compress::{CodecFamily, CodecId};
+use fanstore_repro::store::ckpt::{CheckpointStore, CkptConfig, Recovery};
 use fanstore_repro::store::client::FsClient;
 use fanstore_repro::store::cluster::{ClusterConfig, FanStore};
 use fanstore_repro::store::metrics::MetricsRegistry;
+use fanstore_repro::store::node::decompress_object_into;
 use fanstore_repro::store::prep::{prepare, PrepConfig};
 use fanstore_repro::store::wal::{CrashMedia, Lookup, RamMedia, WalConfig, WalMedia, WalStore};
 use fanstore_repro::store::FsError;
@@ -137,11 +140,12 @@ fn recovered_state(store: &WalStore, ops: &[Op]) -> BTreeMap<String, Vec<u8>> {
     keys.dedup();
     let mut state = BTreeMap::new();
     for key in keys {
-        match store.get(key).expect("recovered store reads") {
-            Lookup::Hit(v) => {
-                state.insert(key.clone(), (*v).clone());
-            }
-            Lookup::Tombstone | Lookup::Miss => {}
+        // A hit is handed out as stored; decode it as a reader does.
+        if let Lookup::Hit(codec, raw_len, stored) = store.get(key).expect("recovered store reads")
+        {
+            let mut value = Vec::new();
+            decompress_object_into(codec, &stored, raw_len, key, &mut value).expect("decodes");
+            state.insert(key.clone(), value);
         }
     }
     state
@@ -279,15 +283,28 @@ fn negative_lookups_do_zero_segment_reads() {
     );
 }
 
+/// The names in directory `dir`, as `readdir` lists them.
+fn readdir(fs: &FsClient, dir: &str) -> Vec<String> {
+    let mut stream = fs.opendir(dir).expect("the directory lists");
+    std::iter::from_fn(|| stream.next_entry().map(str::to_string)).collect()
+}
+
+/// The checkpoint generation each rank puts in the first life.
+fn ckpt_payload(rank: usize) -> Vec<u8> {
+    (0..20_000u32).map(|i| (i % 251) as u8 ^ (i / 4096) as u8 ^ rank as u8).collect()
+}
+
 /// Daemon-restart wiring through the cluster runtime: run one cluster
-/// with a WAL on a shared medium, write output files, tear the cluster
-/// down, start a fresh one on the same medium. The write store is the
-/// WAL in both lives, so each rank's output reads the same way before and
-/// after the restart: batched (resolved in the local pass, with no
-/// fallback), tier and whole reads return the acknowledged bytes, the
-/// path stays write-once, and the write-path counters registered the
-/// traffic. (`stat` and `read_range` of a recovered path wait on the
-/// metadata table being rebuilt from replay: ROADMAP item 1.)
+/// with a WAL on a shared medium, write output files and a checkpoint
+/// generation, tear the cluster down, start a fresh one on the same medium.
+/// The write store is the WAL in both lives, and the startup allgather
+/// names every live value it recovered, so each rank's outputs read the
+/// same way before and after the restart: batched (resolved in the local
+/// pass, with no fallback), tier, whole and range reads return the
+/// acknowledged bytes, `stat` gives their size and `readdir` lists them,
+/// each path stays write-once, and the checkpoint generation recovers. One
+/// output is flushed before the cut, so the second life reads it from a
+/// segment, compressed; an unlinked path stays out of every answer.
 #[test]
 fn cluster_restart_replays_wal_into_fresh_daemons() {
     let files: Vec<(String, Vec<u8>)> =
@@ -302,8 +319,8 @@ fn cluster_restart_replays_wal_into_fresh_daemons() {
         wal_media: Some(m.clone()),
         ..Default::default()
     };
-    // Every read kind of `path`, which must agree; then the path must
-    // still refuse a second write.
+    // Every read kind of `path`, which must agree with each other and with
+    // `stat` and `readdir`; then the path must still refuse a second write.
     let read_every_way = |fs: &FsClient, path: &str| {
         let many = fs.read_many(&[path.to_string()]).remove(0).expect("batched read");
         let fallbacks = fs.state().metrics.counter("client.get_many.fallbacks").get();
@@ -311,39 +328,114 @@ fn cluster_restart_replays_wal_into_fresh_daemons() {
         let tier = fs.read_whole_tier(path, 0).expect("a tier read");
         let whole = fs.read_whole(path).expect("a whole read");
         assert_eq!((&many, &tier), (&whole, &whole), "every read kind returns the same bytes");
+        assert_eq!(fs.stat(path).expect("stat").size, whole.len() as u64, "{path}: stat size");
+        let (start, end) = (whole.len() / 3, whole.len() - 1);
+        let range = fs.read_range(path, start as u64, end as u64).expect("a range read");
+        assert_eq!(range, whole[start..end], "{path}: a range read is a slice of the file");
+        let (dir, name) = path.rsplit_once('/').expect("a path in a directory");
+        assert!(readdir(fs, dir).iter().any(|n| n == name), "{path}: readdir lists it");
         let again = fs.write_whole(path, b"a second write of an acknowledged path");
         assert!(matches!(again, Err(FsError::AlreadyExists(_))), "write-once holds: {again:?}");
         whole
     };
+    // An unlinked path: no read, no stat, no listing.
+    let gone = |fs: &FsClient, path: &str| {
+        assert!(fs.read_whole(path).is_err(), "{path}: an unlinked file reads");
+        assert!(matches!(fs.stat(path), Err(FsError::NotFound(_))), "{path}: stat finds it");
+        let (dir, name) = path.rsplit_once('/').expect("a path in a directory");
+        assert!(readdir(fs, dir).iter().all(|n| n != name), "{path}: readdir lists it");
+    };
+    let paths =
+        |rank: usize| ["rank", "tail", "doomed"].map(|stem| format!("out/{stem}{rank}.bin"));
 
-    // First life: write one output file per rank (plus one that gets
-    // unlinked, which must stay dead after the restart).
+    // First life: per rank, one output flushed into a segment, one left in
+    // the log, one unlinked (which must stay dead after the restart), and a
+    // checkpoint generation, pushed to the peer and published last.
     let written = FanStore::run(cluster(&media), packed.partitions.clone(), |fs| {
-        let path = format!("out/rank{}.bin", fs.rank());
+        let [flushed, tail, doomed] = paths(fs.rank());
         let body = format!("durable payload from rank {} ", fs.rank()).repeat(30).into_bytes();
-        fs.write_whole(&path, &body).expect("write");
-        let doomed = format!("out/doomed{}.bin", fs.rank());
+        fs.write_whole(&flushed, &body).expect("write");
+        fs.state().wal.as_ref().expect("wal attached").flush().expect("flush");
+        let tail_body = format!("the log's tail on rank {} ", fs.rank()).repeat(8).into_bytes();
+        fs.write_whole(&tail, &tail_body).expect("write the tail");
         fs.write_whole(&doomed, b"to be unlinked").expect("write doomed");
         fs.unlink(&doomed).expect("unlink");
-        assert!(fs.state().stats.write_count.get() >= 2, "write counters registered");
+        let put = CheckpointStore::new(fs, CkptConfig::default()).put(1, &ckpt_payload(fs.rank()));
+        assert_eq!(put.expect("a checkpoint generation").replicate_failures, 0);
+        assert!(fs.state().stats.write_count.get() >= 3, "write counters registered");
         assert!(fs.state().stats.write_bytes.get() >= body.len() as u64);
-        assert_eq!(read_every_way(fs, &path), body, "the first life reads what it wrote");
-        body
+        assert_eq!(read_every_way(fs, &flushed), body, "the first life reads what it wrote");
+        assert_eq!(read_every_way(fs, &tail), tail_body);
+        gone(fs, &doomed);
+        (body, tail_body)
     });
 
     // Second life: fresh cluster, same media. Reads are served from the
     // replayed WAL, by every read kind, exactly as in the first life.
     let read_back = FanStore::run(cluster(&media), packed.partitions, |fs| {
-        let path = format!("out/rank{}.bin", fs.rank());
-        let body = read_every_way(fs, &path);
-        let doomed = format!("out/doomed{}.bin", fs.rank());
-        assert!(
-            fs.read_whole(&doomed).is_err(),
-            "the unlinked file must stay dead across the restart"
-        );
+        let [flushed, tail, doomed] = paths(fs.rank());
         let wal = fs.state().wal.as_ref().expect("wal attached");
         assert!(wal.durable_seq() >= 3, "replay recovered the previous life's records");
-        body
+        let Lookup::Hit(codec, raw_len, stored) = wal.get(&flushed).unwrap() else {
+            panic!("{flushed} is not in the write store");
+        };
+        assert_eq!(codec, wal_cfg.codec, "{flushed} sits in a segment, compressed");
+        assert!(stored.len() < raw_len, "{} stored bytes for {raw_len}", stored.len());
+        let bodies = (read_every_way(fs, &flushed), read_every_way(fs, &tail));
+        gone(fs, &doomed);
+        let recovered = CheckpointStore::new(fs, CkptConfig::default()).recover();
+        let payload = ckpt_payload(fs.rank());
+        let want = Recovery::Loaded { generation: 1, payload, skipped: Vec::new() };
+        assert_eq!(recovered.expect("recover"), want, "the checkpoint survives the restart");
+        bodies
     });
     assert_eq!(written, read_back, "recovered bytes must match what was acknowledged");
+}
+
+/// An output flushed into a WAL segment is served as stored, and its reader
+/// decodes it through the node's one timed decode. On a 2-node cluster the
+/// rank holding it adds exactly the file's length to
+/// `client.decompress.bytes` and `codec.lz4fast.decode_bytes` on its first
+/// read, and a peer's read moves the row's stored bytes — fewer than the
+/// file's — over the fabric, then decodes them the same way.
+#[test]
+fn a_flushed_output_is_served_as_stored_and_decoded_by_its_reader() {
+    let body = b"an output of several KiB that compresses well; ".repeat(100);
+    let path = "out/flushed.bin";
+    let flushed = Barrier::new(2);
+    let cluster = ClusterConfig {
+        nodes: 2,
+        wal: Some(WalConfig { sync_cost: Duration::ZERO, ..WalConfig::default() }),
+        ..Default::default()
+    };
+    let none = prepare(Vec::new(), &PrepConfig { partitions: 2, ..Default::default() });
+    let got = FanStore::run(cluster, none.partitions, |fs| {
+        let wal = fs.state().wal.as_ref().expect("wal attached");
+        if fs.rank() == 0 {
+            fs.write_whole(path, &body).expect("write");
+            wal.flush().expect("flush");
+        }
+        flushed.wait();
+        let stored_len = match wal.get(path).unwrap() {
+            Lookup::Hit(codec, raw_len, stored) => {
+                assert_eq!((codec, raw_len), (CodecId::new(CodecFamily::Lz4Fast, 1), body.len()));
+                Some(stored.len())
+            }
+            _ => None,
+        };
+        assert_eq!(fs.stat(path).expect("stat").size, body.len() as u64);
+        let names =
+            ["client.decompress.bytes", "codec.lz4fast.decode_bytes", "client.remote.bytes"];
+        let counts = || names.map(|name| fs.state().metrics.counter(name).get());
+        let before = counts();
+        assert_eq!(fs.read_whole(path).expect("read"), body);
+        let after = counts();
+        (stored_len, [0, 1, 2].map(|i| after[i] - before[i]))
+    });
+    let raw = body.len() as u64;
+    let stored = got[0].0.expect("rank 0 holds the output") as u64;
+    assert!(stored < raw, "{stored} stored bytes for {raw}");
+    assert_eq!(got[0].1, [raw, raw, 0], "rank 0 decodes its own output once");
+    assert_eq!(got[1].0, None, "rank 1 holds no copy");
+    assert_eq!(got[1].1, [raw, raw, stored], "rank 1 fetches the stored bytes and decodes them");
 }

@@ -1,8 +1,9 @@
 //! The WAL store against a model, and against a medium that counts.
 //!
 //! * **Model**: seeded scripts of put / overwrite / unlink / put_ttl /
-//!   flush / compact / reopen run against a `BTreeMap`; every `get` and
-//!   `contains` agrees with it, before and after each reopen.
+//!   flush / compact / reopen run against a `BTreeMap`; every `get` (its
+//!   stored bytes decoded as a reader decodes them), every `contains` and
+//!   the `live` listing agree with it, before and after each reopen.
 //! * **What a lookup costs**: [`Counting`] wraps the medium and records
 //!   every read and write. `contains`, tombstones and expired TTLs read
 //!   nothing; a `get` reads exactly the value's stored bytes; a
@@ -24,12 +25,26 @@ use rand_chacha::ChaCha8Rng;
 
 use fanstore_repro::compress::{CodecFamily, CodecId};
 use fanstore_repro::store::metrics::{now_us, MetricsRegistry};
+use fanstore_repro::store::node::decompress_object_into;
 use fanstore_repro::store::wal::segment::{self, SegRow};
 use fanstore_repro::store::wal::{Lookup, MemEntry, RamMedia, WalConfig, WalMedia, WalStore};
 use fanstore_repro::store::FsError;
 
 fn open(media: Arc<dyn WalMedia>, cfg: &WalConfig) -> WalStore {
     WalStore::open(media, cfg.clone(), &MetricsRegistry::new()).expect("open").0
+}
+
+/// Stored bytes decoded as a reader decodes them, held to `raw_len`.
+fn decode(codec: CodecId, raw_len: usize, stored: &[u8], path: &str) -> Vec<u8> {
+    let mut out = Vec::new();
+    decompress_object_into(codec, stored, raw_len, path, &mut out).expect("decode");
+    out
+}
+
+/// `key`'s value, decoded from what `get` hands out as stored.
+fn get(store: &WalStore, key: &str) -> Option<Vec<u8>> {
+    let Lookup::Hit(codec, raw_len, stored) = store.get(key).expect("get") else { return None };
+    Some(decode(codec, raw_len, &stored, key))
 }
 
 /// Wait until the shared clock has passed `t`, so a TTL ending at `t` has
@@ -64,12 +79,16 @@ fn value(rng: &mut ChaCha8Rng) -> Vec<u8> {
 
 fn check(store: &WalStore, model: &BTreeMap<String, Vec<u8>>, keys: &[String], when: &str) {
     for key in keys {
-        let got = store.get(key).expect("get").value();
-        assert_eq!(got.as_deref(), model.get(key), "{when}: get {key}");
+        let got = get(store, key);
+        assert_eq!(got.as_ref(), model.get(key), "{when}: get {key}");
         assert_eq!(store.contains(key), model.contains_key(key), "{when}: contains {key}");
     }
     assert!(matches!(store.get("never/written").unwrap(), Lookup::Miss), "{when}");
     assert!(!store.contains("never/written"), "{when}");
+    let mut live = store.live();
+    live.sort();
+    let want: Vec<(String, usize)> = model.iter().map(|(k, v)| (k.clone(), v.len())).collect();
+    assert_eq!(live, want, "{when}: the live listing");
 }
 
 #[test]
@@ -235,7 +254,7 @@ fn lookups_read_one_value_or_nothing() {
     }
     for key in ["gone/unlinked", "gone/superseded", "gone/expired", "never/written"] {
         assert!(!store.contains(key), "{key}");
-        assert!(store.get(key).unwrap().value().is_none(), "{key}");
+        assert!(get(&store, key).is_none(), "{key}");
     }
     let calls = media.take();
     assert!(calls.whole_reads.is_empty(), "whole-object reads: {:?}", calls.whole_reads);
@@ -244,14 +263,14 @@ fn lookups_read_one_value_or_nothing() {
 
     for key in ["live/compressed", "live/raw"] {
         let row = row_of(&media.inner, &first, key);
-        let got = store.get(key).unwrap().value().expect("live");
+        let got = get(&store, key).expect("live");
         assert_eq!(got.len(), row.raw_len);
         let calls = media.take();
         assert!(calls.whole_reads.is_empty(), "{key}: {:?}", calls.whole_reads);
         assert_eq!(calls.range_reads, vec![(first.clone(), row.stored_len)], "{key}");
     }
     assert!(row_of(&media.inner, &first, "live/compressed").stored_len < compressible.len());
-    assert_eq!(&**store.get("live/compressed").unwrap().value().unwrap(), &compressible);
+    assert_eq!(&get(&store, "live/compressed").unwrap(), &compressible);
 }
 
 #[test]
@@ -300,7 +319,7 @@ fn compaction_reads_each_input_once_and_changes_no_stored_byte() {
     let live: Vec<(String, MemEntry)> = entries
         .iter()
         .map(|e| {
-            let value = Some(Arc::new(e.decode_value().unwrap()));
+            let value = Some(Arc::new(decode(e.row.codec, e.row.raw_len, &e.payload, &e.row.path)));
             (e.row.path.clone(), MemEntry { seq: e.row.seq, expires_us: e.row.expires_us, value })
         })
         .collect();
@@ -406,6 +425,6 @@ fn compaction_does_not_bless_at_rest_damage() {
         media.list().into_iter().map(|n| (n.clone(), media.read(&n).unwrap())).collect();
     assert_eq!(after, before, "a refused compaction leaves manifest and segments as they were");
     assert_eq!(store.status().segments.len(), 2);
-    assert_eq!(&**store.get("b/new").unwrap().value().unwrap(), &b"second segment ".repeat(20));
+    assert_eq!(&get(&store, "b/new").unwrap(), &b"second segment ".repeat(20));
     assert!(!store.verify().errors.is_empty(), "verify names the damaged segment");
 }
