@@ -10,11 +10,13 @@
 //!
 //! Design:
 //!
-//! * **Size-class shelves.** Buffers are binned by power-of-two capacity
-//!   between [`MIN_CLASS_LOG`] and [`MAX_CLASS_LOG`]. `take(len)` pops from
-//!   the smallest class that fits `len` plus [`WILD_SLACK`], the spare
-//!   capacity the word-wide decoders reserve behind their output for wild
-//!   copies, so decoding never reallocates a pooled buffer.
+//! * **Size-class shelves.** Buffers are binned by capacity into classes
+//!   of `2^k` + [`WILD_SLACK`] bytes, for `k` between [`MIN_CLASS_LOG`] and
+//!   [`MAX_CLASS_LOG`]. `take(len)` pops from the smallest class whose
+//!   `2^k` fits `len`; [`WILD_SLACK`] is the spare capacity the word-wide
+//!   decoders reserve behind their output for wild copies, so decoding
+//!   never reallocates a pooled buffer, and a file of exactly `2^k` bytes
+//!   takes a `2^k` class, not the next one up.
 //! * **Bounded retention.** Each shelf keeps at most `max_per_class`
 //!   buffers; overflow and out-of-range buffers are dropped (counted as
 //!   `discards`), so the pool cannot hoard unbounded memory after a burst.
@@ -83,9 +85,9 @@ impl Default for BufPool {
     }
 }
 
-/// Class index for a requested length: smallest class whose capacity
-/// (`2^(MIN_CLASS_LOG + idx)`) is `>= len`. `None` when `len` exceeds the
-/// largest class.
+/// Class index for a requested length: smallest class whose power of two,
+/// `2^(MIN_CLASS_LOG + idx)`, is `>= len` (its capacity adds
+/// [`WILD_SLACK`]). `None` when `len` exceeds the largest class.
 fn class_for(len: usize) -> Option<usize> {
     if len > 1usize << MAX_CLASS_LOG {
         return None;
@@ -110,8 +112,7 @@ impl BufPool {
     /// decoder slack). A shelf hit recycles; a miss allocates at the full
     /// class size so the buffer is maximally reusable when it comes back.
     pub fn take(&self, len: usize) -> Vec<u8> {
-        let want = len + WILD_SLACK;
-        match class_for(want) {
+        match class_for(len) {
             Some(idx) => {
                 if let Some(mut buf) = self.shelves[idx].lock().expect("bufpool shelf").pop() {
                     self.counters.hits.fetch_add(1, Ordering::Relaxed);
@@ -119,13 +120,13 @@ impl BufPool {
                     return buf;
                 }
                 self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                Vec::with_capacity(1usize << (MIN_CLASS_LOG as usize + idx))
+                Vec::with_capacity((1usize << (MIN_CLASS_LOG as usize + idx)) + WILD_SLACK)
             }
             None => {
                 // Oversized: allocate exactly; it will be discarded on
                 // return rather than parked.
                 self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                Vec::with_capacity(want)
+                Vec::with_capacity(len + WILD_SLACK)
             }
         }
     }
@@ -133,13 +134,15 @@ impl BufPool {
     /// Return a buffer to the pool. Buffers whose capacity falls outside
     /// the class range, or whose shelf is full, are dropped (`discards`).
     pub fn put(&self, buf: Vec<u8>) {
-        let cap = buf.capacity();
-        if !((1usize << MIN_CLASS_LOG)..=(1usize << MAX_CLASS_LOG)).contains(&cap) {
+        // The room before the decoders' slack; a capacity below the slack
+        // wraps to a value the range rejects.
+        let room = buf.capacity().wrapping_sub(WILD_SLACK);
+        if !((1usize << MIN_CLASS_LOG)..=(1usize << MAX_CLASS_LOG)).contains(&room) {
             self.counters.discards.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        // Largest class the buffer can fully serve: floor(log2(cap)).
-        let idx = (usize::BITS - 1 - cap.leading_zeros()) as usize - MIN_CLASS_LOG as usize;
+        // Largest class the buffer can fully serve: floor(log2(room)).
+        let idx = (usize::BITS - 1 - room.leading_zeros()) as usize - MIN_CLASS_LOG as usize;
         let idx = idx.min(CLASS_COUNT - 1);
         let mut shelf = self.shelves[idx].lock().expect("bufpool shelf");
         if shelf.len() >= self.max_per_class {

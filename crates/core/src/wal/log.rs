@@ -9,6 +9,10 @@
 //! WAL payloads are stored uncompressed (codec = store): the log is
 //! short-lived — flush trims it — and compression belongs to the
 //! segment flush, not the latency-critical commit path.
+//!
+//! A record's second 8-byte word is reserved and always written as 0;
+//! replay reads a nonzero one as damage and ends the scan there, as at
+//! any other malformed record.
 
 use fanstore_compress::{CodecFamily, CodecId};
 
@@ -24,8 +28,6 @@ pub const FLAG_TOMBSTONE: u8 = 1;
 pub struct WalRecord {
     /// Monotonic sequence number (the store-wide version order).
     pub seq: u64,
-    /// Absolute expiry on the shared monotonic clock (0 = no TTL).
-    pub expires_us: u64,
     /// Whether this record deletes the key instead of writing it.
     pub tombstone: bool,
     /// The object path.
@@ -37,25 +39,19 @@ pub struct WalRecord {
 /// Append one record to `out` as a CRC frame.
 pub fn encode_record(out: &mut Vec<u8>, rec: &WalRecord) {
     let value = (!rec.tombstone).then_some(rec.value.as_slice());
-    encode_parts(out, rec.seq, rec.expires_us, &rec.path, value);
+    encode_parts(out, rec.seq, &rec.path, value);
 }
 
 /// [`encode_record`] from borrowed parts (`value: None` is a tombstone):
 /// the store's append path, which owns no [`WalRecord`] — the value's one
 /// copy is the one into the log batch.
-pub fn encode_parts(
-    out: &mut Vec<u8>,
-    seq: u64,
-    expires_us: u64,
-    path: &str,
-    value: Option<&[u8]>,
-) {
+pub fn encode_parts(out: &mut Vec<u8>, seq: u64, path: &str, value: Option<&[u8]>) {
     let bytes = value.unwrap_or_default();
     let len = 8 + 8 + 1 + 2 + path.len() + bytes.len();
     let stored_raw = CodecId::new(CodecFamily::Store, 0);
     encode_frame_with(out, 0, stored_raw, len as u32, |out| {
         out.extend_from_slice(&seq.to_le_bytes());
-        out.extend_from_slice(&expires_us.to_le_bytes());
+        out.extend_from_slice(&0u64.to_le_bytes()); // reserved
         out.push(if value.is_none() { FLAG_TOMBSTONE } else { 0 });
         put_str16(out, path);
         out.extend_from_slice(bytes);
@@ -65,14 +61,17 @@ pub fn encode_parts(
 /// Decode one frame payload back into a record.
 fn decode_payload(buf: &[u8]) -> Result<WalRecord, Malformed> {
     let mut r = Reader::new(buf);
-    let (seq, expires_us) = (r.u64()?, r.u64()?);
+    let seq = r.u64()?;
+    if r.u64()? != 0 {
+        return Err(r.fail("nonzero reserved field"));
+    }
     let tombstone = r.u8()? & FLAG_TOMBSTONE != 0;
     let path = r.str16()?.to_string();
     let value = r.rest().to_vec();
     if tombstone && !value.is_empty() {
         return Err(r.fail("tombstone with value bytes"));
     }
-    Ok(WalRecord { seq, expires_us, tombstone, path, value })
+    Ok(WalRecord { seq, tombstone, path, value })
 }
 
 /// Tolerant replay of a log blob: records up to the first torn or
@@ -99,20 +98,14 @@ mod tests {
     use super::*;
 
     fn rec(seq: u64, path: &str, value: &[u8]) -> WalRecord {
-        WalRecord { seq, expires_us: 0, tombstone: false, path: path.into(), value: value.to_vec() }
+        WalRecord { seq, tombstone: false, path: path.into(), value: value.to_vec() }
     }
 
     #[test]
     fn roundtrip_puts_and_tombstones() {
         let mut log = Vec::new();
         encode_record(&mut log, &rec(1, "a/b", b"hello"));
-        let tomb = WalRecord {
-            seq: 2,
-            expires_us: 99,
-            tombstone: true,
-            path: "a/b".into(),
-            value: Vec::new(),
-        };
+        let tomb = WalRecord { seq: 2, tombstone: true, path: "a/b".into(), value: Vec::new() };
         encode_record(&mut log, &tomb);
         let (records, torn) = replay(&log);
         assert!(!torn);

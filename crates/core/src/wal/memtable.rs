@@ -15,18 +15,8 @@ use super::log::WalRecord;
 pub struct MemEntry {
     /// Version (WAL sequence number) of this write.
     pub seq: u64,
-    /// Absolute expiry on the shared monotonic clock (0 = no TTL).
-    pub expires_us: u64,
     /// The value; `None` is a tombstone.
     pub value: Option<Arc<Vec<u8>>>,
-}
-
-impl MemEntry {
-    /// The value, unless this version is a tombstone or its TTL has run
-    /// out at `now_us`.
-    pub fn live_at(&self, now_us: u64) -> Option<&Arc<Vec<u8>>> {
-        self.value.as_ref().filter(|_| self.expires_us == 0 || self.expires_us > now_us)
-    }
 }
 
 /// Sorted write buffer with byte accounting.
@@ -47,7 +37,7 @@ impl MemTable {
     /// guard is explicit).
     pub fn apply(&mut self, rec: WalRecord) {
         let value = (!rec.tombstone).then(|| Arc::new(rec.value));
-        self.insert(&rec.path, MemEntry { seq: rec.seq, expires_us: rec.expires_us, value });
+        self.insert(&rec.path, MemEntry { seq: rec.seq, value });
     }
 
     /// Insert the newest version of `path` (older seqs are ignored).
@@ -105,7 +95,7 @@ mod tests {
     use super::*;
 
     fn put(seq: u64, value: &[u8]) -> MemEntry {
-        MemEntry { seq, expires_us: 0, value: Some(Arc::new(value.to_vec())) }
+        MemEntry { seq, value: Some(Arc::new(value.to_vec())) }
     }
 
     #[test]
@@ -126,7 +116,7 @@ mod tests {
         assert_eq!(m.bytes(), 103);
         m.insert("key", put(2, &[0u8; 10]));
         assert_eq!(m.bytes(), 13);
-        m.insert("key", MemEntry { seq: 3, expires_us: 0, value: None });
+        m.insert("key", MemEntry { seq: 3, value: None });
         assert_eq!(m.bytes(), 3, "a tombstone keeps only the key bytes");
         assert_eq!(m.drain().len(), 1);
         assert_eq!(m.bytes(), 0);

@@ -5,9 +5,11 @@
 //! ([`memtable`]) that flushes into immutable compressed pack-format
 //! segments behind bloom filters ([`segment`], [`bloom`]), a CRC-tailed
 //! manifest as the atomic publish point ([`manifest`]), and compaction
-//! that merges segments while retiring superseded versions, tombstones
-//! and expired TTLs — all tied together by [`WalStore`] ([`store`]) on
-//! a pluggable durable medium ([`media`]).
+//! that merges segments while retiring superseded versions and
+//! tombstones — all tied together by [`WalStore`] ([`store`]) on a
+//! pluggable durable medium ([`media`]). [`WalStore::open`] is the one
+//! check of a medium: it replays the log and verifies every published
+//! segment against the manifest that names it.
 //!
 //! The pieces deliberately reuse the rest of the crate instead of
 //! re-inventing it: WAL frames are [`crate::ckpt::frame`] frames,
@@ -28,6 +30,4 @@ pub use log::{encode_record, replay, WalRecord, FLAG_TOMBSTONE};
 pub use manifest::{WalManifest, WalSegmentMeta};
 pub use media::{CrashMedia, RamMedia, WalMedia};
 pub use memtable::{MemEntry, MemTable};
-pub use store::{
-    CompactionReport, Lookup, WalConfig, WalMetrics, WalReplay, WalStatus, WalStore, WalVerify,
-};
+pub use store::{CompactionReport, Lookup, WalConfig, WalMetrics, WalReplay, WalStatus, WalStore};

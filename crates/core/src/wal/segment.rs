@@ -7,16 +7,16 @@
 //!
 //! The entry area is [`crate::pack`]'s partition layout unchanged — path,
 //! codec and stat are the pack fields; the per-version metadata the LSM
-//! needs (`seq`, `expires_us`, a tombstone flag) rides a fixed prefix of
-//! each entry's data field. It has one writer, [`assemble`], and one
-//! reader, [`index`]: a payload-free walk that yields one [`SegRow`] per
-//! entry — the entry's metadata plus where its stored value bytes lie in
-//! the blob. A store keeps the [`SegIndex`] (bloom filter + rows) of every
-//! published segment in memory, so a lookup answers "absent", "deleted"
-//! and "expired" without the medium and fetches exactly one value's stored
-//! bytes otherwise; [`parse_entries`] is the same walk plus a copy of each
-//! payload, for verification and tests. Nothing here decodes a value: the
-//! reader does, as it decodes an input
+//! needs (`seq`, an 8-byte reserved word that must be 0, a tombstone flag)
+//! rides a fixed prefix of each entry's data field. It has one writer,
+//! [`assemble`], and one reader, [`index`]: a payload-free walk that yields
+//! one [`SegRow`] per entry — the entry's metadata plus where its stored
+//! value bytes lie in the blob. A store keeps the [`SegIndex`] (bloom
+//! filter + rows) of every published segment in memory, so a lookup
+//! answers "absent" and "deleted" without the medium and fetches exactly
+//! one value's stored bytes otherwise; [`SegRow::carry`] borrows a row's
+//! stored bytes out of the blob it indexes. Nothing here decodes a value:
+//! the reader does, as it decodes an input
 //! ([`crate::node::NodeState::decode_timed`]).
 //!
 //! Values are compressed with the store's configured codec at flush
@@ -73,8 +73,6 @@ pub struct SegRow {
     pub path: String,
     /// Version (WAL sequence) of this write.
     pub seq: u64,
-    /// Absolute TTL expiry (0 = none).
-    pub expires_us: u64,
     /// Whether this version deletes the key.
     pub tombstone: bool,
     /// Codec of the stored value bytes.
@@ -88,12 +86,6 @@ pub struct SegRow {
 }
 
 impl SegRow {
-    /// Whether this version reads as absent at `now_us`: a tombstone, or
-    /// a value whose TTL has run out.
-    pub fn dead_at(&self, now_us: u64) -> bool {
-        self.tombstone || (self.expires_us != 0 && self.expires_us <= now_us)
-    }
-
     /// This version as a [`Part`] whose stored bytes are borrowed from
     /// `blob`, the segment the row indexes: what compaction carries into
     /// its output. `None` when the row does not lie inside `blob`.
@@ -102,22 +94,12 @@ impl SegRow {
         Some(Part {
             path: &self.path,
             seq: self.seq,
-            expires_us: self.expires_us,
             tombstone: self.tombstone,
             codec: self.codec,
             raw_len: self.raw_len,
             stored: Cow::Borrowed(stored),
         })
     }
-}
-
-/// One segment entry with its stored bytes copied out.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SegEntry {
-    /// The entry's index row.
-    pub row: SegRow,
-    /// Compressed (or raw) value bytes.
-    pub payload: Vec<u8>,
 }
 
 /// The header of a segment.
@@ -158,8 +140,6 @@ pub struct Part<'a> {
     pub path: &'a str,
     /// Version (WAL sequence) of this write.
     pub seq: u64,
-    /// Absolute TTL expiry (0 = none).
-    pub expires_us: u64,
     /// Whether this version deletes the key.
     pub tombstone: bool,
     /// Codec of `stored`.
@@ -203,7 +183,6 @@ pub fn build(
             Part {
                 path,
                 seq: e.seq,
-                expires_us: e.expires_us,
                 tombstone: e.value.is_none(),
                 codec,
                 raw_len: raw.len(),
@@ -238,15 +217,12 @@ pub fn assemble(parts: &[Part<'_>], bloom_fp: f64) -> Built {
     for p in parts {
         let mut prefix = [0u8; META_PREFIX];
         prefix[..8].copy_from_slice(&p.seq.to_le_bytes());
-        prefix[8..16].copy_from_slice(&p.expires_us.to_le_bytes());
         prefix[16] = if p.tombstone { FLAG_TOMBSTONE } else { 0 };
-        let mut stat = FileStat::regular(p.seq, p.raw_len as u64);
-        stat.mtime = p.expires_us;
+        let stat = FileStat::regular(p.seq, p.raw_len as u64);
         partition.push_split(p.path, p.codec, &stat, &prefix, &p.stored);
         rows.push(SegRow {
             path: p.path.to_string(),
             seq: p.seq,
-            expires_us: p.expires_us,
             tombstone: p.tombstone,
             codec: p.codec,
             raw_len: p.raw_len,
@@ -279,8 +255,9 @@ pub fn parse_header(blob: &[u8]) -> Result<SegHeader, FsError> {
 
 /// Index a segment: the header, then one payload-free walk of the entry
 /// area. This is the only decoder of that area; it trusts nothing — a
-/// count or length the blob cannot hold, a short metadata prefix or rows
-/// out of path order are [`FsError::Corrupt`] — but it does not checksum:
+/// count or length the blob cannot hold, a short metadata prefix, a
+/// nonzero reserved word or rows out of path order are
+/// [`FsError::Corrupt`] — but it does not checksum:
 /// callers verify the whole-segment CRC from the manifest first.
 pub fn index(blob: &[u8]) -> Result<SegIndex, FsError> {
     let mut r = Reader::new(blob);
@@ -292,9 +269,12 @@ pub fn index(blob: &[u8]) -> Result<SegIndex, FsError> {
             let e = read_entry(&mut r)?;
             let mut data = Reader::new(e.data);
             let prefix = (data.u64(), data.u64(), data.u8());
-            let (Ok(seq), Ok(expires_us), Ok(flags)) = prefix else {
+            let (Ok(seq), Ok(reserved), Ok(flags)) = prefix else {
                 return Err(r.fail("short entry metadata"));
             };
+            if reserved != 0 {
+                return Err(r.fail("nonzero reserved field"));
+            }
             if rows.last().is_some_and(|prev| prev.path.as_str() >= e.path) {
                 return Err(r.fail("entries out of path order"));
             }
@@ -302,7 +282,6 @@ pub fn index(blob: &[u8]) -> Result<SegIndex, FsError> {
             rows.push(SegRow {
                 path: e.path.to_string(),
                 seq,
-                expires_us,
                 tombstone: flags & FLAG_TOMBSTONE != 0,
                 codec: e.codec,
                 raw_len: usize::try_from(e.stat.size)
@@ -315,19 +294,6 @@ pub fn index(blob: &[u8]) -> Result<SegIndex, FsError> {
     };
     let rows = walk().map_err(|e| e.corrupt("wal segment"))?;
     Ok(SegIndex { header, rows })
-}
-
-/// Index the segment and copy each entry's stored bytes out beside its
-/// row (verification and tests; the store reads values one at a time).
-pub fn parse_entries(blob: &[u8]) -> Result<Vec<SegEntry>, FsError> {
-    let rows = index(blob)?.rows;
-    Ok(rows
-        .into_iter()
-        .map(|row| {
-            let payload = blob[row.offset..row.offset + row.stored_len].to_vec();
-            SegEntry { row, payload }
-        })
-        .collect())
 }
 
 #[cfg(test)]
@@ -345,7 +311,7 @@ mod tests {
     }
 
     fn entry(seq: u64, value: Option<&[u8]>) -> MemEntry {
-        MemEntry { seq, expires_us: 0, value: value.map(|v| Arc::new(v.to_vec())) }
+        MemEntry { seq, value: value.map(|v| Arc::new(v.to_vec())) }
     }
 
     fn lz() -> CodecId {
@@ -354,6 +320,11 @@ mod tests {
 
     fn noise() -> Vec<u8> {
         (0..256u32).flat_map(|i| i.wrapping_mul(0x9E37_79B9).to_le_bytes()).collect()
+    }
+
+    /// A row's stored bytes, as compaction carries them out of `blob`.
+    fn stored<'a>(row: &'a SegRow, blob: &'a [u8]) -> Cow<'a, [u8]> {
+        row.carry(blob).expect("the row indexes this blob").stored
     }
 
     /// A row's value decoded from its stored bytes, as a reader decodes it;
@@ -371,28 +342,29 @@ mod tests {
             ("b/tomb".to_string(), entry(5, None)),
             ("a/data".to_string(), entry(3, Some(&b"compress me ".repeat(50)))),
         ]);
-        let Built { blob, index } = build(&entries, lz(), 0.01).unwrap();
-        assert_eq!(index.rows.iter().map(|r| r.raw_len).sum::<usize>(), 600);
+        let Built { blob, index: built } = build(&entries, lz(), 0.01).unwrap();
+        assert_eq!(built.rows.iter().map(|r| r.raw_len).sum::<usize>(), 600);
         let h = parse_header(&blob).unwrap();
         assert_eq!((h.first_seq, h.last_seq), (3, 5));
         assert!(h.bloom.contains("a/data") && h.bloom.contains("b/tomb"));
-        let parsed = parse_entries(&blob).unwrap();
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].row.path, "a/data");
-        assert!(!parsed[0].row.tombstone);
-        assert!(parsed[0].payload.len() < 600, "repetitive value compresses");
-        assert_eq!(decode(&parsed[0].row, &parsed[0].payload), b"compress me ".repeat(50));
-        assert!(parsed[1].row.tombstone);
-        assert_eq!(parsed[1].row.seq, 5);
+        let rows = index(&blob).unwrap().rows;
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].path, "a/data");
+        assert!(!rows[0].tombstone);
+        let data = stored(&rows[0], &blob);
+        assert!(data.len() < 600, "repetitive value compresses");
+        assert_eq!(decode(&rows[0], &data), b"compress me ".repeat(50));
+        assert!(rows[1].tombstone);
+        assert_eq!(rows[1].seq, 5);
     }
 
     #[test]
     fn incompressible_values_stored_raw() {
         let entries = sorted_entries([("n".to_string(), entry(1, Some(&noise())))]);
         let blob = build(&entries, lz(), 0.01).unwrap().blob;
-        let parsed = parse_entries(&blob).unwrap();
-        assert_eq!(parsed[0].row.codec, CodecId::new(CodecFamily::Store, 0));
-        assert_eq!(decode(&parsed[0].row, &parsed[0].payload), noise());
+        let rows = index(&blob).unwrap().rows;
+        assert_eq!(rows[0].codec, CodecId::new(CodecFamily::Store, 0));
+        assert_eq!(decode(&rows[0], &stored(&rows[0], &blob)), noise());
     }
 
     #[test]
@@ -408,14 +380,13 @@ mod tests {
         assert!(parse_header(&wrong_version).is_err());
     }
 
-    /// Compressed, stored-raw, empty, TTL'd and deleted versions.
+    /// Compressed, stored-raw, empty and deleted versions.
     fn mixed() -> Vec<(String, MemEntry)> {
-        let ttl = MemEntry { expires_us: 77, ..entry(9, Some(&b"expiring ".repeat(40))) };
         sorted_entries([
             ("m/compressed".to_string(), entry(3, Some(&b"compress me ".repeat(50)))),
             ("m/raw".to_string(), entry(4, Some(&noise()))),
             ("m/empty".to_string(), entry(5, Some(b""))),
-            ("m/ttl".to_string(), ttl),
+            ("m/unlinked".to_string(), entry(9, None)),
             ("m/tomb".to_string(), entry(11, None)),
         ])
     }
@@ -427,12 +398,8 @@ mod tests {
         assert_eq!(index(&blob).unwrap(), built);
         for (row, (path, e)) in built.rows.iter().zip(mixed()) {
             assert_eq!(row.path, path);
-            assert_eq!(
-                (row.seq, row.expires_us, row.tombstone),
-                (e.seq, e.expires_us, e.value.is_none())
-            );
-            let stored = &blob[row.offset..row.offset + row.stored_len];
-            let value = decode(row, stored);
+            assert_eq!((row.seq, row.tombstone), (e.seq, e.value.is_none()));
+            let value = decode(row, &stored(row, &blob));
             assert_eq!(value, e.value.map_or(Vec::new(), |v| (*v).clone()), "{path}");
             assert_eq!(built.find(&path), Some(row));
         }
@@ -445,26 +412,18 @@ mod tests {
         // segment as they are. What it used to do: decode every value and
         // build again. The two must agree byte for byte.
         let source = build(&mixed(), lz(), 0.01).unwrap();
-        let carried: Vec<Part<'_>> = source
-            .index
-            .rows
+        let rows = index(&source.blob).unwrap().rows;
+        let live: Vec<&SegRow> = rows.iter().filter(|r| !r.tombstone).collect();
+        let carried: Vec<Part<'_>> = live.iter().map(|r| r.carry(&source.blob).unwrap()).collect();
+        let decoded: Vec<(String, MemEntry)> = live
             .iter()
-            .filter(|r| !r.tombstone)
-            .map(|r| r.carry(&source.blob).expect("the row indexes this blob"))
-            .collect();
-        let decoded: Vec<(String, MemEntry)> = parse_entries(&source.blob)
-            .unwrap()
-            .iter()
-            .filter(|e| !e.row.tombstone)
-            .map(|e| {
-                let value = Some(Arc::new(decode(&e.row, &e.payload)));
-                (
-                    e.row.path.clone(),
-                    MemEntry { seq: e.row.seq, expires_us: e.row.expires_us, value },
-                )
+            .zip(&carried)
+            .map(|(r, p)| {
+                let value = Some(Arc::new(decode(r, &p.stored)));
+                (r.path.clone(), MemEntry { seq: r.seq, value })
             })
             .collect();
-        assert_eq!(carried.len(), 4);
+        assert_eq!(carried.len(), 3);
         let rebuilt = build(&decoded, lz(), 0.01).unwrap();
         let carried = assemble(&carried, 0.01);
         assert_eq!(carried.blob, rebuilt.blob);
@@ -482,9 +441,13 @@ mod tests {
         let good = build(&[entries[1].clone(), entries[0].clone()], lz(), 0.01).unwrap();
         let value_at = good.index.rows[0].offset;
         let size_at = value_at - META_PREFIX - 8;
-        let mut short = good.blob;
+        let mut short = good.blob.clone();
         short[size_at..size_at + 8].copy_from_slice(&(META_PREFIX as u64 - 1).to_le_bytes());
         short.drain(value_at - 1..value_at + 1);
         assert!(matches!(index(&short), Err(FsError::Corrupt(m)) if m.contains("metadata")));
+        // A nonzero reserved word in an entry's metadata prefix.
+        let mut reserved = good.blob;
+        reserved[value_at - META_PREFIX + 8] = 1;
+        assert!(matches!(index(&reserved), Err(FsError::Corrupt(m)) if m.contains("reserved")));
     }
 }

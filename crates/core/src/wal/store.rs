@@ -37,16 +37,15 @@
 //! few flushes. The price is space: a dead version in an older segment
 //! stays on the medium until a run reaches it. A run that reaches the
 //! oldest segment (and an explicit [`WalStore::compact`], which merges
-//! every segment) drops superseded versions, tombstones and expired TTLs;
-//! a shorter run drops superseded versions and carries each tombstone or
-//! expired winner that an older segment still holds a version of —
-//! decided from the blooms and index rows in memory — so that version
-//! stays shadowed. The merge runs over the index rows; each input blob is
-//! read once, its length and CRC are checked against the manifest, and
-//! the surviving versions' *stored* bytes are copied into the output as
-//! they are — nothing is decoded or re-encoded, and the CRC check is what
-//! keeps a verbatim copy from sealing at-rest damage under the output's
-//! fresh CRC. Compaction is threshold-triggered inline rather than a free
+//! every segment) drops superseded versions and tombstones; a shorter run
+//! drops superseded versions and carries each winning tombstone that an
+//! older segment still holds a version of — decided from the blooms and
+//! index rows in memory — so that version stays shadowed. The merge runs
+//! over the index rows; each input blob is read once, its length and CRC
+//! are checked against the manifest, and the surviving versions' *stored*
+//! bytes are copied into the output as they are — nothing is decoded or
+//! re-encoded, and the CRC check is what keeps a verbatim copy from
+//! sealing at-rest damage under the output's fresh CRC. Compaction is threshold-triggered inline rather than a free
 //! thread: the repo's chaos and crash tests assert byte-identical seeded
 //! outcomes, which a racing background compactor would break.
 //!
@@ -55,15 +54,19 @@
 //! Every published segment's [`SegIndex`] — bloom filter plus one sorted
 //! row per entry — lives in memory, built from the entries in hand when
 //! the segment is written and by one walk of the CRC-verified blob at
-//! `open`. `get` consults the memtable, then each segment newest first:
-//! bloom filter, binary search of the rows, and for a live hit one
-//! [`WalMedia::read_range`] of that value's stored bytes, handed out as
-//! stored with the row's codec and raw length. The store decodes nothing:
-//! the reader decodes a value as it decodes an input, timed and counted
-//! ([`crate::node::NodeState::decode_timed`]), outside the store's lock.
-//! A miss, a tombstone, an expired TTL, `contains` and [`WalStore::live`]
-//! read nothing from the medium — `wal.segment.reads` counts the value
-//! fetches and stays at zero for them, which the crash tests assert.
+//! `open`, which is the store's one check of its medium: a manifest that
+//! does not decode, or a segment that is missing, fails its CRC, does not
+//! index or holds another number of entries than its manifest entry says,
+//! fails `open` as [`FsError::Corrupt`]. `get` consults the memtable, then
+//! each segment newest first: bloom filter, binary search of the rows, and
+//! for a live hit one [`WalMedia::read_range`] of that value's stored
+//! bytes, handed out as stored with the row's codec and raw length. The
+//! store decodes nothing: the reader decodes a value as it decodes an
+//! input, timed and counted ([`crate::node::NodeState::decode_timed`]),
+//! outside the store's lock. A miss, a tombstone, `contains` and
+//! [`WalStore::live`] read nothing from the medium — `wal.segment.reads`
+//! counts the value fetches and stays at zero for them, which the crash
+//! tests assert — and nothing in the store reads the clock.
 
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::collections::HashSet;
@@ -74,7 +77,7 @@ use fanstore_compress::crc32::crc32;
 use fanstore_compress::{CodecFamily, CodecId};
 use parking_lot::Mutex;
 
-use crate::metrics::{now_us, Counter, Gauge, Histogram, MetricsRegistry};
+use crate::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 use crate::FsError;
 
 use super::log::{encode_parts, replay};
@@ -134,7 +137,7 @@ pub enum Lookup {
     /// The newest version as stored: its codec, its raw (decoded) length
     /// and its stored bytes. A memtable value is stored raw.
     Hit(CodecId, usize, Arc<Vec<u8>>),
-    /// The newest version deletes the key (or its TTL expired).
+    /// The newest version deletes the key.
     Tombstone,
     /// The store has never seen the key.
     Miss,
@@ -156,23 +159,6 @@ pub struct WalReplay {
     pub durable_seq: u64,
 }
 
-/// Verification report of [`WalStore::verify`].
-#[derive(Debug, Clone, Default)]
-pub struct WalVerify {
-    /// Publish counter of the manifest checked.
-    pub publish: u64,
-    /// Segments whose CRC, header and entries all verified.
-    pub segments_ok: usize,
-    /// Total entries across verified segments.
-    pub entries: u64,
-    /// Intact records in the log.
-    pub log_records: u64,
-    /// Whether the log has a torn tail (a crash artifact, not an error).
-    pub log_torn: bool,
-    /// Problems found (empty = healthy).
-    pub errors: Vec<String>,
-}
-
 /// Outcome of one compaction run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CompactionReport {
@@ -186,8 +172,6 @@ pub struct CompactionReport {
     pub dropped_versions: u64,
     /// Tombstones retired.
     pub dropped_tombstones: u64,
-    /// Entries dropped because their TTL expired.
-    pub dropped_expired: u64,
 }
 
 /// Handles into the registry for every WAL instrument, resolved once.
@@ -213,8 +197,7 @@ pub struct WalMetrics {
     pub compact_in_bytes: Arc<Counter>,
     /// Raw bytes written by compaction (`wal.compact.out_bytes`).
     pub compact_out_bytes: Arc<Counter>,
-    /// Versions + tombstones + expired entries dropped
-    /// (`wal.compact.dropped`).
+    /// Versions + tombstones dropped (`wal.compact.dropped`).
     pub compact_dropped: Arc<Counter>,
     /// Records replayed at open (`wal.replay.records`).
     pub replay_records: Arc<Counter>,
@@ -296,7 +279,7 @@ enum Found<'a> {
     Mem(&'a Arc<Vec<u8>>),
     /// Live in a segment: fetch `row`'s stored bytes to read it.
     Seg(&'a LoadedSegment, &'a SegRow),
-    /// Deleted or expired.
+    /// Deleted.
     Dead,
     /// Never seen.
     Miss,
@@ -349,7 +332,9 @@ impl WalStore {
     /// state: the published manifest names the segment set, and log
     /// records past its `trim_seq` rebuild the memtable — tolerant of a
     /// torn log tail, intolerant of a corrupt manifest or segment (those
-    /// are storage corruption, not crash artifacts).
+    /// are storage corruption, not crash artifacts). A segment must be
+    /// present, match its manifest entry's length and CRC, index, and hold
+    /// as many entries as that entry says.
     pub fn open(
         media: Arc<dyn WalMedia>,
         cfg: WalConfig,
@@ -365,6 +350,14 @@ impl WalStore {
         let mut durable_seq = manifest.trim_seq;
         for meta in &manifest.segments {
             let index = segment::index(&read_verified(media.as_ref(), meta)?)?;
+            if index.rows.len() != meta.entries as usize {
+                return Err(FsError::Corrupt(format!(
+                    "wal: segment {} holds {} entries, its manifest entry says {}",
+                    meta.name,
+                    index.rows.len(),
+                    meta.entries
+                )));
+            }
             durable_seq = durable_seq.max(index.header.last_seq);
             if let Some(id) = segment_id(&meta.name) {
                 max_segment_id = max_segment_id.max(id);
@@ -420,7 +413,7 @@ impl WalStore {
     /// once the write is as durable as the configured commit policy
     /// makes it (with `commit_every = 1`, fully durable).
     pub fn put(&self, path: &str, value: Vec<u8>) -> Result<u64, FsError> {
-        self.append(&mut self.inner.lock(), path, Some(value), None)
+        self.append(&mut self.inner.lock(), path, Some(value))
     }
 
     /// [`WalStore::put`] unless `path` already resolves to a value, decided
@@ -430,18 +423,12 @@ impl WalStore {
         if matches!(self.locate(&inner, path), Found::Mem(_) | Found::Seg(..)) {
             return Ok(None);
         }
-        self.append(&mut inner, path, Some(value), None).map(Some)
-    }
-
-    /// [`WalStore::put`] with a TTL: the entry expires `ttl` from now
-    /// (expired entries read as absent and compaction drops them).
-    pub fn put_ttl(&self, path: &str, value: Vec<u8>, ttl: Duration) -> Result<u64, FsError> {
-        self.append(&mut self.inner.lock(), path, Some(value), Some(ttl))
+        self.append(&mut inner, path, Some(value)).map(Some)
     }
 
     /// Delete `path` (a tombstone record; compaction retires it).
     pub fn unlink(&self, path: &str) -> Result<u64, FsError> {
-        self.append(&mut self.inner.lock(), path, None, None)
+        self.append(&mut self.inner.lock(), path, None)
     }
 
     /// Append one record: WAL frame into the pending batch, memtable
@@ -451,16 +438,14 @@ impl WalStore {
         inner: &mut Inner,
         path: &str,
         value: Option<Vec<u8>>,
-        ttl: Option<Duration>,
     ) -> Result<u64, FsError> {
         crate::pack::check_path(path)?;
         let seq = inner.next_seq;
         inner.next_seq += 1;
-        let expires_us = ttl.map_or(0, |d| now_us().saturating_add(d.as_micros() as u64).max(1));
         let bytes = value.as_ref().map_or(0, Vec::len);
-        encode_parts(&mut inner.pending, seq, expires_us, path, value.as_deref());
+        encode_parts(&mut inner.pending, seq, path, value.as_deref());
         inner.pending_records += 1;
-        inner.mem.insert(path, MemEntry { seq, expires_us, value: value.map(Arc::new) });
+        inner.mem.insert(path, MemEntry { seq, value: value.map(Arc::new) });
         inner.applied += path.len() + bytes;
         self.metrics.append_records.inc();
         self.metrics.append_bytes.add(bytes as u64);
@@ -544,37 +529,26 @@ impl WalStore {
         self.metrics.segments.set(inner.loaded.len() as u64);
         let run = tiered_run(&inner.manifest.segments);
         if self.cfg.compact_min_segments > 0 && run >= self.cfg.compact_min_segments {
-            self.compact_locked(&mut *inner, run, now_us())?;
+            self.compact_locked(&mut *inner, run)?;
         }
         Ok(Some(name))
     }
 
     /// Merge every published segment into one, dropping superseded
-    /// versions, tombstones and expired TTLs, and publish the merged
-    /// set. No-op below two segments.
+    /// versions and tombstones, and publish the merged set. No-op below
+    /// two segments.
     pub fn compact(&self) -> Result<CompactionReport, FsError> {
-        self.compact_at(now_us())
-    }
-
-    /// [`WalStore::compact`] against an explicit clock — tests pin
-    /// `now_us` to make TTL expiry deterministic.
-    pub fn compact_at(&self, now_us: u64) -> Result<CompactionReport, FsError> {
         let mut inner = self.inner.lock();
         let all = inner.loaded.len();
-        self.compact_locked(&mut inner, all, now_us)
+        self.compact_locked(&mut inner, all)
     }
 
     /// Merge the newest `run` segments into one, which takes their place
     /// at the front of the set. A run that reaches the oldest segment
-    /// drops every tombstone and expired TTL it wins with; a shorter run
-    /// carries each one an older segment still holds a version of, so it
-    /// keeps shadowing that version.
-    fn compact_locked(
-        &self,
-        inner: &mut Inner,
-        run: usize,
-        now_us: u64,
-    ) -> Result<CompactionReport, FsError> {
+    /// drops every tombstone it wins with; a shorter run carries each one
+    /// an older segment still holds a version of, so it keeps shadowing
+    /// that version.
+    fn compact_locked(&self, inner: &mut Inner, run: usize) -> Result<CompactionReport, FsError> {
         if run < 2 {
             return Ok(CompactionReport::default());
         }
@@ -588,10 +562,10 @@ impl WalStore {
             .map(|seg| read_verified(self.media.as_ref(), &seg.meta))
             .collect::<Result<Vec<_>, _>>()?;
         // Newest-first walk over the index rows: the first version of a
-        // key wins (`None` when that version is a tombstone or expired
-        // that nothing older needs shadowed — remembered so older versions
-        // drop as superseded, emitted as nothing); everything after it for
-        // the same key is superseded.
+        // key wins (`None` when that version is a tombstone that nothing
+        // older needs shadowed — remembered so older versions drop as
+        // superseded, emitted as nothing); everything after it for the same
+        // key is superseded.
         let mut winners: BTreeMap<&str, Option<Part<'_>>> = BTreeMap::new();
         for (seg, blob) in inputs.iter().zip(&blobs) {
             for row in &seg.index.rows {
@@ -600,12 +574,8 @@ impl WalStore {
                     report.dropped_versions += 1;
                     continue;
                 };
-                if row.dead_at(now_us) && !older.iter().any(|seg| seg.holds(&row.path)) {
-                    if row.tombstone {
-                        report.dropped_tombstones += 1;
-                    } else {
-                        report.dropped_expired += 1;
-                    }
+                if row.tombstone && !older.iter().any(|seg| seg.holds(&row.path)) {
+                    report.dropped_tombstones += 1;
                     slot.insert(None);
                     continue;
                 }
@@ -647,9 +617,7 @@ impl WalStore {
         self.metrics.compact_runs.inc();
         self.metrics.compact_in_bytes.add(report.in_bytes);
         self.metrics.compact_out_bytes.add(report.out_bytes);
-        self.metrics
-            .compact_dropped
-            .add(report.dropped_versions + report.dropped_tombstones + report.dropped_expired);
+        self.metrics.compact_dropped.add(report.dropped_versions + report.dropped_tombstones);
         self.metrics.segments.set(inner.loaded.len() as u64);
         Ok(report)
     }
@@ -659,7 +627,7 @@ impl WalStore {
     fn locate<'a>(&self, inner: &'a Inner, path: &str) -> Found<'a> {
         if let Some(e) = inner.mem.get(path) {
             self.metrics.memtable_hits.inc();
-            return e.live_at(now_us()).map_or(Found::Dead, Found::Mem);
+            return e.value.as_ref().map_or(Found::Dead, Found::Mem);
         }
         for seg in &inner.loaded {
             if !seg.index.header.bloom.contains(path) {
@@ -669,7 +637,7 @@ impl WalStore {
             match seg.index.find(path) {
                 Some(row) => {
                     self.metrics.segment_hits.inc();
-                    return if row.dead_at(now_us()) { Found::Dead } else { Found::Seg(seg, row) };
+                    return if row.tombstone { Found::Dead } else { Found::Seg(seg, row) };
                 }
                 None => self.metrics.bloom_false_positive.inc(),
             }
@@ -700,13 +668,13 @@ impl WalStore {
     }
 
     /// Every live key with its raw length, from the memtable and the
-    /// segment indexes, newest version first: a tombstone or an expired TTL
-    /// hides its key and adds nothing. Nothing is read from the medium.
+    /// segment indexes, newest version first: a tombstone hides its key and
+    /// adds nothing. Nothing is read from the medium.
     pub fn live(&self) -> Vec<(String, usize)> {
-        let (inner, now) = (self.inner.lock(), now_us());
-        let mem = inner.mem.iter().map(|(path, e)| (path, e.live_at(now).map(|v| v.len())));
+        let inner = self.inner.lock();
+        let mem = inner.mem.iter().map(|(path, e)| (path, e.value.as_ref().map(|v| v.len())));
         let rows = inner.loaded.iter().flat_map(|seg| &seg.index.rows);
-        let rows = rows.map(|row| (&row.path, (!row.dead_at(now)).then_some(row.raw_len)));
+        let rows = rows.map(|row| (&row.path, (!row.tombstone).then_some(row.raw_len)));
         let mut seen = HashSet::new();
         let newest = mem.chain(rows).filter(|(path, _)| seen.insert(*path));
         newest.filter_map(|(path, len)| Some((path.clone(), len?))).collect()
@@ -735,45 +703,6 @@ impl WalStore {
             memtable_bytes: inner.mem.bytes(),
             segments: inner.manifest.segments.clone(),
         }
-    }
-
-    /// Verify everything on the medium: manifest CRC, every segment's
-    /// CRC + header + entries, and the log scan. Collects problems
-    /// instead of failing fast, so one report names them all.
-    pub fn verify(&self) -> WalVerify {
-        let mut v = WalVerify::default();
-        let manifest = match self.media.read(&self.manifest_name()) {
-            Some(buf) => match WalManifest::decode(&buf) {
-                Ok(m) => m,
-                Err(e) => {
-                    v.errors.push(format!("manifest: {e}"));
-                    WalManifest::default()
-                }
-            },
-            None => WalManifest::default(),
-        };
-        v.publish = manifest.publish;
-        for meta in &manifest.segments {
-            let indexed = read_verified(self.media.as_ref(), meta)
-                .and_then(|blob| segment::index(&blob))
-                .map(|index| index.rows.len());
-            match indexed {
-                Ok(entries) if entries as u32 == meta.entries => {
-                    v.segments_ok += 1;
-                    v.entries += entries as u64;
-                }
-                Ok(entries) => v.errors.push(format!(
-                    "{}: {entries} entries, manifest says {}",
-                    meta.name, meta.entries
-                )),
-                Err(e) => v.errors.push(format!("{}: {e}", meta.name)),
-            }
-        }
-        let log = self.media.read(&self.log_name()).unwrap_or_default();
-        let (records, torn) = replay(&log);
-        v.log_records = records.len() as u64;
-        v.log_torn = torn;
-        v
     }
 
     fn log_name(&self) -> String {
@@ -928,9 +857,9 @@ mod tests {
         store.flush().unwrap();
         store.put("twice", vec![4u8; 7]).unwrap();
         store.unlink("gone").unwrap();
-        store.put_ttl("ttl", b"v".to_vec(), Duration::from_micros(1)).unwrap();
+        store.put("unlinked", b"v".to_vec()).unwrap();
+        store.unlink("unlinked").unwrap();
         store.put("new", vec![5u8; 9]).unwrap();
-        std::thread::sleep(Duration::from_millis(2));
         let mut live = store.live();
         live.sort();
         let want = [("new", 9), ("old", 40), ("twice", 7)].map(|(p, n)| (p.to_string(), n));
@@ -960,26 +889,27 @@ mod tests {
     #[test]
     fn compaction_merges_and_drops() {
         let media = RamMedia::new(Duration::ZERO);
-        let (store, _) = open(media, tiny_cfg());
+        let (store, _) = open(media.clone(), tiny_cfg());
         store.put("keep", b"v1".to_vec()).unwrap();
         store.put("dead", b"x".to_vec()).unwrap();
         store.flush().unwrap();
         store.put("keep", b"v2".to_vec()).unwrap();
         store.unlink("dead").unwrap();
-        store.put_ttl("ttl", b"expiring".to_vec(), Duration::from_micros(1)).unwrap();
+        store.unlink("unlinked").unwrap();
         store.flush().unwrap();
         assert_eq!(store.status().segments.len(), 2);
-        let report = store.compact_at(u64::MAX).unwrap(); // everything with a TTL is expired
+        let report = store.compact().unwrap();
         assert_eq!(report.merged_segments, 2);
         assert_eq!(report.dropped_versions, 2, "old keep + old dead superseded");
-        assert_eq!(report.dropped_tombstones, 1);
-        assert_eq!(report.dropped_expired, 1);
+        assert_eq!(report.dropped_tombstones, 2, "dead's and unlinked's");
         assert_eq!(store.status().segments.len(), 1);
         assert_eq!(&*value(&store, "keep").unwrap(), b"v2");
         assert!(matches!(store.get("dead").unwrap(), Lookup::Miss), "tombstone retired");
-        let v = store.verify();
-        assert!(v.errors.is_empty(), "{:?}", v.errors);
-        assert_eq!(v.segments_ok, 1);
+        assert!(matches!(store.get("unlinked").unwrap(), Lookup::Miss), "tombstone retired");
+        drop(store);
+        let (store, replay) = open(media, tiny_cfg());
+        assert_eq!(replay.segments, 1, "the merged segment checks out at open");
+        assert_eq!(&*value(&store, "keep").unwrap(), b"v2");
     }
 
     #[test]
@@ -987,12 +917,13 @@ mod tests {
         let media = RamMedia::new(Duration::ZERO);
         let cfg = WalConfig { memtable_budget: 1 << 20, compact_min_segments: 3, ..tiny_cfg() };
         let (store, _) = open(media.clone(), cfg.clone());
-        // The old segment: `k`, a key the TTL'd write will shadow, and
-        // incompressible filler that makes it larger than every flush after it.
+        // The old segment: `k` and `late`, two keys later flushes unlink,
+        // and incompressible filler that makes it larger than every flush
+        // after it.
         let noise =
             |seed: usize| (0..300).map(move |j| (j * 131 + seed * 71) as u8 ^ (j >> 3) as u8);
         store.put("k", b"v1".to_vec()).unwrap();
-        store.put("ttl", b"old".to_vec()).unwrap();
+        store.put("late", b"old".to_vec()).unwrap();
         for i in 0..4 {
             store.put(&format!("fill{i}"), noise(i).collect()).unwrap();
         }
@@ -1000,11 +931,10 @@ mod tests {
         let old = store.status().segments[0].clone();
         store.unlink("k").unwrap();
         store.flush().unwrap();
-        store.put_ttl("ttl", b"short".to_vec(), Duration::from_micros(1)).unwrap();
+        store.unlink("late").unwrap();
         store.flush().unwrap();
-        std::thread::sleep(Duration::from_millis(2));
         assert!(matches!(store.get("k").unwrap(), Lookup::Tombstone));
-        assert!(matches!(store.get("ttl").unwrap(), Lookup::Tombstone));
+        assert!(matches!(store.get("late").unwrap(), Lookup::Tombstone));
         // The fourth flush closes a run of three small segments above `old`.
         store.put("x", vec![9u8; 32]).unwrap();
         store.flush().unwrap();
@@ -1014,7 +944,7 @@ mod tests {
         assert_eq!(names[1], old.name, "the older segment stays published");
         let shadowed = |store: &WalStore| {
             assert!(matches!(store.get("k").unwrap(), Lookup::Tombstone), "v1 stays shadowed");
-            assert!(matches!(store.get("ttl").unwrap(), Lookup::Tombstone), "old stays shadowed");
+            assert!(matches!(store.get("late").unwrap(), Lookup::Tombstone), "old stays shadowed");
             assert_eq!(&*value(store, "x").unwrap(), &[9u8; 32]);
             assert_eq!(store.status().segments[1], old);
         };
@@ -1024,9 +954,8 @@ mod tests {
         shadowed(&store);
         let report = store.compact().unwrap();
         assert_eq!(report.merged_segments, 2);
-        assert_eq!(report.dropped_tombstones, 1, "the tombstone retires with v1");
-        assert_eq!(report.dropped_expired, 1);
-        assert_eq!(report.dropped_versions, 2, "v1 and the shadowed `ttl` drop");
+        assert_eq!(report.dropped_tombstones, 2, "each tombstone retires with what it shadowed");
+        assert_eq!(report.dropped_versions, 2, "v1 and the shadowed `late` drop");
         assert!(matches!(store.get("k").unwrap(), Lookup::Miss));
     }
 
@@ -1045,15 +974,6 @@ mod tests {
         assert_eq!(store.durable_seq(), 16, "17th write awaits its group");
         store.commit().unwrap();
         assert_eq!(store.durable_seq(), 17);
-    }
-
-    #[test]
-    fn ttl_reads_as_absent_after_expiry() {
-        let media = RamMedia::new(Duration::ZERO);
-        let (store, _) = open(media, WalConfig::default());
-        store.put_ttl("t", b"v".to_vec(), Duration::from_micros(1)).unwrap();
-        std::thread::sleep(Duration::from_millis(2));
-        assert!(matches!(store.get("t").unwrap(), Lookup::Tombstone));
     }
 
     #[test]

@@ -13,11 +13,10 @@
 //! Point-to-point: [`Channel::send`] / [`Channel::recv_match`] with
 //! source/tag matching and out-of-order buffering, plus an [`Channel::rpc`]
 //! convenience for request/reply against a daemon loop.
-//! Collectives: [`Channel::barrier`], [`Channel::allgather`],
-//! [`Channel::bcast`], [`Channel::allreduce_f64`], implemented over
-//! point-to-point with per-channel generation counters, so they follow the
-//! MPI rule: every rank calls the same collectives in the same order on a
-//! given channel.
+//! Collectives: [`Channel::barrier`] and [`Channel::allgather`],
+//! implemented over point-to-point with per-channel generation counters,
+//! so they follow the MPI rule: every rank calls the same collectives in
+//! the same order on a given channel.
 //!
 //! Fault injection: [`launch_with_faults`] compiles a seeded
 //! [`fault::FaultPlan`] into a [`fault::FaultInjector`] shared by every
@@ -274,107 +273,6 @@ impl Channel {
     /// Synchronise all ranks.
     pub fn barrier(&mut self) -> Result<(), CommError> {
         self.allgather(Vec::new()).map(|_| ())
-    }
-
-    /// Broadcast `data` from `root` to all ranks; every rank returns the
-    /// broadcast buffer.
-    pub fn bcast(&mut self, root: usize, data: Option<Vec<u8>>) -> Result<Vec<u8>, CommError> {
-        let tag = self.next_collective_tag();
-        if self.rank() == root {
-            let data = data.expect("root must supply data");
-            for dest in 0..self.size() {
-                if dest != root {
-                    self.send(dest, tag, data.clone())?;
-                }
-            }
-            Ok(data)
-        } else {
-            Ok(self.recv_match(Some(root), Some(tag))?.payload)
-        }
-    }
-
-    /// Bandwidth-optimal ring allreduce (the Horovod/baidu-allreduce
-    /// algorithm the paper's training stack uses): a reduce-scatter pass
-    /// followed by an allgather pass, each `size - 1` steps, moving
-    /// `2 (n-1)/n` of the buffer per rank instead of `n-1` copies.
-    pub fn ring_allreduce_f64(&mut self, local: &[f64]) -> Result<Vec<f64>, CommError> {
-        let n = self.size();
-        if n == 1 {
-            return Ok(local.to_vec());
-        }
-        let len = local.len();
-        // Chunk boundaries: chunk c covers [bounds[c], bounds[c+1]).
-        let bounds: Vec<usize> = (0..=n).map(|c| c * len / n).collect();
-        let mut buf = local.to_vec();
-        let right = self.ring_right();
-        let left = self.ring_left();
-
-        let encode =
-            |slice: &[f64]| -> Vec<u8> { slice.iter().flat_map(|v| v.to_le_bytes()).collect() };
-        let decode = |bytes: &[u8]| -> Result<Vec<f64>, CommError> {
-            if !bytes.len().is_multiple_of(8) {
-                return Err(CommError::Disconnected);
-            }
-            Ok(bytes
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-                .collect())
-        };
-
-        // Phase 1: reduce-scatter. At step s, send chunk (rank - s) and
-        // accumulate into chunk (rank - s - 1).
-        let base_tag = self.next_collective_tag();
-        for step in 0..n - 1 {
-            let send_chunk = (self.rank() + n - step) % n;
-            let recv_chunk = (self.rank() + n - step - 1) % n;
-            let tag = base_tag + step as Tag;
-            self.send(right, tag, encode(&buf[bounds[send_chunk]..bounds[send_chunk + 1]]))?;
-            let msg = self.recv_match(Some(left), Some(tag))?;
-            let incoming = decode(&msg.payload)?;
-            let dst = &mut buf[bounds[recv_chunk]..bounds[recv_chunk + 1]];
-            if incoming.len() != dst.len() {
-                return Err(CommError::Disconnected);
-            }
-            for (d, v) in dst.iter_mut().zip(incoming) {
-                *d += v;
-            }
-        }
-        // Phase 2: allgather of the reduced chunks. After phase 1, rank r
-        // holds the fully-reduced chunk (r + 1) % n.
-        for step in 0..n - 1 {
-            let send_chunk = (self.rank() + 1 + n - step) % n;
-            let recv_chunk = (self.rank() + n - step) % n;
-            let tag = base_tag + (n - 1 + step) as Tag;
-            self.send(right, tag, encode(&buf[bounds[send_chunk]..bounds[send_chunk + 1]]))?;
-            let msg = self.recv_match(Some(left), Some(tag))?;
-            let incoming = decode(&msg.payload)?;
-            let dst = &mut buf[bounds[recv_chunk]..bounds[recv_chunk + 1]];
-            if incoming.len() != dst.len() {
-                return Err(CommError::Disconnected);
-            }
-            dst.copy_from_slice(&incoming);
-        }
-        // Reserve the tag space both phases consumed (the first call to
-        // next_collective_tag only advanced by one).
-        self.generation += (2 * (n - 1)) as u64;
-        Ok(buf)
-    }
-
-    /// Element-wise sum allreduce over `f64` vectors (the data-parallel
-    /// gradient exchange).
-    pub fn allreduce_f64(&mut self, local: &[f64]) -> Result<Vec<f64>, CommError> {
-        let bytes: Vec<u8> = local.iter().flat_map(|v| v.to_le_bytes()).collect();
-        let all = self.allgather(bytes)?;
-        let mut sum = vec![0.0f64; local.len()];
-        for buf in &all {
-            if buf.len() != local.len() * 8 {
-                return Err(CommError::Disconnected);
-            }
-            for (i, chunk) in buf.chunks_exact(8).enumerate() {
-                sum[i] += f64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-            }
-        }
-        Ok(sum)
     }
 }
 
@@ -758,30 +656,6 @@ mod tests {
     }
 
     #[test]
-    fn bcast_from_nonzero_root() {
-        let results = launch(4, 1, |mut ctx| {
-            let mut ch = ctx.take_channel(0);
-            let data = if ctx.rank == 2 { Some(b"payload".to_vec()) } else { None };
-            ch.bcast(2, data).unwrap()
-        });
-        for r in results {
-            assert_eq!(r, b"payload");
-        }
-    }
-
-    #[test]
-    fn allreduce_sums_elementwise() {
-        let results = launch(3, 1, |mut ctx| {
-            let mut ch = ctx.take_channel(0);
-            let local = vec![ctx.rank as f64, 1.0, -(ctx.rank as f64)];
-            ch.allreduce_f64(&local).unwrap()
-        });
-        for r in results {
-            assert_eq!(r, vec![3.0, 3.0, -3.0]);
-        }
-    }
-
-    #[test]
     fn rpc_against_daemon_loop() {
         let results = launch(3, 2, |mut ctx| {
             let service = ctx.take_channel(1);
@@ -857,11 +731,11 @@ mod tests {
             let mut ch = ctx.take_channel(0);
             ch.barrier().unwrap();
             let g = ch.allgather(vec![42]).unwrap();
-            let r = ch.allreduce_f64(&[2.5]).unwrap();
+            let r = ch.allgather(2.5f64.to_le_bytes().to_vec()).unwrap();
             (g, r)
         });
         assert_eq!(results[0].0, vec![vec![42]]);
-        assert_eq!(results[0].1, vec![2.5]);
+        assert_eq!(results[0].1, vec![2.5f64.to_le_bytes().to_vec()]);
     }
 
     #[test]
@@ -880,52 +754,6 @@ mod tests {
             let _a = ctx.take_channel(0);
             let _b = ctx.take_channel(0);
         });
-    }
-
-    #[test]
-    fn ring_allreduce_matches_naive() {
-        for size in [1usize, 2, 3, 5, 8] {
-            let results = launch(size, 1, move |mut ctx| {
-                let mut ch = ctx.take_channel(0);
-                let local: Vec<f64> = (0..23).map(|i| (ctx.rank * 100 + i) as f64 * 0.5).collect();
-                let ring = ch.ring_allreduce_f64(&local).unwrap();
-                let naive = ch.allreduce_f64(&local).unwrap();
-                (ring, naive)
-            });
-            for (ring, naive) in results {
-                for (a, b) in ring.iter().zip(&naive) {
-                    assert!((a - b).abs() < 1e-9, "size {size}: {a} vs {b}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn ring_allreduce_short_buffers() {
-        // Buffers shorter than the rank count leave some chunks empty.
-        let results = launch(6, 1, |mut ctx| {
-            let mut ch = ctx.take_channel(0);
-            ch.ring_allreduce_f64(&[ctx.rank as f64, 1.0]).unwrap()
-        });
-        for r in results {
-            assert_eq!(r, vec![15.0, 6.0]);
-        }
-    }
-
-    #[test]
-    fn ring_allreduce_then_other_collectives() {
-        // Tag accounting: collectives after a ring allreduce must not
-        // cross-talk with its many internal rounds.
-        let results = launch(4, 1, |mut ctx| {
-            let mut ch = ctx.take_channel(0);
-            let r = ch.ring_allreduce_f64(&[1.0; 8]).unwrap();
-            let g = ch.allgather(vec![ctx.rank as u8]).unwrap();
-            (r[0], g.len())
-        });
-        for (sum, n) in results {
-            assert_eq!(sum, 4.0);
-            assert_eq!(n, 4);
-        }
     }
 
     #[test]

@@ -28,30 +28,6 @@ proptest! {
             }
         }
     }
-
-    #[test]
-    fn allreduce_matches_sequential_sum(
-        size in 1usize..7,
-        values in proptest::collection::vec(
-            proptest::collection::vec(-1e6f64..1e6, 5), 7),
-    ) {
-        let values = std::sync::Arc::new(values);
-        let expected: Vec<f64> = (0..5)
-            .map(|i| (0..size).map(|r| values[r][i]).sum())
-            .collect();
-        let results = launch(size, 1, {
-            let values = std::sync::Arc::clone(&values);
-            move |mut ctx| {
-                let mut ch = ctx.take_channel(0);
-                ch.allreduce_f64(&values[ctx.rank]).unwrap()
-            }
-        });
-        for r in results {
-            for (got, want) in r.iter().zip(&expected) {
-                prop_assert!((got - want).abs() < 1e-6, "{got} vs {want}");
-            }
-        }
-    }
 }
 
 #[test]

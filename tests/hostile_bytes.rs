@@ -22,7 +22,9 @@
 //! on the rank that holds them and on one that fetches them, under the
 //! same allocation watch; its twin, `whole_reads_size_no_buffer_past_the_file`,
 //! serves the lying geometries to `read_whole` and to the one
-//! whole-container decode.
+//! whole-container decode. `a_nonzero_reserved_word_or_a_wrong_entry_count_is_damage`
+//! holds the WAL to the fields no CRC can vouch for: a reserved word that
+//! is not 0, and a manifest entry count that disagrees with its segment.
 //!
 //! Decoders private to their module are reached through the public entry
 //! that calls them: PUT and GET_MANY requests are sent to a live daemon,
@@ -49,6 +51,7 @@ use fanstore_repro::store::daemon::{
     GetManySpec, PartialChunk,
 };
 use fanstore_repro::store::meta::{encode_single, MetaEntry, MetaTable};
+use fanstore_repro::store::metrics::MetricsRegistry;
 use fanstore_repro::store::node::{decompress_object_into, LocalObject, NodeState};
 use fanstore_repro::store::pack::{
     build_chunked, build_progressive, chunk_payload, decode_container, decode_tiers,
@@ -56,9 +59,10 @@ use fanstore_repro::store::pack::{
     CHUNK_ROW, ENTRY_OVERHEAD, TIER_FULL,
 };
 use fanstore_repro::store::stat::{FileStat, STAT_SIZE};
-use fanstore_repro::store::wal::segment::{build, index, parse_entries, parse_header};
+use fanstore_repro::store::wal::segment::{build, index, parse_header, SegRow};
 use fanstore_repro::store::wal::{
-    encode_record, replay, BloomFilter, MemEntry, WalManifest, WalRecord, WalSegmentMeta,
+    encode_record, replay, BloomFilter, MemEntry, RamMedia, WalConfig, WalManifest, WalMedia,
+    WalRecord, WalSegmentMeta, WalStore,
 };
 use fanstore_repro::store::FsError;
 
@@ -319,11 +323,8 @@ fn wal_manifest() -> WalManifest {
 }
 
 fn wal_segment() -> Vec<u8> {
-    let entry = |seq, value: Option<&[u8]>| MemEntry {
-        seq,
-        expires_us: 0,
-        value: value.map(|v| Arc::new(v.to_vec())),
-    };
+    let entry =
+        |seq, value: Option<&[u8]>| MemEntry { seq, value: value.map(|v| Arc::new(v.to_vec())) };
     let entries = vec![
         ("a/data".to_string(), entry(3, Some(&b"compress me ".repeat(6)))),
         ("b/tomb".to_string(), entry(5, None)),
@@ -333,20 +334,8 @@ fn wal_segment() -> Vec<u8> {
 
 fn wal_log() -> Vec<u8> {
     let mut log = Vec::new();
-    let put = WalRecord {
-        seq: 1,
-        expires_us: 0,
-        tombstone: false,
-        path: "a/b".into(),
-        value: b"hello".to_vec(),
-    };
-    let tomb = WalRecord {
-        seq: 2,
-        expires_us: 99,
-        tombstone: true,
-        path: "a/b".into(),
-        value: Vec::new(),
-    };
+    let put = WalRecord { seq: 1, tombstone: false, path: "a/b".into(), value: b"hello".to_vec() };
+    let tomb = WalRecord { seq: 2, tombstone: true, path: "a/b".into(), value: Vec::new() };
     encode_record(&mut log, &put);
     encode_record(&mut log, &tomb);
     log
@@ -704,11 +693,22 @@ fn rows<'a>(
             strict: true,
             reseal: None,
             allowed: at_rest,
-            decode: decoder(parse_entries, debug_each),
+            // The index walk, then each row's stored bytes carried out of
+            // the blob, as compaction carries them.
+            decode: decoder(
+                |buf| {
+                    let rows = index(buf)?.rows;
+                    let carry = |row: &SegRow| match row.carry(buf) {
+                        Some(part) => Ok(format!("{part:?}")),
+                        None => Err(FsError::Corrupt(format!("{}: outside the segment", row.path))),
+                    };
+                    rows.iter().map(carry).collect::<Result<Vec<_>, _>>()
+                },
+                |items| items,
+            ),
         },
         Row {
-            // What `WalStore::open` runs over every published segment: the
-            // walk `parse_entries` is built on, without the payload copies.
+            // What `WalStore::open` runs over every published segment.
             name: "WAL segment index",
             good: wal_seg.clone(),
             golden: GOLDEN_WAL_SEGMENT,
@@ -849,6 +849,63 @@ fn every_decoder_survives_hostile_bytes() {
             }
         }
     });
+}
+
+/// A one-segment WAL medium, its segment rewritten by `lie` and the
+/// manifest resealed around it, reopened.
+fn reopen_after(lie: impl FnOnce(&mut Vec<u8>, &mut WalSegmentMeta)) -> Result<(), FsError> {
+    let (media, cfg) = (RamMedia::new(Duration::ZERO), WalConfig::default());
+    let (store, _) = WalStore::open(media.clone(), cfg.clone(), &MetricsRegistry::new())?;
+    store.put("a/data", b"compress me ".repeat(6))?;
+    store.unlink("b/tomb")?;
+    store.flush()?;
+    drop(store);
+    let manifest_name = format!("{}/MANIFEST", cfg.dir);
+    let mut manifest = WalManifest::decode(&media.read(&manifest_name).expect("published"))?;
+    let meta = &mut manifest.segments[0];
+    let mut blob = (*media.read(&meta.name).expect("published")).clone();
+    lie(&mut blob, meta);
+    (meta.bytes, meta.crc) = (blob.len() as u64, crc32(&blob));
+    media.write(&meta.name, blob)?;
+    media.write(&manifest_name, manifest.encode())?;
+    WalStore::open(media, cfg, &MetricsRegistry::new()).map(|_| ())
+}
+
+/// Bytes that every CRC vouches for can still lie: a WAL log record or
+/// segment row whose reserved word is not 0, and a manifest whose
+/// `entries` disagrees with the segment it names.
+#[test]
+fn a_nonzero_reserved_word_or_a_wrong_entry_count_is_damage() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    // The log sample's second record: its frame starts after frame 0's
+    // 15-byte header and payload; its reserved word follows its seq.
+    let mut log = wal_log();
+    let second = 15 + le(&log, 7, 4).expect("frame 0's stored_len");
+    log[second + 15 + 8] = 1;
+    reseal_frames(&mut log);
+    let (records, torn) = replay(&log);
+    assert!(torn, "a record with a nonzero reserved word ends replay as torn");
+    assert_eq!(records, replay(&wal_log()).0[..1], "the records before it replay");
+
+    // A segment row's reserved word sits 9 bytes before its stored value:
+    // the metadata prefix is seq (8), reserved (8), flags (1).
+    let reserved_at = |blob: &[u8]| index(blob).expect("the sample indexes").rows[0].offset - 9;
+    let mut segment = wal_segment();
+    let at = reserved_at(&segment);
+    segment[at] = 1;
+    assert!(matches!(index(&segment), Err(FsError::Corrupt(_))), "a segment row's reserved word");
+
+    assert_eq!(reopen_after(|_, _| {}), Ok(()), "the resealed medium itself opens");
+    let got = reopen_after(|blob, _| {
+        let at = reserved_at(blob);
+        blob[at] = 1;
+    });
+    assert!(matches!(got, Err(FsError::Corrupt(_))), "open over a reserved word: {got:?}");
+    let got = reopen_after(|_, meta| meta.entries += 1);
+    assert!(
+        matches!(&got, Err(FsError::Corrupt(m)) if m.contains("wal/seg-00000001")),
+        "open over a miscounted manifest names the segment: {got:?}"
+    );
 }
 
 /// A range-chunked container of `data` in `chunk`-byte `lz4fast-1`
@@ -1113,7 +1170,7 @@ const GOLDEN_SEGMENT: &str = "\
     000904040000000400000011cd82ed6162636401090409000000010000008316 dc8c78";
 const GOLDEN_WAL_LOG: &str = "\
     0000001b0000001b0000006be47b0f01 00*16 \
-    0300612f6268656c6c6f0000001600000016000000e9e28c0202 00*7 63 00*7 010300612f62";
+    0300612f6268656c6c6f00000016000000160000001b4830f202 00*15 010300612f62";
 const GOLDEN_WAL_SEGMENT: &str = "\
     46535753010003 00*7 05 00*7 1c0000001000000040 00*7 02 00*7 \
     6f01a0191af0093a02000000612f64617461 00*250 090457fa 00*6 03 00*7 01 00*7 \

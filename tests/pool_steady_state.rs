@@ -142,9 +142,9 @@ fn retained_cache_plus_recycled_copies_stay_allocation_free() {
 
 #[test]
 fn decoding_a_file_of_exactly_class_size_never_regrows_the_pooled_buffer() {
-    // The pool pads every request by the decoders' own slack constant, so
-    // a file whose length is exactly a class size gets the next class up
-    // and the decoder's `expected_len + WILD_SLACK` reservation fits it.
+    // A class holds `2^k` bytes plus the decoders' own slack constant, so
+    // a file whose length is exactly `2^k` gets the `2^k` class and the
+    // decoder's `expected_len + WILD_SLACK` reservation fits it exactly.
     // A decoder reserving more than the pool pads for would show here as
     // a buffer that came back with a different capacity.
     use fanstore_repro::compress::copy::WILD_SLACK;
@@ -167,7 +167,7 @@ fn decoding_a_file_of_exactly_class_size_never_regrows_the_pooled_buffer() {
             for pass in ["fresh", "recycled"] {
                 let out = state.decompress_timed(id, &stored, len, "ps/exact.bin").unwrap();
                 assert_eq!(out, data, "{id} {len} B {pass}");
-                let class = (len + WILD_SLACK).next_power_of_two();
+                let class = len + WILD_SLACK;
                 assert_eq!(out.capacity(), class, "{id} {len} B {pass}: buffer regrown");
                 state.pool.put(out);
             }

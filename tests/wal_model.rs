@@ -1,17 +1,17 @@
 //! The WAL store against a model, and against a medium that counts.
 //!
-//! * **Model**: seeded scripts of put / overwrite / unlink / put_ttl /
-//!   flush / compact / reopen run against a `BTreeMap`; every `get` (its
-//!   stored bytes decoded as a reader decodes them), every `contains` and
-//!   the `live` listing agree with it, before and after each reopen.
+//! * **Model**: seeded scripts of put / overwrite / unlink / flush /
+//!   compact / reopen run against a `BTreeMap`; every `get` (its stored
+//!   bytes decoded as a reader decodes them), every `contains` and the
+//!   `live` listing agree with it, before and after each reopen, and a
+//!   last reopen checks the medium.
 //! * **What a lookup costs**: [`Counting`] wraps the medium and records
-//!   every read and write. `contains`, tombstones and expired TTLs read
-//!   nothing; a `get` reads exactly the value's stored bytes; a
-//!   compaction reads each input once and writes one segment and one
-//!   manifest.
+//!   every read and write. `contains` and tombstones read nothing; a `get`
+//!   reads exactly the value's stored bytes; a compaction reads each input
+//!   once and writes one segment and one manifest.
 //! * **What compaction may not do**: change a stored byte (its output is
 //!   what decoding and rebuilding the live set gives) or carry a damaged
-//!   input forward under a fresh CRC.
+//!   input forward under a fresh CRC, which the next `open` refuses.
 //! * **Codecs mix**: a medium whose segments were flushed under another
 //!   codec than the store now writes with keeps reading, and compaction
 //!   carries each row under the codec id it was stored with.
@@ -24,7 +24,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use fanstore_repro::compress::{CodecFamily, CodecId};
-use fanstore_repro::store::metrics::{now_us, MetricsRegistry};
+use fanstore_repro::store::metrics::MetricsRegistry;
 use fanstore_repro::store::node::decompress_object_into;
 use fanstore_repro::store::wal::segment::{self, SegRow};
 use fanstore_repro::store::wal::{Lookup, MemEntry, RamMedia, WalConfig, WalMedia, WalStore};
@@ -47,20 +47,10 @@ fn get(store: &WalStore, key: &str) -> Option<Vec<u8>> {
     Some(decode(codec, raw_len, &stored, key))
 }
 
-/// Wait until the shared clock has passed `t`, so a TTL ending at `t` has
-/// run out for every later call.
-fn wait_past(t: u64) {
-    while now_us() <= t {
-        std::hint::spin_loop();
-    }
-}
-
-/// A TTL short enough to wait out; [`put_expired`] does the waiting.
-const SHORT_TTL: Duration = Duration::from_micros(50);
-
-fn put_expired(store: &WalStore, key: &str, value: Vec<u8>) {
-    store.put_ttl(key, value, SHORT_TTL).unwrap();
-    wait_past(now_us() + SHORT_TTL.as_micros() as u64);
+/// Reopen the store's medium: `open` checks every published segment
+/// against the manifest that names it.
+fn check_medium(media: Arc<dyn WalMedia>, cfg: &WalConfig) -> Result<(), FsError> {
+    WalStore::open(media, cfg.clone(), &MetricsRegistry::new()).map(|_| ())
 }
 
 /// Compressible, incompressible and empty values, distinguishable by
@@ -120,11 +110,14 @@ fn seeded_scripts_agree_with_a_btreemap_model() {
                 }
                 70..=74 => {
                     let v = value(&mut rng);
-                    store.put_ttl(key, v.clone(), Duration::from_secs(3600)).unwrap();
+                    store.put(key, v.clone()).unwrap();
                     model.insert(key.clone(), v);
                 }
                 75..=79 => {
-                    put_expired(&store, key, value(&mut rng));
+                    // Draws a value it does not write, so that every other
+                    // step of the seed stays as it was.
+                    let _ = value(&mut rng);
+                    store.unlink(key).unwrap();
                     model.remove(key);
                 }
                 80..=89 => {
@@ -145,8 +138,7 @@ fn seeded_scripts_agree_with_a_btreemap_model() {
         }
         check(&store, &model, &keys, &format!("seed {seed} end"));
         assert!(reopens > 0 && store.metrics().segment_reads.get() > 0, "seed {seed} is too tame");
-        let v = store.verify();
-        assert!(v.errors.is_empty(), "seed {seed}: {:?}", v.errors);
+        check_medium(media, &cfg).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }
 }
 
@@ -241,7 +233,8 @@ fn lookups_read_one_value_or_nothing() {
         .unwrap();
     store.put("gone/unlinked", vec![3; 500]).unwrap();
     store.put("gone/superseded", vec![4; 500]).unwrap();
-    put_expired(&store, "gone/expired", vec![5; 500]);
+    store.put("gone/flushed-unlinked", vec![5; 500]).unwrap();
+    store.unlink("gone/flushed-unlinked").unwrap();
     let first = store.flush().unwrap().expect("a segment");
     store.unlink("gone/unlinked").unwrap();
     store.put("gone/superseded", Vec::new()).unwrap();
@@ -252,7 +245,7 @@ fn lookups_read_one_value_or_nothing() {
     for key in ["live/compressed", "live/raw"] {
         assert!(store.contains(key));
     }
-    for key in ["gone/unlinked", "gone/superseded", "gone/expired", "never/written"] {
+    for key in ["gone/unlinked", "gone/superseded", "gone/flushed-unlinked", "never/written"] {
         assert!(!store.contains(key), "{key}");
         assert!(get(&store, key).is_none(), "{key}");
     }
@@ -287,7 +280,7 @@ fn compaction_reads_each_input_once_and_changes_no_stored_byte() {
                 store.unlink(&format!("k{i}")).unwrap();
             }
         }
-        store.put_ttl(&format!("ttl{round}"), value(&mut rng), Duration::from_secs(3600)).unwrap();
+        store.put(&format!("round{round}"), value(&mut rng)).unwrap();
         inputs.push((store.flush().unwrap().expect("a segment"), 0));
     }
     for (name, bytes) in &mut inputs {
@@ -315,12 +308,14 @@ fn compaction_reads_each_input_once_and_changes_no_stored_byte() {
 
     // Decode every carried value and build the segment again: same bytes.
     let blob = media.inner.read(&out.name).unwrap();
-    let entries = segment::parse_entries(&blob).unwrap();
-    let live: Vec<(String, MemEntry)> = entries
+    let live: Vec<(String, MemEntry)> = segment::index(&blob)
+        .unwrap()
+        .rows
         .iter()
-        .map(|e| {
-            let value = Some(Arc::new(decode(e.row.codec, e.row.raw_len, &e.payload, &e.row.path)));
-            (e.row.path.clone(), MemEntry { seq: e.row.seq, expires_us: e.row.expires_us, value })
+        .map(|row| {
+            let part = row.carry(&blob).expect("the row indexes its segment");
+            let value = Some(Arc::new(decode(row.codec, row.raw_len, &part.stored, &row.path)));
+            (row.path.clone(), MemEntry { seq: row.seq, value })
         })
         .collect();
     let cfg = manual_cfg();
@@ -400,7 +395,7 @@ fn segments_flushed_under_another_codec_are_read_and_carried_as_they_are() {
     drop(store);
     let store = open(media.clone(), &manual_cfg());
     check(&store, &model, &keys, "after the merge and a reopen");
-    assert!(store.verify().errors.is_empty());
+    check_medium(media, &manual_cfg()).expect("the merged medium checks out");
 }
 
 #[test]
@@ -426,5 +421,9 @@ fn compaction_does_not_bless_at_rest_damage() {
     assert_eq!(after, before, "a refused compaction leaves manifest and segments as they were");
     assert_eq!(store.status().segments.len(), 2);
     assert_eq!(&get(&store, "b/new").unwrap(), &b"second segment ".repeat(20));
-    assert!(!store.verify().errors.is_empty(), "verify names the damaged segment");
+    let reopened = check_medium(media, &manual_cfg());
+    assert!(
+        matches!(&reopened, Err(FsError::Corrupt(m)) if m.contains(&damaged)),
+        "open names the damaged segment: {reopened:?}"
+    );
 }
